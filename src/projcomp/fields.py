@@ -493,13 +493,27 @@ def _map_jets(cmap: ChartMap, target_point, order: int):
     return xs, x0, Jac
 
 
+def _contract_slots(comps: np.ndarray, mats) -> np.ndarray:
+    """Contract slot k of a component array with mats[k], one slot at a time:
+    out[.., o, ..] = sum_s comps[.., s, ..] * mats[k][s, o].
+
+    A rank-r array of dimension n costs r n^(r+1) jet products (2 n^3 for a
+    bilinear form), where the sum over all (output, source) index pairs at
+    once costs r n^(2r).
+    """
+    out = comps
+    for slot, M in enumerate(mats):
+        out = np.moveaxis(np.moveaxis(out, slot, -1) @ M, -1, slot)
+    return out
+
+
 def transform_tensor(field: TensorField, cmap: ChartMap, target_point,
                      order: int = 1) -> np.ndarray:
     """Components of a source-chart tensor in the target chart at a point.
 
     Standard pushforward/pullback: one inverse-Jacobian factor per upper
-    index, one Jacobian factor per lower index.  Output jets carry the
-    requested order.
+    index, one Jacobian factor per lower index, contracted slot by slot.
+    Output jets carry the requested order.
     """
     n = field.chart.dim
     r, s = field.valence
@@ -515,24 +529,12 @@ def transform_tensor(field: TensorField, cmap: ChartMap, target_point,
     for idx in np.ndindex(comps_src.shape):
         comps[idx] = jets.compose(comps_src[idx], inner)
     Jt = np.empty((n, n), dtype=object)
-    Ji = np.empty((n, n), dtype=object)
+    JiT = np.empty((n, n), dtype=object)  # JiT[a, mu] = d y^mu / d x^a
     for i in range(n):
         for q in range(n):
             Jt[i, q] = Jac[i, q].truncate(order)
-            Ji[i, q] = JacInv[i, q].truncate(order)
-    out = np.empty(comps.shape, dtype=object)
-    for oidx in np.ndindex(out.shape):
-        acc = None
-        for sidx in np.ndindex(comps.shape):
-            factor = None
-            for slot in range(r + s):
-                f = (Ji[oidx[slot], sidx[slot]] if slot < r
-                     else Jt[sidx[slot], oidx[slot]])
-                factor = f if factor is None else factor * f
-            term = comps[sidx] * factor if factor is not None else comps[sidx]
-            acc = term if acc is None else acc + term
-        out[oidx] = acc
-    return out
+            JiT[q, i] = JacInv[i, q].truncate(order)
+    return _contract_slots(comps, [JiT] * r + [Jt] * s)
 
 
 def transform_connection(conn: ConnectionField, cmap: ChartMap, target_point,

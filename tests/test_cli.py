@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from projcomp import cli
+from projcomp import cli, compactify, paracx
 from projcomp.cli import (ManifestError, builtin_manifest, main, point_rng,
                           run_manifest, serialize_report, validate_manifest)
 
@@ -126,6 +126,46 @@ def test_report_carries_manifest_hash_and_tool():
     report = run_manifest(SMALL, jobs=1)
     assert report["tool"]["name"] == "projcomp"
     assert len(report["manifest_sha256"]) == 64
+
+
+def test_cg_form_record_matches_full_compactification_check():
+    # the CLI runs only the h/theta part; its verdict, residual and
+    # constants equal those the full check gives on the same point stream
+    sc = {"id": "dm", "catalog": "dm-random",
+          "params": {"n": 2, "degree": 2, "seed": 0},
+          "checks": ["cg-form"], "points": 3, "seed": 8}
+    rec = run_manifest({"scenarios": [sc]})["scenarios"][0]["records"][0]
+    out = paracx.full_compactification_check(
+        cli._dm_structure(sc["params"]), point_rng(8, "dm", 10_000), count=3,
+        ladder=compactify.DEFAULT_LADDER)
+    resid = max(out["h_closed_form_residual"],
+                out["theta_closed_form_residual"])
+    ok = (out["h_extension"].passed and out["h_boundary_match"].passed
+          and resid < rec["tolerance"])
+    assert rec["status"] == ("pass" if ok else "fail") == "pass"
+    assert rec["max_residual"] == resid
+    assert rec["constants"] == {
+        "h_extension": out["h_extension"].passed,
+        "h_boundary_match": out["h_boundary_match"].passed}
+
+
+def _reject_constant(name):
+    raise ValueError(f"report is not strict JSON: {name}")
+
+
+def test_nonfinite_residual_keeps_report_strict_json(tmp_path):
+    # the Beltrami change is not metric: its metricity residual is infinite
+    sc = next(s for s in builtin_manifest()["scenarios"] if s["id"] == "flat-n3")
+    sc = dict(sc, checks=["beltrami-nonmetric"])
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"scenarios": [sc]}))
+    out = tmp_path / "report.json"
+    assert main(["run", str(path), "--report", str(out)]) == 0
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    rec = report["scenarios"][0]["records"][0]
+    assert rec["status"] == "pass"
+    assert rec["max_residual"] is None
+    assert rec["constants"]["residual_nonfinite"] == "inf"
 
 
 # -- command line -----------------------------------------------------------------

@@ -406,6 +406,33 @@ def test_flat_polar_to_cartesian():
     assert np.max(np.abs(vals - np.eye(2))) < 1e-12
 
 
+def test_transform_upper_slots_polar_to_cartesian():
+    # the radial field d/dr is (x, y)/r in Cartesian components, and the
+    # identity endomorphism stays the identity
+    g = polar_metric()
+    cart = Chart(names=("x", "y"), box=((0.2, 3.0), (0.2, 3.0)))
+
+    def fwd(c):
+        r, phi = c
+        return [r * jets.cos(phi), r * jets.sin(phi)]
+
+    def inv(c):
+        x, y = c
+        return [jets.sqrt(x * x + y * y), _atan(y / x)]
+
+    cmap = fields.ChartMap(source=g.chart, target=cart, fwd=fwd, inv=inv)
+    radial = TensorField(chart=g.chart, valence=(1, 0),
+                         func=lambda c: [c[0] * 0.0 + 1.0, c[0] * 0.0])
+    ident = TensorField(chart=g.chart, valence=(1, 1),
+                        func=lambda c: [[c[0] * 0.0 + 1.0, c[0] * 0.0],
+                                        [c[0] * 0.0, c[0] * 0.0 + 1.0]])
+    p = (1.0, 1.2)
+    vals = fields._values(transform_tensor(radial, cmap, p, order=1))
+    assert np.max(np.abs(vals - np.array(p) / np.hypot(*p))) < 1e-12
+    vals = fields._values(transform_tensor(ident, cmap, p, order=1))
+    assert np.max(np.abs(vals - np.eye(2))) < 1e-12
+
+
 def _atan(u):
     # arctan via log identities on jets (first quadrant use only)
     if not isinstance(u, jets.Jet):

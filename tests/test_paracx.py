@@ -6,7 +6,8 @@ import pytest
 import projcomp.jets as jets
 from projcomp import fields
 from projcomp.catalog import (Poly, ProjectiveStructure, dm_boundary_chart,
-                              dm_metric, projective_change_structure,
+                              dm_boundary_map, dm_metric,
+                              projective_change_structure,
                               random_projective_structure, random_upsilon)
 from projcomp.compactify import CompactificationSpec, extend_to_boundary
 from projcomp.fields import TensorField, covariant_derivative, levi_civita
@@ -19,7 +20,8 @@ from projcomp.paracx import (LEVI_BRIDGE, ParaCompatibilityError,
                              levi_compatibility_check, libermann, nijenhuis,
                              nijenhuis_tangential_check,
                              para_c_projective_change,
-                             para_hermitian_residuals, theta_field)
+                             para_hermitian_residuals, pullback_field,
+                             theta_field)
 
 
 def flat_ps(n=2):
@@ -461,6 +463,51 @@ def test_nijenhuis_t_row_extends_continuously():
         rows.append(np.array([Jj[0, b].eval_shift(delta) for b in range(4)]))
     assert np.max(np.abs(rows[0] - rows[1])) < 1e-6
     assert np.all(np.isfinite(rows[-1]))
+
+
+# -- boundary-chart pullback -------------------------------------------------------------------
+
+
+def _pullback_full_sum(field, cmap, point, order):
+    """Oracle: the pulled-back components as the sum over every (output,
+    source) index pair, one Jacobian factor per slot."""
+    n = field.chart.dim
+    xs = cmap.inv(jets.seed_point(point, order + 1))
+    Jac = np.empty((n, n), dtype=object)
+    for a in range(n):
+        for mu in range(n):
+            Jac[a, mu] = xs[a].deriv(mu)
+    comps = np.asarray(field.func([x.truncate(order) for x in xs]), dtype=object)
+    out = np.empty(comps.shape, dtype=object)
+    for oidx in np.ndindex(out.shape):
+        acc = None
+        for sidx in np.ndindex(comps.shape):
+            term = comps[sidx]
+            for slot in range(len(sidx)):
+                term = term * Jac[sidx[slot], oidx[slot]]
+            acc = term if acc is None else acc + term
+        out[oidx] = acc
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pullback_matches_full_index_sum(n):
+    ps = random_projective_structure(n, 2, 0.4, seed=n + 10)
+    g, om = dm_metric(ps)
+    cmap = dm_boundary_map(n)
+    pts = dm_boundary_chart(n).sample(np.random.default_rng(n), 3)
+    pts[:, 0] = (0.1, 1e-2, 1e-3)
+    for field in (g, om):
+        pb = pullback_field(field, cmap)
+        for p in pts:
+            got = pb.at(p, order=2)
+            want = _pullback_full_sum(field, cmap, p, 2)
+            assert got.shape == want.shape == (2 * n, 2 * n)
+            for idx in np.ndindex(want.shape):
+                assert got[idx].order == 2
+                scale = max(1.0, float(np.max(np.abs(want[idx].c))))
+                err = float(np.max(np.abs(got[idx].c - want[idx].c)))
+                assert err <= 1e-12 * scale, (field.name, p, idx, err, scale)
 
 
 # -- full orchestration -----------------------------------------------------------------------
