@@ -655,7 +655,10 @@ def _cmd_run(args) -> int:
     for res in report["scenarios"]:
         for rec in res["records"]:
             resid = rec["max_residual"]
-            shown = "n/a" if resid is None else f"{resid:.3e}"
+            if resid is None:
+                shown = rec["constants"].get("residual_nonfinite", "n/a")
+            else:
+                shown = f"{resid:.3e}"
             print(f"[{rec['status']:^12}] {res['id']}/{rec['check']}: "
                   f"residual {shown} (tol {rec['tolerance']:.1e})")
     s = report["summary"]

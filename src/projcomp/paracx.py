@@ -769,7 +769,7 @@ def nijenhuis_tangential_check(ps: ProjectiveStructure, rng, count: int = 6,
 
 
 def cg_form_check(ps: ProjectiveStructure, rng, count: int = 5,
-                  ladder=(1e-2, 1e-3, 1e-4), boundary_fields=None) -> dict:
+                  ladder=(1e-2, 1e-3, 1e-4), *, boundary_fields) -> dict:
     """The h/theta part of the boundary certification: h_{T,1/4} extends to
     T = 0, h and theta match their closed forms on interior slices, and the
     boundary value of h matches the closed form at T = 0.
@@ -777,9 +777,9 @@ def cg_form_check(ps: ProjectiveStructure, rng, count: int = 5,
     Returns the sub-results h_extension, h_closed_form_residual,
     theta_closed_form_residual and h_boundary_match.  Draws the tangent
     points from rng exactly as full_compactification_check does.
+    boundary_fields is the (g, Omega, J, chart) bundle of
+    dm_boundary_fields(ps).
     """
-    if boundary_fields is None:
-        boundary_fields = dm_boundary_fields(ps)
     spec = CompactificationSpec(chart=boundary_fields[3], ladder=ladder)
     tps = spec.boundary_points(rng, count)
     return _cg_form_results(ps, boundary_fields, spec, tps)

@@ -153,7 +153,7 @@ def _reject_constant(name):
     raise ValueError(f"report is not strict JSON: {name}")
 
 
-def test_nonfinite_residual_keeps_report_strict_json(tmp_path):
+def test_nonfinite_residual_keeps_report_strict_json(tmp_path, capsys):
     # the Beltrami change is not metric: its metricity residual is infinite
     sc = next(s for s in builtin_manifest()["scenarios"] if s["id"] == "flat-n3")
     sc = dict(sc, checks=["beltrami-nonmetric"])
@@ -161,6 +161,7 @@ def test_nonfinite_residual_keeps_report_strict_json(tmp_path):
     path.write_text(json.dumps({"scenarios": [sc]}))
     out = tmp_path / "report.json"
     assert main(["run", str(path), "--report", str(out)]) == 0
+    assert "flat-n3/beltrami-nonmetric: residual inf " in capsys.readouterr().out
     report = json.loads(out.read_text(), parse_constant=_reject_constant)
     rec = report["scenarios"][0]["records"][0]
     assert rec["status"] == "pass"
