@@ -284,15 +284,17 @@ def run_scenario(scenario: dict, tol_scale: float = 1.0) -> dict:
     overrides = scenario.get("tolerances", {})
 
     records = []
+    memo = {}  # objects the checks of this scenario share, built on first use
     for check in checks:
         tol = float(overrides.get(check, DEFAULT_TOLS[check])) * tol_scale
         t0 = time.perf_counter()
-        rec = _run_check(cat, params, check, tol, seed, sid, count, ladder, t0)
+        rec = _run_check(cat, params, check, tol, seed, sid, count, ladder, t0,
+                         memo)
         records.append(rec)
     return {"id": sid, "records": records}
 
 
-def _run_check(cat, params, check, tol, seed, sid, count, ladder, t0):
+def _run_check(cat, params, check, tol, seed, sid, count, ladder, t0, memo):
     rng = point_rng(seed, sid, 10_000)  # stream for non-point randomness
 
     if cat == "flat":
@@ -431,7 +433,7 @@ def _run_check(cat, params, check, tol, seed, sid, count, ladder, t0):
 
     if cat in ("dm-flat", "dm-random"):
         return _run_dm_check(cat, params, check, tol, seed, sid, count,
-                             ladder, t0, rng)
+                             ladder, t0, rng, memo)
 
     raise ManifestError(f"no implementation for {cat}/{check}")
 
@@ -486,7 +488,8 @@ def _maurer_cartan_residual(pars, seed, sid, count) -> float:
     return worst
 
 
-def _run_dm_check(cat, params, check, tol, seed, sid, count, ladder, t0, rng):
+def _run_dm_check(cat, params, check, tol, seed, sid, count, ladder, t0, rng,
+                  memo):
     ps = _dm_structure(params)
     n = ps.n
     if check == "einstein":
@@ -550,8 +553,10 @@ def _run_dm_check(cat, params, check, tol, seed, sid, count, ladder, t0, rng):
         return _record(check, "pass" if det > tol else "fail", det, tol, seed,
                        min(count, 8), t0, {"min_det": det})
 
-    # boundary-chart checks
-    bundle = paracx.dm_boundary_fields(ps)
+    # boundary-chart checks, which share one bundle per scenario
+    if "boundary_fields" not in memo:
+        memo["boundary_fields"] = paracx.dm_boundary_fields(ps)
+    bundle = memo["boundary_fields"]
     gb, omb, jb, chart = bundle
     if check == "cg-form":
         out = paracx.cg_form_check(ps, rng, count=min(count, 5), ladder=ladder,

@@ -7,6 +7,12 @@ and returns an object array of the same scalar type; derived fields
 internally at a higher jet order, so a caller always receives components
 exact to the order it asked for.
 
+Inside the connection and curvature functions a tensor of jets is one
+stacked float array of shape (n, ..., n, S): tensor axes first, then the S
+Taylor coefficients of each component, in graded-lex order.  Truncation is a
+slice of the last axis, a derivative a gather on it, and a contraction
+JetAlgebra.contract; public functions still return object arrays of Jets.
+
 Curvature convention, fixed once for the whole engine:
 
     R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb
@@ -201,37 +207,56 @@ def _reseed(coords, order: int) -> list:
     return jets.seed_point([c.value for c in coords], order)
 
 
-def jet_matrix_inverse(G: np.ndarray) -> np.ndarray:
-    """Invert a square object-array of jets by Gauss-Jordan elimination."""
-    n = G.shape[0]
-    A = [[G[i, j] for j in range(n)] for i in range(n)]
-    proto = G[0, 0]
-    one = Jet.constant(1.0, proto.num_vars, proto.order)
-    zero = Jet.constant(0.0, proto.num_vars, proto.order)
-    B = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(A[r][col].value))
-        if abs(A[piv][col].value) < 1e-13:
-            raise SingularMetricError("singular matrix in jet inversion")
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            B[col], B[piv] = B[piv], B[col]
-        inv = one / A[col][col]
-        A[col] = [inv * a for a in A[col]]
-        B[col] = [inv * b for b in B[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = A[r][col]
-            if np.all(f.c == 0.0):
-                continue
-            A[r] = [a - f * p for a, p in zip(A[r], A[col])]
-            B[r] = [b - f * p for b, p in zip(B[r], B[col])]
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = B[i][j]
+def _stack(comps) -> np.ndarray:
+    """Object array of jets (one algebra) -> stacked (..., S) array."""
+    comps = _as_object_array(comps)
+    coeffs = [x.c for x in comps.ravel()]
+    return np.stack(coeffs).reshape(comps.shape + coeffs[0].shape)
+
+
+def _unstack(alg, A: np.ndarray) -> np.ndarray:
+    """Stacked (..., S) array -> object array of Jets of the algebra alg."""
+    out = np.empty(A.shape[:-1], dtype=object)
+    out.ravel()[:] = [Jet(alg, c) for c in A.reshape(-1, A.shape[-1])]
     return out
+
+
+def _grad(alg, A: np.ndarray) -> np.ndarray:
+    """Stacked partial derivatives, one order lower: out[a, ...] = d_a A."""
+    return np.stack([A[..., src] * fac for src, _, fac in alg._deriv])
+
+
+# Largest condition number, after each row is scaled to unit max-norm, of a
+# value matrix treated as invertible: relative, so neither a uniform scale
+# (1e-14 I) nor a few large rows (g_TT ~ 1e16 near T = 0) look singular.
+_COND_MAX = 1e13
+
+
+def _inverse(alg, A: np.ndarray) -> np.ndarray:
+    """Inverse of a stacked (n, n, S) jet matrix.
+
+    The value matrix A0 is inverted by LAPACK.  The rest N = A - A0 has no
+    constant term, so it is nilpotent at the jet order o, and o steps of the
+    lift X <- A0^-1 - (A0^-1 N) X, from X = A0^-1, give the exact inverse.
+    """
+    A0 = A[..., 0]
+    rows = np.max(np.abs(A0), axis=1)
+    if not (np.all(rows > 0) and np.linalg.cond(A0 / rows[:, None]) < _COND_MAX):
+        raise SingularMetricError("singular matrix in jet inversion")
+    lift = np.zeros_like(A)
+    lift[..., 0] = np.linalg.inv(A0)
+    M = -np.einsum("ij,jks->iks", lift[..., 0], A)
+    M[..., 0] = 0.0  # -A0^-1 N, with N = A - A0
+    X = lift
+    for _ in range(alg.order):
+        X = lift + alg.contract("ij,jk->ik", M, X)
+    return X
+
+
+def jet_matrix_inverse(G: np.ndarray) -> np.ndarray:
+    """Invert a square object-array of jets."""
+    alg = G.flat[0].alg
+    return _unstack(alg, _inverse(alg, _stack(G)))
 
 
 # -- Levi-Civita and projective operations ----------------------------------
@@ -240,28 +265,19 @@ def jet_matrix_inverse(G: np.ndarray) -> np.ndarray:
 def levi_civita(g: MetricField) -> ConnectionField:
     """Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij)."""
     n = g.chart.dim
+    upper = np.triu_indices(n, 1)
 
     def func(coords):
         o = coords[0].order
         up = _reseed(coords, o + 1)
-        G = _as_object_array(g.func(up))
-        Ginv = jet_matrix_inverse(G)
-        dG = np.empty((n, n, n), dtype=object)  # dG[a,b,c] = d_a g_bc
-        for b in range(n):
-            for c in range(n):
-                for a in range(n):
-                    dG[a, b, c] = G[b, c].deriv(a)
-        gamma = np.empty((n, n, n), dtype=object)
-        for k in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    acc = None
-                    for l in range(n):
-                        term = Ginv[k, l].truncate(o) * (dG[i, j, l] + dG[j, i, l] - dG[l, i, j])
-                        acc = term if acc is None else acc + term
-                    gamma[k, i, j] = acc * 0.5
-                    gamma[k, j, i] = gamma[k, i, j]
-        return gamma
+        G = _stack(g.func(up))
+        alg = jets.algebra(n, o)
+        dG = _grad(up[0].alg, G)  # dG[a, b, c] = d_a g_bc
+        low = dG + dG.transpose(1, 0, 2, 3) - np.moveaxis(dG, 0, 2)
+        gamma = 0.5 * alg.contract("kl,ijl->kij",
+                                   _inverse(alg, G[..., :alg.size]), low)
+        gamma[:, upper[1], upper[0]] = gamma[:, upper[0], upper[1]]
+        return _unstack(alg, gamma)
 
     return ConnectionField(chart=g.chart, func=func, torsion_free=True,
                            name=f"LC({g.name})")
@@ -293,25 +309,12 @@ def projective_change(conn: ConnectionField, upsilon: TensorField) -> Connection
 
 def riemann(conn: ConnectionField, point) -> np.ndarray:
     """Curvature values R^a_bcd at a point."""
-    n = conn.chart.dim
-    gamma = conn.coeffs(point, order=1)
-    gv = _values(gamma)
-    dg = np.empty((n, n, n, n))  # dg[c,a,d,b] = d_c Gamma^a_db
-    for c in range(n):
-        for a in range(n):
-            for d in range(n):
-                for b in range(n):
-                    dg[c, a, d, b] = gamma[a, d, b].deriv(c).value
-    R = np.zeros((n, n, n, n))
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(c + 1, n):
-                    val = dg[c, a, d, b] - dg[d, a, c, b]
-                    val += np.dot(gv[a, c, :], gv[:, d, b]) - np.dot(gv[a, d, :], gv[:, c, b])
-                    R[a, b, c, d] = val
-                    R[a, b, d, c] = -val
-    return R
+    G = _stack(conn.coeffs(point, order=1))
+    gv = G[..., 0]
+    # order-1 coefficient 1 + c is d_c; D[a, b, c, d] = d_c Gamma^a_db
+    D = np.einsum("adbc->abcd", G[..., 1:])
+    Q = np.einsum("ace,edb->abcd", gv, gv)
+    return (D - D.swapaxes(2, 3)) + (Q - Q.swapaxes(2, 3))
 
 
 def ricci(conn: ConnectionField, point) -> np.ndarray:
@@ -326,19 +329,15 @@ def ricci_field(conn: ConnectionField) -> TensorField:
 
     def func(coords):
         o = coords[0].order
-        gamma = _as_object_array(conn.func(_reseed(coords, o + 1)))
-        ric = np.empty((n, n), dtype=object)
-        for b in range(n):
-            for d in range(n):
-                acc = None
-                for a in range(n):
-                    t = gamma[a, d, b].deriv(a) - gamma[a, a, b].deriv(d)
-                    for e in range(n):
-                        t = t + (gamma[a, a, e] * gamma[e, d, b]
-                                 - gamma[a, d, e] * gamma[e, a, b]).truncate(o)
-                    acc = t if acc is None else acc + t
-                ric[b, d] = acc
-        return ric
+        up = _reseed(coords, o + 1)
+        G = _stack(conn.func(up))
+        alg = jets.algebra(n, o)
+        dG = _grad(up[0].alg, G)  # dG[c, a, d, b] = d_c Gamma^a_db
+        Gt = G[..., :alg.size]
+        ric = (np.einsum("aadbs->bds", dG) - np.einsum("daabs->bds", dG)
+               + alg.contract("aae,edb->bd", Gt, Gt)
+               - alg.contract("ade,eab->bd", Gt, Gt))
+        return _unstack(alg, ric)
 
     return TensorField(chart=conn.chart, valence=(0, 2), func=func,
                        name=f"Ric({conn.name})")
@@ -376,14 +375,10 @@ def projective_schouten(conn: ConnectionField) -> TensorField:
     ric = ricci_field(conn)
 
     def func(coords):
-        R = _as_object_array(ric.func(coords))
-        P = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                sym = (R[i, j] + R[j, i]) * 0.5
-                anti = (R[i, j] - R[j, i]) * 0.5
-                P[i, j] = sym * (1.0 / (n - 1)) - anti * (1.0 / (n + 1))
-        return P
+        R = _stack(ric.func(coords))
+        Rt = R.swapaxes(0, 1)
+        P = (R + Rt) * 0.5 * (1.0 / (n - 1)) - (R - Rt) * 0.5 * (1.0 / (n + 1))
+        return _unstack(jets.algebra(n, coords[0].order), P)
 
     return TensorField(chart=conn.chart, valence=(0, 2), func=func,
                        name=f"P({conn.name})")
@@ -391,21 +386,11 @@ def projective_schouten(conn: ConnectionField) -> TensorField:
 
 def projective_weyl(conn: ConnectionField, point) -> np.ndarray:
     """Totally trace-free curvature part W^a_bcd (projective invariant)."""
-    n = conn.chart.dim
-    R = riemann(conn, point)
+    delta = np.eye(conn.chart.dim)
     P = _values(projective_schouten(conn).at(point, order=0))
-    W = R.copy()
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    if a == c:
-                        W[a, b, c, d] -= P[d, b]
-                    if a == d:
-                        W[a, b, c, d] += P[c, b]
-                    if a == b:
-                        W[a, b, c, d] += P[c, d] - P[d, c]
-    return W
+    return (riemann(conn, point) - np.einsum("ac,db->abcd", delta, P)
+            + np.einsum("ad,cb->abcd", delta, P)
+            + np.einsum("ab,cd->abcd", delta, P - P.T))
 
 
 def covariant_derivative(conn: ConnectionField, field: TensorField) -> TensorField:
@@ -518,9 +503,6 @@ def transform_tensor(field: TensorField, cmap: ChartMap, target_point,
     n = field.chart.dim
     r, s = field.valence
     xs, x0, Jac = _map_jets(cmap, target_point, order)
-    piv = np.abs(_values(Jac))
-    if np.linalg.matrix_rank(piv) < n or abs(np.linalg.det(_values(Jac))) < 1e-12:
-        raise SingularMetricError("singular Jacobian in chart map")
     JacInv = jet_matrix_inverse(Jac)  # JacInv[mu, a] = d y^mu / d x^a
     comps_src = _as_object_array(field.func(jets.seed_point(x0, order)))
     # re-express source components as jets in the target coordinates

@@ -94,6 +94,14 @@ class JetAlgebra:
         self._mul_d = np.array(D, dtype=np.intp)
         self._mul_kd = np.array(KD, dtype=np.intp)
 
+        # The same pairs unsymmetrized (both orders of each i < j pair),
+        # grouped by target coefficient for the stacked contraction.
+        K = np.concatenate([self._mul_k, self._mul_k, self._mul_kd])
+        by_k = np.argsort(K, kind="stable")
+        self._pair_i = np.concatenate([self._mul_i, self._mul_j, self._mul_d])[by_k]
+        self._pair_j = np.concatenate([self._mul_j, self._mul_i, self._mul_d])[by_k]
+        self._pair_start = np.searchsorted(K[by_k], np.arange(self.size))
+
         # factorial(alpha) per monomial, for partial-derivative extraction
         self.fact = np.array(
             [math.prod(math.factorial(e) for e in m) for m in self.monomials],
@@ -128,6 +136,16 @@ class JetAlgebra:
         out += np.bincount(self._mul_kd, weights=a[self._mul_d] * b[self._mul_d],
                            minlength=self.size)
         return out
+
+    def contract(self, spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Truncated product of stacked jet tensors (coefficients on the last
+        axis) summed by an einsum spec over the tensor axes: "ij,jk->ik" is
+        the jet matrix product.  Pairs are reduced in a fixed order."""
+        operands, result = spec.split("->")
+        sa, sb = operands.split(",")
+        pairs = np.einsum(f"{sa}z,{sb}z->{result}z",
+                          a[..., self._pair_i], b[..., self._pair_j])
+        return np.add.reduceat(pairs, self._pair_start, axis=-1)
 
 
 @lru_cache(maxsize=None)

@@ -27,8 +27,9 @@ import numpy as np
 
 from . import jets
 from .fields import (Chart, ChartMap, ConnectionField, MetricField,
-                     TensorField, _contract_slots, covariant_derivative,
-                     exterior_derivative, jet_matrix_inverse, levi_civita)
+                     TensorField, _contract_slots, _values,
+                     covariant_derivative, exterior_derivative,
+                     jet_matrix_inverse, levi_civita)
 from .compactify import CompactificationSpec, ExtensionVerdict, extend_to_boundary
 from .catalog import (ProjectiveStructure, dm_boundary_chart, dm_boundary_map,
                       dm_metric)
@@ -132,7 +133,7 @@ def para_hermitian_residuals(g: MetricField, omega: TensorField,
         out["pairing"] = max(out["pairing"], np.max(np.abs(J.T @ G - W)))
     domega = exterior_derivative(omega)
     out["closed"] = max(
-        float(np.max(np.abs(_values_of(domega.at(p, order=0)))))
+        float(np.max(np.abs(_values(domega.at(p, order=0)))))
         for p in np.atleast_2d(points))
     return out
 
@@ -799,8 +800,8 @@ def _cg_form_results(ps, bundle, spec, tps) -> dict:
     for tp in tps[:3]:
         for eps in ladder[:2]:
             p = np.concatenate([[eps], tp])
-            dev = np.max(np.abs(_values_of(h_engine.at(p, order=0))
-                                - _values_of(h_closed.at(p, order=0))))
+            dev = np.max(np.abs(_values(h_engine.at(p, order=0))
+                                - _values(h_closed.at(p, order=0))))
             worst = max(worst, float(dev))
     out["h_closed_form_residual"] = worst
 
@@ -811,15 +812,15 @@ def _cg_form_results(ps, bundle, spec, tps) -> dict:
     for tp in tps[:3]:
         for eps in ladder[:2]:
             p = np.concatenate([[eps], tp])
-            dev = np.max(np.abs(_values_of(th_engine.at(p, order=0))
-                                - _values_of(th_closed.at(p, order=0))))
+            dev = np.max(np.abs(_values(th_engine.at(p, order=0))
+                                - _values(th_closed.at(p, order=0))))
             worst = max(worst, float(dev))
     out["theta_closed_form_residual"] = worst
 
     # boundary value of h against the boundary closed form at T = 0
     def h_at_zero(tp):
         p0 = np.concatenate([[0.0], tp])
-        return _values_of(h_closed.at(p0, order=0))
+        return _values(h_closed.at(p0, order=0))
 
     out["h_boundary_match"] = extend_to_boundary(
         h_engine.func, spec, tps[:3], tolerance=1e-6, closed_form=h_at_zero)
@@ -854,12 +855,4 @@ def full_compactification_check(ps: ProjectiveStructure, rng, count: int = 5,
                                        jb)
     out["connection_extension"] = extend_to_boundary(
         changed.func, spec, tps[:3], tolerance=1e-5, order=2)
-    return out
-
-
-def _values_of(comps) -> np.ndarray:
-    comps = np.asarray(comps, dtype=object)
-    out = np.empty(comps.shape)
-    for idx in np.ndindex(comps.shape):
-        out[idx] = jets.value_of(comps[idx])
     return out

@@ -149,6 +149,26 @@ def test_cg_form_record_matches_full_compactification_check():
         "h_boundary_match": out["h_boundary_match"].passed}
 
 
+def test_boundary_bundle_built_once_per_scenario(monkeypatch):
+    # the boundary checks of one scenario share one dm_boundary_fields
+    # bundle, and sharing it changes no record
+    sc = {"id": "dm", "catalog": "dm-random",
+          "params": {"n": 2, "degree": 1, "seed": 2},
+          "checks": ["levi", "nijenhuis-tangential"], "points": 2, "seed": 5}
+    built = []
+    build = paracx.dm_boundary_fields
+    monkeypatch.setattr(paracx, "dm_boundary_fields",
+                        lambda ps: built.append(ps) or build(ps))
+    shared = _strip_walltime(run_manifest({"scenarios": [sc]}))
+    assert len(built) == 1
+    alone = [_strip_walltime(run_manifest({"scenarios": [dict(sc, checks=[c])]}))
+             for c in sc["checks"]]
+    assert len(built) == 3
+    assert shared["scenarios"][0]["records"] == [
+        rep["scenarios"][0]["records"][0] for rep in alone]
+    assert all(r["status"] == "pass" for r in shared["scenarios"][0]["records"])
+
+
 def _reject_constant(name):
     raise ValueError(f"report is not strict JSON: {name}")
 

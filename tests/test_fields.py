@@ -104,6 +104,38 @@ def test_levi_civita_singular_metric_raises():
         levi_civita(g).values((0.0, 0.3))
 
 
+def test_levi_civita_singularity_test_is_relative():
+    # a tiny constant metric, a uniformly huge one and one with a huge row
+    # (g_TT near the boundary) all invert; the Christoffel symbols do not
+    # depend on a constant scale
+    chart = Chart(names=("x", "y"), box=((-1, 1), (-1, 1)))
+    p = (0.3, -0.2)
+
+    def scaled(s00, s01, s11):
+        def func(c):
+            x, y = c
+            off = s01 * (0.2 * x * y + 0.1)
+            return [[s00 * (2.0 + x * x), off], [off, s11 * (1.0 + y * y)]]
+        return MetricField(chart, func)
+
+    tiny = MetricField(chart, lambda c: [[c[0] * 0.0 + 1e-14, c[0] * 0.0],
+                                         [c[0] * 0.0, c[0] * 0.0 + 1e-14]])
+    assert np.max(np.abs(levi_civita(tiny).values(p))) == 0.0
+    want = levi_civita(scaled(1.0, 1.0, 1.0)).values(p)
+    got = levi_civita(scaled(1e16, 1e16, 1e16)).values(p)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    steep = scaled(1e16, 1.0, 1.0)
+    got = levi_civita(steep).values(p)
+    want = _levi_civita_loops(steep).values(p)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_jet_matrix_inverse_singular_raises_singular_metric_error():
+    ones = jets.Jet.constant(1.0, 2, 1)
+    with pytest.raises(SingularMetricError):
+        fields.jet_matrix_inverse(np.array([[ones, ones], [ones, ones]]))
+
+
 # -- curvature -----------------------------------------------------------------
 
 
@@ -452,6 +484,17 @@ def _atan(u):
     return out
 
 
+def test_transform_sum_difference_map():
+    # x = u + v, y = u - v has det -2; |Jac| has rank 1 but Jac does not
+    g = euclid(2)
+    uv = Chart(names=("u", "v"), box=((-1.0, 1.0), (-1.0, 1.0)))
+    cmap = fields.ChartMap(source=g.chart, target=uv,
+                           fwd=lambda c: [(c[0] + c[1]) * 0.5, (c[0] - c[1]) * 0.5],
+                           inv=lambda c: [c[0] + c[1], c[0] - c[1]])
+    vals = fields._values(transform_tensor(g, cmap, (0.2, 0.1), order=1))
+    assert np.max(np.abs(vals - 2.0 * np.eye(2))) < 1e-15
+
+
 def test_transform_functorial_roundtrip():
     base = unit_sphere(2)
     g = cone(base)
@@ -546,3 +589,167 @@ def test_debug_symmetry_catches_violation():
             bad.at((0.1, 0.2), order=0)
     finally:
         fields.DEBUG_SYMMETRY = False
+
+
+# -- stacked kernels against the per-component loops -------------------------------
+#
+# The loops below are the Gauss-Jordan inverse and the one-jet-at-a-time
+# Levi-Civita, Ricci and Riemann of the earlier engine, kept as oracles for
+# the stacked (..., S) implementations in fields.
+
+
+def _gauss_jordan_inverse(G):
+    n = G.shape[0]
+    A = [[G[i, j] for j in range(n)] for i in range(n)]
+    proto = G[0, 0]
+    one = jets.Jet.constant(1.0, proto.num_vars, proto.order)
+    zero = jets.Jet.constant(0.0, proto.num_vars, proto.order)
+    B = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(A[r][col].value))
+        if piv != col:
+            A[col], A[piv] = A[piv], A[col]
+            B[col], B[piv] = B[piv], B[col]
+        inv = one / A[col][col]
+        A[col] = [inv * a for a in A[col]]
+        B[col] = [inv * b for b in B[col]]
+        for r in range(n):
+            if r != col:
+                f = A[r][col]
+                A[r] = [a - f * q for a, q in zip(A[r], A[col])]
+                B[r] = [b - f * q for b, q in zip(B[r], B[col])]
+    return fields._as_object_array(B)
+
+
+def _levi_civita_loops(g):
+    n = g.chart.dim
+
+    def func(coords):
+        o = coords[0].order
+        G = fields._as_object_array(g.func(fields._reseed(coords, o + 1)))
+        Ginv = _gauss_jordan_inverse(G)
+        gamma = np.empty((n, n, n), dtype=object)
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    acc = None
+                    for l in range(n):
+                        term = Ginv[k, l].truncate(o) * (
+                            G[j, l].deriv(i) + G[i, l].deriv(j) - G[i, j].deriv(l))
+                        acc = term if acc is None else acc + term
+                    gamma[k, i, j] = acc * 0.5
+        return gamma
+
+    return fields.ConnectionField(chart=g.chart, func=func)
+
+
+def _ricci_loops(conn, coords):
+    n = conn.chart.dim
+    o = coords[0].order
+    gamma = fields._as_object_array(conn.func(fields._reseed(coords, o + 1)))
+    ric = np.empty((n, n), dtype=object)
+    for b in range(n):
+        for d in range(n):
+            acc = None
+            for a in range(n):
+                t = gamma[a, d, b].deriv(a) - gamma[a, a, b].deriv(d)
+                for e in range(n):
+                    t = t + (gamma[a, a, e] * gamma[e, d, b]
+                             - gamma[a, d, e] * gamma[e, a, b]).truncate(o)
+                acc = t if acc is None else acc + t
+            ric[b, d] = acc
+    return ric
+
+
+def _riemann_loops(conn, point):
+    n = conn.chart.dim
+    gamma = conn.coeffs(point, order=1)
+    gv = fields._values(gamma)
+    R = np.zeros((n, n, n, n))
+    for a, b, c, d in np.ndindex(R.shape):
+        R[a, b, c, d] = (gamma[a, d, b].deriv(c).value - gamma[a, c, b].deriv(d).value
+                         + gv[a, c, :] @ gv[:, d, b] - gv[a, d, :] @ gv[:, c, b])
+    return R
+
+
+def _assert_jets_close(got, want):
+    """Every coefficient within 1e-12 of the component's largest one."""
+    assert got.shape == want.shape
+    for idx in np.ndindex(want.shape):
+        assert got[idx].alg is want[idx].alg, idx
+        scale = max(1.0, float(np.max(np.abs(want[idx].c))))
+        err = float(np.max(np.abs(got[idx].c - want[idx].c)))
+        assert err <= 1e-12 * scale, (idx, err, scale)
+
+
+def _wavy_metric():
+    chart = Chart(names=("x", "y"), box=((-1.0, 1.0), (-1.0, 1.0)))
+
+    def func(c):
+        x, y = c
+        off = x * y * y + 0.3
+        return [[2.0 + jets.sin(x * y), off], [off, 1.5 + 0.5 * jets.exp(x - y)]]
+    return MetricField(chart, func, name="wavy")
+
+
+def _metric_of_dim(dim):
+    """A generic metric of dimension 2, 4 or 6, and a point of its chart."""
+    if dim == 2:
+        return _wavy_metric(), np.array([0.3, -0.4])
+    g, _ = dm_metric(random_projective_structure(dim // 2, 2, 0.4, seed=dim))
+    return g, g.chart.sample(np.random.default_rng(dim), 1)[0]
+
+
+def _torsion_connection(dim):
+    """Polynomial coefficients with Gamma^k_ij != Gamma^k_ji, so that a
+    swapped lower index in a contraction shows."""
+    ps = random_projective_structure(dim, 2, 0.4, seed=60 + dim)
+
+    def func(coords):
+        sym = ps.gamma_at(coords)
+        out = np.empty_like(sym)
+        for k, i, j in np.ndindex(sym.shape):
+            out[k, i, j] = sym[k, i, j] * (1.0 + 0.25 * (i + 1) * coords[j])
+        return out
+
+    chart = Chart(names=tuple(f"x{i}" for i in range(dim)), box=((-0.9, 0.9),) * dim)
+    return fields.ConnectionField(chart=chart, func=func, torsion_free=False)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+def test_jet_matrix_inverse_matches_gauss_jordan(order):
+    for dim in (2, 4, 6):
+        g, p = _metric_of_dim(dim)
+        G = g.at(p, order=order)
+        _assert_jets_close(fields.jet_matrix_inverse(G), _gauss_jordan_inverse(G))
+        if dim > 2:  # and a matrix that is not symmetric
+            _, om = dm_metric(random_projective_structure(dim // 2, 2, 0.4, seed=dim))
+            W = om.at(p, order=order) + 0.5 * G
+            _assert_jets_close(fields.jet_matrix_inverse(W), _gauss_jordan_inverse(W))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_levi_civita_matches_component_loops(dim, order):
+    g, p = _metric_of_dim(dim)
+    _assert_jets_close(levi_civita(g).coeffs(p, order=order),
+                       _levi_civita_loops(g).coeffs(p, order=order))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_ricci_field_matches_component_loops(dim, order):
+    conn = _torsion_connection(dim)
+    p = conn.chart.sample(np.random.default_rng(dim), 1)[0]
+    got = fields.ricci_field(conn).at(p, order=order)
+    _assert_jets_close(got, _ricci_loops(conn, conn.chart.seed(p, order)))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_riemann_matches_component_loops(dim):
+    g, p = _metric_of_dim(dim)
+    conn = _torsion_connection(dim)
+    for c, q in ((levi_civita(g), p),
+                 (conn, conn.chart.sample(np.random.default_rng(dim), 1)[0])):
+        want = _riemann_loops(c, q)
+        assert np.max(np.abs(riemann(c, q) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))

@@ -188,6 +188,21 @@ def test_ring_laws_exact():
         assert np.max(np.abs(((a * b) * c - a * (b * c)).c)) < 1e-14
 
 
+@pytest.mark.parametrize("n,order", [(1, 0), (2, 3), (4, 2), (6, 2)])
+def test_contract_matches_summed_mul(n, order):
+    # the stacked contraction equals the per-component products, summed
+    alg = jets.algebra(n, order)
+    rng = np.random.default_rng(n + order)
+    A = rng.uniform(-1, 1, size=(3, 2, 2, alg.size))
+    B = rng.uniform(-1, 1, size=(2, 4, alg.size))
+    got = alg.contract("ijj,jk->ik", A, B)
+    assert got.shape == (3, 4, alg.size)
+    for i in range(3):
+        for k in range(4):
+            want = sum(alg.mul(A[i, j, j], B[j, k]) for j in range(2))
+            assert np.max(np.abs(got[i, k] - want)) < 1e-14
+
+
 def test_leibniz_rule():
     rng = np.random.default_rng(4)
     for _ in range(20):
