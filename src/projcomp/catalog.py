@@ -21,14 +21,14 @@ Ric_ab = n P_ba - P_ab.  This is the unique orientation for which
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import jets
 from .fields import (Chart, ChartMap, ConnectionField, MetricField,
-                     TensorField, projective_schouten)
+                     TensorField, _values, projective_schouten)
 from .jets import Jet
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "compactified_flat",
     "cone",
     "compactified_cone",
+    "cone_in_t",
     "cone_chart_map",
     "warped",
     "eguchi_hanson",
@@ -107,6 +108,8 @@ class ProjectiveStructure:
     degree: int = 3
     bound: float = 1.0
     label: str = ""
+    _schouten: Optional[TensorField] = field(default=None, init=False,
+                                             repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -141,7 +144,30 @@ class ProjectiveStructure:
                                torsion_free=True, name=self.label or "ps")
 
     def schouten(self) -> TensorField:
-        return projective_schouten(self.connection())
+        """The projective Schouten field, built once per structure."""
+        if self._schouten is None:
+            self._schouten = projective_schouten(self.connection())
+        return self._schouten
+
+    def schouten_at(self, x) -> np.ndarray:
+        """The n x n Schouten matrix P_ij at base coordinates x.
+
+        For floats, a float matrix.  For jets of order o (in any number of
+        variables), each entry is the order-o jet of the Schouten field at
+        x's value composed with x.
+        """
+        n = self.n
+        sch = self.schouten()
+        if not isinstance(x[0], Jet):
+            return _values(sch.func(jets.seed_point(x, 0)))
+        o = x[0].order
+        Pn = np.asarray(sch.func(jets.seed_point([c.value for c in x], o)))
+        inner = [c.truncate(o) for c in x]
+        P = np.empty((n, n), dtype=object)
+        for i in range(n):
+            for j in range(n):
+                P[i, j] = jets.compose(Pn[i, j], inner)
+        return P
 
 
 _QUANTUM = 2.0 ** -26  # dyadic grid: small-integer poly combinations stay exact
@@ -299,6 +325,27 @@ def compactified_cone(gamma: MetricField, tbox=(0.05, 0.6)) -> MetricField:
         return out
 
     return MetricField(chart, func, name=f"cbar({gamma.name})")
+
+
+def cone_in_t(gamma: MetricField) -> MetricField:
+    """The metric cone written on the compactified cone's (T, base) chart,
+    T = (r^2+1)^(-1/2):  dT^2/(T^4 (1-T^2)) + (1-T^2)/T^2 gamma."""
+    m = gamma.chart.dim
+    chart = compactified_cone(gamma).chart
+
+    def func(coords):
+        T, rest = coords[0], coords[1:]
+        G = gamma.func(rest)
+        w = 1.0 - T * T
+        T2 = T * T
+        out = [[T * 0.0 for _ in range(m + 1)] for _ in range(m + 1)]
+        out[0][0] = 1.0 / (T2 * T2 * w)
+        for i in range(m):
+            for j in range(m):
+                out[i + 1][j + 1] = (w / T2) * G[i][j]
+        return out
+
+    return MetricField(chart, func, name=f"cone-T({gamma.name})")
 
 
 def cone_chart_map(gamma: MetricField, rbox=(0.6, 2.5),
@@ -548,32 +595,11 @@ def dm_metric(ps: ProjectiveStructure):
     """
     n = ps.n
     chart = dm_chart(n)
-    schouten_field = ps.schouten()
-
-    def _p_embedded(coords):
-        """Schouten of the base structure in the 2n variables (or floats)."""
-        x = list(coords[:n])
-        x0 = [jets.value_of(c) for c in x]
-        if not isinstance(coords[0], Jet):
-            Pn = np.asarray(schouten_field.func(jets.seed_point(x0, 0)))
-            P = np.empty((n, n), dtype=object)
-            for i in range(n):
-                for j in range(n):
-                    P[i, j] = Pn[i, j].value
-            return P
-        o = coords[0].order
-        Pn = np.asarray(schouten_field.func(jets.seed_point(x0, o)))
-        inner = [c.truncate(o) for c in x]
-        P = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                P[i, j] = jets.compose(Pn[i, j], inner)
-        return P
 
     def gfunc(coords):
         x, xi = coords[:n], coords[n:]
         gamma = ps.gamma_at(x)
-        P = _p_embedded(coords)
+        P = ps.schouten_at(x)
         zero = coords[0] * 0.0
         dim = 2 * n
         g = [[zero for _ in range(dim)] for _ in range(dim)]
@@ -590,8 +616,7 @@ def dm_metric(ps: ProjectiveStructure):
         return g
 
     def omegafunc(coords):
-        x = coords[:n]
-        P = _p_embedded(coords)
+        P = ps.schouten_at(coords[:n])
         zero = coords[0] * 0.0
         dim = 2 * n
         w = [[zero for _ in range(dim)] for _ in range(dim)]
@@ -657,33 +682,3 @@ def dm_boundary_map(n: int) -> ChartMap:
         return xs + xis
 
     return ChartMap(source=src, target=dst, fwd=fwd, inv=inv)
-
-
-# -- catalog registry (CLI surface) -------------------------------------------
-
-CATALOG = {
-    "cone": {
-        "params": "base in {sphere, torus, split}; rbox",
-        "claim": "metric cone admits an order-1 metric compactification",
-    },
-    "dm-flat": {
-        "params": "n",
-        "claim": "canonical neutral Einstein metric of the flat structure",
-    },
-    "dm-random": {
-        "params": "n, degree, seed",
-        "claim": "canonical neutral Einstein metric; compactifiable boundary data",
-    },
-    "eh": {
-        "params": "a (default 1)",
-        "claim": "Ricci-flat instanton; order-1 compactification is non-metric",
-    },
-    "flat": {
-        "params": "n",
-        "claim": "flat space in spherical form; round-sphere compactification",
-    },
-    "warped": {
-        "params": "kappa, c (f = r^2 + c), base",
-        "claim": "warped pairs are projectively equivalent for any constant",
-    },
-}

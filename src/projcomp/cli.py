@@ -21,13 +21,14 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
-from . import __version__, catalog, compactify, fields, paracx, proj2d, tractor
-from .catalog import (CATALOG, EHParams, ProjectiveStructure,
-                      projective_change_structure,
-                      random_projective_structure, random_upsilon)
+from . import (__version__, catalog, compactify, fields, jets, paracx, proj2d,
+               tractor)
 
 __all__ = ["main", "run_manifest", "builtin_manifest", "validate_manifest"]
 
@@ -36,77 +37,6 @@ REGISTERED_EINSTEIN_CONSTANT = {2: 3.0, 3: 4.0}  # canonical neutral metric, n -
 SCENARIO_KEYS = {"id", "catalog", "params", "checks", "points", "seed",
                  "tolerances", "ladder"}
 MANIFEST_KEYS = {"scenarios", "description"}
-
-PARAM_KEYS = {
-    "flat": {"n"},
-    "cone": {"base"},
-    "warped": {"kappa", "c", "base"},
-    "eh": {"a"},
-    "dm-flat": {"n"},
-    "dm-random": {"n", "degree", "seed", "bound"},
-}
-
-CHECKS = {
-    "flat": ("einstein", "compactified-einstein", "beltrami-nonmetric",
-             "metric-compactification"),
-    "cone": ("extension", "projective-equivalence", "asymptotic-form",
-             "metricity"),
-    "warped": ("levi-civita-pair",),
-    "eh": ("maurer-cartan", "ricci-flat", "asymptotic-form", "metricity",
-           "extension"),
-    "dm-flat": ("einstein", "para-hermitian", "splitting", "cg-form", "levi",
-                "contact", "nijenhuis-tangential", "connection-extension"),
-    "dm-random": ("einstein", "para-hermitian", "splitting", "cg-form",
-                  "levi", "contact", "nijenhuis-tangential",
-                  "connection-extension", "ode-invariance",
-                  "boundary-invariance"),
-}
-
-CLAIMS = {
-    "einstein": "metric is Einstein with the registered constant",
-    "compactified-einstein": "compactified flat metric is a round-sphere patch",
-    "beltrami-nonmetric": "T = 1/r change of flat space extends but is not metric",
-    "metric-compactification": "T = (r^2+1)^(-1/2) change is Levi-Civita of the sphere patch",
-    "extension": "changed connection extends to the T = 0 boundary",
-    "projective-equivalence": "changed connection equals LC of the compactified metric",
-    "asymptotic-form": "metric splits as C dT^2/T^(4/a) + h/T^(2/a) with h boundary-regular",
-    "metricity": "constant-curvature witness for metrizability of the changed connection",
-    "levi-civita-pair": "warped-pair Levi-Civita connections differ by the stated one-form",
-    "maurer-cartan": "invariant coframe satisfies the structure equations",
-    "ricci-flat": "metric is Ricci-flat",
-    "para-hermitian": "J^2 = Id, g(J.,J.) = -g, Omega = g(J.,.), d Omega = 0",
-    "splitting": "horizontal/vertical pairing reproduces the metric exactly",
-    "cg-form": "g = (theta^2 - dT^2)/(4T^2) + h/T with boundary-regular h (C = 1/4)",
-    "levi": "boundary metric is compatible with the contact Levi form",
-    "contact": "theta0 ^ (dtheta0)^(n-1) does not vanish on the boundary",
-    "nijenhuis-tangential": "Nijenhuis tensor has asymptotically tangential values",
-    "connection-extension": "changed minimal connection extends to the boundary",
-    "ode-invariance": "second-order ODE coefficients are projective invariants",
-    "boundary-invariance": "distribution metric h_D is a projective invariant",
-}
-
-DEFAULT_TOLS = {
-    "einstein": 1e-7,
-    "compactified-einstein": 1e-9,
-    "beltrami-nonmetric": 1e-3,
-    "metric-compactification": 1e-7,
-    "extension": 1e-6,
-    "projective-equivalence": 1e-9,
-    "asymptotic-form": 1e-6,
-    "metricity": 1e-7,
-    "levi-civita-pair": 1e-9,
-    "maurer-cartan": 1e-10,
-    "ricci-flat": 1e-8,
-    "para-hermitian": 1e-10,
-    "splitting": 1e-9,
-    "cg-form": 1e-6,
-    "levi": 1e-8,
-    "contact": 1e-8,
-    "nijenhuis-tangential": 1e-6,
-    "connection-extension": 1e-5,
-    "ode-invariance": 1e-9,
-    "boundary-invariance": 1e-9,
-}
 
 
 class ManifestError(ValueError):
@@ -131,10 +61,480 @@ def sample_points(chart, seed: int, scenario_id: str, count: int) -> np.ndarray:
     return np.array(pts)
 
 
+# -- the check registry ----------------------------------------------------------
+
+
+def _is_finite(value) -> bool:
+    """A finite JSON number (booleans excluded)."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+@dataclass(frozen=True)
+class Param:
+    """A manifest value: its type (int, float or str), default and range."""
+
+    kind: type
+    default: object
+    within: Callable[[object], bool]
+    range: str  # the accepted values, in words
+
+    def accepts(self, value) -> bool:
+        if self.kind is float:
+            typed = _is_finite(value)
+        else:
+            typed = isinstance(value, self.kind) and not isinstance(value, bool)
+        return typed and self.within(value)
+
+
+def _integer(default: int, lo: int, hi: float = math.inf) -> Param:
+    text = f"an integer >= {lo}" if hi == math.inf else f"an integer in [{lo}, {hi}]"
+    return Param(int, default, lambda v: lo <= v <= hi, text)
+
+
+def _choice(default: str, choices) -> Param:
+    return Param(str, default, lambda v: v in choices,
+                 "one of " + ", ".join(choices))
+
+
+POINTS = _integer(10, 2)  # sample points per check
+SEED = _integer(0, 0)     # seed of the scenario's point streams
+
+
+REGISTRY: dict = {}  # catalog id -> its Scenario subclass
+
+
+def _check(name: str, claim: str | None = None, tolerance: float | None = None):
+    """Mark a Scenario method as check `name`, with its claim and default
+    tolerance (before overrides and --tol-scale).  A name that several
+    catalogs share is declared by the first; the others give only the
+    name.  The method returns (status, residual, samples, constants)."""
+    earlier = [c.checks[name] for c in REGISTRY.values() if name in c.checks]
+    if claim is None:
+        claim, tolerance = earlier[0].claim, earlier[0].tolerance
+    elif earlier:
+        raise ValueError(f"check {name!r} declared twice")
+
+    def mark(run):
+        run.check, run.claim, run.tolerance = name, claim, tolerance
+        return run
+    return mark
+
+
+def _catalog(cat: str, claim: str, **schema: Param):
+    """Register a Scenario subclass as catalog `cat`: its claim, parameter
+    schema and marked methods (inherited ones first) as checks in run
+    order."""
+    def register(cls):
+        cls.claim, cls.schema = claim, schema
+        cls.checks = {run.check: run for klass in reversed(cls.__mro__)
+                      for run in vars(klass).values() if hasattr(run, "check")}
+        REGISTRY[cat] = cls
+        return cls
+    return register
+
+
+class Scenario:
+    """One manifest scenario as its checks see it.  Each catalog's subclass
+    builds the objects its checks share, once per scenario, and sets g, the
+    catalog's metric, which `projcomp demo` samples."""
+
+    claim: str
+    schema: dict   # parameter name -> Param
+    checks: dict   # check name -> marked method, in run order
+
+    def __init__(self, sc: dict):
+        given = sc.get("params", {})
+        self.id = sc["id"]
+        self.params = {name: p.kind(given.get(name, p.default))
+                       for name, p in self.schema.items()}
+        self.count = int(sc.get("points", POINTS.default))
+        self.seed = int(sc.get("seed", SEED.default))
+        self.ladder = tuple(sc.get("ladder", compactify.DEFAULT_LADDER))
+
+    def points(self, chart, count: int) -> np.ndarray:
+        return sample_points(chart, self.seed, self.id, count)
+
+    def box_points(self, box, count: int) -> np.ndarray:
+        """Uniform points of a box, one point stream each, no rejection."""
+        lo, hi = [b[0] for b in box], [b[1] for b in box]
+        return np.array([point_rng(self.seed, self.id, k).uniform(lo, hi)
+                         for k in range(count)])
+
+    def einstein_fit(self, g, lam_star: float) -> tuple:
+        """(fitted Einstein constant, worst of the fit residual, its
+        distance from lam_star and its spread) over the scenario's points."""
+        lam, resid, spread = fields.einstein_residual(
+            g, self.points(g.chart, self.count))
+        return lam, max(resid, abs(lam - lam_star), spread)
+
+
+def _status(residual, tol) -> str:
+    return "pass" if residual < tol else "fail"
+
+
+def _max_deviation(a, b, pts) -> float:
+    return max(float(np.max(np.abs(a.values(p) - b.values(p)))) for p in pts)
+
+
+def _extension_record(v, samples, constants):
+    return "pass" if v.passed else "fail", v.agreement, samples, constants
+
+
+_BASES = {
+    "sphere": lambda: catalog.unit_sphere(2),
+    "torus": lambda: catalog.flat_chart_metric(2),
+    "split": lambda: catalog.split_signature_flat(2),
+    "plane": lambda: catalog.flat_chart_metric(2),
+}
+
+
+def _dT_over_T(chart):
+    return compactify.upsilon_from_defining(chart, lambda c: c[0], 1.0)
+
+
+@_catalog("flat", "flat space in spherical form; round-sphere compactification",
+          n=_integer(3, 2))
+class _Flat(Scenario):
+    def __init__(self, sc):
+        super().__init__(sc)
+        self.g = catalog.flat_spherical(self.params["n"])
+        self.gbar = catalog.compactified_flat(self.params["n"])
+
+    @_check("einstein", "metric is Einstein with the registered constant", 1e-7)
+    def einstein(self, tol, rng):
+        lam, resid = self.einstein_fit(self.g, 0.0)
+        return _status(resid, tol), resid, self.count, {"lambda": lam}
+
+    @_check("compactified-einstein",
+            "compactified flat metric is a round-sphere patch", 1e-9)
+    def compactified_einstein(self, tol, rng):
+        n = self.params["n"]
+        lam, resid = self.einstein_fit(self.gbar, n - 1)
+        return (_status(resid, tol), resid, self.count,
+                {"lambda": lam, "expected": n - 1})
+
+    def _changed_metricity(self, t_func, rng, **kwargs):
+        ups = compactify.upsilon_from_defining(self.g.chart, t_func, 1.0)
+        changed = fields.projective_change(fields.levi_civita(self.g), ups)
+        pts = self.points(self.g.chart, min(self.count, 6))
+        v = compactify.metricity_check(changed, rng, points=pts, **kwargs)
+        return v, len(pts)
+
+    @_check("beltrami-nonmetric",
+            "T = 1/r change of flat space extends but is not metric", 1e-3)
+    def beltrami_nonmetric(self, tol, rng):
+        v, samples = self._changed_metricity(lambda c: 1.0 / c[0], rng)
+        ok = v.status == "fail" and v.residual > tol
+        return "pass" if ok else "fail", v.residual, samples, {"verdict": v.status}
+
+    @_check("metric-compactification",
+            "T = (r^2+1)^(-1/2) change is Levi-Civita of the sphere patch", 1e-7)
+    def metric_compactification(self, tol, rng):
+        v, samples = self._changed_metricity(
+            lambda c: 1.0 / jets.sqrt(c[0] * c[0] + 1.0), rng, tolerance=tol)
+        status = "pass" if v.status == "pass" else "fail"
+        return status, v.residual, samples, {"verdict": v.status}
+
+
+@_catalog("cone", "metric cone admits an order-1 metric compactification",
+          base=_choice("sphere", tuple(_BASES)))
+class _Cone(Scenario):
+    def __init__(self, sc):
+        super().__init__(sc)
+        self.base = _BASES[self.params["base"]]()
+        self.g = catalog.cone(self.base)
+        self.gT = catalog.compactified_cone(self.base)
+        self.spec = compactify.CompactificationSpec(chart=self.gT.chart,
+                                                    alpha=1.0, ladder=self.ladder)
+        self.cone_T = catalog.cone_in_t(self.base)
+        self.changed = fields.projective_change(fields.levi_civita(self.cone_T),
+                                                _dT_over_T(self.gT.chart))
+        self.lc_bar = fields.levi_civita(self.gT)
+
+    @_check("extension", "changed connection extends to the T = 0 boundary", 1e-6)
+    def extension(self, tol, rng):
+        tps = self.box_points(self.base.chart.box, min(self.count, 6))
+        v = compactify.extend_to_boundary(
+            self.changed.func, self.spec, tps, tolerance=tol,
+            closed_form=lambda tp: self.lc_bar.values(np.concatenate([[0.0], tp])))
+        return _extension_record(v, len(tps), {"max_limit": v.max_limit,
+                                               "detail": v.detail})
+
+    @_check("projective-equivalence",
+            "changed connection equals LC of the compactified metric", 1e-9)
+    def projective_equivalence(self, tol, rng):
+        pts = self.points(self.gT.chart, self.count)
+        resid = _max_deviation(self.changed, self.lc_bar, pts)
+        return _status(resid, tol), resid, len(pts), {}
+
+    @_check("asymptotic-form", "metric splits as C dT^2/T^(4/a) + h/T^(2/a) "
+            "with h boundary-regular", 1e-6)
+    def asymptotic_form(self, tol, rng):
+        tps = self.points(self.gT.chart, min(self.count, 5))[:, 1:]
+        _, v, C = compactify.asymptotic_form_check(self.cone_T, self.spec, tps,
+                                                   tolerance=tol)
+        return _extension_record(v, len(tps), {"C": C, "detail": v.detail})
+
+    @_check("metricity", "constant-curvature witness for metrizability of the "
+            "changed connection", 1e-7)
+    def metricity(self, tol, rng):
+        pts = self.points(self.gT.chart, min(self.count, 5))
+        v = compactify.metricity_check(self.changed, rng, points=pts,
+                                       tolerance=tol)
+        status = "pass" if v.status == "pass" else v.status
+        return status, v.residual, len(pts), {"verdict": v.status}
+
+
+@_catalog("warped", "warped pairs are projectively equivalent for any constant",
+          kappa=Param(float, 1.0, lambda v: True, "a finite number"),
+          # f = r^2 + c stays positive on the pair's r interval
+          c=Param(float, 0.5, lambda c: c > -catalog.WarpedPair.rbox[0] ** 2,
+                  f"a number > {-catalog.WarpedPair.rbox[0] ** 2}"),
+          base=_choice("sphere", tuple(_BASES)))
+class _Warped(Scenario):
+    def __init__(self, sc):
+        super().__init__(sc)
+        c = self.params["c"]
+        wp = catalog.WarpedPair(f=lambda r: r * r + c,
+                                gamma=_BASES[self.params["base"]](),
+                                kappa=self.params["kappa"])
+        self.g, self.gbar, self.ups = catalog.warped(wp)
+
+    @_check("levi-civita-pair",
+            "warped-pair Levi-Civita connections differ by the stated one-form",
+            1e-9)
+    def levi_civita_pair(self, tol, rng):
+        changed = fields.projective_change(fields.levi_civita(self.g), self.ups)
+        pts = self.points(self.g.chart, self.count)
+        resid = _max_deviation(changed, fields.levi_civita(self.gbar), pts)
+        return (_status(resid, tol), resid, len(pts),
+                {"kappa": self.params["kappa"], "c": self.params["c"]})
+
+
+@_catalog("eh", "Ricci-flat instanton; order-1 compactification is non-metric",
+          a=Param(float, 1.0, lambda a: a > 0, "a number > 0"))
+class _EH(Scenario):
+    def __init__(self, sc):
+        super().__init__(sc)
+        self.pars = catalog.EHParams(a=self.params["a"])
+        self.g = catalog.eguchi_hanson(self.pars)
+        self.gT, _, _ = catalog.eh_compactified(self.pars)
+        self.spec = compactify.CompactificationSpec(chart=self.gT.chart,
+                                                    alpha=1.0, ladder=self.ladder)
+        self.changed = fields.projective_change(fields.levi_civita(self.gT),
+                                                _dT_over_T(self.gT.chart))
+
+    @_check("maurer-cartan",
+            "invariant coframe satisfies the structure equations", 1e-10)
+    def maurer_cartan(self, tol, rng):
+        sigmas = catalog.sigma_forms(self.pars.chart)
+        worst = 0.0
+        for p in self.box_points(self.pars.chart.box, self.count):
+            for i in range(3):  # d sigma_i + sigma_j ^ sigma_l = 0, cyclic
+                d = fields.exterior_derivative(sigmas[i]).values(p)
+                wj, wl = sigmas[(i + 1) % 3].values(p), sigmas[(i + 2) % 3].values(p)
+                val = d + np.outer(wj, wl) - np.outer(wl, wj)
+                worst = max(worst, float(np.max(np.abs(val))))
+        return _status(worst, tol), worst, self.count, {}
+
+    @_check("ricci-flat", "metric is Ricci-flat", 1e-8)
+    def ricci_flat(self, tol, rng):
+        conn = fields.levi_civita(self.g)
+        pts = self.points(self.g.chart, self.count)
+        resid = max(float(np.max(np.abs(fields.ricci(conn, p)))) for p in pts)
+        return _status(resid, tol), resid, len(pts), {}
+
+    @_check("asymptotic-form")
+    def asymptotic_form(self, tol, rng):
+        tps = self.points(self.gT.chart, min(self.count, 4))[:, 1:]
+        _, v, C = compactify.asymptotic_form_check(self.gT, self.spec, tps,
+                                                   tolerance=tol)
+        return _extension_record(v, len(tps), {"C": C, "detail": v.detail})
+
+    @_check("metricity")
+    def metricity(self, tol, rng):
+        pts = self.points(self.gT.chart, min(self.count, 4))
+        v = compactify.metricity_check(self.changed, rng, points=pts)
+        status = "inconclusive" if v.status == "inconclusive" else "fail"
+        return status, v.residual, len(pts), {"verdict": v.status}
+
+    @_check("extension")
+    def extension(self, tol, rng):
+        tps = self.points(self.gT.chart, min(self.count, 4))[:, 1:]
+        v = compactify.extend_to_boundary(self.changed.func, self.spec, tps,
+                                          tolerance=tol)
+        raw = compactify.extend_to_boundary(fields.levi_civita(self.gT).func,
+                                            self.spec, tps[:2], tolerance=tol)
+        ok = v.passed and not raw.passed
+        return ("pass" if ok else "fail", v.agreement, len(tps),
+                {"raw_connection_extends": raw.passed})
+
+
+class _DM(Scenario):
+    """The canonical neutral metric over the structure self.ps."""
+
+    def __init__(self, sc):
+        super().__init__(sc)
+        self.ps = self.structure()
+        self.g, self.omega = catalog.dm_metric(self.ps)
+
+    @cached_property
+    def boundary(self):
+        """(g, Omega, J, chart) on the boundary chart, built on first use so
+        that interior-only scenarios never build it."""
+        return paracx.dm_boundary_fields(self.ps)
+
+    @_check("einstein")
+    def einstein(self, tol, rng):
+        lam_star = REGISTERED_EINSTEIN_CONSTANT[self.ps.n]
+        lam, resid = self.einstein_fit(self.g, lam_star)
+        return (_status(resid, tol), resid, self.count,
+                {"lambda": lam, "registered": lam_star})
+
+    @_check("para-hermitian",
+            "J^2 = Id, g(J.,J.) = -g, Omega = g(J.,.), d Omega = 0", 1e-10)
+    def para_hermitian(self, tol, rng):
+        n = self.ps.n
+        jf = paracx.j_from_g_omega(self.g, self.omega,
+                                   probe=np.array([0.3] * n + [0.5] * n))
+        pts = self.points(self.g.chart, self.count)
+        res = paracx.para_hermitian_residuals(self.g, self.omega, jf, pts)
+        resid = max(res.values())
+        return (_status(resid, tol), resid, len(pts),
+                {k: float(v) for k, v in res.items()})
+
+    @_check("splitting",
+            "horizontal/vertical pairing reproduces the metric exactly", 1e-9)
+    def splitting(self, tol, rng):
+        pts = self.points(self.g.chart, self.count)
+        resid = 0.0
+        for p in pts:
+            res = tractor.splitting_metric_crosscheck(self.ps, p)
+            resid = max(resid, res["pairing"], res["horizontal_null"],
+                        res["vertical_null"])
+        return _status(resid, tol), resid, len(pts), {}
+
+    @_check("cg-form", "g = (theta^2 - dT^2)/(4T^2) + h/T with boundary-regular "
+            "h (C = 1/4)", 1e-6)
+    def cg_form(self, tol, rng):
+        out = paracx.cg_form_check(self.ps, rng, count=min(self.count, 5),
+                                   ladder=self.ladder,
+                                   boundary_fields=self.boundary)
+        resid = max(out["h_closed_form_residual"],
+                    out["theta_closed_form_residual"])
+        ok = (out["h_extension"].passed and out["h_boundary_match"].passed
+              and resid < tol)
+        return ("pass" if ok else "fail", resid, min(self.count, 5),
+                {"h_extension": out["h_extension"].passed,
+                 "h_boundary_match": out["h_boundary_match"].passed})
+
+    @_check("levi", "boundary metric is compatible with the contact Levi form",
+            1e-8)
+    def levi(self, tol, rng):
+        resid = paracx.levi_compatibility_check(
+            self.ps, rng, count=min(self.count, 8), ladder=self.ladder,
+            boundary_fields=self.boundary)
+        return _status(resid, tol), resid, min(self.count, 8), {}
+
+    @_check("contact",
+            "theta0 ^ (dtheta0)^(n-1) does not vanish on the boundary", 1e-8)
+    def contact(self, tol, rng):
+        det = paracx.contact_nondegeneracy(self.ps, rng,
+                                           count=min(self.count, 8))
+        status = "pass" if det > tol else "fail"
+        return status, det, min(self.count, 8), {"min_det": det}
+
+    @_check("nijenhuis-tangential",
+            "Nijenhuis tensor has asymptotically tangential values", 1e-6)
+    def nijenhuis_tangential(self, tol, rng):
+        v = paracx.nijenhuis_tangential_check(
+            self.ps, rng, count=min(self.count, 4), ladder=self.ladder,
+            tolerance=tol, boundary_fields=self.boundary)
+        resid = float(np.max(np.abs(v.limits)))
+        return ("pass" if v.passed else "fail", resid, min(self.count, 4),
+                {"detail": v.detail})
+
+    @_check("connection-extension",
+            "changed minimal connection extends to the boundary", 1e-5)
+    def connection_extension(self, tol, rng):
+        gb, omb, jb, chart = self.boundary
+        spec = compactify.CompactificationSpec(chart=chart, ladder=self.ladder)
+        tps = spec.boundary_points(rng, 3)
+        changed = paracx.para_c_projective_change(
+            paracx.libermann(gb, omb), paracx.half_dlog_t(chart), jb)
+        v = compactify.extend_to_boundary(changed.func, spec, tps,
+                                          tolerance=tol, order=2)
+        return _extension_record(v, len(tps), {"detail": v.detail})
+
+
+@_catalog("dm-flat", "canonical neutral Einstein metric of the flat structure",
+          n=_integer(2, 2, 3))
+class _DMFlat(_DM):
+    def structure(self):
+        n = self.params["n"]
+        return catalog.ProjectiveStructure(n=n, gamma={}, label=f"flat-n{n}")
+
+
+@_catalog("dm-random",
+          "canonical neutral Einstein metric; compactifiable boundary data",
+          n=_integer(2, 2, 3), degree=_integer(2, 0, 3), seed=_integer(0, 0),
+          bound=Param(float, 0.4, lambda b: 0 <= b <= 1, "a number in [0, 1]"))
+class _DMRandom(_DM):
+    def structure(self):
+        p = self.params
+        return catalog.random_projective_structure(p["n"], p["degree"],
+                                                   p["bound"], p["seed"])
+
+    @_check("ode-invariance",
+            "second-order ODE coefficients are projective invariants", 1e-9)
+    def ode_invariance(self, tol, rng):
+        pg = proj2d.ode_from_projective(self.ps)
+        worst = 0.0
+        exact = True
+        for k in range(20):
+            ups = catalog.random_upsilon(self.ps.n, 2, 0.4,
+                                         seed=self.seed * 1000 + k)
+            pg2 = proj2d.ode_from_projective(
+                catalog.projective_change_structure(self.ps, ups))
+            if pg.canonical() != pg2.canonical():
+                exact = False
+            for q in range(3):
+                xp = point_rng(self.seed, self.id,
+                               100 + k * 3 + q).uniform(-0.8, 0.8, 2)
+                worst = max(worst, max(
+                    abs(a([xp[0], xp[1]]) - b([xp[0], xp[1]]))
+                    for a, b in zip(pg.coefficients(), pg2.coefficients())))
+        status = "pass" if exact and worst < tol else "fail"
+        return status, worst, 20, {"coefficient_exact": exact}
+
+    @_check("boundary-invariance",
+            "distribution metric h_D is a projective invariant", 1e-9)
+    def boundary_invariance(self, tol, rng):
+        n = self.ps.n
+        _, hd, _ = paracx.boundary_data(self.ps)
+        chart = catalog.dm_boundary_chart(n)
+        worst = 0.0
+        for k in range(10):
+            ups = catalog.random_upsilon(n, 2, 0.4, seed=self.seed * 500 + k)
+            _, hd2, _ = paracx.boundary_data(
+                catalog.projective_change_structure(self.ps, ups))
+            p = chart.sample(point_rng(self.seed, self.id, 200 + k), 1)[0]
+            p[0] = 0.0
+            worst = max(worst,
+                        float(np.max(np.abs(hd.values(p) - hd2.values(p)))))
+        return _status(worst, tol), worst, 10, {}
+
+
 # -- manifest handling ---------------------------------------------------------
 
 
 def validate_manifest(manifest: dict) -> None:
+    """Reject a manifest, with a one-line ManifestError, unless every
+    scenario names a registered catalog, its parameters and checks, and
+    values within their declared ranges."""
     if not isinstance(manifest, dict):
         raise ManifestError("manifest must be a JSON object")
     unknown = set(manifest) - MANIFEST_KEYS
@@ -145,6 +545,9 @@ def validate_manifest(manifest: dict) -> None:
         raise ManifestError("no scenarios")
     seen = set()
     for sc in scenarios:
+        if not isinstance(sc, dict):
+            raise ManifestError(
+                f"scenario must be a JSON object, not {type(sc).__name__}")
         unknown = set(sc) - SCENARIO_KEYS
         if unknown:
             raise ManifestError(
@@ -155,28 +558,43 @@ def validate_manifest(manifest: dict) -> None:
         if sid in seen:
             raise ManifestError(f"duplicate scenario id: {sid}")
         seen.add(sid)
-        cat = sc.get("catalog")
-        if cat not in CHECKS:
-            raise ManifestError(f"unknown catalog id: {cat!r} in {sid}")
-        params = sc.get("params", {})
-        unknown = set(params) - PARAM_KEYS[cat]
-        if unknown:
+        _validate_scenario(sc, sid)
+
+
+def _validate_scenario(sc: dict, sid: str) -> None:
+    cat = sc.get("catalog")
+    entry = REGISTRY.get(cat) if isinstance(cat, str) else None
+    if entry is None:
+        raise ManifestError(f"unknown catalog id: {cat!r} in {sid}")
+    params = sc.get("params", {})
+    checks = sc.get("checks", [])
+    tolerances = sc.get("tolerances", {})
+    if not (isinstance(params, dict) and isinstance(checks, list)
+            and isinstance(tolerances, dict)):
+        raise ManifestError(f"params and tolerances must be objects and "
+                            f"checks a list in {sid}")
+    for key, p in (("points", POINTS), ("seed", SEED)):
+        if key in sc and not p.accepts(sc[key]):
+            raise ManifestError(f"{key} must be {p.range} in {sid}")
+    for name, value in params.items():
+        p = entry.schema.get(name)
+        if p is None:
+            raise ManifestError(f"unknown parameter: {name!r} for {cat} in {sid}")
+        if not p.accepts(value):
+            raise ManifestError(f"{name} must be {p.range} in {sid}")
+    for ch in [*checks, *tolerances]:
+        if not isinstance(ch, str) or ch not in entry.checks:
+            raise ManifestError(f"unknown check {ch!r} for {cat} in {sid}")
+    for ch, tol in tolerances.items():
+        if not (_is_finite(tol) and tol > 0):
             raise ManifestError(
-                f"unknown parameter: {sorted(unknown)[0]!r} for {cat} in {sid}")
-        n = params.get("n", 2)
-        if cat.startswith("dm") and n not in (2, 3):
-            raise ManifestError(f"n must be 2 or 3 in {sid}")
-        if params.get("degree", 2) > 3:
-            raise ManifestError(f"degree must be <= 3 in {sid}")
-        if cat == "eh" and params.get("a", 1.0) <= 0:
-            raise ManifestError(f"a must be positive in {sid}")
-        for ch in sc.get("checks", []):
-            if ch not in CHECKS[cat]:
-                raise ManifestError(f"unknown check {ch!r} for {cat} in {sid}")
-        ladder = sc.get("ladder")
-        if ladder is not None:
-            if not all(a > b > 0 for a, b in zip(ladder, ladder[1:])):
-                raise ManifestError(f"ladder must decrease to 0 in {sid}")
+                f"tolerance of {ch} must be a positive number in {sid}")
+    ladder = sc.get("ladder", compactify.DEFAULT_LADDER)
+    if not (isinstance(ladder, (list, tuple)) and len(ladder) >= 2
+            and all(_is_finite(eps) for eps in ladder)
+            and all(a > b > 0 for a, b in zip(ladder, ladder[1:]))):
+        raise ManifestError(
+            f"ladder must be at least two rungs decreasing to 0 in {sid}")
 
 
 def builtin_manifest() -> dict:
@@ -225,11 +643,11 @@ def builtin_manifest() -> dict:
 # -- scenario execution ----------------------------------------------------------
 
 
-def _record(check, status, residual, tol, seed, samples, t0, constants=None):
+def _record(check, claim, status, residual, tol, seed, samples, t0, constants):
     """One report record.  A non-finite residual is written as null, with
     its value as a string in constants["residual_nonfinite"], so that the
     report stays strict JSON."""
-    constants = dict(constants or {})
+    constants = dict(constants)
     if residual is not None:
         residual = float(residual)
         if not math.isfinite(residual):
@@ -237,7 +655,7 @@ def _record(check, status, residual, tol, seed, samples, t0, constants=None):
             residual = None
     return {
         "check": check,
-        "claim": CLAIMS[check],
+        "claim": claim,
         "status": status,
         "max_residual": residual,
         "tolerance": float(tol),
@@ -248,354 +666,19 @@ def _record(check, status, residual, tol, seed, samples, t0, constants=None):
     }
 
 
-def _status(residual, tol) -> str:
-    return "pass" if residual < tol else "fail"
-
-
-def _dm_structure(params) -> ProjectiveStructure:
-    n = int(params.get("n", 2))
-    if "seed" in params:
-        return random_projective_structure(n, int(params.get("degree", 2)),
-                                           float(params.get("bound", 0.4)),
-                                           int(params["seed"]))
-    return ProjectiveStructure(n=n, gamma={}, label=f"flat-n{n}")
-
-
-def _base_metric(name):
-    if name == "sphere":
-        return catalog.unit_sphere(2)
-    if name == "torus":
-        return catalog.flat_chart_metric(2)
-    if name == "split":
-        return catalog.split_signature_flat(2)
-    if name == "plane":
-        return catalog.flat_chart_metric(2)
-    raise ManifestError(f"unknown base metric {name!r}")
-
-
 def run_scenario(scenario: dict, tol_scale: float = 1.0) -> dict:
-    sid = scenario["id"]
-    cat = scenario["catalog"]
-    params = scenario.get("params", {})
-    checks = list(scenario.get("checks", [])) or list(CHECKS[cat])
-    count = int(scenario.get("points", 10))
-    seed = int(scenario.get("seed", 0))
-    ladder = tuple(scenario.get("ladder", compactify.DEFAULT_LADDER))
+    s = REGISTRY[scenario["catalog"]](scenario)
     overrides = scenario.get("tolerances", {})
-
     records = []
-    memo = {}  # objects the checks of this scenario share, built on first use
-    for check in checks:
-        tol = float(overrides.get(check, DEFAULT_TOLS[check])) * tol_scale
+    for name in scenario.get("checks") or s.checks:
+        check = s.checks[name]
+        tol = float(overrides.get(name, check.tolerance)) * tol_scale
         t0 = time.perf_counter()
-        rec = _run_check(cat, params, check, tol, seed, sid, count, ladder, t0,
-                         memo)
-        records.append(rec)
-    return {"id": sid, "records": records}
-
-
-def _run_check(cat, params, check, tol, seed, sid, count, ladder, t0, memo):
-    rng = point_rng(seed, sid, 10_000)  # stream for non-point randomness
-
-    if cat == "flat":
-        n = int(params.get("n", 3))
-        g = catalog.flat_spherical(n)
-        if check == "einstein":
-            pts = sample_points(g.chart, seed, sid, count)
-            lam, resid, spread = fields.einstein_residual(g, pts)
-            resid = max(resid, abs(lam), spread)
-            return _record(check, _status(resid, tol), resid, tol, seed, count,
-                           t0, {"lambda": lam})
-        gbar = catalog.compactified_flat(n)
-        if check == "compactified-einstein":
-            pts = sample_points(gbar.chart, seed, sid, count)
-            lam, resid, spread = fields.einstein_residual(gbar, pts)
-            resid = max(resid, abs(lam - (n - 1)), spread)
-            return _record(check, _status(resid, tol), resid, tol, seed, count,
-                           t0, {"lambda": lam, "expected": n - 1})
-        if check == "beltrami-nonmetric":
-            ups = compactify.upsilon_from_defining(g.chart,
-                                                   lambda c: 1.0 / c[0], 1.0)
-            changed = fields.projective_change(fields.levi_civita(g), ups)
-            pts = sample_points(g.chart, seed, sid, min(count, 6))
-            verdict = compactify.metricity_check(changed, rng, points=pts)
-            ok = verdict.status == "fail" and verdict.residual > tol
-            return _record(check, "pass" if ok else "fail", verdict.residual,
-                           tol, seed, len(pts), t0, {"verdict": verdict.status})
-        if check == "metric-compactification":
-            ups = compactify.upsilon_from_defining(g.chart, _t_inv_sqrt, 1.0)
-            changed = fields.projective_change(fields.levi_civita(g), ups)
-            pts = sample_points(g.chart, seed, sid, min(count, 6))
-            verdict = compactify.metricity_check(changed, rng, points=pts,
-                                                 tolerance=tol)
-            return _record(check, "pass" if verdict.status == "pass" else "fail",
-                           verdict.residual, tol, seed, len(pts), t0,
-                           {"verdict": verdict.status})
-
-    if cat == "cone":
-        base = _base_metric(params.get("base", "sphere"))
-        gT = catalog.compactified_cone(base)
-        spec = compactify.CompactificationSpec(chart=gT.chart, alpha=1.0,
-                                               ladder=ladder)
-        cone_T = _cone_in_t_chart(base)
-        changed = fields.projective_change(
-            fields.levi_civita(cone_T),
-            compactify.upsilon_from_defining(gT.chart, lambda c: c[0], 1.0))
-        lc_bar = fields.levi_civita(gT)
-        if check == "extension":
-            tps = np.array([point_rng(seed, sid, k).uniform(
-                [b[0] for b in base.chart.box], [b[1] for b in base.chart.box])
-                for k in range(min(count, 6))])
-            closed = lambda tp: lc_bar.values(np.concatenate([[0.0], tp]))
-            v = compactify.connection_extension_check(changed, spec, tps,
-                                                      tolerance=tol,
-                                                      closed_form=closed)
-            return _record(check, "pass" if v.passed else "fail",
-                           v.agreement, tol, seed, len(tps), t0,
-                           {"max_limit": v.max_limit, "detail": v.detail})
-        if check == "projective-equivalence":
-            pts = sample_points(gT.chart, seed, sid, count)
-            resid = max(float(np.max(np.abs(changed.values(p) - lc_bar.values(p))))
-                        for p in pts)
-            return _record(check, _status(resid, tol), resid, tol, seed,
-                           len(pts), t0)
-        if check == "asymptotic-form":
-            tps = sample_points(gT.chart, seed, sid, min(count, 5))[:, 1:]
-            h, v, C = compactify.asymptotic_form_check(cone_T, spec, tps,
-                                                       tolerance=tol)
-            return _record(check, "pass" if v.passed else "fail", v.agreement,
-                           tol, seed, len(tps), t0, {"C": C, "detail": v.detail})
-        if check == "metricity":
-            pts = sample_points(gT.chart, seed, sid, min(count, 5))
-            v = compactify.metricity_check(changed, rng, points=pts,
-                                           tolerance=tol)
-            return _record(check, "pass" if v.status == "pass" else v.status,
-                           v.residual, tol, seed, len(pts), t0,
-                           {"verdict": v.status})
-
-    if cat == "warped":
-        base = _base_metric(params.get("base", "sphere"))
-        kappa = float(params.get("kappa", 1.0))
-        c0 = float(params.get("c", 0.5))
-        wp = catalog.WarpedPair(f=_warp_f(c0), gamma=base, kappa=kappa)
-        g, gbar, ups = catalog.warped(wp)
-        if check == "levi-civita-pair":
-            changed = fields.projective_change(fields.levi_civita(g), ups)
-            lc_bar = fields.levi_civita(gbar)
-            pts = sample_points(g.chart, seed, sid, count)
-            resid = max(float(np.max(np.abs(changed.values(p) - lc_bar.values(p))))
-                        for p in pts)
-            return _record(check, _status(resid, tol), resid, tol, seed,
-                           len(pts), t0, {"kappa": kappa, "c": c0})
-
-    if cat == "eh":
-        pars = EHParams(a=float(params.get("a", 1.0)))
-        if check == "maurer-cartan":
-            resid = _maurer_cartan_residual(pars, seed, sid, count)
-            return _record(check, _status(resid, tol), resid, tol, seed,
-                           count, t0)
-        if check == "ricci-flat":
-            g = catalog.eguchi_hanson(pars)
-            conn = fields.levi_civita(g)
-            pts = sample_points(g.chart, seed, sid, count)
-            resid = max(float(np.max(np.abs(fields.ricci(conn, p)))) for p in pts)
-            return _record(check, _status(resid, tol), resid, tol, seed,
-                           len(pts), t0)
-        gT, hfield, C = catalog.eh_compactified(pars)
-        spec = compactify.CompactificationSpec(chart=gT.chart, alpha=1.0,
-                                               ladder=ladder)
-        changed = fields.projective_change(
-            fields.levi_civita(gT),
-            compactify.upsilon_from_defining(gT.chart, lambda c: c[0], 1.0))
-        if check == "asymptotic-form":
-            tps = sample_points(gT.chart, seed, sid, min(count, 4))[:, 1:]
-            h, v, Cm = compactify.asymptotic_form_check(gT, spec, tps,
-                                                        tolerance=tol)
-            return _record(check, "pass" if v.passed else "fail", v.agreement,
-                           tol, seed, len(tps), t0, {"C": Cm, "detail": v.detail})
-        if check == "extension":
-            tps = sample_points(gT.chart, seed, sid, min(count, 4))[:, 1:]
-            v = compactify.connection_extension_check(changed, spec, tps,
-                                                      tolerance=tol)
-            raw = compactify.connection_extension_check(
-                fields.levi_civita(gT), spec, tps[:2], tolerance=tol)
-            ok = v.passed and not raw.passed
-            return _record(check, "pass" if ok else "fail", v.agreement, tol,
-                           seed, len(tps), t0,
-                           {"raw_connection_extends": raw.passed})
-        if check == "metricity":
-            pts = sample_points(gT.chart, seed, sid, min(count, 4))
-            v = compactify.metricity_check(changed, rng, points=pts)
-            ok = v.status == "inconclusive"
-            return _record(check, "inconclusive" if ok else "fail",
-                           v.residual, tol, seed, len(pts), t0,
-                           {"verdict": v.status})
-
-    if cat in ("dm-flat", "dm-random"):
-        return _run_dm_check(cat, params, check, tol, seed, sid, count,
-                             ladder, t0, rng, memo)
-
-    raise ManifestError(f"no implementation for {cat}/{check}")
-
-
-def _warp_f(c0: float):
-    def f(r):
-        return r * r + c0
-    return f
-
-
-def _t_inv_sqrt(coords):
-    """Defining function T = (r^2 + 1)^(-1/2) on an r-first chart."""
-    from . import jets as _jets
-    return 1.0 / _jets.sqrt(coords[0] * coords[0] + 1.0)
-
-
-def _cone_in_t_chart(base):
-    m = base.chart.dim
-    chart = catalog.compactified_cone(base).chart
-
-    def func(coords):
-        T, rest = coords[0], coords[1:]
-        G = base.func(rest)
-        w = 1.0 - T * T
-        T2 = T * T
-        out = [[T * 0.0 for _ in range(m + 1)] for _ in range(m + 1)]
-        out[0][0] = 1.0 / (T2 * T2 * w)
-        for i in range(m):
-            for j in range(m):
-                out[i + 1][j + 1] = (w / T2) * G[i][j]
-        return out
-
-    return fields.MetricField(chart, func, name=f"cone-T({base.name})")
-
-
-def _maurer_cartan_residual(pars, seed, sid, count) -> float:
-    sigmas = catalog.sigma_forms(pars.chart)
-    worst = 0.0
-    for k in range(count):
-        p = point_rng(seed, sid, k).uniform(
-            [b[0] for b in pars.chart.box], [b[1] for b in pars.chart.box])
-        for i in range(3):
-            j, l = (i + 1) % 3, (i + 2) % 3
-            d = fields.exterior_derivative(sigmas[i]).at(p, order=0)
-            wj = sigmas[j].at(p, order=0)
-            wl = sigmas[l].at(p, order=0)
-            for a in range(4):
-                for b in range(4):
-                    val = (d[a, b].value + wj[a].value * wl[b].value
-                           - wj[b].value * wl[a].value)
-                    worst = max(worst, abs(val))
-    return worst
-
-
-def _run_dm_check(cat, params, check, tol, seed, sid, count, ladder, t0, rng,
-                  memo):
-    ps = _dm_structure(params)
-    n = ps.n
-    if check == "einstein":
-        g, _ = catalog.dm_metric(ps)
-        pts = sample_points(g.chart, seed, sid, count)
-        lam, resid, spread = fields.einstein_residual(g, pts)
-        lam_star = REGISTERED_EINSTEIN_CONSTANT[n]
-        resid = max(resid, abs(lam - lam_star), spread)
-        return _record(check, _status(resid, tol), resid, tol, seed, len(pts),
-                       t0, {"lambda": lam, "registered": lam_star})
-    if check == "para-hermitian":
-        g, om = catalog.dm_metric(ps)
-        jf = paracx.j_from_g_omega(g, om, probe=_dm_probe(n))
-        pts = sample_points(g.chart, seed, sid, count)
-        res = paracx.para_hermitian_residuals(g, om, jf, pts)
-        resid = max(res.values())
-        return _record(check, _status(resid, tol), resid, tol, seed, len(pts),
-                       t0, {k: float(v) for k, v in res.items()})
-    if check == "splitting":
-        g, _ = catalog.dm_metric(ps)
-        pts = sample_points(g.chart, seed, sid, count)
-        resid = 0.0
-        for p in pts:
-            res = tractor.splitting_metric_crosscheck(ps, p)
-            resid = max(resid, res["pairing"], res["horizontal_null"],
-                        res["vertical_null"])
-        return _record(check, _status(resid, tol), resid, tol, seed, len(pts),
-                       t0)
-    if check == "ode-invariance":
-        pg = proj2d.ode_from_projective(ps)
-        worst = 0.0
-        exact = True
-        for k in range(20):
-            ups = random_upsilon(n, 2, 0.4, seed=seed * 1000 + k)
-            pg2 = proj2d.ode_from_projective(
-                projective_change_structure(ps, ups))
-            if pg.canonical() != pg2.canonical():
-                exact = False
-            for q in range(3):
-                xp = point_rng(seed, sid, 100 + k * 3 + q).uniform(-0.8, 0.8, 2)
-                worst = max(worst, max(
-                    abs(a([xp[0], xp[1]]) - b([xp[0], xp[1]]))
-                    for a, b in zip(pg.coefficients(), pg2.coefficients())))
-        status = "pass" if exact and worst < tol else "fail"
-        return _record(check, status, worst, tol, seed, 20, t0,
-                       {"coefficient_exact": exact})
-    if check == "boundary-invariance":
-        _, hd, _ = paracx.boundary_data(ps)
-        chart = catalog.dm_boundary_chart(n)
-        worst = 0.0
-        for k in range(10):
-            ups = random_upsilon(n, 2, 0.4, seed=seed * 500 + k)
-            _, hd2, _ = paracx.boundary_data(projective_change_structure(ps, ups))
-            p = chart.sample(point_rng(seed, sid, 200 + k), 1)[0]
-            p[0] = 0.0
-            worst = max(worst, float(np.max(np.abs(hd.values(p) - hd2.values(p)))))
-        return _record(check, _status(worst, tol), worst, tol, seed, 10, t0)
-
-    if check == "contact":
-        det = paracx.contact_nondegeneracy(ps, rng, count=min(count, 8))
-        return _record(check, "pass" if det > tol else "fail", det, tol, seed,
-                       min(count, 8), t0, {"min_det": det})
-
-    # boundary-chart checks, which share one bundle per scenario
-    if "boundary_fields" not in memo:
-        memo["boundary_fields"] = paracx.dm_boundary_fields(ps)
-    bundle = memo["boundary_fields"]
-    gb, omb, jb, chart = bundle
-    if check == "cg-form":
-        out = paracx.cg_form_check(ps, rng, count=min(count, 5), ladder=ladder,
-                                   boundary_fields=bundle)
-        resid = max(out["h_closed_form_residual"],
-                    out["theta_closed_form_residual"])
-        ok = (out["h_extension"].passed and out["h_boundary_match"].passed
-              and resid < tol)
-        return _record(check, "pass" if ok else "fail", resid, tol, seed,
-                       min(count, 5), t0,
-                       {"h_extension": out["h_extension"].passed,
-                        "h_boundary_match": out["h_boundary_match"].passed})
-    if check == "levi":
-        resid = paracx.levi_compatibility_check(ps, rng, count=min(count, 8),
-                                                ladder=ladder,
-                                                boundary_fields=bundle)
-        return _record(check, _status(resid, tol), resid, tol, seed,
-                       min(count, 8), t0)
-    if check == "nijenhuis-tangential":
-        v = paracx.nijenhuis_tangential_check(ps, rng, count=min(count, 4),
-                                              ladder=ladder, tolerance=tol,
-                                              boundary_fields=bundle)
-        resid = float(np.max(np.abs(v.limits)))
-        return _record(check, "pass" if v.passed else "fail", resid, tol,
-                       seed, min(count, 4), t0, {"detail": v.detail})
-    if check == "connection-extension":
-        spec = compactify.CompactificationSpec(chart=chart, ladder=ladder)
-        tps = spec.boundary_points(rng, 3)
-        changed = paracx.para_c_projective_change(
-            paracx.libermann(gb, omb), paracx.half_dlog_t(chart), jb)
-        v = compactify.extend_to_boundary(changed.func, spec, tps,
-                                          tolerance=tol, order=2)
-        return _record(check, "pass" if v.passed else "fail", v.agreement,
-                       tol, seed, len(tps), t0, {"detail": v.detail})
-    raise ManifestError(f"no implementation for {cat}/{check}")
-
-
-def _dm_probe(n: int):
-    return np.array([0.3] * n + [0.5] * n)
+        rng = point_rng(s.seed, s.id, 10_000)  # stream for non-point randomness
+        status, residual, samples, constants = check(s, tol, rng)
+        records.append(_record(name, check.claim, status, residual, tol,
+                               s.seed, samples, t0, constants))
+    return {"id": s.id, "records": records}
 
 
 # -- report assembly -------------------------------------------------------------
@@ -673,34 +756,24 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_list(_args) -> int:
-    width = max(len(k) for k in CATALOG)
-    for key in sorted(CATALOG):
-        meta = CATALOG[key]
-        print(f"{key:<{width}}  params: {meta['params']}")
-        print(f"{'':<{width}}  claim:  {meta['claim']}")
-        print(f"{'':<{width}}  checks: {', '.join(CHECKS[key])}")
+    width = max(len(k) for k in REGISTRY)
+    pad = " " * width
+    for key in sorted(REGISTRY):
+        entry = REGISTRY[key]
+        print(f"{key:<{width}}  claim:  {entry.claim}")
+        for name, p in entry.schema.items():
+            print(f"{pad}  param:  {name} = {json.dumps(p.default)} ({p.range})")
+        print(f"{pad}  checks: {', '.join(entry.checks)}")
     return 0
 
 
 def _cmd_demo(args) -> int:
     key = args.catalog_id
-    if key not in CHECKS:
+    if key not in REGISTRY:
         print(f"error: unknown catalog id {key!r}", file=sys.stderr)
         return 2
     rng = np.random.default_rng(0)
-    if key == "eh":
-        g = catalog.eguchi_hanson(EHParams())
-    elif key == "flat":
-        g = catalog.flat_spherical(3)
-    elif key == "cone":
-        g = catalog.cone(catalog.unit_sphere(2))
-    elif key == "warped":
-        g, _, _ = catalog.warped(catalog.WarpedPair(f=_warp_f(0.5),
-                                                    gamma=catalog.unit_sphere(2),
-                                                    kappa=1.0))
-    else:
-        ps = _dm_structure({"n": 2, "seed": 0} if key == "dm-random" else {"n": 2})
-        g, _ = catalog.dm_metric(ps)
+    g = REGISTRY[key]({"id": "demo", "catalog": key}).g
     print(f"catalog object: {g.name} on chart {g.chart.names}")
     for p in g.chart.sample(rng, 3):
         gv = g.values(p)

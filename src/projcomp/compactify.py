@@ -32,7 +32,6 @@ __all__ = [
     "MetricityVerdict",
     "upsilon_from_defining",
     "extend_to_boundary",
-    "connection_extension_check",
     "asymptotic_form_check",
     "match_boundary_constant",
     "metricity_check",
@@ -192,14 +191,6 @@ def extend_to_boundary(component_fn: Callable, spec: CompactificationSpec,
                             agreement=worst_agreement,
                             max_ratio=worst_ratio, max_limit=max_limit,
                             tolerance=tolerance, detail=detail)
-
-
-def connection_extension_check(conn: ConnectionField, spec: CompactificationSpec,
-                               tangent_points, tolerance: float = 1e-6,
-                               closed_form: Optional[Callable] = None) -> ExtensionVerdict:
-    """Extension certificate for connection coefficients on the ladder."""
-    return extend_to_boundary(conn.func, spec, tangent_points,
-                              tolerance=tolerance, closed_form=closed_form)
 
 
 def match_boundary_constant(g: MetricField, spec: CompactificationSpec,

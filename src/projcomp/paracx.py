@@ -33,7 +33,6 @@ from .fields import (Chart, ChartMap, ConnectionField, MetricField,
 from .compactify import CompactificationSpec, ExtensionVerdict, extend_to_boundary
 from .catalog import (ProjectiveStructure, dm_boundary_chart, dm_boundary_map,
                       dm_metric)
-from .jets import Jet
 
 __all__ = [
     "ParaHermitianTriple",
@@ -437,26 +436,6 @@ def boundary_data(ps: ProjectiveStructure):
     return theta0, h_d, theta_mat
 
 
-def _embed_schouten(ps: ProjectiveStructure, coords):
-    """Schouten of the base structure at x = (X..., Y) as boundary-chart
-    scalars (jets or floats)."""
-    n = ps.n
-    xs = list(coords[n:2 * n - 1]) + [coords[-1]]
-    sch = ps.schouten()
-    if not isinstance(coords[0], Jet):
-        Pv = np.asarray(sch.func(jets.seed_point([float(x) for x in xs], 0)))
-        return np.vectorize(lambda j: j.value)(Pv)
-    o = coords[0].order
-    x0 = [x.value for x in xs]
-    Pn = np.asarray(sch.func(jets.seed_point(x0, o)))
-    inner = [x.truncate(o) for x in xs]
-    P = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            P[i, j] = jets.compose(Pn[i, j], inner)
-    return P
-
-
 def boundary_theta_closed(ps: ProjectiveStructure) -> TensorField:
     """The one-form theta of the curved structure in boundary coordinates,
     assembled from its closed form (Schouten and connection contributions
@@ -478,7 +457,7 @@ def boundary_theta_closed(ps: ProjectiveStructure) -> TensorField:
         K = Y
         for a in range(m):
             K = K + Z[a] * X[a]
-        P = _embed_schouten(ps, coords)
+        P = ps.schouten_at(xs)
         zero = T * 0.0
         th = [zero] * (2 * n)
         th[0] = zero - 1.0
@@ -539,7 +518,7 @@ def boundary_h_closed(ps: ProjectiveStructure,
         K = Y
         for a in range(m):
             K = K + Z[a] * X[a]
-        P = _embed_schouten(ps, coords)
+        P = ps.schouten_at(xs)
         zero = T * 0.0
         one = T * 0.0 + 1.0
 
@@ -658,30 +637,6 @@ def _distribution_basis(n: int, point) -> list:
     return basis
 
 
-def _extrapolate_matrix(field: TensorField, point0, ladder, order=3) -> np.ndarray:
-    """Extrapolate a jet-valued matrix field to T = 0 above a boundary point
-    (the point's T entry is replaced by each rung)."""
-    best = None
-    prev = None
-    best_gap = math.inf
-    for eps in ladder:
-        p = np.array(point0, dtype=float)
-        p[0] = eps
-        comps = np.asarray(field.at(p, order=order), dtype=object)
-        vals = np.empty(comps.shape)
-        delta = np.zeros(field.chart.dim)
-        delta[0] = -eps
-        for idx in np.ndindex(comps.shape):
-            vals[idx] = comps[idx].eval_shift(delta)
-        if prev is not None:
-            gap = float(np.max(np.abs(vals - prev)))
-            if gap < best_gap:
-                best_gap = gap
-                best = vals
-        prev = vals
-    return best if best is not None else prev
-
-
 def project_j_to_distribution(J0: np.ndarray, n: int, point) -> np.ndarray:
     """Substitute dY -> theta0/2 - Z_A dX^A and discard theta0 terms."""
     Z = point[1:n]
@@ -697,7 +652,8 @@ def levi_compatibility_check(ps: ProjectiveStructure, rng, count: int = 10,
                              ladder=(1e-2, 1e-3, 1e-4),
                              boundary_fields=None) -> float:
     """max |h_D(U, V) - levi(U, V)| over distribution basis pairs at
-    boundary points, with levi = -1/2 dtheta0(J_D U, V)."""
+    boundary points, with levi = -1/2 dtheta0(J_D U, V) and J's boundary
+    value the extend_to_boundary limit of its order-3 jets."""
     n = ps.n
     if boundary_fields is None:
         gb, omb, jb, chart = dm_boundary_fields(ps)
@@ -705,11 +661,12 @@ def levi_compatibility_check(ps: ProjectiveStructure, rng, count: int = 10,
         gb, omb, jb, chart = boundary_fields
     _, h_d, _ = boundary_data(ps)
     M = _dtheta0_matrix(n)
+    spec = CompactificationSpec(chart=chart, ladder=ladder)
     resid = 0.0
     for p in chart.sample(rng, count):
         p0 = np.array(p)
         p0[0] = 0.0
-        J0 = _extrapolate_matrix(jb, p0, ladder)
+        J0 = extend_to_boundary(jb.func, spec, p0[1:], order=3).limits
         JD = project_j_to_distribution(J0, n, p0)
         H = h_d.values(p0)
         for u in _distribution_basis(n, p0):
@@ -796,26 +753,17 @@ def _cg_form_results(ps, bundle, spec, tps) -> dict:
     out["h_extension"] = extend_to_boundary(h_engine.func, spec, tps,
                                             tolerance=1e-6)
     h_closed = boundary_h_closed(ps)
-    worst = 0.0
-    for tp in tps[:3]:
-        for eps in ladder[:2]:
-            p = np.concatenate([[eps], tp])
-            dev = np.max(np.abs(_values(h_engine.at(p, order=0))
-                                - _values(h_closed.at(p, order=0))))
-            worst = max(worst, float(dev))
-    out["h_closed_form_residual"] = worst
 
+    def interior_gap(engine, closed):
+        """Worst deviation on the first two rungs above three points."""
+        return max(float(np.max(np.abs(engine.values(p) - closed.values(p))))
+                   for p in (np.concatenate([[eps], tp])
+                             for tp in tps[:3] for eps in ladder[:2]))
+
+    out["h_closed_form_residual"] = interior_gap(h_engine, h_closed)
     # theta matches its closed form
-    th_engine = theta_field(gb, omb, boundary_t_coordinate)
-    th_closed = boundary_theta_closed(ps)
-    worst = 0.0
-    for tp in tps[:3]:
-        for eps in ladder[:2]:
-            p = np.concatenate([[eps], tp])
-            dev = np.max(np.abs(_values(th_engine.at(p, order=0))
-                                - _values(th_closed.at(p, order=0))))
-            worst = max(worst, float(dev))
-    out["theta_closed_form_residual"] = worst
+    out["theta_closed_form_residual"] = interior_gap(
+        theta_field(gb, omb, boundary_t_coordinate), boundary_theta_closed(ps))
 
     # boundary value of h against the boundary closed form at T = 0
     def h_at_zero(tp):

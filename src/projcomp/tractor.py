@@ -54,19 +54,8 @@ class CotractorConnection:
         """gamma[i, alpha, beta] = gamma_i alpha^beta as jet scalars."""
         n = self.n
         gamma = self.ps.gamma_at(coords)
-        if isinstance(coords[0], Jet):
-            o = coords[0].order
-            P = np.asarray(self.ps.schouten().func(
-                jets.seed_point([c.value for c in coords], o)))
-            inner = [c.truncate(o) for c in coords]
-            P = np.array([[jets.compose(P[i, j], inner) for j in range(n)]
-                          for i in range(n)], dtype=object)
-            zero = coords[0] * 0.0
-        else:
-            P = np.asarray(self.ps.schouten().func(
-                jets.seed_point([float(c) for c in coords], 0)))
-            P = np.array([[P[i, j].value for j in range(n)] for i in range(n)])
-            zero = 0.0
+        P = self.ps.schouten_at(coords)
+        zero = coords[0] * 0.0 if isinstance(coords[0], Jet) else 0.0
         out = np.empty((n, n + 1, n + 1), dtype=object)
         out[...] = zero
         for i in range(n):
@@ -147,8 +136,7 @@ def splitting_metric_crosscheck(ps: ProjectiveStructure, point) -> dict:
     xi = point[n:]
     gv = g.values(point)
     ov = omega.values(point)
-    P = np.asarray(ps.schouten().func(jets.seed_point(x, 0)))
-    P = np.array([[P[i, j].value for j in range(n)] for i in range(n)])
+    P = ps.schouten_at(x)
     gam = ps.gamma_at([float(c) for c in x])
     B = np.empty((n, n))
     for i in range(n):

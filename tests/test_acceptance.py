@@ -20,8 +20,7 @@ from projcomp.catalog import (EHParams, ProjectiveStructure, WarpedPair,
                               projective_change_structure,
                               random_projective_structure, random_upsilon,
                               split_signature_flat, unit_sphere, warped)
-from projcomp.compactify import (CompactificationSpec,
-                                 connection_extension_check, extend_to_boundary,
+from projcomp.compactify import (CompactificationSpec, extend_to_boundary,
                                  metricity_check, upsilon_from_defining)
 from projcomp.fields import (MetricField, TensorField, einstein_residual,
                              exterior_derivative, levi_civita,
@@ -122,8 +121,8 @@ def test_criterion_03_metric_cone_compactification():
                                                    - lc_bar.values(p)))))
         spec = CompactificationSpec(chart=chart, alpha=1.0)
         tps = spec.boundary_points(rng, 4)
-        v = connection_extension_check(
-            changed, spec, tps, tolerance=1e-6,
+        v = extend_to_boundary(
+            changed.func, spec, tps, tolerance=1e-6,
             closed_form=lambda tp: lc_bar.values(np.concatenate([[0.0], tp])))
         all_extend = all_extend and v.passed
     ok = worst < 1e-9 and all_extend

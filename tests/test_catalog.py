@@ -7,15 +7,15 @@ import projcomp.jets as jets
 from projcomp import fields
 from projcomp.catalog import (EHParams, Poly, ProjectiveStructure, WarpedPair,
                               compactified_cone, compactified_flat, cone,
-                              cone_chart_map, dm_boundary_chart,
+                              cone_chart_map, cone_in_t, dm_boundary_chart,
                               dm_boundary_map, dm_metric, eguchi_hanson,
                               eh_compactified, flat_chart_metric,
                               flat_spherical, projective_change_structure,
                               random_projective_structure, random_upsilon,
                               sigma_forms, split_signature_flat, unit_sphere,
                               warped)
-from projcomp.compactify import (CompactificationSpec,
-                                 connection_extension_check, match_boundary_constant)
+from projcomp.compactify import (CompactificationSpec, extend_to_boundary,
+                                 match_boundary_constant)
 from projcomp.fields import (einstein_residual, exterior_derivative,
                              levi_civita, projective_change, ricci, riemann,
                              transform_tensor)
@@ -109,7 +109,7 @@ def test_cone_signature_agnostic():
     assert np.sum(ev > 0) == 2 and np.sum(ev < 0) == 1
     # its compactification extends: the dT/T change of LC has finite limits
     gbar = compactified_cone(split_signature_flat(2))
-    cone_t = _cone_in_t(split_signature_flat(2))
+    cone_t = cone_in_t(split_signature_flat(2))
     spec = CompactificationSpec(chart=gbar.chart, alpha=1.0)
     changed = projective_change(
         levi_civita(cone_t),
@@ -117,34 +117,15 @@ def test_cone_signature_agnostic():
                            func=lambda c: [1.0 / c[0]] + [c[0] * 0.0] * 2))
     tps = spec.boundary_points(rng, 2)
     lc_bar = levi_civita(gbar)
-    v = connection_extension_check(
-        changed, spec, tps, tolerance=1e-6,
+    v = extend_to_boundary(
+        changed.func, spec, tps, tolerance=1e-6,
         closed_form=lambda tp: lc_bar.values(np.concatenate([[0.0], tp])))
     assert v.passed
 
 
-def _cone_in_t(base):
-    m = base.chart.dim
-    chart = compactified_cone(base).chart
-
-    def func(coords):
-        T, rest = coords[0], coords[1:]
-        G = base.func(rest)
-        w = 1.0 - T * T
-        T2 = T * T
-        out = [[T * 0.0 for _ in range(m + 1)] for _ in range(m + 1)]
-        out[0][0] = 1.0 / (T2 * T2 * w)
-        for i in range(m):
-            for j in range(m):
-                out[i + 1][j + 1] = (w / T2) * G[i][j]
-        return out
-
-    return fields.MetricField(chart, func, name="cone-T")
-
-
 def test_cone_asymptotic_h_restricts_to_base():
     base = unit_sphere(2)
-    cone_t = _cone_in_t(base)
+    cone_t = cone_in_t(base)
     spec = CompactificationSpec(chart=compactified_cone(base).chart, alpha=1.0)
     from projcomp.compactify import asymptotic_form_check
     rng = np.random.default_rng(4)

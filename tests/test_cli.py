@@ -1,6 +1,8 @@
 """Manifest runner: validation, determinism, exit codes, report schema."""
 
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +78,83 @@ def test_builtin_manifest_validates():
     validate_manifest(builtin_manifest())
 
 
+MALFORMED = {
+    "points-string": {"id": "p", "catalog": "flat", "points": "x"},
+    "points-negative": {"id": "p", "catalog": "flat", "points": -3},
+    "points-one": {"id": "p", "catalog": "flat", "points": 1},
+    "seed-string": {"id": "p", "catalog": "flat", "seed": "a"},
+    "degree-string": {"id": "p", "catalog": "dm-random",
+                      "params": {"degree": "2"}},
+    "a-string": {"id": "p", "catalog": "eh", "params": {"a": "1"}},
+    "ladder-one-rung": {"id": "p", "catalog": "eh", "ladder": [1e-2]},
+    "ladder-empty": {"id": "p", "catalog": "eh", "ladder": []},
+    "flat-n1": {"id": "p", "catalog": "flat", "params": {"n": 1}},
+    "bound-5": {"id": "p", "catalog": "dm-random", "params": {"bound": 5}},
+    "kappa-string": {"id": "p", "catalog": "warped", "params": {"kappa": "x"}},
+    "tolerance-string": {"id": "p", "catalog": "flat",
+                         "tolerances": {"einstein": "x"}},
+    "tolerance-unknown-check": {"id": "p", "catalog": "flat",
+                                "tolerances": {"bogus": 1.0}},
+    "base-unknown": {"id": "p", "catalog": "cone", "params": {"base": "nope"}},
+    "scenario-number": 5,
+}
+
+
+@pytest.mark.parametrize("scenario", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_manifest_exits_2_with_one_line(tmp_path, capsys, scenario):
+    manifest = {"scenarios": [scenario]}
+    with pytest.raises(ManifestError):
+        validate_manifest(manifest)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def _listed_params(text):
+    """catalog -> {parameter: default} as `projcomp list` prints them."""
+    listed = {}
+    for line in text.splitlines():
+        if not line.startswith(" "):
+            params = listed.setdefault(line.split()[0], {})
+        m = re.search(r"param:\s+(\S+) = (\S+) \(", line)
+        if m:
+            params[m.group(1)] = json.loads(m.group(2))
+    return listed
+
+
+def test_list_prints_exactly_the_parameters_validation_accepts(capsys):
+    assert main(["list"]) == 0
+    listed = _listed_params(capsys.readouterr().out)
+    # constructor arguments a manifest might try, besides the listed ones
+    tried = {"n", "degree", "seed", "bound", "a", "kappa", "c", "base",
+             "rbox", "tbox"}
+    for cat, params in listed.items():
+        for name in tried | set(params):
+            sc = {"id": "p", "catalog": cat,
+                  "params": {name: params.get(name, 1)}}
+            if name in params:
+                validate_manifest({"scenarios": [sc]})
+            else:
+                with pytest.raises(ManifestError, match="unknown parameter"):
+                    validate_manifest({"scenarios": [sc]})
+
+
+def test_every_registered_check_has_one_claim_and_default_tolerance():
+    seen = {}
+    for entry in cli.REGISTRY.values():
+        assert entry.claim and entry.checks
+        for name, check in entry.checks.items():
+            assert isinstance(check.claim, str) and check.claim
+            assert math.isfinite(check.tolerance) and check.tolerance > 0
+            meta = (check.claim, check.tolerance)
+            assert seen.setdefault(name, meta) == meta
+
+
 # -- execution -------------------------------------------------------------------
 
 
@@ -136,7 +215,8 @@ def test_cg_form_record_matches_full_compactification_check():
           "checks": ["cg-form"], "points": 3, "seed": 8}
     rec = run_manifest({"scenarios": [sc]})["scenarios"][0]["records"][0]
     out = paracx.full_compactification_check(
-        cli._dm_structure(sc["params"]), point_rng(8, "dm", 10_000), count=3,
+        cli.REGISTRY["dm-random"](sc).ps, point_rng(8, "dm", 10_000),
+        count=3,
         ladder=compactify.DEFAULT_LADDER)
     resid = max(out["h_closed_form_residual"],
                 out["theta_closed_form_residual"])

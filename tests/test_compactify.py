@@ -5,36 +5,15 @@ import pytest
 
 import projcomp.jets as jets
 from projcomp import fields
-from projcomp.catalog import (EHParams, compactified_cone, cone, eguchi_hanson,
-                              eh_compactified, flat_spherical,
+from projcomp.catalog import (EHParams, compactified_cone, cone, cone_in_t,
+                              eguchi_hanson, eh_compactified, flat_spherical,
                               split_signature_flat, unit_sphere, warped,
                               WarpedPair)
 from projcomp.compactify import (CompactificationSpec, SingularMetricError,
-                                 asymptotic_form_check,
-                                 connection_extension_check,
-                                 extend_to_boundary, metricity_check,
+                                 asymptotic_form_check, extend_to_boundary, metricity_check,
                                  upsilon_from_defining)
 from projcomp.fields import (MetricField, levi_civita, projective_change,
                              TensorField)
-
-
-def _cone_in_t(base):
-    m = base.chart.dim
-    chart = compactified_cone(base).chart
-
-    def func(coords):
-        T, rest = coords[0], coords[1:]
-        G = base.func(rest)
-        w = 1.0 - T * T
-        T2 = T * T
-        out = [[T * 0.0 for _ in range(m + 1)] for _ in range(m + 1)]
-        out[0][0] = 1.0 / (T2 * T2 * w)
-        for i in range(m):
-            for j in range(m):
-                out[i + 1][j + 1] = (w / T2) * G[i][j]
-        return out
-
-    return MetricField(chart, func, name="cone-T")
 
 
 def _flat_in_inverse_r(n):
@@ -105,7 +84,7 @@ def test_compactification_spec_validation():
 
 def test_cone_extension_matches_closed_form():
     base = unit_sphere(2)
-    cone_t = _cone_in_t(base)
+    cone_t = cone_in_t(base)
     gbar = compactified_cone(base)
     spec = CompactificationSpec(chart=gbar.chart, alpha=1.0)
     rng = np.random.default_rng(0)
@@ -114,8 +93,8 @@ def test_cone_extension_matches_closed_form():
         levi_civita(cone_t),
         upsilon_from_defining(gbar.chart, lambda c: c[0], 1.0))
     lc_bar = levi_civita(gbar)
-    v = connection_extension_check(
-        changed, spec, tps, tolerance=1e-6,
+    v = extend_to_boundary(
+        changed.func, spec, tps, tolerance=1e-6,
         closed_form=lambda tp: lc_bar.values(np.concatenate([[0.0], tp])))
     assert v.passed and v.agreement < 1e-6
 
@@ -127,7 +106,7 @@ def test_flat_inverse_r_extends_but_is_not_metric():
     tps = spec.boundary_points(rng, 2)
     changed = projective_change(
         levi_civita(g), upsilon_from_defining(g.chart, lambda c: c[0], 1.0))
-    v = connection_extension_check(changed, spec, tps, tolerance=1e-6)
+    v = extend_to_boundary(changed.func, spec, tps, tolerance=1e-6)
     assert v.passed
     mv = metricity_check(changed, rng, count=4)
     assert mv.status == "fail" and mv.residual > 1e-3
@@ -138,12 +117,12 @@ def test_eh_raw_connection_diverges_changed_extends():
     spec = CompactificationSpec(chart=gT.chart, alpha=1.0)
     rng = np.random.default_rng(2)
     tps = spec.boundary_points(rng, 2)
-    raw = connection_extension_check(levi_civita(gT), spec, tps,
-                                     tolerance=1e-6)
+    raw = extend_to_boundary(levi_civita(gT).func, spec, tps,
+                             tolerance=1e-6)
     assert not raw.passed
     changed = projective_change(
         levi_civita(gT), upsilon_from_defining(gT.chart, lambda c: c[0], 1.0))
-    v = connection_extension_check(changed, spec, tps, tolerance=1e-6)
+    v = extend_to_boundary(changed.func, spec, tps, tolerance=1e-6)
     assert v.passed
 
 
@@ -167,7 +146,7 @@ def test_warped_family_extension_invariant():
 
 def test_flat_asymptotic_form():
     base = unit_sphere(2)
-    cone_t = _cone_in_t(base)
+    cone_t = cone_in_t(base)
     spec = CompactificationSpec(chart=compactified_cone(base).chart, alpha=1.0)
     rng = np.random.default_rng(4)
     tps = spec.boundary_points(rng, 2)
@@ -219,7 +198,7 @@ def test_divergent_component_fails_ladder():
 
 def test_metricity_cone_passes():
     base = unit_sphere(2)
-    cone_t = _cone_in_t(base)
+    cone_t = cone_in_t(base)
     gbar = compactified_cone(base)
     changed = projective_change(
         levi_civita(cone_t),
