@@ -28,7 +28,8 @@ import numpy as np
 
 from . import jets
 from .fields import (Chart, ChartMap, ConnectionField, MetricField,
-                     TensorField, _values, projective_schouten)
+                     TensorField, _stack, _unstack, _values,
+                     projective_schouten)
 from .jets import Jet
 
 __all__ = [
@@ -61,6 +62,33 @@ __all__ = [
 # -- polynomials (exact coefficient arithmetic) ------------------------------
 
 
+def _evaluate(monomials: list, C: np.ndarray, coords) -> np.ndarray:
+    """sum_m C[..., m] x^monomials[m] on jet (or float) coordinates, as an
+    object array of Jets (or floats).  One monomial table serves the whole
+    stack: x^m is x^(m - e_h) x_h, h its highest variable (a product runs
+    left to right in ascending variables); terms are summed in list order,
+    which callers keep sorted."""
+    floats = not isinstance(coords[0], Jet)
+    coords = jets.seed_point(coords, 0) if floats else coords
+    alg = coords[0].alg
+    one, table = np.eye(1, alg.size)[0], {}
+
+    def power(m):
+        if not any(m):
+            return one
+        if m not in table:
+            h = max(i for i, e in enumerate(m) if e)
+            head = m[:h] + (m[h] - 1,) + m[h + 1:]
+            table[m] = (coords[h].c if not any(head)
+                        else alg.mul(power(head), coords[h].c))
+        return table[m]
+
+    out = np.zeros(C.shape[:-1] + (alg.size,))
+    for col, m in enumerate(monomials):
+        out += C[..., col, None] * power(m)
+    return out[..., 0] if floats else _unstack(alg, out)
+
+
 class Poly(dict):
     """Sparse polynomial: multi-index tuple -> coefficient."""
 
@@ -72,19 +100,9 @@ class Poly(dict):
         return p
 
     def __call__(self, coords):
-        if not self:
-            return coords[0] * 0.0
-        acc = None
-        for m, c in sorted(self.items()):
-            term = None
-            for i, e in enumerate(m):
-                for _ in range(e):
-                    term = coords[i] if term is None else term * coords[i]
-            term = c if term is None else term * c
-            acc = term if acc is None else acc + term
-        if not isinstance(acc, (int, float)):
-            return acc
-        return coords[0] * 0.0 + acc
+        monomials = sorted(self)
+        C = np.array([[self[m] for m in monomials]])
+        return _evaluate(monomials, C, coords)[0]
 
     def plus(self, other: "Poly") -> "Poly":
         out = Poly(self)
@@ -110,6 +128,8 @@ class ProjectiveStructure:
     label: str = ""
     _schouten: Optional[TensorField] = field(default=None, init=False,
                                              repr=False, compare=False)
+    _table: Optional[tuple] = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -129,15 +149,18 @@ class ProjectiveStructure:
         return self.gamma.get((k, i, j), Poly())
 
     def gamma_at(self, coords) -> np.ndarray:
-        """Gamma^k_ij evaluated on jet (or float) coordinates."""
-        n = self.n
-        out = np.empty((n, n, n), dtype=object)
-        for k in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    out[k, i, j] = self.gamma_poly(k, i, j)(coords)
-                    out[k, j, i] = out[k, i, j]
-        return out
+        """Gamma^k_ij evaluated on jet (or float) coordinates: a tensor
+        C[k, i, j, m] over the sorted union of the monomials, built on the
+        first call, contracted with one monomial table (see _evaluate)."""
+        if self._table is None:
+            monomials = sorted(set().union(*self.gamma.values()))
+            col = {m: c for c, m in enumerate(monomials)}
+            C = np.zeros((self.n,) * 3 + (len(monomials),))
+            for (k, i, j), p in self.gamma.items():
+                for m, c in p.items():
+                    C[k, i, j, col[m]] = C[k, j, i, col[m]] = c
+            self._table = (monomials, C)
+        return _evaluate(*self._table, coords)
 
     def connection(self) -> ConnectionField:
         return ConnectionField(chart=self.chart, func=self.gamma_at,
@@ -156,18 +179,13 @@ class ProjectiveStructure:
         variables), each entry is the order-o jet of the Schouten field at
         x's value composed with x.
         """
-        n = self.n
         sch = self.schouten()
         if not isinstance(x[0], Jet):
             return _values(sch.func(jets.seed_point(x, 0)))
         o = x[0].order
-        Pn = np.asarray(sch.func(jets.seed_point([c.value for c in x], o)))
+        Pn = _stack(sch.func(jets.seed_point([c.value for c in x], o)))
         inner = [c.truncate(o) for c in x]
-        P = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                P[i, j] = jets.compose(Pn[i, j], inner)
-        return P
+        return _unstack(inner[0].alg, jets.compose_stacked(Pn, inner))
 
 
 _QUANTUM = 2.0 ** -26  # dyadic grid: small-integer poly combinations stay exact

@@ -146,13 +146,20 @@ class Scenario:
     checks: dict   # check name -> marked method, in run order
 
     def __init__(self, sc: dict):
-        given = sc.get("params", {})
         self.id = sc["id"]
-        self.params = {name: p.kind(given.get(name, p.default))
-                       for name, p in self.schema.items()}
+        self.params = self.resolve(sc.get("params", {}))
         self.count = int(sc.get("points", POINTS.default))
         self.seed = int(sc.get("seed", SEED.default))
         self.ladder = tuple(sc.get("ladder", compactify.DEFAULT_LADDER))
+
+    @classmethod
+    def resolve(cls, given: dict) -> dict:
+        """The given parameters, with defaults for the rest."""
+        return {n: p.kind(given.get(n, p.default)) for n, p in cls.schema.items()}
+
+    @classmethod
+    def check_params(cls, params: dict) -> None:
+        """Raise ValueError if parameters, each in range, do not fit together."""
 
     def points(self, chart, count: int) -> np.ndarray:
         return sample_points(chart, self.seed, self.id, count)
@@ -297,11 +304,18 @@ class _Cone(Scenario):
 class _Warped(Scenario):
     def __init__(self, sc):
         super().__init__(sc)
-        c = self.params["c"]
-        wp = catalog.WarpedPair(f=lambda r: r * r + c,
-                                gamma=_BASES[self.params["base"]](),
-                                kappa=self.params["kappa"])
-        self.g, self.gbar, self.ups = catalog.warped(wp)
+        self.g, self.gbar, self.ups = catalog.warped(self.pair(self.params))
+
+    @staticmethod
+    def pair(params: dict) -> catalog.WarpedPair:
+        c = params["c"]
+        return catalog.WarpedPair(f=lambda r: r * r + c,
+                                  gamma=_BASES[params["base"]](),
+                                  kappa=params["kappa"])
+
+    @classmethod
+    def check_params(cls, params):
+        cls.pair(params).check()  # 1 + kappa f keeps one sign
 
     @_check("levi-civita-pair",
             "warped-pair Levi-Civita connections differ by the stated one-form",
@@ -582,6 +596,10 @@ def _validate_scenario(sc: dict, sid: str) -> None:
             raise ManifestError(f"unknown parameter: {name!r} for {cat} in {sid}")
         if not p.accepts(value):
             raise ManifestError(f"{name} must be {p.range} in {sid}")
+    try:
+        entry.check_params(entry.resolve(params))
+    except ValueError as exc:
+        raise ManifestError(f"{exc} in {sid}") from None
     for ch in [*checks, *tolerances]:
         if not isinstance(ch, str) or ch not in entry.checks:
             raise ManifestError(f"unknown check {ch!r} for {cat} in {sid}")

@@ -288,19 +288,12 @@ def projective_change(conn: ConnectionField, upsilon: TensorField) -> Connection
     n = conn.chart.dim
 
     def func(coords):
-        gamma = _as_object_array(conn.func(coords))
-        U = _as_object_array(upsilon.func(coords))
-        out = np.empty((n, n, n), dtype=object)
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    t = gamma[k, i, j]
-                    if k == i:
-                        t = t + U[j]
-                    if k == j:
-                        t = t + U[i]
-                    out[k, i, j] = t
-        return out
+        out = _stack(conn.func(coords))
+        U = _stack(upsilon.func(coords))
+        k = np.arange(n)
+        out[k, k, :] += U  # the delta^k_i Y_j term, then delta^k_j Y_i
+        out[k, :, k] += U
+        return _unstack(coords[0].alg, out)
 
     return ConnectionField(chart=conn.chart, func=func,
                            torsion_free=conn.torsion_free,
@@ -434,18 +427,13 @@ def exterior_derivative(omega: TensorField) -> TensorField:
 
     def func(coords):
         o = coords[0].order
-        W = _as_object_array(omega.func(_reseed(coords, o + 1)))
-        out = np.empty((n,) * (k + 1), dtype=object)
-        for idx in np.ndindex(out.shape):
-            acc = None
-            for j in range(k + 1):
-                rest = idx[:j] + idx[j + 1:]
-                term = W[rest].deriv(idx[j]) if k else W[()].deriv(idx[j])
-                if j % 2 == 1:
-                    term = -term
-                acc = term if acc is None else acc + term
-            out[idx] = acc
-        return out
+        up = _reseed(coords, o + 1)
+        dW = _grad(up[0].alg, _stack(omega.func(up)))  # dW[a, ...] = d_a W
+        out = dW
+        for j in range(1, k + 1):  # term j differentiates along slot j
+            term = np.moveaxis(dW, 0, j)
+            out = out - term if j % 2 else out + term
+        return _unstack(jets.algebra(n, o), out)
 
     return TensorField(chart=omega.chart, valence=(0, k + 1), func=func,
                        antisymmetric=True, name=f"d({omega.name})")
@@ -504,18 +492,15 @@ def transform_tensor(field: TensorField, cmap: ChartMap, target_point,
     r, s = field.valence
     xs, x0, Jac = _map_jets(cmap, target_point, order)
     JacInv = jet_matrix_inverse(Jac)  # JacInv[mu, a] = d y^mu / d x^a
-    comps_src = _as_object_array(field.func(jets.seed_point(x0, order)))
     # re-express source components as jets in the target coordinates
-    comps = np.empty(comps_src.shape, dtype=object)
     inner = [x.truncate(order) for x in xs]
-    for idx in np.ndindex(comps_src.shape):
-        comps[idx] = jets.compose(comps_src[idx], inner)
+    comps = _unstack(inner[0].alg, jets.compose_stacked(
+        _stack(field.func(jets.seed_point(x0, order))), inner))
     Jt = np.empty((n, n), dtype=object)
     JiT = np.empty((n, n), dtype=object)  # JiT[a, mu] = d y^mu / d x^a
-    for i in range(n):
-        for q in range(n):
-            Jt[i, q] = Jac[i, q].truncate(order)
-            JiT[q, i] = JacInv[i, q].truncate(order)
+    for i, q in np.ndindex(n, n):
+        Jt[i, q] = Jac[i, q].truncate(order)
+        JiT[q, i] = JacInv[i, q].truncate(order)
     return _contract_slots(comps, [JiT] * r + [Jt] * s)
 
 
@@ -526,17 +511,13 @@ def transform_connection(conn: ConnectionField, cmap: ChartMap, target_point,
     n = conn.chart.dim
     xs, x0, Jac = _map_jets(cmap, target_point, order + 1)
     JacInv = jet_matrix_inverse(Jac)
-    gamma_src = _as_object_array(conn.func(jets.seed_point(x0, order)))
     inner = [x.truncate(order) for x in xs]
-    gamma = np.empty((n, n, n), dtype=object)
-    for idx in np.ndindex((n, n, n)):
-        gamma[idx] = jets.compose(gamma_src[idx], inner)
-    B = np.empty((n, n), dtype=object)   # B[c, mu] = d x^c/d y^mu at order+1
+    gamma = _unstack(inner[0].alg, jets.compose_stacked(
+        _stack(conn.func(jets.seed_point(x0, order))), inner))
+    B = Jac  # B[c, mu] = d x^c/d y^mu at order+1
     A = np.empty((n, n), dtype=object)   # A[gam, c] = d y^gam/d x^c
-    for i in range(n):
-        for q in range(n):
-            B[i, q] = Jac[i, q]
-            A[i, q] = JacInv[i, q].truncate(order)
+    for i, q in np.ndindex(n, n):
+        A[i, q] = JacInv[i, q].truncate(order)
     out = np.empty((n, n, n), dtype=object)
     for gam in range(n):
         for mu in range(n):

@@ -10,6 +10,8 @@ finite difference.
 Coefficients sit in a dense float64 array indexed by graded-lexicographic
 multi-index order.  The per-(num_vars, order) index tables are cached in a
 JetAlgebra; multiplication is a precomputed sparse convolution.
+Composition substitutes inner jets into a stack of outer jets with one
+monomial table (compose_stacked), in the arithmetic order of one jet.
 
 The elementary-function helpers (sin, cos, exp, ...) dispatch on type so the
 same component code can run on plain floats, which is what the independent
@@ -29,6 +31,7 @@ __all__ = [
     "JetAlgebra",
     "algebra",
     "compose",
+    "compose_stacked",
     "constant",
     "variable",
     "seed_point",
@@ -428,28 +431,34 @@ def compose(f: Jet, inner: list[Jet]) -> Jet:
     """
     if len(inner) != f.num_vars:
         raise JetError("compose: wrong number of inner jets")
-    alg_in = inner[0].alg
-    order = min(f.order, alg_in.order)
-    shifted = []
+    order = min(f.order, inner[0].order)
+    inner = [g.truncate(order) for g in inner]
+    return Jet(inner[0].alg, compose_stacked(f.c, inner))
+
+
+def compose_stacked(F: np.ndarray, inner: list[Jet]) -> np.ndarray:
+    """compose for a stack F[..., :] of jets in len(inner) variables, at an
+    order no lower than the inner jets'; returns the stacked composed jets.
+    The powers of dg_i = g_i - g_i.value are built once; a monomial is its
+    prefix's product (the powers of the lower variables) times its highest
+    variable's power, and the terms are summed in graded-lex order."""
+    alg = inner[0].alg
+    table = algebra(len(inner), alg.order)
+    if F.shape[-1] < table.size:
+        raise JetError("compose: outer jets below the inner order")
+    powers = []  # powers[i][e] = dg_i ** e
     for g in inner:
-        dg = Jet(g.alg, g.c.copy())
-        dg.c[0] = 0.0
-        shifted.append(dg.truncate(order))
-    # power cache: shifted[i] ** k
-    powers = []
-    for dg in shifted:
-        row = [Jet.constant(1.0, dg.num_vars, order), dg]
-        for _ in range(2, order + 1):
-            row.append(row[-1] * dg)
+        row = [None, np.concatenate([[0.0], g.c[1:]])]
+        for _ in range(2, alg.order + 1):
+            row.append(alg.mul(row[-1], row[1]))
         powers.append(row)
-    out = Jet.constant(0.0, alg_in.num_vars, order)
-    for k, m in enumerate(f.alg.monomials):
-        ck = f.c[k]
-        if ck == 0.0 or sum(m) > order:
-            continue
-        term = None
-        for i, e in enumerate(m):
-            if e:
-                term = powers[i][e] if term is None else term * powers[i][e]
-        out = out + ck if term is None else out + term * ck
+    prods = {table.monomials[0]: np.eye(1, alg.size)[0]}
+    out = np.zeros(F.shape[:-1] + (alg.size,))
+    for k, m in enumerate(table.monomials):
+        if m not in prods:
+            h = max(i for i, e in enumerate(m) if e)
+            head = m[:h] + (0,) * (len(m) - h)
+            p = powers[h][m[h]]
+            prods[m] = alg.mul(prods[head], p) if any(head) else p
+        out += F[..., k, None] * prods[m]
     return out

@@ -371,12 +371,12 @@ def half_dlog_t(chart: Chart) -> TensorField:
 # -- boundary data (contact form, Theta, h_D) ----------------------------------
 
 
-def _gamma_contracted(ps: ProjectiveStructure, xs, Z, i, j):
-    """c_ij = Gamma^C_ij Z_C + Gamma^n_ij at base coordinates xs."""
-    n = ps.n
-    acc = ps.gamma_poly(n - 1, i, j)(xs)
+def _gamma_contracted(gamma: np.ndarray, Z, i, j):
+    """c_ij = Gamma^C_ij Z_C + Gamma^n_ij from gamma = ps.gamma_at(x)."""
+    n = len(gamma)
+    acc = gamma[n - 1, i, j]
     for Cc in range(n - 1):
-        acc = acc + ps.gamma_poly(Cc, i, j)(xs) * Z[Cc]
+        acc = acc + gamma[Cc, i, j] * Z[Cc]
     return acc
 
 
@@ -406,13 +406,13 @@ def boundary_data(ps: ProjectiveStructure):
 
     def theta_mat(point):
         Z = list(point[1:n])
-        xs = list(point[n:2 * n - 1]) + [point[-1]]
+        gamma = ps.gamma_at(list(point[n:2 * n - 1]) + [point[-1]])
         Th = np.empty((m, m), dtype=object)
         for A in range(m):
             for B in range(m):
-                t = _gamma_contracted(ps, xs, Z, A, B)
-                t = t + _gamma_contracted(ps, xs, Z, n - 1, n - 1) * (Z[A] * Z[B])
-                t = t - 2.0 * _gamma_contracted(ps, xs, Z, A, n - 1) * Z[B]
+                t = _gamma_contracted(gamma, Z, A, B)
+                t = t + _gamma_contracted(gamma, Z, n - 1, n - 1) * (Z[A] * Z[B])
+                t = t - 2.0 * _gamma_contracted(gamma, Z, A, n - 1) * Z[B]
                 Th[A, B] = t
         return Th
 
@@ -458,6 +458,7 @@ def boundary_theta_closed(ps: ProjectiveStructure) -> TensorField:
         for a in range(m):
             K = K + Z[a] * X[a]
         P = ps.schouten_at(xs)
+        gamma = ps.gamma_at(xs)
         zero = T * 0.0
         th = [zero] * (2 * n)
         th[0] = zero - 1.0
@@ -467,13 +468,13 @@ def boundary_theta_closed(ps: ProjectiveStructure) -> TensorField:
         for B in range(m):
             acc = pref * Z[B]
             for A in range(m):
-                acc = acc + 2.0 * T2 * (P[A, B] - _gamma_contracted(ps, xs, Z, A, B) / TK) * X[A]
-            acc = acc + 2.0 * T2 * (P[n - 1, B] - _gamma_contracted(ps, xs, Z, n - 1, B) / TK) * Y
+                acc = acc + 2.0 * T2 * (P[A, B] - _gamma_contracted(gamma, Z, A, B) / TK) * X[A]
+            acc = acc + 2.0 * T2 * (P[n - 1, B] - _gamma_contracted(gamma, Z, n - 1, B) / TK) * Y
             th[n + B] = acc
         acc = pref * 1.0
         for A in range(m):
-            acc = acc + 2.0 * T2 * (P[A, n - 1] - _gamma_contracted(ps, xs, Z, A, n - 1) / TK) * X[A]
-        acc = acc + 2.0 * T2 * (P[n - 1, n - 1] - _gamma_contracted(ps, xs, Z, n - 1, n - 1) / TK) * Y
+            acc = acc + 2.0 * T2 * (P[A, n - 1] - _gamma_contracted(gamma, Z, A, n - 1) / TK) * X[A]
+        acc = acc + 2.0 * T2 * (P[n - 1, n - 1] - _gamma_contracted(gamma, Z, n - 1, n - 1) / TK) * Y
         th[2 * n - 1] = acc
         return th
 
@@ -538,10 +539,11 @@ def boundary_h_closed(ps: ProjectiveStructure,
         e[iY] = one
         dxb.append(e)
 
+        gamma = ps.gamma_at(xs)
         c = np.empty((n, n), dtype=object)
         for i in range(n):
             for j in range(i, n):
-                c[i, j] = _gamma_contracted(ps, xs, Z, i, j)
+                c[i, j] = _gamma_contracted(gamma, Z, i, j)
                 c[j, i] = c[i, j]
         ctil = [None] * n
         ptil = [None] * n

@@ -59,11 +59,9 @@ class CotractorConnection:
         out = np.empty((n, n + 1, n + 1), dtype=object)
         out[...] = zero
         for i in range(n):
-            for j in range(n):
-                out[i, 0, 1 + j] = (zero + 1.0) if i == j else zero
-                out[i, 1 + j, 0] = -P[i, j]
-                for k in range(n):
-                    out[i, 1 + j, 1 + k] = gamma[k, i, j]
+            out[i, 0, 1 + i] = zero + 1.0
+        out[:, 1:, 0] = -P
+        out[:, 1:, 1:] = gamma.transpose(1, 2, 0)  # gamma_i j^k = Gamma^k_ij
         return out
 
 

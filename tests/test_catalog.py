@@ -334,3 +334,79 @@ def test_catalog_metrics_nondegenerate_on_boxes():
     for metric in (flat_spherical(3), compactified_flat(3),
                    eguchi_hanson(EHParams(a=1.0)), g):
         metric.check_nondegenerate(rng, count=100)
+
+
+# -- stacked polynomial evaluation against the per-monomial loop --------------
+#
+# _poly_loop is Poly.__call__ of the earlier engine, kept as an oracle.  The
+# stacked evaluator builds each monomial as before (left to right, ascending
+# variables) and sums in sorted() order, so every coefficient is equal.
+
+
+def _poly_loop(p, coords):
+    if not p:
+        return coords[0] * 0.0
+    acc = None
+    for m, c in sorted(p.items()):
+        term = None
+        for i, e in enumerate(m):
+            for _ in range(e):
+                term = coords[i] if term is None else term * coords[i]
+        term = c if term is None else term * c
+        acc = term if acc is None else acc + term
+    if not isinstance(acc, (int, float)):
+        return acc
+    return coords[0] * 0.0 + acc
+
+
+def _assert_same(got, want):
+    if isinstance(want, jets.Jet):
+        assert got.alg is want.alg and np.array_equal(got.c, want.c)
+    else:
+        assert not isinstance(got, jets.Jet) and got == want
+
+
+def _coordinate_kinds(n, seed):
+    """Jet coordinates in more variables than n (as the canonical metric's
+    chart composes them), seeded jets, and floats."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-0.9, 0.9, n)
+    alg = jets.algebra(2 * n, 2)
+    composed = [jets.Jet(alg, np.concatenate([[v], rng.uniform(-1, 1, alg.size - 1)]))
+                for v in x]
+    return composed, jets.seed_point(x, 3), [float(v) for v in x]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_gamma_at_matches_per_poly_loop(n, degree):
+    ps = random_projective_structure(n, degree, 1.0, seed=10 * n + degree)
+    for coords in _coordinate_kinds(n, degree):
+        got = ps.gamma_at(coords)
+        for k, i, j in np.ndindex(n, n, n):
+            _assert_same(got[k, i, j], _poly_loop(ps.gamma_poly(k, i, j), coords))
+
+
+SPARSE = {
+    "missing-prefixes": Poly({(0, 3): 0.7, (2, 1): -0.3, (3, 0): 2.0 ** -5}),
+    "three-vars": Poly({(1, 0, 2): 0.5, (0, 2, 1): -1.25, (0, 0, 1): 3.0}),
+    "empty": Poly(),
+    "constant-only": Poly.const(0.75, 2),
+    "constant-and-cubic": Poly({(0, 0): -0.5, (1, 2): 1.5}),
+}
+
+
+@pytest.mark.parametrize("p", SPARSE.values(), ids=SPARSE)
+def test_sparse_poly_matches_per_monomial_loop(p):
+    for coords in _coordinate_kinds(3, 7):
+        _assert_same(p(coords), _poly_loop(p, coords))
+
+
+def test_sparse_structure_matches_per_poly_loop():
+    # some (k, i, j) absent, the others with gaps in their monomials
+    ps = ProjectiveStructure(n=2, gamma={(0, 0, 1): SPARSE["missing-prefixes"],
+                                         (1, 1, 1): SPARSE["constant-only"]})
+    for coords in _coordinate_kinds(2, 8):
+        got = ps.gamma_at(coords)
+        for k, i, j in np.ndindex(2, 2, 2):
+            _assert_same(got[k, i, j], _poly_loop(ps.gamma_poly(k, i, j), coords))

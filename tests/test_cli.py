@@ -91,6 +91,9 @@ MALFORMED = {
     "flat-n1": {"id": "p", "catalog": "flat", "params": {"n": 1}},
     "bound-5": {"id": "p", "catalog": "dm-random", "params": {"bound": 5}},
     "kappa-string": {"id": "p", "catalog": "warped", "params": {"kappa": "x"}},
+    # 1 + kappa f changes sign on the r interval (f = r^2 + 0.5, r in [0.6, 2])
+    "kappa-sign-change": {"id": "p", "catalog": "warped",
+                          "params": {"kappa": -1.0}},
     "tolerance-string": {"id": "p", "catalog": "flat",
                          "tolerances": {"einstein": "x"}},
     "tolerance-unknown-check": {"id": "p", "catalog": "flat",

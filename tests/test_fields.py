@@ -395,6 +395,53 @@ def test_exterior_derivative_squares_to_zero():
     assert np.max(np.abs(vals)) < 1e-12
 
 
+def _exterior_derivative_loop(omega):
+    """The one-jet-at-a-time exterior derivative of the earlier engine, kept
+    as an oracle: d_a of each component, alternating signs, summed over the
+    slots left to right."""
+    k, n = omega.valence[1], omega.chart.dim
+
+    def func(coords):
+        o = coords[0].order
+        W = fields._as_object_array(omega.func(fields._reseed(coords, o + 1)))
+        out = np.empty((n,) * (k + 1), dtype=object)
+        for idx in np.ndindex(out.shape):
+            acc = None
+            for j in range(k + 1):
+                rest = idx[:j] + idx[j + 1:]
+                term = W[rest].deriv(idx[j]) if k else W[()].deriv(idx[j])
+                if j % 2 == 1:
+                    term = -term
+                acc = term if acc is None else acc + term
+            out[idx] = acc
+        return out
+
+    return TensorField(chart=omega.chart, valence=(0, k + 1), func=func)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_exterior_derivative_matches_component_loop(k):
+    chart = Chart(names=("x", "y", "z", "w"), box=((-1, 1),) * 4)
+
+    def func(c):
+        out = np.empty((4,) * k, dtype=object)
+        for idx in np.ndindex(out.shape):
+            s = sum(idx)
+            out[idx] = (jets.sin(c[s % 4] * c[(s + 1) % 4] + 0.1 * s)
+                        + jets.exp(0.3 * c[(2 * s + 3) % 4]) * (s + 1.0))
+        return out[()] if k == 0 else out
+
+    omega = TensorField(chart=chart, valence=(0, k), func=func)
+    p = (0.3, -0.5, 0.2, 0.7)
+    for order in (0, 1, 2, 3):
+        got = exterior_derivative(omega).at(p, order=order)
+        want = _exterior_derivative_loop(omega).at(p, order=order)
+        assert got.shape == want.shape == (4,) * (k + 1)
+        for idx in np.ndindex(want.shape):
+            assert got[idx].alg is want[idx].alg, idx
+            assert np.array_equal(got[idx].c, want[idx].c), (order, idx)
+
+
 def test_exterior_derivative_degree_limit():
     chart = Chart(names=("x", "y"), box=((-1, 1),) * 2)
     om = TensorField(chart=chart, valence=(0, 2),

@@ -319,3 +319,66 @@ def test_deriv_shifts_coefficients():
     assert fx.order == 2
     assert abs(fx.value - 4.0) < 1e-14
     assert abs(f.deriv(1).value - 4.0) < 1e-14
+
+
+# -- stacked compose against the per-component loop --------------------------
+#
+# _compose_loop is the one-jet-at-a-time compose of the earlier engine, kept
+# as an oracle.  compose_stacked keeps its arithmetic order (the same powers,
+# products left to right in ascending variable order, terms summed in
+# graded-lex order), so every coefficient is equal, not merely close.
+
+
+def _compose_loop(f, inner):
+    alg_in = inner[0].alg
+    order = min(f.order, alg_in.order)
+    shifted = []
+    for g in inner:
+        dg = Jet(g.alg, g.c.copy())
+        dg.c[0] = 0.0
+        shifted.append(dg.truncate(order))
+    powers = []
+    for dg in shifted:
+        row = [Jet.constant(1.0, dg.num_vars, order), dg]
+        for _ in range(2, order + 1):
+            row.append(row[-1] * dg)
+        powers.append(row)
+    out = Jet.constant(0.0, alg_in.num_vars, order)
+    for k, m in enumerate(f.alg.monomials):
+        ck = f.c[k]
+        if ck == 0.0 or sum(m) > order:
+            continue
+        term = None
+        for i, e in enumerate(m):
+            if e:
+                term = powers[i][e] if term is None else term * powers[i][e]
+        out = out + ck if term is None else out + term * ck
+    return out
+
+
+@pytest.mark.parametrize("f_vars,in_vars,f_order,in_order", [
+    (2, 2, 2, 2), (2, 4, 3, 2), (3, 6, 3, 3), (3, 2, 2, 3), (2, 3, 4, 1),
+    (1, 3, 0, 2), (4, 6, 4, 4)])
+def test_compose_stacked_matches_per_component_loop(f_vars, in_vars, f_order,
+                                                    in_order):
+    rng = np.random.default_rng(100 * f_vars + 10 * in_vars + f_order)
+    f_alg = jets.algebra(f_vars, f_order)
+    in_alg = jets.algebra(in_vars, in_order)
+    F = rng.uniform(-1.0, 1.0, (2, 3, f_alg.size))
+    F[0, 1, ::2] = 0.0  # zero coefficients, which the loop skips
+    inner = [Jet(in_alg, rng.uniform(-1.0, 1.0, in_alg.size))
+             for _ in range(f_vars)]
+    order = min(f_order, in_order)
+    got = jets.compose_stacked(F, [g.truncate(order) for g in inner])
+    assert got.shape == (2, 3, jets.algebra(in_vars, order).size)
+    for idx in np.ndindex(2, 3):
+        want = _compose_loop(Jet(f_alg, F[idx]), inner)
+        assert np.array_equal(got[idx], want.c), idx
+        one = jets.compose(Jet(f_alg, F[idx]), inner)
+        assert one.alg is want.alg and np.array_equal(one.c, want.c), idx
+
+
+def test_compose_stacked_rejects_outer_below_inner_order():
+    inner = jets.seed_point([0.1, 0.2], 3)
+    with pytest.raises(JetError):
+        jets.compose_stacked(np.ones((2, jets.algebra(2, 2).size)), inner)
