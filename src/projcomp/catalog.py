@@ -28,7 +28,7 @@ import numpy as np
 
 from . import jets
 from .fields import (Chart, ChartMap, ConnectionField, MetricField,
-                     TensorField, _stack, _unstack, _values,
+                     TensorField, _memo_last, _stack, _unstack, _values,
                      projective_schouten)
 from .jets import Jet
 
@@ -613,11 +613,12 @@ def dm_metric(ps: ProjectiveStructure):
     """
     n = ps.n
     chart = dm_chart(n)
+    schouten = _memo_last(ps.schouten_at)  # one evaluation for g and Omega
 
     def gfunc(coords):
         x, xi = coords[:n], coords[n:]
         gamma = ps.gamma_at(x)
-        P = ps.schouten_at(x)
+        P = schouten(x)
         zero = coords[0] * 0.0
         dim = 2 * n
         g = [[zero for _ in range(dim)] for _ in range(dim)]
@@ -634,7 +635,7 @@ def dm_metric(ps: ProjectiveStructure):
         return g
 
     def omegafunc(coords):
-        P = ps.schouten_at(coords[:n])
+        P = schouten(coords[:n])
         zero = coords[0] * 0.0
         dim = 2 * n
         w = [[zero for _ in range(dim)] for _ in range(dim)]

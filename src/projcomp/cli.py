@@ -106,11 +106,15 @@ SEED = _integer(0, 0)     # seed of the scenario's point streams
 REGISTRY: dict = {}  # catalog id -> its Scenario subclass
 
 
-def _check(name: str, claim: str | None = None, tolerance: float | None = None):
+def _check(name: str, claim: str | None = None, tolerance: float | None = None,
+           **needs):
     """Mark a Scenario method as check `name`, with its claim and default
     tolerance (before overrides and --tol-scale).  A name that several
     catalogs share is declared by the first; the others give only the
-    name.  The method returns (status, residual, samples, constants)."""
+    name.  `needs` are parameter values the check requires, as n=2 for
+    ode-invariance: the default check list skips the check for other
+    values, and validation rejects a request for it.  The method returns
+    (status, residual, samples, constants)."""
     earlier = [c.checks[name] for c in REGISTRY.values() if name in c.checks]
     if claim is None:
         claim, tolerance = earlier[0].claim, earlier[0].tolerance
@@ -118,9 +122,13 @@ def _check(name: str, claim: str | None = None, tolerance: float | None = None):
         raise ValueError(f"check {name!r} declared twice")
 
     def mark(run):
-        run.check, run.claim, run.tolerance = name, claim, tolerance
+        run.check, run.claim, run.tolerance, run.needs = name, claim, tolerance, needs
         return run
     return mark
+
+
+def _needs(run) -> str:
+    return ", ".join(f"{k} = {v}" for k, v in run.needs.items())
 
 
 def _catalog(cat: str, claim: str, **schema: Param):
@@ -160,6 +168,11 @@ class Scenario:
     @classmethod
     def check_params(cls, params: dict) -> None:
         """Raise ValueError if parameters, each in range, do not fit together."""
+
+    @classmethod
+    def applies(cls, name: str, params: dict) -> bool:
+        """Whether check `name` applies to these (resolved) parameters."""
+        return all(params[k] == v for k, v in cls.checks[name].needs.items())
 
     def points(self, chart, count: int) -> np.ndarray:
         return sample_points(chart, self.seed, self.id, count)
@@ -503,7 +516,8 @@ class _DMRandom(_DM):
                                                    p["bound"], p["seed"])
 
     @_check("ode-invariance",
-            "second-order ODE coefficients are projective invariants", 1e-9)
+            "second-order ODE coefficients are projective invariants", 1e-9,
+            n=2)
     def ode_invariance(self, tol, rng):
         pg = proj2d.ode_from_projective(self.ps)
         worst = 0.0
@@ -596,13 +610,18 @@ def _validate_scenario(sc: dict, sid: str) -> None:
             raise ManifestError(f"unknown parameter: {name!r} for {cat} in {sid}")
         if not p.accepts(value):
             raise ManifestError(f"{name} must be {p.range} in {sid}")
+    resolved = entry.resolve(params)
     try:
-        entry.check_params(entry.resolve(params))
+        entry.check_params(resolved)
     except ValueError as exc:
         raise ManifestError(f"{exc} in {sid}") from None
     for ch in [*checks, *tolerances]:
         if not isinstance(ch, str) or ch not in entry.checks:
             raise ManifestError(f"unknown check {ch!r} for {cat} in {sid}")
+    for ch in checks:
+        if not entry.applies(ch, resolved):
+            raise ManifestError(
+                f"check {ch} needs {_needs(entry.checks[ch])} in {sid}")
     for ch, tol in tolerances.items():
         if not (_is_finite(tol) and tol > 0):
             raise ManifestError(
@@ -688,7 +707,8 @@ def run_scenario(scenario: dict, tol_scale: float = 1.0) -> dict:
     s = REGISTRY[scenario["catalog"]](scenario)
     overrides = scenario.get("tolerances", {})
     records = []
-    for name in scenario.get("checks") or s.checks:
+    default = [name for name in s.checks if s.applies(name, s.params)]
+    for name in scenario.get("checks") or default:
         check = s.checks[name]
         tol = float(overrides.get(name, check.tolerance)) * tol_scale
         t0 = time.perf_counter()
@@ -781,7 +801,9 @@ def _cmd_list(_args) -> int:
         print(f"{key:<{width}}  claim:  {entry.claim}")
         for name, p in entry.schema.items():
             print(f"{pad}  param:  {name} = {json.dumps(p.default)} ({p.range})")
-        print(f"{pad}  checks: {', '.join(entry.checks)}")
+        print(f"{pad}  checks: " + ", ".join(
+            f"{name} ({_needs(run)})" if run.needs else name
+            for name, run in entry.checks.items()))
     return 0
 
 

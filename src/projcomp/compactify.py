@@ -23,8 +23,8 @@ import numpy as np
 
 from . import jets
 from .fields import (Chart, ConnectionField, MetricField, TensorField,
-                     SingularMetricError, levi_civita, projective_weyl,
-                     ricci, ricci_field, riemann)
+                     SingularMetricError, _as_object_array, _stack,
+                     levi_civita, projective_weyl, ricci, ricci_field, riemann)
 
 __all__ = [
     "CompactificationSpec",
@@ -106,11 +106,14 @@ def upsilon_from_defining(chart: Chart, t_func: Callable, alpha: float) -> Tenso
     return TensorField(chart=chart, valence=(0, 1), func=func, name="dT/(aT)")
 
 
-def _extrapolate(jet, eps: float) -> float:
-    """Taylor-extrapolate a jet at T = eps back to T = 0."""
-    delta = np.zeros(jet.num_vars)
+def _extrapolate(comps, eps: float) -> np.ndarray:
+    """Taylor-extrapolate jets at T = eps back to T = 0, all components of
+    the stack at once."""
+    comps = _as_object_array(comps)
+    alg = comps.flat[0].alg
+    delta = np.zeros(alg.num_vars)
     delta[0] = -eps
-    return jet.eval_shift(delta)
+    return alg.eval_shift(_stack(comps), delta)
 
 
 def extend_to_boundary(component_fn: Callable, spec: CompactificationSpec,
@@ -136,12 +139,8 @@ def extend_to_boundary(component_fn: Callable, spec: CompactificationSpec,
         rungs = []
         for eps in spec.ladder:
             point = np.concatenate([[eps], tp])
-            comps = component_fn(jets.seed_point(point, order))
-            comps = np.asarray(comps, dtype=object)
-            vals = np.empty(comps.shape)
-            for idx in np.ndindex(comps.shape):
-                vals[idx] = _extrapolate(comps[idx], eps)
-            rungs.append(vals)
+            rungs.append(_extrapolate(
+                component_fn(jets.seed_point(point, order)), eps))
         rungs = np.array(rungs)
         if not np.all(np.isfinite(rungs)):
             passed = False
@@ -202,7 +201,7 @@ def match_boundary_constant(g: MetricField, spec: CompactificationSpec,
     four_over = 4.0 / spec.alpha
     T = jets.Jet.variable(0, eps, g.chart.dim, 3)
     scaled = comps[0, 0] * jets.powc(T, four_over)
-    return _extrapolate(scaled, eps)
+    return float(_extrapolate(scaled, eps))
 
 
 def asymptotic_form_check(g: MetricField, spec: CompactificationSpec,

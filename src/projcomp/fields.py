@@ -7,11 +7,13 @@ and returns an object array of the same scalar type; derived fields
 internally at a higher jet order, so a caller always receives components
 exact to the order it asked for.
 
-Inside the connection and curvature functions a tensor of jets is one
-stacked float array of shape (n, ..., n, S): tensor axes first, then the S
-Taylor coefficients of each component, in graded-lex order.  Truncation is a
-slice of the last axis, a derivative a gather on it, and a contraction
-JetAlgebra.contract; public functions still return object arrays of Jets.
+Inside the connection, curvature, covariant-derivative and chart-map
+functions (the interior field layer and the pullbacks of the boundary path
+alike) a tensor of jets is one stacked float array of shape (n, ..., n, S):
+tensor axes first, then the S Taylor coefficients of each component, in
+graded-lex order.  Truncation is a slice of the last axis, a derivative a
+gather on it, and a contraction JetAlgebra.contract; public functions still
+return object arrays of Jets.
 
 Curvature convention, fixed once for the whole engine:
 
@@ -221,6 +223,22 @@ def _unstack(alg, A: np.ndarray) -> np.ndarray:
     return out
 
 
+def _memo_last(fn: Callable) -> Callable:
+    """fn(coords), keeping its last result: called again with equal
+    coordinates (jets of one algebra with equal coefficients, or equal
+    floats), it returns that result without evaluating fn."""
+    last = {}
+
+    def memo(coords):
+        key = tuple((c.alg, c.c.tobytes()) if isinstance(c, Jet) else c
+                    for c in coords)
+        if key not in last:
+            last.clear()
+            last[key] = fn(coords)
+        return last[key]
+    return memo
+
+
 def _grad(alg, A: np.ndarray) -> np.ndarray:
     """Stacked partial derivatives, one order lower: out[a, ...] = d_a A."""
     return np.stack([A[..., src] * fac for src, _, fac in alg._deriv])
@@ -393,27 +411,36 @@ def covariant_derivative(conn: ConnectionField, field: TensorField) -> TensorFie
 
     def func(coords):
         o = coords[0].order
-        up = _reseed(coords, o + 1)
-        T = _as_object_array(field.func(up))
-        gamma = _as_object_array(conn.func(_reseed(coords, o)))
-        shape = (n,) + T.shape
-        out = np.empty(shape, dtype=object)
-        for c in range(n):
-            for idx in np.ndindex(T.shape):
-                acc = T[idx].deriv(c)
-                for slot in range(r + s):
-                    for e in range(n):
-                        swapped = idx[:slot] + (e,) + idx[slot + 1:]
-                        t = T[swapped].truncate(o)
-                        if slot < r:
-                            acc = acc + gamma[idx[slot], c, e] * t
-                        else:
-                            acc = acc - gamma[e, c, idx[slot]] * t
-                out[(c,) + idx] = acc
-        return out
+        alg = jets.algebra(n, o)
+        T = _stack(field.func(_reseed(coords, o + 1)))
+        gamma = _stack(conn.func(_reseed(coords, o)))
+        return _unstack(alg, _nabla(alg, gamma, T, r))
 
     return TensorField(chart=field.chart, valence=(r, s + 1), func=func,
                        name=f"D({field.name})")
+
+
+# Index letters of stacked tensor slots in contraction specs: c and e are
+# nabla's derivative and summed indices, y a contracted slot and z the
+# coefficient-pair axis of JetAlgebra.contract.
+_SLOTS = "abdfghijklmnopqrstuvwx"
+
+
+def _nabla(alg, gamma: np.ndarray, T: np.ndarray, r: int) -> np.ndarray:
+    """Stacked nabla T, new slot first, from Gamma at alg's order and T one
+    order higher with its r upper slots first: d_c T, plus Gamma^i_ce T^..e..
+    for each upper slot i, minus Gamma^e_ci T_..e.. for each lower slot i,
+    one contraction per slot."""
+    out = _grad(jets.algebra(alg.num_vars, alg.order + 1), T)
+    T = T[..., :alg.size]
+    idx = _SLOTS[:T.ndim - 1]
+    for slot, i in enumerate(idx):
+        swapped = idx.replace(i, "e")
+        if slot < r:
+            out += alg.contract(f"{i}ce,{swapped}->c{idx}", gamma, T)
+        else:
+            out -= alg.contract(f"ec{i},{swapped}->c{idx}", gamma, T)
+    return out
 
 
 def exterior_derivative(omega: TensorField) -> TensorField:
@@ -453,31 +480,25 @@ class ChartMap:
 
 
 def _map_jets(cmap: ChartMap, target_point, order: int):
-    """Source coordinates and Jacobian d(source)/d(target) as jets at a
-    target-chart point."""
+    """Source coordinates as stacked jets of order+1 at a target-chart point,
+    and the stacked Jacobian Jac[a, mu] = d x^a / d y^mu of order `order`."""
     ty = jets.seed_point(target_point, order + 1)
-    xs = cmap.inv(ty)
-    x0 = [x.value for x in xs]
-    n = len(xs)
-    Jac = np.empty((n, n), dtype=object)  # Jac[a, mu] = d x^a / d y^mu
-    for a in range(n):
-        for mu in range(n):
-            Jac[a, mu] = xs[a].deriv(mu)
-    return xs, x0, Jac
+    X = _stack(cmap.inv(ty))
+    return X, _grad(ty[0].alg, X).swapaxes(0, 1)
 
 
-def _contract_slots(comps: np.ndarray, mats) -> np.ndarray:
-    """Contract slot k of a component array with mats[k], one slot at a time:
-    out[.., o, ..] = sum_s comps[.., s, ..] * mats[k][s, o].
+def _contract_slots(alg, T: np.ndarray, mats) -> np.ndarray:
+    """Contract slot k of a stacked tensor with the stacked matrix mats[k],
+    one slot at a time: out[.., o, ..] = sum_s T[.., s, ..] mats[k][s, o].
 
-    A rank-r array of dimension n costs r n^(r+1) jet products (2 n^3 for a
-    bilinear form), where the sum over all (output, source) index pairs at
-    once costs r n^(2r).
+    Each slot is one JetAlgebra.contract of n^(r+1) jet products for a
+    rank-r tensor in dimension n (2 n^3 for a bilinear form), where the sum
+    over all (output, source) index pairs at once costs r n^(2r).
     """
-    out = comps
-    for slot, M in enumerate(mats):
-        out = np.moveaxis(np.moveaxis(out, slot, -1) @ M, -1, slot)
-    return out
+    idx = _SLOTS[:len(mats)]
+    for i, M in zip(idx, mats):
+        T = alg.contract(f"{idx},{i}y->{idx.replace(i, 'y')}", T, M)
+    return T
 
 
 def transform_tensor(field: TensorField, cmap: ChartMap, target_point,
@@ -488,51 +509,33 @@ def transform_tensor(field: TensorField, cmap: ChartMap, target_point,
     index, one Jacobian factor per lower index, contracted slot by slot.
     Output jets carry the requested order.
     """
-    n = field.chart.dim
     r, s = field.valence
-    xs, x0, Jac = _map_jets(cmap, target_point, order)
-    JacInv = jet_matrix_inverse(Jac)  # JacInv[mu, a] = d y^mu / d x^a
+    X, Jac = _map_jets(cmap, target_point, order)
+    alg = jets.algebra(len(X), order)
     # re-express source components as jets in the target coordinates
-    inner = [x.truncate(order) for x in xs]
-    comps = _unstack(inner[0].alg, jets.compose_stacked(
-        _stack(field.func(jets.seed_point(x0, order))), inner))
-    Jt = np.empty((n, n), dtype=object)
-    JiT = np.empty((n, n), dtype=object)  # JiT[a, mu] = d y^mu / d x^a
-    for i, q in np.ndindex(n, n):
-        Jt[i, q] = Jac[i, q].truncate(order)
-        JiT[q, i] = JacInv[i, q].truncate(order)
-    return _contract_slots(comps, [JiT] * r + [Jt] * s)
+    inner = list(_unstack(alg, X[..., :alg.size]))
+    comps = jets.compose_stacked(
+        _stack(field.func(jets.seed_point(X[:, 0], order))), inner)
+    JiT = _inverse(alg, Jac).swapaxes(0, 1)  # JiT[a, mu] = d y^mu / d x^a
+    return _unstack(alg, _contract_slots(alg, comps, [JiT] * r + [Jac] * s))
 
 
 def transform_connection(conn: ConnectionField, cmap: ChartMap, target_point,
                          order: int = 0) -> np.ndarray:
     """Connection coefficients in the target chart (with the inhomogeneous
-    second-derivative term)."""
-    n = conn.chart.dim
-    xs, x0, Jac = _map_jets(cmap, target_point, order + 1)
-    JacInv = jet_matrix_inverse(Jac)
-    inner = [x.truncate(order) for x in xs]
-    gamma = _unstack(inner[0].alg, jets.compose_stacked(
-        _stack(conn.func(jets.seed_point(x0, order))), inner))
-    B = Jac  # B[c, mu] = d x^c/d y^mu at order+1
-    A = np.empty((n, n), dtype=object)   # A[gam, c] = d y^gam/d x^c
-    for i, q in np.ndindex(n, n):
-        A[i, q] = JacInv[i, q].truncate(order)
-    out = np.empty((n, n, n), dtype=object)
-    for gam in range(n):
-        for mu in range(n):
-            for nu in range(n):
-                acc = None
-                for c in range(n):
-                    inner_acc = B[c, mu].deriv(nu)  # d^2 x^c / dy^mu dy^nu
-                    for a in range(n):
-                        for b in range(n):
-                            inner_acc = inner_acc + gamma[c, a, b] * (
-                                B[a, mu].truncate(order) * B[b, nu].truncate(order))
-                    term = A[gam, c] * inner_acc
-                    acc = term if acc is None else acc + term
-                out[gam, mu, nu] = acc
-    return out
+    second-derivative term):
+    A^gam_c (d_nu B^c_mu + Gamma^c_ab B^a_mu B^b_nu), B = d x/d y, A = B^-1."""
+    X, B = _map_jets(cmap, target_point, order + 1)
+    n = len(X)
+    alg = jets.algebra(n, order)
+    inner = list(_unstack(alg, X[..., :alg.size]))
+    gamma = jets.compose_stacked(
+        _stack(conn.func(jets.seed_point(X[:, 0], order))), inner)
+    dB = _grad(jets.algebra(n, order + 1), B)  # dB[nu, c, mu] = d_nu B^c_mu
+    B = B[..., :alg.size]
+    GB = alg.contract("cmb,bn->cmn", alg.contract("cab,am->cmb", gamma, B), B)
+    return _unstack(alg, alg.contract("gc,cmn->gmn", _inverse(alg, B),
+                                      dB.transpose(1, 2, 0, 3) + GB))
 
 
 # -- geodesics ---------------------------------------------------------------

@@ -150,6 +150,21 @@ class JetAlgebra:
                           a[..., self._pair_i], b[..., self._pair_j])
         return np.add.reduceat(pairs, self._pair_start, axis=-1)
 
+    def eval_shift(self, C: np.ndarray, delta) -> np.ndarray:
+        """Evaluate a stack C[..., :] of Taylor polynomials at basepoint +
+        delta.  Monomials are summed one at a time in graded-lex order, each
+        coefficient multiplied by the powers of delta in variable order,
+        zero weights included, so an infinite coefficient gives NaN."""
+        delta = np.asarray(delta, dtype=float)
+        total = np.zeros(C.shape[:-1])
+        for k, m in enumerate(self.monomials):
+            term = C[..., k]
+            for i, e in enumerate(m):
+                if e:
+                    term = term * delta[i] ** e
+            total += term
+        return total
+
 
 @lru_cache(maxsize=None)
 def algebra(num_vars: int, order: int) -> JetAlgebra:
@@ -255,15 +270,7 @@ class Jet:
 
     def eval_shift(self, delta) -> float:
         """Evaluate the Taylor polynomial at basepoint + delta."""
-        delta = np.asarray(delta, dtype=float)
-        total = 0.0
-        for k, m in enumerate(self.alg.monomials):
-            term = self.c[k]
-            for i, e in enumerate(m):
-                if e:
-                    term *= delta[i] ** e
-            total += term
-        return float(total)
+        return float(self.alg.eval_shift(self.c, delta))
 
     # -- arithmetic --------------------------------------------------------
 

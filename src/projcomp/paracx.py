@@ -2,6 +2,12 @@
 boundary contact data, and the full compactification check for the
 canonical neutral Einstein metrics.
 
+The boundary layer is stacked like the field layer (see fields): J, the
+Libermann connection, the Nijenhuis tensor, the para-c-projective change,
+theta, h and the boundary pullbacks each work on (..., S) jet arrays with a
+few JetAlgebra.contract calls, and g and Omega of the boundary bundle are
+pulled back together, one inverse-map evaluation per point.
+
 Orientation conventions (recorded, then validated exactly by the flat
 model):
 
@@ -27,9 +33,9 @@ import numpy as np
 
 from . import jets
 from .fields import (Chart, ChartMap, ConnectionField, MetricField,
-                     TensorField, _contract_slots, _values,
-                     covariant_derivative, exterior_derivative,
-                     jet_matrix_inverse, levi_civita)
+                     TensorField, _contract_slots, _grad, _inverse, _map_jets,
+                     _memo_last, _nabla, _reseed, _stack, _unstack, _values,
+                     exterior_derivative, levi_civita)
 from .compactify import CompactificationSpec, ExtensionVerdict, extend_to_boundary
 from .catalog import (ProjectiveStructure, dm_boundary_chart, dm_boundary_map,
                       dm_metric)
@@ -91,18 +97,9 @@ def j_from_g_omega(g: MetricField, omega: TensorField,
     n = g.chart.dim
 
     def func(coords):
-        G = np.asarray(g.func(coords), dtype=object)
-        W = np.asarray(omega.func(coords), dtype=object)
-        Ginv = jet_matrix_inverse(G)
-        J = np.empty((n, n), dtype=object)
-        for a in range(n):
-            for b in range(n):
-                acc = None
-                for c in range(n):
-                    t = Ginv[a, c] * W[b, c]
-                    acc = t if acc is None else acc + t
-                J[a, b] = acc
-        return J
+        alg = coords[0].alg
+        G, W = _stack(g.func(coords)), _stack(omega.func(coords))
+        return _unstack(alg, alg.contract("ac,bc->ab", _inverse(alg, G), W))
 
     jf = TensorField(chart=g.chart, valence=(1, 1), func=func,
                      name=f"J({g.name})")
@@ -148,25 +145,16 @@ def libermann(g: MetricField, omega: TensorField) -> ConnectionField:
     unique index arrangement that makes nabla^L g = nabla^L J = 0 hold
     identically, with torsion T^c_ab = -1/2 N^c_ab (recorded constant).
     """
-    n = g.chart.dim
     conn_g = levi_civita(g)
-    nabla_omega = covariant_derivative(conn_g, omega)
 
     def func(coords):
-        gamma = np.asarray(conn_g.func(coords), dtype=object)
-        W = np.asarray(omega.func(coords), dtype=object)
-        Winv = jet_matrix_inverse(W)
-        NO = np.asarray(nabla_omega.func(coords), dtype=object)  # [d][a][b]
-        out = np.empty((n, n, n), dtype=object)
-        for c in range(n):
-            for a in range(n):
-                for b in range(n):
-                    acc = None
-                    for d in range(n):
-                        t = Winv[c, d] * NO[a, b, d]
-                        acc = t if acc is None else acc + t
-                    out[c, a, b] = gamma[c, a, b] - 0.5 * acc
-        return out
+        o = coords[0].order
+        alg = coords[0].alg
+        W = _stack(omega.func(_reseed(coords, o + 1)))
+        gamma = _stack(conn_g.func(coords))
+        DW = _nabla(alg, gamma, W, 0)  # DW[a, b, d] = nabla_a Omega_bd
+        Winv = _inverse(alg, W[..., :alg.size])
+        return _unstack(alg, gamma - 0.5 * alg.contract("cd,abd->cab", Winv, DW))
 
     return ConnectionField(chart=g.chart, func=func, torsion_free=False,
                            name=f"Libermann({g.name})")
@@ -174,34 +162,18 @@ def libermann(g: MetricField, omega: TensorField) -> ConnectionField:
 
 def nijenhuis(jf: TensorField) -> TensorField:
     """N^a_bc = J^d_[b d_|d| J^a_c] - J^d_[b d_c] J^a_d (antisymmetrized
-    with the 1/2 convention)."""
-    n = jf.chart.dim
+    with the 1/2 convention): N = (A - A^T)/2 over (b, c), with
+    A^a_bc = J^d_b (d_d J^a_c - d_c J^a_d)."""
 
     def func(coords):
         o = coords[0].order
-        up = jets.seed_point([c.value for c in coords], o + 1)
-        J = np.asarray(jf.func(up), dtype=object)
-        dJ = np.empty((n, n, n), dtype=object)  # dJ[d][a][b] = d_d J^a_b
-        for d in range(n):
-            for a in range(n):
-                for b in range(n):
-                    dJ[d, a, b] = J[a, b].deriv(d)
-        Jt = np.empty((n, n), dtype=object)
-        for a in range(n):
-            for b in range(n):
-                Jt[a, b] = J[a, b].truncate(o)
-        N = np.empty((n, n, n), dtype=object)
-        for a in range(n):
-            for b in range(n):
-                for c in range(b, n):
-                    acc = None
-                    for d in range(n):
-                        t = (Jt[d, b] * dJ[d, a, c] - Jt[d, c] * dJ[d, a, b]
-                             - Jt[d, b] * dJ[c, a, d] + Jt[d, c] * dJ[b, a, d])
-                        acc = t if acc is None else acc + t
-                    N[a, b, c] = acc * 0.5
-                    N[a, c, b] = -N[a, b, c]
-        return N
+        alg = coords[0].alg
+        up = _reseed(coords, o + 1)
+        J = _stack(jf.func(up))
+        dJ = _grad(up[0].alg, J)  # dJ[d, a, b] = d_d J^a_b
+        A = alg.contract("db,dac->abc", J[..., :alg.size],
+                         dJ - dJ.transpose(2, 1, 0, 3))
+        return _unstack(alg, 0.5 * (A - A.swapaxes(1, 2)))
 
     return TensorField(chart=jf.chart, valence=(1, 2), func=func,
                        name=f"N({jf.name})")
@@ -212,30 +184,18 @@ def para_c_projective_change(conn: ConnectionField, upsilon: TensorField,
     """Gamma + Y(X)Y-sym + Y(JX)J-sym change (the symmetric reading of the
     para-complex projective transformation)."""
     n = conn.chart.dim
+    k = np.arange(n)
 
     def func(coords):
-        gamma = np.asarray(conn.func(coords), dtype=object)
-        U = np.asarray(upsilon.func(coords), dtype=object)
-        J = np.asarray(jf.func(coords), dtype=object)
-        UJ = np.empty(n, dtype=object)  # (UJ)_a = U_d J^d_a
-        for a in range(n):
-            acc = None
-            for d in range(n):
-                t = U[d] * J[d, a]
-                acc = t if acc is None else acc + t
-            UJ[a] = acc
-        out = np.empty((n, n, n), dtype=object)
-        for c in range(n):
-            for a in range(n):
-                for b in range(n):
-                    t = gamma[c, a, b]
-                    if c == b:
-                        t = t + U[a]
-                    if c == a:
-                        t = t + U[b]
-                    t = t + J[c, b] * UJ[a] + J[c, a] * UJ[b]
-                    out[c, a, b] = t
-        return out
+        alg = coords[0].alg
+        out = _stack(conn.func(coords))
+        U = _stack(upsilon.func(coords))
+        J = _stack(jf.func(coords))
+        JU = alg.contract("cb,a->cab", J, alg.contract("d,da->a", U, J))
+        out += JU + JU.swapaxes(1, 2)  # J^c_b (UJ)_a + J^c_a (UJ)_b
+        out[k, :, k] += U  # delta^c_b U_a, then delta^c_a U_b
+        out[k, k, :] += U
+        return _unstack(alg, out)
 
     return ConnectionField(chart=conn.chart, func=func,
                            torsion_free=conn.torsion_free,
@@ -247,31 +207,15 @@ def para_c_projective_change(conn: ConnectionField, upsilon: TensorField,
 
 def theta_field(g: MetricField, omega: TensorField, t_func: Callable) -> TensorField:
     """theta_a = Omega_ac g^bc d_b T  (equivalently dT o J)."""
-    n = g.chart.dim
 
     def func(coords):
         o = coords[0].order
-        up = jets.seed_point([c.value for c in coords], o + 1)
-        T = t_func(up)
-        dT = [T.deriv(a) for a in range(n)]
-        G = np.asarray(g.func(coords), dtype=object)
-        W = np.asarray(omega.func(coords), dtype=object)
-        Ginv = jet_matrix_inverse(G)
-        grad = []
-        for c in range(n):
-            acc = None
-            for b in range(n):
-                t = Ginv[c, b] * dT[b]
-                acc = t if acc is None else acc + t
-            grad.append(acc)
-        theta = []
-        for a in range(n):
-            acc = None
-            for c in range(n):
-                t = W[a, c] * grad[c]
-                acc = t if acc is None else acc + t
-            theta.append(acc)
-        return theta
+        alg = coords[0].alg
+        up = _reseed(coords, o + 1)
+        dT = _grad(up[0].alg, t_func(up).c)
+        G, W = _stack(g.func(coords)), _stack(omega.func(coords))
+        grad = alg.contract("cb,b->c", _inverse(alg, G), dT)
+        return _unstack(alg, alg.contract("ac,c->a", W, grad))
 
     return TensorField(chart=g.chart, valence=(0, 1), func=func,
                        name=f"theta({g.name})")
@@ -281,24 +225,22 @@ def h_tc_field(g: MetricField, omega: TensorField, t_func: Callable,
                C: float = 0.25) -> TensorField:
     """h_{T,C} = T g + (C/T)(dT^2 - theta^2), squares taken without 1/2:
     components T g_ab + (2C/T)(d_a T d_b T - theta_a theta_b)."""
-    n = g.chart.dim
+    upper = np.triu_indices(g.chart.dim, 1)
     theta = theta_field(g, omega, t_func)
 
     def func(coords):
         o = coords[0].order
-        up = jets.seed_point([c.value for c in coords], o + 1)
-        Tfull = t_func(up)
-        T = Tfull.truncate(o)
-        dT = [Tfull.deriv(a) for a in range(n)]
-        G = np.asarray(g.func(coords), dtype=object)
-        th = np.asarray(theta.func(coords), dtype=object)
-        scale = (2.0 * C) / T
-        H = np.empty((n, n), dtype=object)
-        for a in range(n):
-            for b in range(a, n):
-                H[a, b] = T * G[a, b] + scale * (dT[a] * dT[b] - th[a] * th[b])
-                H[b, a] = H[a, b]
-        return H
+        alg = coords[0].alg
+        up = _reseed(coords, o + 1)
+        T = t_func(up)
+        dT = _grad(up[0].alg, T.c)
+        T = T.truncate(o)
+        th = _stack(theta.func(coords))
+        sq = alg.contract("a,b->ab", dT, dT) - alg.contract("a,b->ab", th, th)
+        H = (alg.contract(",ab->ab", T.c, _stack(g.func(coords)))
+             + alg.contract(",ab->ab", ((2.0 * C) / T).c, sq))
+        H[upper[1], upper[0]] = H[upper]  # exactly symmetric
+        return _unstack(alg, H)
 
     return TensorField(chart=g.chart, valence=(0, 2), func=func,
                        symmetric=True, name=f"h({g.name})")
@@ -312,27 +254,26 @@ def pullback_field(field: TensorField, cmap: ChartMap) -> TensorField:
     closed-form components along the inverse map (no composition step;
     valid because catalog component functions accept arbitrary jets).
 
-    The Jacobian is contracted one slot at a time (Jac^T G Jac for a
-    bilinear form), so a rank-2 field in dimension d costs 2 d^3 jet
-    products per evaluation: 128 at d = 4, 432 at d = 6.
+    The Jacobian is the stacked derivative of the inverse map, contracted
+    one slot at a time (Jac^T G Jac for a bilinear form): two
+    JetAlgebra.contract calls of d^3 jet products each per evaluation of a
+    rank-2 field in dimension d.  The last point's components are kept for
+    a repeated evaluation there.
     """
     r, s = field.valence
     if r != 0:
         raise ValueError("direct pullback implemented for covariant fields")
-    n = field.chart.dim
 
-    def func(coords):
+    def pulled(coords):
         o = coords[0].order
-        up = jets.seed_point([c.value for c in coords], o + 1)
-        xs = cmap.inv(up)
-        Jac = np.empty((n, n), dtype=object)  # d x^a / d y^mu, order o
-        for a in range(n):
-            for mu in range(n):
-                Jac[a, mu] = xs[a].deriv(mu)
-        comps = np.asarray(field.func([x.truncate(o) for x in xs]), dtype=object)
-        return _contract_slots(comps, [Jac] * s)
+        X, Jac = _map_jets(cmap, [c.value for c in coords], o)
+        alg = jets.algebra(len(coords), o)
+        comps = _stack(field.func(list(_unstack(alg, X[..., :alg.size]))))
+        return _unstack(alg, _contract_slots(alg, comps, [Jac] * s))
 
-    return TensorField(chart=cmap.target, valence=field.valence, func=func,
+    last = _memo_last(pulled)
+    return TensorField(chart=cmap.target, valence=field.valence,
+                       func=lambda coords: last(coords).copy(),
                        symmetric=field.symmetric,
                        antisymmetric=field.antisymmetric,
                        name=f"{field.name}|bnd")
@@ -340,12 +281,14 @@ def pullback_field(field: TensorField, cmap: ChartMap) -> TensorField:
 
 def dm_boundary_fields(ps: ProjectiveStructure):
     """(g, Omega, J, chart) of the canonical metric in the (T, Z, X, Y)
-    boundary chart."""
+    boundary chart.  The pullbacks of g and Omega share the inverse map's
+    evaluation at each point (and dm_metric shares the Schouten tensor)."""
     n = ps.n
     g, omega = dm_metric(ps)
     cmap = dm_boundary_map(n)
-    gb_t = pullback_field(g, cmap)
-    gb = MetricField(cmap.target, gb_t.func, name=f"dm({ps.label})|bnd")
+    cmap = ChartMap(cmap.source, cmap.target, cmap.fwd, _memo_last(cmap.inv))
+    gb = MetricField(cmap.target, pullback_field(g, cmap).func,
+                     name=f"dm({ps.label})|bnd")
     omb = pullback_field(omega, cmap)
     probe = np.array([0.05] + [0.2] * (n - 1) + [0.3] * (n - 1) + [1.0])
     jb = j_from_g_omega(gb, omb, probe=probe)

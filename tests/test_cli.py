@@ -99,6 +99,9 @@ MALFORMED = {
     "tolerance-unknown-check": {"id": "p", "catalog": "flat",
                                 "tolerances": {"bogus": 1.0}},
     "base-unknown": {"id": "p", "catalog": "cone", "params": {"base": "nope"}},
+    # the path-geometry ODE exists only for n = 2
+    "ode-invariance-n3": {"id": "p", "catalog": "dm-random", "params": {"n": 3},
+                          "checks": ["ode-invariance"], "points": 3},
     "scenario-number": 5,
 }
 
@@ -290,6 +293,21 @@ def test_cli_run_exit_codes(tmp_path, capsys):
     assert "no scenarios" in err
     # missing file
     assert main(["run", str(tmp_path / "nope.json")]) == 2
+
+
+def test_default_checks_skip_those_that_need_other_parameters(tmp_path, capsys):
+    # ode-invariance needs n = 2: the default list of an n = 3 scenario
+    # leaves it out instead of crashing on it
+    manifest = {"scenarios": [{"id": "r3", "catalog": "dm-random",
+                               "params": {"n": 3}, "points": 3}]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "report.json"
+    assert main(["run", str(path), "--report", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    ran = [rec["check"] for rec in json.loads(out.read_text())["scenarios"][0]["records"]]
+    assert ran == [name for name in cli.REGISTRY["dm-random"].checks
+                   if name != "ode-invariance"]
 
 
 def test_cli_run_failure_exit_code(tmp_path):

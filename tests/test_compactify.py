@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import projcomp.jets as jets
-from projcomp import fields
+from projcomp import compactify, fields
 from projcomp.catalog import (EHParams, compactified_cone, cone, cone_in_t,
                               eguchi_hanson, eh_compactified, flat_spherical,
                               split_signature_flat, unit_sphere, warped,
@@ -191,6 +191,41 @@ def test_divergent_component_fails_ladder():
     spec = CompactificationSpec(chart=chart)
     v = extend_to_boundary(func, spec, [(0.2,)], tolerance=1e-6)
     assert not v.passed
+
+
+def _eval_shift_loop(jet, delta):
+    """The one-jet-at-a-time extrapolation of the earlier engine, kept as an
+    oracle for the stacked one."""
+    total = 0.0
+    for k, m in enumerate(jet.alg.monomials):
+        term = jet.c[k]
+        for i, e in enumerate(m):
+            if e:
+                term *= delta[i] ** e
+        total += term
+    return float(total)
+
+
+@pytest.mark.parametrize("num_vars,order", [(2, 3), (4, 2), (6, 4)])
+def test_stacked_extrapolation_is_bitwise_the_per_jet_one(num_vars, order):
+    alg = jets.algebra(num_vars, order)
+    rng = np.random.default_rng(num_vars)
+    C = rng.standard_normal((3, 4, alg.size)) * 10.0 ** rng.integers(-8, 9, (3, 4, alg.size))
+    C[0, 1, -1] = np.inf   # a monomial without T: weight 0, so NaN
+    C[2, 3, 1] = -np.inf   # the T monomial: weight -eps, so +inf
+    comps = fields._unstack(alg, C)
+    eps = 1e-3
+    delta = np.zeros(num_vars)
+    delta[0] = -eps
+    with np.errstate(invalid="ignore"):  # inf * 0
+        got = compactify._extrapolate(comps, eps)
+        want = np.array([[_eval_shift_loop(comps[i, j], delta) for j in range(4)]
+                         for i in range(3)])
+        one_by_one = [[x.eval_shift(delta) for x in row] for row in comps]
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(got, one_by_one, equal_nan=True)
+    assert np.isnan(got[0, 1]) and got[2, 3] == np.inf
+    assert np.isfinite(np.delete(got.ravel(), [1, 11])).all()
 
 
 # -- metricity -----------------------------------------------------------------------

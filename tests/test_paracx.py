@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import projcomp.jets as jets
-from projcomp import fields
+from projcomp import fields, paracx
 from projcomp.catalog import (Poly, ProjectiveStructure, dm_boundary_chart,
                               dm_boundary_map, dm_metric,
                               projective_change_structure,
@@ -391,7 +391,7 @@ def test_boundary_data_projective_invariance():
             psb = projective_change_structure(ps, ups)
             _, hdb, tmb = boundary_data(psb)
             p = chart.sample(rng, 1)[0]
-            p[0] = 0.0
+            p[0] = 0.5
             assert np.max(np.abs(hd.values(p) - hdb.values(p))) < 1e-9
             Th = np.asarray(tm(p), dtype=float)
             Thb = np.asarray(tmb(p), dtype=float)
@@ -584,3 +584,265 @@ def test_nabla_omega_matches_fd_oracle():
                 want[d, a, b] = val
     assert np.max(np.abs(got)) > 1e-3         # not parallel for curved input
     assert np.max(np.abs(got - want)) < 1e-6
+
+
+# -- stacked boundary kernels against the per-component loops -----------------------
+#
+# The loops below are the one-jet-at-a-time J, Nijenhuis, Libermann,
+# para-c-projective change, theta, h and pullback of the earlier engine,
+# kept as oracles for the stacked (..., S) implementations in paracx.
+
+
+def _obj(comps):
+    return fields._as_object_array(comps)
+
+
+def _sum(terms):
+    acc = None
+    for t in terms:
+        acc = t if acc is None else acc + t
+    return acc
+
+
+def _j_loops(g, omega):
+    def func(coords):
+        Ginv = fields.jet_matrix_inverse(_obj(g.func(coords)))
+        W = _obj(omega.func(coords))
+        n = len(W)
+        J = np.empty((n, n), dtype=object)
+        for a, b in np.ndindex(n, n):
+            J[a, b] = _sum(Ginv[a, c] * W[b, c] for c in range(n))
+        return J
+    return TensorField(chart=g.chart, valence=(1, 1), func=func)
+
+
+def _covariant_loops(conn, field):
+    n = field.chart.dim
+    r, s = field.valence
+
+    def func(coords):
+        o = coords[0].order
+        T = _obj(field.func(fields._reseed(coords, o + 1)))
+        gamma = _obj(conn.func(fields._reseed(coords, o)))
+        out = np.empty((n,) + T.shape, dtype=object)
+        for c in range(n):
+            for idx in np.ndindex(T.shape):
+                acc = T[idx].deriv(c)
+                for slot in range(r + s):
+                    for e in range(n):
+                        t = T[idx[:slot] + (e,) + idx[slot + 1:]].truncate(o)
+                        if slot < r:
+                            acc = acc + gamma[idx[slot], c, e] * t
+                        else:
+                            acc = acc - gamma[e, c, idx[slot]] * t
+                out[(c,) + idx] = acc
+        return out
+    return TensorField(chart=field.chart, valence=(r, s + 1), func=func)
+
+
+def _libermann_loops(g, omega):
+    conn_g = levi_civita(g)
+    nabla_omega = _covariant_loops(conn_g, omega)
+
+    def func(coords):
+        gamma = _obj(conn_g.func(coords))
+        Winv = fields.jet_matrix_inverse(_obj(omega.func(coords)))
+        NO = _obj(nabla_omega.func(coords))
+        n = len(gamma)
+        out = np.empty((n, n, n), dtype=object)
+        for c, a, b in np.ndindex(n, n, n):
+            out[c, a, b] = gamma[c, a, b] - 0.5 * _sum(
+                Winv[c, d] * NO[a, b, d] for d in range(n))
+        return out
+    return fields.ConnectionField(chart=g.chart, func=func, torsion_free=False)
+
+
+def _nijenhuis_loops(jf):
+    n = jf.chart.dim
+
+    def func(coords):
+        o = coords[0].order
+        J = _obj(jf.func(fields._reseed(coords, o + 1)))
+        dJ = np.empty((n, n, n), dtype=object)
+        Jt = np.empty((n, n), dtype=object)
+        for d, a, b in np.ndindex(n, n, n):
+            dJ[d, a, b] = J[a, b].deriv(d)
+            Jt[a, b] = J[a, b].truncate(o)
+        N = np.empty((n, n, n), dtype=object)
+        for a, b in np.ndindex(n, n):
+            for c in range(b, n):
+                N[a, b, c] = 0.5 * _sum(
+                    Jt[d, b] * dJ[d, a, c] - Jt[d, c] * dJ[d, a, b]
+                    - Jt[d, b] * dJ[c, a, d] + Jt[d, c] * dJ[b, a, d]
+                    for d in range(n))
+                N[a, c, b] = -N[a, b, c]
+        return N
+    return TensorField(chart=jf.chart, valence=(1, 2), func=func)
+
+
+def _pc_change_loops(conn, upsilon, jf):
+    def func(coords):
+        gamma = _obj(conn.func(coords))
+        U = _obj(upsilon.func(coords))
+        J = _obj(jf.func(coords))
+        n = len(U)
+        UJ = [_sum(U[d] * J[d, a] for d in range(n)) for a in range(n)]
+        out = np.empty((n, n, n), dtype=object)
+        for c, a, b in np.ndindex(n, n, n):
+            t = gamma[c, a, b]
+            if c == b:
+                t = t + U[a]
+            if c == a:
+                t = t + U[b]
+            out[c, a, b] = t + J[c, b] * UJ[a] + J[c, a] * UJ[b]
+        return out
+    return fields.ConnectionField(chart=conn.chart, func=func, torsion_free=False)
+
+
+def _theta_loops(g, omega, t_func):
+    def func(coords):
+        o = coords[0].order
+        T = t_func(fields._reseed(coords, o + 1))
+        Ginv = fields.jet_matrix_inverse(_obj(g.func(coords)))
+        W = _obj(omega.func(coords))
+        n = len(W)
+        grad = [_sum(Ginv[c, b] * T.deriv(b) for b in range(n)) for c in range(n)]
+        return [_sum(W[a, c] * grad[c] for c in range(n)) for a in range(n)]
+    return TensorField(chart=g.chart, valence=(0, 1), func=func)
+
+
+def _h_loops(g, omega, t_func, C=0.25):
+    theta = _theta_loops(g, omega, t_func)
+
+    def func(coords):
+        o = coords[0].order
+        Tfull = t_func(fields._reseed(coords, o + 1))
+        T = Tfull.truncate(o)
+        G = _obj(g.func(coords))
+        th = theta.func(coords)
+        n = len(G)
+        dT = [Tfull.deriv(a) for a in range(n)]
+        scale = (2.0 * C) / T
+        H = np.empty((n, n), dtype=object)
+        for a in range(n):
+            for b in range(a, n):
+                H[a, b] = T * G[a, b] + scale * (dT[a] * dT[b] - th[a] * th[b])
+                H[b, a] = H[a, b]
+        return H
+    return TensorField(chart=g.chart, valence=(0, 2), func=func)
+
+
+def _pullback_loops(field, cmap):
+    n = field.chart.dim
+    s = field.valence[1]
+
+    def func(coords):
+        o = coords[0].order
+        xs = cmap.inv(jets.seed_point([c.value for c in coords], o + 1))
+        Jac = np.empty((n, n), dtype=object)
+        for a, mu in np.ndindex(n, n):
+            Jac[a, mu] = xs[a].deriv(mu)
+        out = _obj(field.func([x.truncate(o) for x in xs]))
+        for slot in range(s):
+            out = np.moveaxis(np.moveaxis(out, slot, -1) @ Jac, -1, slot)
+        return out
+    return TensorField(chart=cmap.target, valence=field.valence, func=func)
+
+
+def _assert_jets_close(got, want):
+    """Every coefficient within 1e-12 of the component's largest one."""
+    got, want = _obj(got), _obj(want)
+    assert got.shape == want.shape
+    for idx in np.ndindex(want.shape):
+        assert got[idx].alg is want[idx].alg, idx
+        scale = max(1.0, float(np.max(np.abs(want[idx].c))))
+        err = float(np.max(np.abs(got[idx].c - want[idx].c)))
+        assert err <= 1e-12 * scale, (idx, err, scale)
+
+
+_BUNDLES = {}
+
+
+def _bundle(n):
+    """The dm boundary bundle of a random structure, and a point of the
+    boundary chart at T = 0.5: nearer T = 0 the chart's poles make the jet
+    coefficients of intermediate terms large (about 1e7 at T = 0.08, order
+    3), and the two summation orders then differ by more than 1e-12 of the
+    results."""
+    if n not in _BUNDLES:
+        ps = random_projective_structure(n, 2, 0.4, seed=40 + n)
+        p = dm_boundary_chart(n).sample(np.random.default_rng(n), 1)[0]
+        p[0] = 0.5
+        _BUNDLES[n] = ps, dm_boundary_fields(ps), p
+    return _BUNDLES[n]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_boundary_kernels_match_component_loops(n, order):
+    ps, (gb, omb, jb, chart), p = _bundle(n)
+    t = boundary_t_coordinate
+    ups = paracx.half_dlog_t(chart)
+    lib = libermann(gb, omb)
+    pairs = [(jb, _j_loops(gb, omb)),
+             (nijenhuis(jb), _nijenhuis_loops(jb)),
+             (lib, _libermann_loops(gb, omb)),
+             (para_c_projective_change(lib, ups, jb),
+              _pc_change_loops(lib, ups, jb)),
+             (theta_field(gb, omb, t), _theta_loops(gb, omb, t)),
+             (h_tc_field(gb, omb, t), _h_loops(gb, omb, t))]
+    g, om = dm_metric(ps)
+    cmap = dm_boundary_map(n)
+    pairs += [(pullback_field(f, cmap), _pullback_loops(f, cmap)) for f in (g, om)]
+    coords = chart.seed(p, order)
+    for got, want in pairs:
+        _assert_jets_close(got.func(coords), want.func(coords))
+
+
+def test_boundary_pair_pulled_back_together_matches_separate_pullbacks():
+    # g and Omega of the bundle share one evaluation per point, and each
+    # still equals its own pullback
+    ps, (gb, omb, _, chart), p = _bundle(3)
+    g, om = dm_metric(ps)
+    cmap = dm_boundary_map(3)
+    for order in (0, 2):
+        for shared, f in ((gb, g), (omb, om), (gb, g)):
+            got = shared.at(p, order=order)
+            want = pullback_field(f, cmap).at(p, order=order)
+            for idx in np.ndindex(want.shape):
+                assert np.array_equal(got[idx].c, want[idx].c), idx
+
+
+def _field_of_valence(chart, valence):
+    """Components that differ in every index, so that a contraction over the
+    wrong slot shows."""
+    n = chart.dim
+    shape = (n,) * sum(valence)
+
+    def func(coords):
+        out = np.empty(shape, dtype=object)
+        for idx in np.ndindex(shape):
+            w = 1.0 + sum(0.1 * (k + 1) * (i + 1) * coords[(k + i) % n]
+                          for k, i in enumerate(idx))
+            out[idx] = jets.exp(0.5 * w * coords[idx[0]])
+        return out
+    return TensorField(chart=chart, valence=valence, func=func)
+
+
+@pytest.mark.parametrize("valence", [(1, 1), (0, 2), (1, 2), (0, 3)])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_covariant_derivative_matches_component_loops(valence, order):
+    ps = random_projective_structure(3, 2, 0.4, seed=63)
+
+    def gamma(coords):  # Gamma^k_ij != Gamma^k_ji
+        sym = ps.gamma_at(coords)
+        out = np.empty_like(sym)
+        for k, i, j in np.ndindex(sym.shape):
+            out[k, i, j] = sym[k, i, j] * (1.0 + 0.25 * (i + 1) * coords[j])
+        return out
+
+    conn = fields.ConnectionField(chart=ps.chart, func=gamma, torsion_free=False)
+    field = _field_of_valence(ps.chart, valence)
+    p = ps.chart.sample(np.random.default_rng(order), 1)[0]
+    _assert_jets_close(covariant_derivative(conn, field).at(p, order=order),
+                       _covariant_loops(conn, field).at(p, order=order))
