@@ -28,8 +28,7 @@ import numpy as np
 
 from . import jets
 from .fields import (Chart, ChartMap, ConnectionField, MetricField,
-                     TensorField, _memo_last, _stack, _unstack, _values,
-                     projective_schouten)
+                     TensorField, _memo_last, projective_schouten)
 from .jets import Jet
 
 __all__ = [
@@ -63,11 +62,11 @@ __all__ = [
 
 
 def _evaluate(monomials: list, C: np.ndarray, coords) -> np.ndarray:
-    """sum_m C[..., m] x^monomials[m] on jet (or float) coordinates, as an
-    object array of Jets (or floats).  One monomial table serves the whole
-    stack: x^m is x^(m - e_h) x_h, h its highest variable (a product runs
-    left to right in ascending variables); terms are summed in list order,
-    which callers keep sorted."""
+    """sum_m C[..., m] x^monomials[m] on jet (or float) coordinates, as a
+    stacked (..., S) array (or a float array).  One monomial table serves
+    the whole stack: x^m is x^(m - e_h) x_h, h its highest variable (a
+    product runs left to right in ascending variables); terms are summed in
+    list order, which callers keep sorted."""
     floats = not isinstance(coords[0], Jet)
     coords = jets.seed_point(coords, 0) if floats else coords
     alg = coords[0].alg
@@ -86,7 +85,7 @@ def _evaluate(monomials: list, C: np.ndarray, coords) -> np.ndarray:
     out = np.zeros(C.shape[:-1] + (alg.size,))
     for col, m in enumerate(monomials):
         out += C[..., col, None] * power(m)
-    return out[..., 0] if floats else _unstack(alg, out)
+    return out[..., 0] if floats else out
 
 
 class Poly(dict):
@@ -100,9 +99,11 @@ class Poly(dict):
         return p
 
     def __call__(self, coords):
+        """The value at jet (or float) coordinates, a Jet (or a float)."""
         monomials = sorted(self)
         C = np.array([[self[m] for m in monomials]])
-        return _evaluate(monomials, C, coords)[0]
+        value = _evaluate(monomials, C, coords)[0]
+        return Jet(coords[0].alg, value) if isinstance(coords[0], Jet) else value
 
     def plus(self, other: "Poly") -> "Poly":
         out = Poly(self)
@@ -149,9 +150,9 @@ class ProjectiveStructure:
         return self.gamma.get((k, i, j), Poly())
 
     def gamma_at(self, coords) -> np.ndarray:
-        """Gamma^k_ij evaluated on jet (or float) coordinates: a tensor
-        C[k, i, j, m] over the sorted union of the monomials, built on the
-        first call, contracted with one monomial table (see _evaluate)."""
+        """Gamma^k_ij evaluated on jet (or float) coordinates, stacked: a
+        tensor C[k, i, j, m] over the sorted union of the monomials, built on
+        the first call, contracted with one monomial table (see _evaluate)."""
         if self._table is None:
             monomials = sorted(set().union(*self.gamma.values()))
             col = {m: c for c, m in enumerate(monomials)}
@@ -176,16 +177,14 @@ class ProjectiveStructure:
         """The n x n Schouten matrix P_ij at base coordinates x.
 
         For floats, a float matrix.  For jets of order o (in any number of
-        variables), each entry is the order-o jet of the Schouten field at
-        x's value composed with x.
+        variables), the stacked (n, n, S) order-o jets of the Schouten field
+        at x's value composed with x.
         """
         sch = self.schouten()
         if not isinstance(x[0], Jet):
-            return _values(sch.func(jets.seed_point(x, 0)))
-        o = x[0].order
-        Pn = _stack(sch.func(jets.seed_point([c.value for c in x], o)))
-        inner = [c.truncate(o) for c in x]
-        return _unstack(inner[0].alg, jets.compose_stacked(Pn, inner))
+            return sch.func(jets.seed_point(x, 0))[..., 0]
+        Pn = sch.func(jets.seed_point([c.value for c in x], x[0].order))
+        return jets.compose_stacked(Pn, x)
 
 
 _QUANTUM = 2.0 ** -26  # dyadic grid: small-integer poly combinations stay exact
@@ -251,7 +250,7 @@ def projective_change_structure(ps: ProjectiveStructure,
 
 def upsilon_field(ps_chart: Chart, ups: list) -> TensorField:
     def func(coords):
-        return [p(coords) for p in ups]
+        return jets.stack([p(coords) for p in ups])
     return TensorField(chart=ps_chart, valence=(0, 1), func=func, name="ups")
 
 
@@ -269,7 +268,8 @@ def unit_sphere(m: int) -> MetricField:
             s = u * u if s is None else s + u * u
         w = 4.0 / ((1.0 + s) * (1.0 + s))
         zero = coords[0] * 0.0
-        return [[w if i == j else zero for j in range(m)] for i in range(m)]
+        return jets.stack([[w if i == j else zero for j in range(m)]
+                           for i in range(m)])
 
     return MetricField(chart, func, name=f"S{m}")
 
@@ -282,7 +282,8 @@ def flat_chart_metric(m: int) -> MetricField:
     def func(coords):
         one = coords[0] * 0.0 + 1.0
         zero = coords[0] * 0.0
-        return [[one if i == j else zero for j in range(m)] for i in range(m)]
+        return jets.stack([[one if i == j else zero for j in range(m)]
+                           for i in range(m)])
 
     return MetricField(chart, func, name=f"T{m}")
 
@@ -295,8 +296,8 @@ def split_signature_flat(m: int) -> MetricField:
     def func(coords):
         one = coords[0] * 0.0 + 1.0
         zero = coords[0] * 0.0
-        return [[(one if i < m - 1 else -one) if i == j else zero
-                 for j in range(m)] for i in range(m)]
+        return jets.stack([[(one if i < m - 1 else -one) if i == j else zero
+                            for j in range(m)] for i in range(m)])
 
     return MetricField(chart, func, name=f"R{m-1},1")
 
@@ -305,42 +306,35 @@ def _product_chart(rname: str, rbox, base: Chart) -> Chart:
     return Chart(names=(rname,) + base.names, box=(rbox,) + base.box)
 
 
+def _warped_block(radial, factor, G: np.ndarray) -> np.ndarray:
+    """radial d(r)^2 + factor G: the product-chart metric from the scalars
+    radial and factor and the base metric's stacked components G."""
+    corner = jets.stack(radial)
+    out = np.zeros((len(G) + 1,) * 2 + corner.shape)
+    out[0, 0] = corner
+    out[1:, 1:] = jets.scale(factor, G)
+    return out
+
+
 def cone(gamma: MetricField, rbox=(0.6, 2.5)) -> MetricField:
     """Metric cone dr^2 + r^2 gamma over (N, gamma)."""
-    m = gamma.chart.dim
     chart = _product_chart("r", rbox, gamma.chart)
 
     def func(coords):
-        r, rest = coords[0], coords[1:]
-        G = gamma.func(rest)
-        zero = r * 0.0
-        out = [[zero for _ in range(m + 1)] for _ in range(m + 1)]
-        out[0][0] = r * 0.0 + 1.0
-        rr = r * r
-        for i in range(m):
-            for j in range(m):
-                out[i + 1][j + 1] = rr * G[i][j]
-        return out
+        r = coords[0]
+        return _warped_block(r * 0.0 + 1.0, r * r, gamma.func(coords[1:]))
 
     return MetricField(chart, func, name=f"cone({gamma.name})")
 
 
 def compactified_cone(gamma: MetricField, tbox=(0.05, 0.6)) -> MetricField:
     """dT^2/(1-T^2) + (1-T^2) gamma, the order-1 compactified cone metric."""
-    m = gamma.chart.dim
     chart = _product_chart("T", tbox, gamma.chart)
 
     def func(coords):
-        T, rest = coords[0], coords[1:]
-        G = gamma.func(rest)
-        zero = T * 0.0
+        T = coords[0]
         w = 1.0 - T * T
-        out = [[zero for _ in range(m + 1)] for _ in range(m + 1)]
-        out[0][0] = 1.0 / w
-        for i in range(m):
-            for j in range(m):
-                out[i + 1][j + 1] = w * G[i][j]
-        return out
+        return _warped_block(1.0 / w, w, gamma.func(coords[1:]))
 
     return MetricField(chart, func, name=f"cbar({gamma.name})")
 
@@ -348,20 +342,13 @@ def compactified_cone(gamma: MetricField, tbox=(0.05, 0.6)) -> MetricField:
 def cone_in_t(gamma: MetricField) -> MetricField:
     """The metric cone written on the compactified cone's (T, base) chart,
     T = (r^2+1)^(-1/2):  dT^2/(T^4 (1-T^2)) + (1-T^2)/T^2 gamma."""
-    m = gamma.chart.dim
     chart = compactified_cone(gamma).chart
 
     def func(coords):
-        T, rest = coords[0], coords[1:]
-        G = gamma.func(rest)
+        T = coords[0]
         w = 1.0 - T * T
         T2 = T * T
-        out = [[T * 0.0 for _ in range(m + 1)] for _ in range(m + 1)]
-        out[0][0] = 1.0 / (T2 * T2 * w)
-        for i in range(m):
-            for j in range(m):
-                out[i + 1][j + 1] = (w / T2) * G[i][j]
-        return out
+        return _warped_block(1.0 / (T2 * T2 * w), w / T2, gamma.func(coords[1:]))
 
     return MetricField(chart, func, name=f"cone-T({gamma.name})")
 
@@ -429,29 +416,14 @@ def warped(wp: WarpedPair):
     k = wp.kappa
 
     def gfunc(coords):
-        r, rest = coords[0], coords[1:]
-        G = wp.gamma.func(rest)
-        fv = wp.f(r)
-        zero = r * 0.0
-        out = [[zero for _ in range(m + 1)] for _ in range(m + 1)]
-        out[0][0] = r * 0.0 + 1.0
-        for i in range(m):
-            for j in range(m):
-                out[i + 1][j + 1] = fv * G[i][j]
-        return out
+        r = coords[0]
+        return _warped_block(r * 0.0 + 1.0, wp.f(r), wp.gamma.func(coords[1:]))
 
     def gbarfunc(coords):
-        r, rest = coords[0], coords[1:]
-        G = wp.gamma.func(rest)
-        fv = wp.f(r)
+        fv = wp.f(coords[0])
         den = 1.0 + k * fv
-        zero = r * 0.0
-        out = [[zero for _ in range(m + 1)] for _ in range(m + 1)]
-        out[0][0] = 1.0 / (den * den)
-        for i in range(m):
-            for j in range(m):
-                out[i + 1][j + 1] = (fv / den) * G[i][j]
-        return out
+        return _warped_block(1.0 / (den * den), fv / den,
+                             wp.gamma.func(coords[1:]))
 
     def upsfunc(coords):
         o = coords[0].order
@@ -461,7 +433,7 @@ def warped(wp: WarpedPair):
         den = 1.0 + k * fv.truncate(o)
         u_r = fprime * (-k * 0.5) / den
         zero = coords[0] * 0.0
-        return [u_r] + [zero] * m
+        return jets.stack([u_r] + [zero] * m)
 
     g = MetricField(chart, gfunc, name="warped-g")
     gbar = MetricField(chart, gbarfunc, name="warped-gbar")
@@ -508,17 +480,19 @@ def sigma_forms(chart: Chart) -> list:
     def s1(coords):
         _, th, ps, _ = coords
         zero = th * 0.0
-        return [zero, jets.cos(ps), zero, jets.sin(ps) * jets.sin(th)]
+        return jets.stack([zero, jets.cos(ps), zero,
+                           jets.sin(ps) * jets.sin(th)])
 
     def s2(coords):
         _, th, ps, _ = coords
         zero = th * 0.0
-        return [zero, -jets.sin(ps), zero, jets.cos(ps) * jets.sin(th)]
+        return jets.stack([zero, -jets.sin(ps), zero,
+                           jets.cos(ps) * jets.sin(th)])
 
     def s3(coords):
         _, th, _, _ = coords
         zero = th * 0.0
-        return [zero, zero, zero + 1.0, jets.cos(th)]
+        return jets.stack([zero, zero, zero + 1.0, jets.cos(th)])
 
     return [TensorField(chart=chart, valence=(0, 1), func=f, name=n)
             for f, n in ((s1, "sigma1"), (s2, "sigma2"), (s3, "sigma3"))]
@@ -543,7 +517,7 @@ def eguchi_hanson(params: EHParams = EHParams()) -> MetricField:
         g[2][3] = q * f * cth
         g[3][2] = g[2][3]
         g[3][3] = q * (f * cth * cth + sth * sth)
-        return g
+        return jets.stack(g)
 
     return MetricField(params.chart, func, name=f"EH(a={params.a})")
 
@@ -573,7 +547,7 @@ def eh_compactified(params: EHParams = EHParams()):
         g[2][3] = q * f * cth
         g[3][2] = g[2][3]
         g[3][3] = q * (f * cth * cth + sth * sth)
-        return g
+        return jets.stack(g)
 
     def hfunc(coords):
         # direct substitution, written in the form regular at T = 0
@@ -589,7 +563,7 @@ def eh_compactified(params: EHParams = EHParams()):
         h[2][3] = 0.25 * f * cth
         h[3][2] = h[2][3]
         h[3][3] = 0.25 * (f * cth * cth + sth * sth)
-        return h
+        return jets.stack(h)
 
     g = MetricField(params.tchart, gfunc, name=f"EHbar(a={params.a})")
     h = TensorField(chart=params.tchart, valence=(0, 2), func=hfunc,
@@ -605,6 +579,16 @@ def dm_chart(n: int) -> Chart:
     return Chart(names=names, box=((-0.9, 0.9),) * n + ((-1.2, 1.2),) * n)
 
 
+def _on_floats(func: Callable) -> Callable:
+    """A component function written for jet coordinates, extended to plain
+    floats: their components are those of the order-0 jets."""
+    def either(coords):
+        if isinstance(coords[0], Jet):
+            return func(coords)
+        return func(jets.seed_point(coords, 0))[..., 0]
+    return either
+
+
 def dm_metric(ps: ProjectiveStructure):
     """The Einstein para-Hermitian pair (g, Omega) on the 2n-chart (x, xi).
 
@@ -614,38 +598,33 @@ def dm_metric(ps: ProjectiveStructure):
     n = ps.n
     chart = dm_chart(n)
     schouten = _memo_last(ps.schouten_at)  # one evaluation for g and Omega
+    k = np.arange(n)
+    upper = np.triu_indices(n, 1)
 
+    def pairing(coords, sign: float) -> np.ndarray:
+        """The (x^i, xi_i) entries 1 and the (xi_i, x^i) entries sign."""
+        one = jets.stack(coords[0] * 0.0 + 1.0)
+        out = np.zeros((2 * n, 2 * n) + one.shape)
+        out[k, n + k] = one
+        out[n + k, k] = sign * one
+        return out
+
+    @_on_floats
     def gfunc(coords):
-        x, xi = coords[:n], coords[n:]
-        gamma = ps.gamma_at(x)
+        alg, x, xi = coords[0].alg, coords[:n], jets.stack(coords[n:])
         P = schouten(x)
-        zero = coords[0] * 0.0
-        dim = 2 * n
-        g = [[zero for _ in range(dim)] for _ in range(dim)]
-        for i in range(n):
-            g[i][n + i] = zero + 1.0
-            g[n + i][i] = g[i][n + i]
-        for i in range(n):
-            for j in range(i, n):
-                acc = xi[i] * xi[j] + (P[i, j] + P[j, i]) * 0.5
-                for k in range(n):
-                    acc = acc - gamma[k, i, j] * xi[k]
-                g[i][j] = 2.0 * acc
-                g[j][i] = g[i][j]
+        quad = (alg.contract("i,j->ij", xi, xi)
+                - alg.contract("kij,k->ij", ps.gamma_at(x), xi))
+        g = pairing(coords, 1.0)
+        g[:n, :n] = 2.0 * (quad + (P + P.swapaxes(0, 1)) * 0.5)
+        g[upper[1], upper[0]] = g[upper]  # exactly symmetric
         return g
 
+    @_on_floats
     def omegafunc(coords):
         P = schouten(coords[:n])
-        zero = coords[0] * 0.0
-        dim = 2 * n
-        w = [[zero for _ in range(dim)] for _ in range(dim)]
-        for i in range(n):
-            w[i][n + i] = zero + 1.0
-            w[n + i][i] = zero - 1.0
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    w[i][j] = P[i, j] - P[j, i]
+        w = pairing(coords, -1.0)
+        w[:n, :n] = P - P.swapaxes(0, 1)
         return w
 
     g = MetricField(chart, gfunc, name=f"dm({ps.label})")

@@ -244,7 +244,7 @@ class _Flat(Scenario):
         return v, len(pts)
 
     @_check("beltrami-nonmetric",
-            "T = 1/r change of flat space extends but is not metric", 1e-3)
+            "T = 1/r change of flat space is not metric", 1e-3)
     def beltrami_nonmetric(self, tol, rng):
         v, samples = self._changed_metricity(lambda c: 1.0 / c[0], rng)
         ok = v.status == "fail" and v.residual > tol
@@ -704,6 +704,9 @@ def _record(check, claim, status, residual, tol, seed, samples, t0, constants):
 
 
 def run_scenario(scenario: dict, tol_scale: float = 1.0) -> dict:
+    """One record per check.  A check that raises gets a fail record, with
+    a null residual and the exception in constants["error"], and the
+    scenario's other checks still run."""
     s = REGISTRY[scenario["catalog"]](scenario)
     overrides = scenario.get("tolerances", {})
     records = []
@@ -713,7 +716,11 @@ def run_scenario(scenario: dict, tol_scale: float = 1.0) -> dict:
         tol = float(overrides.get(name, check.tolerance)) * tol_scale
         t0 = time.perf_counter()
         rng = point_rng(s.seed, s.id, 10_000)  # stream for non-point randomness
-        status, residual, samples, constants = check(s, tol, rng)
+        try:
+            status, residual, samples, constants = check(s, tol, rng)
+        except Exception as exc:
+            status, residual, samples = "fail", None, 0
+            constants = {"error": f"{type(exc).__name__}: {exc}"}
         records.append(_record(name, check.claim, status, residual, tol,
                                s.seed, samples, t0, constants))
     return {"id": s.id, "records": records}
@@ -785,8 +792,10 @@ def _cmd_run(args) -> int:
                 shown = rec["constants"].get("residual_nonfinite", "n/a")
             else:
                 shown = f"{resid:.3e}"
+            error = rec["constants"].get("error")
             print(f"[{rec['status']:^12}] {res['id']}/{rec['check']}: "
-                  f"residual {shown} (tol {rec['tolerance']:.1e})")
+                  f"residual {shown} (tol {rec['tolerance']:.1e})"
+                  + (f" error {error}" if error else ""))
     s = report["summary"]
     print(f"summary: {s['pass']} pass, {s['fail']} fail, "
           f"{s['inconclusive']} inconclusive ({report['wall_time']}s)")

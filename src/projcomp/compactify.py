@@ -1,9 +1,10 @@
 """Boundary-extension certification: defining functions, extension ladders,
 asymptotic normal form, and the metricity witness.
 
-All limits T -> 0 are certified numerically: a quantity is evaluated as a
-jet at each rung of a decreasing epsilon-ladder in the defining coordinate,
-Taylor-extrapolated to T = 0 from each rung, and accepted when the
+All limits T -> 0 are certified numerically: a quantity is evaluated as
+stacked jets (the field contract, see fields) at each rung of a decreasing
+epsilon-ladder in the defining coordinate, Taylor-extrapolated to T = 0
+from each rung by one JetAlgebra.eval_shift, and accepted when the
 successive extrapolations agree at rapidly improving rates and the limit is
 finite.  Coefficients with poles produce extrapolations that grow along the
 ladder, which is the divergence witness.
@@ -23,8 +24,8 @@ import numpy as np
 
 from . import jets
 from .fields import (Chart, ConnectionField, MetricField, TensorField,
-                     SingularMetricError, _as_object_array, _stack,
-                     levi_civita, projective_weyl, ricci, ricci_field, riemann)
+                     SingularMetricError, levi_civita, projective_weyl, ricci,
+                     ricci_field, riemann)
 
 __all__ = [
     "CompactificationSpec",
@@ -101,19 +102,9 @@ def upsilon_from_defining(chart: Chart, t_func: Callable, alpha: float) -> Tenso
         if T.value == 0.0:
             raise ZeroDivisionError("Upsilon undefined where T = 0")
         scale = 1.0 / (alpha * T.truncate(o))
-        return [T.deriv(a) * scale for a in range(len(coords))]
+        return jets.stack([T.deriv(a) * scale for a in range(len(coords))])
 
     return TensorField(chart=chart, valence=(0, 1), func=func, name="dT/(aT)")
-
-
-def _extrapolate(comps, eps: float) -> np.ndarray:
-    """Taylor-extrapolate jets at T = eps back to T = 0, all components of
-    the stack at once."""
-    comps = _as_object_array(comps)
-    alg = comps.flat[0].alg
-    delta = np.zeros(alg.num_vars)
-    delta[0] = -eps
-    return alg.eval_shift(_stack(comps), delta)
 
 
 def extend_to_boundary(component_fn: Callable, spec: CompactificationSpec,
@@ -122,11 +113,12 @@ def extend_to_boundary(component_fn: Callable, spec: CompactificationSpec,
                        order: int = 3) -> ExtensionVerdict:
     """Certify that jet-evaluable components extend to T = 0.
 
-    component_fn(coords) -> object array of jets; evaluated at every ladder
-    rung above each tangent point.  Passes iff per-component extrapolations
-    are finite and successive rung differences shrink by the configured factor (or
-    are already below tolerance), and (optionally) the deepest extrapolation
-    matches closed_form(tangent_point) componentwise.
+    component_fn(coords) -> stacked (..., S) jets; evaluated at every ladder
+    rung above each tangent point and Taylor-extrapolated back to T = 0.
+    Passes iff per-component extrapolations are finite and successive rung
+    differences shrink by the configured factor (or are already below
+    tolerance), and (optionally) the deepest extrapolation matches
+    closed_form(tangent_point) componentwise.
     """
     tangent_points = np.atleast_2d(np.asarray(tangent_points, dtype=float))
     worst_ratio = 0.0
@@ -136,11 +128,14 @@ def extend_to_boundary(component_fn: Callable, spec: CompactificationSpec,
     detail = ""
     limits_out = None
     for tp in tangent_points:
+        alg = jets.algebra(len(tp) + 1, order)
         rungs = []
         for eps in spec.ladder:
             point = np.concatenate([[eps], tp])
-            rungs.append(_extrapolate(
-                component_fn(jets.seed_point(point, order)), eps))
+            to_zero = np.zeros(len(point))
+            to_zero[0] = -eps
+            rungs.append(alg.eval_shift(
+                component_fn(jets.seed_point(point, order)), to_zero))
         rungs = np.array(rungs)
         if not np.all(np.isfinite(rungs)):
             passed = False
@@ -197,11 +192,12 @@ def match_boundary_constant(g: MetricField, spec: CompactificationSpec,
     """The dT^2 pole coefficient C = lim_{T->0} T^(4/alpha) g_TT."""
     eps = spec.ladder[-1]
     point = np.concatenate([[eps], np.asarray(tangent_point, dtype=float)])
-    comps = np.asarray(g.at(point, order=3), dtype=object)
-    four_over = 4.0 / spec.alpha
     T = jets.Jet.variable(0, eps, g.chart.dim, 3)
-    scaled = comps[0, 0] * jets.powc(T, four_over)
-    return float(_extrapolate(scaled, eps))
+    g_TT = jets.Jet(T.alg, g.at(point, order=3)[0, 0])
+    scaled = g_TT * jets.powc(T, 4.0 / spec.alpha)
+    to_zero = np.zeros(g.chart.dim)
+    to_zero[0] = -eps
+    return scaled.eval_shift(to_zero)
 
 
 def asymptotic_form_check(g: MetricField, spec: CompactificationSpec,
@@ -227,11 +223,8 @@ def asymptotic_form_check(g: MetricField, spec: CompactificationSpec,
 
     def hfunc(coords):
         T = coords[0]
-        G = g.func(coords)
-        w = _tpow(T, two_over)
-        n = len(coords)
-        H = [[w * G[i][j] for j in range(n)] for i in range(n)]
-        H[0][0] = H[0][0] - C * _tpow(T, two_over - 4.0 / spec.alpha)
+        H = jets.scale(_tpow(T, two_over), g.func(coords))
+        H[0, 0] -= jets.stack(C * _tpow(T, two_over - 4.0 / spec.alpha))
         return H
 
     h = TensorField(chart=g.chart, valence=(0, 2), func=hfunc, symmetric=True,
@@ -290,9 +283,7 @@ def metricity_check(conn: ConnectionField, rng,
 
     def ghat_func(coords):
         R = ricf.func(coords)
-        scale = 1.0 / (n - 1)
-        return [[(R[i, j] + R[j, i]) * (0.5 * scale) for j in range(n)]
-                for i in range(n)]
+        return (R + R.swapaxes(0, 1)) * (0.5 * (1.0 / (n - 1)))
 
     ghat = MetricField(conn.chart, ghat_func, name="ghat")
     lc = levi_civita(ghat)

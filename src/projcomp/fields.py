@@ -1,19 +1,21 @@
 """Chart-local tensor fields and the connection/curvature toolkit.
 
-Fields are component functions evaluated into jets at a point.  Every
-component function accepts a list of coordinate scalars (jets or floats)
-and returns an object array of the same scalar type; derived fields
-(Levi-Civita coefficients, Ricci, Schouten, ...) re-seed the coordinates
-internally at a higher jet order, so a caller always receives components
-exact to the order it asked for.
+Fields are component functions evaluated into jets at a point.  One
+format is the contract between modules: a component function takes a list
+of coordinate scalars, all Jets of one algebra, and returns the components
+as one float64 array of shape (n,)*rank + (S,): tensor axes first, then the
+S Taylor coefficients of each component, in graded-lex order.  Leaf
+formulas (the catalog's metrics and forms) also take plain floats, for the
+finite-difference oracles, and then return shape (n,)*rank.
+TensorField.at and ConnectionField.coeffs return that array, and
+.values(p) is at(p, 0)[..., 0].
 
-Inside the connection, curvature, covariant-derivative and chart-map
-functions (the interior field layer and the pullbacks of the boundary path
-alike) a tensor of jets is one stacked float array of shape (n, ..., n, S):
-tensor axes first, then the S Taylor coefficients of each component, in
-graded-lex order.  Truncation is a slice of the last axis, a derivative a
-gather on it, and a contraction JetAlgebra.contract; public functions still
-return object arrays of Jets.
+Derived fields (Levi-Civita coefficients, Ricci, Schouten, ...) re-seed the
+coordinates internally at a higher jet order, so a caller always receives
+components exact to the order it asked for.  Truncation is a slice of the
+last axis, a derivative a gather on it, and a contraction
+JetAlgebra.contract; a leaf formula computes with scalar Jets and ends with
+one jets.stack.
 
 Curvature convention, fixed once for the whole engine:
 
@@ -57,7 +59,6 @@ __all__ = [
     "transform_tensor",
     "transform_connection",
     "geodesic_integrate",
-    "jet_matrix_inverse",
 ]
 
 
@@ -115,29 +116,10 @@ class Chart:
         return np.array(out)
 
 
-def _as_object_array(comps) -> np.ndarray:
-    if isinstance(comps, np.ndarray) and comps.dtype == object:
-        return comps
-    shape = np.shape(comps)
-    arr = np.empty(shape, dtype=object)
-    for idx in np.ndindex(shape):
-        item = comps
-        for i in idx:
-            item = item[i]
-        arr[idx] = item
-    return arr
-
-
-def _values(comps: np.ndarray) -> np.ndarray:
-    out = np.empty(comps.shape)
-    for idx in np.ndindex(comps.shape):
-        out[idx] = jets.value_of(comps[idx])
-    return out
-
-
 @dataclass
 class TensorField:
-    """Chart-local tensor with jet-valued components.
+    """Chart-local tensor with jet-valued components, stacked (see the
+    module docstring).
 
     valence = (r, s): component array carries the r contravariant slots
     first, then the s covariant slots.  symmetric/antisymmetric flags refer
@@ -158,16 +140,15 @@ class TensorField:
 
     def at(self, point, order: int = 3) -> np.ndarray:
         comps = self.func(self.chart.seed(point, order))
-        comps = _as_object_array(comps)
         if DEBUG_SYMMETRY and self.rank == 2 and (self.symmetric or self.antisymmetric):
-            v = _values(comps)
+            v = comps[..., 0]
             dev = np.max(np.abs(v - v.T)) if self.symmetric else np.max(np.abs(v + v.T))
             if dev > _SYMMETRY_TOL:
                 raise AssertionError(f"declared symmetry violated by {dev:.3e} ({self.name})")
         return comps
 
     def values(self, point) -> np.ndarray:
-        return _values(self.at(point, order=0))
+        return self.at(point, order=0)[..., 0]
 
 
 @dataclass
@@ -199,28 +180,14 @@ class ConnectionField:
     name: str = ""
 
     def coeffs(self, point, order: int = 1) -> np.ndarray:
-        return _as_object_array(self.func(self.chart.seed(point, order)))
+        return self.func(self.chart.seed(point, order))
 
     def values(self, point) -> np.ndarray:
-        return _values(self.coeffs(point, order=0))
+        return self.coeffs(point, order=0)[..., 0]
 
 
 def _reseed(coords, order: int) -> list:
     return jets.seed_point([c.value for c in coords], order)
-
-
-def _stack(comps) -> np.ndarray:
-    """Object array of jets (one algebra) -> stacked (..., S) array."""
-    comps = _as_object_array(comps)
-    coeffs = [x.c for x in comps.ravel()]
-    return np.stack(coeffs).reshape(comps.shape + coeffs[0].shape)
-
-
-def _unstack(alg, A: np.ndarray) -> np.ndarray:
-    """Stacked (..., S) array -> object array of Jets of the algebra alg."""
-    out = np.empty(A.shape[:-1], dtype=object)
-    out.ravel()[:] = [Jet(alg, c) for c in A.reshape(-1, A.shape[-1])]
-    return out
 
 
 def _memo_last(fn: Callable) -> Callable:
@@ -271,12 +238,6 @@ def _inverse(alg, A: np.ndarray) -> np.ndarray:
     return X
 
 
-def jet_matrix_inverse(G: np.ndarray) -> np.ndarray:
-    """Invert a square object-array of jets."""
-    alg = G.flat[0].alg
-    return _unstack(alg, _inverse(alg, _stack(G)))
-
-
 # -- Levi-Civita and projective operations ----------------------------------
 
 
@@ -288,14 +249,14 @@ def levi_civita(g: MetricField) -> ConnectionField:
     def func(coords):
         o = coords[0].order
         up = _reseed(coords, o + 1)
-        G = _stack(g.func(up))
+        G = g.func(up)
         alg = jets.algebra(n, o)
         dG = _grad(up[0].alg, G)  # dG[a, b, c] = d_a g_bc
         low = dG + dG.transpose(1, 0, 2, 3) - np.moveaxis(dG, 0, 2)
         gamma = 0.5 * alg.contract("kl,ijl->kij",
                                    _inverse(alg, G[..., :alg.size]), low)
         gamma[:, upper[1], upper[0]] = gamma[:, upper[0], upper[1]]
-        return _unstack(alg, gamma)
+        return gamma
 
     return ConnectionField(chart=g.chart, func=func, torsion_free=True,
                            name=f"LC({g.name})")
@@ -306,12 +267,12 @@ def projective_change(conn: ConnectionField, upsilon: TensorField) -> Connection
     n = conn.chart.dim
 
     def func(coords):
-        out = _stack(conn.func(coords))
-        U = _stack(upsilon.func(coords))
+        out = conn.func(coords).copy()
+        U = upsilon.func(coords)
         k = np.arange(n)
         out[k, k, :] += U  # the delta^k_i Y_j term, then delta^k_j Y_i
         out[k, :, k] += U
-        return _unstack(coords[0].alg, out)
+        return out
 
     return ConnectionField(chart=conn.chart, func=func,
                            torsion_free=conn.torsion_free,
@@ -320,7 +281,7 @@ def projective_change(conn: ConnectionField, upsilon: TensorField) -> Connection
 
 def riemann(conn: ConnectionField, point) -> np.ndarray:
     """Curvature values R^a_bcd at a point."""
-    G = _stack(conn.coeffs(point, order=1))
+    G = conn.coeffs(point, order=1)
     gv = G[..., 0]
     # order-1 coefficient 1 + c is d_c; D[a, b, c, d] = d_c Gamma^a_db
     D = np.einsum("adbc->abcd", G[..., 1:])
@@ -341,14 +302,13 @@ def ricci_field(conn: ConnectionField) -> TensorField:
     def func(coords):
         o = coords[0].order
         up = _reseed(coords, o + 1)
-        G = _stack(conn.func(up))
+        G = conn.func(up)
         alg = jets.algebra(n, o)
         dG = _grad(up[0].alg, G)  # dG[c, a, d, b] = d_c Gamma^a_db
         Gt = G[..., :alg.size]
-        ric = (np.einsum("aadbs->bds", dG) - np.einsum("daabs->bds", dG)
-               + alg.contract("aae,edb->bd", Gt, Gt)
-               - alg.contract("ade,eab->bd", Gt, Gt))
-        return _unstack(alg, ric)
+        return (np.einsum("aadbs->bds", dG) - np.einsum("daabs->bds", dG)
+                + alg.contract("aae,edb->bd", Gt, Gt)
+                - alg.contract("ade,eab->bd", Gt, Gt))
 
     return TensorField(chart=conn.chart, valence=(0, 2), func=func,
                        name=f"Ric({conn.name})")
@@ -386,10 +346,9 @@ def projective_schouten(conn: ConnectionField) -> TensorField:
     ric = ricci_field(conn)
 
     def func(coords):
-        R = _stack(ric.func(coords))
+        R = ric.func(coords)
         Rt = R.swapaxes(0, 1)
-        P = (R + Rt) * 0.5 * (1.0 / (n - 1)) - (R - Rt) * 0.5 * (1.0 / (n + 1))
-        return _unstack(jets.algebra(n, coords[0].order), P)
+        return (R + Rt) * 0.5 * (1.0 / (n - 1)) - (R - Rt) * 0.5 * (1.0 / (n + 1))
 
     return TensorField(chart=conn.chart, valence=(0, 2), func=func,
                        name=f"P({conn.name})")
@@ -398,7 +357,7 @@ def projective_schouten(conn: ConnectionField) -> TensorField:
 def projective_weyl(conn: ConnectionField, point) -> np.ndarray:
     """Totally trace-free curvature part W^a_bcd (projective invariant)."""
     delta = np.eye(conn.chart.dim)
-    P = _values(projective_schouten(conn).at(point, order=0))
+    P = projective_schouten(conn).values(point)
     return (riemann(conn, point) - np.einsum("ac,db->abcd", delta, P)
             + np.einsum("ad,cb->abcd", delta, P)
             + np.einsum("ab,cd->abcd", delta, P - P.T))
@@ -412,9 +371,8 @@ def covariant_derivative(conn: ConnectionField, field: TensorField) -> TensorFie
     def func(coords):
         o = coords[0].order
         alg = jets.algebra(n, o)
-        T = _stack(field.func(_reseed(coords, o + 1)))
-        gamma = _stack(conn.func(_reseed(coords, o)))
-        return _unstack(alg, _nabla(alg, gamma, T, r))
+        T = field.func(_reseed(coords, o + 1))
+        return _nabla(alg, conn.func(_reseed(coords, o)), T, r)
 
     return TensorField(chart=field.chart, valence=(r, s + 1), func=func,
                        name=f"D({field.name})")
@@ -455,12 +413,12 @@ def exterior_derivative(omega: TensorField) -> TensorField:
     def func(coords):
         o = coords[0].order
         up = _reseed(coords, o + 1)
-        dW = _grad(up[0].alg, _stack(omega.func(up)))  # dW[a, ...] = d_a W
+        dW = _grad(up[0].alg, omega.func(up))  # dW[a, ...] = d_a W
         out = dW
         for j in range(1, k + 1):  # term j differentiates along slot j
             term = np.moveaxis(dW, 0, j)
             out = out - term if j % 2 else out + term
-        return _unstack(jets.algebra(n, o), out)
+        return out
 
     return TensorField(chart=omega.chart, valence=(0, k + 1), func=func,
                        antisymmetric=True, name=f"d({omega.name})")
@@ -480,11 +438,13 @@ class ChartMap:
 
 
 def _map_jets(cmap: ChartMap, target_point, order: int):
-    """Source coordinates as stacked jets of order+1 at a target-chart point,
-    and the stacked Jacobian Jac[a, mu] = d x^a / d y^mu of order `order`."""
+    """Source coordinates as jets at a target-chart point, and the stacked
+    Jacobian Jac[a, mu] = d x^a / d y^mu, both of order `order`."""
     ty = jets.seed_point(target_point, order + 1)
-    X = _stack(cmap.inv(ty))
-    return X, _grad(ty[0].alg, X).swapaxes(0, 1)
+    X = jets.stack(cmap.inv(ty))
+    alg = jets.algebra(len(ty), order)
+    xs = [Jet(alg, x) for x in X[:, :alg.size]]
+    return xs, _grad(ty[0].alg, X).swapaxes(0, 1)
 
 
 def _contract_slots(alg, T: np.ndarray, mats) -> np.ndarray:
@@ -510,14 +470,13 @@ def transform_tensor(field: TensorField, cmap: ChartMap, target_point,
     Output jets carry the requested order.
     """
     r, s = field.valence
-    X, Jac = _map_jets(cmap, target_point, order)
-    alg = jets.algebra(len(X), order)
+    xs, Jac = _map_jets(cmap, target_point, order)
+    alg = xs[0].alg
     # re-express source components as jets in the target coordinates
-    inner = list(_unstack(alg, X[..., :alg.size]))
     comps = jets.compose_stacked(
-        _stack(field.func(jets.seed_point(X[:, 0], order))), inner)
+        field.func(jets.seed_point([x.value for x in xs], order)), xs)
     JiT = _inverse(alg, Jac).swapaxes(0, 1)  # JiT[a, mu] = d y^mu / d x^a
-    return _unstack(alg, _contract_slots(alg, comps, [JiT] * r + [Jac] * s))
+    return _contract_slots(alg, comps, [JiT] * r + [Jac] * s)
 
 
 def transform_connection(conn: ConnectionField, cmap: ChartMap, target_point,
@@ -525,17 +484,17 @@ def transform_connection(conn: ConnectionField, cmap: ChartMap, target_point,
     """Connection coefficients in the target chart (with the inhomogeneous
     second-derivative term):
     A^gam_c (d_nu B^c_mu + Gamma^c_ab B^a_mu B^b_nu), B = d x/d y, A = B^-1."""
-    X, B = _map_jets(cmap, target_point, order + 1)
-    n = len(X)
+    xs, B = _map_jets(cmap, target_point, order + 1)
+    n = len(xs)
     alg = jets.algebra(n, order)
-    inner = list(_unstack(alg, X[..., :alg.size]))
     gamma = jets.compose_stacked(
-        _stack(conn.func(jets.seed_point(X[:, 0], order))), inner)
-    dB = _grad(jets.algebra(n, order + 1), B)  # dB[nu, c, mu] = d_nu B^c_mu
+        conn.func(jets.seed_point([x.value for x in xs], order)),
+        [x.truncate(order) for x in xs])
+    dB = _grad(xs[0].alg, B)  # dB[nu, c, mu] = d_nu B^c_mu
     B = B[..., :alg.size]
     GB = alg.contract("cmb,bn->cmn", alg.contract("cab,am->cmb", gamma, B), B)
-    return _unstack(alg, alg.contract("gc,cmn->gmn", _inverse(alg, B),
-                                      dB.transpose(1, 2, 0, 3) + GB))
+    return alg.contract("gc,cmn->gmn", _inverse(alg, B),
+                        dB.transpose(1, 2, 0, 3) + GB)
 
 
 # -- geodesics ---------------------------------------------------------------

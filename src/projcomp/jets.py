@@ -13,6 +13,12 @@ JetAlgebra; multiplication is a precomputed sparse convolution.
 Composition substitutes inner jets into a stack of outer jets with one
 monomial table (compose_stacked), in the arithmetic order of one jet.
 
+Components leave a formula as one stacked float array: stack turns the
+nested scalars a component formula computes into shape (..., S), S Taylor
+coefficients per component (or (...) for plain floats), and every kernel
+downstream (JetAlgebra.contract, eval_shift, compose_stacked) works on that
+layout.  The scalar Jet and its arithmetic serve the formulas themselves.
+
 The elementary-function helpers (sin, cos, exp, ...) dispatch on type so the
 same component code can run on plain floats, which is what the independent
 finite-difference oracles in the test suite rely on.
@@ -32,8 +38,8 @@ __all__ = [
     "algebra",
     "compose",
     "compose_stacked",
-    "constant",
-    "variable",
+    "stack",
+    "scale",
     "seed_point",
     "sin",
     "cos",
@@ -41,7 +47,6 @@ __all__ = [
     "log",
     "sqrt",
     "powc",
-    "value_of",
 ]
 
 
@@ -411,16 +416,21 @@ def powc(x, p: float):
     return _apply_series(x, coeffs)
 
 
-def value_of(x) -> float:
-    return x.value if isinstance(x, Jet) else float(x)
+def stack(comps) -> np.ndarray:
+    """Nested lists (or an object array) of Jets of one algebra as one
+    (..., S) float array of their coefficients; nested floats as a (...)
+    float array."""
+    arr = np.asarray(comps, dtype=object)
+    items = arr.ravel()
+    if isinstance(items[0], Jet):
+        return np.stack([x.c for x in items]).reshape(arr.shape + (items[0].alg.size,))
+    return arr.astype(float)
 
 
-def constant(value: float, num_vars: int, order: int) -> Jet:
-    return Jet.constant(value, num_vars, order)
-
-
-def variable(index: int, value: float, num_vars: int, order: int) -> Jet:
-    return Jet.variable(index, value, num_vars, order)
+def scale(s, A: np.ndarray) -> np.ndarray:
+    """The scalar s times every component of A: the truncated product with
+    each (..., S) component for a Jet s, plain multiplication for a float."""
+    return s.alg.contract(",...->...", s.c, A) if isinstance(s, Jet) else s * A
 
 
 def seed_point(point, order: int) -> list[Jet]:

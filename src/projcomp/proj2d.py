@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jets
 from .catalog import Poly, ProjectiveStructure
 from .fields import Chart, TensorField
 
@@ -103,14 +104,15 @@ def ideal_forms(pg: PathGeometry2D):
         zero = coords[0] * 0.0
         return [zero + 1.0, zero, zero]
 
-    fields = [TensorField(chart=chart, valence=(0, 1), func=f, name=n)
+    fields = [TensorField(chart=chart, valence=(0, 1),
+                          func=lambda c, f=f: jets.stack(f(c)), name=n)
               for f, n in ((th0, "theta0"), (th1, "theta1"), (th2, "theta2"))]
 
     def h_d(coords):
         t1 = th1(coords)
         t2 = th2(coords)
-        return [[t1[i] * t2[j] + t1[j] * t2[i] for j in range(3)]
-                for i in range(3)]
+        return jets.stack([[t1[i] * t2[j] + t1[j] * t2[i] for j in range(3)]
+                           for i in range(3)])
 
     hd = TensorField(chart=chart, valence=(0, 2), func=h_d, symmetric=True,
                      name="h_D")

@@ -27,8 +27,7 @@ import numpy as np
 
 from . import jets
 from .catalog import ProjectiveStructure, dm_metric
-from .fields import TensorField
-from .jets import Jet
+from .fields import _grad
 
 __all__ = [
     "CotractorConnection",
@@ -51,35 +50,30 @@ class CotractorConnection:
         return self.ps.n
 
     def coefficients(self, coords) -> np.ndarray:
-        """gamma[i, alpha, beta] = gamma_i alpha^beta as jet scalars."""
+        """gamma[i, alpha, beta] = gamma_i alpha^beta at jet (or float)
+        coordinates, stacked like the fields' components."""
         n = self.n
-        gamma = self.ps.gamma_at(coords)
-        P = self.ps.schouten_at(coords)
-        zero = coords[0] * 0.0 if isinstance(coords[0], Jet) else 0.0
-        out = np.empty((n, n + 1, n + 1), dtype=object)
-        out[...] = zero
-        for i in range(n):
-            out[i, 0, 1 + i] = zero + 1.0
-        out[:, 1:, 0] = -P
-        out[:, 1:, 1:] = gamma.transpose(1, 2, 0)  # gamma_i j^k = Gamma^k_ij
+        one = jets.stack(coords[0] * 0.0 + 1.0)
+        out = np.zeros((n, n + 1, n + 1) + one.shape)
+        i = np.arange(n)
+        out[i, 0, 1 + i] = one
+        out[:, 1:, 0] = -self.ps.schouten_at(coords)
+        # gamma_i j^k = Gamma^k_ij
+        out[:, 1:, 1:] = np.moveaxis(self.ps.gamma_at(coords), 0, 2)
         return out
 
 
 def cotractor_derivative(tc: CotractorConnection, section: Callable,
                          direction: int, point, order: int = 1) -> np.ndarray:
-    """nabla_i of a section (sigma, mu_1..mu_n); section(coords) returns the
-    (n+1) components as jet scalars.  Output components carry `order`."""
-    n = tc.n
+    """nabla_i of a section (sigma, mu_1..mu_n), as stacked (n+1, S) jets
+    of order `order`; section(coords) returns the n+1 components as jet
+    scalars."""
     coords = jets.seed_point(point, order + 1)
-    V = np.asarray(section(coords), dtype=object)
-    gam = tc.coefficients(jets.seed_point(point, order))
-    out = np.empty(n + 1, dtype=object)
-    for beta in range(n + 1):
-        acc = V[beta].deriv(direction)
-        for alpha in range(n + 1):
-            acc = acc - gam[direction, beta, alpha] * V[alpha].truncate(order)
-        out[beta] = acc
-    return out
+    V = jets.stack(section(coords))
+    alg = jets.algebra(tc.n, order)
+    gam = tc.coefficients(jets.seed_point(point, order))[direction]
+    return (_grad(coords[0].alg, V)[direction]
+            - alg.contract("ba,a->b", gam, V[..., :alg.size]))
 
 
 def tractor_curvature(tc: CotractorConnection, point) -> np.ndarray:
@@ -88,22 +82,12 @@ def tractor_curvature(tc: CotractorConnection, point) -> np.ndarray:
 
         F = d_i gamma_j - d_j gamma_i - gamma_i gamma_j + gamma_j gamma_i
     """
-    n = tc.n
     gam = tc.coefficients(jets.seed_point(point, 1))
-    gv = np.empty((n, n + 1, n + 1))
-    dg = np.empty((n, n, n + 1, n + 1))  # dg[e, i] = d_e gamma_i
-    for i in range(n):
-        for b in range(n + 1):
-            for a in range(n + 1):
-                gv[i, b, a] = gam[i, b, a].value
-                for e in range(n):
-                    dg[e, i, b, a] = gam[i, b, a].deriv(e).value
-    F = np.zeros((n, n, n + 1, n + 1))
-    for i in range(n):
-        for j in range(n):
-            F[i, j] = (dg[i, j] - dg[j, i]
-                       - gv[i] @ gv[j] + gv[j] @ gv[i])
-    return F
+    gv = gam[..., 0]
+    # order-1 coefficient 1 + e is d_e: dg[e, i] = d_e gamma_i
+    dg = np.moveaxis(gam[..., 1:], -1, 0)
+    Q = np.einsum("iba,jac->ijbc", gv, gv)  # Q[i, j] = gamma_i gamma_j
+    return dg - dg.swapaxes(0, 1) - Q + Q.swapaxes(0, 1)
 
 
 def gauge_matrix(ups_values: np.ndarray) -> np.ndarray:

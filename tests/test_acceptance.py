@@ -14,7 +14,8 @@ import pytest
 import projcomp.jets as jets
 from projcomp import cli, fields, paracx, proj2d, tractor
 from projcomp.catalog import (EHParams, ProjectiveStructure, WarpedPair,
-                              compactified_cone, cone, dm_boundary_chart,
+                              compactified_cone, cone, cone_in_t,
+                              dm_boundary_chart,
                               dm_metric, eguchi_hanson, eh_compactified,
                               flat_chart_metric, flat_spherical,
                               projective_change_structure,
@@ -22,7 +23,7 @@ from projcomp.catalog import (EHParams, ProjectiveStructure, WarpedPair,
                               split_signature_flat, unit_sphere, warped)
 from projcomp.compactify import (CompactificationSpec, extend_to_boundary,
                                  metricity_check, upsilon_from_defining)
-from projcomp.fields import (MetricField, TensorField, einstein_residual,
+from projcomp.fields import (TensorField, einstein_residual,
                              exterior_derivative, levi_civita,
                              projective_change, ricci)
 
@@ -42,14 +43,6 @@ def _report(num, ok, text):
 def _float_metric_fn(g):
     return lambda x: np.array(g.func(list(np.asarray(x, dtype=float))),
                               dtype=float)
-
-
-def _vals(comps):
-    comps = np.asarray(comps, dtype=object)
-    out = np.empty(comps.shape)
-    for idx in np.ndindex(comps.shape):
-        out[idx] = jets.value_of(comps[idx])
-    return out
 
 
 def test_criterion_01_einstein_property():
@@ -99,19 +92,7 @@ def test_criterion_03_metric_cone_compactification():
         gbar = compactified_cone(base)
         chart = gbar.chart
 
-        def cone_t_func(coords, base=base):
-            T, rest = coords[0], coords[1:]
-            G = base.func(rest)
-            w = 1.0 - T * T
-            T2 = T * T
-            out = [[T * 0.0 for _ in range(3)] for _ in range(3)]
-            out[0][0] = 1.0 / (T2 * T2 * w)
-            for i in range(2):
-                for j in range(2):
-                    out[i + 1][j + 1] = (w / T2) * G[i][j]
-            return out
-
-        cone_t = MetricField(chart, cone_t_func, name="cone-T")
+        cone_t = cone_in_t(base)
         changed = projective_change(
             levi_civita(cone_t),
             upsilon_from_defining(chart, lambda c: c[0], 1.0))
@@ -163,19 +144,7 @@ def test_criterion_05_non_metricity_witness():
     base = unit_sphere(2)
     gbar = compactified_cone(base)
 
-    def cone_t_func(coords):
-        T, rest = coords[0], coords[1:]
-        G = base.func(rest)
-        w = 1.0 - T * T
-        T2 = T * T
-        out = [[T * 0.0 for _ in range(3)] for _ in range(3)]
-        out[0][0] = 1.0 / (T2 * T2 * w)
-        for i in range(2):
-            for j in range(2):
-                out[i + 1][j + 1] = (w / T2) * G[i][j]
-        return out
-
-    cone_t = MetricField(gbar.chart, cone_t_func, name="cone-T")
+    cone_t = cone_in_t(base)
     changed_cone = projective_change(
         levi_civita(cone_t),
         upsilon_from_defining(gbar.chart, lambda c: c[0], 1.0))
@@ -207,8 +176,8 @@ def test_criterion_06_boundary_decomposition():
         for p in chart.sample(rng, 5):
             T = p[0]
             gv = gb.values(p)
-            thv = _vals(th.at(p, order=0))
-            hv = _vals(h_closed.at(p, order=0))
+            thv = th.values(p)
+            hv = h_closed.values(p)
             dT = np.zeros(4)
             dT[0] = 1.0
             recon = (2 * np.outer(thv, thv) - 2 * np.outer(dT, dT)) / (4 * T * T) \
@@ -225,13 +194,11 @@ def test_criterion_06_boundary_decomposition():
         # for the flat model this is the stated contact/distribution block
         for tp in tps[:2]:
             p0 = np.concatenate([[0.0], tp])
-            want = _vals(h_closed.at(p0, order=0))
+            want = h_closed.values(p0)
             q = np.concatenate([[1e-3], tp])
-            comps = np.asarray(h_engine.at(q, order=3), dtype=object)
             delta = np.zeros(4)
             delta[0] = -1e-3
-            got = np.array([[comps[i, j].eval_shift(delta) for j in range(4)]
-                            for i in range(4)])
+            got = jets.algebra(4, 3).eval_shift(h_engine.at(q, order=3), delta)
             worst_boundary = max(worst_boundary,
                                  float(np.max(np.abs(got - want))))
         if label == "flat":
@@ -246,7 +213,7 @@ def test_criterion_06_boundary_decomposition():
             disp = (0.25 * 2 * np.outer(th0p, th0p)
                     + (1 / (2 * K)) * (2 * (np.outer(dZv, dXv) + np.outer(dXv, dZv))
                                        - X * (np.outer(dZv, th0p) + np.outer(th0p, dZv))))
-            want = _vals(h_closed.at(p0, order=0))
+            want = h_closed.values(p0)
             worst_boundary = max(worst_boundary,
                                  float(np.max(np.abs(disp[1:, 1:] - want[1:, 1:]))))
     ok = worst_recon < 1e-9 and extends and worst_boundary < 1e-6
@@ -276,7 +243,7 @@ def test_criterion_07_para_hermitian_invariants():
                         float(np.max(np.abs(J.T @ G - W))))
         dom = exterior_derivative(om)
         for p in pts[:5]:
-            worst = max(worst, float(np.max(np.abs(_vals(dom.at(p, order=0))))))
+            worst = max(worst, float(np.max(np.abs(dom.values(p)))))
     _report(7, worst < 1e-10,
             f"para-Hermitian triple identities at 100 points x 10 structures: "
             f"{worst:.2e}")
@@ -288,7 +255,7 @@ def test_criterion_08_nijenhuis_tangentiality():
     ps0 = ProjectiveStructure(n=2, gamma={}, label="flat")
     gb, omb, jb, chart = paracx.dm_boundary_fields(ps0)
     N = paracx.nijenhuis(jb)
-    worst_flat = max(float(np.max(np.abs(_vals(N.at(p, order=0)))))
+    worst_flat = max(float(np.max(np.abs(N.values(p))))
                      for p in chart.sample(rng, 5))
     worst = 0.0
     passed = True
@@ -361,14 +328,14 @@ def test_criterion_11_tractor_crosscheck():
         for p in g.chart.sample(rng, 10):
             # metric rebuilt from the horizontal/vertical pairing
             x, xi = p[:n], p[n:]
-            P = _vals(np.asarray(ps.schouten().func(jets.seed_point(x, 0))))
+            P = ps.schouten().values(x)
             gam = ps.gamma_at([float(v) for v in x])
             B = np.empty((n, n))
             for i in range(n):
                 for j in range(n):
                     B[i, j] = P[i, j] + xi[i] * xi[j]
                     for k in range(n):
-                        B[i, j] -= float(jets.value_of(gam[k, i, j])) * xi[k]
+                        B[i, j] -= float(gam[k, i, j]) * xi[k]
             F = np.zeros((2 * n, 2 * n))
             for i in range(n):
                 F[i, i] = 1.0

@@ -213,17 +213,18 @@ def test_report_carries_manifest_hash_and_tool():
     assert len(report["manifest_sha256"]) == 64
 
 
-def test_cg_form_record_matches_full_compactification_check():
-    # the CLI runs only the h/theta part; its verdict, residual and
-    # constants equal those the full check gives on the same point stream
+def test_cg_form_record_matches_cg_form_check():
+    # the CLI's record carries the verdict, residual and constants of
+    # cg_form_check on the scenario's point stream, count and ladder
     sc = {"id": "dm", "catalog": "dm-random",
           "params": {"n": 2, "degree": 2, "seed": 0},
           "checks": ["cg-form"], "points": 3, "seed": 8}
     rec = run_manifest({"scenarios": [sc]})["scenarios"][0]["records"][0]
-    out = paracx.full_compactification_check(
-        cli.REGISTRY["dm-random"](sc).ps, point_rng(8, "dm", 10_000),
-        count=3,
-        ladder=compactify.DEFAULT_LADDER)
+    ps = cli.REGISTRY["dm-random"](sc).ps
+    out = paracx.cg_form_check(
+        ps, point_rng(8, "dm", 10_000), count=3,
+        ladder=compactify.DEFAULT_LADDER,
+        boundary_fields=paracx.dm_boundary_fields(ps))
     resid = max(out["h_closed_form_residual"],
                 out["theta_closed_form_residual"])
     ok = (out["h_extension"].passed and out["h_boundary_match"].passed
@@ -273,6 +274,33 @@ def test_nonfinite_residual_keeps_report_strict_json(tmp_path, capsys):
     assert rec["status"] == "pass"
     assert rec["max_residual"] is None
     assert rec["constants"]["residual_nonfinite"] == "inf"
+
+
+def test_raising_check_becomes_a_fail_record(tmp_path, capsys, monkeypatch):
+    # a check that raises fails with its error recorded; the other checks
+    # still run, the report stays strict JSON and the run exits 1
+    checks = cli.REGISTRY["dm-random"].checks
+    real = checks["einstein"]
+
+    def broken(self, tol, rng):
+        raise ValueError("no Einstein constant here")
+
+    vars(broken).update(vars(real))  # name, claim, tolerance, needs
+    monkeypatch.setitem(checks, "einstein", broken)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(SMALL))
+    out = tmp_path / "report.json"
+    assert main(["run", str(path), "--report", str(out)]) == 1
+    assert "error ValueError: no Einstein constant here" in capsys.readouterr().out
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert report["summary"] == {"pass": 2, "fail": 1, "inconclusive": 0}
+    dm = next(sc for sc in report["scenarios"] if sc["id"] == "dm")
+    einstein, splitting = dm["records"]
+    assert einstein["status"] == "fail"
+    assert einstein["max_residual"] is None
+    assert einstein["constants"] == {"error": "ValueError: no Einstein constant here"}
+    assert einstein["claim"] == real.claim
+    assert splitting["check"] == "splitting" and splitting["status"] == "pass"
 
 
 # -- command line -----------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import projcomp.jets as jets
-from projcomp import compactify, fields
+from projcomp import fields
 from projcomp.catalog import (EHParams, compactified_cone, cone, cone_in_t,
                               eguchi_hanson, eh_compactified, flat_spherical,
                               split_signature_flat, unit_sphere, warped,
@@ -23,14 +23,11 @@ def _flat_in_inverse_r(n):
                          box=((0.05, 0.8),) + base.chart.box)
 
     def func(coords):
-        T, rest = coords[0], coords[1:]
-        G = base.func(rest)
+        T = coords[0]
         T2 = T * T
-        out = [[T * 0.0 for _ in range(n)] for _ in range(n)]
-        out[0][0] = 1.0 / (T2 * T2)
-        for i in range(n - 1):
-            for j in range(n - 1):
-                out[i + 1][j + 1] = G[i][j] / T2
+        out = np.zeros((n, n) + np.shape(jets.stack(T)))
+        out[0, 0] = jets.stack(1.0 / (T2 * T2))
+        out[1:, 1:] = jets.scale(1.0 / T2, base.func(coords[1:]))
         return out
 
     return MetricField(chart, func, name="flat-1/r")
@@ -154,7 +151,7 @@ def test_flat_asymptotic_form():
     assert v.passed and abs(C - 1.0) < 1e-9
     # h = dT^2/(1-T^2) + (1-T^2) gamma on an interior slice
     p = np.concatenate([[0.3], tps[0]])
-    hv = fields._values(h.at(p, order=0))
+    hv = h.values(p)
     gam = base.values(tps[0])
     assert abs(hv[0, 0] - 1.0 / (1 - 0.09)) < 1e-12
     assert np.max(np.abs(hv[1:, 1:] - (1 - 0.09) * gam)) < 1e-12
@@ -170,8 +167,7 @@ def test_eh_asymptotic_form_and_boundary_metric():
     assert abs(np.linalg.det(v.limits[1:, 1:])) > 1e-3
     # extracted h agrees with the direct-substitution field
     p = np.concatenate([[0.1], tps[0]])
-    assert np.max(np.abs(fields._values(h.at(p, order=0))
-                         - fields._values(href.at(p, order=0)))) < 1e-10
+    assert np.max(np.abs(h.values(p) - href.values(p))) < 1e-10
 
 
 def test_wrong_alpha_raises_divergence_witness():
@@ -186,7 +182,7 @@ def test_divergent_component_fails_ladder():
 
     def func(coords):
         T, u = coords
-        return [1.0 / T + u]
+        return jets.stack([1.0 / T + u])
 
     spec = CompactificationSpec(chart=chart)
     v = extend_to_boundary(func, spec, [(0.2,)], tolerance=1e-6)
@@ -213,13 +209,13 @@ def test_stacked_extrapolation_is_bitwise_the_per_jet_one(num_vars, order):
     C = rng.standard_normal((3, 4, alg.size)) * 10.0 ** rng.integers(-8, 9, (3, 4, alg.size))
     C[0, 1, -1] = np.inf   # a monomial without T: weight 0, so NaN
     C[2, 3, 1] = -np.inf   # the T monomial: weight -eps, so +inf
-    comps = fields._unstack(alg, C)
+    comps = [[jets.Jet(alg, c) for c in row] for row in C]
     eps = 1e-3
     delta = np.zeros(num_vars)
     delta[0] = -eps
     with np.errstate(invalid="ignore"):  # inf * 0
-        got = compactify._extrapolate(comps, eps)
-        want = np.array([[_eval_shift_loop(comps[i, j], delta) for j in range(4)]
+        got = alg.eval_shift(C, delta)
+        want = np.array([[_eval_shift_loop(comps[i][j], delta) for j in range(4)]
                          for i in range(3)])
         one_by_one = [[x.eval_shift(delta) for x in row] for row in comps]
     assert np.array_equal(got, want, equal_nan=True)
@@ -264,7 +260,7 @@ def test_metricity_rejects_nonsymmetric_ricci():
     # generic projective change of the flat connection: Ricci not symmetric
     g = flat_spherical(3)
     ups = TensorField(chart=g.chart, valence=(0, 1),
-                      func=lambda c: [c[1] * c[1], c[0] * 0.0, c[0] * 0.2],
+                      func=lambda c: jets.stack([c[1] * c[1], c[0] * 0.0, c[0] * 0.2]),
                       name="generic")
     changed = projective_change(levi_civita(g), ups)
     rng = np.random.default_rng(9)

@@ -1,0 +1,118 @@
+"""The field contract: every catalog field and every derived field returns
+its components as one float64 array, (dim,)*rank + (S,) at a jet order,
+and .values(p) is at(p, 0)[..., 0]; leaf formulas also run on floats."""
+
+import numpy as np
+import pytest
+
+from projcomp import catalog, compactify, fields, jets, paracx, proj2d
+from projcomp.fields import ConnectionField
+
+
+def _ps(n=2):
+    return catalog.random_projective_structure(n, 2, 0.4, seed=3)
+
+
+def _leaves():
+    """Catalog fields: name -> field, each a component formula of its own."""
+    out = {}
+    base = catalog.unit_sphere(2)
+    for f in (base, catalog.flat_chart_metric(2), catalog.split_signature_flat(3),
+              catalog.cone(base), catalog.compactified_cone(base),
+              catalog.cone_in_t(base), catalog.flat_spherical(3),
+              catalog.compactified_flat(3),
+              catalog.eguchi_hanson(catalog.EHParams(a=1.0))):
+        out[f.name] = f
+    wp = catalog.WarpedPair(f=lambda r: r * r + 0.5, gamma=base, kappa=0.8)
+    out.update(zip(("warped-g", "warped-gbar", "warped-ups"), catalog.warped(wp)))
+    pars = catalog.EHParams(a=1.0)
+    out.update((s.name, s) for s in catalog.sigma_forms(pars.chart))
+    out.update(zip(("EHbar", "EH-h"), catalog.eh_compactified(pars)[:2]))
+    ps = _ps()
+    out.update(zip(("dm-g", "dm-omega"), catalog.dm_metric(ps)))
+    out["ps-connection"] = ps.connection()
+    out["upsilon"] = catalog.upsilon_field(ps.chart,
+                                           catalog.random_upsilon(2, 2, 0.4, 5))
+    out.update(zip(("theta0", "h_D"), paracx.boundary_data(ps)[:2]))
+    out["theta-closed"] = paracx.boundary_theta_closed(ps)
+    out["h-closed"] = paracx.boundary_h_closed(ps)
+    out["dT/2T"] = paracx.half_dlog_t(catalog.dm_boundary_chart(2))
+    out.update(zip(("ideal-theta0", "ideal-theta1", "ideal-theta2", "ideal-h_D"),
+                   proj2d.ideal_forms(proj2d.ode_from_projective(ps))))
+    return out
+
+
+def _derived():
+    """Fields built from other fields by the fields, compactify and paracx
+    factories."""
+    out = {}
+    base = catalog.unit_sphere(2)
+    g = catalog.cone_in_t(base)
+    lc = fields.levi_civita(g)
+    ups = compactify.upsilon_from_defining(g.chart, lambda c: c[0], 1.0)
+    out["levi_civita"] = lc
+    out["projective_change"] = fields.projective_change(lc, ups)
+    out["ricci_field"] = fields.ricci_field(lc)
+    out["projective_schouten"] = fields.projective_schouten(lc)
+    out["covariant_derivative"] = fields.covariant_derivative(lc, g)
+    out["exterior_derivative"] = fields.exterior_derivative(ups)
+    out["upsilon_from_defining"] = ups
+    spec = compactify.CompactificationSpec(chart=g.chart, alpha=1.0)
+    out["asymptotic_form_check"] = compactify.asymptotic_form_check(
+        g, spec, [(0.2, -0.3)])[0]
+    ps = _ps()
+    dg, dom = catalog.dm_metric(ps)
+    out["schouten"] = ps.schouten()
+    out["j_from_g_omega"] = paracx.j_from_g_omega(dg, dom, probe=[0.3, 0.4, 0.5, 0.6])
+    out["libermann"] = paracx.libermann(dg, dom)
+    out["nijenhuis"] = paracx.nijenhuis(out["j_from_g_omega"])
+    gb, omb, jb, chart = paracx.dm_boundary_fields(ps)
+    out.update({"boundary-g": gb, "boundary-omega": omb, "boundary-J": jb})
+    out["pullback_field"] = paracx.pullback_field(dg, catalog.dm_boundary_map(2))
+    t = paracx.boundary_t_coordinate
+    out["theta_field"] = paracx.theta_field(gb, omb, t)
+    out["h_tc_field"] = paracx.h_tc_field(gb, omb, t)
+    out["para_c_projective_change"] = paracx.para_c_projective_change(
+        paracx.libermann(gb, omb), paracx.half_dlog_t(chart), jb)
+    return out
+
+
+LEAVES = _leaves()
+FIELDS = {**LEAVES, **_derived()}
+DIFFERENTIATING = {"warped-ups"}  # a derivative of f: jet coordinates only
+
+
+def _point(field):
+    return field.chart.sample(np.random.default_rng(7), 1)[0]
+
+
+def _rank(field):
+    return 3 if isinstance(field, ConnectionField) else field.rank
+
+
+def _at(field, p, order):
+    if isinstance(field, ConnectionField):
+        return field.coeffs(p, order=order)
+    return field.at(p, order=order)
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_components_are_one_stacked_float_array(name):
+    field = FIELDS[name]
+    p = _point(field)
+    dim = field.chart.dim
+    for order in (0, 1, 2):
+        comps = _at(field, p, order)
+        assert isinstance(comps, np.ndarray) and comps.dtype == np.float64
+        assert comps.shape == (dim,) * _rank(field) + (jets.algebra(dim, order).size,)
+    assert np.array_equal(field.values(p), _at(field, p, 0)[..., 0])
+
+
+@pytest.mark.parametrize("name", sorted(set(LEAVES) - DIFFERENTIATING))
+def test_leaf_formulas_run_on_floats(name):
+    field = LEAVES[name]
+    p = _point(field)
+    got = field.func([float(x) for x in p])
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+    assert got.shape == (field.chart.dim,) * _rank(field)
+    np.testing.assert_allclose(got, field.values(p), rtol=1e-12, atol=1e-14)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import projcomp.jets as jets
-from projcomp import fields, paracx
+from projcomp import cli, fields, paracx
 from projcomp.catalog import (Poly, ProjectiveStructure, dm_boundary_chart,
                               dm_boundary_map, dm_metric,
                               projective_change_structure,
@@ -12,10 +12,9 @@ from projcomp.catalog import (Poly, ProjectiveStructure, dm_boundary_chart,
 from projcomp.compactify import CompactificationSpec, extend_to_boundary
 from projcomp.fields import TensorField, covariant_derivative, levi_civita
 from projcomp.paracx import (LEVI_BRIDGE, ParaCompatibilityError,
-                             ParaHermitianTriple, boundary_data,
-                             boundary_h_closed, boundary_t_coordinate,
-                             boundary_theta_closed, contact_nondegeneracy,
-                             dm_boundary_fields, full_compactification_check,
+                             boundary_data, boundary_h_closed,
+                             boundary_t_coordinate, boundary_theta_closed,
+                             contact_nondegeneracy, dm_boundary_fields,
                              h_tc_field, j_from_g_omega,
                              levi_compatibility_check, libermann, nijenhuis,
                              nijenhuis_tangential_check,
@@ -37,12 +36,14 @@ def model_t(coords):
     return 1.0 / s
 
 
-def _vals(comps):
-    comps = np.asarray(comps, dtype=object)
-    out = np.empty(comps.shape)
-    for idx in np.ndindex(comps.shape):
-        out[idx] = jets.value_of(comps[idx])
-    return out
+def _extrapolated(field, p0, eps, order):
+    """The field's components at T = eps above p0, Taylor-extrapolated back
+    to T = 0."""
+    q = np.array(p0, dtype=float)
+    q[0] = eps
+    delta = np.zeros(len(q))
+    delta[0] = -eps
+    return jets.algebra(len(q), order).eval_shift(field.at(q, order=order), delta)
 
 
 # -- J ------------------------------------------------------------------------
@@ -64,10 +65,11 @@ def test_j_rejects_incompatible_pair():
     ps = flat_ps()
     g, om = dm_metric(ps)
     bad = TensorField(chart=g.chart, valence=(0, 2),
-                      func=lambda c: [[c[0] * 0.0] * 4,
-                                      [c[0] * 0.0, c[0] * 0.0, c[0] + 2.0, c[0] * 0.0],
-                                      [c[0] * 0.0, -(c[0] + 2.0), c[0] * 0.0, c[0] * 0.0],
-                                      [c[0] * 0.0] * 4],
+                      func=lambda c: jets.stack([
+                          [c[0] * 0.0] * 4,
+                          [c[0] * 0.0, c[0] * 0.0, c[0] + 2.0, c[0] * 0.0],
+                          [c[0] * 0.0, -(c[0] + 2.0), c[0] * 0.0, c[0] * 0.0],
+                          [c[0] * 0.0] * 4]),
                       antisymmetric=True)
     with pytest.raises(ParaCompatibilityError):
         j_from_g_omega(g, bad, probe=[0.3, 0.4, 0.5, 0.6])
@@ -78,9 +80,8 @@ def test_para_hermitian_invariants_random_structures():
     for n, seed in ((2, 3), (3, 4)):
         ps = random_projective_structure(n, 2, 0.4, seed=seed)
         g, om = dm_metric(ps)
-        triple = ParaHermitianTriple.from_pair(g, om,
-                                               probe=[0.3] * n + [0.5] * n)
-        res = triple.residuals(g.chart.sample(rng, 10))
+        jf = j_from_g_omega(g, om, probe=[0.3] * n + [0.5] * n)
+        res = para_hermitian_residuals(g, om, jf, g.chart.sample(rng, 10))
         assert max(res.values()) < 1e-10
 
 
@@ -96,7 +97,7 @@ def test_theta_model_display():
         p = rng.uniform(0.3, 1.0, 4)
         x, xi = p[:2], p[2:]
         T = 1.0 / (x @ xi)
-        got = _vals(th.at(p, order=0))
+        got = th.values(p)
         want = np.concatenate([(2 * T * (1 - T)) * xi + T * T * xi,
                                T * T * x])
         assert np.max(np.abs(got - want)) < 1e-10
@@ -115,7 +116,7 @@ def test_theta_two_forms_agree():
         T = model_t(xs)
         dT = np.array([T.deriv(a).value for a in range(4)])
         form1 = J.values(p).T @ dT
-        form2 = _vals(th.at(p, order=0))
+        form2 = th.values(p)
         assert np.max(np.abs(form1 - form2)) < 1e-10
 
 
@@ -134,8 +135,8 @@ def test_theta_conformal_covariance():
     for p in chart.sample(rng, 3):
         p0 = np.array(p)
         p0[0] = 1e-5
-        v1 = _vals(th1.at(p0, order=0))
-        v2 = _vals(th2.at(p0, order=0))
+        v1 = th1.values(p0)
+        v2 = th2.values(p0)
         u = 0.3 * p0[2] + 0.2 * p0[3] * p0[1]
         keep = np.abs(v1) > 1e-6
         ratios = v2[keep] / v1[keep]
@@ -164,8 +165,8 @@ def test_libermann_preserves_g_and_j():
     nj = covariant_derivative(lib, J)
     rng = np.random.default_rng(5)
     for p in g.chart.sample(rng, 20):
-        assert np.max(np.abs(_vals(ng.at(p, order=0)))) < 1e-8
-        assert np.max(np.abs(_vals(nj.at(p, order=0)))) < 1e-8
+        assert np.max(np.abs(ng.values(p))) < 1e-8
+        assert np.max(np.abs(nj.values(p))) < 1e-8
 
 
 def test_libermann_torsion_proportional_to_nijenhuis():
@@ -179,9 +180,9 @@ def test_libermann_torsion_proportional_to_nijenhuis():
         lib = libermann(g, om)
         N = nijenhuis(J)
         for p in g.chart.sample(rng, 4):
-            gam = _vals(lib.coeffs(p, order=0))
+            gam = lib.values(p)
             tors = gam - gam.transpose(0, 2, 1)
-            nv = _vals(N.at(p, order=0))
+            nv = N.values(p)
             mask = np.abs(nv) > 1e-6
             if not np.any(mask):
                 continue
@@ -202,10 +203,10 @@ def test_libermann_torsion_proportional_to_nijenhuis():
 def test_nijenhuis_constant_j_zero():
     chart = fields.Chart(names=("a", "b"), box=((-1, 1),) * 2)
     J = TensorField(chart=chart, valence=(1, 1),
-                    func=lambda c: [[c[0] * 0.0 + 1.0, c[0] * 0.0],
-                                    [c[0] * 0.0, c[0] * 0.0 - 1.0]])
+                    func=lambda c: jets.stack([[c[0] * 0.0 + 1.0, c[0] * 0.0],
+                                               [c[0] * 0.0, c[0] * 0.0 - 1.0]]))
     N = nijenhuis(J)
-    assert np.max(np.abs(_vals(N.at((0.3, 0.4), order=0)))) == 0.0
+    assert np.max(np.abs(N.values((0.3, 0.4)))) == 0.0
 
 
 def test_nijenhuis_flat_model_integrable():
@@ -215,7 +216,7 @@ def test_nijenhuis_flat_model_integrable():
     N = nijenhuis(J)
     rng = np.random.default_rng(7)
     for p in g.chart.sample(rng, 5):
-        assert np.max(np.abs(_vals(N.at(p, order=0)))) < 1e-10
+        assert np.max(np.abs(N.values(p))) < 1e-10
 
 
 def test_nijenhuis_matches_bracket_expansion():
@@ -228,13 +229,9 @@ def test_nijenhuis_matches_bracket_expansion():
     p = np.array([0.3, -0.2, 0.7, 0.4])
     Jj = J.at(p, order=1)
     n = 4
-    Jv = _vals(Jj)
-    dJ = np.empty((n, n, n))
-    for d in range(n):
-        for a in range(n):
-            for b in range(n):
-                dJ[d, a, b] = Jj[a, b].deriv(d).value
-    got = _vals(N.at(p, order=0))
+    Jv = Jj[..., 0]
+    dJ = np.moveaxis(Jj[..., 1:], -1, 0)  # order-1 coefficient 1 + d is d_d
+    got = N.values(p)
     for b in range(n):
         for c in range(n):
             vec = np.zeros(n)
@@ -256,7 +253,7 @@ def test_para_change_upsilon_zero_identity():
     J = j_from_g_omega(g, om, probe=[0.3, 0.4, 0.5, 0.6])
     lib = libermann(g, om)
     zero = TensorField(chart=g.chart, valence=(0, 1),
-                       func=lambda c: [c[0] * 0.0] * 4)
+                       func=lambda c: jets.stack([c[0] * 0.0] * 4))
     changed = para_c_projective_change(lib, zero, J)
     p = (0.3, -0.2, 0.7, 0.4)
     assert np.max(np.abs(changed.values(p) - lib.values(p))) == 0.0
@@ -269,7 +266,7 @@ def test_para_change_trace_bookkeeping():
     J = j_from_g_omega(g, om, probe=[0.3, 0.4, 0.5, 0.6])
     lib = libermann(g, om)
     ups = TensorField(chart=g.chart, valence=(0, 1),
-                      func=lambda c: [c[1], c[0] * 0.3, c[2] * c[3], c[0] * 0.0])
+                      func=lambda c: jets.stack([c[1], c[0] * 0.3, c[2] * c[3], c[0] * 0.0]))
     changed = para_c_projective_change(lib, ups, J)
     p = np.array([0.3, -0.2, 0.7, 0.4])
     diff = changed.values(p) - lib.values(p)
@@ -293,8 +290,8 @@ def test_htc_quarter_reconstructs_metric():
         for p in chart.sample(rng, 3):
             T = p[0]
             gv = gb.values(p)
-            thv = _vals(th.at(p, order=0))
-            hv = _vals(h_closed.at(p, order=0))
+            thv = th.values(p)
+            hv = h_closed.values(p)
             dT = np.zeros(2 * n)
             dT[0] = 1.0
             recon = (2 * np.outer(thv, thv) - 2 * np.outer(dT, dT)) / (4 * T * T) \
@@ -331,13 +328,7 @@ def test_h_restricted_to_distribution_matches_h_d():
         got = np.zeros((2, 2))
         lad = []
         for eps in (1e-2, 1e-3):
-            q = p0.copy()
-            q[0] = eps
-            comps = np.asarray(h.at(q, order=3), dtype=object)
-            delta = np.zeros(4)
-            delta[0] = -eps
-            hv = np.array([[comps[i, j].eval_shift(delta) for j in range(4)]
-                           for i in range(4)])
+            hv = _extrapolated(h, p0, eps, 3)
             lad.append(K * np.array([[u @ hv @ v for v in basis] for u in basis]))
         assert np.max(np.abs(lad[0] - lad[1])) < 1e-6
         wantb = np.array([[u @ want @ v for v in basis] for u in basis])
@@ -432,7 +423,7 @@ def test_nijenhuis_tangential_flat_identically_zero():
     N = nijenhuis(jb)
     rng = np.random.default_rng(15)
     for p in chart.sample(rng, 4):
-        nv = _vals(N.at(p, order=0))
+        nv = N.values(p)
         assert np.max(np.abs(nv[0])) < 1e-10
 
 
@@ -453,14 +444,7 @@ def test_nijenhuis_t_row_extends_continuously():
     rng = np.random.default_rng(17)
     p0 = chart.sample(rng, 1)[0]
     p0[0] = 0.0
-    rows = []
-    for eps in (1e-2, 1e-3):
-        q = p0.copy()
-        q[0] = eps
-        Jj = jb.at(q, order=2)
-        delta = np.zeros(4)
-        delta[0] = -eps
-        rows.append(np.array([Jj[0, b].eval_shift(delta) for b in range(4)]))
+    rows = [_extrapolated(jb, p0, eps, 2)[0] for eps in (1e-2, 1e-3)]
     assert np.max(np.abs(rows[0] - rows[1])) < 1e-6
     assert np.all(np.isfinite(rows[-1]))
 
@@ -477,7 +461,8 @@ def _pullback_full_sum(field, cmap, point, order):
     for a in range(n):
         for mu in range(n):
             Jac[a, mu] = xs[a].deriv(mu)
-    comps = np.asarray(field.func([x.truncate(order) for x in xs]), dtype=object)
+    inner = [x.truncate(order) for x in xs]
+    comps = _jets(field.func(inner), inner[0].alg)
     out = np.empty(comps.shape, dtype=object)
     for oidx in np.ndindex(out.shape):
         acc = None
@@ -487,7 +472,7 @@ def _pullback_full_sum(field, cmap, point, order):
                 term = term * Jac[sidx[slot], oidx[slot]]
             acc = term if acc is None else acc + term
         out[oidx] = acc
-    return out
+    return jets.stack(out)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -502,11 +487,11 @@ def test_pullback_matches_full_index_sum(n):
         for p in pts:
             got = pb.at(p, order=2)
             want = _pullback_full_sum(field, cmap, p, 2)
-            assert got.shape == want.shape == (2 * n, 2 * n)
-            for idx in np.ndindex(want.shape):
-                assert got[idx].order == 2
-                scale = max(1.0, float(np.max(np.abs(want[idx].c))))
-                err = float(np.max(np.abs(got[idx].c - want[idx].c)))
+            size = jets.algebra(2 * n, 2).size
+            assert got.shape == want.shape == (2 * n, 2 * n, size)
+            for idx in np.ndindex(want.shape[:-1]):
+                scale = max(1.0, float(np.max(np.abs(want[idx]))))
+                err = float(np.max(np.abs(got[idx] - want[idx])))
                 assert err <= 1e-12 * scale, (field.name, p, idx, err, scale)
 
 
@@ -514,21 +499,54 @@ def test_pullback_matches_full_index_sum(n):
 
 
 @pytest.mark.parametrize("n,seed", [(2, 0), (2, 5), (3, 1)])
-def test_full_compactification_check(n, seed):
+def test_full_compactification_check(n, seed, monkeypatch):
+    # the registered boundary checks of one structure, run together as a
+    # manifest; the cg-form sub-results are read off the same run
     if seed == 0 and n == 2:
-        ps = flat_ps()
+        cat, params = "dm-flat", {"n": 2}
     else:
-        ps = random_projective_structure(n, 2, 0.4, seed=seed)
-    rng = np.random.default_rng(18)
-    out = full_compactification_check(ps, rng, count=4)
+        cat, params = "dm-random", {"n": n, "degree": 2, "seed": seed}
+    sc = {"id": "full", "catalog": cat, "params": params, "points": 4,
+          "seed": 18, "checks": ["cg-form", "levi", "contact",
+                                 "nijenhuis-tangential", "connection-extension"]}
+    cg = []
+    check = paracx.cg_form_check
+    monkeypatch.setattr(paracx, "cg_form_check",
+                        lambda *a, **kw: cg.append(check(*a, **kw)) or cg[-1])
+    report = cli.run_manifest({"scenarios": [sc]})
+    rec = {r["check"]: r for r in report["scenarios"][0]["records"]}
+    out, = cg
     assert out["h_extension"].passed
     assert out["h_boundary_match"].passed
     assert out["h_closed_form_residual"] < 1e-7
     assert out["theta_closed_form_residual"] < 1e-9
-    assert out["levi_residual"] < 1e-8
-    assert out["contact_min_det"] > 1e-6
-    assert out["nijenhuis_tangential"].passed
-    assert out["connection_extension"].passed
+    assert rec["levi"]["max_residual"] < 1e-8
+    assert rec["contact"]["max_residual"] > 1e-6
+    assert rec["nijenhuis-tangential"]["status"] == "pass"
+    assert rec["connection-extension"]["status"] == "pass"
+    assert report["summary"] == {"pass": 5, "fail": 0, "inconclusive": 0}
+
+
+def test_cg_form_evaluates_h_once_per_tangent_point_and_rung(monkeypatch):
+    # both extension verdicts of cg-form read one ladder of h: on the
+    # paper-suite's dm-random-n2, 5 tangent points x 3 rungs at order 3 and
+    # 3 points x 2 interior slices at order 0
+    evals = []
+    h_field = paracx.h_tc_field
+
+    def counted(*args, **kwargs):
+        h = h_field(*args, **kwargs)
+        func = h.func
+        h.func = lambda c: evals.append((c[0].order, *[x.value for x in c])) or func(c)
+        return h
+
+    monkeypatch.setattr(paracx, "h_tc_field", counted)
+    sc = next(s for s in cli.builtin_manifest()["scenarios"]
+              if s["id"] == "dm-random-n2")
+    report = cli.run_manifest({"scenarios": [dict(sc, checks=["cg-form"])]})
+    assert report["summary"]["pass"] == 1
+    assert len(evals) == len(set(evals)) == 21
+    assert sum(key[0] == 3 for key in evals) == 15
 
 
 def test_flat_boundary_j_frozen_values():
@@ -541,13 +559,7 @@ def test_flat_boundary_j_frozen_values():
     p0 = np.array([0.0, 0.4, 0.25, 1.0])
     Z, X, Y = p0[1], p0[2], p0[3]
     K = Y + Z * X
-    q = p0.copy()
-    q[0] = 1e-4
-    Jj = jb.at(q, order=3)
-    delta = np.zeros(4)
-    delta[0] = -1e-4
-    J0 = np.array([[Jj[a, b].eval_shift(delta) for b in range(4)]
-                   for a in range(4)])
+    J0 = _extrapolated(jb, p0, 1e-4, 3)
     want = np.diag([-1.0, -1.0, 1.0, 1.0])
     want[0, 2] = 2 * Z / K
     want[0, 3] = 2 / K
@@ -564,7 +576,7 @@ def test_nabla_omega_matches_fd_oracle():
     conn = levi_civita(g)
     nab = covariant_derivative(conn, om)
     p = np.array([0.3, -0.2, 0.7, 0.4])
-    got = _vals(nab.at(p, order=0))
+    got = nab.values(p)
 
     def om_fn(x):
         return np.array(om.func(list(np.asarray(x, dtype=float))), dtype=float)
@@ -590,11 +602,21 @@ def test_nabla_omega_matches_fd_oracle():
 #
 # The loops below are the one-jet-at-a-time J, Nijenhuis, Libermann,
 # para-c-projective change, theta, h and pullback of the earlier engine,
-# kept as oracles for the stacked (..., S) implementations in paracx.
+# kept as oracles for the stacked (..., S) implementations in paracx.  They
+# compute on object arrays of scalar Jets, viewed from and stacked back to
+# the field format.
 
 
-def _obj(comps):
-    return fields._as_object_array(comps)
+def _jets(A, alg):
+    """Stacked (..., S) components as an object array of Jets of alg."""
+    out = np.empty(A.shape[:-1], dtype=object)
+    for idx in np.ndindex(out.shape):
+        out[idx] = jets.Jet(alg, A[idx])
+    return out
+
+
+def _inverse_jets(A, alg):
+    return _jets(fields._inverse(alg, A), alg)
 
 
 def _sum(terms):
@@ -606,13 +628,14 @@ def _sum(terms):
 
 def _j_loops(g, omega):
     def func(coords):
-        Ginv = fields.jet_matrix_inverse(_obj(g.func(coords)))
-        W = _obj(omega.func(coords))
+        alg = coords[0].alg
+        Ginv = _inverse_jets(g.func(coords), alg)
+        W = _jets(omega.func(coords), alg)
         n = len(W)
         J = np.empty((n, n), dtype=object)
         for a, b in np.ndindex(n, n):
             J[a, b] = _sum(Ginv[a, c] * W[b, c] for c in range(n))
-        return J
+        return jets.stack(J)
     return TensorField(chart=g.chart, valence=(1, 1), func=func)
 
 
@@ -622,8 +645,9 @@ def _covariant_loops(conn, field):
 
     def func(coords):
         o = coords[0].order
-        T = _obj(field.func(fields._reseed(coords, o + 1)))
-        gamma = _obj(conn.func(fields._reseed(coords, o)))
+        up = fields._reseed(coords, o + 1)
+        T = _jets(field.func(up), up[0].alg)
+        gamma = _jets(conn.func(fields._reseed(coords, o)), coords[0].alg)
         out = np.empty((n,) + T.shape, dtype=object)
         for c in range(n):
             for idx in np.ndindex(T.shape):
@@ -636,7 +660,7 @@ def _covariant_loops(conn, field):
                         else:
                             acc = acc - gamma[e, c, idx[slot]] * t
                 out[(c,) + idx] = acc
-        return out
+        return jets.stack(out)
     return TensorField(chart=field.chart, valence=(r, s + 1), func=func)
 
 
@@ -645,15 +669,16 @@ def _libermann_loops(g, omega):
     nabla_omega = _covariant_loops(conn_g, omega)
 
     def func(coords):
-        gamma = _obj(conn_g.func(coords))
-        Winv = fields.jet_matrix_inverse(_obj(omega.func(coords)))
-        NO = _obj(nabla_omega.func(coords))
+        alg = coords[0].alg
+        gamma = _jets(conn_g.func(coords), alg)
+        Winv = _inverse_jets(omega.func(coords), alg)
+        NO = _jets(nabla_omega.func(coords), alg)
         n = len(gamma)
         out = np.empty((n, n, n), dtype=object)
         for c, a, b in np.ndindex(n, n, n):
             out[c, a, b] = gamma[c, a, b] - 0.5 * _sum(
                 Winv[c, d] * NO[a, b, d] for d in range(n))
-        return out
+        return jets.stack(out)
     return fields.ConnectionField(chart=g.chart, func=func, torsion_free=False)
 
 
@@ -662,7 +687,8 @@ def _nijenhuis_loops(jf):
 
     def func(coords):
         o = coords[0].order
-        J = _obj(jf.func(fields._reseed(coords, o + 1)))
+        up = fields._reseed(coords, o + 1)
+        J = _jets(jf.func(up), up[0].alg)
         dJ = np.empty((n, n, n), dtype=object)
         Jt = np.empty((n, n), dtype=object)
         for d, a, b in np.ndindex(n, n, n):
@@ -676,15 +702,16 @@ def _nijenhuis_loops(jf):
                     - Jt[d, b] * dJ[c, a, d] + Jt[d, c] * dJ[b, a, d]
                     for d in range(n))
                 N[a, c, b] = -N[a, b, c]
-        return N
+        return jets.stack(N)
     return TensorField(chart=jf.chart, valence=(1, 2), func=func)
 
 
 def _pc_change_loops(conn, upsilon, jf):
     def func(coords):
-        gamma = _obj(conn.func(coords))
-        U = _obj(upsilon.func(coords))
-        J = _obj(jf.func(coords))
+        alg = coords[0].alg
+        gamma = _jets(conn.func(coords), alg)
+        U = _jets(upsilon.func(coords), alg)
+        J = _jets(jf.func(coords), alg)
         n = len(U)
         UJ = [_sum(U[d] * J[d, a] for d in range(n)) for a in range(n)]
         out = np.empty((n, n, n), dtype=object)
@@ -695,7 +722,7 @@ def _pc_change_loops(conn, upsilon, jf):
             if c == a:
                 t = t + U[b]
             out[c, a, b] = t + J[c, b] * UJ[a] + J[c, a] * UJ[b]
-        return out
+        return jets.stack(out)
     return fields.ConnectionField(chart=conn.chart, func=func, torsion_free=False)
 
 
@@ -703,11 +730,12 @@ def _theta_loops(g, omega, t_func):
     def func(coords):
         o = coords[0].order
         T = t_func(fields._reseed(coords, o + 1))
-        Ginv = fields.jet_matrix_inverse(_obj(g.func(coords)))
-        W = _obj(omega.func(coords))
+        Ginv = _inverse_jets(g.func(coords), coords[0].alg)
+        W = _jets(omega.func(coords), coords[0].alg)
         n = len(W)
         grad = [_sum(Ginv[c, b] * T.deriv(b) for b in range(n)) for c in range(n)]
-        return [_sum(W[a, c] * grad[c] for c in range(n)) for a in range(n)]
+        return jets.stack([_sum(W[a, c] * grad[c] for c in range(n))
+                           for a in range(n)])
     return TensorField(chart=g.chart, valence=(0, 1), func=func)
 
 
@@ -718,8 +746,8 @@ def _h_loops(g, omega, t_func, C=0.25):
         o = coords[0].order
         Tfull = t_func(fields._reseed(coords, o + 1))
         T = Tfull.truncate(o)
-        G = _obj(g.func(coords))
-        th = theta.func(coords)
+        G = _jets(g.func(coords), coords[0].alg)
+        th = _jets(theta.func(coords), coords[0].alg)
         n = len(G)
         dT = [Tfull.deriv(a) for a in range(n)]
         scale = (2.0 * C) / T
@@ -728,7 +756,7 @@ def _h_loops(g, omega, t_func, C=0.25):
             for b in range(a, n):
                 H[a, b] = T * G[a, b] + scale * (dT[a] * dT[b] - th[a] * th[b])
                 H[b, a] = H[a, b]
-        return H
+        return jets.stack(H)
     return TensorField(chart=g.chart, valence=(0, 2), func=func)
 
 
@@ -742,21 +770,20 @@ def _pullback_loops(field, cmap):
         Jac = np.empty((n, n), dtype=object)
         for a, mu in np.ndindex(n, n):
             Jac[a, mu] = xs[a].deriv(mu)
-        out = _obj(field.func([x.truncate(o) for x in xs]))
+        inner = [x.truncate(o) for x in xs]
+        out = _jets(field.func(inner), inner[0].alg)
         for slot in range(s):
             out = np.moveaxis(np.moveaxis(out, slot, -1) @ Jac, -1, slot)
-        return out
+        return jets.stack(out)
     return TensorField(chart=cmap.target, valence=field.valence, func=func)
 
 
 def _assert_jets_close(got, want):
     """Every coefficient within 1e-12 of the component's largest one."""
-    got, want = _obj(got), _obj(want)
     assert got.shape == want.shape
-    for idx in np.ndindex(want.shape):
-        assert got[idx].alg is want[idx].alg, idx
-        scale = max(1.0, float(np.max(np.abs(want[idx].c))))
-        err = float(np.max(np.abs(got[idx].c - want[idx].c)))
+    for idx in np.ndindex(want.shape[:-1]):
+        scale = max(1.0, float(np.max(np.abs(want[idx]))))
+        err = float(np.max(np.abs(got[idx] - want[idx])))
         assert err <= 1e-12 * scale, (idx, err, scale)
 
 
@@ -809,8 +836,7 @@ def test_boundary_pair_pulled_back_together_matches_separate_pullbacks():
         for shared, f in ((gb, g), (omb, om), (gb, g)):
             got = shared.at(p, order=order)
             want = pullback_field(f, cmap).at(p, order=order)
-            for idx in np.ndindex(want.shape):
-                assert np.array_equal(got[idx].c, want[idx].c), idx
+            assert np.array_equal(got, want)
 
 
 def _field_of_valence(chart, valence):
@@ -825,7 +851,7 @@ def _field_of_valence(chart, valence):
             w = 1.0 + sum(0.1 * (k + 1) * (i + 1) * coords[(k + i) % n]
                           for k, i in enumerate(idx))
             out[idx] = jets.exp(0.5 * w * coords[idx[0]])
-        return out
+        return jets.stack(out)
     return TensorField(chart=chart, valence=valence, func=func)
 
 
@@ -835,11 +861,11 @@ def test_covariant_derivative_matches_component_loops(valence, order):
     ps = random_projective_structure(3, 2, 0.4, seed=63)
 
     def gamma(coords):  # Gamma^k_ij != Gamma^k_ji
-        sym = ps.gamma_at(coords)
+        sym = _jets(ps.gamma_at(coords), coords[0].alg)
         out = np.empty_like(sym)
         for k, i, j in np.ndindex(sym.shape):
             out[k, i, j] = sym[k, i, j] * (1.0 + 0.25 * (i + 1) * coords[j])
-        return out
+        return jets.stack(out)
 
     conn = fields.ConnectionField(chart=ps.chart, func=gamma, torsion_free=False)
     field = _field_of_valence(ps.chart, valence)
