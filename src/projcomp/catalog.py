@@ -63,14 +63,16 @@ __all__ = [
 
 def _evaluate(monomials: list, C: np.ndarray, coords) -> np.ndarray:
     """sum_m C[..., m] x^monomials[m] on jet (or float) coordinates, as a
-    stacked (..., S) array (or a float array).  One monomial table serves
-    the whole stack: x^m is x^(m - e_h) x_h, h its highest variable (a
-    product runs left to right in ascending variables); terms are summed in
-    list order, which callers keep sorted."""
+    stacked (..., S) array, (..., B, S) at a batch of points (or a float
+    array).  One monomial table serves the whole stack: x^m is
+    x^(m - e_h) x_h, h its highest variable (a product runs left to right
+    in ascending variables); terms are summed in list order, which callers
+    keep sorted."""
     floats = not isinstance(coords[0], Jet)
     coords = jets.seed_point(coords, 0) if floats else coords
     alg = coords[0].alg
     one, table = np.eye(1, alg.size)[0], {}
+    rows = (None,) * coords[0].c.ndim  # a column of C, over batch and S
 
     def power(m):
         if not any(m):
@@ -82,9 +84,9 @@ def _evaluate(monomials: list, C: np.ndarray, coords) -> np.ndarray:
                         else alg.mul(power(head), coords[h].c))
         return table[m]
 
-    out = np.zeros(C.shape[:-1] + (alg.size,))
+    out = np.zeros(C.shape[:-1] + coords[0].c.shape)
     for col, m in enumerate(monomials):
-        out += C[..., col, None] * power(m)
+        out += C[(..., col) + rows] * power(m)
     return out[..., 0] if floats else out
 
 
@@ -183,7 +185,7 @@ class ProjectiveStructure:
         sch = self.schouten()
         if not isinstance(x[0], Jet):
             return sch.func(jets.seed_point(x, 0))[..., 0]
-        Pn = sch.func(jets.seed_point([c.value for c in x], x[0].order))
+        Pn = sch.func(jets.reseed(x, x[0].order))
         return jets.compose_stacked(Pn, x)
 
 
@@ -427,7 +429,7 @@ def warped(wp: WarpedPair):
 
     def upsfunc(coords):
         o = coords[0].order
-        up = jets.seed_point([c.value for c in coords], o + 1)
+        up = jets.reseed(coords, o + 1)
         fv = wp.f(up[0])
         fprime = fv.deriv(0)
         den = 1.0 + k * fv.truncate(o)

@@ -10,6 +10,15 @@ finite-difference oracles, and then return shape (n,)*rank.
 TensorField.at and ConnectionField.coeffs return that array, and
 .values(p) is at(p, 0)[..., 0].
 
+The contract has one optional batch axis.  Evaluated at a point array
+(B, dim), coordinate jets carry B rows and components have shape
+(n,)*rank + (B, S): the batch sits between the tensor axes and the
+coefficients, so the derived fields below read a batch as they read one
+point and evaluate every point in one call.  Float results for a batch,
+.values(P), riemann, ricci and projective_weyl, put the batch first,
+(B,) + tensor shape, as np.linalg expects; a single point keeps the tensor
+shape.
+
 Derived fields (Levi-Civita coefficients, Ricci, Schouten, ...) re-seed the
 coordinates internally at a higher jet order, so a caller always receives
 components exact to the order it asked for.  Truncation is a slice of the
@@ -139,16 +148,19 @@ class TensorField:
         return self.valence[0] + self.valence[1]
 
     def at(self, point, order: int = 3) -> np.ndarray:
+        """Components at a point (dim,), or at a batch of points (B, dim)."""
         comps = self.func(self.chart.seed(point, order))
         if DEBUG_SYMMETRY and self.rank == 2 and (self.symmetric or self.antisymmetric):
             v = comps[..., 0]
-            dev = np.max(np.abs(v - v.T)) if self.symmetric else np.max(np.abs(v + v.T))
+            vt = v.swapaxes(0, 1)
+            dev = np.max(np.abs(v - vt)) if self.symmetric else np.max(np.abs(v + vt))
             if dev > _SYMMETRY_TOL:
                 raise AssertionError(f"declared symmetry violated by {dev:.3e} ({self.name})")
         return comps
 
     def values(self, point) -> np.ndarray:
-        return self.at(point, order=0)[..., 0]
+        """Component values: tensor shape, or (B,) + tensor shape."""
+        return _batch_first(self.at(point, order=0)[..., 0], self.rank)
 
 
 @dataclass
@@ -161,10 +173,8 @@ class MetricField(TensorField):
 
     def check_nondegenerate(self, rng, count: int = 100, tol: float = 1e-10) -> float:
         """Smallest |det g| over sampled points; raises if below tol."""
-        worst = np.inf
-        for p in self.chart.sample(rng, count):
-            d = abs(np.linalg.det(self.values(p)))
-            worst = min(worst, d)
+        worst = float(np.min(np.abs(np.linalg.det(
+            self.values(self.chart.sample(rng, count))))))
         if worst <= tol:
             raise SingularMetricError(f"metric degenerate on box: |det| = {worst:.3e}")
         return worst
@@ -183,11 +193,13 @@ class ConnectionField:
         return self.func(self.chart.seed(point, order))
 
     def values(self, point) -> np.ndarray:
-        return self.coeffs(point, order=0)[..., 0]
+        return _batch_first(self.coeffs(point, order=0)[..., 0], 3)
 
 
-def _reseed(coords, order: int) -> list:
-    return jets.seed_point([c.value for c in coords], order)
+def _batch_first(A: np.ndarray, rank: int) -> np.ndarray:
+    """Float components A of a rank-`rank` tensor, with the batch axis, if
+    A has one, moved to the front."""
+    return np.moveaxis(A, -1, 0) if A.ndim > rank else A
 
 
 def _memo_last(fn: Callable) -> Callable:
@@ -218,19 +230,23 @@ _COND_MAX = 1e13
 
 
 def _inverse(alg, A: np.ndarray) -> np.ndarray:
-    """Inverse of a stacked (n, n, S) jet matrix.
+    """Inverse of a stacked (n, n, S) jet matrix, or (n, n, B, S) for a
+    batch of points.
 
-    The value matrix A0 is inverted by LAPACK.  The rest N = A - A0 has no
-    constant term, so it is nilpotent at the jet order o, and o steps of the
-    lift X <- A0^-1 - (A0^-1 N) X, from X = A0^-1, give the exact inverse.
+    The value matrices A0 are inverted by LAPACK, batch first, each tested
+    for singularity on its own.  The rest N = A - A0 has no constant term,
+    so it is nilpotent at the jet order o, and o steps of the lift
+    X <- A0^-1 - (A0^-1 N) X, from X = A0^-1, give the exact inverse.
     """
-    A0 = A[..., 0]
-    rows = np.max(np.abs(A0), axis=1)
-    if not (np.all(rows > 0) and np.linalg.cond(A0 / rows[:, None]) < _COND_MAX):
+    A0 = _batch_first(A[..., 0], 2)
+    rows = np.max(np.abs(A0), axis=-1)
+    if not (np.all(rows > 0)
+            and np.all(np.linalg.cond(A0 / rows[..., None]) < _COND_MAX)):
         raise SingularMetricError("singular matrix in jet inversion")
     lift = np.zeros_like(A)
-    lift[..., 0] = np.linalg.inv(A0)
-    M = -np.einsum("ij,jks->iks", lift[..., 0], A)
+    inv = np.linalg.inv(A0)
+    lift[..., 0] = np.moveaxis(inv, 0, -1) if inv.ndim > 2 else inv
+    M = -np.einsum("ij...,jk...s->ik...s", lift[..., 0], A)
     M[..., 0] = 0.0  # -A0^-1 N, with N = A - A0
     X = lift
     for _ in range(alg.order):
@@ -242,20 +258,23 @@ def _inverse(alg, A: np.ndarray) -> np.ndarray:
 
 
 def levi_civita(g: MetricField) -> ConnectionField:
-    """Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij)."""
+    """Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij), contracted
+    for the pairs i <= j only and mirrored, so that Gamma is exactly
+    symmetric."""
     n = g.chart.dim
-    upper = np.triu_indices(n, 1)
+    i, j = np.triu_indices(n)
 
     def func(coords):
         o = coords[0].order
-        up = _reseed(coords, o + 1)
+        up = jets.reseed(coords, o + 1)
         G = g.func(up)
         alg = jets.algebra(n, o)
         dG = _grad(up[0].alg, G)  # dG[a, b, c] = d_a g_bc
-        low = dG + dG.transpose(1, 0, 2, 3) - np.moveaxis(dG, 0, 2)
-        gamma = 0.5 * alg.contract("kl,ijl->kij",
-                                   _inverse(alg, G[..., :alg.size]), low)
-        gamma[:, upper[1], upper[0]] = gamma[:, upper[0], upper[1]]
+        low = dG[i, j] + dG[j, i] - dG[:, i, j].swapaxes(0, 1)  # low[p, l]
+        half = 0.5 * alg.contract("kl,pl->kp",
+                                  _inverse(alg, G[..., :alg.size]), low)
+        gamma = np.empty((n, n, n) + half.shape[2:])
+        gamma[:, i, j] = gamma[:, j, i] = half
         return gamma
 
     return ConnectionField(chart=g.chart, func=func, torsion_free=True,
@@ -280,19 +299,22 @@ def projective_change(conn: ConnectionField, upsilon: TensorField) -> Connection
 
 
 def riemann(conn: ConnectionField, point) -> np.ndarray:
-    """Curvature values R^a_bcd at a point."""
+    """Curvature values R^a_bcd at a point, or (B, n, n, n, n) at a batch
+    of points."""
     G = conn.coeffs(point, order=1)
+    if G.ndim > 4:
+        G = np.moveaxis(G, -2, 0)  # batch first
     gv = G[..., 0]
     # order-1 coefficient 1 + c is d_c; D[a, b, c, d] = d_c Gamma^a_db
-    D = np.einsum("adbc->abcd", G[..., 1:])
-    Q = np.einsum("ace,edb->abcd", gv, gv)
-    return (D - D.swapaxes(2, 3)) + (Q - Q.swapaxes(2, 3))
+    D = np.einsum("...adbc->...abcd", G[..., 1:])
+    Q = np.einsum("...ace,...edb->...abcd", gv, gv)
+    return (D - D.swapaxes(-2, -1)) + (Q - Q.swapaxes(-2, -1))
 
 
 def ricci(conn: ConnectionField, point) -> np.ndarray:
     """Ric_bd = R^a_bad; no symmetry assumed."""
     R = riemann(conn, point)
-    return np.einsum("abad->bd", R)
+    return np.einsum("...abad->...bd", R)
 
 
 def ricci_field(conn: ConnectionField) -> TensorField:
@@ -301,12 +323,12 @@ def ricci_field(conn: ConnectionField) -> TensorField:
 
     def func(coords):
         o = coords[0].order
-        up = _reseed(coords, o + 1)
+        up = jets.reseed(coords, o + 1)
         G = conn.func(up)
         alg = jets.algebra(n, o)
         dG = _grad(up[0].alg, G)  # dG[c, a, d, b] = d_c Gamma^a_db
         Gt = G[..., :alg.size]
-        return (np.einsum("aadbs->bds", dG) - np.einsum("daabs->bds", dG)
+        return (np.einsum("aadb...->bd...", dG) - np.einsum("daab...->bd...", dG)
                 + alg.contract("aae,edb->bd", Gt, Gt)
                 - alg.contract("ade,eab->bd", Gt, Gt))
 
@@ -322,19 +344,12 @@ def einstein_residual(g: MetricField, points) -> tuple:
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if len(points) < 2:
         raise ValueError("einstein_residual needs at least 2 points")
-    conn = levi_civita(g)
-    gs, rics, lams = [], [], []
-    for p in points:
-        gv = g.values(p)
-        ric = ricci(conn, p)
-        lams.append(np.trace(np.linalg.solve(gv, ric)) / g.chart.dim)
-        gs.append(gv)
-        rics.append(ric)
+    gv = g.values(points)
+    ric = ricci(levi_civita(g), points)
+    lams = np.trace(np.linalg.solve(gv, ric), axis1=1, axis2=2) / g.chart.dim
     lam = float(np.mean(lams))
-    resid = max(
-        np.max(np.abs(ric - lam * gv)) / np.max(np.abs(gv))
-        for gv, ric in zip(gs, rics)
-    )
+    resid = np.max(np.max(np.abs(ric - lam * gv), axis=(1, 2))
+                   / np.max(np.abs(gv), axis=(1, 2)))
     return lam, float(resid), float(np.ptp(lams))
 
 
@@ -355,12 +370,13 @@ def projective_schouten(conn: ConnectionField) -> TensorField:
 
 
 def projective_weyl(conn: ConnectionField, point) -> np.ndarray:
-    """Totally trace-free curvature part W^a_bcd (projective invariant)."""
+    """Totally trace-free curvature part W^a_bcd (projective invariant),
+    batch first at a batch of points."""
     delta = np.eye(conn.chart.dim)
     P = projective_schouten(conn).values(point)
-    return (riemann(conn, point) - np.einsum("ac,db->abcd", delta, P)
-            + np.einsum("ad,cb->abcd", delta, P)
-            + np.einsum("ab,cd->abcd", delta, P - P.T))
+    return (riemann(conn, point) - np.einsum("ac,...db->...abcd", delta, P)
+            + np.einsum("ad,...cb->...abcd", delta, P)
+            + np.einsum("ab,...cd->...abcd", delta, P - P.swapaxes(-2, -1)))
 
 
 def covariant_derivative(conn: ConnectionField, field: TensorField) -> TensorField:
@@ -371,8 +387,8 @@ def covariant_derivative(conn: ConnectionField, field: TensorField) -> TensorFie
     def func(coords):
         o = coords[0].order
         alg = jets.algebra(n, o)
-        T = field.func(_reseed(coords, o + 1))
-        return _nabla(alg, conn.func(_reseed(coords, o)), T, r)
+        T = field.func(jets.reseed(coords, o + 1))
+        return _nabla(alg, conn.func(jets.reseed(coords, o)), T, r)
 
     return TensorField(chart=field.chart, valence=(r, s + 1), func=func,
                        name=f"D({field.name})")
@@ -391,7 +407,7 @@ def _nabla(alg, gamma: np.ndarray, T: np.ndarray, r: int) -> np.ndarray:
     one contraction per slot."""
     out = _grad(jets.algebra(alg.num_vars, alg.order + 1), T)
     T = T[..., :alg.size]
-    idx = _SLOTS[:T.ndim - 1]
+    idx = _SLOTS[:T.ndim - gamma.ndim + 3]  # T's slots: gamma has three
     for slot, i in enumerate(idx):
         swapped = idx.replace(i, "e")
         if slot < r:
@@ -412,7 +428,7 @@ def exterior_derivative(omega: TensorField) -> TensorField:
 
     def func(coords):
         o = coords[0].order
-        up = _reseed(coords, o + 1)
+        up = jets.reseed(coords, o + 1)
         dW = _grad(up[0].alg, omega.func(up))  # dW[a, ...] = d_a W
         out = dW
         for j in range(1, k + 1):  # term j differentiates along slot j
@@ -443,7 +459,7 @@ def _map_jets(cmap: ChartMap, target_point, order: int):
     ty = jets.seed_point(target_point, order + 1)
     X = jets.stack(cmap.inv(ty))
     alg = jets.algebra(len(ty), order)
-    xs = [Jet(alg, x) for x in X[:, :alg.size]]
+    xs = [Jet(alg, x) for x in X[..., :alg.size]]
     return xs, _grad(ty[0].alg, X).swapaxes(0, 1)
 
 
@@ -474,7 +490,7 @@ def transform_tensor(field: TensorField, cmap: ChartMap, target_point,
     alg = xs[0].alg
     # re-express source components as jets in the target coordinates
     comps = jets.compose_stacked(
-        field.func(jets.seed_point([x.value for x in xs], order)), xs)
+        field.func(jets.reseed(xs, order)), xs)
     JiT = _inverse(alg, Jac).swapaxes(0, 1)  # JiT[a, mu] = d y^mu / d x^a
     return _contract_slots(alg, comps, [JiT] * r + [Jac] * s)
 
@@ -488,7 +504,7 @@ def transform_connection(conn: ConnectionField, cmap: ChartMap, target_point,
     n = len(xs)
     alg = jets.algebra(n, order)
     gamma = jets.compose_stacked(
-        conn.func(jets.seed_point([x.value for x in xs], order)),
+        conn.func(jets.reseed(xs, order)),
         [x.truncate(order) for x in xs])
     dB = _grad(xs[0].alg, B)  # dB[nu, c, mu] = d_nu B^c_mu
     B = B[..., :alg.size]

@@ -19,6 +19,20 @@ coefficients per component (or (...) for plain floats), and every kernel
 downstream (JetAlgebra.contract, eval_shift, compose_stacked) works on that
 layout.  The scalar Jet and its arithmetic serve the formulas themselves.
 
+One optional batch axis serves many basepoints at once: seed_point of a
+(B, dim) point array seeds jets whose coefficients have shape (B, S), and a
+stacked component array is then tensor axes + (B, S).  The batch axis sits
+between the tensor axes and the coefficient axis, so every gather on the
+last axis, every contraction over the leading tensor axes and every
+front-anchored transpose reads a batch as it reads one point.  Row by row,
+mul, the Jet arithmetic and the series helpers do the arithmetic of one
+point, in the same order (the series coefficients come per row from the same
+float formulas), so their rows are bitwise the single-point results;
+contract's einsum may sum a tensor index in another order for a batch,
+which moves results at rounding level.  A number or an array of the jet's
+batch shape (one value per row) is the only non-Jet operand of the Jet
+arithmetic.
+
 The elementary-function helpers (sin, cos, exp, ...) dispatch on type so the
 same component code can run on plain floats, which is what the independent
 finite-difference oracles in the test suite rely on.
@@ -41,6 +55,8 @@ __all__ = [
     "stack",
     "scale",
     "seed_point",
+    "base_point",
+    "reseed",
     "sin",
     "cos",
     "exp",
@@ -110,6 +126,13 @@ class JetAlgebra:
         self._pair_j = np.concatenate([self._mul_j, self._mul_i, self._mul_d])[by_k]
         self._pair_start = np.searchsorted(K[by_k], np.arange(self.size))
 
+        # Batched mul: pairs then squares, each row's targets offset by
+        # S * row, so that one bincount sums every row in mul's order.
+        self._row_i = np.concatenate([self._mul_i, self._mul_d])
+        self._row_j = np.concatenate([self._mul_j, self._mul_d])
+        self._row_k = np.concatenate([self._mul_k, self._mul_kd])
+        self._row_targets: dict = {}  # rows -> flattened offset targets
+
         # factorial(alpha) per monomial, for partial-derivative extraction
         self.fact = np.array(
             [math.prod(math.factorial(e) for e in m) for m in self.monomials],
@@ -134,6 +157,8 @@ class JetAlgebra:
                 )
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if a.ndim > 1 or b.ndim > 1:
+            return self._mul_rows(a, b)
         out = np.zeros(self.size)
         if self._mul_k.size:
             out += np.bincount(
@@ -145,12 +170,34 @@ class JetAlgebra:
                            minlength=self.size)
         return out
 
+    def _mul_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """mul of batched (..., S) operands (broadcast against each other):
+        one bincount over the targets k + S * row, which sums each row's
+        products in the order of the single-point mul."""
+        a, b = np.broadcast_arrays(a, b)
+        shape = a.shape
+        a, b = a.reshape(-1, self.size), b.reshape(-1, self.size)
+        rows = len(a)
+        targets = self._row_targets.get(rows)
+        if targets is None:
+            offsets = self.size * np.arange(rows)[:, None]
+            targets = self._row_targets[rows] = (self._row_k + offsets).ravel()
+        w = a[:, self._row_i] * b[:, self._row_j]
+        pairs = self._mul_k.size
+        w[:, :pairs] += a[:, self._mul_j] * b[:, self._mul_i]
+        return np.bincount(targets, weights=w.ravel(),
+                           minlength=rows * self.size).reshape(shape)
+
     def contract(self, spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Truncated product of stacked jet tensors (coefficients on the last
         axis) summed by an einsum spec over the tensor axes: "ij,jk->ik" is
-        the jet matrix product.  Pairs are reduced in a fixed order."""
+        the jet matrix product.  Batch axes, between the tensor axes and the
+        coefficients, are carried along (broadcast).  Pairs are reduced in a
+        fixed order."""
         operands, result = spec.split("->")
         sa, sb = operands.split(",")
+        if "..." not in spec and (a.ndim > len(sa) + 1 or b.ndim > len(sb) + 1):
+            sa, sb, result = sa + "...", sb + "...", result + "..."
         pairs = np.einsum(f"{sa}z,{sb}z->{result}z",
                           a[..., self._pair_i], b[..., self._pair_j])
         return np.add.reduceat(pairs, self._pair_start, axis=-1)
@@ -177,9 +224,11 @@ def algebra(num_vars: int, order: int) -> JetAlgebra:
 
 
 class Jet:
-    """Immutable truncated Taylor polynomial of a scalar at a basepoint."""
+    """Immutable truncated Taylor polynomial of a scalar at a basepoint, or
+    at each row of a batch of basepoints (coefficients batch + (S,))."""
 
     __slots__ = ("alg", "c")
+    __array_ufunc__ = None  # ndarray (op) Jet defers to the Jet's operand rule
 
     def __init__(self, alg: JetAlgebra, coeffs: np.ndarray):
         self.alg = alg
@@ -188,29 +237,32 @@ class Jet:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def constant(value: float, num_vars: int, order: int) -> "Jet":
+    def constant(value, num_vars: int, order: int) -> "Jet":
+        """The constant jet; an array value gives one row per entry."""
         alg = algebra(num_vars, order)
-        c = np.zeros(alg.size)
-        c[0] = value
+        c = np.zeros(getattr(value, "shape", ()) + (alg.size,))
+        c[_coeff(c, 0)] = value
         return Jet(alg, c)
 
     @staticmethod
-    def variable(index: int, value: float, num_vars: int, order: int) -> "Jet":
+    def variable(index: int, value, num_vars: int, order: int) -> "Jet":
+        """Coordinate `index` seeded at value (a float, or an array of
+        batch rows)."""
         if not 0 <= index < num_vars:
             raise JetError(f"variable index {index} out of range for {num_vars} vars")
         alg = algebra(num_vars, order)
-        c = np.zeros(alg.size)
-        c[0] = value
-        if order >= 1:
-            unit = tuple(1 if i == index else 0 for i in range(num_vars))
-            c[alg.index[unit]] = 1.0
+        c = np.zeros(getattr(value, "shape", ()) + (alg.size,))
+        c[_coeff(c, 0)] = value
+        if order >= 1:  # the degree-1 monomials follow the constant, in variable order
+            c[_coeff(c, 1 + index)] = 1.0
         return Jet(alg, c)
 
     # -- inspection --------------------------------------------------------
 
     @property
-    def value(self) -> float:
-        return float(self.c[0])
+    def value(self):
+        """The value: a float, or an array over the batch rows."""
+        return float(self.c[0]) if self.c.ndim == 1 else self.c[..., 0]
 
     @property
     def num_vars(self) -> int:
@@ -220,31 +272,30 @@ class Jet:
     def order(self) -> int:
         return self.alg.order
 
-    def coeff(self, multi_index) -> float:
+    def _slot(self, multi_index) -> int:
         key = tuple(multi_index)
         if key not in self.alg.index:
             raise JetError(f"multi-index {key} beyond order {self.order}")
-        return float(self.c[self.alg.index[key]])
+        return self.alg.index[key]
 
-    def partial(self, multi_index) -> float:
+    def coeff(self, multi_index):
+        return _scalar(self.c[..., self._slot(multi_index)])
+
+    def partial(self, multi_index):
         """Raw partial derivative: alpha! times the Taylor coefficient."""
-        key = tuple(multi_index)
-        if key not in self.alg.index:
-            raise JetError(f"multi-index {key} beyond order {self.order}")
-        k = self.alg.index[key]
-        return float(self.c[k] * self.alg.fact[k])
+        k = self._slot(multi_index)
+        return _scalar(self.c[..., k] * self.alg.fact[k])
 
     def gradient(self) -> np.ndarray:
-        """First-order coefficients as a vector."""
-        g = np.zeros(self.num_vars)
-        if self.order >= 1:
-            for i in range(self.num_vars):
-                unit = tuple(1 if j == i else 0 for j in range(self.num_vars))
-                g[i] = self.c[self.alg.index[unit]]
-        return g
+        """First-order coefficients as a vector (per batch row)."""
+        if self.order < 1:
+            return np.zeros(self.c.shape[:-1] + (self.num_vars,))
+        return self.c[..., 1:self.num_vars + 1].copy()
 
     def __repr__(self):
-        return f"Jet({self.num_vars}v,o{self.order}; value={self.value:.6g})"
+        v = self.value
+        shown = f"value={v:.6g}" if isinstance(v, float) else f"batch={v.shape}"
+        return f"Jet({self.num_vars}v,o{self.order}; {shown})"
 
     # -- structure ---------------------------------------------------------
 
@@ -255,13 +306,31 @@ class Jet:
                 f"({other.num_vars},{other.order})"
             )
 
+    def _operand(self, other):
+        """A non-Jet operand, checked: a number, or an array of this jet's
+        batch shape (one value per row).  Anything else, a stacked
+        component array in particular, raises TypeError."""
+        if type(other) is float or isinstance(other, (int, np.number)):
+            return other
+        if isinstance(other, np.ndarray) and other.shape == self.c.shape[:-1]:
+            return other
+        raise TypeError(
+            f"jet operand must be a Jet, a number or an array of shape "
+            f"{self.c.shape[:-1]}, not {type(other).__name__} of shape "
+            f"{np.shape(other)}")
+
+    def _rows(self, other):
+        """other, checked, broadcast over the coefficient axis."""
+        other = self._operand(other)
+        return other[..., None] if isinstance(other, np.ndarray) else other
+
     def truncate(self, order: int) -> "Jet":
         if order == self.order:
             return self
         if order > self.order:
             raise JetError("cannot extend a jet to higher order")
         alg = algebra(self.num_vars, order)
-        return Jet(alg, self.c[: alg.size].copy())
+        return Jet(alg, self.c[..., :alg.size].copy())
 
     def deriv(self, axis: int) -> "Jet":
         """Partial derivative along one axis, one order lower."""
@@ -269,13 +338,13 @@ class Jet:
             raise JetError("jet order exhausted: cannot differentiate order-0 jet")
         src, dst, fac = self.alg._deriv[axis]
         lower = algebra(self.num_vars, self.order - 1)
-        c = np.zeros(lower.size)
-        c[dst] = self.c[src] * fac
+        c = np.zeros(self.c.shape[:-1] + (lower.size,))
+        c[_coeff(c, dst)] = self.c[_coeff(self.c, src)] * fac
         return Jet(lower, c)
 
-    def eval_shift(self, delta) -> float:
+    def eval_shift(self, delta):
         """Evaluate the Taylor polynomial at basepoint + delta."""
-        return float(self.alg.eval_shift(self.c, delta))
+        return _scalar(self.alg.eval_shift(self.c, delta))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -283,8 +352,9 @@ class Jet:
         if isinstance(other, Jet):
             self._check(other)
             return Jet(self.alg, self.c + other.c)
+        other = self._operand(other)
         c = self.c.copy()
-        c[0] += other
+        c[_coeff(c, 0)] += other
         return Jet(self.alg, c)
 
     __radd__ = __add__
@@ -296,27 +366,29 @@ class Jet:
         if isinstance(other, Jet):
             self._check(other)
             return Jet(self.alg, self.c - other.c)
+        other = self._operand(other)
         c = self.c.copy()
-        c[0] -= other
+        c[_coeff(c, 0)] -= other
         return Jet(self.alg, c)
 
     def __rsub__(self, other):
+        other = self._operand(other)
         c = -self.c
-        c[0] += other
+        c[_coeff(c, 0)] += other
         return Jet(self.alg, c)
 
     def __mul__(self, other):
         if isinstance(other, Jet):
             self._check(other)
             return Jet(self.alg, self.alg.mul(self.c, other.c))
-        return Jet(self.alg, self.c * other)
+        return Jet(self.alg, self.c * self._rows(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other._reciprocal()
-        return Jet(self.alg, self.c / other)
+        return Jet(self.alg, self.c / self._rows(other))
 
     def __rtruediv__(self, other):
         return self._reciprocal() * other
@@ -325,7 +397,8 @@ class Jet:
         if isinstance(p, int):
             if p < 0:
                 return self._reciprocal() ** (-p)
-            out = Jet.constant(1.0, self.num_vars, self.order)
+            out = Jet(self.alg, np.zeros(self.c.shape))
+            out.c[_coeff(out.c, 0)] = 1.0
             base = self
             k = p
             while k:
@@ -337,21 +410,45 @@ class Jet:
         return powc(self, float(p))
 
     def _reciprocal(self) -> "Jet":
-        u0 = self.value
-        if u0 == 0.0:
-            raise ZeroDivisionError("division by jet with zero constant term")
-        coeffs = [(-1.0) ** k / u0 ** (k + 1) for k in range(self.order + 1)]
-        return _apply_series(self, coeffs)
+        def coeffs(u0):
+            if u0 == 0.0:
+                raise ZeroDivisionError("division by jet with zero constant term")
+            return [(-1.0) ** k / u0 ** (k + 1) for k in range(self.order + 1)]
+        return _series(self, coeffs)
+
+
+def _scalar(v: np.ndarray):
+    """A 0-d result as a float; batched results stay arrays."""
+    return float(v) if v.ndim == 0 else v
+
+
+def _coeff(c: np.ndarray, k):
+    """Index of coefficient(s) k of the jet coefficients c: k itself for a
+    single jet (numpy's fast path), (..., k) for a batch."""
+    return k if c.ndim == 1 else (Ellipsis, k)
 
 
 def _apply_series(u: Jet, coeffs) -> Jet:
-    """Compose the univariate series sum(coeffs[k] * (u - u0)^k) with u."""
+    """Compose the univariate series sum(coeffs[k] * (u - u0)^k) with u;
+    each coefficient is a float, or an array of u's batch shape."""
     du = Jet(u.alg, u.c.copy())
-    du.c[0] = 0.0
-    out = Jet.constant(coeffs[-1], u.num_vars, u.order)
+    du.c[_coeff(du.c, 0)] = 0.0
+    out = Jet(u.alg, np.zeros(u.c.shape))
+    out.c[_coeff(out.c, 0)] = coeffs[-1]
     for k in range(len(coeffs) - 2, -1, -1):
         out = out * du + coeffs[k]
     return out
+
+
+def _series(u: Jet, coeffs_of) -> Jet:
+    """Apply the series whose coefficients coeffs_of(u0) gives at the float
+    value u0: once for a single point, once per row of a batch (so that a
+    row gets the coefficients, and the errors, of its own point)."""
+    u0 = u.value
+    if isinstance(u0, float):
+        return _apply_series(u, coeffs_of(u0))
+    rows = np.array([coeffs_of(float(v)) for v in u0.ravel()])
+    return _apply_series(u, list(rows.T.reshape((-1,) + u0.shape)))
 
 
 # -- elementary functions (float / Jet dispatch) ---------------------------
@@ -359,29 +456,33 @@ def _apply_series(u: Jet, coeffs) -> Jet:
 def sin(x):
     if not isinstance(x, Jet):
         return math.sin(x)
-    u0 = x.value
-    s, c = math.sin(u0), math.cos(u0)
-    cycle = [s, c, -s, -c]
-    coeffs = [cycle[k % 4] / math.factorial(k) for k in range(x.order + 1)]
-    return _apply_series(x, coeffs)
+
+    def coeffs(u0):
+        s, c = math.sin(u0), math.cos(u0)
+        cycle = [s, c, -s, -c]
+        return [cycle[k % 4] / math.factorial(k) for k in range(x.order + 1)]
+    return _series(x, coeffs)
 
 
 def cos(x):
     if not isinstance(x, Jet):
         return math.cos(x)
-    u0 = x.value
-    s, c = math.sin(u0), math.cos(u0)
-    cycle = [c, -s, -c, s]
-    coeffs = [cycle[k % 4] / math.factorial(k) for k in range(x.order + 1)]
-    return _apply_series(x, coeffs)
+
+    def coeffs(u0):
+        s, c = math.sin(u0), math.cos(u0)
+        cycle = [c, -s, -c, s]
+        return [cycle[k % 4] / math.factorial(k) for k in range(x.order + 1)]
+    return _series(x, coeffs)
 
 
 def exp(x):
     if not isinstance(x, Jet):
         return math.exp(x)
-    e0 = math.exp(x.value)
-    coeffs = [e0 / math.factorial(k) for k in range(x.order + 1)]
-    return _apply_series(x, coeffs)
+
+    def coeffs(u0):
+        e0 = math.exp(u0)
+        return [e0 / math.factorial(k) for k in range(x.order + 1)]
+    return _series(x, coeffs)
 
 
 def log(x):
@@ -389,12 +490,13 @@ def log(x):
         if x <= 0:
             raise JetError(f"log of non-positive value {x}")
         return math.log(x)
-    u0 = x.value
-    if u0 <= 0:
-        raise JetError(f"log of jet with non-positive value {u0}")
-    coeffs = [math.log(u0)]
-    coeffs += [(-1.0) ** (k + 1) / (k * u0 ** k) for k in range(1, x.order + 1)]
-    return _apply_series(x, coeffs)
+
+    def coeffs(u0):
+        if u0 <= 0:
+            raise JetError(f"log of jet with non-positive value {u0}")
+        return [math.log(u0)] + [(-1.0) ** (k + 1) / (k * u0 ** k)
+                                 for k in range(1, x.order + 1)]
+    return _series(x, coeffs)
 
 
 def sqrt(x):
@@ -405,39 +507,56 @@ def powc(x, p: float):
     """x ** p for constant real p."""
     if not isinstance(x, Jet):
         return float(x) ** p
-    u0 = x.value
-    if u0 <= 0:
-        raise JetError(f"powc needs positive value, got {u0}")
-    coeffs = []
-    binom = 1.0
-    for k in range(x.order + 1):
-        coeffs.append(binom * u0 ** (p - k))
-        binom *= (p - k) / (k + 1)
-    return _apply_series(x, coeffs)
+
+    def coeffs(u0):
+        if u0 <= 0:
+            raise JetError(f"powc needs positive value, got {u0}")
+        out = []
+        binom = 1.0
+        for k in range(x.order + 1):
+            out.append(binom * u0 ** (p - k))
+            binom *= (p - k) / (k + 1)
+        return out
+    return _series(x, coeffs)
 
 
 def stack(comps) -> np.ndarray:
     """Nested lists (or an object array) of Jets of one algebra as one
-    (..., S) float array of their coefficients; nested floats as a (...)
-    float array."""
+    (..., S) float array of their coefficients, (..., B, S) for jets over a
+    batch of B points; nested floats as a (...) float array."""
     arr = np.asarray(comps, dtype=object)
     items = arr.ravel()
     if isinstance(items[0], Jet):
-        return np.stack([x.c for x in items]).reshape(arr.shape + (items[0].alg.size,))
+        return np.stack([x.c for x in items]).reshape(arr.shape + items[0].c.shape)
     return arr.astype(float)
 
 
 def scale(s, A: np.ndarray) -> np.ndarray:
     """The scalar s times every component of A: the truncated product with
-    each (..., S) component for a Jet s, plain multiplication for a float."""
-    return s.alg.contract(",...->...", s.c, A) if isinstance(s, Jet) else s * A
+    each (..., S) component for a Jet s (row by row for a batch), plain
+    multiplication for a float."""
+    return s.alg.contract("...,...->...", s.c, A) if isinstance(s, Jet) else s * A
 
 
 def seed_point(point, order: int) -> list[Jet]:
-    """Seed one jet variable per coordinate of a point."""
-    point = list(point)
-    n = len(point)
-    return [Jet.variable(i, float(point[i]), n, order) for i in range(n)]
+    """Seed one jet variable per coordinate of a point (dim,), or of every
+    point of a batch (B, dim): the jets' coefficients then have shape
+    (B, S)."""
+    point = np.asarray(point, dtype=float)
+    n = point.shape[-1]
+    return [Jet.variable(i, point[..., i], n, order) for i in range(n)]
+
+
+def base_point(coords) -> np.ndarray:
+    """The basepoint of coordinate jets, (dim,) or (B, dim)."""
+    values = [c.value for c in coords]
+    return (np.array(values) if isinstance(values[0], float)
+            else np.stack(values, axis=-1))
+
+
+def reseed(coords, order: int) -> list[Jet]:
+    """Coordinate jets at the basepoint of coords, seeded at another order."""
+    return seed_point(base_point(coords), order)
 
 
 def compose(f: Jet, inner: list[Jet]) -> Jet:
@@ -465,7 +584,9 @@ def compose_stacked(F: np.ndarray, inner: list[Jet]) -> np.ndarray:
         raise JetError("compose: outer jets below the inner order")
     powers = []  # powers[i][e] = dg_i ** e
     for g in inner:
-        row = [None, np.concatenate([[0.0], g.c[1:]])]
+        dg = g.c.copy()
+        dg[_coeff(dg, 0)] = 0.0
+        row = [None, dg]
         for _ in range(2, alg.order + 1):
             row.append(alg.mul(row[-1], row[1]))
         powers.append(row)

@@ -36,7 +36,7 @@ import numpy as np
 from . import jets
 from .fields import (Chart, ChartMap, ConnectionField, MetricField,
                      TensorField, _contract_slots, _grad, _inverse, _map_jets,
-                     _memo_last, _nabla, _reseed, exterior_derivative,
+                     _memo_last, _nabla, exterior_derivative,
                      levi_civita)
 from .compactify import CompactificationSpec, ExtensionVerdict, extend_to_boundary
 from .catalog import (ProjectiveStructure, dm_boundary_chart, dm_boundary_map,
@@ -99,21 +99,16 @@ def j_from_g_omega(g: MetricField, omega: TensorField,
 
 def para_hermitian_residuals(g: MetricField, omega: TensorField,
                              jf: TensorField, points) -> dict:
-    """Pointwise residuals of the para-Hermitian triple identities."""
-    n = g.chart.dim
-    eye = np.eye(n)
-    out = {"involution": 0.0, "anti_isometry": 0.0, "pairing": 0.0}
-    for p in np.atleast_2d(points):
-        G = g.values(p)
-        W = omega.values(p)
-        J = jf.values(p)
-        out["involution"] = max(out["involution"], np.max(np.abs(J @ J - eye)))
-        out["anti_isometry"] = max(out["anti_isometry"], np.max(np.abs(J.T @ G @ J + G)))
-        out["pairing"] = max(out["pairing"], np.max(np.abs(J.T @ G - W)))
-    domega = exterior_derivative(omega)
-    out["closed"] = max(float(np.max(np.abs(domega.values(p))))
-                        for p in np.atleast_2d(points))
-    return out
+    """Worst residuals of the para-Hermitian triple identities over the
+    points, each field evaluated at all of them in one call."""
+    points = np.atleast_2d(points)
+    G, W, J = g.values(points), omega.values(points), jf.values(points)
+    JT = J.swapaxes(1, 2)
+    return {"involution": np.max(np.abs(J @ J - np.eye(g.chart.dim))),
+            "anti_isometry": np.max(np.abs(JT @ G @ J + G)),
+            "pairing": np.max(np.abs(JT @ G - W)),
+            "closed": float(np.max(np.abs(
+                exterior_derivative(omega).values(points))))}
 
 
 def libermann(g: MetricField, omega: TensorField) -> ConnectionField:
@@ -132,7 +127,7 @@ def libermann(g: MetricField, omega: TensorField) -> ConnectionField:
     def func(coords):
         o = coords[0].order
         alg = coords[0].alg
-        W = omega.func(_reseed(coords, o + 1))
+        W = omega.func(jets.reseed(coords, o + 1))
         gamma = conn_g.func(coords)
         DW = _nabla(alg, gamma, W, 0)  # DW[a, b, d] = nabla_a Omega_bd
         Winv = _inverse(alg, W[..., :alg.size])
@@ -150,11 +145,11 @@ def nijenhuis(jf: TensorField) -> TensorField:
     def func(coords):
         o = coords[0].order
         alg = coords[0].alg
-        up = _reseed(coords, o + 1)
+        up = jets.reseed(coords, o + 1)
         J = jf.func(up)
         dJ = _grad(up[0].alg, J)  # dJ[d, a, b] = d_d J^a_b
         A = alg.contract("db,dac->abc", J[..., :alg.size],
-                         dJ - dJ.transpose(2, 1, 0, 3))
+                         dJ - dJ.swapaxes(0, 2))
         return 0.5 * (A - A.swapaxes(1, 2))
 
     return TensorField(chart=jf.chart, valence=(1, 2), func=func,
@@ -192,7 +187,7 @@ def theta_field(g: MetricField, omega: TensorField, t_func: Callable) -> TensorF
     def func(coords):
         o = coords[0].order
         alg = coords[0].alg
-        up = _reseed(coords, o + 1)
+        up = jets.reseed(coords, o + 1)
         dT = _grad(up[0].alg, t_func(up).c)
         grad = alg.contract("cb,b->c", _inverse(alg, g.func(coords)), dT)
         return alg.contract("ac,c->a", omega.func(coords), grad)
@@ -211,7 +206,7 @@ def h_tc_field(g: MetricField, omega: TensorField, t_func: Callable,
     def func(coords):
         o = coords[0].order
         alg = coords[0].alg
-        up = _reseed(coords, o + 1)
+        up = jets.reseed(coords, o + 1)
         T = t_func(up)
         dT = _grad(up[0].alg, T.c)
         T = T.truncate(o)
@@ -245,7 +240,7 @@ def pullback_field(field: TensorField, cmap: ChartMap) -> TensorField:
         raise ValueError("direct pullback implemented for covariant fields")
 
     def pulled(coords):
-        xs, Jac = _map_jets(cmap, [c.value for c in coords], coords[0].order)
+        xs, Jac = _map_jets(cmap, jets.base_point(coords), coords[0].order)
         return _contract_slots(xs[0].alg, field.func(xs), [Jac] * s)
 
     last = _memo_last(pulled)
@@ -297,8 +292,8 @@ def _as_scalars(A: np.ndarray, like) -> np.ndarray:
     float array itself."""
     if not isinstance(like, jets.Jet):
         return A
-    out = np.empty(A.shape[:-1], dtype=object)
-    out.ravel()[:] = [jets.Jet(like.alg, c) for c in A.reshape(-1, A.shape[-1])]
+    out = np.empty(A.shape[:A.ndim - like.c.ndim], dtype=object)
+    out.ravel()[:] = [jets.Jet(like.alg, c) for c in A.reshape((-1,) + like.c.shape)]
     return out
 
 

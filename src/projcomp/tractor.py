@@ -100,7 +100,7 @@ def gauge_matrix(ups_values: np.ndarray) -> np.ndarray:
     return U
 
 
-def splitting_metric_crosscheck(ps: ProjectiveStructure, point) -> dict:
+def splitting_metric_crosscheck(ps: ProjectiveStructure, points) -> dict:
     """Pairing identities of the canonical metric against the tractor
     splitting frame
 
@@ -110,37 +110,31 @@ def splitting_metric_crosscheck(ps: ProjectiveStructure, point) -> dict:
     g(v^i, h_j) = delta^i_j, g(h, h) = 0, g(v, v) = 0; the symplectic
     pairings Omega(v^i, h_j) = -delta (recorded orientation) and
     Omega(h_i, h_j) = 2(P_ij - P_ji) (the antisymmetric Schouten part).
+    Returns the worst residual of each over the points (one (2n,) point or
+    a (B, 2n) array), every field evaluated at all of them in one call.
     """
     n = ps.n
     g, omega = dm_metric(ps)
-    point = np.asarray(point, dtype=float)
-    x = point[:n]
-    xi = point[n:]
-    gv = g.values(point)
-    ov = omega.values(point)
-    P = ps.schouten_at(x)
-    gam = ps.gamma_at([float(c) for c in x])
-    B = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            B[i, j] = P[i, j] + xi[i] * xi[j]
-            for k in range(n):
-                B[i, j] -= gam[k, i, j] * xi[k]
-    frame_h = np.zeros((n, 2 * n))
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    x, xi = points[:, :n], points[:, n:]
+    gv, ov = g.values(points), omega.values(points)
+    P = ps.schouten().values(x)
+    gam = ps.connection().values(x)
+    B = P + xi[:, :, None] * xi[:, None, :]
+    for k in range(n):
+        B -= gam[:, k] * xi[:, k, None, None]
+    frame_h = np.zeros((len(points), n, 2 * n))
+    frame_h[:, :, :n] = np.eye(n)
+    frame_h[:, :, n:] = -B
     frame_v = np.zeros((n, 2 * n))
-    for i in range(n):
-        frame_h[i, i] = 1.0
-        frame_h[i, n:] = -B[i]
-        frame_v[i, n + i] = 1.0
-    pair_vh = frame_v @ gv @ frame_h.T          # expect identity
-    pair_hh = frame_h @ gv @ frame_h.T          # expect 0
-    pair_vv = frame_v @ gv @ frame_v.T          # expect 0
-    om_vh = frame_v @ ov @ frame_h.T            # expect -identity
-    om_hh = frame_h @ ov @ frame_h.T            # expect 2(P - P^T)
+    frame_v[:, n:] = np.eye(n)
+    hT = frame_h.swapaxes(1, 2)
+    eye = np.eye(n)
     return {
-        "pairing": float(np.max(np.abs(pair_vh - np.eye(n)))),
-        "horizontal_null": float(np.max(np.abs(pair_hh))),
-        "vertical_null": float(np.max(np.abs(pair_vv))),
-        "omega_pairing": float(np.max(np.abs(om_vh + np.eye(n)))),
-        "omega_horizontal": float(np.max(np.abs(om_hh - 2.0 * (P - P.T)))),
+        "pairing": float(np.max(np.abs(frame_v @ gv @ hT - eye))),
+        "horizontal_null": float(np.max(np.abs(frame_h @ gv @ hT))),
+        "vertical_null": float(np.max(np.abs(frame_v @ gv @ frame_v.T))),
+        "omega_pairing": float(np.max(np.abs(frame_v @ ov @ hT + eye))),
+        "omega_horizontal": float(np.max(np.abs(
+            frame_h @ ov @ hT - 2.0 * (P - P.swapaxes(1, 2))))),
     }

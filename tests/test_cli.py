@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from projcomp import cli, compactify, paracx
+from projcomp import cli, compactify, paracx, tractor
 from projcomp.cli import (ManifestError, builtin_manifest, main, point_rng,
                           run_manifest, serialize_report, validate_manifest)
 
@@ -361,3 +361,36 @@ def test_cli_demo(capsys):
     out = capsys.readouterr().out
     assert "Einstein fit" in out
     assert main(["demo", "bogus"]) == 2
+
+
+def test_each_point_set_is_drawn_once_per_scenario(monkeypatch):
+    """einstein, para-hermitian and splitting share the scenario's points:
+    one point stream per point, plus each check's own stream."""
+    drawn = []
+
+    def counting(seed, scenario_id, index):
+        drawn.append(index)
+        return point_rng(seed, scenario_id, index)
+
+    monkeypatch.setattr(cli, "point_rng", counting)
+    sc = {"id": "dm", "catalog": "dm-random", "params": {"n": 2, "seed": 1},
+          "checks": ["einstein", "para-hermitian", "splitting"], "points": 5,
+          "seed": 4}
+    report = run_manifest({"scenarios": [sc]})
+    assert report["summary"] == {"pass": 3, "fail": 0, "inconclusive": 0}
+    assert sorted(drawn) == [0, 1, 2, 3, 4] + [10_000] * 3
+
+
+def test_splitting_residual_includes_the_omega_pairings(monkeypatch):
+    real = tractor.splitting_metric_crosscheck
+
+    def broken_omega(ps, points):
+        out = real(ps, points)
+        out["omega_horizontal"] = 0.5
+        return out
+
+    monkeypatch.setattr(tractor, "splitting_metric_crosscheck", broken_omega)
+    sc = {"id": "dm", "catalog": "dm-random", "params": {"n": 2, "seed": 1},
+          "checks": ["splitting"], "points": 3, "seed": 4}
+    rec = run_manifest({"scenarios": [sc]})["scenarios"][0]["records"][0]
+    assert rec["status"] == "fail" and rec["max_residual"] == 0.5

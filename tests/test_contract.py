@@ -1,12 +1,16 @@
 """The field contract: every catalog field and every derived field returns
 its components as one float64 array, (dim,)*rank + (S,) at a jet order,
-and .values(p) is at(p, 0)[..., 0]; leaf formulas also run on floats."""
+and .values(p) is at(p, 0)[..., 0]; leaf formulas also run on floats.  At
+a batch of points (B, dim) the components are (dim,)*rank + (B, S), row b
+those of point b, and .values is batch first."""
 
 import numpy as np
 import pytest
 
 from projcomp import catalog, compactify, fields, jets, paracx, proj2d
-from projcomp.fields import ConnectionField
+from projcomp.fields import (Chart, ConnectionField, MetricField,
+                             SingularMetricError, TensorField)
+from projcomp.jets import JetError
 
 
 def _ps(n=2):
@@ -116,3 +120,55 @@ def test_leaf_formulas_run_on_floats(name):
     assert isinstance(got, np.ndarray) and got.dtype == np.float64
     assert got.shape == (field.chart.dim,) * _rank(field)
     np.testing.assert_allclose(got, field.values(p), rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_a_batch_of_points_evaluates_as_the_points_one_by_one(name):
+    """Row b of at(P, o) is at(P[b], o): bitwise for most fields, to
+    rounding where the summation order of a contraction depends on the
+    memory layout of its operands.  On the dm boundary chart the poles at
+    T = 0 amplify that rounding (intermediate coefficients reach 1e7), so
+    those fields get a wider relative bound."""
+    field = FIELDS[name]
+    P = field.chart.sample(np.random.default_rng(7), 5)
+    tensor = (field.chart.dim,) * _rank(field)
+    near_poles = field.chart.names == catalog.dm_boundary_chart(2).names
+    for order in (0, 1, 2):
+        got = _at(field, P, order)
+        want = np.stack([_at(field, p, order) for p in P], axis=-2)
+        assert got.shape == tensor + (5, jets.algebra(field.chart.dim, order).size)
+        scale = (1e-9 if near_poles else 1e-13) * max(1.0, np.max(np.abs(want)))
+        np.testing.assert_allclose(got, want, rtol=0, atol=scale)
+    values = field.values(P)
+    assert values.shape == (5,) + tensor
+    np.testing.assert_array_equal(values, np.moveaxis(_at(field, P, 0)[..., 0], -1, 0))
+
+
+def _plane():
+    return Chart(names=("u", "v"), box=((-1.0, 1.0), (-1.0, 1.0)))
+
+
+def test_one_singular_point_makes_the_batch_raise():
+    def func(coords):  # diag(u, 1): singular on u = 0
+        u, _ = coords
+        zero = u * 0.0
+        return jets.stack([[u, zero], [zero, zero + 1.0]])
+
+    lc = fields.levi_civita(MetricField(_plane(), func, name="diag(u, 1)"))
+    P = np.array([[0.5, 0.1], [0.0, 0.2], [-0.4, 0.3]])
+    lc.coeffs(P[[0, 2]], order=1)  # the regular points alone evaluate
+    with pytest.raises(SingularMetricError):
+        lc.coeffs(P[1], order=1)
+    with pytest.raises(SingularMetricError):
+        lc.coeffs(P, order=1)
+
+
+def test_log_of_a_non_positive_row_makes_the_batch_raise():
+    form = TensorField(chart=_plane(), valence=(0, 1), name="(log u, v)",
+                       func=lambda c: jets.stack([jets.log(c[0]), c[1]]))
+    P = np.array([[0.5, 0.1], [-0.2, 0.2], [0.3, 0.3]])
+    form.at(P[[0, 2]], order=1)
+    with pytest.raises(JetError):
+        form.at(P[1], order=1)
+    with pytest.raises(JetError):
+        form.at(P, order=1)

@@ -397,7 +397,7 @@ def _exterior_derivative_loop(omega):
 
     def func(coords):
         o = coords[0].order
-        up = fields._reseed(coords, o + 1)
+        up = jets.reseed(coords, o + 1)
         W = _jets(omega.func(up), up[0].alg)
         out = np.empty((n,) * (k + 1), dtype=object)
         for idx in np.ndindex(out.shape):
@@ -660,7 +660,7 @@ def _levi_civita_loops(g):
 
     def func(coords):
         o = coords[0].order
-        up = fields._reseed(coords, o + 1)
+        up = jets.reseed(coords, o + 1)
         G = _jets(g.func(up), up[0].alg)
         Ginv = _jets(_gauss_jordan_inverse(G), up[0].alg)
         gamma = np.empty((n, n, n), dtype=object)
@@ -681,7 +681,7 @@ def _levi_civita_loops(g):
 def _ricci_loops(conn, coords):
     n = conn.chart.dim
     o = coords[0].order
-    up = fields._reseed(coords, o + 1)
+    up = jets.reseed(coords, o + 1)
     gamma = _jets(conn.func(up), up[0].alg)
     ric = np.empty((n, n), dtype=object)
     for b in range(n):

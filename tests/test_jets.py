@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from projcomp import jets
+from projcomp import catalog, jets
 from projcomp.jets import Jet, JetError
 
 from oracles import fd_partial
@@ -382,3 +382,68 @@ def test_compose_stacked_rejects_outer_below_inner_order():
     inner = jets.seed_point([0.1, 0.2], 3)
     with pytest.raises(JetError):
         jets.compose_stacked(np.ones((2, jets.algebra(2, 2).size)), inner)
+
+
+# -- the batch axis ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("num_vars,order", [(1, 3), (2, 0), (4, 2), (6, 3)])
+def test_batched_mul_is_the_rowwise_mul_bitwise(num_vars, order):
+    alg = jets.algebra(num_vars, order)
+    rng = np.random.default_rng(num_vars + 10 * order)
+    a, b = rng.uniform(-1.0, 1.0, (2, 7, alg.size))
+    got = alg.mul(a, b)
+    assert got.shape == (7, alg.size)
+    assert np.array_equal(got, np.stack([alg.mul(x, y) for x, y in zip(a, b)]))
+    # a single-point operand broadcasts over the other's rows
+    assert np.array_equal(alg.mul(a, b[0]), np.stack([alg.mul(x, b[0]) for x in a]))
+
+
+def test_batched_series_and_arithmetic_are_rowwise_bitwise():
+    P = np.array([[0.3, 1.2], [-0.7, 0.4], [1.1, 2.5]])
+    X = jets.seed_point(P, 3)
+    assert X[0].c.shape == (3, jets.algebra(2, 3).size)
+    assert np.array_equal(X[0].value, P[:, 0])
+
+    def formula(x, y):
+        return (jets.sin(x) * jets.exp(y) + jets.log(y) / jets.cos(x)
+                - jets.sqrt(y * y + 1.0) * x ** 3 + 2.0 / y - 1.5 * x)
+
+    got = formula(*X).c
+    want = np.stack([formula(*jets.seed_point(p, 3)).c for p in P])
+    assert np.array_equal(got, want)
+
+
+def test_a_row_with_a_bad_value_raises_as_its_point_does():
+    P = np.array([[0.5], [-0.2], [0.3]])
+    (x,) = jets.seed_point(P, 2)
+    with pytest.raises(JetError):
+        jets.log(x)
+    with pytest.raises(JetError):
+        jets.powc(x, 0.5)
+    with pytest.raises(ZeroDivisionError):
+        _ = 1.0 / (x - 0.3)
+    jets.log(jets.seed_point(P[[0, 2]], 2)[0])  # the other rows are fine
+
+
+def test_non_jet_operand_is_a_number_or_an_array_of_the_batch_shape():
+    x = jets.seed_point([0.4, 0.3, -0.2], 1)
+    comp = catalog.unit_sphere(2).func(x[1:])[0][0]  # stacked coefficients
+    w = x[0] * x[0]
+    for op in (lambda a, b: a * b, lambda a, b: a / b,
+               lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(TypeError):
+            op(w, comp)
+        with pytest.raises(TypeError):
+            op(comp, w)
+    # the stacked product is jets.scale
+    assert np.allclose(jets.scale(w, comp), (w * Jet(w.alg, comp)).c)
+    # numbers, and arrays with one value per batch row, are operands
+    X = jets.seed_point(np.array([[0.4, 0.3], [0.1, 0.2]]), 1)
+    v = np.array([2.0, 3.0])
+    assert np.array_equal((X[0] * v).c, X[0].c * v[:, None])
+    assert np.array_equal((v * X[0]).c, X[0].c * v[:, None])
+    assert np.array_equal((X[0] + v).value, X[0].value + v)
+    assert np.array_equal((2.0 * X[0]).c, X[0].c * 2.0)
+    with pytest.raises(TypeError):
+        X[0] * np.array([1.0, 2.0, 3.0])

@@ -645,9 +645,9 @@ def _covariant_loops(conn, field):
 
     def func(coords):
         o = coords[0].order
-        up = fields._reseed(coords, o + 1)
+        up = jets.reseed(coords, o + 1)
         T = _jets(field.func(up), up[0].alg)
-        gamma = _jets(conn.func(fields._reseed(coords, o)), coords[0].alg)
+        gamma = _jets(conn.func(jets.reseed(coords, o)), coords[0].alg)
         out = np.empty((n,) + T.shape, dtype=object)
         for c in range(n):
             for idx in np.ndindex(T.shape):
@@ -687,7 +687,7 @@ def _nijenhuis_loops(jf):
 
     def func(coords):
         o = coords[0].order
-        up = fields._reseed(coords, o + 1)
+        up = jets.reseed(coords, o + 1)
         J = _jets(jf.func(up), up[0].alg)
         dJ = np.empty((n, n, n), dtype=object)
         Jt = np.empty((n, n), dtype=object)
@@ -729,7 +729,7 @@ def _pc_change_loops(conn, upsilon, jf):
 def _theta_loops(g, omega, t_func):
     def func(coords):
         o = coords[0].order
-        T = t_func(fields._reseed(coords, o + 1))
+        T = t_func(jets.reseed(coords, o + 1))
         Ginv = _inverse_jets(g.func(coords), coords[0].alg)
         W = _jets(omega.func(coords), coords[0].alg)
         n = len(W)
@@ -744,7 +744,7 @@ def _h_loops(g, omega, t_func, C=0.25):
 
     def func(coords):
         o = coords[0].order
-        Tfull = t_func(fields._reseed(coords, o + 1))
+        Tfull = t_func(jets.reseed(coords, o + 1))
         T = Tfull.truncate(o)
         G = _jets(g.func(coords), coords[0].alg)
         th = _jets(theta.func(coords), coords[0].alg)

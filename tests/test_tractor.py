@@ -179,3 +179,14 @@ def test_dm_metric_invariant_under_fiber_shift():
             pulled_om = J.T @ omb.values(q) @ J
             assert np.max(np.abs(pulled_g - g.values(p))) < 1e-8
             assert np.max(np.abs(pulled_om - om.values(p))) < 1e-8
+
+
+def test_splitting_crosscheck_of_a_batch_is_the_worst_point():
+    rng = np.random.default_rng(2)
+    ps = random_projective_structure(3, 2, 0.4, seed=5)
+    pts = dm_metric(ps)[0].chart.sample(rng, 6)
+    batch = splitting_metric_crosscheck(ps, pts)
+    singles = [splitting_metric_crosscheck(ps, p) for p in pts]
+    assert set(batch) == set(singles[0])
+    for key, worst in batch.items():
+        assert worst == pytest.approx(max(s[key] for s in singles), abs=1e-15)
