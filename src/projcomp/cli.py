@@ -285,9 +285,9 @@ class _Cone(Scenario):
     @_check("extension", "changed connection extends to the T = 0 boundary", 1e-6)
     def extension(self, tol, rng):
         tps = self.box_points(self.base.chart.box, min(self.count, 6))
-        v = compactify.extend_to_boundary(
-            self.changed.func, self.spec, tps, tolerance=tol,
-            closed_form=lambda tp: self.lc_bar.values(np.concatenate([[0.0], tp])))
+        v = compactify.extend_to_boundary(self.changed.func, self.spec, tps,
+                                          tolerance=tol,
+                                          closed_form=self.lc_bar.values)
         return _extension_record(v, len(tps), {"max_limit": v.max_limit,
                                                "detail": v.detail})
 

@@ -4,10 +4,16 @@ asymptotic normal form, and the metricity witness.
 All limits T -> 0 are certified numerically: a quantity is evaluated as
 stacked jets (the field contract, see fields) at each rung of a decreasing
 epsilon-ladder in the defining coordinate, Taylor-extrapolated to T = 0
-from each rung by one JetAlgebra.eval_shift, and accepted when the
-successive extrapolations agree at rapidly improving rates and the limit is
-finite.  Coefficients with poles produce extrapolations that grow along the
-ladder, which is the divergence witness.
+from each rung, and accepted when the successive extrapolations agree at
+rapidly improving rates and the limit is finite.  Coefficients with poles
+produce extrapolations that grow along the ladder, which is the divergence
+witness.
+
+A ladder is one batch: the P tangent points times R rungs are P x R rows
+of one point array, the components are evaluated in one call on its
+seeded jets, and one JetAlgebra.eval_shift takes every row to T = 0 by its
+own shift.  The verdict logic then reads the (P, R) + shape array, and an
+ExtensionVerdict's limits hold every tangent point, (P,) + shape.
 
 Conventions: the charts handled here carry the defining function T as
 coordinate 0; the general scalar-field form of Upsilon = dT/(alpha T) is
@@ -32,6 +38,9 @@ __all__ = [
     "ExtensionVerdict",
     "MetricityVerdict",
     "upsilon_from_defining",
+    "at_boundary",
+    "extrapolate_ladder",
+    "ladder_verdict",
     "extend_to_boundary",
     "asymptotic_form_check",
     "match_boundary_constant",
@@ -69,7 +78,8 @@ class CompactificationSpec:
 @dataclass
 class ExtensionVerdict:
     passed: bool
-    limits: np.ndarray          # certified boundary components (best rung pair)
+    limits: np.ndarray          # (P,) + shape: each tangent point's certified
+                                # boundary components (best rung pair)
     agreement: float            # worst best-pair rung agreement gap
     max_ratio: float            # worst late/early difference ratio
     max_limit: float
@@ -107,84 +117,125 @@ def upsilon_from_defining(chart: Chart, t_func: Callable, alpha: float) -> Tenso
     return TensorField(chart=chart, valence=(0, 1), func=func, name="dT/(aT)")
 
 
+def at_boundary(tangent_points) -> np.ndarray:
+    """The (P, dim) points T = 0 above (P, dim - 1) tangent points."""
+    tps = np.atleast_2d(np.asarray(tangent_points, dtype=float))
+    return np.concatenate([np.zeros((len(tps), 1)), tps], axis=1)
+
+
+def extrapolate_ladder(component_fn: Callable, spec: CompactificationSpec,
+                       tangent_points, order: int = 3) -> np.ndarray:
+    """Components extrapolated to T = 0 from every ladder rung above every
+    tangent point: shape (P, R) + component shape for P tangent points and
+    R rungs.
+
+    The P x R rows (eps_r, tangent point p), row p * R + r, are one batch:
+    component_fn(coords) -> stacked (..., P*R, S) jets is called once on
+    their seeded coordinates, and one eval_shift takes each row back by its
+    own -eps_r in T.
+    """
+    tps = np.atleast_2d(np.asarray(tangent_points, dtype=float))
+    P, R = len(tps), len(spec.ladder)
+    points = np.concatenate([np.tile(spec.ladder, P)[:, None],
+                             np.repeat(tps, R, axis=0)], axis=1)
+    to_zero = np.zeros_like(points)
+    to_zero[:, 0] = -points[:, 0]
+    alg = jets.algebra(points.shape[1], order)
+    C = component_fn(jets.seed_point(points, order))
+    rows = alg.eval_shift(C, to_zero)                  # shape + (P*R,)
+    return np.moveaxis(rows, -1, 0).reshape((P, R) + rows.shape[:-1])
+
+
+def ladder_verdict(rungs: np.ndarray, spec: CompactificationSpec,
+                   tolerance: float = 1e-6, want=None) -> ExtensionVerdict:
+    """Certify the (P, R) + shape extrapolations of extrapolate_ladder.
+
+    Passes iff every point's extrapolations are finite and, per component,
+    successive rung differences shrink by the configured factor (or are
+    already below tolerance), and (optionally) the certified limits match
+    want, the (P,) + shape boundary values, componentwise.  The detail
+    names the last failing tangent point.
+    """
+    P, R = rungs.shape[:2]
+    shape = rungs.shape[2:]
+    flat = rungs.reshape(P, R, -1)
+    # A point with a non-finite extrapolation fails outright, keeps its
+    # last rung as its limits and stays out of the statistics.
+    finite = np.isfinite(flat).all(axis=(1, 2))
+    with np.errstate(invalid="ignore"):
+        diffs = np.abs(np.diff(flat, axis=1))           # (P, R-1, C)
+    diffs[~finite] = 0.0
+    # Certified limit: the extrapolation from the best-agreeing pair of
+    # successive rungs.  Deep rungs can be roundoff-dominated for
+    # strongly singular components, so "deepest" is not always best.
+    best = np.min(diffs, axis=1)
+    pick = np.argmin(diffs, axis=1)
+    limits = np.where(finite[:, None],
+                      np.take_along_axis(flat, pick[:, None] + 1, axis=1)[:, 0],
+                      flat[:, -1])
+    point_max = np.where(finite, np.max(np.abs(limits), axis=1), 0.0)
+    # A component converges once some successive rung pair agrees within
+    # tolerance, with the differences before that pair shrinking by the
+    # configured factor (or already at the floor).  Rungs beyond the
+    # certifying pair may sit below the floating-point cancellation floor
+    # of strongly singular components and are not held to the factor.
+    converged = np.zeros(best.shape, dtype=bool)
+    prefix_ok = np.ones(best.shape, dtype=bool)
+    for k in range(R - 1):
+        converged |= prefix_ok & (diffs[:, k] <= tolerance)
+        if k + 2 < R:
+            prefix_ok &= diffs[:, k + 1] <= np.maximum(
+                diffs[:, k] / spec.shrink_factor, tolerance)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(diffs[:, 0] > 1e-14, diffs[:, -1] / diffs[:, 0], 0.0)
+    agreement = np.max(best, axis=1)
+    dev = np.zeros(P)
+    if want is not None:
+        want = np.asarray(want, dtype=float).reshape(P, -1)
+        with np.errstate(invalid="ignore"):
+            dev = np.where(finite, np.max(np.abs(limits - want), axis=1), 0.0)
+        agreement = np.maximum(agreement, dev)
+    no_convergence = (~converged).any(axis=1) | (point_max > spec.finite_bound)
+    failing = ~finite | no_convergence | (dev > tolerance)
+
+    detail = ""
+    if failing.any():
+        p = int(np.flatnonzero(failing)[-1])
+        if not finite[p]:
+            detail = "non-finite extrapolation"
+        elif dev[p] > tolerance:
+            detail = f"boundary mismatch vs closed form: {dev[p]:.3e}"
+        else:
+            c = int(np.argmax(best[p]))
+            k = tuple(int(i) for i in np.unravel_index(c, shape))
+            detail = (f"no convergence: component {k} ladder diffs "
+                      f"{[float(d) for d in diffs[p, :, c]]}")
+    return ExtensionVerdict(passed=not failing.any(),
+                            limits=limits.reshape((P,) + shape),
+                            agreement=float(np.max(agreement)),
+                            max_ratio=float(np.max(ratios)),
+                            max_limit=float(np.max(point_max)),
+                            tolerance=tolerance, detail=detail)
+
+
 def extend_to_boundary(component_fn: Callable, spec: CompactificationSpec,
                        tangent_points, tolerance: float = 1e-6,
                        closed_form: Optional[Callable] = None,
                        order: int = 3) -> ExtensionVerdict:
     """Certify that jet-evaluable components extend to T = 0.
 
-    component_fn(coords) -> stacked (..., S) jets; evaluated at every ladder
-    rung above each tangent point and Taylor-extrapolated back to T = 0.
-    Passes iff per-component extrapolations are finite and successive rung
-    differences shrink by the configured factor (or are already below
-    tolerance), and (optionally) the deepest extrapolation matches
-    closed_form(tangent_point) componentwise.
+    component_fn(coords) -> stacked (..., B, S) jets; evaluated once on the
+    batch of every ladder rung above every tangent point and
+    Taylor-extrapolated back to T = 0 (extrapolate_ladder), then certified
+    point by point (ladder_verdict).  closed_form, if given, maps the
+    (P, dim) tangent points at T = 0 (T in slot 0) to the (P,) + shape
+    boundary values the limits must match, as a field's values() does.
+    The verdict's limits have shape (P,) + component shape.
     """
-    tangent_points = np.atleast_2d(np.asarray(tangent_points, dtype=float))
-    worst_ratio = 0.0
-    worst_agreement = 0.0
-    max_limit = 0.0
-    passed = True
-    detail = ""
-    limits_out = None
-    for tp in tangent_points:
-        alg = jets.algebra(len(tp) + 1, order)
-        rungs = []
-        for eps in spec.ladder:
-            point = np.concatenate([[eps], tp])
-            to_zero = np.zeros(len(point))
-            to_zero[0] = -eps
-            rungs.append(alg.eval_shift(
-                component_fn(jets.seed_point(point, order)), to_zero))
-        rungs = np.array(rungs)
-        if not np.all(np.isfinite(rungs)):
-            passed = False
-            detail = "non-finite extrapolation"
-            limits_out = rungs[-1]
-            continue
-        # Certified limit: the extrapolation from the best-agreeing pair of
-        # successive rungs.  Deep rungs can be roundoff-dominated for
-        # strongly singular components, so "deepest" is not always best.
-        diffs = np.abs(np.diff(rungs, axis=0))        # (nr-1, *shape)
-        best = np.min(diffs, axis=0)
-        flat_d = diffs.reshape(len(diffs), -1)
-        flat_r = rungs.reshape(len(rungs), -1)
-        pick = np.argmin(flat_d, axis=0)
-        limits_out = flat_r[pick + 1, np.arange(flat_r.shape[1])].reshape(rungs[0].shape)
-        max_limit = max(max_limit, float(np.max(np.abs(limits_out))))
-        worst_agreement = max(worst_agreement, float(np.max(best)))
-        # A component converges once some successive rung pair agrees within
-        # tolerance, with the differences before that pair shrinking by the
-        # configured factor (or already at the floor).  Rungs beyond the certifying
-        # pair may sit below the floating-point cancellation floor of
-        # strongly singular components and are not held to the factor.
-        converged = np.zeros(best.shape, dtype=bool)
-        prefix_ok = np.ones(best.shape, dtype=bool)
-        for k in range(len(diffs)):
-            converged |= prefix_ok & (diffs[k] <= tolerance)
-            if k + 1 < len(diffs):
-                prefix_ok &= diffs[k + 1] <= np.maximum(
-                    diffs[k] / spec.shrink_factor, tolerance)
-        bad = ~converged
-        if np.any(bad) or max_limit > spec.finite_bound:
-            passed = False
-            k = np.unravel_index(int(np.argmax(best)), best.shape)
-            detail = (f"no convergence: component {k} ladder diffs "
-                      f"{[float(d[k]) for d in diffs]}")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(diffs[0] > 1e-14, diffs[-1] / diffs[0], 0.0)
-        worst_ratio = max(worst_ratio, float(np.max(ratios)))
-        if closed_form is not None:
-            want = np.asarray(closed_form(tp), dtype=float)
-            dev = float(np.max(np.abs(limits_out - want)))
-            worst_agreement = max(worst_agreement, dev)
-            if dev > tolerance:
-                passed = False
-                detail = f"boundary mismatch vs closed form: {dev:.3e}"
-    return ExtensionVerdict(passed=passed, limits=limits_out,
-                            agreement=worst_agreement,
-                            max_ratio=worst_ratio, max_limit=max_limit,
-                            tolerance=tolerance, detail=detail)
+    tps = np.atleast_2d(np.asarray(tangent_points, dtype=float))
+    want = None if closed_form is None else closed_form(at_boundary(tps))
+    return ladder_verdict(extrapolate_ladder(component_fn, spec, tps, order),
+                          spec, tolerance, want)
 
 
 def match_boundary_constant(g: MetricField, spec: CompactificationSpec,
@@ -231,10 +282,11 @@ def asymptotic_form_check(g: MetricField, spec: CompactificationSpec,
                     name=f"h({g.name})")
     verdict = extend_to_boundary(hfunc, spec, tangent_points, tolerance=tolerance)
     if verdict.passed:
-        hb = np.asarray(verdict.limits, dtype=float)[1:, 1:]
-        if abs(np.linalg.det(hb)) < 1e-8:
+        dets = np.abs(np.linalg.det(verdict.limits[:, 1:, 1:]))
+        if np.min(dets) < 1e-8:
             verdict.passed = False
-            verdict.detail = "boundary metric h|_{T=0} degenerate"
+            verdict.detail = (f"boundary metric h|_{{T=0}} degenerate at tangent "
+                              f"point {int(np.argmin(dets))}")
     return h, verdict, float(C)
 
 

@@ -25,13 +25,12 @@ stacked component array is then tensor axes + (B, S).  The batch axis sits
 between the tensor axes and the coefficient axis, so every gather on the
 last axis, every contraction over the leading tensor axes and every
 front-anchored transpose reads a batch as it reads one point.  Row by row,
-mul, the Jet arithmetic and the series helpers do the arithmetic of one
-point, in the same order (the series coefficients come per row from the same
-float formulas), so their rows are bitwise the single-point results;
-contract's einsum may sum a tensor index in another order for a batch,
-which moves results at rounding level.  A number or an array of the jet's
-batch shape (one value per row) is the only non-Jet operand of the Jet
-arithmetic.
+mul, contract, eval_shift (one shift per row), the Jet arithmetic and the
+series helpers do the arithmetic of one point, in the same order (the
+series coefficients come per row from the same float formulas; contract
+adds the terms of a summed tensor index one by one), so their rows are
+bitwise the single-point results.  A number or an array of the jet's batch shape
+(one value per row) is the only non-Jet operand of the Jet arithmetic.
 
 The elementary-function helpers (sin, cos, exp, ...) dispatch on type so the
 same component code can run on plain floats, which is what the independent
@@ -192,28 +191,49 @@ class JetAlgebra:
         """Truncated product of stacked jet tensors (coefficients on the last
         axis) summed by an einsum spec over the tensor axes: "ij,jk->ik" is
         the jet matrix product.  Batch axes, between the tensor axes and the
-        coefficients, are carried along (broadcast).  Pairs are reduced in a
-        fixed order."""
+        coefficients, are carried along (broadcast).
+
+        A summed tensor index is reduced in one order for one point and for
+        each row of a batch, so batched rows are bitwise the single-point
+        results.  The einsum runs on contiguous pair gathers: their
+        trailing (batch and) pair axes are its innermost loop, and the
+        summed index is added term by term.  At order 0 there is one pair,
+        and for one point the summed index itself is the innermost loop;
+        a batch is then laid out rows first so that each row is reduced
+        that way too.  Pairs are then reduced in a fixed order."""
         operands, result = spec.split("->")
         sa, sb = operands.split(",")
-        if "..." not in spec and (a.ndim > len(sa) + 1 or b.ndim > len(sb) + 1):
+        ba = 0 if "..." in spec else a.ndim - len(sa) - 1
+        bb = 0 if "..." in spec else b.ndim - len(sb) - 1
+        if self.order == 0 and (ba or bb):
+            a = np.moveaxis(a[..., 0], range(len(sa), len(sa) + ba), range(ba))
+            b = np.moveaxis(b[..., 0], range(len(sb), len(sb) + bb), range(bb))
+            out = np.einsum(f"...{sa},...{sb}->...{result}",
+                            np.ascontiguousarray(a), np.ascontiguousarray(b))
+            rows = max(ba, bb)
+            out = np.moveaxis(out, range(rows), range(out.ndim - rows, out.ndim))
+            return out[..., None]
+        if ba or bb:
             sa, sb, result = sa + "...", sb + "...", result + "..."
         pairs = np.einsum(f"{sa}z,{sb}z->{result}z",
-                          a[..., self._pair_i], b[..., self._pair_j])
+                          np.take(a, self._pair_i, axis=-1),
+                          np.take(b, self._pair_j, axis=-1))
         return np.add.reduceat(pairs, self._pair_start, axis=-1)
 
     def eval_shift(self, C: np.ndarray, delta) -> np.ndarray:
         """Evaluate a stack C[..., :] of Taylor polynomials at basepoint +
-        delta.  Monomials are summed one at a time in graded-lex order, each
-        coefficient multiplied by the powers of delta in variable order,
-        zero weights included, so an infinite coefficient gives NaN."""
+        delta: one shift (dim,), or one per batch row (B, dim) for C of
+        shape (..., B, S).  Monomials are summed one at a time in graded-lex
+        order, each coefficient multiplied by the powers of delta in
+        variable order, zero weights included, so an infinite coefficient
+        gives NaN; a row's result is bitwise that of its own shift."""
         delta = np.asarray(delta, dtype=float)
         total = np.zeros(C.shape[:-1])
         for k, m in enumerate(self.monomials):
             term = C[..., k]
             for i, e in enumerate(m):
                 if e:
-                    term = term * delta[i] ** e
+                    term = term * delta[..., i] ** e
             total += term
         return total
 

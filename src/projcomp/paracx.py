@@ -6,7 +6,11 @@ Components follow the field contract (see fields): J, the Libermann
 connection, the Nijenhuis tensor, the para-c-projective change, theta, h
 and the boundary pullbacks each take and return stacked (..., S) jet
 arrays, with a few JetAlgebra.contract calls, and g and Omega of the
-boundary bundle share one inverse-map evaluation per point.  The closed-form
+boundary bundle share one inverse-map evaluation per point batch.  Every
+boundary check evaluates its fields once over all of its points: one
+extension ladder (all tangent points times all rungs, see compactify) for
+J in levi, the Nijenhuis T row and h in cg-form, and one values() batch
+for h_D, theta0 and the interior closed-form comparisons.  The closed-form
 references (boundary_data, boundary_theta_closed, boundary_h_closed) keep
 their scalar arithmetic: they view the stacked Gamma and P as scalar Jets
 at their top and end with one jets.stack.
@@ -28,7 +32,6 @@ model):
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
@@ -38,7 +41,9 @@ from .fields import (Chart, ChartMap, ConnectionField, MetricField,
                      TensorField, _contract_slots, _grad, _inverse, _map_jets,
                      _memo_last, _nabla, exterior_derivative,
                      levi_civita)
-from .compactify import CompactificationSpec, ExtensionVerdict, extend_to_boundary
+from .compactify import (CompactificationSpec, ExtensionVerdict, at_boundary,
+                         extend_to_boundary, extrapolate_ladder,
+                         ladder_verdict)
 from .catalog import (ProjectiveStructure, dm_boundary_chart, dm_boundary_map,
                       dm_metric)
 
@@ -232,8 +237,8 @@ def pullback_field(field: TensorField, cmap: ChartMap) -> TensorField:
     The Jacobian is the stacked derivative of the inverse map, contracted
     one slot at a time (Jac^T G Jac for a bilinear form): two
     JetAlgebra.contract calls of d^3 jet products each per evaluation of a
-    rank-2 field in dimension d.  The last point's components are kept for
-    a repeated evaluation there.
+    rank-2 field in dimension d.  The last call's components are kept for
+    a repeated evaluation at the same points (or point batch).
     """
     r, s = field.valence
     if r != 0:
@@ -588,15 +593,14 @@ def levi_compatibility_check(ps: ProjectiveStructure, rng, count: int = 10,
     _, h_d, _ = boundary_data(ps)
     M = _dtheta0_matrix(n)
     spec = CompactificationSpec(chart=chart, ladder=ladder)
+    tps = spec.boundary_points(rng, count)
+    J0 = extend_to_boundary(jb.func, spec, tps, order=3).limits
+    p0 = at_boundary(tps)
     resid = 0.0
-    for p in chart.sample(rng, count):
-        p0 = np.array(p)
-        p0[0] = 0.0
-        J0 = extend_to_boundary(jb.func, spec, p0[1:], order=3).limits
-        JD = project_j_to_distribution(J0, n, p0)
-        H = h_d.values(p0)
-        for u in _distribution_basis(n, p0):
-            for v in _distribution_basis(n, p0):
+    for p, J, H in zip(p0, J0, h_d.values(p0)):
+        JD = project_j_to_distribution(J, n, p)
+        for u in _distribution_basis(n, p):
+            for v in _distribution_basis(n, p):
                 levi = LEVI_BRIDGE * float((JD @ u) @ M @ v)
                 resid = max(resid, abs(float(u @ H @ v) - levi))
     return resid
@@ -611,18 +615,12 @@ def contact_nondegeneracy(ps: ProjectiveStructure, rng, count: int = 10) -> floa
     theta0, _, _ = boundary_data(ps)
     M = _dtheta0_matrix(n)
     tang = list(range(1, 2 * n))  # Z, X, Y rows of the boundary
-    worst = math.inf
-    for p in chart.sample(rng, count):
-        p0 = np.array(p)
-        p0[0] = 0.0
-        th = theta0.values(p0)
-        dim = len(tang) + 1
-        B = np.zeros((dim, dim))
-        B[0, 1:] = th[tang]
-        B[1:, 0] = -th[tang]
-        B[1:, 1:] = M[np.ix_(tang, tang)]
-        worst = min(worst, abs(np.linalg.det(B)))
-    return worst
+    th = theta0.values(at_boundary(chart.sample(rng, count)[:, 1:]))[:, tang]
+    B = np.zeros((len(th), 2 * n, 2 * n))
+    B[:, 0, 1:] = th
+    B[:, 1:, 0] = -th
+    B[:, 1:, 1:] = M[np.ix_(tang, tang)]
+    return float(np.min(np.abs(np.linalg.det(B))))
 
 
 def nijenhuis_tangential_check(ps: ProjectiveStructure, rng, count: int = 6,
@@ -660,8 +658,8 @@ def cg_form_check(ps: ProjectiveStructure, rng, count: int = 5,
     Returns the sub-results h_extension, h_closed_form_residual,
     theta_closed_form_residual and h_boundary_match.  boundary_fields is the
     (g, Omega, J, chart) bundle of dm_boundary_fields(ps).  h is evaluated
-    once per (tangent point, rung): both extension verdicts read the same
-    ladder.
+    in one batch of every (tangent point, rung) row: both extension
+    verdicts read that ladder.
     """
     gb, omb, _, chart = boundary_fields
     spec = CompactificationSpec(chart=chart, ladder=ladder)
@@ -670,23 +668,16 @@ def cg_form_check(ps: ProjectiveStructure, rng, count: int = 5,
 
     # h_{T,1/4} extends, and matches the closed form on interior slices
     h_engine = h_tc_field(gb, omb, boundary_t_coordinate, C=0.25)
-    rungs = {}
-
-    def h_on_ladder(coords):  # order-3 jets throughout: a point is its key
-        key = tuple(c.value for c in coords)
-        if key not in rungs:
-            rungs[key] = h_engine.func(coords)
-        return rungs[key]
-
-    out["h_extension"] = extend_to_boundary(h_on_ladder, spec, tps,
-                                            tolerance=1e-6)
+    rungs = extrapolate_ladder(h_engine.func, spec, tps)
+    out["h_extension"] = ladder_verdict(rungs, spec, tolerance=1e-6)
     h_closed = boundary_h_closed(ps)
+    # the first two rungs above the first three points
+    slices = np.array([np.concatenate([[eps], tp])
+                       for tp in tps[:3] for eps in ladder[:2]])
 
     def interior_gap(engine, closed):
-        """Worst deviation on the first two rungs above three points."""
-        return max(float(np.max(np.abs(engine.values(p) - closed.values(p))))
-                   for p in (np.concatenate([[eps], tp])
-                             for tp in tps[:3] for eps in ladder[:2]))
+        return float(np.max(np.abs(engine.values(slices)
+                                   - closed.values(slices))))
 
     out["h_closed_form_residual"] = interior_gap(h_engine, h_closed)
     # theta matches its closed form
@@ -694,9 +685,7 @@ def cg_form_check(ps: ProjectiveStructure, rng, count: int = 5,
         theta_field(gb, omb, boundary_t_coordinate), boundary_theta_closed(ps))
 
     # boundary value of h against the boundary closed form at T = 0
-    def h_at_zero(tp):
-        return h_closed.values(np.concatenate([[0.0], tp]))
-
-    out["h_boundary_match"] = extend_to_boundary(
-        h_on_ladder, spec, tps[:3], tolerance=1e-6, closed_form=h_at_zero)
+    out["h_boundary_match"] = ladder_verdict(
+        rungs[:3], spec, tolerance=1e-6,
+        want=h_closed.values(at_boundary(tps[:3])))
     return out

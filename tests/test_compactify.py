@@ -10,7 +10,9 @@ from projcomp.catalog import (EHParams, compactified_cone, cone, cone_in_t,
                               split_signature_flat, unit_sphere, warped,
                               WarpedPair)
 from projcomp.compactify import (CompactificationSpec, SingularMetricError,
-                                 asymptotic_form_check, extend_to_boundary, metricity_check,
+                                 asymptotic_form_check, extend_to_boundary,
+                                 extrapolate_ladder, ladder_verdict,
+                                 metricity_check,
                                  upsilon_from_defining)
 from projcomp.fields import (MetricField, levi_civita, projective_change,
                              TensorField)
@@ -92,7 +94,7 @@ def test_cone_extension_matches_closed_form():
     lc_bar = levi_civita(gbar)
     v = extend_to_boundary(
         changed.func, spec, tps, tolerance=1e-6,
-        closed_form=lambda tp: lc_bar.values(np.concatenate([[0.0], tp])))
+        closed_form=lc_bar.values)
     assert v.passed and v.agreement < 1e-6
 
 
@@ -164,7 +166,7 @@ def test_eh_asymptotic_form_and_boundary_metric():
     tps = spec.boundary_points(rng, 2)
     h, v, Cm = asymptotic_form_check(gT, spec, tps, tolerance=1e-6)
     assert v.passed and abs(Cm - 1.0) < 1e-9
-    assert abs(np.linalg.det(v.limits[1:, 1:])) > 1e-3
+    assert np.min(np.abs(np.linalg.det(v.limits[:, 1:, 1:]))) > 1e-3
     # extracted h agrees with the direct-substitution field
     p = np.concatenate([[0.1], tps[0]])
     assert np.max(np.abs(h.values(p) - href.values(p))) < 1e-10
@@ -187,6 +189,104 @@ def test_divergent_component_fails_ladder():
     spec = CompactificationSpec(chart=chart)
     v = extend_to_boundary(func, spec, [(0.2,)], tolerance=1e-6)
     assert not v.passed
+
+
+def _cone_change():
+    base = unit_sphere(2)
+    gbar = compactified_cone(base)
+    spec = CompactificationSpec(chart=gbar.chart, alpha=1.0)
+    changed = projective_change(
+        levi_civita(cone_in_t(base)),
+        upsilon_from_defining(gbar.chart, lambda c: c[0], 1.0))
+    return changed, spec
+
+
+def test_ladder_is_one_call_bitwise_the_per_rung_extrapolations():
+    changed, spec = _cone_change()
+    tps = spec.boundary_points(np.random.default_rng(6), 4)
+    calls = []
+
+    def counted(coords):
+        calls.append(jets.base_point(coords).shape)
+        return changed.func(coords)
+
+    rungs = extrapolate_ladder(counted, spec, tps)
+    assert calls == [(4 * 3, 3)]
+    assert rungs.shape == (4, 3, 3, 3, 3)
+    alg = jets.algebra(3, 3)
+    for p, tp in enumerate(tps):
+        for r, eps in enumerate(spec.ladder):
+            point = np.concatenate([[eps], tp])
+            delta = np.zeros(3)
+            delta[0] = -eps
+            one = alg.eval_shift(changed.func(jets.seed_point(point, 3)), delta)
+            assert np.array_equal(rungs[p, r], one)
+
+
+def test_limits_hold_every_tangent_point():
+    changed, spec = _cone_change()
+    tps = spec.boundary_points(np.random.default_rng(7), 3)
+    v = extend_to_boundary(changed.func, spec, tps, tolerance=1e-6)
+    assert v.passed and v.limits.shape == (3, 3, 3, 3)
+    for p in range(3):
+        alone = extend_to_boundary(changed.func, spec, tps[p], tolerance=1e-6)
+        assert alone.limits.shape == (1, 3, 3, 3)
+        assert np.array_equal(v.limits[p], alone.limits[0])
+
+
+def test_a_failing_point_fails_the_ladder_wherever_it_sits():
+    chart = fields.Chart(names=("T", "u"), box=((0.01, 0.5), (-1, 1)))
+
+    def func(coords):  # diverges only where u > 0
+        T, u = coords
+        return jets.stack([u * u / T + 1.0])
+
+    spec = CompactificationSpec(chart=chart)
+    for good, tps in ((1, [(0.5,), (0.0,)]), (0, [(0.0,), (0.5,)])):
+        v = extend_to_boundary(func, spec, tps, tolerance=1e-6)
+        assert not v.passed and v.detail.startswith("no convergence")
+        assert v.limits.shape == (2, 1) and v.limits[good, 0] == 1.0
+        assert v.max_limit > 100.0
+    ok = extend_to_boundary(func, spec, [(0.0,), (0.0,)], tolerance=1e-6)
+    assert ok.passed and np.array_equal(ok.limits, [[1.0], [1.0]])
+
+
+def test_ladder_verdict_names_the_last_failing_point():
+    spec = CompactificationSpec(chart=fields.Chart(names=("T", "u"),
+                                                   box=((0.01, 0.5), (-1, 1))))
+    good = [[2.0], [2.0 + 1e-9], [2.0]]
+    non_finite = [[1.0], [np.inf], [np.nan]]
+    diverging = [[1e2], [1e3], [1e4]]
+    v = ladder_verdict(np.array([good, diverging, non_finite]), spec)
+    assert not v.passed and v.detail == "non-finite extrapolation"
+    assert v.limits[0, 0] == 2.0 + 1e-9 and np.isnan(v.limits[2, 0])
+    assert v.max_limit == 1e3 and v.agreement == 900.0
+    v = ladder_verdict(np.array([non_finite, diverging, good]), spec)
+    assert v.detail.startswith("no convergence: component (0,)")
+    v = ladder_verdict(np.array([good, good]), spec, want=[[2.0], [3.0]])
+    assert not v.passed and v.detail.startswith("boundary mismatch")
+    assert abs(v.agreement - 1.0) < 1e-8
+    assert ladder_verdict(np.array([good, good]), spec, want=[[2.0]] * 2).passed
+
+
+def test_asymptotic_form_checks_every_tangent_point():
+    # h|_{T=0} = diag(1, u): degenerate above u = 0 only, which is the
+    # first tangent point, not the last
+    chart = fields.Chart(names=("T", "u"), box=((0.05, 0.5), (-1, 1)))
+
+    def func(coords):
+        T, u = coords
+        T2 = T * T
+        return jets.stack([[1.0 / (T2 * T2) + 1.0 / T2, T * 0.0],
+                           [T * 0.0, u / T2]])
+
+    g = MetricField(chart, func, name="degenerate-at-u=0")
+    spec = CompactificationSpec(chart=chart, alpha=1.0)
+    _, v, C = asymptotic_form_check(g, spec, [(0.0,), (0.5,)], tolerance=1e-6)
+    assert abs(C - 1.0) < 1e-9
+    assert not v.passed and "degenerate at tangent point 0" in v.detail
+    _, v, _ = asymptotic_form_check(g, spec, [(0.25,), (0.5,)], tolerance=1e-6)
+    assert v.passed and v.limits.shape == (2, 2, 2)
 
 
 def _eval_shift_loop(jet, delta):

@@ -124,21 +124,16 @@ def test_leaf_formulas_run_on_floats(name):
 
 @pytest.mark.parametrize("name", FIELDS)
 def test_a_batch_of_points_evaluates_as_the_points_one_by_one(name):
-    """Row b of at(P, o) is at(P[b], o): bitwise for most fields, to
-    rounding where the summation order of a contraction depends on the
-    memory layout of its operands.  On the dm boundary chart the poles at
-    T = 0 amplify that rounding (intermediate coefficients reach 1e7), so
-    those fields get a wider relative bound."""
+    """Row b of at(P, o) is at(P[b], o), bitwise: every kernel reduces a
+    batch row in the order of one point."""
     field = FIELDS[name]
     P = field.chart.sample(np.random.default_rng(7), 5)
     tensor = (field.chart.dim,) * _rank(field)
-    near_poles = field.chart.names == catalog.dm_boundary_chart(2).names
     for order in (0, 1, 2):
         got = _at(field, P, order)
         want = np.stack([_at(field, p, order) for p in P], axis=-2)
         assert got.shape == tensor + (5, jets.algebra(field.chart.dim, order).size)
-        scale = (1e-9 if near_poles else 1e-13) * max(1.0, np.max(np.abs(want)))
-        np.testing.assert_allclose(got, want, rtol=0, atol=scale)
+        np.testing.assert_array_equal(got, want)
     values = field.values(P)
     assert values.shape == (5,) + tensor
     np.testing.assert_array_equal(values, np.moveaxis(_at(field, P, 0)[..., 0], -1, 0))

@@ -399,6 +399,61 @@ def test_batched_mul_is_the_rowwise_mul_bitwise(num_vars, order):
     assert np.array_equal(alg.mul(a, b[0]), np.stack([alg.mul(x, b[0]) for x in a]))
 
 
+# JetAlgebra.contract specs of src/: fields (inverse, Levi-Civita, Ricci,
+# nabla, slot contractions, transform_connection), paracx (J, Libermann,
+# Nijenhuis, the para-c-projective change, theta, h), catalog, tractor and
+# jets.scale
+CONTRACT_SPECS = (
+    "ij,jk->ik", "kl,pl->kp", "aae,edb->bd", "ade,eab->bd", "ace,e->ca",
+    "ace,eb->cab", "eca,eb->cab", "ecb,ae->cab", "a,ay->y", "ab,ay->yb",
+    "ab,by->ay", "abd,dy->aby", "cab,am->cmb", "cmb,bn->cmn", "gc,cmn->gmn",
+    "ac,bc->ab", "cd,abd->cab", "db,dac->abc", "d,da->a", "cb,a->cab",
+    "cb,b->c", "ac,c->a", "a,b->ab", ",ab->ab", "i,j->ij", "kij,k->ij",
+    "ba,a->b", "...,...->...")
+
+
+def _spec_operands(spec, n, batch, size, rng):
+    sa, sb = spec.split("->")[0].split(",")
+    if spec == "...,...->...":  # jets.scale: a scalar times a stacked matrix
+        sa, sb = "", "ab"
+    return [rng.uniform(-1.0, 1.0, (n,) * len(s) + batch + (size,))
+            for s in (sa, sb)]
+
+
+@pytest.mark.parametrize("num_vars,order", [(4, 0), (6, 0), (3, 1), (4, 2),
+                                            (6, 3)])
+def test_batched_contract_is_the_rowwise_contract_bitwise(num_vars, order):
+    # a summed tensor index is reduced in one order for a point and for
+    # every row of a batch, at every jet order (order 0 included)
+    alg = jets.algebra(num_vars, order)
+    rng = np.random.default_rng(num_vars + 10 * order)
+    for spec in CONTRACT_SPECS:
+        for rows in (1, 2, 7):
+            a, b = _spec_operands(spec, num_vars, (rows,), alg.size, rng)
+            got = alg.contract(spec, a, b)
+            for r in range(rows):
+                one = alg.contract(spec, a[..., r, :], b[..., r, :])
+                assert np.array_equal(got[..., r, :], one), (spec, rows, r)
+        if spec != "...,...->...":  # a single-point operand broadcasts
+            got = alg.contract(spec, a, b[..., 0, :])
+            for r in range(rows):
+                one = alg.contract(spec, a[..., r, :], b[..., 0, :])
+                assert np.array_equal(got[..., r, :], one), (spec, r)
+
+
+def test_eval_shift_takes_one_shift_per_row_bitwise():
+    alg = jets.algebra(4, 3)
+    rng = np.random.default_rng(2)
+    C = rng.standard_normal((3, 2, 5, alg.size))
+    delta = np.zeros((5, 4))
+    delta[:, 0] = -np.array([1e-2, 1e-3, 1e-4, 0.3, 0.0])
+    delta[:, 1:] = rng.uniform(-0.1, 0.1, (5, 3))
+    got = alg.eval_shift(C, delta)
+    assert got.shape == (3, 2, 5)
+    for r in range(5):
+        assert np.array_equal(got[..., r], alg.eval_shift(C[..., r, :], delta[r]))
+
+
 def test_batched_series_and_arithmetic_are_rowwise_bitwise():
     P = np.array([[0.3, 1.2], [-0.7, 0.4], [1.1, 2.5]])
     X = jets.seed_point(P, 3)
