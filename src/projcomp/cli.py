@@ -473,12 +473,15 @@ class _DM(Scenario):
         return _status(resid, tol), resid, min(self.count, 8), {}
 
     @_check("contact",
-            "theta0 ^ (dtheta0)^(n-1) does not vanish on the boundary", 1e-8)
+            "the bordered contact matrix [[0, theta0], [-theta0, dtheta0]] has "
+            "determinant 4^n at the boundary points (so theta0 ^ "
+            "(dtheta0)^(n-1) does not vanish)", 1e-8)
     def contact(self, tol, rng):
-        det = paracx.contact_nondegeneracy(self.ps, rng,
-                                           count=min(self.count, 8))
-        status = "pass" if det > tol else "fail"
-        return status, det, min(self.count, 8), {"min_det": det}
+        det = paracx.contact_determinants(self.ps, rng, count=min(self.count, 8))
+        exact = 4.0 ** self.ps.n
+        resid = float(np.max(np.abs(det - exact))) / exact
+        return (_status(resid, tol), resid, min(self.count, 8),
+                {"min_det": float(np.min(np.abs(det)))})
 
     @_check("nijenhuis-tangential",
             "Nijenhuis tensor has asymptotically tangential values", 1e-6)
@@ -535,12 +538,11 @@ class _DMRandom(_DM):
                 catalog.projective_change_structure(self.ps, ups))
             if pg.canonical() != pg2.canonical():
                 exact = False
-            for q in range(3):
-                xp = point_rng(self.seed, self.id,
-                               100 + k * 3 + q).uniform(-0.8, 0.8, 2)
-                worst = max(worst, max(
-                    abs(a([xp[0], xp[1]]) - b([xp[0], xp[1]]))
-                    for a, b in zip(pg.coefficients(), pg2.coefficients())))
+            xs = jets.seed_point([point_rng(self.seed, self.id, 100 + k * 3 + q)
+                                  .uniform(-0.8, 0.8, 2) for q in range(3)], 0)
+            worst = max([worst] + [
+                float(np.max(np.abs((a(xs) - b(xs)).value)))
+                for a, b in zip(pg.coefficients(), pg2.coefficients())])
         status = "pass" if exact and worst < tol else "fail"
         return status, worst, 20, {"coefficient_exact": exact}
 

@@ -3,17 +3,18 @@ boundary contact data, and the boundary checks for the canonical neutral
 Einstein metrics.
 
 Components follow the field contract (see fields): J, the Libermann
-connection, the Nijenhuis tensor, the para-c-projective change, theta, h
-and the boundary pullbacks each take and return stacked (..., S) jet
-arrays, with a few JetAlgebra.contract calls, and g and Omega of the
-boundary bundle share one inverse-map evaluation per point batch.  Every
-boundary check evaluates its fields once over all of its points: one
-extension ladder (all tangent points times all rungs, see compactify) for
-J in levi, the Nijenhuis T row and h in cg-form, and one values() batch
-for h_D, theta0 and the interior closed-form comparisons.  The closed-form
-references (boundary_data, boundary_theta_closed, boundary_h_closed) keep
-their scalar arithmetic: they view the stacked Gamma and P as scalar Jets
-at their top and end with one jets.stack.
+connection, the Nijenhuis tensor, the para-c-projective change, theta, h,
+the boundary pullbacks and the closed-form references (boundary_data,
+boundary_theta_closed, boundary_h_closed) each take and return stacked
+(..., S) jet arrays, with a few JetAlgebra.contract calls, and g and Omega
+of the boundary bundle share one inverse-map evaluation per point batch.
+The closed forms build their one-forms as stacks over the chart index and
+their symmetric products with contract, independently of the engine's
+route (pullback, J, theta, h_tc_field) that they certify.  Every boundary
+check evaluates its fields once over all of its points: one extension
+ladder (all tangent points times all rungs, see compactify) for J in levi,
+the Nijenhuis T row and h in cg-form, and one values() batch for h_D,
+theta0 and the interior closed-form comparisons.
 
 Orientation conventions (recorded, then validated exactly by the flat
 model):
@@ -44,8 +45,8 @@ from .fields import (Chart, ChartMap, ConnectionField, MetricField,
 from .compactify import (CompactificationSpec, ExtensionVerdict, at_boundary,
                          extend_to_boundary, extrapolate_ladder,
                          ladder_verdict)
-from .catalog import (ProjectiveStructure, dm_boundary_chart, dm_boundary_map,
-                      dm_metric)
+from .catalog import (ProjectiveStructure, _on_floats, dm_boundary_chart,
+                      dm_boundary_map, dm_metric)
 
 __all__ = [
     "j_from_g_omega",
@@ -63,6 +64,7 @@ __all__ = [
     "boundary_theta_closed",
     "boundary_h_closed",
     "levi_compatibility_check",
+    "contact_determinants",
     "contact_nondegeneracy",
     "nijenhuis_tangential_check",
     "cg_form_check",
@@ -291,25 +293,35 @@ def half_dlog_t(chart: Chart) -> TensorField:
 # -- boundary data (contact form, Theta, h_D) ----------------------------------
 
 
-def _as_scalars(A: np.ndarray, like) -> np.ndarray:
-    """Stacked components as the closed-form references compute with them:
-    an object array of Jets of like's algebra, or for a float like the
-    float array itself."""
-    if not isinstance(like, jets.Jet):
-        return A
-    out = np.empty(A.shape[:A.ndim - like.c.ndim], dtype=object)
-    out.ravel()[:] = [jets.Jet(like.alg, c) for c in A.reshape((-1,) + like.c.shape)]
+def _boundary_frame(ps: ProjectiveStructure, coords):
+    """K = Y + Z_A X^A and, stacked over the base index j = 0..n-1, the base
+    point x = (X, Y), zeta = (Z, 1) and c_ij = Gamma^C_ij Z_C + Gamma^n_ij
+    = Gamma^k_ij zeta_k at the boundary-chart jets coords."""
+    n = ps.n
+    alg = coords[0].alg
+    x = jets.stack(coords[n:])
+    zeta = jets.stack(list(coords[1:n]) + [coords[0] * 0.0 + 1.0])
+    K = jets.Jet(alg, alg.contract("a,a->", zeta, x))
+    c = alg.contract("kij,k->ij", ps.gamma_at(coords[n:]), zeta)
+    return K, x, zeta, c
+
+
+def _one_form(dim: int, slot: int, f: np.ndarray) -> np.ndarray:
+    """The one-form of a dim-chart with the stacked entries f in the slots
+    slot, slot + 1, ...; slot n of the boundary chart holds a form in the
+    base differentials dx^j = (dX^A, dY)."""
+    out = np.zeros((dim,) + f.shape[1:])
+    out[slot:slot + len(f)] = f
     return out
 
 
-def _gamma_contracted(gamma: np.ndarray, Z, i, j):
-    """c_ij = Gamma^C_ij Z_C + Gamma^n_ij from the scalars of
-    ps.gamma_at(x)."""
-    n = len(gamma)
-    acc = gamma[n - 1, i, j]
-    for Cc in range(n - 1):
-        acc = acc + gamma[Cc, i, j] * Z[Cc]
-    return acc
+def _dz_dx(n: int, one: np.ndarray) -> np.ndarray:
+    """SYM(dZ_A, dX^A), summed over A, on the boundary chart: the stacked
+    one in the (Z_A, X^A) and (X^A, Z_A) entries."""
+    out = np.zeros((2 * n, 2 * n) + one.shape)
+    a = np.arange(1, n)
+    out[a, a + n - 1] = out[a + n - 1, a] = one
+    return out
 
 
 def boundary_data(ps: ProjectiveStructure):
@@ -328,45 +340,30 @@ def boundary_data(ps: ProjectiveStructure):
     m = n - 1
 
     def theta_comps(coords):
-        Z = coords[1:n]
-        zero = coords[0] * 0.0
-        out = [zero] * (2 * n)
-        for a in range(m):
-            out[n + a] = 2.0 * Z[a]
-        out[2 * n - 1] = zero + 2.0
-        return jets.stack(out)
+        return 2.0 * _one_form(2 * n, n, jets.stack(
+            list(coords[1:n]) + [coords[0] * 0.0 + 1.0]))
 
-    def theta_scalars(point):
-        Z = list(point[1:n])
-        gamma = _as_scalars(ps.gamma_at(list(point[n:2 * n - 1]) + [point[-1]]),
-                            point[0])
-        Th = np.empty((m, m), dtype=object)
-        for A in range(m):
-            for B in range(m):
-                t = _gamma_contracted(gamma, Z, A, B)
-                t = t + _gamma_contracted(gamma, Z, n - 1, n - 1) * (Z[A] * Z[B])
-                t = t - 2.0 * _gamma_contracted(gamma, Z, A, n - 1) * Z[B]
-                Th[A, B] = t
-        return Th
+    @_on_floats
+    def theta_matrix(coords):
+        alg = coords[0].alg
+        _, _, zeta, c = _boundary_frame(ps, coords)
+        Z = zeta[:m]
+        return (c[:m, :m]
+                + alg.contract(",ab->ab", c[m, m], alg.contract("a,b->ab", Z, Z))
+                - 2.0 * alg.contract("a,b->ab", c[:m, m], Z))
 
+    @_on_floats
     def hd_comps(coords):
-        zero = coords[0] * 0.0
-        Th = theta_scalars(coords)
-        H = np.empty((2 * n, 2 * n), dtype=object)
-        H[...] = zero
-        for A in range(m):
-            H[1 + A, n + A] = zero + 1.0
-            H[n + A, 1 + A] = H[1 + A, n + A]
-        for A in range(m):
-            for B in range(m):
-                H[n + A, n + B] = H[n + A, n + B] - (Th[A, B] + Th[B, A])
-        return jets.stack(H)
+        Th = theta_matrix(coords)
+        H = _dz_dx(n, jets.stack(coords[0] * 0.0 + 1.0))
+        H[n:-1, n:-1] = -(Th + Th.swapaxes(0, 1))
+        return H
 
     theta0 = TensorField(chart=chart, valence=(0, 1), func=theta_comps,
                          name="theta0")
     h_d = TensorField(chart=chart, valence=(0, 2), func=hd_comps,
                       symmetric=True, name="h_D")
-    return theta0, h_d, lambda point: jets.stack(theta_scalars(point))
+    return theta0, h_d, theta_matrix
 
 
 def boundary_theta_closed(ps: ProjectiveStructure) -> TensorField:
@@ -378,38 +375,19 @@ def boundary_theta_closed(ps: ProjectiveStructure) -> TensorField:
     with P in the engine orientation (Ric_ab = n P_ba - P_ab).
     """
     n = ps.n
-    m = n - 1
     chart = dm_boundary_chart(n)
 
+    @_on_floats
     def func(coords):
+        alg = coords[0].alg
         T = coords[0]
-        Z = coords[1:n]
-        X = coords[n:2 * n - 1]
-        Y = coords[-1]
-        xs = list(X) + [Y]
-        K = Y
-        for a in range(m):
-            K = K + Z[a] * X[a]
-        P = _as_scalars(ps.schouten_at(xs), T)
-        gamma = _as_scalars(ps.gamma_at(xs), T)
-        zero = T * 0.0
-        th = [zero] * (2 * n)
-        th[0] = zero - 1.0
-        pref = 2.0 * (1.0 - T) / K
-        TK = T * K
-        T2 = T * T
-        for B in range(m):
-            acc = pref * Z[B]
-            for A in range(m):
-                acc = acc + 2.0 * T2 * (P[A, B] - _gamma_contracted(gamma, Z, A, B) / TK) * X[A]
-            acc = acc + 2.0 * T2 * (P[n - 1, B] - _gamma_contracted(gamma, Z, n - 1, B) / TK) * Y
-            th[n + B] = acc
-        acc = pref * 1.0
-        for A in range(m):
-            acc = acc + 2.0 * T2 * (P[A, n - 1] - _gamma_contracted(gamma, Z, A, n - 1) / TK) * X[A]
-        acc = acc + 2.0 * T2 * (P[n - 1, n - 1] - _gamma_contracted(gamma, Z, n - 1, n - 1) / TK) * Y
-        th[2 * n - 1] = acc
-        return jets.stack(th)
+        K, x, zeta, c = _boundary_frame(ps, coords)
+        P = ps.schouten_at(coords[n:])
+        weighted = jets.scale(2.0 * T * T, P) - jets.scale(2.0 * T / K, c)
+        th = _one_form(2 * n, n, jets.scale(2.0 * (1.0 - T) / K, zeta)
+                       + alg.contract("ij,i->j", weighted, x))
+        th[0] = jets.stack(T * 0.0 - 1.0)
+        return th
 
     return TensorField(chart=chart, valence=(0, 1), func=func,
                        name="theta-closed")
@@ -438,101 +416,45 @@ def boundary_h_closed(ps: ProjectiveStructure) -> TensorField:
     m = n - 1
     chart = dm_boundary_chart(n)
     dim = 2 * n
-    iT, iY = 0, 2 * n - 1
+    upper = np.triu_indices(dim, 1)
 
+    @_on_floats
     def func(coords):
+        alg = coords[0].alg
         T = coords[0]
-        Z = coords[1:n]
-        X = coords[n:2 * n - 1]
-        Y = coords[-1]
-        xs = list(X) + [Y]
-        K = Y
-        for a in range(m):
-            K = K + Z[a] * X[a]
-        P = _as_scalars(ps.schouten_at(xs), T)
-        zero = T * 0.0
-        one = T * 0.0 + 1.0
+        K, x, zeta, c = _boundary_frame(ps, coords)
+        P = ps.schouten_at(coords[n:])
+        one = jets.stack(T * 0.0 + 1.0)
 
-        # one-form component vectors over (T, Z, X, Y)
-        omega = [zero] * dim
-        omega[iY] = one
-        for a in range(m):
-            omega[n + a] = Z[a] + zero
-        dT = [zero] * dim
-        dT[iT] = one
-        dxb = []  # base differentials dx^j, j = 0..n-1
-        for a in range(m):
-            e = [zero] * dim
-            e[n + a] = one
-            dxb.append(e)
-        e = [zero] * dim
-        e[iY] = one
-        dxb.append(e)
+        def outer(u, v):
+            return alg.contract("a,b->ab", u, v)
 
-        gamma = _as_scalars(ps.gamma_at(xs), T)
-        c = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(i, n):
-                c[i, j] = _gamma_contracted(gamma, Z, i, j)
-                c[j, i] = c[i, j]
-        ctil = [None] * n
-        ptil = [None] * n
-        for j in range(n):
-            a1 = None
-            a2 = None
-            for i in range(n):
-                t1 = c[j, i] * xs[i]
-                t2 = P[i, j] * xs[i]
-                a1 = t1 if a1 is None else a1 + t1
-                a2 = t2 if a2 is None else a2 + t2
-            ctil[j] = a1
-            ptil[j] = a2
-        cform = [None] * dim
-        pform = [None] * dim
-        for a in range(dim):
-            accc = zero
-            accp = zero
-            for j in range(n):
-                accc = accc + ctil[j] * dxb[j][a]
-                accp = accp + ptil[j] * dxb[j][a]
-            cform[a] = accc
-            pform[a] = accp
+        def sym(u, v):
+            uv = outer(u, v)
+            return uv + uv.swapaxes(0, 1)
 
-        H = np.empty((dim, dim), dtype=object)
-        H[...] = zero
+        omega = _one_form(dim, n, zeta)
+        dT = _one_form(dim, 0, one[None])
+        ptil = _one_form(dim, n, alg.contract("ij,i->j", P, x))
+        ctil = _one_form(dim, n, alg.contract("ij,i->j", c, x))
+        quad = np.zeros((dim, dim) + one.shape)  # c_ij and P_(ij) terms
+        quad[n:, n:] = (jets.scale(-2.0 / K, c)
+                        + jets.scale(T, P + P.swapaxes(0, 1)))
         invK = 1.0 / K
-
-        def add_sym(u, v, w):
-            for a in range(dim):
-                for b in range(dim):
-                    H[a, b] = H[a, b] + w * (u[a] * v[b] + u[b] * v[a])
-
-        def add_outer(u, w):
-            for a in range(dim):
-                for b in range(dim):
-                    H[a, b] = H[a, b] + w * (u[a] * u[b])
-
-        add_outer(omega, 2.0 * (1.0 - T) * invK * invK)
-        add_sym(omega, dT, -invK)
-        for a in range(m):
-            dZa = [zero] * dim
-            dZa[1 + a] = one
-            add_sym(dZa, dxb[a], invK)
-            add_sym(dZa, omega, -X[a] * invK * invK)
-        for i in range(n):
-            for j in range(n):
-                w = -2.0 * invK * c[i, j] + T * (P[i, j] + P[j, i])
-                for aa in range(dim):
-                    for bb in range(dim):
-                        H[aa, bb] = H[aa, bb] + w * (dxb[i][aa] * dxb[j][bb])
-        add_sym(omega, pform, -2.0 * T * (1.0 - T) * invK)
-        add_sym(omega, cform, 2.0 * (1.0 - T) * invK * invK)
-        add_sym(pform, dT, T)
-        add_sym(cform, dT, -invK)
-        add_outer(pform, -2.0 * T * T * T)
-        add_sym(pform, cform, 2.0 * T * T * invK)
-        add_outer(cform, -2.0 * T * invK * invK)
-        return jets.stack(H)
+        H = (jets.scale(2.0 * (1.0 - T) * invK * invK, outer(omega, omega))
+             - jets.scale(invK, sym(omega, dT))
+             + jets.scale(invK, _dz_dx(n, one))
+             - jets.scale(invK * invK, sym(_one_form(dim, 1, x[:m]), omega))
+             + quad
+             - jets.scale(2.0 * T * (1.0 - T) * invK, sym(omega, ptil))
+             + jets.scale(2.0 * (1.0 - T) * invK * invK, sym(omega, ctil))
+             + jets.scale(T, sym(ptil, dT))
+             - jets.scale(invK, sym(ctil, dT))
+             - jets.scale(2.0 * T * T * T, outer(ptil, ptil))
+             + jets.scale(2.0 * T * T * invK, sym(ptil, ctil))
+             - jets.scale(2.0 * T * invK * invK, outer(ctil, ctil)))
+        H[upper[1], upper[0]] = H[upper]  # exactly symmetric
+        return H
 
     return TensorField(chart=chart, valence=(0, 2), func=func, symmetric=True,
                        name="h-closed")
@@ -550,66 +472,47 @@ def _dtheta0_matrix(n: int) -> np.ndarray:
     return M
 
 
-def _distribution_basis(n: int, point) -> list:
-    """Vectors annihilated by theta0 and dT at a boundary point:
-    e_A = d/dX^A - Z_A d/dY and f_A = d/dZ_A."""
-    Z = point[1:n]
-    dim = 2 * n
-    basis = []
-    for A in range(n - 1):
-        e = np.zeros(dim)
-        e[n + A] = 1.0
-        e[2 * n - 1] = -Z[A]
-        basis.append(e)
-    for A in range(n - 1):
-        f = np.zeros(dim)
-        f[1 + A] = 1.0
-        basis.append(f)
-    return basis
-
-
-def project_j_to_distribution(J0: np.ndarray, n: int, point) -> np.ndarray:
-    """Substitute dY -> theta0/2 - Z_A dX^A and discard theta0 terms."""
-    Z = point[1:n]
-    JD = J0.copy()
-    iY = 2 * n - 1
-    for A in range(n - 1):
-        JD[:, n + A] = JD[:, n + A] - Z[A] * J0[:, iY]
-    JD[:, iY] = 0.0
-    return JD
-
-
 def levi_compatibility_check(ps: ProjectiveStructure, rng, count: int = 10,
                              ladder=(1e-2, 1e-3, 1e-4),
                              boundary_fields=None) -> float:
     """max |h_D(U, V) - levi(U, V)| over distribution basis pairs at
     boundary points, with levi = -1/2 dtheta0(J_D U, V) and J's boundary
-    value the extend_to_boundary limit of its order-3 jets."""
+    value the extend_to_boundary limit of its order-3 jets.
+
+    The basis of the distribution (annihilated by theta0 and dT) is
+    e_A = d/dX^A - Z_A d/dY and f_A = d/dZ_A.  The projection J_D is J
+    itself there: the substitution dY -> theta0/2 - Z_A dX^A gives
+    J_D U = J U - theta0(U)/2 J(d/dY), and theta0(U) = 0.  So both forms
+    are one batched product with the (P, 2n, 2n - 2) basis array E:
+    E^T h_D E - LEVI_BRIDGE E^T J^T M E, M = dtheta0.
+    """
     n = ps.n
+    m = n - 1
     if boundary_fields is None:
         gb, omb, jb, chart = dm_boundary_fields(ps)
     else:
         gb, omb, jb, chart = boundary_fields
     _, h_d, _ = boundary_data(ps)
-    M = _dtheta0_matrix(n)
     spec = CompactificationSpec(chart=chart, ladder=ladder)
     tps = spec.boundary_points(rng, count)
     J0 = extend_to_boundary(jb.func, spec, tps, order=3).limits
     p0 = at_boundary(tps)
-    resid = 0.0
-    for p, J, H in zip(p0, J0, h_d.values(p0)):
-        JD = project_j_to_distribution(J, n, p)
-        for u in _distribution_basis(n, p):
-            for v in _distribution_basis(n, p):
-                levi = LEVI_BRIDGE * float((JD @ u) @ M @ v)
-                resid = max(resid, abs(float(u @ H @ v) - levi))
-    return resid
+    A = np.arange(m)
+    E = np.zeros((len(p0), 2 * n, 2 * m))
+    E[:, n + A, A] = 1.0
+    E[:, -1, A] = -p0[:, 1:n]
+    E[:, 1 + A, m + A] = 1.0
+    Et = E.swapaxes(1, 2)
+    gap = (Et @ h_d.values(p0) @ E
+           - LEVI_BRIDGE * (Et @ J0.swapaxes(1, 2) @ _dtheta0_matrix(n) @ E))
+    return float(np.max(np.abs(gap)))
 
 
-def contact_nondegeneracy(ps: ProjectiveStructure, rng, count: int = 10) -> float:
-    """min |det| of the bordered contact matrix [[0, theta0], [-theta0,
-    dtheta0]] on the boundary tangent space; nonzero iff theta0 ^
-    (dtheta0)^(n-1) does not vanish."""
+def contact_determinants(ps: ProjectiveStructure, rng, count: int = 10) -> np.ndarray:
+    """det of the bordered contact matrix [[0, theta0], [-theta0, dtheta0]]
+    on the boundary tangent space at count boundary points; nonzero iff
+    theta0 ^ (dtheta0)^(n-1) does not vanish.  It is 4^n identically:
+    theta0 = 2(dY + Z_A dX^A) does not depend on Gamma."""
     n = ps.n
     chart = dm_boundary_chart(n)
     theta0, _, _ = boundary_data(ps)
@@ -620,7 +523,12 @@ def contact_nondegeneracy(ps: ProjectiveStructure, rng, count: int = 10) -> floa
     B[:, 0, 1:] = th
     B[:, 1:, 0] = -th
     B[:, 1:, 1:] = M[np.ix_(tang, tang)]
-    return float(np.min(np.abs(np.linalg.det(B))))
+    return np.linalg.det(B)
+
+
+def contact_nondegeneracy(ps: ProjectiveStructure, rng, count: int = 10) -> float:
+    """min |det| of the bordered contact matrix (see contact_determinants)."""
+    return float(np.min(np.abs(contact_determinants(ps, rng, count))))
 
 
 def nijenhuis_tangential_check(ps: ProjectiveStructure, rng, count: int = 6,

@@ -14,7 +14,8 @@ from projcomp.fields import TensorField, covariant_derivative, levi_civita
 from projcomp.paracx import (LEVI_BRIDGE, ParaCompatibilityError,
                              boundary_data, boundary_h_closed,
                              boundary_t_coordinate, boundary_theta_closed,
-                             contact_nondegeneracy, dm_boundary_fields,
+                             contact_determinants, contact_nondegeneracy,
+                             dm_boundary_fields,
                              h_tc_field, j_from_g_omega,
                              levi_compatibility_check, libermann, nijenhuis,
                              nijenhuis_tangential_check,
@@ -299,6 +300,28 @@ def test_htc_quarter_reconstructs_metric():
             assert np.max(np.abs(gv - recon)) < 1e-9
 
 
+@pytest.mark.parametrize("n,seed", [(2, 13), (3, 14)])
+def test_closed_forms_match_the_engine_at_jet_order_2(n, seed):
+    # g = (theta (x) theta - dT (x) dT)/(2T^2) + h/T and theta = its closed
+    # form hold as jets: every Taylor coefficient through order 2
+    ps = random_projective_structure(n, 2, 0.4, seed=seed)
+    gb, omb, _, chart = dm_boundary_fields(ps)
+    th = theta_field(gb, omb, boundary_t_coordinate)
+    alg = jets.algebra(2 * n, 2)
+    for p in chart.sample(np.random.default_rng(8), 3):
+        T = jets.seed_point(p, 2)[0]
+        theta = th.at(p, 2)
+        dT = np.zeros_like(theta)
+        dT[0, 0] = 1.0
+        recon = (jets.scale(0.5 / (T * T), alg.contract("a,b->ab", theta, theta)
+                            - alg.contract("a,b->ab", dT, dT))
+                 + jets.scale(1.0 / T, boundary_h_closed(ps).at(p, 2)))
+        g = gb.at(p, 2)
+        assert np.max(np.abs(recon - g)) <= 1e-12 * np.max(np.abs(g))
+        closed = boundary_theta_closed(ps).at(p, 2)
+        assert np.max(np.abs(theta - closed)) <= 1e-11 * np.max(np.abs(closed))
+
+
 def test_htc_wrong_c_diverges():
     ps = flat_ps()
     gb, omb, jb, chart = dm_boundary_fields(ps)
@@ -412,6 +435,8 @@ def test_contact_nondegenerate():
     for n in (2, 3):
         ps = random_projective_structure(n, 2, 0.4, seed=23 + n)
         assert contact_nondegeneracy(ps, rng, count=8) > 1e-6
+        np.testing.assert_allclose(contact_determinants(ps, rng, count=8),
+                                   4.0 ** n, rtol=1e-13)
 
 
 # -- Nijenhuis tangentiality -----------------------------------------------------------------
@@ -557,7 +582,9 @@ def test_full_compactification_check(n, seed, monkeypatch):
     assert out["h_closed_form_residual"] < 1e-7
     assert out["theta_closed_form_residual"] < 1e-9
     assert rec["levi"]["max_residual"] < 1e-8
-    assert rec["contact"]["max_residual"] > 1e-6
+    # the bordered contact determinant is 4^n at every point
+    assert rec["contact"]["max_residual"] < 1e-12
+    assert abs(rec["contact"]["constants"]["min_det"] - 4.0 ** n) < 1e-12 * 4.0 ** n
     assert rec["nijenhuis-tangential"]["status"] == "pass"
     assert rec["connection-extension"]["status"] == "pass"
     assert report["summary"] == {"pass": 5, "fail": 0, "inconclusive": 0}
