@@ -55,6 +55,8 @@ __all__ = [
     "random_projective_structure",
     "random_upsilon",
     "projective_change_structure",
+    "upsilon_field",
+    "dm_chart",
 ]
 
 
@@ -251,6 +253,8 @@ def projective_change_structure(ps: ProjectiveStructure,
 
 
 def upsilon_field(ps_chart: Chart, ups: list) -> TensorField:
+    """The one-form of polynomial components ups on ps_chart.  Serves the
+    field-contract tests."""
     def func(coords):
         return jets.stack([p(coords) for p in ups])
     return TensorField(chart=ps_chart, valence=(0, 1), func=func, name="ups")
@@ -357,7 +361,8 @@ def cone_in_t(gamma: MetricField) -> MetricField:
 
 def cone_chart_map(gamma: MetricField, rbox=(0.6, 2.5),
                    tbox=(0.05, 0.6)) -> ChartMap:
-    """r-chart <-> T-chart for the cone, T = (r^2+1)^(-1/2)."""
+    """r-chart <-> T-chart for the cone, T = (r^2+1)^(-1/2).  Serves the
+    cone_in_t chart-change cross-checks."""
     src = _product_chart("r", rbox, gamma.chart)
     dst = _product_chart("T", tbox, gamma.chart)
 

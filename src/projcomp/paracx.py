@@ -49,6 +49,7 @@ from .catalog import (ProjectiveStructure, _on_floats, dm_boundary_chart,
                       dm_boundary_map, dm_metric)
 
 __all__ = [
+    "ParaCompatibilityError",
     "j_from_g_omega",
     "para_hermitian_residuals",
     "libermann",
@@ -527,7 +528,8 @@ def contact_determinants(ps: ProjectiveStructure, rng, count: int = 10) -> np.nd
 
 
 def contact_nondegeneracy(ps: ProjectiveStructure, rng, count: int = 10) -> float:
-    """min |det| of the bordered contact matrix (see contact_determinants)."""
+    """min |det| of the bordered contact matrix (see contact_determinants).
+    Serves acceptance criterion 9."""
     return float(np.min(np.abs(contact_determinants(ps, rng, count))))
 
 

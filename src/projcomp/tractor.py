@@ -21,19 +21,15 @@ hence exactly tensorial for closed Y.  See tests for both statements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import jets
 from .catalog import ProjectiveStructure, dm_metric
-from .fields import _grad
 
 __all__ = [
     "CotractorConnection",
-    "cotractor_derivative",
     "tractor_curvature",
-    "gauge_matrix",
     "splitting_metric_crosscheck",
 ]
 
@@ -41,7 +37,8 @@ __all__ = [
 @dataclass
 class CotractorConnection:
     """Cotractor connection of a projective structure, fiber index range
-    alpha, beta in {0, ..., n}."""
+    alpha, beta in {0, ..., n}.  Serves acceptance criterion 11 through
+    tractor_curvature."""
 
     ps: ProjectiveStructure
 
@@ -63,24 +60,14 @@ class CotractorConnection:
         return out
 
 
-def cotractor_derivative(tc: CotractorConnection, section: Callable,
-                         direction: int, point, order: int = 1) -> np.ndarray:
-    """nabla_i of a section (sigma, mu_1..mu_n), as stacked (n+1, S) jets
-    of order `order`; section(coords) returns the n+1 components as jet
-    scalars."""
-    coords = jets.seed_point(point, order + 1)
-    V = jets.stack(section(coords))
-    alg = jets.algebra(tc.n, order)
-    gam = tc.coefficients(jets.seed_point(point, order))[direction]
-    return (_grad(coords[0].alg, V)[direction]
-            - alg.contract("ba,a->b", gam, V[..., :alg.size]))
-
-
 def tractor_curvature(tc: CotractorConnection, point) -> np.ndarray:
     """F[i, j, beta, alpha] with [nabla_i, nabla_j] V_beta = -F_ij beta^alpha
     V_alpha:
 
         F = d_i gamma_j - d_j gamma_i - gamma_i gamma_j + gamma_j gamma_i
+
+    Serves acceptance criterion 11: F vanishes for the flat structure and
+    not for a generic one.
     """
     gam = tc.coefficients(jets.seed_point(point, 1))
     gv = gam[..., 0]
@@ -88,16 +75,6 @@ def tractor_curvature(tc: CotractorConnection, point) -> np.ndarray:
     dg = np.moveaxis(gam[..., 1:], -1, 0)
     Q = np.einsum("iba,jac->ijbc", gv, gv)  # Q[i, j] = gamma_i gamma_j
     return dg - dg.swapaxes(0, 1) - Q + Q.swapaxes(0, 1)
-
-
-def gauge_matrix(ups_values: np.ndarray) -> np.ndarray:
-    """Splitting change (sigma, mu) -> (sigma, mu + sigma Y) as a fiber
-    matrix U with V'_beta = U[beta, alpha] V_alpha."""
-    n = len(ups_values)
-    U = np.eye(n + 1)
-    for j in range(n):
-        U[1 + j, 0] = ups_values[j]
-    return U
 
 
 def splitting_metric_crosscheck(ps: ProjectiveStructure, points) -> dict:

@@ -1,9 +1,12 @@
-"""Independent finite-difference oracles.
+"""Independent finite-difference oracles, and one float RK4.
 
-These never touch the jet machinery: they evaluate component functions on
-plain floats and differentiate with central differences.  They exist to
-pin expected values for the engine (Christoffel symbols, curvature, the
-Einstein constant of the canonical neutral metric) from a second route.
+The difference oracles never touch the jet machinery: they evaluate
+component functions on plain floats and differentiate with central
+differences.  They exist to pin expected values for the engine (Christoffel
+symbols, curvature, the Einstein constant of the canonical neutral metric)
+from a second route.  rk4 integrates a float right-hand side; the geodesic
+and path-ODE tests build theirs from connection values and polynomial
+coefficients.
 """
 
 from __future__ import annotations
@@ -177,3 +180,31 @@ def fd_einstein_constant(metric_fn, points, h=1e-2):
         ric = fd_ricci(metric_fn, x, h=h)
         lams.append(np.trace(np.linalg.solve(g, ric)) / len(g))
     return float(np.mean(lams)), float(np.ptp(lams))
+
+
+def rk4(rhs, state0, h, steps):
+    """Classical RK4 for state' = rhs(state) on float arrays.
+
+    Returns the (steps + 1, len(state0)) trajectory, state0 first.
+    """
+    state = np.asarray(state0, dtype=float)
+    out = [state]
+    for _ in range(steps):
+        k1 = rhs(state)
+        k2 = rhs(state + 0.5 * h * k1)
+        k3 = rhs(state + 0.5 * h * k2)
+        k4 = rhs(state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(state)
+    return np.array(out)
+
+
+def geodesic_rhs(conn):
+    """Right-hand side of x'' + Gamma(x)(x', x') = 0 on states (x, x'), with
+    Gamma from conn.values at one point per stage."""
+    def rhs(state):
+        n = len(state) // 2
+        x, v = state[:n], state[n:]
+        return np.concatenate(
+            [v, -np.einsum("abc,b,c->a", conn.values(x), v, v)])
+    return rhs

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from projcomp import cli, compactify, paracx, tractor
+from projcomp import catalog, cli, compactify, paracx, tractor
 from projcomp.cli import (ManifestError, builtin_manifest, main, point_rng,
                           run_manifest, serialize_report, validate_manifest)
 
@@ -234,6 +234,31 @@ def test_cg_form_record_matches_cg_form_check():
     assert rec["constants"] == {
         "h_extension": out["h_extension"].passed,
         "h_boundary_match": out["h_boundary_match"].passed}
+
+
+@pytest.mark.parametrize("cat,params", [
+    ("dm-flat", {"n": 2}), ("dm-flat", {"n": 3}),
+    ("dm-random", {"n": 2, "degree": 2, "seed": 3}),
+    ("dm-random", {"n": 3, "degree": 2, "seed": 4})],
+    ids=["dm-flat-n2", "dm-flat-n3", "dm-random-n2", "dm-random-n3"])
+def test_geodesic_projection_passes_on_dm(cat, params):
+    sc = {"id": "gp", "catalog": cat, "params": params,
+          "checks": ["geodesic-projection"], "points": 8, "seed": 5}
+    rec = cli.run_scenario(sc)["records"][0]
+    assert rec["status"] == "pass" and rec["samples"] == 8
+    assert rec["max_residual"] < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_geodesic_projection_fails_against_another_spray(n):
+    # the metric of one structure, the spray of another
+    sc = {"id": "gp", "catalog": "dm-random",
+          "params": {"n": n, "degree": 2, "seed": 3},
+          "checks": ["geodesic-projection"], "points": 8, "seed": 5}
+    s = cli.REGISTRY["dm-random"](sc)
+    s.ps = catalog.random_projective_structure(n, 2, 0.4, seed=4)
+    status, resid, _, _ = s.geodesic_projection(1e-10, point_rng(5, "gp", 10_000))
+    assert status == "fail" and resid > 1e-3
 
 
 def test_boundary_bundle_built_once_per_scenario(monkeypatch):

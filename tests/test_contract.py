@@ -7,7 +7,7 @@ those of point b, and .values is batch first."""
 import numpy as np
 import pytest
 
-from projcomp import catalog, compactify, fields, jets, paracx, proj2d
+from projcomp import catalog, compactify, fields, jets, paracx
 from projcomp.fields import (Chart, ConnectionField, MetricField,
                              SingularMetricError, TensorField)
 from projcomp.jets import JetError
@@ -41,8 +41,6 @@ def _leaves():
     out["theta-closed"] = paracx.boundary_theta_closed(ps)
     out["h-closed"] = paracx.boundary_h_closed(ps)
     out["dT/2T"] = paracx.half_dlog_t(catalog.dm_boundary_chart(2))
-    out.update(zip(("ideal-theta0", "ideal-theta1", "ideal-theta2", "ideal-h_D"),
-                   proj2d.ideal_forms(proj2d.ode_from_projective(ps))))
     return out
 
 

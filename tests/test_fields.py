@@ -10,15 +10,15 @@ from projcomp.catalog import (EHParams, ProjectiveStructure, dm_metric,
                               cone_chart_map, cone_in_t, projective_change_structure,
                               random_projective_structure, random_upsilon,
                               unit_sphere, upsilon_field)
-from projcomp.fields import (Chart, ChartExitError, MetricField,
-                             SingularMetricError, TensorField,
-                             covariant_derivative, einstein_residual,
-                             exterior_derivative, geodesic_integrate,
+from projcomp.fields import (Chart, MetricField, SingularMetricError,
+                             TensorField, covariant_derivative,
+                             einstein_residual, exterior_derivative,
                              levi_civita, projective_change,
                              projective_schouten, projective_weyl, ricci,
                              riemann, transform_connection, transform_tensor)
 
-from oracles import fd_christoffel, fd_ricci, fd_riemann, fd_einstein_constant
+from oracles import (fd_christoffel, fd_ricci, fd_riemann,
+                     fd_einstein_constant, geodesic_rhs, rk4)
 
 
 def polar_chart():
@@ -567,8 +567,7 @@ def test_transform_connection_matches_direct_lc():
 
 def test_geodesic_flat_straight_line():
     conn = levi_civita(euclid(2))
-    traj = geodesic_integrate(conn, [0.0, 0.0], [0.3, 0.1], steps=50,
-                              step_size=0.05)
+    traj = rk4(geodesic_rhs(conn), [0.0, 0.0, 0.3, 0.1], 0.05, 50)
     t = np.linspace(0, 50 * 0.05, 51)
     assert np.max(np.abs(traj[:, 0] - 0.3 * t)) < 1e-12
     assert np.max(np.abs(traj[:, 1] - 0.1 * t)) < 1e-12
@@ -581,8 +580,7 @@ def test_geodesic_great_circle_period():
     p0 = np.array([1.0, 0.0])
     v0 = np.array([0.0, 1.0])      # g = id on |u| = 1, so unit speed
     steps, h = 2000, 2 * np.pi / 2000
-    traj = geodesic_integrate(conn, p0, v0, steps=steps, step_size=h,
-                              check_box=False)
+    traj = rk4(geodesic_rhs(conn), np.concatenate([p0, v0]), h, steps)
     assert np.max(np.abs(traj[-1, :2] - p0)) < 1e-5
     # energy drift
     energies = []
@@ -590,13 +588,6 @@ def test_geodesic_great_circle_period():
         gv = g.values(row[:2])
         energies.append(row[2:] @ gv @ row[2:])
     assert np.max(np.abs(np.array(energies) - energies[0])) < 1e-6 * 2 * np.pi
-
-
-def test_geodesic_chart_exit_raises():
-    conn = levi_civita(euclid(2))
-    with pytest.raises(ChartExitError):
-        geodesic_integrate(conn, [0.9, 0.0], [1.0, 0.0], steps=100,
-                           step_size=0.1)
 
 
 # -- symmetry debug mode -----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Jet engine ground truth: frozen values, algebra laws, FD cross-checks."""
 
+import itertools
 import math
 
 import numpy as np
@@ -99,6 +100,30 @@ def test_division_by_zero_value_raises():
 def test_seed_index_out_of_range():
     with pytest.raises(JetError):
         Jet.variable(2, 1.0, 2, 3)
+
+
+# -- the monomial table ------------------------------------------------------
+
+
+def _monomials_by_filter(num_vars, order):
+    """Every tuple of entries <= deg, filtered by total degree deg, each
+    degree block sorted descending: the brute-force table."""
+    out = []
+    for deg in range(order + 1):
+        block = [m for m in itertools.product(range(deg + 1), repeat=num_vars)
+                 if sum(m) == deg]
+        block.sort(reverse=True)
+        out.extend(block)
+    return out
+
+
+def test_monomials_match_the_brute_force_filter():
+    # every (vars, order) the paper-suite and the benchmark workloads build
+    # lies in vars 1..6, order 0..5; (10, 4) is the n = 5 boundary algebra
+    shapes = [(v, o) for v in range(1, 7) for o in range(6)] + [(10, 4)]
+    for num_vars, order in shapes:
+        assert jets._monomials(num_vars, order) == _monomials_by_filter(
+            num_vars, order)
 
 
 # -- polynomial-expansion oracle for multiplication -------------------------

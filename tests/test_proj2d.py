@@ -1,25 +1,41 @@
-"""2D projective structures as ODEs and the differential ideal."""
+"""2D projective structures as ODEs, against float RK4 trajectories and the
+boundary data of the para-c-projective chart."""
 
 import numpy as np
 import pytest
 
-from projcomp.catalog import (Poly, ProjectiveStructure,
+from projcomp.catalog import (Poly, ProjectiveStructure, dm_metric,
                               projective_change_structure,
                               random_projective_structure, random_upsilon)
-from projcomp.fields import geodesic_integrate
+from projcomp.fields import levi_civita
 from projcomp.paracx import boundary_data
-from projcomp.proj2d import (ideal_forms, integral_curve_check, integrate_ode,
-                             ode_from_projective, write_curve_csv)
+from projcomp.proj2d import ode_from_projective
+
+from oracles import geodesic_rhs, rk4
 
 
 def flat_ps():
     return ProjectiveStructure(n=2, gamma={}, label="flat")
 
 
+def _at(p, x, y):
+    """A Poly's value at (x, y) in plain floats, sum of c x^a y^b."""
+    return sum(c * x ** a * y ** b for (a, b), c in p.items())
+
+
+def ode_rhs(pg):
+    """Y'' = A0 + A1 W + A2 W^2 + A3 W^3 on states (X, Y, W = Y')."""
+    def rhs(state):
+        x, y, w = state
+        a0, a1, a2, a3 = (_at(p, x, y) for p in pg.coefficients())
+        return np.array([1.0, w, a0 + a1 * w + a2 * (w * w) + a3 * (w * w * w)])
+    return rhs
+
+
 def test_flat_structure_gives_trivial_ode():
     pg = ode_from_projective(flat_ps())
     assert all(not p for p in pg.coefficients())
-    traj = integrate_ode(pg, 0.0, 0.2, 0.5, steps=100, h=0.005)
+    traj = rk4(ode_rhs(pg), (0.0, 0.2, 0.5), 0.005, 100)
     want = 0.2 + 0.5 * (traj[:, 0] - 0.0)
     assert np.max(np.abs(traj[:, 1] - want)) < 1e-13
 
@@ -34,11 +50,12 @@ def test_gamma122_gives_pure_cubic():
     # closed form: y' = (c - 2x)^(-1/2), c = 1/w0^2
     w0 = 0.5
     c = 1.0 / w0 ** 2
-    resid, table = integral_curve_check(pg, 0.0, 0.0, w0, steps=150, h=0.002)
-    X = table[:, 0]
+    traj = rk4(ode_rhs(pg), (0.0, 0.0, w0), 0.002, 150)
+    X = traj[:, 0]
     y_exact = np.sqrt(c) - np.sqrt(c - 2 * X)
-    assert np.max(np.abs(table[:, 1] - y_exact)) < 1e-10
-    assert resid < 1e-7
+    assert np.max(np.abs(traj[:, 1] - y_exact)) < 1e-10
+    half = rk4(ode_rhs(pg), (0.0, 0.0, w0), 0.001, 300)
+    assert np.max(np.abs(traj[:, 1] - half[::2, 1])) < 1e-7
 
 
 def test_ode_requires_n2():
@@ -60,47 +77,25 @@ def test_ode_coefficients_projectively_invariant():
                 assert abs(a(xp) - b(xp)) < 1e-9
 
 
-def test_ideal_forms_flat():
-    th0, th1, th2, hd = ideal_forms(ode_from_projective(flat_ps()))
-    p = (0.3, -0.2, 0.5)
-    assert np.allclose(th0.values(p), [0.5, 1.0, 0.0])
-    assert np.allclose(th1.values(p), [0.0, 0.0, 1.0])   # theta1 = dZ
-    assert np.allclose(th2.values(p), [1.0, 0.0, 0.0])
-
-
-def test_ideal_coframe_never_degenerate():
-    ps = random_projective_structure(2, 2, 0.5, seed=2)
-    th0, th1, th2, _ = ideal_forms(ode_from_projective(ps))
-    rng = np.random.default_rng(1)
-    for p in th0.chart.sample(rng, 10):
-        M = np.array([th0.values(p), th1.values(p), th2.values(p)])
-        assert abs(np.linalg.det(M)) > 0.99  # unit coframe determinant
-
-
 def test_hd_matches_boundary_data_identically():
+    # h_D = theta1 sym theta2 of the ODE's ideal on (X, Y, Z), with
+    # theta1 = dZ - cubic(Z) dX and theta2 = dX
     ps = random_projective_structure(2, 2, 0.5, seed=3)
-    _, _, _, hd_ideal = ideal_forms(ode_from_projective(ps))
+    pg = ode_from_projective(ps)
     _, hd_bnd, _ = boundary_data(ps)
     rng = np.random.default_rng(2)
     for _ in range(10):
         X, Y = rng.uniform(-0.7, 0.7, 2)
         Z = float(rng.uniform(-0.8, 0.8))
-        Hi = hd_ideal.values((X, Y, Z))        # chart (X, Y, Z)
-        Hb = hd_bnd.values((0.0, Z, X, Y))     # chart (T, Z, X, Y)
+        a0, a1, a2, a3 = (_at(p, X, Y) for p in pg.coefficients())
+        cubic = -a0 + a1 * Z - a2 * Z ** 2 + a3 * Z ** 3
+        t1, t2 = np.array([-cubic, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+        Hi = np.outer(t1, t2) + np.outer(t2, t1)  # chart (X, Y, Z)
+        Hb = hd_bnd.values((0.0, Z, X, Y))        # chart (T, Z, X, Y)
         # compare as quadratic forms on matching index pairs
         pairs = [((2, 0), (1, 2)), ((0, 0), (2, 2)), ((2, 2), (1, 1))]
         for (ia, ib), (ja, jb) in pairs:
             assert abs(Hi[ia, ib] - Hb[ja, jb]) < 1e-12
-
-
-def test_integral_curves_annihilate_ideal():
-    ps = random_projective_structure(2, 2, 0.5, seed=4)
-    pg = ode_from_projective(ps)
-    resid, table = integral_curve_check(pg, -0.1, 0.05, 0.3, steps=200,
-                                        h=0.002)
-    assert resid < 1e-7
-    assert np.max(table[:, 3]) == 0.0          # theta0 pullback: exact
-    assert np.max(table[2:-2, 4]) < 1e-7       # theta1 pullback
 
 
 def test_geodesic_projection_solves_ode():
@@ -109,10 +104,10 @@ def test_geodesic_projection_solves_ode():
     conn = ps.connection()
     x0 = np.array([-0.3, 0.1])
     v0 = np.array([1.0, 0.4])
-    traj = geodesic_integrate(conn, x0, v0, steps=200, step_size=0.002)
+    traj = rk4(geodesic_rhs(conn), np.concatenate([x0, v0]), 0.002, 200)
     Xg, Yg = traj[:, 0], traj[:, 1]
-    ref = integrate_ode(pg, Xg[0], Yg[0], v0[1] / v0[0], steps=4000,
-                        h=(Xg[-1] - Xg[0]) / 4000)
+    ref = rk4(ode_rhs(pg), (Xg[0], Yg[0], v0[1] / v0[0]),
+              (Xg[-1] - Xg[0]) / 4000, 4000)
     Yint = np.interp(Xg, ref[:, 0], ref[:, 1])
     assert np.max(np.abs(Yg - Yint)) < 1e-6
 
@@ -120,30 +115,15 @@ def test_geodesic_projection_solves_ode():
 def test_dm_geodesic_projection_solves_ode():
     # geodesics of the canonical neutral metric project to the
     # unparametrized geodesics of the base structure
-    from projcomp.catalog import dm_metric
-    from projcomp.fields import levi_civita
     ps = random_projective_structure(2, 2, 0.4, seed=6)
     pg = ode_from_projective(ps)
     g, _ = dm_metric(ps)
     conn = levi_civita(g)
     state0 = np.array([-0.2, 0.05, 0.4, 0.6])
     vel0 = np.array([1.0, 0.3, -0.2, 0.1])
-    traj = geodesic_integrate(conn, state0, vel0, steps=150, step_size=0.002,
-                              check_box=False)
+    traj = rk4(geodesic_rhs(conn), np.concatenate([state0, vel0]), 0.002, 150)
     Xg, Yg = traj[:, 0], traj[:, 1]
-    ref = integrate_ode(pg, Xg[0], Yg[0], vel0[1] / vel0[0], steps=3000,
-                        h=(Xg[-1] - Xg[0]) / 3000)
+    ref = rk4(ode_rhs(pg), (Xg[0], Yg[0], vel0[1] / vel0[0]),
+              (Xg[-1] - Xg[0]) / 3000, 3000)
     Yint = np.interp(Xg, ref[:, 0], ref[:, 1])
     assert np.max(np.abs(Yg - Yint)) < 1e-6
-
-
-def test_curve_csv_roundtrip(tmp_path):
-    pg = ode_from_projective(random_projective_structure(2, 2, 0.5, seed=7))
-    _, table = integral_curve_check(pg, 0.0, 0.1, 0.2, steps=50, h=0.002)
-    path = tmp_path / "curve.csv"
-    write_curve_csv(path, table)
-    text = path.read_text().splitlines()
-    assert text[0] == "X,Y,Z,theta0_residual,theta1_residual"
-    back = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert back.shape == table.shape
-    assert np.allclose(back, table)

@@ -1,4 +1,5 @@
-"""Cotractor connection, its curvature, and the splitting cross-check."""
+"""Cotractor connection, its curvature and gauge law, and the splitting
+cross-check."""
 
 import numpy as np
 import pytest
@@ -7,9 +8,8 @@ import projcomp.jets as jets
 from projcomp.catalog import (Poly, ProjectiveStructure, dm_metric,
                               projective_change_structure,
                               random_projective_structure, random_upsilon)
-from projcomp.tractor import (CotractorConnection, cotractor_derivative,
-                              gauge_matrix, splitting_metric_crosscheck,
-                              tractor_curvature)
+from projcomp.tractor import (CotractorConnection,
+                              splitting_metric_crosscheck, tractor_curvature)
 
 
 def flat_ps(n=2):
@@ -26,6 +26,14 @@ def dpoly(p, axis):
     return out
 
 
+def gauge_matrix(ups_values: np.ndarray) -> np.ndarray:
+    """Splitting change (sigma, mu) -> (sigma, mu + sigma Y) as a fiber
+    matrix U with V'_beta = U[beta, alpha] V_alpha."""
+    U = np.eye(len(ups_values) + 1)
+    U[1:, 0] = ups_values
+    return U
+
+
 def test_coefficient_block_structure():
     ps = random_projective_structure(2, 2, 0.4, seed=3)
     tc = CotractorConnection(ps)
@@ -40,47 +48,6 @@ def test_coefficient_block_structure():
             assert abs(gam[i, 1 + j, 0] + P[i, j]) < 1e-14
             for k in range(2):
                 assert abs(gam[i, 1 + j, 1 + k] - gv[k, i, j]) < 1e-14
-
-
-def test_flat_constant_section_parallel():
-    tc = CotractorConnection(flat_ps())
-    for i in range(2):
-        out = cotractor_derivative(
-            tc, lambda c: [c[0] * 0.0 + 1.0, c[0] * 0.0, c[0] * 0.0], i,
-            [0.4, 0.1])
-        assert np.max(np.abs(out[:, 0])) == 0.0
-
-
-def test_flat_coordinate_sigma_section():
-    tc = CotractorConnection(flat_ps())
-    out = cotractor_derivative(
-        tc, lambda c: [c[0], c[0] * 0.0, c[0] * 0.0], 0, [0.4, 0.1])
-    assert abs(out[0, 0] - 1.0) < 1e-14
-    assert abs(out[1, 0]) + abs(out[2, 0]) < 1e-14
-    out = cotractor_derivative(
-        tc, lambda c: [c[0], c[0] * 0.0, c[0] * 0.0], 1, [0.4, 0.1])
-    assert np.max(np.abs(out[:, 0])) < 1e-14
-
-
-def test_cotractor_derivative_matches_component_assembly():
-    ps = random_projective_structure(2, 2, 0.4, seed=5)
-    tc = CotractorConnection(ps)
-    x = [0.25, -0.35]
-
-    def section(c):
-        return [c[0] * c[1] + 0.7, 0.3 * c[0] + c[1] * c[1],
-                c[1] - 0.2 * c[0] * c[0]]
-
-    for i in range(2):
-        got = cotractor_derivative(tc, section, i, x)
-        xs = jets.seed_point(x, 1)
-        V = section(xs)
-        gam = tc.coefficients(x)
-        for beta in range(3):
-            want = V[beta].deriv(i).value
-            for alpha in range(3):
-                want -= gam[i, beta, alpha] * V[alpha].value
-            assert abs(got[beta, 0] - want) < 1e-13
 
 
 def test_tractor_curvature_flat_vanishes():
