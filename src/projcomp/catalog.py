@@ -92,6 +92,19 @@ def _evaluate(monomials: list, C: np.ndarray, coords) -> np.ndarray:
     return out[..., 0] if floats else out
 
 
+def _poly_table(polys: dict, shape: tuple) -> tuple:
+    """(monomials, C) for _evaluate: the sorted union of the monomials of
+    polys (index -> Poly), and C[index + (m,)] the coefficient of each
+    polynomial on column m, zero where it has no such monomial."""
+    monomials = sorted(set().union(*polys.values()))
+    col = {m: c for c, m in enumerate(monomials)}
+    C = np.zeros(shape + (len(monomials),))
+    for index, p in polys.items():
+        for m, c in p.items():
+            C[index + (col[m],)] = c
+    return monomials, C
+
+
 class Poly(dict):
     """Sparse polynomial: multi-index tuple -> coefficient."""
 
@@ -104,9 +117,7 @@ class Poly(dict):
 
     def __call__(self, coords):
         """The value at jet (or float) coordinates, a Jet (or a float)."""
-        monomials = sorted(self)
-        C = np.array([[self[m] for m in monomials]])
-        value = _evaluate(monomials, C, coords)[0]
+        value = _evaluate(*_poly_table({(0,): self}, (1,)), coords)[0]
         return Jet(coords[0].alg, value) if isinstance(coords[0], Jet) else value
 
     def plus(self, other: "Poly") -> "Poly":
@@ -155,16 +166,11 @@ class ProjectiveStructure:
 
     def gamma_at(self, coords) -> np.ndarray:
         """Gamma^k_ij evaluated on jet (or float) coordinates, stacked: a
-        tensor C[k, i, j, m] over the sorted union of the monomials, built on
-        the first call, contracted with one monomial table (see _evaluate)."""
+        tensor C[k, i, j, m] (see _poly_table), built on the first call,
+        contracted with one monomial table (see _evaluate)."""
         if self._table is None:
-            monomials = sorted(set().union(*self.gamma.values()))
-            col = {m: c for c, m in enumerate(monomials)}
-            C = np.zeros((self.n,) * 3 + (len(monomials),))
-            for (k, i, j), p in self.gamma.items():
-                for m, c in p.items():
-                    C[k, i, j, col[m]] = C[k, j, i, col[m]] = c
-            self._table = (monomials, C)
+            both = {(k, j, i): p for (k, i, j), p in self.gamma.items()}
+            self._table = _poly_table({**self.gamma, **both}, (self.n,) * 3)
         return _evaluate(*self._table, coords)
 
     def connection(self) -> ConnectionField:

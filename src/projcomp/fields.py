@@ -40,6 +40,7 @@ symmetric in (b, c) for torsion-free connections.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -102,20 +103,27 @@ class Chart:
     def seed(self, point, order: int) -> list:
         return jets.seed_point(point, order)
 
+    @cached_property
+    def _bounds(self) -> tuple:
+        """(lo, hi - lo) of the box, built on first use."""
+        lo, hi = np.array(self.box, dtype=float).T
+        return lo, hi - lo
+
     def sample(self, rng, count: int = 1) -> np.ndarray:
-        """Uniform points in the box, rejecting excluded loci."""
-        lo = np.array([b[0] for b in self.box])
-        hi = np.array([b[1] for b in self.box])
+        """`count` uniform points of the box from one stream, (count, dim).
+        Each candidate is lo + (hi - lo) * rng.random(dim), bitwise
+        rng.uniform(lo, hi); candidates in the excluded locus are rejected,
+        and more than 1000 * count candidates raise."""
+        lo, span = self._bounds
         out = []
         attempts = 0
         while len(out) < count:
-            p = rng.uniform(lo, hi)
             attempts += 1
             if attempts > 1000 * count:
                 raise RuntimeError("sampler rejection rate too high")
-            if self.exclude is not None and self.exclude(p):
-                continue
-            out.append(p)
+            p = lo + span * rng.random(self.dim)
+            if self.exclude is None or not self.exclude(p):
+                out.append(p)
         return np.array(out)
 
 

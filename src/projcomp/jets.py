@@ -160,6 +160,8 @@ class JetAlgebra:
                 )
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self.order == 0:  # one coefficient: the bincount adds a * b to 0.0
+            return a * b
         if a.ndim > 1 or b.ndim > 1:
             return self._mul_rows(a, b)
         out = np.zeros(self.size)
@@ -301,9 +303,6 @@ class Jet:
         if key not in self.alg.index:
             raise JetError(f"multi-index {key} beyond order {self.order}")
         return self.alg.index[key]
-
-    def coeff(self, multi_index):
-        return _scalar(self.c[..., self._slot(multi_index)])
 
     def partial(self, multi_index):
         """Raw partial derivative: alpha! times the Taylor coefficient.

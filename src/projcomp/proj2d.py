@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import Poly, ProjectiveStructure
+from .catalog import Poly, ProjectiveStructure, _evaluate, _poly_table
 
 __all__ = ["PathGeometry2D", "ode_from_projective"]
 
@@ -31,6 +31,13 @@ class PathGeometry2D:
 
     def coefficients(self):
         return (self.a0, self.a1, self.a2, self.a3)
+
+    def values(self, xs):
+        """A0..A3 at jet (or float) coordinates xs, stacked on a leading axis
+        of 4 by one _evaluate over the union of their monomials; the terms a
+        row lacks are zero terms, so a row is its coefficient's value."""
+        rows = {(r,): p for r, p in enumerate(self.coefficients())}
+        return _evaluate(*_poly_table(rows, (4,)), xs)
 
     def canonical(self):
         """Exact coefficient fingerprint (projective invariant)."""

@@ -1,4 +1,5 @@
-"""Independent finite-difference oracles, and one float RK4.
+"""Independent finite-difference oracles, one float RK4, and the point
+draws as first written.
 
 The difference oracles never touch the jet machinery: they evaluate
 component functions on plain floats and differentiate with central
@@ -6,7 +7,9 @@ differences.  They exist to pin expected values for the engine (Christoffel
 symbols, curvature, the Einstein constant of the canonical neutral metric)
 from a second route.  rk4 integrates a float right-hand side; the geodesic
 and path-ODE tests build theirs from connection values and polynomial
-coefficients.
+coefficients.  The draw loops at the end call rng.uniform with the box
+bounds, one call per candidate, as the samplers did before Chart.sample
+kept its bounds; the sampler must draw bitwise the same points.
 """
 
 from __future__ import annotations
@@ -208,3 +211,39 @@ def geodesic_rhs(conn):
         return np.concatenate(
             [v, -np.einsum("abc,b,c->a", conn.values(x), v, v)])
     return rhs
+
+
+def uniform_sample(chart, rng, count=1):
+    """`count` points of chart from one stream, rejecting excluded loci."""
+    lo = np.array([b[0] for b in chart.box])
+    hi = np.array([b[1] for b in chart.box])
+    out = []
+    attempts = 0
+    while len(out) < count:
+        p = rng.uniform(lo, hi)
+        attempts += 1
+        if attempts > 1000 * count:
+            raise RuntimeError("sampler rejection rate too high")
+        if chart.exclude is not None and chart.exclude(p):
+            continue
+        out.append(p)
+    return np.array(out)
+
+
+def stream_points(chart, rng_of, count):
+    """The first point of streams 0..count-1, rng_of(k) giving stream k."""
+    return np.array([uniform_sample(chart, rng_of(k), 1)[0]
+                     for k in range(count)])
+
+
+def box_points(box, rng_of, count):
+    """The first candidate of streams 0..count-1 in a box, no rejection."""
+    lo, hi = [b[0] for b in box], [b[1] for b in box]
+    return np.array([rng_of(k).uniform(lo, hi) for k in range(count)])
+
+
+def ode_points(rng_of):
+    """ode-invariance's three points in (-0.8, 0.8)^2 per change k < 20,
+    from streams 100 + 3k + q."""
+    return np.array([rng_of(100 + k * 3 + q).uniform(-0.8, 0.8, 2)
+                     for k in range(20) for q in range(3)])

@@ -406,6 +406,23 @@ def test_each_point_set_is_drawn_once_per_scenario(monkeypatch):
     assert sorted(drawn) == [0, 1, 2, 3, 4] + [10_000] * 3
 
 
+def test_eh_checks_draw_each_point_stream_once(monkeypatch):
+    """ricci-flat and maurer-cartan share the scenario's points of the EH
+    chart: streams 0..count-1, drawn once, plus each check's own stream."""
+    drawn = []
+
+    def counting(seed, scenario_id, index):
+        drawn.append(index)
+        return point_rng(seed, scenario_id, index)
+
+    monkeypatch.setattr(cli, "point_rng", counting)
+    sc = {"id": "eh", "catalog": "eh", "checks": ["ricci-flat", "maurer-cartan"],
+          "points": 5, "seed": 4}
+    report = run_manifest({"scenarios": [sc]})
+    assert report["summary"] == {"pass": 2, "fail": 0, "inconclusive": 0}
+    assert sorted(drawn) == [0, 1, 2, 3, 4] + [10_000] * 2
+
+
 def test_splitting_residual_includes_the_omega_pairings(monkeypatch):
     real = tractor.splitting_metric_crosscheck
 

@@ -27,7 +27,7 @@ def test_square_of_seed():
 def test_sqrt_linear_coeff():
     x = Jet.variable(0, 4.0, 1, 2)
     s = jets.sqrt(x)
-    assert abs(s.coeff((1,)) - 0.25) < 1e-14
+    assert abs(s.partial((1,)) - 0.25) < 1e-14
 
 
 def test_mul_at_two():
@@ -422,6 +422,22 @@ def test_batched_mul_is_the_rowwise_mul_bitwise(num_vars, order):
     assert np.array_equal(got, np.stack([alg.mul(x, y) for x, y in zip(a, b)]))
     # a single-point operand broadcasts over the other's rows
     assert np.array_equal(alg.mul(a, b[0]), np.stack([alg.mul(x, b[0]) for x in a]))
+
+
+@pytest.mark.parametrize("num_vars", [1, 2, 4, 6])
+def test_order0_mul_is_the_bincount_product(num_vars):
+    """At order 0 mul is a * b; the bincount path added that one product to
+    0.0, so the two differ at most in the sign of a zero."""
+    alg = jets.algebra(num_vars, 0)
+    rng = np.random.default_rng(num_vars)
+    a, b = rng.uniform(-1.0, 1.0, (2, 7, 1))
+    a[:3] = [[0.0], [-0.0], [2.0]]
+    b[:3] = [[-1.5], [3.0], [-0.0]]
+    for x, y in [(a[0], b[0]), (a[1], b[1]), (a[4], b[4]), (a, b), (a, b[4]),
+                 (a[2], b), (a[:, None], b[None, :3]), (a.reshape(7, 1, 1), b)]:
+        got = alg.mul(x, y)
+        want = alg._mul_rows(x, y)
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 # JetAlgebra.contract specs of src/: fields (inverse, Levi-Civita, Ricci,

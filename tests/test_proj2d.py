@@ -4,6 +4,7 @@ boundary data of the para-c-projective chart."""
 import numpy as np
 import pytest
 
+from projcomp import jets
 from projcomp.catalog import (Poly, ProjectiveStructure, dm_metric,
                               projective_change_structure,
                               random_projective_structure, random_upsilon)
@@ -75,6 +76,29 @@ def test_ode_coefficients_projectively_invariant():
             xp = list(rng.uniform(-0.8, 0.8, 2))
             for a, b in zip(pg.coefficients(), pgb.coefficients()):
                 assert abs(a(xp) - b(xp)) < 1e-9
+
+
+@pytest.mark.parametrize("degree,seed", [(0, 0), (1, 1), (2, 2), (3, 3)])
+def test_values_matches_the_four_poly_calls(degree, seed):
+    """values stacks A0..A3 over the union of their monomials; a row equals
+    its coefficient's own evaluation, on jets and on floats."""
+    pg = ode_from_projective(random_projective_structure(2, degree, 0.5, seed))
+    pts = np.random.default_rng(seed).uniform(-0.8, 0.8, (5, 2))
+    for order in (0, 2):
+        xs = jets.seed_point(pts, order)
+        got = pg.values(xs)
+        for row, p in enumerate(pg.coefficients()):
+            assert np.array_equal(got[row], p(xs).c)
+    got = pg.values(pts)
+    one = pg.values(list(pts[3]))
+    for row, p in enumerate(pg.coefficients()):
+        assert np.array_equal(got[row], p(pts))
+        assert np.array_equal(one[row], p(list(pts[3])))
+
+
+def test_flat_values_are_zero():
+    assert np.array_equal(ode_from_projective(flat_ps()).values([0.1, 0.2]),
+                          np.zeros(4))
 
 
 def test_hd_matches_boundary_data_identically():
