@@ -28,7 +28,7 @@ import numpy as np
 
 from . import jets
 from .fields import (Chart, ChartMap, ConnectionField, MetricField,
-                     TensorField, _memo_last, projective_schouten)
+                     TensorField, _memo, projective_schouten)
 from .jets import Jet
 
 __all__ = [
@@ -610,7 +610,7 @@ def dm_metric(ps: ProjectiveStructure):
     """
     n = ps.n
     chart = dm_chart(n)
-    schouten = _memo_last(ps.schouten_at)  # one evaluation for g and Omega
+    schouten = _memo(ps.schouten_at)  # one evaluation for g and Omega
     k = np.arange(n)
     upper = np.triu_indices(n, 1)
 

@@ -205,19 +205,19 @@ def _batch_first(A: np.ndarray, rank: int) -> np.ndarray:
     return np.moveaxis(A, -1, 0) if A.ndim > rank else A
 
 
-def _memo_last(fn: Callable) -> Callable:
-    """fn(coords), keeping its last result: called again with equal
-    coordinates (jets of one algebra with equal coefficients, or equal
-    floats), it returns that result without evaluating fn."""
-    last = {}
+def _memo(fn: Callable) -> Callable:
+    """fn(coords), keeping every result for the life of the returned
+    closure: called again with equal coordinates (jets of one algebra with
+    equal coefficients, or equal floats), it returns that result without
+    evaluating fn."""
+    seen = {}
 
     def memo(coords):
         key = tuple((c.alg, c.c.tobytes()) if isinstance(c, Jet) else c
                     for c in coords)
-        if key not in last:
-            last.clear()
-            last[key] = fn(coords)
-        return last[key]
+        if key not in seen:
+            seen[key] = fn(coords)
+        return seen[key]
     return memo
 
 
@@ -240,6 +240,8 @@ def _inverse(alg, A: np.ndarray) -> np.ndarray:
     for singularity on its own.  The rest N = A - A0 has no constant term,
     so it is nilpotent at the jet order o, and o steps of the lift
     X <- A0^-1 - (A0^-1 N) X, from X = A0^-1, give the exact inverse.
+    Step k only fixes degree k, so it runs at order k (see jets) on X's
+    degree <= k part, degree k still zero: M_0 X_k adds 0 * 0 there.
     """
     A0 = _batch_first(A[..., 0], 2)
     rows = np.max(np.abs(A0), axis=-1)
@@ -251,9 +253,12 @@ def _inverse(alg, A: np.ndarray) -> np.ndarray:
     lift[..., 0] = np.moveaxis(inv, 0, -1) if inv.ndim > 2 else inv
     M = -np.einsum("ij...,jk...s->ik...s", lift[..., 0], A)
     M[..., 0] = 0.0  # -A0^-1 N, with N = A - A0
-    X = lift
-    for _ in range(alg.order):
-        X = lift + alg.contract("ij,jk->ik", M, X)
+    X = lift.copy()
+    for k in range(1, alg.order + 1):
+        step = jets.algebra(alg.num_vars, k)
+        s = step.size
+        X[..., :s] = lift[..., :s] + step.contract(
+            "ij,jk->ik", M[..., :s], X[..., :s])
     return X
 
 

@@ -9,7 +9,11 @@ finite difference.
 
 Coefficients sit in a dense float64 array indexed by graded-lexicographic
 multi-index order.  The per-(num_vars, order) index tables are cached in a
-JetAlgebra; multiplication is a precomputed sparse convolution.
+JetAlgebra; multiplication is a precomputed sparse convolution.  Degrees
+<= k come first, and the order-k pair tables are the full ones filtered, in
+order: a step whose result matters only to degree k (a Neumann lift step, a
+Horner product) runs in algebra(n, k) on that prefix, summing each
+coefficient as the full-order step does.
 Composition substitutes inner jets into a stack of outer jets with one
 monomial table (compose_stacked), in the arithmetic order of one jet.
 
@@ -99,27 +103,21 @@ class JetAlgebra:
         # Sparse convolution table: coefficient k of a*b accumulates a[i]*b[j]
         # over all monomial pairs with m_i + m_j = m_k.  Pairs are stored
         # symmetrized (i < j handled as a[i]b[j] + a[j]b[i]) so that a*b and
-        # b*a produce bitwise-identical coefficient arrays.
-        I, J, K = [], [], []
-        D, KD = [], []
-        for i, mi in enumerate(self.monomials):
-            di = sum(mi)
-            for j, mj in enumerate(self.monomials[i:], start=i):
-                if di + sum(mj) > order:
-                    continue
-                mk = tuple(a + b for a, b in zip(mi, mj))
-                if i == j:
-                    D.append(i)
-                    KD.append(self.index[mk])
-                else:
-                    I.append(i)
-                    J.append(j)
-                    K.append(self.index[mk])
-        self._mul_i = np.array(I, dtype=np.intp)
-        self._mul_j = np.array(J, dtype=np.intp)
-        self._mul_k = np.array(K, dtype=np.intp)
-        self._mul_d = np.array(D, dtype=np.intp)
-        self._mul_kd = np.array(KD, dtype=np.intp)
+        # b*a produce bitwise-identical coefficient arrays.  Pairs i <= j
+        # run row by row, j up to the last monomial of degree order - |m_i|;
+        # m_k is found by its base-(order + 1) code (no exponent of m_i + m_j
+        # exceeds order, so codes add), sorted by the sort used below.
+        ends = np.searchsorted(self.degree, order - self.degree, side="right")
+        counts = np.maximum(ends - np.arange(self.size), 0)
+        i = np.repeat(np.arange(self.size), counts)
+        j = i + np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
+        code = np.ravel_multi_index(np.array(self.monomials).T,
+                                    (order + 1,) * num_vars)
+        by_code = np.argsort(code, kind="stable")
+        k = by_code[np.searchsorted(code, code[i] + code[j], sorter=by_code)]
+        square = i == j
+        self._mul_i, self._mul_j, self._mul_k = i[~square], j[~square], k[~square]
+        self._mul_d, self._mul_kd = i[square], k[square]
 
         # The same pairs unsymmetrized (both orders of each i < j pair),
         # grouped by target coefficient for the stacked contraction.
@@ -448,14 +446,18 @@ def _coeff(c: np.ndarray, k):
 
 def _apply_series(u: Jet, coeffs) -> Jet:
     """Compose the univariate series sum(coeffs[k] * (u - u0)^k) with u;
-    each coefficient is a float, or an array of u's batch shape."""
-    du = Jet(u.alg, u.c.copy())
-    du.c[_coeff(du.c, 0)] = 0.0
-    out = Jet(u.alg, np.zeros(u.c.shape))
-    out.c[_coeff(out.c, 0)] = coeffs[-1]
-    for k in range(len(coeffs) - 2, -1, -1):
-        out = out * du + coeffs[k]
-    return out
+    each coefficient is a float, or an array of u's batch shape.  Horner's
+    j-th product is later multiplied by du^(o-j), so it runs at order j."""
+    du = u.c.copy()
+    du[_coeff(du, 0)] = 0.0
+    out = np.zeros(u.c.shape)
+    out[_coeff(out, 0)] = coeffs[-1]
+    for j in range(1, len(coeffs)):
+        step = algebra(u.num_vars, j)
+        s = step.size
+        out[..., :s] = step.mul(out[..., :s], du[..., :s])
+        out[_coeff(out, 0)] += coeffs[-1 - j]
+    return Jet(u.alg, out)
 
 
 def _series(u: Jet, coeffs_of) -> Jet:

@@ -40,7 +40,7 @@ import numpy as np
 from . import jets
 from .fields import (Chart, ChartMap, ConnectionField, MetricField,
                      TensorField, _contract_slots, _grad, _inverse, _map_jets,
-                     _memo_last, _nabla, exterior_derivative,
+                     _memo, _nabla, exterior_derivative,
                      levi_civita)
 from .compactify import (CompactificationSpec, ExtensionVerdict, at_boundary,
                          extend_to_boundary, extrapolate_ladder,
@@ -240,8 +240,8 @@ def pullback_field(field: TensorField, cmap: ChartMap) -> TensorField:
     The Jacobian is the stacked derivative of the inverse map, contracted
     one slot at a time (Jac^T G Jac for a bilinear form): two
     JetAlgebra.contract calls of d^3 jet products each per evaluation of a
-    rank-2 field in dimension d.  The last call's components are kept for
-    a repeated evaluation at the same points (or point batch).
+    rank-2 field in dimension d.  Each distinct evaluation is kept for the
+    life of the field (see fields._memo) and returned as a copy.
     """
     r, s = field.valence
     if r != 0:
@@ -251,9 +251,9 @@ def pullback_field(field: TensorField, cmap: ChartMap) -> TensorField:
         xs, Jac = _map_jets(cmap, jets.base_point(coords), coords[0].order)
         return _contract_slots(xs[0].alg, field.func(xs), [Jac] * s)
 
-    last = _memo_last(pulled)
+    seen = _memo(pulled)
     return TensorField(chart=cmap.target, valence=field.valence,
-                       func=lambda coords: last(coords).copy(),
+                       func=lambda coords: seen(coords).copy(),
                        symmetric=field.symmetric,
                        antisymmetric=field.antisymmetric,
                        name=f"{field.name}|bnd")
@@ -262,16 +262,20 @@ def pullback_field(field: TensorField, cmap: ChartMap) -> TensorField:
 def dm_boundary_fields(ps: ProjectiveStructure):
     """(g, Omega, J, chart) of the canonical metric in the (T, Z, X, Y)
     boundary chart.  The pullbacks of g and Omega share the inverse map's
-    evaluation at each point (and dm_metric shares the Schouten tensor)."""
+    evaluation at each point (and dm_metric shares the Schouten tensor).
+    g, Omega and J keep each distinct evaluation (see fields._memo) and
+    return copies: a scenario's boundary checks share their ladders."""
     n = ps.n
     g, omega = dm_metric(ps)
     cmap = dm_boundary_map(n)
-    cmap = ChartMap(cmap.source, cmap.target, cmap.fwd, _memo_last(cmap.inv))
+    cmap = ChartMap(cmap.source, cmap.target, cmap.fwd, _memo(cmap.inv))
     gb = MetricField(cmap.target, pullback_field(g, cmap).func,
                      name=f"dm({ps.label})|bnd")
     omb = pullback_field(omega, cmap)
     probe = np.array([0.05] + [0.2] * (n - 1) + [0.3] * (n - 1) + [1.0])
     jb = j_from_g_omega(gb, omb, probe=probe)
+    seen = _memo(jb.func)
+    jb.func = lambda coords: seen(coords).copy()
     return gb, omb, jb, cmap.target
 
 

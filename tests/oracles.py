@@ -7,14 +7,19 @@ differences.  They exist to pin expected values for the engine (Christoffel
 symbols, curvature, the Einstein constant of the canonical neutral metric)
 from a second route.  rk4 integrates a float right-hand side; the geodesic
 and path-ODE tests build theirs from connection values and polynomial
-coefficients.  The draw loops at the end call rng.uniform with the box
-bounds, one call per candidate, as the samplers did before Chart.sample
-kept its bounds; the sampler must draw bitwise the same points.
+coefficients.  The draw loops call rng.uniform with the box bounds, one
+call per candidate, as the samplers did before Chart.sample kept its
+bounds; the sampler must draw bitwise the same points.  The jet loops at
+the end are the product-pair table, the Neumann lift and the Horner loop
+as first written, every step at full order; the graded kernels must give
+bitwise the same coefficients.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from projcomp import jets
 
 # 4th-order central difference stencils
 _D1_OFFSETS = np.array([-2, -1, 1, 2])
@@ -247,3 +252,49 @@ def ode_points(rng_of):
     from streams 100 + 3k + q."""
     return np.array([rng_of(100 + k * 3 + q).uniform(-0.8, 0.8, 2)
                      for k in range(20) for q in range(3)])
+
+
+def pair_tables(num_vars, order):
+    """JetAlgebra's product pairs (_mul_i, _mul_j, _mul_k, _mul_d,
+    _mul_kd) by the loop over every monomial pair i <= j."""
+    alg = jets.algebra(num_vars, order)
+    I, J, K, D, KD = [], [], [], [], []
+    for i, mi in enumerate(alg.monomials):
+        for j, mj in enumerate(alg.monomials[i:], start=i):
+            if sum(mi) + sum(mj) > order:
+                continue
+            k = alg.index[tuple(a + b for a, b in zip(mi, mj))]
+            if i == j:
+                D.append(i)
+                KD.append(k)
+            else:
+                I.append(i)
+                J.append(j)
+                K.append(k)
+    return tuple(np.array(t, dtype=np.intp) for t in (I, J, K, D, KD))
+
+
+def full_order_inverse(alg, A):
+    """Inverse of a stacked (n, n, S) or (n, n, B, S) jet matrix by o steps
+    of the lift X <- A0^-1 - (A0^-1 N) X, each a full-order product."""
+    A0 = np.moveaxis(A[..., 0], -1, 0) if A.ndim > 3 else A[..., 0]
+    inv = np.linalg.inv(A0)
+    lift = np.zeros_like(A)
+    lift[..., 0] = np.moveaxis(inv, 0, -1) if inv.ndim > 2 else inv
+    M = -np.einsum("ij...,jk...s->ik...s", lift[..., 0], A)
+    M[..., 0] = 0.0
+    X = lift
+    for _ in range(alg.order):
+        X = lift + alg.contract("ij,jk->ik", M, X)
+    return X
+
+
+def full_order_series(u, coeffs):
+    """sum(coeffs[k] * (u - u0)^k) by Horner's loop in u's algebra."""
+    du = jets.Jet(u.alg, u.c.copy())
+    du.c[..., 0] = 0.0
+    out = jets.Jet(u.alg, np.zeros(u.c.shape))
+    out.c[..., 0] = coeffs[-1]
+    for k in range(len(coeffs) - 2, -1, -1):
+        out = out * du + coeffs[k]
+    return out

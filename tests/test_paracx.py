@@ -909,6 +909,36 @@ def test_boundary_pair_pulled_back_together_matches_separate_pullbacks():
             assert np.array_equal(got, want)
 
 
+def test_boundary_checks_invert_j_once_per_ladder(monkeypatch):
+    # levi and nijenhuis-tangential of one scenario draw the same tangent
+    # points, and both read J at order 3 on that ladder: J is inverted once
+    # for it (and once at its construction probe)
+    shapes = []
+    inverse = paracx._inverse
+
+    def counted(alg, A):
+        shapes.append(A.shape)
+        return inverse(alg, A)
+
+    monkeypatch.setattr(paracx, "_inverse", counted)
+    sc = {"id": "dm-n3", "catalog": "dm-random",
+          "params": {"n": 3, "degree": 2, "seed": 5},
+          "checks": ["levi", "nijenhuis-tangential"], "points": 2, "seed": 5}
+    report = cli.run_manifest({"scenarios": [sc]})
+    assert report["summary"]["pass"] == 2
+    # 2 tangent points x 3 rungs, order 3 in 6 variables
+    assert [s for s in shapes if len(s) == 4] == [(6, 6, 6, 84)]
+
+
+def test_boundary_bundle_returns_copies_of_its_memo():
+    _, (gb, omb, jb, _), p = _bundle(3)
+    for field in (gb, omb, jb):
+        first = field.at(p, order=2)
+        want = first.copy()
+        first[...] = np.nan
+        assert np.array_equal(field.at(p, order=2), want), field.name
+
+
 def _field_of_valence(chart, valence):
     """Components that differ in every index, so that a contraction over the
     wrong slot shows."""
