@@ -46,19 +46,79 @@ class ManifestError(ValueError):
 # -- deterministic sampling ----------------------------------------------------
 
 
+def _stream_key(seed: int, scenario_id: str, index: int) -> int:
+    """The 64-bit key of point stream (seed, scenario id, index)."""
+    digest = hashlib.sha256(f"{seed}|{scenario_id}|{index}".encode()).digest()
+    return int.from_bytes(digest[:8], "little")
+
+
 def point_rng(seed: int, scenario_id: str, index: int) -> np.random.Generator:
-    """Generator keyed by (seed, scenario id, point index)."""
-    digest = hashlib.sha256(
-        f"{seed}|{scenario_id}|{index}".encode()).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "little"))
+    """Point stream (seed, scenario id, index), the reference definition:
+    default_rng(key), that is SeedSequence(key), PCG64, uniform doubles."""
+    return np.random.default_rng(_stream_key(seed, scenario_id, index))
+
+
+# SeedSequence's hashmix constants of mix_entropy (A), generate_state (B)
+_HASH_A, _HASH_B = (np.array([[init * pow(mult, k, 1 << 32) % (1 << 32)]
+                              for k in range(rows)], dtype=np.uint32)
+                    for init, mult, rows in ((0x43B0D7E5, 0x931E8875, 17),
+                                             (0x8B51F9DD, 0x58F38DED, 9)))
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M64, _M128 = (1 << 64) - 1, (1 << 128) - 1
+
+
+def _hashmix(value, consts):
+    """SeedSequence's hashmix of value's row k, whose running hash constant
+    goes from consts[k] to consts[k + 1] (init * mult^k mod 2^32 in row k)."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ value >> 16
+
+
+def _pcg64_streams(keys) -> tuple:
+    """(state, inc) of default_rng(key) per key of a uint64 array, object
+    arrays of Python ints: SeedSequence(key).generate_state(4, uint64) across
+    keys (a key below 2^32 hashes as (lo, hi = 0)), then PCG64's seeding."""
+    pool = _hashmix(np.array([keys & 0xFFFFFFFF, keys >> 32, 0 * keys,
+                              0 * keys], dtype=np.uint32), _HASH_A[:5])
+    for src in range(4):  # mix hashmix(pool[src]) into every other word
+        dst = [d for d in range(4) if d != src]
+        h = _hashmix(pool[src], _HASH_A[3 * src + 4:3 * src + 8])
+        mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * h
+        pool[dst] = mixed ^ mixed >> 16
+    words = _hashmix(pool[[0, 1, 2, 3] * 2], _HASH_B).astype(np.uint64)
+    s = (words[0::2] | words[1::2] << 32).astype(object)
+    inc = (s[2] << 65 | s[3] << 1 | 1) & _M128
+    return ((inc + (s[0] << 64 | s[1])) * _PCG_MULT + inc) & _M128, inc
+
+
+def _pcg64_doubles(state, inc, dim: int) -> tuple:
+    """(state after dim steps, (len(state), dim) doubles): the XSL-RR
+    output x of each step gives (x >> 11) * 2^-53, as Generator.random."""
+    out = np.empty((dim, len(state)), dtype=np.uint64)
+    for j in range(dim):
+        state = (state * _PCG_MULT + inc) & _M128
+        hi = (state >> 64).astype(np.uint64)
+        x, rot = hi ^ (state & _M64).astype(np.uint64), hi >> 58
+        out[j] = x >> rot | x << ((64 - rot) & 63)
+    return state, (out.T >> 11) * 2.0 ** -53
 
 
 def sample_points(chart, seed: int, scenario_id: str, indices) -> np.ndarray:
-    """One point of chart per stream index, (len(indices), dim): row r is
-    the first accepted candidate of point_rng(seed, scenario_id,
-    indices[r]), so a point does not depend on which others are drawn."""
-    return np.array([chart.sample(point_rng(seed, scenario_id, k), 1)[0]
-                     for k in indices])
+    """One point of chart per stream index, (len(indices), dim), row r bit
+    for bit chart.sample(point_rng(seed, scenario_id, indices[r]), 1)[0]:
+    the SeedSequence, PCG64 and doubles of all streams run together (the
+    tests hold them to default_rng), a rejected row drawing from its own."""
+    state, inc = _pcg64_streams(np.array(
+        [_stream_key(seed, scenario_id, k) for k in indices], dtype=np.uint64))
+    out, todo = np.empty((len(state), chart.dim)), np.arange(len(state))
+    for _ in range(chart.MAX_ATTEMPTS):
+        state[todo], u = _pcg64_doubles(state[todo], inc[todo], chart.dim)
+        p, ok = chart.candidates(u)
+        out[todo[ok]] = p[ok]
+        todo = todo[~ok]
+        if not todo.size:
+            return out
+    raise RuntimeError("sampler rejection rate too high")
 
 
 # -- the check registry ----------------------------------------------------------
@@ -513,7 +573,7 @@ class _DM(Scenario):
     def connection_extension(self, tol, rng):
         gb, omb, jb, chart = self.boundary
         spec = compactify.CompactificationSpec(chart=chart, ladder=self.ladder)
-        tps = spec.boundary_points(rng, 3)
+        tps = spec.boundary_points(rng, min(self.count, 3))
         changed = paracx.para_c_projective_change(
             paracx.libermann(gb, omb), paracx.half_dlog_t(chart), jb)
         v = compactify.extend_to_boundary(changed.func, spec, tps,

@@ -40,7 +40,6 @@ symmetric in (b, c) for torsion-free connections.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -86,6 +85,7 @@ class Chart:
     names: tuple
     box: tuple
     exclude: Optional[Callable] = None  # predicate: point -> True to reject
+    MAX_ATTEMPTS = 1000  # candidates per point before sampling gives up
 
     def __post_init__(self):
         if len(self.names) != len(self.box) or len(self.names) < 1:
@@ -103,27 +103,26 @@ class Chart:
     def seed(self, point, order: int) -> list:
         return jets.seed_point(point, order)
 
-    @cached_property
-    def _bounds(self) -> tuple:
-        """(lo, hi - lo) of the box, built on first use."""
+    def candidates(self, u) -> tuple:
+        """The box points lo + (hi - lo) * u of rows u of uniform doubles,
+        bitwise rng.uniform(lo, hi), and the mask of those not excluded."""
         lo, hi = np.array(self.box, dtype=float).T
-        return lo, hi - lo
+        p = lo + (hi - lo) * np.atleast_2d(u)
+        return p, np.array([self.exclude is None or not self.exclude(q)
+                            for q in p], dtype=bool)
 
     def sample(self, rng, count: int = 1) -> np.ndarray:
-        """`count` uniform points of the box from one stream, (count, dim).
-        Each candidate is lo + (hi - lo) * rng.random(dim), bitwise
-        rng.uniform(lo, hi); candidates in the excluded locus are rejected,
-        and more than 1000 * count candidates raise."""
-        lo, span = self._bounds
+        """`count` points of the box from one stream, (count, dim): one
+        candidate per rng.random(dim); more than MAX_ATTEMPTS * count raise."""
         out = []
         attempts = 0
         while len(out) < count:
             attempts += 1
-            if attempts > 1000 * count:
+            if attempts > self.MAX_ATTEMPTS * count:
                 raise RuntimeError("sampler rejection rate too high")
-            p = lo + span * rng.random(self.dim)
-            if self.exclude is None or not self.exclude(p):
-                out.append(p)
+            p, ok = self.candidates(rng.random(self.dim))
+            if ok[0]:
+                out.append(p[0])
         return np.array(out)
 
 

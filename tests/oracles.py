@@ -9,7 +9,9 @@ from a second route.  rk4 integrates a float right-hand side; the geodesic
 and path-ODE tests build theirs from connection values and polynomial
 coefficients.  The draw loops call rng.uniform with the box bounds, one
 call per candidate, as the samplers did before Chart.sample kept its
-bounds; the sampler must draw bitwise the same points.  The jet loops at
+bounds; the sampler must draw bitwise the same points.
+per_point_sample_points is the per-point loop of one generator per stream
+that the batched streams of cli.sample_points replaced.  The jet loops at
 the end are the product-pair table, the Neumann lift and the Horner loop
 as first written, every step at full order; the graded kernels must give
 bitwise the same coefficients.
@@ -20,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from projcomp import jets
+from projcomp.cli import point_rng
 
 # 4th-order central difference stencils
 _D1_OFFSETS = np.array([-2, -1, 1, 2])
@@ -245,6 +248,13 @@ def box_points(box, rng_of, count):
     """The first candidate of streams 0..count-1 in a box, no rejection."""
     lo, hi = [b[0] for b in box], [b[1] for b in box]
     return np.array([rng_of(k).uniform(lo, hi) for k in range(count)])
+
+
+def per_point_sample_points(chart, seed, scenario_id, indices):
+    """cli.sample_points as first written: one fresh point_rng per index and
+    the first accepted candidate of Chart.sample from it."""
+    return np.array([chart.sample(point_rng(seed, scenario_id, k), 1)[0]
+                     for k in indices])
 
 
 def ode_points(rng_of):

@@ -392,12 +392,13 @@ def test_each_point_set_is_drawn_once_per_scenario(monkeypatch):
     """einstein, para-hermitian and splitting share the scenario's points:
     one point stream per point, plus each check's own stream."""
     drawn = []
+    key = cli._stream_key
 
     def counting(seed, scenario_id, index):
         drawn.append(index)
-        return point_rng(seed, scenario_id, index)
+        return key(seed, scenario_id, index)
 
-    monkeypatch.setattr(cli, "point_rng", counting)
+    monkeypatch.setattr(cli, "_stream_key", counting)
     sc = {"id": "dm", "catalog": "dm-random", "params": {"n": 2, "seed": 1},
           "checks": ["einstein", "para-hermitian", "splitting"], "points": 5,
           "seed": 4}
@@ -410,17 +411,40 @@ def test_eh_checks_draw_each_point_stream_once(monkeypatch):
     """ricci-flat and maurer-cartan share the scenario's points of the EH
     chart: streams 0..count-1, drawn once, plus each check's own stream."""
     drawn = []
+    key = cli._stream_key
 
     def counting(seed, scenario_id, index):
         drawn.append(index)
-        return point_rng(seed, scenario_id, index)
+        return key(seed, scenario_id, index)
 
-    monkeypatch.setattr(cli, "point_rng", counting)
+    monkeypatch.setattr(cli, "_stream_key", counting)
     sc = {"id": "eh", "catalog": "eh", "checks": ["ricci-flat", "maurer-cartan"],
           "points": 5, "seed": 4}
     report = run_manifest({"scenarios": [sc]})
     assert report["summary"] == {"pass": 2, "fail": 0, "inconclusive": 0}
     assert sorted(drawn) == [0, 1, 2, 3, 4] + [10_000] * 2
+
+
+def test_connection_extension_draws_at_most_the_scenario_points(monkeypatch):
+    """connection-extension extends at min(points, 3) tangent points, as
+    cg-form, levi and nijenhuis-tangential draw min(points, k): a 2-point
+    scenario records 2 samples, the first 2 of the 3 a larger one draws."""
+    drawn, extend = [], compactify.extend_to_boundary
+
+    def recording(func, spec, tps, **kwargs):
+        drawn.append(tps)
+        return extend(func, spec, tps, **kwargs)
+
+    monkeypatch.setattr(compactify, "extend_to_boundary", recording)
+    samples = []
+    for points in (2, 4):
+        sc = {"id": "dm", "catalog": "dm-random", "params": {"n": 2, "seed": 1},
+              "checks": ["connection-extension"], "points": points, "seed": 7}
+        rec = run_manifest({"scenarios": [sc]})["scenarios"][0]["records"][0]
+        assert rec["status"] == "pass", rec
+        samples.append(rec["samples"])
+    assert samples == [2, 3]
+    assert drawn[0].tobytes() == drawn[1][:2].tobytes()
 
 
 def test_splitting_residual_includes_the_omega_pairings(monkeypatch):
