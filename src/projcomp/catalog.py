@@ -200,8 +200,15 @@ class ProjectiveStructure:
 _QUANTUM = 2.0 ** -26  # dyadic grid: small-integer poly combinations stay exact
 
 
-def _quantized_uniform(rng, bound: float) -> float:
-    return round(float(rng.uniform(-bound, bound)) / _QUANTUM) * _QUANTUM
+def _random_poly(rng, monomials, bound: float) -> Poly:
+    """One coefficient per monomial, uniform in [-bound, bound] from one
+    draw and quantized to the dyadic grid; zeros are left out."""
+    x = rng.uniform(-bound, bound, len(monomials))
+    p = Poly()
+    for m, c in zip(monomials, (np.round(x / _QUANTUM) * _QUANTUM).tolist()):
+        if c != 0.0:
+            p[m] = c
+    return p
 
 
 def random_projective_structure(n: int, degree: int, bound: float,
@@ -211,17 +218,9 @@ def random_projective_structure(n: int, degree: int, bound: float,
     if degree > 3 or bound > 1.0:
         raise ValueError("random structures limited to degree <= 3, bound <= 1")
     rng = np.random.default_rng(int(seed))
-    alg = jets.algebra(n, degree)
-    gamma = {}
-    for k in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                p = Poly()
-                for m in alg.monomials:
-                    c = _quantized_uniform(rng, bound)
-                    if c != 0.0:
-                        p[m] = c
-                gamma[(k, i, j)] = p
+    monomials = jets.algebra(n, degree).monomials
+    gamma = {(k, i, j): _random_poly(rng, monomials, bound)
+             for k in range(n) for i in range(n) for j in range(i, n)}
     return ProjectiveStructure(n=n, gamma=gamma, degree=degree, bound=bound,
                                label=f"random(n={n},deg={degree},seed={seed})")
 
@@ -229,16 +228,8 @@ def random_projective_structure(n: int, degree: int, bound: float,
 def random_upsilon(n: int, degree: int, bound: float, seed: int) -> list:
     """Random polynomial one-form components for projective changes."""
     rng = np.random.default_rng(int(seed))
-    alg = jets.algebra(n, degree)
-    out = []
-    for _ in range(n):
-        p = Poly()
-        for m in alg.monomials:
-            c = _quantized_uniform(rng, bound)
-            if c != 0.0:
-                p[m] = c
-        out.append(p)
-    return out
+    monomials = jets.algebra(n, degree).monomials
+    return [_random_poly(rng, monomials, bound) for _ in range(n)]
 
 
 def projective_change_structure(ps: ProjectiveStructure,

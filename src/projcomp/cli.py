@@ -20,7 +20,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -56,6 +55,20 @@ def point_rng(seed: int, scenario_id: str, index: int) -> np.random.Generator:
     """Point stream (seed, scenario id, index), the reference definition:
     default_rng(key), that is SeedSequence(key), PCG64, uniform doubles."""
     return np.random.default_rng(_stream_key(seed, scenario_id, index))
+
+
+class _LazyGenerator:
+    """The numpy Generator default_rng(key), built when it is first used:
+    a check's own stream costs nothing if the check draws nothing."""
+
+    def __init__(self, key: int):
+        self._key = key
+        self._gen = None
+
+    def __getattr__(self, name):  # any Generator attribute or method
+        if self._gen is None:
+            self._gen = np.random.default_rng(self._key)
+        return getattr(self._gen, name)
 
 
 # SeedSequence's hashmix constants of mix_entropy (A), generate_state (B)
@@ -805,7 +818,8 @@ def run_scenario(scenario: dict, tol_scale: float = 1.0) -> dict:
         check = s.checks[name]
         tol = float(overrides.get(name, check.tolerance)) * tol_scale
         t0 = time.perf_counter()
-        rng = point_rng(s.seed, s.id, 10_000)  # stream for non-point randomness
+        # the check's stream for non-point randomness, point_rng's stream 10 000
+        rng = _LazyGenerator(_stream_key(s.seed, s.id, 10_000))
         try:
             status, residual, samples, constants = check(s, tol, rng)
         except Exception as exc:
@@ -824,6 +838,7 @@ def run_manifest(manifest: dict, jobs: int = 1, tol_scale: float = 1.0) -> dict:
     scenarios = manifest["scenarios"]
     t0 = time.perf_counter()
     if jobs > 1 and len(scenarios) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # slow to import
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             results = list(ex.map(_scenario_worker,
                                   [(sc, tol_scale) for sc in scenarios]))

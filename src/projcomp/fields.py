@@ -172,6 +172,11 @@ class MetricField(TensorField):
         super().__init__(chart=chart, valence=(0, 2), func=func,
                          symmetric=True, name=name)
 
+    def inverse(self, alg, G: np.ndarray) -> np.ndarray:
+        """The inverse of stacked components G of this metric (see
+        _inverse): levi_civita, J and theta read g^-1 through it."""
+        return _inverse(alg, G)
+
     def check_nondegenerate(self, rng, count: int = 100, tol: float = 1e-10) -> float:
         """Smallest |det g| over sampled points; raises if below tol.
         Serves the catalog non-degeneracy tests."""
@@ -279,7 +284,7 @@ def levi_civita(g: MetricField) -> ConnectionField:
         dG = _grad(up[0].alg, G)  # dG[a, b, c] = d_a g_bc
         low = dG[i, j] + dG[j, i] - dG[:, i, j].swapaxes(0, 1)  # low[p, l]
         half = 0.5 * alg.contract("kl,pl->kp",
-                                  _inverse(alg, G[..., :alg.size]), low)
+                                  g.inverse(alg, G[..., :alg.size]), low)
         gamma = np.empty((n, n, n) + half.shape[2:])
         gamma[:, i, j] = gamma[:, j, i] = half
         return gamma

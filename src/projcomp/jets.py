@@ -31,10 +31,11 @@ last axis, every contraction over the leading tensor axes and every
 front-anchored transpose reads a batch as it reads one point.  Row by row,
 mul, contract, eval_shift (one shift per row), the Jet arithmetic and the
 series helpers do the arithmetic of one point, in the same order (the
-series coefficients come per row from the same float formulas; contract
-adds the terms of a summed tensor index one by one), so their rows are
-bitwise the single-point results.  A number or an array of the jet's batch shape
-(one value per row) is the only non-Jet operand of the Jet arithmetic.
+series coefficients of all rows come at once from per-element libm calls
+and the same float operations; contract adds the terms of a summed tensor
+index one by one), so their rows are bitwise the single-point results.
+A number or an array of the jet's batch shape (one value per row) is the
+only non-Jet operand of the Jet arithmetic.
 
 The elementary-function helpers (sin, cos, exp, ...) dispatch on type so the
 same component code can run on plain floats, which is what the independent
@@ -111,8 +112,8 @@ class JetAlgebra:
         counts = np.maximum(ends - np.arange(self.size), 0)
         i = np.repeat(np.arange(self.size), counts)
         j = i + np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
-        code = np.ravel_multi_index(np.array(self.monomials).T,
-                                    (order + 1,) * num_vars)
+        self._exponents = np.array(self.monomials).T  # one column per variable
+        code = np.ravel_multi_index(self._exponents, (order + 1,) * num_vars)
         by_code = np.argsort(code, kind="stable")
         k = by_code[np.searchsorted(code, code[i] + code[j], sorter=by_code)]
         square = i == j
@@ -227,19 +228,21 @@ class JetAlgebra:
     def eval_shift(self, C: np.ndarray, delta) -> np.ndarray:
         """Evaluate a stack C[..., :] of Taylor polynomials at basepoint +
         delta: one shift (dim,), or one per batch row (B, dim) for C of
-        shape (..., B, S).  Monomials are summed one at a time in graded-lex
-        order, each coefficient multiplied by the powers of delta in
-        variable order, zero weights included, so an infinite coefficient
-        gives NaN; a row's result is bitwise that of its own shift."""
+        shape (..., B, S).  Each coefficient is multiplied by the powers
+        delta_i ** e of its monomial in variable order (a zero exponent
+        multiplies by 1.0, which changes nothing), zero weights included,
+        so an infinite coefficient gives NaN; the monomials are then summed
+        one at a time in graded-lex order, from 0.0, by a cumulative sum.
+        A row's result is bitwise that of its own shift."""
         delta = np.asarray(delta, dtype=float)
-        total = np.zeros(C.shape[:-1])
-        for k, m in enumerate(self.monomials):
-            term = C[..., k]
-            for i, e in enumerate(m):
-                if e:
-                    term = term * delta[..., i] ** e
-            total += term
-        return total
+        terms = C
+        for i, exps in enumerate(self._exponents):
+            d = delta[..., i]
+            powers = np.stack([np.ones_like(d)] + [
+                d ** e for e in range(1, self.order + 1)], axis=-1)
+            terms = terms * powers[..., exps]
+        zero = np.zeros(terms.shape[:-1] + (1,))
+        return np.cumsum(np.concatenate([zero, terms], axis=-1), axis=-1)[..., -1]
 
 
 @lru_cache(maxsize=None)
@@ -426,10 +429,11 @@ class Jet:
         return powc(self, float(p))
 
     def _reciprocal(self) -> "Jet":
-        def coeffs(u0):
-            if u0 == 0.0:
+        def coeffs(values):
+            if 0.0 in values:
                 raise ZeroDivisionError("division by jet with zero constant term")
-            return [(-1.0) ** k / u0 ** (k + 1) for k in range(self.order + 1)]
+            powers = _powers(values, range(1, self.order + 2))
+            return _signs(self.order + 1) / _nonzero(powers)
         return _series(self, coeffs)
 
 
@@ -461,38 +465,76 @@ def _apply_series(u: Jet, coeffs) -> Jet:
 
 
 def _series(u: Jet, coeffs_of) -> Jet:
-    """Apply the series whose coefficients coeffs_of(u0) gives at the float
-    value u0: once for a single point, once per row of a batch (so that a
-    row gets the coefficients, and the errors, of its own point)."""
+    """Apply the series whose coefficients coeffs_of(values) gives as one
+    (K, rows) array at the list of u's float values, one per row in ravel
+    order (one for a single point).  Each coefficient is made for all rows
+    at once from per-element libm calls (math.sin(v), v ** e) and numpy
+    arithmetic, so a row gets bitwise the coefficients of its own point.
+    If the batch raises, the rows are tried one by one, so that the error
+    is the one of the first offending row, as for a loop over points."""
     u0 = u.value
-    if isinstance(u0, float):
-        return _apply_series(u, coeffs_of(u0))
-    rows = np.array([coeffs_of(float(v)) for v in u0.ravel()])
-    return _apply_series(u, list(rows.T.reshape((-1,) + u0.shape)))
+    values = [u0] if isinstance(u0, float) else u0.ravel().tolist()
+    try:
+        coeffs = coeffs_of(values)
+    except (ArithmeticError, ValueError):
+        for v in values:
+            coeffs_of([v])
+        raise
+    return _apply_series(u, list(coeffs.reshape((-1,) + np.shape(u0))))
+
+
+def _powers(values, exponents) -> np.ndarray:
+    """(len(exponents), rows) array of v ** e, each Python's float power."""
+    return np.array([[v ** e for v in values] for e in exponents],
+                    dtype=float).reshape(len(exponents), len(values))
+
+
+def _signs(count: int) -> np.ndarray:
+    """(-1) ** k for k < count, as a column against (count, rows)."""
+    return np.where(np.arange(count) % 2, -1.0, 1.0)[:, None]
+
+
+def _factorials(count: int) -> np.ndarray:
+    """k! for k < count, as a column against (count, rows)."""
+    return np.array([float(math.factorial(k)) for k in range(count)])[:, None]
+
+
+def _nonzero(divisors: np.ndarray) -> np.ndarray:
+    """divisors, raising as Python's float division by zero would."""
+    if not divisors.all():
+        raise ZeroDivisionError("float division by zero")
+    return divisors
+
+
+def _positive(values, message: str):
+    """Raise JetError(message + the first value <= 0) if there is one."""
+    bad = [v for v in values if v <= 0]
+    if bad:
+        raise JetError(f"{message} {bad[0]}")
 
 
 # -- elementary functions (float / Jet dispatch) ---------------------------
 
+def _cycle(values, start: int, count: int) -> np.ndarray:
+    """The Taylor coefficients d^k/dx^k (sin, cos, -sin, -cos)[start] / k!
+    for k < count at each value."""
+    s = np.array([math.sin(v) for v in values])
+    c = np.array([math.cos(v) for v in values])
+    cycle = [s, c, -s, -c]
+    return (np.array([cycle[(start + k) % 4] for k in range(count)])
+            / _factorials(count))
+
+
 def sin(x):
     if not isinstance(x, Jet):
         return math.sin(x)
-
-    def coeffs(u0):
-        s, c = math.sin(u0), math.cos(u0)
-        cycle = [s, c, -s, -c]
-        return [cycle[k % 4] / math.factorial(k) for k in range(x.order + 1)]
-    return _series(x, coeffs)
+    return _series(x, lambda values: _cycle(values, 0, x.order + 1))
 
 
 def cos(x):
     if not isinstance(x, Jet):
         return math.cos(x)
-
-    def coeffs(u0):
-        s, c = math.sin(u0), math.cos(u0)
-        cycle = [c, -s, -c, s]
-        return [cycle[k % 4] / math.factorial(k) for k in range(x.order + 1)]
-    return _series(x, coeffs)
+    return _series(x, lambda values: _cycle(values, 1, x.order + 1))
 
 
 def exp(x):
@@ -500,9 +542,9 @@ def exp(x):
     if not isinstance(x, Jet):
         return math.exp(x)
 
-    def coeffs(u0):
-        e0 = math.exp(u0)
-        return [e0 / math.factorial(k) for k in range(x.order + 1)]
+    def coeffs(values):
+        e0 = np.array([math.exp(v) for v in values])
+        return e0 / _factorials(x.order + 1)
     return _series(x, coeffs)
 
 
@@ -513,11 +555,12 @@ def log(x):
             raise JetError(f"log of non-positive value {x}")
         return math.log(x)
 
-    def coeffs(u0):
-        if u0 <= 0:
-            raise JetError(f"log of jet with non-positive value {u0}")
-        return [math.log(u0)] + [(-1.0) ** (k + 1) / (k * u0 ** k)
-                                 for k in range(1, x.order + 1)]
+    def coeffs(values):
+        _positive(values, "log of jet with non-positive value")
+        k = range(1, x.order + 1)
+        tail = _signs(x.order) / _nonzero(
+            np.array(k)[:, None] * _powers(values, k))
+        return np.concatenate([[[math.log(v) for v in values]], tail])
     return _series(x, coeffs)
 
 
@@ -530,15 +573,13 @@ def powc(x, p: float):
     if not isinstance(x, Jet):
         return float(x) ** p
 
-    def coeffs(u0):
-        if u0 <= 0:
-            raise JetError(f"powc needs positive value, got {u0}")
-        out = []
-        binom = 1.0
-        for k in range(x.order + 1):
-            out.append(binom * u0 ** (p - k))
-            binom *= (p - k) / (k + 1)
-        return out
+    def coeffs(values):
+        _positive(values, "powc needs positive value, got")
+        binom = [1.0]
+        for k in range(x.order):
+            binom.append(binom[-1] * ((p - k) / (k + 1)))
+        return (np.array(binom)[:, None]
+                * _powers(values, [p - k for k in range(x.order + 1)]))
     return _series(x, coeffs)
 
 

@@ -90,7 +90,7 @@ def j_from_g_omega(g: MetricField, omega: TensorField,
     def func(coords):
         alg = coords[0].alg
         G, W = g.func(coords), omega.func(coords)
-        return alg.contract("ac,bc->ab", _inverse(alg, G), W)
+        return alg.contract("ac,bc->ab", g.inverse(alg, G), W)
 
     jf = TensorField(chart=g.chart, valence=(1, 1), func=func,
                      name=f"J({g.name})")
@@ -197,7 +197,7 @@ def theta_field(g: MetricField, omega: TensorField, t_func: Callable) -> TensorF
         alg = coords[0].alg
         up = jets.reseed(coords, o + 1)
         dT = _grad(up[0].alg, t_func(up).c)
-        grad = alg.contract("cb,b->c", _inverse(alg, g.func(coords)), dT)
+        grad = alg.contract("cb,b->c", g.inverse(alg, g.func(coords)), dT)
         return alg.contract("ac,c->a", omega.func(coords), grad)
 
     return TensorField(chart=g.chart, valence=(0, 1), func=func,
@@ -264,13 +264,24 @@ def dm_boundary_fields(ps: ProjectiveStructure):
     boundary chart.  The pullbacks of g and Omega share the inverse map's
     evaluation at each point (and dm_metric shares the Schouten tensor).
     g, Omega and J keep each distinct evaluation (see fields._memo) and
-    return copies: a scenario's boundary checks share their ladders."""
+    return copies, and g inverts each distinct component stack once, for
+    levi_civita, J and theta alike (read-only): a scenario's boundary
+    checks share their ladders."""
     n = ps.n
     g, omega = dm_metric(ps)
     cmap = dm_boundary_map(n)
     cmap = ChartMap(cmap.source, cmap.target, cmap.fwd, _memo(cmap.inv))
     gb = MetricField(cmap.target, pullback_field(g, cmap).func,
                      name=f"dm({ps.label})|bnd")
+    inverses = {}
+
+    def inverse(alg, G):
+        key = (alg, G.shape, G.tobytes())
+        if key not in inverses:
+            inverses[key] = _inverse(alg, G)
+            inverses[key].flags.writeable = False
+        return inverses[key]
+    gb.inverse = inverse
     omb = pullback_field(omega, cmap)
     probe = np.array([0.05] + [0.2] * (n - 1) + [0.3] * (n - 1) + [1.0])
     jb = j_from_g_omega(gb, omb, probe=probe)

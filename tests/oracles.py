@@ -11,13 +11,17 @@ coefficients.  The draw loops call rng.uniform with the box bounds, one
 call per candidate, as the samplers did before Chart.sample kept its
 bounds; the sampler must draw bitwise the same points.
 per_point_sample_points is the per-point loop of one generator per stream
-that the batched streams of cli.sample_points replaced.  The jet loops at
-the end are the product-pair table, the Neumann lift and the Horner loop
-as first written, every step at full order; the graded kernels must give
-bitwise the same coefficients.
+that the batched streams of cli.sample_points replaced, and scalar_draw_poly
+the one-call-per-coefficient draw of the random structures.  The jet loops
+at the end are the product-pair table, the Neumann lift and the Horner loop
+as first written, every step at full order, the per-row series loop with
+the per-point coefficient formulas, and the per-monomial eval_shift loop;
+the kernels must give bitwise the same coefficients.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -264,6 +268,18 @@ def ode_points(rng_of):
                      for k in range(20) for q in range(3)])
 
 
+def scalar_draw_poly(rng, monomials, bound):
+    """catalog._random_poly as first written: one rng.uniform call per
+    monomial, each quantized by Python's round; zeros are left out."""
+    from projcomp.catalog import _QUANTUM, Poly
+    p = Poly()
+    for m in monomials:
+        c = round(float(rng.uniform(-bound, bound)) / _QUANTUM) * _QUANTUM
+        if c != 0.0:
+            p[m] = c
+    return p
+
+
 def pair_tables(num_vars, order):
     """JetAlgebra's product pairs (_mul_i, _mul_j, _mul_k, _mul_d,
     _mul_kd) by the loop over every monomial pair i <= j."""
@@ -308,3 +324,68 @@ def full_order_series(u, coeffs):
     for k in range(len(coeffs) - 2, -1, -1):
         out = out * du + coeffs[k]
     return out
+
+
+def series_coeffs(name, order, p=0.5):
+    """The per-point coefficient formula coeffs(u0) of a series helper as
+    first written: "reciprocal", "sin", "cos", "exp", "log" or "powc" (x ** p)."""
+    def reciprocal(u0):
+        if u0 == 0.0:
+            raise ZeroDivisionError("division by jet with zero constant term")
+        return [(-1.0) ** k / u0 ** (k + 1) for k in range(order + 1)]
+
+    def cyclic(first):
+        def coeffs(u0):
+            s, c = math.sin(u0), math.cos(u0)
+            cycle = [s, c, -s, -c]
+            return [cycle[(first + k) % 4] / math.factorial(k)
+                    for k in range(order + 1)]
+        return coeffs
+
+    def exp(u0):
+        e0 = math.exp(u0)
+        return [e0 / math.factorial(k) for k in range(order + 1)]
+
+    def log(u0):
+        if u0 <= 0:
+            raise jets.JetError(f"log of jet with non-positive value {u0}")
+        return [math.log(u0)] + [(-1.0) ** (k + 1) / (k * u0 ** k)
+                                 for k in range(1, order + 1)]
+
+    def powc(u0):
+        if u0 <= 0:
+            raise jets.JetError(f"powc needs positive value, got {u0}")
+        out = []
+        binom = 1.0
+        for k in range(order + 1):
+            out.append(binom * u0 ** (p - k))
+            binom *= (p - k) / (k + 1)
+        return out
+
+    return {"reciprocal": reciprocal, "sin": cyclic(0), "cos": cyclic(1),
+            "exp": exp, "log": log, "powc": powc}[name]
+
+
+def per_row_series(u, coeffs_of):
+    """jets._series as first written: the coefficients coeffs_of(u0) of a
+    single point, or of each row of a batch in turn."""
+    u0 = u.value
+    if isinstance(u0, float):
+        return jets._apply_series(u, coeffs_of(u0))
+    rows = np.array([coeffs_of(float(v)) for v in u0.ravel()])
+    return jets._apply_series(u, list(rows.T.reshape((-1,) + u0.shape)))
+
+
+def eval_shift_loop(alg, C, delta):
+    """JetAlgebra.eval_shift as first written: monomials one at a time in
+    graded-lex order, each coefficient times delta_i ** e in variable order
+    for its nonzero exponents, added to a running total from 0.0."""
+    delta = np.asarray(delta, dtype=float)
+    total = np.zeros(C.shape[:-1])
+    for k, m in enumerate(alg.monomials):
+        term = C[..., k]
+        for i, e in enumerate(m):
+            if e:
+                term = term * delta[..., i] ** e
+        total += term
+    return total

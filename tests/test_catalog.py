@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 import projcomp.jets as jets
 from projcomp import fields
 from projcomp.catalog import (EHParams, Poly, ProjectiveStructure, WarpedPair,
@@ -317,6 +318,35 @@ def test_random_structure_determinism_and_distinctness():
     assert a.gamma[key] != c.gamma[key]
     flat = random_projective_structure(2, 0, 0.0, seed=1)
     assert all(not p for p in flat.gamma.values())
+
+
+def _scalar_draw_gamma(n, degree, bound, seed):
+    """The random structure's Gamma as first drawn, one call per coefficient."""
+    rng = np.random.default_rng(seed)
+    monomials = jets.algebra(n, degree).monomials
+    return {(k, i, j): oracles.scalar_draw_poly(rng, monomials, bound)
+            for k in range(n) for i in range(n) for j in range(i, n)}
+
+
+def _items(polys):
+    """Every (key, monomial, coefficient) in order, coefficient types too."""
+    return [(key, m, type(c), c) for key, p in polys for m, c in p.items()]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_one_call_draws_are_the_scalar_draws(n, degree):
+    for seed in (0, 1, 7, 12345):
+        for bound in (1.0, 0.4, 2.0 ** -27):
+            ps = random_projective_structure(n, degree, bound, seed)
+            want = _scalar_draw_gamma(n, degree, bound, seed)
+            assert _items(ps.gamma.items()) == _items(want.items())
+            rng = np.random.default_rng(seed)
+            monomials = jets.algebra(n, degree).monomials
+            ups = random_upsilon(n, degree, bound, seed)
+            want = [oracles.scalar_draw_poly(rng, monomials, bound)
+                    for _ in range(n)]
+            assert _items(enumerate(ups)) == _items(enumerate(want))
 
 
 def test_random_structure_bounds():

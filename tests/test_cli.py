@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -423,6 +426,51 @@ def test_eh_checks_draw_each_point_stream_once(monkeypatch):
     report = run_manifest({"scenarios": [sc]})
     assert report["summary"] == {"pass": 2, "fail": 0, "inconclusive": 0}
     assert sorted(drawn) == [0, 1, 2, 3, 4] + [10_000] * 2
+
+
+def _built_generators(monkeypatch):
+    """The seeds of every default_rng built while the test runs."""
+    built, default_rng = [], np.random.default_rng
+
+    def recording(seed=None):
+        built.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    return built
+
+
+def test_a_check_that_never_draws_builds_no_generator(monkeypatch):
+    built = _built_generators(monkeypatch)
+    sc = {"id": "dm", "catalog": "dm-random", "params": {"n": 2, "seed": 1},
+          "checks": ["einstein", "para-hermitian", "splitting"], "points": 5,
+          "seed": 4}
+    report = run_manifest({"scenarios": [sc]})
+    assert report["summary"] == {"pass": 3, "fail": 0, "inconclusive": 0}
+    assert cli._stream_key(4, "dm", 10_000) not in built
+
+
+def test_geodesic_projection_draws_its_stream_from_the_start(monkeypatch):
+    sc = {"id": "gp", "catalog": "dm-random", "params": {"n": 3, "seed": 2},
+          "checks": ["geodesic-projection"], "points": 6, "seed": 9}
+    built = _built_generators(monkeypatch)
+    rec = run_manifest({"scenarios": [sc]})["scenarios"][0]["records"][0]
+    assert built.count(cli._stream_key(9, "gp", 10_000)) == 1
+    s = cli.REGISTRY["dm-random"](sc)
+    _, resid, _, _ = s.geodesic_projection(rec["tolerance"],
+                                           point_rng(9, "gp", 10_000))
+    assert rec["status"] == "pass" and rec["max_residual"] == resid
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    code = ("import sys, projcomp.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__)),
+         os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_connection_extension_draws_at_most_the_scenario_points(monkeypatch):

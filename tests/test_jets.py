@@ -9,6 +9,7 @@ import pytest
 from projcomp import catalog, jets
 from projcomp.jets import Jet, JetError
 
+import oracles
 from oracles import fd_partial
 
 
@@ -543,3 +544,122 @@ def test_non_jet_operand_is_a_number_or_an_array_of_the_batch_shape():
     assert np.array_equal((2.0 * X[0]).c, X[0].c * 2.0)
     with pytest.raises(TypeError):
         X[0] * np.array([1.0, 2.0, 3.0])
+
+
+# -- batched series coefficients and eval_shift against the loops ---------------
+
+SERIES = [("reciprocal", None, lambda u: u._reciprocal()),
+          ("sin", None, jets.sin), ("cos", None, jets.cos),
+          ("exp", None, jets.exp), ("log", None, jets.log),
+          ("powc", 0.5, jets.sqrt)] + [
+    ("powc", p, lambda u, p=p: jets.powc(u, p)) for p in (3.0, -1.5, 0.3)]
+SERIES_IDS = [f"{name}-{p}" for name, p, _ in SERIES]
+
+
+def _outcome(fn, *args):
+    """fn(*args).c, or the type and message of what it raised."""
+    try:
+        return fn(*args).c
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _same(got, want):
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        return got == want
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _series_pair(name, p, fn, u):
+    coeffs = oracles.series_coeffs(name, u.order, 0.5 if p is None else p)
+    return (_outcome(fn, u),
+            _outcome(oracles.per_row_series, u, coeffs))
+
+
+@pytest.mark.parametrize("order", range(5))
+@pytest.mark.parametrize("batch", [(), (1,), (2,), (100,), (3, 4)])
+@pytest.mark.parametrize("name,p,fn", SERIES, ids=SERIES_IDS)
+def test_batched_series_is_the_per_row_loop_bitwise(name, p, fn, batch, order):
+    alg = jets.algebra(2, order)
+    rng = np.random.default_rng(order + 7 * len(batch))
+    c = rng.uniform(-1.0, 1.0, batch + (alg.size,))
+    c[..., 0] = rng.uniform(0.05, 3.0, batch)  # positive values for log, powc
+    if name not in ("log", "powc"):
+        c[..., 0] *= rng.choice([-1.0, 1.0], batch)
+    got, want = _series_pair(name, p, fn, Jet(alg, c))
+    assert not isinstance(want, tuple)
+    assert _same(got, want)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, -0.25, np.nan, 1e-200, 1e200,
+                                 np.inf])
+@pytest.mark.parametrize("name,p,fn", SERIES, ids=SERIES_IDS)
+def test_a_bad_row_raises_or_propagates_as_in_the_loop(name, p, fn, bad):
+    """A zero, non-positive, NaN, tiny, huge or infinite row at several
+    positions, alone or followed by other offending rows: the batch raises
+    the error of the first offending row, as the loop does (a tiny or huge
+    value overflows a power, or underflows one to a zero divisor), or gives
+    the loop's non-finite coefficients."""
+    alg = jets.algebra(1, 3)
+    for position, later in itertools.product((0, 3, 6), (None, -1.0, 0.0)):
+        v = np.linspace(0.5, 1.5, 7)
+        v[position] = bad
+        if later is not None:
+            v[position + 1:] = later
+        c = np.zeros((7, alg.size))
+        c[:, 0], c[:, 1] = v, 1.0
+        with np.errstate(all="ignore"):
+            got, want = _series_pair(name, p, fn, Jet(alg, c))
+            single = [_series_pair(name, p, fn, Jet(alg, row)) for row in c]
+        assert _same(got, want), (got, want)
+        for one, loop in single:
+            assert _same(one, loop), (one, loop)
+
+
+def test_series_errors_name_the_first_offending_row():
+    (x,) = jets.seed_point(np.array([[0.5], [np.nan], [-0.2], [-0.7]]), 2)
+    with pytest.raises(JetError, match=r"non-positive value -0.2$"):
+        jets.log(x)
+    with pytest.raises(JetError, match=r"got -0.2$"):
+        jets.powc(x, 0.5)
+    (y,) = jets.seed_point(np.array([[0.5], [np.nan], [0.0]]), 2)
+    with pytest.raises(ZeroDivisionError, match="zero constant term"):
+        y._reciprocal()
+    # a NaN row raises nothing: its coefficients are NaN, the others finite
+    (z,) = jets.seed_point(np.array([[0.5], [np.nan], [1.5]]), 2)
+    for out in (jets.log(z), jets.sqrt(z), z._reciprocal()):
+        assert np.isnan(out.c[1]).all() and np.isfinite(out.c[[0, 2]]).all()
+
+
+def _shift_cases(num_vars, order, rng):
+    """(C, delta) for one shift and for per-row shifts, with inf, NaN and
+    -0.0 among the coefficients and the shifts."""
+    S = jets.algebra(num_vars, order).size
+    C = rng.standard_normal((2, 3, 5, S)) * 10.0 ** rng.integers(-4, 5, (2, 3, 5, S))
+    specials = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0])
+    C.ravel()[rng.choice(C.size, 6, replace=False)] = rng.choice(specials, 6)
+    rows = rng.uniform(-0.5, 0.5, (5, num_vars))
+    rows.ravel()[rng.choice(rows.size, min(rows.size, 4), replace=False)] = \
+        rng.choice(specials, min(rows.size, 4))
+    one = rng.uniform(-0.5, 0.5, num_vars)
+    one[0] = -0.0
+    return [(C[:, :, 0], one), (C, one), (C, rows), (C[0, 0], rows)]
+
+
+@pytest.mark.parametrize("num_vars", range(1, 11))
+@pytest.mark.parametrize("order", range(5))
+def test_eval_shift_is_the_per_monomial_loop_bitwise(num_vars, order):
+    """Bitwise, signed zeros and infinities included, with NaN where the
+    loop has NaN.  A NaN's sign bit is not compared: where two NaNs meet in
+    a sum, the cumulative sum keeps the other operand's, and no report
+    shows the sign of a NaN."""
+    alg = jets.algebra(num_vars, order)
+    rng = np.random.default_rng(10 * num_vars + order)
+    for C, delta in _shift_cases(num_vars, order, rng):
+        with np.errstate(all="ignore"):
+            got = alg.eval_shift(C, delta)
+            want = oracles.eval_shift_loop(alg, C, delta)
+        assert got.shape == want.shape
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()

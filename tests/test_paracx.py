@@ -930,6 +930,27 @@ def test_boundary_checks_invert_j_once_per_ladder(monkeypatch):
     assert [s for s in shapes if len(s) == 4] == [(6, 6, 6, 84)]
 
 
+def test_boundary_metric_inverts_each_distinct_matrix_once(monkeypatch):
+    # cg-form's theta, J and the levi check's Levi-Civita connection of the
+    # boundary metric invert the same component stacks on one ladder
+    inverted = []
+    inverse = paracx._inverse
+
+    def counted(alg, A):
+        inverted.append(A.tobytes())
+        return inverse(alg, A)
+
+    monkeypatch.setattr(paracx, "_inverse", counted)
+    monkeypatch.setattr(fields, "_inverse", counted)
+    sc = {"id": "dm-n2", "catalog": "dm-random",
+          "params": {"n": 2, "degree": 1, "seed": 7},
+          "checks": ["cg-form", "levi", "nijenhuis-tangential",
+                     "connection-extension"], "points": 2, "seed": 7}
+    report = cli.run_manifest({"scenarios": [sc]})
+    assert report["summary"]["pass"] == 4
+    assert len(inverted) == len(set(inverted))
+
+
 def test_boundary_bundle_returns_copies_of_its_memo():
     _, (gb, omb, jb, _), p = _bundle(3)
     for field in (gb, omb, jb):
