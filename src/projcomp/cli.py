@@ -426,7 +426,9 @@ class _EH(Scenario):
         self.gT, _, _ = catalog.eh_compactified(self.pars)
         self.spec = compactify.CompactificationSpec(chart=self.gT.chart,
                                                     alpha=1.0, ladder=self.ladder)
-        self.changed = fields.projective_change(fields.levi_civita(self.gT),
+        self.lc = fields.levi_civita(self.gT)
+        self.lc.func = fields._memo(self.lc.func)  # extension reads it twice
+        self.changed = fields.projective_change(self.lc,
                                                 _dT_over_T(self.gT.chart))
 
     @_check("maurer-cartan",
@@ -469,8 +471,9 @@ class _EH(Scenario):
         tps = self.points(self.gT.chart, min(self.count, 4))[:, 1:]
         v = compactify.extend_to_boundary(self.changed.func, self.spec, tps,
                                           tolerance=tol)
-        raw = compactify.extend_to_boundary(fields.levi_civita(self.gT).func,
-                                            self.spec, tps[:2], tolerance=tol)
+        raw = compactify.ladder_verdict(  # rows of the changed ladder's LC
+            compactify.extrapolate_ladder(self.lc.func, self.spec, tps)[:2],
+            self.spec, tolerance=tol)
         ok = v.passed and not raw.passed
         return ("pass" if ok else "fail", v.agreement, len(tps),
                 {"raw_connection_extends": raw.passed})

@@ -11,9 +11,10 @@ witness.
 
 A ladder is one batch: the P tangent points times R rungs are P x R rows
 of one point array, the components are evaluated in one call on its
-seeded jets, and one JetAlgebra.eval_shift takes every row to T = 0 by its
-own shift.  The verdict logic then reads the (P, R) + shape array, and an
-ExtensionVerdict's limits hold every tangent point, (P,) + shape.
+seeded jets (ladder_rows, kept by a caller that reads the rows too), and
+one JetAlgebra.eval_shift takes every row to T = 0 by its own shift
+(shift_ladder).  The verdict logic then reads the (P, R) + shape array,
+and an ExtensionVerdict's limits hold every tangent point, (P,) + shape.
 
 Conventions: the charts handled here carry the defining function T as
 coordinate 0; the general scalar-field form of Upsilon = dT/(alpha T) is
@@ -30,8 +31,8 @@ import numpy as np
 
 from . import jets
 from .fields import (Chart, ConnectionField, MetricField, TensorField,
-                     SingularMetricError, levi_civita, projective_weyl,
-                     ricci_field, riemann)
+                     SingularMetricError, _weyl, levi_civita,
+                     projective_schouten, ricci_field, riemann)
 
 __all__ = [
     "CompactificationSpec",
@@ -39,6 +40,8 @@ __all__ = [
     "MetricityVerdict",
     "upsilon_from_defining",
     "at_boundary",
+    "ladder_rows",
+    "shift_ladder",
     "extrapolate_ladder",
     "ladder_verdict",
     "extend_to_boundary",
@@ -123,27 +126,35 @@ def at_boundary(tangent_points) -> np.ndarray:
     return np.concatenate([np.zeros((len(tps), 1)), tps], axis=1)
 
 
+def ladder_rows(component_fn: Callable, spec: CompactificationSpec,
+                tangent_points, order: int = 3) -> np.ndarray:
+    """component_fn's stacked (..., P*R, S) jets, from one call on the
+    seeded rows (eps_r, tangent point p), row p * R + r."""
+    tps = np.atleast_2d(np.asarray(tangent_points, dtype=float))
+    R = len(spec.ladder)
+    points = np.concatenate([np.tile(spec.ladder, len(tps))[:, None],
+                             np.repeat(tps, R, axis=0)], axis=1)
+    return component_fn(jets.seed_point(points, order))
+
+
+def shift_ladder(C: np.ndarray, spec: CompactificationSpec,
+                 order: int = 3) -> np.ndarray:
+    """ladder_rows' C taken to T = 0, row p * R + r by its own -eps_r in T:
+    shape (P, R) + component shape."""
+    R = len(spec.ladder)
+    to_zero = np.zeros((C.shape[-2], spec.chart.dim))
+    to_zero[:, 0] = -np.tile(spec.ladder, C.shape[-2] // R)
+    rows = jets.algebra(spec.chart.dim, order).eval_shift(C, to_zero)
+    return np.moveaxis(rows, -1, 0).reshape((-1, R) + rows.shape[:-1])
+
+
 def extrapolate_ladder(component_fn: Callable, spec: CompactificationSpec,
                        tangent_points, order: int = 3) -> np.ndarray:
     """Components extrapolated to T = 0 from every ladder rung above every
     tangent point: shape (P, R) + component shape for P tangent points and
-    R rungs.
-
-    The P x R rows (eps_r, tangent point p), row p * R + r, are one batch:
-    component_fn(coords) -> stacked (..., P*R, S) jets is called once on
-    their seeded coordinates, and one eval_shift takes each row back by its
-    own -eps_r in T.
-    """
-    tps = np.atleast_2d(np.asarray(tangent_points, dtype=float))
-    P, R = len(tps), len(spec.ladder)
-    points = np.concatenate([np.tile(spec.ladder, P)[:, None],
-                             np.repeat(tps, R, axis=0)], axis=1)
-    to_zero = np.zeros_like(points)
-    to_zero[:, 0] = -points[:, 0]
-    alg = jets.algebra(points.shape[1], order)
-    C = component_fn(jets.seed_point(points, order))
-    rows = alg.eval_shift(C, to_zero)                  # shape + (P*R,)
-    return np.moveaxis(rows, -1, 0).reshape((P, R) + rows.shape[:-1])
+    R rungs (ladder_rows, then shift_ladder)."""
+    return shift_ladder(ladder_rows(component_fn, spec, tangent_points, order),
+                        spec, order)
 
 
 def ladder_verdict(rungs: np.ndarray, spec: CompactificationSpec,
@@ -307,14 +318,14 @@ def metricity_check(conn: ConnectionField, rng,
         points = conn.chart.sample(rng, count)
     points = np.atleast_2d(np.asarray(points, dtype=float))
 
+    R = riemann(conn, points)
     if require_projectively_flat:
-        wmax = float(np.max(np.abs(projective_weyl(conn, points))))
+        wmax = float(np.max(np.abs(_weyl(R, projective_schouten(conn).values(points)))))
         if wmax > 1e-8:
             return MetricityVerdict(status="inconclusive", residual=wmax,
                                     reason="projective Weyl tensor nonzero; "
                                            "constant-curvature witness not applicable")
 
-    R = riemann(conn, points)
     ric = np.einsum("...abad->...bd", R)
     ricT = ric.swapaxes(1, 2)
     anti = float(np.max(np.abs(ric - ricT))) / 2.0

@@ -255,6 +255,8 @@ def _inverse(alg, A: np.ndarray) -> np.ndarray:
     lift = np.zeros_like(A)
     inv = np.linalg.inv(A0)
     lift[..., 0] = np.moveaxis(inv, 0, -1) if inv.ndim > 2 else inv
+    if alg.order == 0:
+        return lift
     M = -np.einsum("ij...,jk...s->ik...s", lift[..., 0], A)
     M[..., 0] = 0.0  # -A0^-1 N, with N = A - A0
     X = lift.copy()
@@ -384,9 +386,13 @@ def projective_schouten(conn: ConnectionField) -> TensorField:
 def projective_weyl(conn: ConnectionField, point) -> np.ndarray:
     """Totally trace-free curvature part W^a_bcd (projective invariant),
     batch first at a batch of points."""
-    delta = np.eye(conn.chart.dim)
-    P = projective_schouten(conn).values(point)
-    return (riemann(conn, point) - np.einsum("ac,...db->...abcd", delta, P)
+    return _weyl(riemann(conn, point), projective_schouten(conn).values(point))
+
+
+def _weyl(R: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """projective_weyl from curvature R and Schouten P at the same points."""
+    delta = np.eye(R.shape[-1])
+    return (R - np.einsum("ac,...db->...abcd", delta, P)
             + np.einsum("ad,...cb->...abcd", delta, P)
             + np.einsum("ab,...cd->...abcd", delta, P - P.swapaxes(-2, -1)))
 

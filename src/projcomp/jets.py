@@ -74,6 +74,9 @@ class JetError(ValueError):
     pass
 
 
+CONTRACT_CAP = 1 << 16  # doubles (512 KiB) in a pair array of contract
+
+
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     """Exponent tuples of `parts` entries summing to total, lexicographically
     descending."""
@@ -134,6 +137,7 @@ class JetAlgebra:
         self._row_j = np.concatenate([self._mul_j, self._mul_d])
         self._row_k = np.concatenate([self._mul_k, self._mul_kd])
         self._row_targets: dict = {}  # rows -> flattened offset targets
+        self._block_tables: dict = {}  # contract's blocks per spec and shapes
 
         # factorial(alpha) per monomial, for partial-derivative extraction
         self.fact = np.array(
@@ -205,25 +209,55 @@ class JetAlgebra:
         summed index is added term by term.  At order 0 there is one pair,
         and for one point the summed index itself is the innermost loop;
         a batch is then laid out rows first so that each row is reduced
-        that way too.  Pairs are then reduced in a fixed order."""
+        that way too.  Pairs are then reduced in a fixed order.  Past
+        CONTRACT_CAP doubles in a pair array (a gather or the products), it
+        works on blocks of targets, each with its targets' pairs whole and
+        at least two pairs (the pair axis stays einsum's innermost loop), so
+        the result is bitwise that of one pass."""
         operands, result = spec.split("->")
         sa, sb = operands.split(",")
         ba = 0 if "..." in spec else a.ndim - len(sa) - 1
         bb = 0 if "..." in spec else b.ndim - len(sb) - 1
         if self.order == 0 and (ba or bb):
-            a = np.moveaxis(a[..., 0], range(len(sa), len(sa) + ba), range(ba))
-            b = np.moveaxis(b[..., 0], range(len(sb), len(sb) + bb), range(bb))
+            a = a[..., 0].transpose(*range(len(sa), a.ndim - 1), *range(len(sa)))
+            b = b[..., 0].transpose(*range(len(sb), b.ndim - 1), *range(len(sb)))
             out = np.einsum(f"...{sa},...{sb}->...{result}",
                             np.ascontiguousarray(a), np.ascontiguousarray(b))
             rows = max(ba, bb)
-            out = np.moveaxis(out, range(rows), range(out.ndim - rows, out.ndim))
-            return out[..., None]
+            return out.transpose(*range(rows, out.ndim), *range(rows))[..., None]
         if ba or bb:
             sa, sb, result = sa + "...", sb + "...", result + "..."
-        pairs = np.einsum(f"{sa}z,{sb}z->{result}z",
-                          np.take(a, self._pair_i, axis=-1),
-                          np.take(b, self._pair_j, axis=-1))
-        return np.add.reduceat(pairs, self._pair_start, axis=-1)
+        spec = f"{sa}z,{sb}z->{result}z"
+        blocks = self._blocks(spec, a, b)
+        if len(blocks) > 1:  # np.take copies a strided operand on every call
+            a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+        out = None
+        for targets, pairs, starts in blocks:
+            prods = np.einsum(spec, np.take(a, self._pair_i[pairs], axis=-1),
+                              np.take(b, self._pair_j[pairs], axis=-1))
+            if out is None:
+                out = np.empty(prods.shape[:-1] + (self.size,))
+            np.add.reduceat(prods, starts, axis=-1, out=out[..., targets])
+            del prods  # before the next block's gathers
+        return out
+
+    def _blocks(self, spec: str, a: np.ndarray, b: np.ndarray) -> list:
+        """contract's (targets, pairs, pair starts) blocks, filled greedily."""
+        key = (spec, a.shape, b.shape)
+        if key not in self._block_tables:
+            out = np.einsum(spec, a[..., :0], b[..., :0]).shape[:-1]
+            fit = CONTRACT_CAP // max(a.size // a.shape[-1],
+                                      b.size // b.shape[-1], math.prod(out))
+            start, end = self._pair_start, np.append(self._pair_start[1:],
+                                                     len(self._pair_i))
+            cuts = [0]
+            while cuts[-1] < self.size:
+                t1 = np.searchsorted(end, start[cuts[-1]] + fit, "right")
+                cuts.append(int(max(t1, cuts[-1] + 1, min(2, self.size))))
+            self._block_tables[key] = [
+                (slice(t0, t1), slice(start[t0], end[t1 - 1]), start[t0:t1] - start[t0])
+                for t0, t1 in zip(cuts, cuts[1:])]
+        return self._block_tables[key]
 
     def eval_shift(self, C: np.ndarray, delta) -> np.ndarray:
         """Evaluate a stack C[..., :] of Taylor polynomials at basepoint +

@@ -11,10 +11,11 @@ of the boundary bundle share one inverse-map evaluation per point batch.
 The closed forms build their one-forms as stacks over the chart index and
 their symmetric products with contract, independently of the engine's
 route (pullback, J, theta, h_tc_field) that they certify.  Every boundary
-check evaluates its fields once over all of its points: one extension
+check evaluates each field once over all of its points: one extension
 ladder (all tangent points times all rungs, see compactify) for J in levi,
-the Nijenhuis T row and h in cg-form, and one values() batch for h_D,
-theta0 and the interior closed-form comparisons.
+the Nijenhuis T row and h in cg-form, whose interior slices are rows of
+that ladder, and one values() batch for h_D, theta0, theta and each closed
+form (h's closed form at the slices and at T = 0 together).
 
 Orientation conventions (recorded, then validated exactly by the flat
 model):
@@ -43,8 +44,8 @@ from .fields import (Chart, ChartMap, ConnectionField, MetricField,
                      _memo, _nabla, exterior_derivative,
                      levi_civita)
 from .compactify import (CompactificationSpec, ExtensionVerdict, at_boundary,
-                         extend_to_boundary, extrapolate_ladder,
-                         ladder_verdict)
+                         extend_to_boundary, ladder_rows, ladder_verdict,
+                         shift_ladder)
 from .catalog import (ProjectiveStructure, _on_floats, dm_boundary_chart,
                       dm_boundary_map, dm_metric)
 
@@ -583,34 +584,33 @@ def cg_form_check(ps: ProjectiveStructure, rng, count: int = 5,
     Returns the sub-results h_extension, h_closed_form_residual,
     theta_closed_form_residual and h_boundary_match.  boundary_fields is the
     (g, Omega, J, chart) bundle of dm_boundary_fields(ps).  h is evaluated
-    in one batch of every (tangent point, rung) row: both extension
-    verdicts read that ladder.
+    once, in one batch of every (tangent point, rung) row: both extension
+    verdicts read that ladder, and the interior slices are rows of it.  Its
+    closed form is evaluated once, at the slices and at T = 0 together.
     """
     gb, omb, _, chart = boundary_fields
     spec = CompactificationSpec(chart=chart, ladder=ladder)
     tps = spec.boundary_points(rng, count)
-    out = {}
-
-    # h_{T,1/4} extends, and matches the closed form on interior slices
     h_engine = h_tc_field(gb, omb, boundary_t_coordinate, C=0.25)
-    rungs = extrapolate_ladder(h_engine.func, spec, tps)
-    out["h_extension"] = ladder_verdict(rungs, spec, tolerance=1e-6)
-    h_closed = boundary_h_closed(ps)
-    # the first two rungs above the first three points
+    h_rows = ladder_rows(h_engine.func, spec, tps)
+    rungs = shift_ladder(h_rows, spec)
+    # the first two rungs above the first three points, rows of the ladder
     slices = np.array([np.concatenate([[eps], tp])
                        for tp in tps[:3] for eps in ladder[:2]])
-
-    def interior_gap(engine, closed):
-        return float(np.max(np.abs(engine.values(slices)
-                                   - closed.values(slices))))
-
-    out["h_closed_form_residual"] = interior_gap(h_engine, h_closed)
-    # theta matches its closed form
-    out["theta_closed_form_residual"] = interior_gap(
-        theta_field(gb, omb, boundary_t_coordinate), boundary_theta_closed(ps))
-
-    # boundary value of h against the boundary closed form at T = 0
-    out["h_boundary_match"] = ladder_verdict(
-        rungs[:3], spec, tolerance=1e-6,
-        want=h_closed.values(at_boundary(tps[:3])))
-    return out
+    rows = [p * len(ladder) + r
+            for p in range(len(tps[:3])) for r in range(len(ladder[:2]))]
+    h_closed = boundary_h_closed(ps).values(
+        np.concatenate([slices, at_boundary(tps[:3])]))
+    theta = theta_field(gb, omb, boundary_t_coordinate).values(slices)
+    return {
+        # h_{T,1/4} extends, and matches the closed form on interior slices
+        "h_extension": ladder_verdict(rungs, spec, tolerance=1e-6),
+        "h_closed_form_residual": float(np.max(np.abs(
+            np.moveaxis(h_rows[..., rows, 0], -1, 0) - h_closed[:len(rows)]))),
+        # theta matches its closed form
+        "theta_closed_form_residual": float(np.max(np.abs(
+            theta - boundary_theta_closed(ps).values(slices)))),
+        # boundary value of h against the boundary closed form at T = 0
+        "h_boundary_match": ladder_verdict(rungs[:3], spec, tolerance=1e-6,
+                                           want=h_closed[len(rows):]),
+    }

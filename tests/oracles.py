@@ -15,8 +15,9 @@ that the batched streams of cli.sample_points replaced, and scalar_draw_poly
 the one-call-per-coefficient draw of the random structures.  The jet loops
 at the end are the product-pair table, the Neumann lift and the Horner loop
 as first written, every step at full order, the per-row series loop with
-the per-point coefficient formulas, and the per-monomial eval_shift loop;
-the kernels must give bitwise the same coefficients.
+the per-point coefficient formulas, the per-monomial eval_shift loop and
+the single-pass contraction; the kernels must give bitwise the same
+coefficients.
 """
 
 from __future__ import annotations
@@ -389,3 +390,26 @@ def eval_shift_loop(alg, C, delta):
                 term = term * delta[..., i] ** e
         total += term
     return total
+
+
+def single_pass_contract(alg, spec, a, b):
+    """JetAlgebra.contract as first written: every product pair gathered in
+    one pass, and a batch at order 0 laid out rows first by np.moveaxis."""
+    operands, result = spec.split("->")
+    sa, sb = operands.split(",")
+    ba = 0 if "..." in spec else a.ndim - len(sa) - 1
+    bb = 0 if "..." in spec else b.ndim - len(sb) - 1
+    if alg.order == 0 and (ba or bb):
+        a = np.moveaxis(a[..., 0], range(len(sa), len(sa) + ba), range(ba))
+        b = np.moveaxis(b[..., 0], range(len(sb), len(sb) + bb), range(bb))
+        out = np.einsum(f"...{sa},...{sb}->...{result}",
+                        np.ascontiguousarray(a), np.ascontiguousarray(b))
+        rows = max(ba, bb)
+        out = np.moveaxis(out, range(rows), range(out.ndim - rows, out.ndim))
+        return out[..., None]
+    if ba or bb:
+        sa, sb, result = sa + "...", sb + "...", result + "..."
+    pairs = np.einsum(f"{sa}z,{sb}z->{result}z",
+                      np.take(a, alg._pair_i, axis=-1),
+                      np.take(b, alg._pair_j, axis=-1))
+    return np.add.reduceat(pairs, alg._pair_start, axis=-1)

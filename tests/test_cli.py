@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from projcomp import catalog, cli, compactify, paracx, tractor
+from projcomp import catalog, cli, compactify, fields, paracx, tractor
 from projcomp.cli import (ManifestError, builtin_manifest, main, point_rng,
                           run_manifest, serialize_report, validate_manifest)
 
@@ -508,3 +508,37 @@ def test_splitting_residual_includes_the_omega_pairings(monkeypatch):
           "checks": ["splitting"], "points": 3, "seed": 4}
     rec = run_manifest({"scenarios": [sc]})["scenarios"][0]["records"][0]
     assert rec["status"] == "fail" and rec["max_residual"] == 0.5
+
+
+def test_eh_raw_verdict_is_the_separate_two_point_ladder(monkeypatch):
+    """eh extension reads LC(g_T) at the rows of the changed connection's
+    ladder: one order-3 evaluation of it, and a raw verdict bitwise that
+    of a separate ladder above the first two tangent points."""
+    verdicts, orders = [], []
+    real_verdict, real_lc = compactify.ladder_verdict, fields.levi_civita
+
+    def recording(rungs, spec, *args, **kwargs):
+        verdicts.append(rungs)
+        return real_verdict(rungs, spec, *args, **kwargs)
+
+    def counted(g):
+        lc = real_lc(g)
+        func = lc.func
+
+        def evaluate(coords):
+            orders.append(coords[0].order)
+            return func(coords)
+        lc.func = evaluate
+        return lc
+
+    monkeypatch.setattr(compactify, "ladder_verdict", recording)
+    monkeypatch.setattr(fields, "levi_civita", counted)
+    s = cli.REGISTRY["eh"]({"id": "eh", "catalog": "eh", "points": 4, "seed": 5})
+    status, _, samples, constants = s.extension(1e-6, None)
+    assert (status, samples, constants) == ("pass", 4,
+                                            {"raw_connection_extends": False})
+    assert orders == [3]
+    tps = s.points(s.gT.chart, 4)[:, 1:]
+    alone = compactify.extrapolate_ladder(real_lc(s.gT).func, s.spec, tps[:2])
+    assert verdicts[-1].shape == alone.shape
+    assert verdicts[-1].tobytes() == alone.tobytes()

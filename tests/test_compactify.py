@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import projcomp.jets as jets
-from projcomp import fields
+from projcomp import compactify, fields
 from projcomp.catalog import (EHParams, compactified_cone, cone, cone_in_t,
                               eguchi_hanson, eh_compactified, flat_spherical,
                               split_signature_flat, unit_sphere, warped,
@@ -366,3 +366,34 @@ def test_metricity_rejects_nonsymmetric_ricci():
     rng = np.random.default_rng(9)
     v = metricity_check(changed, rng, count=4)
     assert v.status == "fail" and "symmetric" in v.reason
+
+
+def _eh_change():
+    gT, _, _ = eh_compactified(EHParams(a=1.0))
+    return projective_change(
+        levi_civita(gT), upsilon_from_defining(gT.chart, lambda c: c[0], 1.0))
+
+
+@pytest.mark.parametrize("change,status", [
+    (_eh_change, "inconclusive"), (lambda: _cone_change()[0], "pass")])
+def test_metricity_evaluates_curvature_once(change, status, monkeypatch):
+    # one riemann serves the projective-flatness gate and the witness; the
+    # gate reads projective_weyl's values, bitwise
+    changed = change()
+    pts = changed.chart.sample(np.random.default_rng(5), 4)
+    weyl = float(np.max(np.abs(fields.projective_weyl(changed, pts))))
+    calls = []
+    real = fields.riemann
+
+    def counted(conn, point):
+        calls.append(len(point))
+        return real(conn, point)
+
+    monkeypatch.setattr(fields, "riemann", counted)
+    monkeypatch.setattr(compactify, "riemann", counted)
+    v = metricity_check(changed, None, points=pts)
+    assert calls == [4] and v.status == status
+    if status == "inconclusive":
+        assert v.residual == weyl > 1e-8
+    else:
+        assert weyl <= 1e-8 and v.residual < 1e-7

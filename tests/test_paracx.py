@@ -591,9 +591,9 @@ def test_full_compactification_check(n, seed, monkeypatch):
 
 
 def test_cg_form_evaluates_h_once_per_tangent_point_and_rung(monkeypatch):
-    # both extension verdicts of cg-form read one ladder of h: on the
-    # paper-suite's dm-random-n2, 5 tangent points x 3 rungs at order 3 and
-    # 3 points x 2 interior slices at order 0, each set in one call
+    # both extension verdicts and the interior slices of cg-form read one
+    # ladder of h: on the paper-suite's dm-random-n2, 5 tangent points x
+    # 3 rungs at order 3 in one call, and no order-0 evaluation
     calls, rows = [], []
     h_field = paracx.h_tc_field
 
@@ -614,9 +614,9 @@ def test_cg_form_evaluates_h_once_per_tangent_point_and_rung(monkeypatch):
               if s["id"] == "dm-random-n2")
     report = cli.run_manifest({"scenarios": [dict(sc, checks=["cg-form"])]})
     assert report["summary"]["pass"] == 1
-    assert len(rows) == len(set(rows)) == 21
-    assert sum(key[0] == 3 for key in rows) == 15
-    assert len(calls) <= 2
+    assert len(rows) == len(set(rows)) == 15
+    assert all(key[0] == 3 for key in rows)
+    assert calls == [15]
 
 
 def test_flat_boundary_j_frozen_values():
