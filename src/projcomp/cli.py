@@ -471,7 +471,7 @@ class _EH(Scenario):
         tps = self.points(self.gT.chart, min(self.count, 4))[:, 1:]
         v = compactify.extend_to_boundary(self.changed.func, self.spec, tps,
                                           tolerance=tol)
-        raw = compactify.ladder_verdict(  # rows of the changed ladder's LC
+        raw = compactify.ladder_verdict(  # LC rows the changed ladder evaluated
             compactify.extrapolate_ladder(self.lc.func, self.spec, tps)[:2],
             self.spec, tolerance=tol)
         ok = v.passed and not raw.passed
