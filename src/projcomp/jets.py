@@ -211,8 +211,9 @@ class JetAlgebra:
         a batch is then laid out rows first so that each row is reduced
         that way too.  Pairs are then reduced in a fixed order.  Past
         CONTRACT_CAP doubles in a pair array (a gather or the products), it
-        works on blocks of targets, each with its targets' pairs whole and
-        at least two pairs (the pair axis stays einsum's innermost loop), so
+        works on blocks of whole targets, up to that size or 32 pairs
+        (fewer would shorten einsum's inner loop).  A block then holds two
+        pairs or more, so the pair axis stays einsum's innermost loop and
         the result is bitwise that of one pass."""
         operands, result = spec.split("->")
         sa, sb = operands.split(",")
@@ -246,14 +247,14 @@ class JetAlgebra:
         key = (spec, a.shape, b.shape)
         if key not in self._block_tables:
             out = np.einsum(spec, a[..., :0], b[..., :0]).shape[:-1]
-            fit = CONTRACT_CAP // max(a.size // a.shape[-1],
-                                      b.size // b.shape[-1], math.prod(out))
+            width = max(a.size // a.shape[-1], b.size // b.shape[-1], math.prod(out))
+            fit = max(CONTRACT_CAP // width, 32)  # pairs in a block
             start, end = self._pair_start, np.append(self._pair_start[1:],
                                                      len(self._pair_i))
             cuts = [0]
             while cuts[-1] < self.size:
                 t1 = np.searchsorted(end, start[cuts[-1]] + fit, "right")
-                cuts.append(int(max(t1, cuts[-1] + 1, min(2, self.size))))
+                cuts.append(int(max(t1, cuts[-1] + 1)))
             self._block_tables[key] = [
                 (slice(t0, t1), slice(start[t0], end[t1 - 1]), start[t0:t1] - start[t0])
                 for t0, t1 in zip(cuts, cuts[1:])]
