@@ -385,7 +385,7 @@ def projective_schouten(conn: ConnectionField) -> TensorField:
 
 def projective_weyl(conn: ConnectionField, point) -> np.ndarray:
     """Totally trace-free curvature part W^a_bcd (projective invariant),
-    batch first at a batch of points."""
+    batch first at a batch of points; serves the Weyl tests of test_fields."""
     return _weyl(riemann(conn, point), projective_schouten(conn).values(point))
 
 
