@@ -175,7 +175,7 @@ class ProjectiveStructure:
 
     def connection(self) -> ConnectionField:
         return ConnectionField(chart=self.chart, func=self.gamma_at,
-                               torsion_free=True, name=self.label or "ps")
+                               name=self.label or "ps")
 
     def schouten(self) -> TensorField:
         """The projective Schouten field, built once per structure."""

@@ -311,17 +311,16 @@ class _Flat(Scenario):
         return (_status(resid, tol), resid, self.count,
                 {"lambda": lam, "expected": n - 1})
 
-    def _changed_metricity(self, t_func, rng, **kwargs):
+    def _changed_metricity(self, t_func, **kwargs):
         ups = compactify.upsilon_from_defining(self.g.chart, t_func, 1.0)
         changed = fields.projective_change(fields.levi_civita(self.g), ups)
         pts = self.points(self.g.chart, min(self.count, 6))
-        v = compactify.metricity_check(changed, rng, points=pts, **kwargs)
-        return v, len(pts)
+        return compactify.metricity_check(changed, pts, **kwargs), len(pts)
 
     @_check("beltrami-nonmetric",
             "T = 1/r change of flat space is not metric", 1e-3)
     def beltrami_nonmetric(self, tol, rng):
-        v, samples = self._changed_metricity(lambda c: 1.0 / c[0], rng)
+        v, samples = self._changed_metricity(lambda c: 1.0 / c[0])
         ok = v.status == "fail" and v.residual > tol
         return "pass" if ok else "fail", v.residual, samples, {"verdict": v.status}
 
@@ -329,7 +328,7 @@ class _Flat(Scenario):
             "T = (r^2+1)^(-1/2) change is Levi-Civita of the sphere patch", 1e-7)
     def metric_compactification(self, tol, rng):
         v, samples = self._changed_metricity(
-            lambda c: 1.0 / jets.sqrt(c[0] * c[0] + 1.0), rng, tolerance=tol)
+            lambda c: 1.0 / jets.sqrt(c[0] * c[0] + 1.0), tolerance=tol)
         status = "pass" if v.status == "pass" else "fail"
         return status, v.residual, samples, {"verdict": v.status}
 
@@ -377,8 +376,7 @@ class _Cone(Scenario):
             "changed connection", 1e-7)
     def metricity(self, tol, rng):
         pts = self.points(self.gT.chart, min(self.count, 5))
-        v = compactify.metricity_check(self.changed, rng, points=pts,
-                                       tolerance=tol)
+        v = compactify.metricity_check(self.changed, pts, tolerance=tol)
         status = "pass" if v.status == "pass" else v.status
         return status, v.residual, len(pts), {"verdict": v.status}
 
@@ -462,7 +460,7 @@ class _EH(Scenario):
     @_check("metricity")
     def metricity(self, tol, rng):
         pts = self.points(self.gT.chart, min(self.count, 4))
-        v = compactify.metricity_check(self.changed, rng, points=pts)
+        v = compactify.metricity_check(self.changed, pts)
         status = "inconclusive" if v.status == "inconclusive" else "fail"
         return status, v.residual, len(pts), {"verdict": v.status}
 
@@ -492,6 +490,12 @@ class _DM(Scenario):
         """(g, Omega, J, chart) on the boundary chart, built on first use so
         that interior-only scenarios never build it."""
         return paracx.dm_boundary_fields(self.ps)
+
+    @cached_property
+    def spec(self):
+        """The boundary chart on the scenario's ladder; needs no bundle."""
+        return compactify.CompactificationSpec(
+            chart=catalog.dm_boundary_chart(self.ps.n), ladder=self.ladder)
 
     @_check("einstein")
     def einstein(self, tol, rng):
@@ -544,55 +548,54 @@ class _DM(Scenario):
     @_check("cg-form", "g = (theta^2 - dT^2)/(4T^2) + h/T with boundary-regular "
             "h (C = 1/4)", 1e-6)
     def cg_form(self, tol, rng):
-        out = paracx.cg_form_check(self.ps, rng, count=min(self.count, 5),
-                                   ladder=self.ladder,
-                                   boundary_fields=self.boundary)
+        tps = self.spec.boundary_points(rng, min(self.count, 5))
+        out = paracx.cg_form_check(self.ps, self.boundary, self.spec, tps)
         resid = max(out["h_closed_form_residual"],
                     out["theta_closed_form_residual"])
         ok = (out["h_extension"].passed and out["h_boundary_match"].passed
               and resid < tol)
-        return ("pass" if ok else "fail", resid, min(self.count, 5),
+        return ("pass" if ok else "fail", resid, len(tps),
                 {"h_extension": out["h_extension"].passed,
                  "h_boundary_match": out["h_boundary_match"].passed})
 
     @_check("levi", "boundary metric is compatible with the contact Levi form",
             1e-8)
     def levi(self, tol, rng):
-        resid = paracx.levi_compatibility_check(
-            self.ps, rng, count=min(self.count, 8), ladder=self.ladder,
-            boundary_fields=self.boundary)
-        return _status(resid, tol), resid, min(self.count, 8), {}
+        tps = self.spec.boundary_points(rng, min(self.count, 8))
+        resid = paracx.levi_compatibility_check(self.ps, self.boundary,
+                                                self.spec, tps)
+        return _status(resid, tol), resid, len(tps), {}
 
     @_check("contact",
             "the bordered contact matrix [[0, theta0], [-theta0, dtheta0]] has "
             "determinant 4^n at the boundary points (so theta0 ^ "
             "(dtheta0)^(n-1) does not vanish)", 1e-8)
     def contact(self, tol, rng):
-        det = paracx.contact_determinants(self.ps, rng, count=min(self.count, 8))
+        tps = self.spec.boundary_points(rng, min(self.count, 8))
+        det = paracx.contact_determinants(self.ps, tps)
         exact = 4.0 ** self.ps.n
         resid = float(np.max(np.abs(det - exact))) / exact
-        return (_status(resid, tol), resid, min(self.count, 8),
+        return (_status(resid, tol), resid, len(tps),
                 {"min_det": float(np.min(np.abs(det)))})
 
     @_check("nijenhuis-tangential",
             "Nijenhuis tensor has asymptotically tangential values", 1e-6)
     def nijenhuis_tangential(self, tol, rng):
-        v = paracx.nijenhuis_tangential_check(
-            self.ps, rng, count=min(self.count, 4), ladder=self.ladder,
-            tolerance=tol, boundary_fields=self.boundary)
+        tps = self.spec.boundary_points(rng, min(self.count, 4))
+        v = paracx.nijenhuis_tangential_check(self.boundary, self.spec, tps,
+                                              tolerance=tol)
         resid = float(np.max(np.abs(v.limits)))
-        return ("pass" if v.passed else "fail", resid, min(self.count, 4),
+        return ("pass" if v.passed else "fail", resid, len(tps),
                 {"detail": v.detail})
 
     @_check("connection-extension",
             "changed minimal connection extends to the boundary", 1e-5)
     def connection_extension(self, tol, rng):
         gb, omb, jb, chart = self.boundary
-        spec = compactify.CompactificationSpec(chart=chart, ladder=self.ladder)
-        tps = spec.boundary_points(rng, min(self.count, 3))
+        tps = self.spec.boundary_points(rng, min(self.count, 3))
         changed = paracx.para_c_projective_change(
             paracx.libermann(gb, omb), paracx.half_dlog_t(chart), jb)
-        v = compactify.extend_to_boundary(changed.func, spec, tps,
+        v = compactify.extend_to_boundary(changed.func, self.spec, tps,
                                           tolerance=tol, order=2)
         return _extension_record(v, len(tps), {"detail": v.detail})
 

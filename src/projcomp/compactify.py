@@ -15,6 +15,9 @@ seeded jets (ladder_rows, kept by a caller that reads the rows too), and
 one JetAlgebra.eval_shift takes every row to T = 0 by its own shift
 (shift_ladder).  The verdict logic then reads the (P, R) + shape array,
 and an ExtensionVerdict's limits hold every tangent point, (P,) + shape.
+The dT^2 coefficient C of the asymptotic form is read from such a ladder
+too, at its deepest rung (match_boundary_constant).  Every check takes its
+points; the caller draws them (CompactificationSpec.boundary_points).
 
 Conventions: the charts handled here carry the defining function T as
 coordinate 0; the general scalar-field form of Upsilon = dT/(alpha T) is
@@ -31,8 +34,8 @@ import numpy as np
 
 from . import jets
 from .fields import (Chart, ConnectionField, MetricField, TensorField,
-                     SingularMetricError, _weyl, levi_civita,
-                     projective_schouten, ricci_field, riemann)
+                     SingularMetricError, _weyl, levi_civita, ricci_field,
+                     riemann)
 
 __all__ = [
     "CompactificationSpec",
@@ -59,7 +62,6 @@ class CompactificationSpec:
 
     chart: Chart                 # chart whose coordinate 0 is T
     alpha: float = 1.0
-    C: Optional[float] = None    # dT^2 coefficient; None = estimate from g
     ladder: tuple = DEFAULT_LADDER
     shrink_factor: float = 5.0   # required decay of successive differences
     finite_bound: float = 1e8
@@ -89,18 +91,12 @@ class ExtensionVerdict:
     tolerance: float
     detail: str = ""
 
-    def __bool__(self):
-        return self.passed
-
 
 @dataclass
 class MetricityVerdict:
     status: str                 # pass | fail | inconclusive
     residual: float
     reason: str = ""
-
-    def __bool__(self):
-        return self.status == "pass"
 
 
 def upsilon_from_defining(chart: Chart, t_func: Callable, alpha: float) -> TensorField:
@@ -251,29 +247,27 @@ def extend_to_boundary(component_fn: Callable, spec: CompactificationSpec,
 
 def match_boundary_constant(g: MetricField, spec: CompactificationSpec,
                             tangent_point) -> float:
-    """The dT^2 pole coefficient C = lim_{T->0} T^(4/alpha) g_TT."""
-    eps = spec.ladder[-1]
-    point = np.concatenate([[eps], np.asarray(tangent_point, dtype=float)])
-    T = jets.Jet.variable(0, eps, g.chart.dim, 3)
-    g_TT = jets.Jet(T.alg, g.at(point, order=3)[0, 0])
-    scaled = g_TT * jets.powc(T, 4.0 / spec.alpha)
-    to_zero = np.zeros(g.chart.dim)
-    to_zero[0] = -eps
-    return scaled.eval_shift(to_zero)
+    """The dT^2 pole coefficient C = lim_{T->0} T^(4/alpha) g_TT, read from
+    the deepest rung of its extension ladder above the tangent point."""
+    def scaled(coords):
+        g_TT = jets.Jet(coords[0].alg, g.func(coords)[0, 0])
+        return (g_TT * jets.powc(coords[0], 4.0 / spec.alpha)).c
+
+    return float(extrapolate_ladder(scaled, spec, [tangent_point])[0, -1])
 
 
 def asymptotic_form_check(g: MetricField, spec: CompactificationSpec,
                           tangent_points, tolerance: float = 1e-6):
-    """Extract h := T^(2/alpha) (g - C dT^2 / T^(4/alpha)) and certify it.
+    """Extract h := T^(2/alpha) (g - C dT^2 / T^(4/alpha)) and certify it,
+    with C from the ladder above the first tangent point
+    (match_boundary_constant).
 
     Returns (h field, verdict, C).  The verdict also requires h restricted
     to the boundary tangent space (T row/column dropped) to be nondegenerate
     at every tangent sample.
     """
     tangent_points = np.atleast_2d(np.asarray(tangent_points, dtype=float))
-    C = spec.C
-    if C is None:
-        C = match_boundary_constant(g, spec, tangent_points[0])
+    C = match_boundary_constant(g, spec, tangent_points[0])
     if not math.isfinite(C) or abs(C) > spec.finite_bound:
         raise SingularMetricError(
             f"no finite dT^2 coefficient at this order: C estimate {C:.3e} "
@@ -298,12 +292,10 @@ def asymptotic_form_check(g: MetricField, spec: CompactificationSpec,
             verdict.passed = False
             verdict.detail = (f"boundary metric h|_{{T=0}} degenerate at tangent "
                               f"point {int(np.argmin(dets))}")
-    return h, verdict, float(C)
+    return h, verdict, C
 
 
-def metricity_check(conn: ConnectionField, rng,
-                    require_projectively_flat: bool = True,
-                    points=None, count: int = 8,
+def metricity_check(conn: ConnectionField, points,
                     tolerance: float = 1e-7) -> MetricityVerdict:
     """Is the connection the Levi-Civita connection of some metric?
 
@@ -314,17 +306,13 @@ def metricity_check(conn: ConnectionField, rng,
     Weyl tensor yields the status "inconclusive".
     """
     n = conn.chart.dim
-    if points is None:
-        points = conn.chart.sample(rng, count)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-
     R = riemann(conn, points)
-    if require_projectively_flat:
-        wmax = float(np.max(np.abs(_weyl(R, projective_schouten(conn).values(points)))))
-        if wmax > 1e-8:
-            return MetricityVerdict(status="inconclusive", residual=wmax,
-                                    reason="projective Weyl tensor nonzero; "
-                                           "constant-curvature witness not applicable")
+    wmax = float(np.max(np.abs(_weyl(R))))
+    if wmax > 1e-8:
+        return MetricityVerdict(status="inconclusive", residual=wmax,
+                                reason="projective Weyl tensor nonzero; "
+                                       "constant-curvature witness not applicable")
 
     ric = np.einsum("...abad->...bd", R)
     ricT = ric.swapaxes(1, 2)

@@ -177,11 +177,10 @@ class MetricField(TensorField):
         _inverse): levi_civita, J and theta read g^-1 through it."""
         return _inverse(alg, G)
 
-    def check_nondegenerate(self, rng, count: int = 100, tol: float = 1e-10) -> float:
-        """Smallest |det g| over sampled points; raises if below tol.
+    def check_nondegenerate(self, points, tol: float = 1e-10) -> float:
+        """Smallest |det g| over the points; raises if below tol.
         Serves the catalog non-degeneracy tests."""
-        worst = float(np.min(np.abs(np.linalg.det(
-            self.values(self.chart.sample(rng, count))))))
+        worst = float(np.min(np.abs(np.linalg.det(self.values(points)))))
         if worst <= tol:
             raise SingularMetricError(f"metric degenerate on box: |det| = {worst:.3e}")
         return worst
@@ -193,7 +192,6 @@ class ConnectionField:
 
     chart: Chart
     func: Callable
-    torsion_free: bool = True
     name: str = ""
 
     def coeffs(self, point, order: int = 1) -> np.ndarray:
@@ -209,18 +207,32 @@ def _batch_first(A: np.ndarray, rank: int) -> np.ndarray:
     return np.moveaxis(A, -1, 0) if A.ndim > rank else A
 
 
+def _key(arg):
+    """A hashable key of a memoized argument: a Jet by its algebra and
+    coefficients, an array by its shape and bytes, a list or tuple by its
+    items' keys, anything else as itself."""
+    if isinstance(arg, Jet):
+        return arg.alg, _key(arg.c)
+    if isinstance(arg, np.ndarray):
+        return arg.shape, arg.tobytes()
+    if isinstance(arg, (list, tuple)):
+        return tuple(_key(a) for a in arg)
+    return arg
+
+
 def _memo(fn: Callable) -> Callable:
-    """fn(coords), keeping every result for the life of the returned
-    closure: called again with equal coordinates (jets of one algebra with
-    equal coefficients, or equal floats), it returns that result without
-    evaluating fn."""
+    """fn(*args), keeping every result for the life of the returned
+    closure: called again with equal positional arguments (see _key), it
+    returns that result without evaluating fn.  An array result is made
+    read-only, so that no caller can change what the next one reads."""
     seen = {}
 
-    def memo(coords):
-        key = tuple((c.alg, c.c.tobytes()) if isinstance(c, Jet) else c
-                    for c in coords)
+    def memo(*args):
+        key = _key(args)
         if key not in seen:
-            seen[key] = fn(coords)
+            seen[key] = fn(*args)
+            if isinstance(seen[key], np.ndarray):
+                seen[key].flags.writeable = False
         return seen[key]
     return memo
 
@@ -291,8 +303,7 @@ def levi_civita(g: MetricField) -> ConnectionField:
         gamma[:, i, j] = gamma[:, j, i] = half
         return gamma
 
-    return ConnectionField(chart=g.chart, func=func, torsion_free=True,
-                           name=f"LC({g.name})")
+    return ConnectionField(chart=g.chart, func=func, name=f"LC({g.name})")
 
 
 def projective_change(conn: ConnectionField, upsilon: TensorField) -> ConnectionField:
@@ -307,9 +318,7 @@ def projective_change(conn: ConnectionField, upsilon: TensorField) -> Connection
         out[k, :, k] += U
         return out
 
-    return ConnectionField(chart=conn.chart, func=func,
-                           torsion_free=conn.torsion_free,
-                           name=f"{conn.name}+proj")
+    return ConnectionField(chart=conn.chart, func=func, name=f"{conn.name}+proj")
 
 
 def riemann(conn: ConnectionField, point) -> np.ndarray:
@@ -386,12 +395,17 @@ def projective_schouten(conn: ConnectionField) -> TensorField:
 def projective_weyl(conn: ConnectionField, point) -> np.ndarray:
     """Totally trace-free curvature part W^a_bcd (projective invariant),
     batch first at a batch of points; serves the Weyl tests of test_fields."""
-    return _weyl(riemann(conn, point), projective_schouten(conn).values(point))
+    return _weyl(riemann(conn, point))
 
 
-def _weyl(R: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """projective_weyl from curvature R and Schouten P at the same points."""
-    delta = np.eye(R.shape[-1])
+def _weyl(R: np.ndarray) -> np.ndarray:
+    """projective_weyl from the curvature R, with the Schouten tensor P of
+    projective_schouten taken from R's Ricci contraction."""
+    n = R.shape[-1]
+    ric = np.einsum("...abad->...bd", R)
+    ricT = ric.swapaxes(-2, -1)
+    P = (ric + ricT) * 0.5 * (1.0 / (n - 1)) - (ric - ricT) * 0.5 * (1.0 / (n + 1))
+    delta = np.eye(n)
     return (R - np.einsum("ac,...db->...abcd", delta, P)
             + np.einsum("ad,...cb->...abcd", delta, P)
             + np.einsum("ab,...cd->...abcd", delta, P - P.swapaxes(-2, -1)))

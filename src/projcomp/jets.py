@@ -131,8 +131,8 @@ class JetAlgebra:
         self._pair_j = np.concatenate([self._mul_j, self._mul_i, self._mul_d])[by_k]
         self._pair_start = np.searchsorted(K[by_k], np.arange(self.size))
 
-        # Batched mul: pairs then squares, each row's targets offset by
-        # S * row, so that one bincount sums every row in mul's order.
+        # mul: pairs then squares, each row's targets offset by S * row,
+        # so that one bincount sums every row (a single point is one row).
         self._row_i = np.concatenate([self._mul_i, self._mul_d])
         self._row_j = np.concatenate([self._mul_j, self._mul_d])
         self._row_k = np.concatenate([self._mul_k, self._mul_kd])
@@ -165,23 +165,12 @@ class JetAlgebra:
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.order == 0:  # one coefficient: the bincount adds a * b to 0.0
             return a * b
-        if a.ndim > 1 or b.ndim > 1:
-            return self._mul_rows(a, b)
-        out = np.zeros(self.size)
-        if self._mul_k.size:
-            out += np.bincount(
-                self._mul_k,
-                weights=a[self._mul_i] * b[self._mul_j] + a[self._mul_j] * b[self._mul_i],
-                minlength=self.size,
-            )
-        out += np.bincount(self._mul_kd, weights=a[self._mul_d] * b[self._mul_d],
-                           minlength=self.size)
-        return out
+        return self._mul_rows(a, b)
 
     def _mul_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """mul of batched (..., S) operands (broadcast against each other):
-        one bincount over the targets k + S * row, which sums each row's
-        products in the order of the single-point mul."""
+        """mul of (S,) or batched (..., S) operands (broadcast against each
+        other): one bincount over the targets k + S * row, which sums each
+        row's pair products, then its square product, in table order."""
         a, b = np.broadcast_arrays(a, b)
         shape = a.shape
         a, b = a.reshape(-1, self.size), b.reshape(-1, self.size)

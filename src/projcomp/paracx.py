@@ -15,7 +15,9 @@ check evaluates each field once over all of its points: one extension
 ladder (all tangent points times all rungs, see compactify) for J in levi,
 the Nijenhuis T row and h in cg-form, whose interior slices are rows of
 that ladder, and one values() batch for h_D, theta0, theta and each closed
-form (h's closed form at the slices and at T = 0 together).
+form (h's closed form at the slices and at T = 0 together).  The checks
+take the boundary bundle (dm_boundary_fields), whose memoized results are
+read-only, with a spec and the tangent points their caller drew.
 
 Orientation conventions (recorded, then validated exactly by the flat
 model):
@@ -67,7 +69,6 @@ __all__ = [
     "boundary_h_closed",
     "levi_compatibility_check",
     "contact_determinants",
-    "contact_nondegeneracy",
     "nijenhuis_tangential_check",
     "cg_form_check",
 ]
@@ -82,10 +83,9 @@ class ParaCompatibilityError(ValueError):
 # -- J, invariants, Libermann -------------------------------------------------
 
 
-def j_from_g_omega(g: MetricField, omega: TensorField,
-                   probe=None) -> TensorField:
+def j_from_g_omega(g: MetricField, omega: TensorField, probe) -> TensorField:
     """The endomorphism with Omega(X, Y) = g(JX, Y); fails loudly when no
-    index pairing of (g, Omega) yields an involution."""
+    index pairing of (g, Omega) yields an involution at the probe point."""
     n = g.chart.dim
 
     def func(coords):
@@ -95,8 +95,6 @@ def j_from_g_omega(g: MetricField, omega: TensorField,
 
     jf = TensorField(chart=g.chart, valence=(1, 1), func=func,
                      name=f"J({g.name})")
-    if probe is None:
-        probe = [0.5 * (lo + hi) for lo, hi in g.chart.box]
     Jv = np.asarray(jf.values(probe))
     dev = np.max(np.abs(Jv @ Jv - np.eye(n)))
     if dev > 1e-8:
@@ -142,7 +140,7 @@ def libermann(g: MetricField, omega: TensorField) -> ConnectionField:
         Winv = _inverse(alg, W[..., :alg.size])
         return gamma - 0.5 * alg.contract("cd,abd->cab", Winv, DW)
 
-    return ConnectionField(chart=g.chart, func=func, torsion_free=False,
+    return ConnectionField(chart=g.chart, func=func,
                            name=f"Libermann({g.name})")
 
 
@@ -183,7 +181,6 @@ def para_c_projective_change(conn: ConnectionField, upsilon: TensorField,
         return out
 
     return ConnectionField(chart=conn.chart, func=func,
-                           torsion_free=conn.torsion_free,
                            name=f"{conn.name}+pc-proj")
 
 
@@ -242,7 +239,7 @@ def pullback_field(field: TensorField, cmap: ChartMap) -> TensorField:
     one slot at a time (Jac^T G Jac for a bilinear form): two
     JetAlgebra.contract calls of d^3 jet products each per evaluation of a
     rank-2 field in dimension d.  Each distinct evaluation is kept for the
-    life of the field (see fields._memo) and returned as a copy.
+    life of the field and returned read-only (see fields._memo).
     """
     r, s = field.valence
     if r != 0:
@@ -252,9 +249,8 @@ def pullback_field(field: TensorField, cmap: ChartMap) -> TensorField:
         xs, Jac = _map_jets(cmap, jets.base_point(coords), coords[0].order)
         return _contract_slots(xs[0].alg, field.func(xs), [Jac] * s)
 
-    seen = _memo(pulled)
     return TensorField(chart=cmap.target, valence=field.valence,
-                       func=lambda coords: seen(coords).copy(),
+                       func=_memo(pulled),
                        symmetric=field.symmetric,
                        antisymmetric=field.antisymmetric,
                        name=f"{field.name}|bnd")
@@ -264,30 +260,22 @@ def dm_boundary_fields(ps: ProjectiveStructure):
     """(g, Omega, J, chart) of the canonical metric in the (T, Z, X, Y)
     boundary chart.  The pullbacks of g and Omega share the inverse map's
     evaluation at each point (and dm_metric shares the Schouten tensor).
-    g, Omega and J keep each distinct evaluation (see fields._memo) and
-    return copies, and g inverts each distinct component stack once, for
-    levi_civita, J and theta alike (read-only): a scenario's boundary
-    checks share their ladders."""
+    g, Omega and J keep each distinct evaluation, and g inverts each
+    distinct component stack once, for levi_civita, J and theta alike; all
+    of these are returned read-only (see fields._memo).  A scenario's
+    boundary checks take this bundle, with their spec and tangent points,
+    and share its ladders."""
     n = ps.n
     g, omega = dm_metric(ps)
     cmap = dm_boundary_map(n)
     cmap = ChartMap(cmap.source, cmap.target, cmap.fwd, _memo(cmap.inv))
     gb = MetricField(cmap.target, pullback_field(g, cmap).func,
                      name=f"dm({ps.label})|bnd")
-    inverses = {}
-
-    def inverse(alg, G):
-        key = (alg, G.shape, G.tobytes())
-        if key not in inverses:
-            inverses[key] = _inverse(alg, G)
-            inverses[key].flags.writeable = False
-        return inverses[key]
-    gb.inverse = inverse
+    gb.inverse = _memo(_inverse)
     omb = pullback_field(omega, cmap)
     probe = np.array([0.05] + [0.2] * (n - 1) + [0.3] * (n - 1) + [1.0])
     jb = j_from_g_omega(gb, omb, probe=probe)
-    seen = _memo(jb.func)
-    jb.func = lambda coords: seen(coords).copy()
+    jb.func = _memo(jb.func)
     return gb, omb, jb, cmap.target
 
 
@@ -489,12 +477,12 @@ def _dtheta0_matrix(n: int) -> np.ndarray:
     return M
 
 
-def levi_compatibility_check(ps: ProjectiveStructure, rng, count: int = 10,
-                             ladder=(1e-2, 1e-3, 1e-4),
-                             boundary_fields=None) -> float:
-    """max |h_D(U, V) - levi(U, V)| over distribution basis pairs at
-    boundary points, with levi = -1/2 dtheta0(J_D U, V) and J's boundary
-    value the extend_to_boundary limit of its order-3 jets.
+def levi_compatibility_check(ps: ProjectiveStructure, bundle,
+                             spec: CompactificationSpec, tps) -> float:
+    """max |h_D(U, V) - levi(U, V)| over distribution basis pairs at the
+    boundary points above tps, with levi = -1/2 dtheta0(J_D U, V) and J's
+    boundary value the extend_to_boundary limit of the order-3 jets of the
+    bundle's J (see dm_boundary_fields) on spec's ladder.
 
     The basis of the distribution (annihilated by theta0 and dT) is
     e_A = d/dX^A - Z_A d/dY and f_A = d/dZ_A.  The projection J_D is J
@@ -505,14 +493,8 @@ def levi_compatibility_check(ps: ProjectiveStructure, rng, count: int = 10,
     """
     n = ps.n
     m = n - 1
-    if boundary_fields is None:
-        gb, omb, jb, chart = dm_boundary_fields(ps)
-    else:
-        gb, omb, jb, chart = boundary_fields
     _, h_d, _ = boundary_data(ps)
-    spec = CompactificationSpec(chart=chart, ladder=ladder)
-    tps = spec.boundary_points(rng, count)
-    J0 = extend_to_boundary(jb.func, spec, tps, order=3).limits
+    J0 = extend_to_boundary(bundle[2].func, spec, tps, order=3).limits
     p0 = at_boundary(tps)
     A = np.arange(m)
     E = np.zeros((len(p0), 2 * n, 2 * m))
@@ -525,17 +507,16 @@ def levi_compatibility_check(ps: ProjectiveStructure, rng, count: int = 10,
     return float(np.max(np.abs(gap)))
 
 
-def contact_determinants(ps: ProjectiveStructure, rng, count: int = 10) -> np.ndarray:
+def contact_determinants(ps: ProjectiveStructure, tps) -> np.ndarray:
     """det of the bordered contact matrix [[0, theta0], [-theta0, dtheta0]]
-    on the boundary tangent space at count boundary points; nonzero iff
-    theta0 ^ (dtheta0)^(n-1) does not vanish.  It is 4^n identically:
-    theta0 = 2(dY + Z_A dX^A) does not depend on Gamma."""
+    on the boundary tangent space at the boundary points above tps;
+    nonzero iff theta0 ^ (dtheta0)^(n-1) does not vanish.  It is 4^n
+    identically: theta0 = 2(dY + Z_A dX^A) does not depend on Gamma."""
     n = ps.n
-    chart = dm_boundary_chart(n)
     theta0, _, _ = boundary_data(ps)
     M = _dtheta0_matrix(n)
     tang = list(range(1, 2 * n))  # Z, X, Y rows of the boundary
-    th = theta0.values(at_boundary(chart.sample(rng, count)[:, 1:]))[:, tang]
+    th = theta0.values(at_boundary(tps))[:, tang]
     B = np.zeros((len(th), 2 * n, 2 * n))
     B[:, 0, 1:] = th
     B[:, 1:, 0] = -th
@@ -543,30 +524,15 @@ def contact_determinants(ps: ProjectiveStructure, rng, count: int = 10) -> np.nd
     return np.linalg.det(B)
 
 
-def contact_nondegeneracy(ps: ProjectiveStructure, rng, count: int = 10) -> float:
-    """min |det| of the bordered contact matrix (see contact_determinants).
-    Serves acceptance criterion 9."""
-    return float(np.min(np.abs(contact_determinants(ps, rng, count))))
-
-
-def nijenhuis_tangential_check(ps: ProjectiveStructure, rng, count: int = 6,
-                               ladder=(1e-2, 1e-3, 1e-4),
-                               tolerance: float = 1e-6,
-                               boundary_fields=None) -> ExtensionVerdict:
+def nijenhuis_tangential_check(bundle, spec: CompactificationSpec, tps,
+                               tolerance: float = 1e-6) -> ExtensionVerdict:
     """Extrapolated boundary value of N^a_bc d_a T (the T row of the
-    Nijenhuis tensor in boundary coordinates)."""
-    n = ps.n
-    if boundary_fields is None:
-        gb, omb, jb, chart = dm_boundary_fields(ps)
-    else:
-        gb, omb, jb, chart = boundary_fields
-    N = nijenhuis(jb)
+    Nijenhuis tensor of the bundle's J in boundary coordinates) above tps."""
+    N = nijenhuis(bundle[2])
 
     def t_row(coords):
         return N.func(coords)[0]
 
-    spec = CompactificationSpec(chart=chart, ladder=ladder)
-    tps = spec.boundary_points(rng, count)
     verdict = extend_to_boundary(t_row, spec, tps, tolerance=tolerance, order=2)
     if verdict.passed and float(np.max(np.abs(verdict.limits))) > tolerance:
         verdict.passed = False
@@ -575,30 +541,28 @@ def nijenhuis_tangential_check(ps: ProjectiveStructure, rng, count: int = 6,
     return verdict
 
 
-def cg_form_check(ps: ProjectiveStructure, rng, count: int = 5,
-                  ladder=(1e-2, 1e-3, 1e-4), *, boundary_fields) -> dict:
+def cg_form_check(ps: ProjectiveStructure, bundle, spec: CompactificationSpec,
+                  tps) -> dict:
     """The h/theta part of the boundary certification: h_{T,1/4} extends to
     T = 0, h and theta match their closed forms on interior slices, and the
     boundary value of h matches the closed form at T = 0.
 
     Returns the sub-results h_extension, h_closed_form_residual,
-    theta_closed_form_residual and h_boundary_match.  boundary_fields is the
-    (g, Omega, J, chart) bundle of dm_boundary_fields(ps).  h is evaluated
+    theta_closed_form_residual and h_boundary_match.  bundle is the
+    (g, Omega, J, chart) of dm_boundary_fields(ps).  h is evaluated
     once, in one batch of every (tangent point, rung) row: both extension
     verdicts read that ladder, and the interior slices are rows of it.  Its
     closed form is evaluated once, at the slices and at T = 0 together.
     """
-    gb, omb, _, chart = boundary_fields
-    spec = CompactificationSpec(chart=chart, ladder=ladder)
-    tps = spec.boundary_points(rng, count)
+    gb, omb, _, _ = bundle
     h_engine = h_tc_field(gb, omb, boundary_t_coordinate, C=0.25)
     h_rows = ladder_rows(h_engine.func, spec, tps)
     rungs = shift_ladder(h_rows, spec)
     # the first two rungs above the first three points, rows of the ladder
     slices = np.array([np.concatenate([[eps], tp])
-                       for tp in tps[:3] for eps in ladder[:2]])
-    rows = [p * len(ladder) + r
-            for p in range(len(tps[:3])) for r in range(len(ladder[:2]))]
+                       for tp in tps[:3] for eps in spec.ladder[:2]])
+    rows = [p * len(spec.ladder) + r
+            for p in range(len(tps[:3])) for r in range(len(spec.ladder[:2]))]
     h_closed = boundary_h_closed(ps).values(
         np.concatenate([slices, at_boundary(tps[:3])]))
     theta = theta_field(gb, omb, boundary_t_coordinate).values(slices)

@@ -15,9 +15,10 @@ that the batched streams of cli.sample_points replaced, and scalar_draw_poly
 the one-call-per-coefficient draw of the random structures.  The jet loops
 at the end are the product-pair table, the Neumann lift and the Horner loop
 as first written, every step at full order, the per-row series loop with
-the per-point coefficient formulas, the per-monomial eval_shift loop and
-the single-pass contraction; the kernels must give bitwise the same
-coefficients.
+the per-point coefficient formulas, the per-monomial eval_shift loop,
+the single-pass contraction and the single-point product; the kernels must
+give bitwise the same coefficients.  single_point_match_boundary_constant
+is the dT^2 coefficient as first read, one point at the deepest rung.
 """
 
 from __future__ import annotations
@@ -413,3 +414,34 @@ def single_pass_contract(alg, spec, a, b):
                       np.take(a, alg._pair_i, axis=-1),
                       np.take(b, alg._pair_j, axis=-1))
     return np.add.reduceat(pairs, alg._pair_start, axis=-1)
+
+
+def single_point_mul(alg, a, b):
+    """JetAlgebra.mul of two (S,) operands as first written: the pair
+    products and the square products summed by two bincounts, added to
+    zeros."""
+    if alg.order == 0:
+        return a * b
+    out = np.zeros(alg.size)
+    if alg._mul_k.size:
+        out += np.bincount(
+            alg._mul_k,
+            weights=a[alg._mul_i] * b[alg._mul_j] + a[alg._mul_j] * b[alg._mul_i],
+            minlength=alg.size)
+    out += np.bincount(alg._mul_kd, weights=a[alg._mul_d] * b[alg._mul_d],
+                       minlength=alg.size)
+    return out
+
+
+def single_point_match_boundary_constant(g, spec, tangent_point):
+    """compactify.match_boundary_constant as first written: T^(4/alpha) g_TT
+    seeded at the one point (deepest rung, tangent point), then shifted by
+    -eps in T."""
+    eps = spec.ladder[-1]
+    point = np.concatenate([[eps], np.asarray(tangent_point, dtype=float)])
+    T = jets.Jet.variable(0, eps, g.chart.dim, 3)
+    g_TT = jets.Jet(T.alg, g.at(point, order=3)[0, 0])
+    scaled = g_TT * jets.powc(T, 4.0 / spec.alpha)
+    to_zero = np.zeros(g.chart.dim)
+    to_zero[0] = -eps
+    return scaled.eval_shift(to_zero)

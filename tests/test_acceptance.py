@@ -139,7 +139,7 @@ def test_criterion_05_non_metricity_witness():
     changed = projective_change(
         levi_civita(g),
         upsilon_from_defining(g.chart, lambda c: 1.0 / c[0], 1.0))
-    v_flat = metricity_check(changed, rng, count=6)
+    v_flat = metricity_check(changed, changed.chart.sample(rng, 6))
     # cone defining function passes
     base = unit_sphere(2)
     gbar = compactified_cone(base)
@@ -148,13 +148,13 @@ def test_criterion_05_non_metricity_witness():
     changed_cone = projective_change(
         levi_civita(cone_t),
         upsilon_from_defining(gbar.chart, lambda c: c[0], 1.0))
-    v_cone = metricity_check(changed_cone, rng, count=5)
+    v_cone = metricity_check(changed_cone, changed_cone.chart.sample(rng, 5))
     # Eguchi-Hanson: inconclusive
     gT, _, _ = eh_compactified(EHParams(a=1.0))
     changed_eh = projective_change(
         levi_civita(gT),
         upsilon_from_defining(gT.chart, lambda c: c[0], 1.0))
-    v_eh = metricity_check(changed_eh, rng, count=3)
+    v_eh = metricity_check(changed_eh, changed_eh.chart.sample(rng, 3))
     ok = (v_flat.status == "fail" and v_flat.residual > 1e-3
           and v_cone.status == "pass" and v_eh.status == "inconclusive")
     _report(5, ok, f"metricity witness: flat+1/r {v_flat.status} "
@@ -262,7 +262,10 @@ def test_criterion_08_nijenhuis_tangentiality():
     cases = [(2, s) for s in range(10)] + [(3, s) for s in range(3)]
     for n, seed in cases:
         ps = random_projective_structure(n, 2, 0.4, seed=seed)
-        v = paracx.nijenhuis_tangential_check(ps, rng, count=3)
+        bundle = paracx.dm_boundary_fields(ps)
+        spec = CompactificationSpec(chart=bundle[3])
+        v = paracx.nijenhuis_tangential_check(bundle, spec,
+                                              spec.boundary_points(rng, 3))
         passed = passed and v.passed
         worst = max(worst, float(np.max(np.abs(v.limits))))
     ok = worst_flat < 1e-10 and passed and worst < 1e-6
@@ -280,8 +283,12 @@ def test_criterion_09_levi_compatibility_and_contact():
              random_projective_structure(2, 2, 0.4, seed=12),
              random_projective_structure(3, 2, 0.3, seed=13)]
     for ps in cases:
-        worst = max(worst, paracx.levi_compatibility_check(ps, rng, count=30))
-        min_det = min(min_det, paracx.contact_nondegeneracy(ps, rng, count=30))
+        bundle = paracx.dm_boundary_fields(ps)
+        spec = CompactificationSpec(chart=bundle[3])
+        worst = max(worst, paracx.levi_compatibility_check(
+            ps, bundle, spec, spec.boundary_points(rng, 30)))
+        min_det = min(min_det, float(np.min(np.abs(paracx.contact_determinants(
+            ps, spec.boundary_points(rng, 30))))))
     ok = worst < 1e-8 and min_det > 1e-6
     _report(9, ok, f"Levi compatibility at 30 boundary points per structure: "
                    f"{worst:.2e}; contact nondegeneracy min |det| {min_det:.2e}")

@@ -104,7 +104,7 @@ def test_cone_over_sphere_flat():
 def test_cone_signature_agnostic():
     g = cone(split_signature_flat(2))
     rng = np.random.default_rng(3)
-    g.check_nondegenerate(rng, count=30)
+    g.check_nondegenerate(g.chart.sample(rng, 30))
     ev = np.linalg.eigvalsh(g.values((1.5, 0.2, 0.1)))
     assert np.sum(ev > 0) == 2 and np.sum(ev < 0) == 1
     # its compactification extends: the dT/T change of LC has finite limits
@@ -209,7 +209,7 @@ def test_eguchi_hanson_ricci_flat():
 
 def test_eguchi_hanson_nondegenerate_on_box():
     g = eguchi_hanson(EHParams(a=1.0))
-    g.check_nondegenerate(np.random.default_rng(8), count=100)
+    g.check_nondegenerate(g.chart.sample(np.random.default_rng(8), 100))
 
 
 def test_eguchi_hanson_small_a_limit_is_cone():
@@ -362,7 +362,7 @@ def test_catalog_metrics_nondegenerate_on_boxes():
     g, _ = dm_metric(ps)
     for metric in (flat_spherical(3), compactified_flat(3),
                    eguchi_hanson(EHParams(a=1.0)), g):
-        metric.check_nondegenerate(rng, count=100)
+        metric.check_nondegenerate(metric.chart.sample(rng, 100))
 
 
 # -- stacked polynomial evaluation against the per-monomial loop --------------

@@ -224,10 +224,11 @@ def test_cg_form_record_matches_cg_form_check():
           "checks": ["cg-form"], "points": 3, "seed": 8}
     rec = run_manifest({"scenarios": [sc]})["scenarios"][0]["records"][0]
     ps = cli.REGISTRY["dm-random"](sc).ps
+    bundle = paracx.dm_boundary_fields(ps)
+    spec = compactify.CompactificationSpec(chart=bundle[3],
+                                           ladder=compactify.DEFAULT_LADDER)
     out = paracx.cg_form_check(
-        ps, point_rng(8, "dm", 10_000), count=3,
-        ladder=compactify.DEFAULT_LADDER,
-        boundary_fields=paracx.dm_boundary_fields(ps))
+        ps, bundle, spec, spec.boundary_points(point_rng(8, "dm", 10_000), 3))
     resid = max(out["h_closed_form_residual"],
                 out["theta_closed_form_residual"])
     ok = (out["h_extension"].passed and out["h_boundary_match"].passed
@@ -282,6 +283,20 @@ def test_boundary_bundle_built_once_per_scenario(monkeypatch):
     assert shared["scenarios"][0]["records"] == [
         rep["scenarios"][0]["records"][0] for rep in alone]
     assert all(r["status"] == "pass" for r in shared["scenarios"][0]["records"])
+
+
+def test_contact_alone_never_builds_the_boundary_bundle(monkeypatch):
+    # contact draws its points from the scenario's spec, not the bundle
+    built = []
+    build = paracx.dm_boundary_fields
+    monkeypatch.setattr(paracx, "dm_boundary_fields",
+                        lambda ps: built.append(ps) or build(ps))
+    sc = {"id": "dm", "catalog": "dm-random",
+          "params": {"n": 3, "degree": 2, "seed": 1},
+          "checks": ["contact"], "points": 8, "seed": 9}
+    rec, = run_manifest({"scenarios": [sc]})["scenarios"][0]["records"]
+    assert rec["status"] == "pass" and rec["samples"] == 8
+    assert built == []
 
 
 def _reject_constant(name):

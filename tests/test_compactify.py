@@ -12,10 +12,12 @@ from projcomp.catalog import (EHParams, compactified_cone, cone, cone_in_t,
 from projcomp.compactify import (CompactificationSpec, SingularMetricError,
                                  asymptotic_form_check, extend_to_boundary,
                                  extrapolate_ladder, ladder_verdict,
-                                 metricity_check,
+                                 match_boundary_constant, metricity_check,
                                  upsilon_from_defining)
 from projcomp.fields import (MetricField, levi_civita, projective_change,
                              TensorField)
+
+import oracles
 
 
 def _flat_in_inverse_r(n):
@@ -107,7 +109,7 @@ def test_flat_inverse_r_extends_but_is_not_metric():
         levi_civita(g), upsilon_from_defining(g.chart, lambda c: c[0], 1.0))
     v = extend_to_boundary(changed.func, spec, tps, tolerance=1e-6)
     assert v.passed
-    mv = metricity_check(changed, rng, count=4)
+    mv = metricity_check(changed, changed.chart.sample(rng, 4))
     assert mv.status == "fail" and mv.residual > 1e-3
 
 
@@ -177,6 +179,22 @@ def test_wrong_alpha_raises_divergence_witness():
     spec = CompactificationSpec(chart=gT.chart, alpha=2.0)
     with pytest.raises(SingularMetricError):
         asymptotic_form_check(gT, spec, [(1.0, 0.7, 0.3)], tolerance=1e-6)
+
+
+@pytest.mark.parametrize("case", ["eh-0.5", "eh-1", "eh-3", "cone"])
+def test_boundary_constant_is_the_deepest_rung_of_its_ladder(case):
+    # C read from the ladder is bitwise the single-point shift of the
+    # deepest rung, on the metrics the asymptotic-form checks read
+    if case == "cone":
+        base = unit_sphere(2)
+        g, chart = cone_in_t(base), compactified_cone(base).chart
+    else:
+        g, _, _ = eh_compactified(EHParams(a=float(case[3:])))
+        chart = g.chart
+    spec = CompactificationSpec(chart=chart, alpha=1.0)
+    for tp in spec.boundary_points(np.random.default_rng(11), 3):
+        assert (match_boundary_constant(g, spec, tp)
+                == oracles.single_point_match_boundary_constant(g, spec, tp))
 
 
 def test_divergent_component_fails_ladder():
@@ -336,7 +354,7 @@ def test_metricity_cone_passes():
         upsilon_from_defining(gbar.chart, lambda c: c[0], 1.0))
     rng = np.random.default_rng(6)
     pts = gbar.chart.sample(rng, 5)
-    v = metricity_check(changed, rng, points=pts)
+    v = metricity_check(changed, pts)
     assert v.status == "pass" and v.residual < 1e-7
 
 
@@ -345,14 +363,14 @@ def test_metricity_eh_inconclusive():
     changed = projective_change(
         levi_civita(gT), upsilon_from_defining(gT.chart, lambda c: c[0], 1.0))
     rng = np.random.default_rng(7)
-    v = metricity_check(changed, rng, count=3)
+    v = metricity_check(changed, changed.chart.sample(rng, 3))
     assert v.status == "inconclusive"
 
 
 def test_metricity_flat_connection_trivially_passes():
     g = flat_spherical(3)
     rng = np.random.default_rng(8)
-    v = metricity_check(levi_civita(g), rng, count=4)
+    v = metricity_check(levi_civita(g), g.chart.sample(rng, 4))
     assert v.status == "pass"
 
 
@@ -364,7 +382,7 @@ def test_metricity_rejects_nonsymmetric_ricci():
                       name="generic")
     changed = projective_change(levi_civita(g), ups)
     rng = np.random.default_rng(9)
-    v = metricity_check(changed, rng, count=4)
+    v = metricity_check(changed, changed.chart.sample(rng, 4))
     assert v.status == "fail" and "symmetric" in v.reason
 
 
@@ -391,7 +409,7 @@ def test_metricity_evaluates_curvature_once(change, status, monkeypatch):
 
     monkeypatch.setattr(fields, "riemann", counted)
     monkeypatch.setattr(compactify, "riemann", counted)
-    v = metricity_check(changed, None, points=pts)
+    v = metricity_check(changed, pts)
     assert calls == [4] and v.status == status
     if status == "inconclusive":
         assert v.residual == weyl > 1e-8

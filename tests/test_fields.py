@@ -740,7 +740,7 @@ def _torsion_connection(dim):
         return jets.stack(out)
 
     chart = Chart(names=tuple(f"x{i}" for i in range(dim)), box=((-0.9, 0.9),) * dim)
-    return fields.ConnectionField(chart=chart, func=func, torsion_free=False)
+    return fields.ConnectionField(chart=chart, func=func)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])

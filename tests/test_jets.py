@@ -442,6 +442,25 @@ def test_order0_mul_is_the_bincount_product(num_vars):
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("num_vars,order",
+                         [(2, 1), (2, 3), (4, 2), (6, 3), (6, 4), (3, 0)])
+def test_single_point_mul_is_the_two_bincount_product(num_vars, order):
+    # a single point is one row of the batched kernel: bitwise the pair
+    # and square bincounts of the single-point path, zeros and signs too
+    alg = jets.algebra(num_vars, order)
+    rng = np.random.default_rng(10 * num_vars + order)
+    for k in range(200):
+        a, b = rng.uniform(-1.0, 1.0, (2, alg.size)) * 10.0 ** rng.integers(
+            -6, 7, (2, alg.size))
+        if k % 3 == 0:
+            a[rng.integers(alg.size, size=2)] = 0.0
+            b[rng.integers(alg.size)] = -0.0
+        got = alg.mul(a, b)
+        want = oracles.single_point_mul(alg, a, b)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 # JetAlgebra.contract specs of src/: fields (inverse, Levi-Civita, Ricci,
 # nabla, slot contractions, transform_connection), paracx (J, Libermann,
 # Nijenhuis, the para-c-projective change, theta, h), catalog, tractor and

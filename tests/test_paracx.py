@@ -14,8 +14,7 @@ from projcomp.fields import TensorField, covariant_derivative, levi_civita
 from projcomp.paracx import (LEVI_BRIDGE, ParaCompatibilityError,
                              boundary_data, boundary_h_closed,
                              boundary_t_coordinate, boundary_theta_closed,
-                             contact_determinants, contact_nondegeneracy,
-                             dm_boundary_fields,
+                             contact_determinants, dm_boundary_fields,
                              h_tc_field, j_from_g_omega,
                              levi_compatibility_check, libermann, nijenhuis,
                              nijenhuis_tangential_check,
@@ -417,13 +416,26 @@ def test_boundary_data_projective_invariance():
 # -- Levi compatibility and contact nondegeneracy ------------------------------------------
 
 
+def _boundary(ps):
+    """The boundary bundle of ps and the default-ladder spec on its chart."""
+    bundle = dm_boundary_fields(ps)
+    return bundle, CompactificationSpec(chart=bundle[3])
+
+
+def _levi(ps, rng, count):
+    """levi_compatibility_check at count tangent points drawn from rng."""
+    bundle, spec = _boundary(ps)
+    return levi_compatibility_check(ps, bundle, spec,
+                                    spec.boundary_points(rng, count))
+
+
 def test_levi_compatibility_flat_and_random():
     rng = np.random.default_rng(13)
-    assert levi_compatibility_check(flat_ps(), rng, count=8) < 1e-9
+    assert _levi(flat_ps(), rng, 8) < 1e-9
     ps = random_projective_structure(2, 2, 0.4, seed=21)
-    assert levi_compatibility_check(ps, rng, count=5) < 1e-8
+    assert _levi(ps, rng, 5) < 1e-8
     ps3 = random_projective_structure(3, 2, 0.3, seed=22)
-    assert levi_compatibility_check(ps3, rng, count=3) < 1e-8
+    assert _levi(ps3, rng, 3) < 1e-8
 
 
 def test_levi_bridge_constant_is_minus_half():
@@ -434,9 +446,12 @@ def test_contact_nondegenerate():
     rng = np.random.default_rng(14)
     for n in (2, 3):
         ps = random_projective_structure(n, 2, 0.4, seed=23 + n)
-        assert contact_nondegeneracy(ps, rng, count=8) > 1e-6
-        np.testing.assert_allclose(contact_determinants(ps, rng, count=8),
-                                   4.0 ** n, rtol=1e-13)
+        spec = CompactificationSpec(chart=dm_boundary_chart(n))
+        assert float(np.min(np.abs(contact_determinants(
+            ps, spec.boundary_points(rng, 8))))) > 1e-6
+        np.testing.assert_allclose(
+            contact_determinants(ps, spec.boundary_points(rng, 8)),
+            4.0 ** n, rtol=1e-13)
 
 
 # -- Nijenhuis tangentiality -----------------------------------------------------------------
@@ -456,7 +471,9 @@ def test_nijenhuis_tangential_random_structures():
     rng = np.random.default_rng(16)
     for n, seed in ((2, 25), (3, 26)):
         ps = random_projective_structure(n, 2, 0.4, seed=seed)
-        v = nijenhuis_tangential_check(ps, rng, count=3)
+        bundle, spec = _boundary(ps)
+        v = nijenhuis_tangential_check(bundle, spec,
+                                       spec.boundary_points(rng, 3))
         assert v.passed
         assert np.max(np.abs(v.limits)) < 1e-6
 
@@ -470,11 +487,10 @@ def test_nijenhuis_tangential_reads_every_tangent_point():
     # on the paper-suite's dm-random-n3 the worst of four points is not the
     # last one, so a residual from the last point alone reads too small
     ps = _paper_suite_structure("dm-random-n3")
-    bundle = dm_boundary_fields(ps)
-    v = nijenhuis_tangential_check(ps, np.random.default_rng(9), count=4,
-                                   boundary_fields=bundle)
+    bundle, spec = _boundary(ps)
+    v = nijenhuis_tangential_check(
+        bundle, spec, spec.boundary_points(np.random.default_rng(9), 4))
     assert v.passed and v.limits.shape == (4, 6, 6)
-    spec = CompactificationSpec(chart=bundle[3])
     tps = spec.boundary_points(np.random.default_rng(9), 4)
     N = nijenhuis(bundle[2])
     alone = [extend_to_boundary(lambda c: N.func(c)[0], spec, tp,
@@ -493,7 +509,7 @@ def test_levi_extends_j_once_over_all_points(monkeypatch):
 
     monkeypatch.setattr(paracx, "extend_to_boundary", counted)
     ps = random_projective_structure(2, 2, 0.4, seed=21)
-    resid = levi_compatibility_check(ps, np.random.default_rng(4), count=5)
+    resid = _levi(ps, np.random.default_rng(4), 5)
     assert calls == [5] and resid < 1e-8
 
 
@@ -749,7 +765,7 @@ def _libermann_loops(g, omega):
             out[c, a, b] = gamma[c, a, b] - 0.5 * _sum(
                 Winv[c, d] * NO[a, b, d] for d in range(n))
         return jets.stack(out)
-    return fields.ConnectionField(chart=g.chart, func=func, torsion_free=False)
+    return fields.ConnectionField(chart=g.chart, func=func)
 
 
 def _nijenhuis_loops(jf):
@@ -793,7 +809,7 @@ def _pc_change_loops(conn, upsilon, jf):
                 t = t + U[b]
             out[c, a, b] = t + J[c, b] * UJ[a] + J[c, a] * UJ[b]
         return jets.stack(out)
-    return fields.ConnectionField(chart=conn.chart, func=func, torsion_free=False)
+    return fields.ConnectionField(chart=conn.chart, func=func)
 
 
 def _theta_loops(g, omega, t_func):
@@ -951,13 +967,23 @@ def test_boundary_metric_inverts_each_distinct_matrix_once(monkeypatch):
     assert len(inverted) == len(set(inverted))
 
 
-def test_boundary_bundle_returns_copies_of_its_memo():
+def test_boundary_bundle_memo_results_are_read_only():
+    # a write into a memoized result raises, and the next evaluation is
+    # unchanged: the bundle's g, Omega, J and inverse of g, and eh's LC
     _, (gb, omb, jb, _), p = _bundle(3)
-    for field in (gb, omb, jb):
-        first = field.at(p, order=2)
+    coords = gb.chart.seed(p, 2)
+    G = gb.func(coords)
+    eh = cli.REGISTRY["eh"]({"id": "eh", "catalog": "eh"})
+    q = eh.gT.chart.sample(np.random.default_rng(3), 2)
+    evaluations = [(gb.func, coords), (omb.func, coords), (jb.func, coords),
+                   (lambda c: gb.inverse(c[0].alg, G), coords),
+                   (eh.lc.func, eh.gT.chart.seed(q, 2))]
+    for fn, c in evaluations:
+        first = fn(c)
         want = first.copy()
-        first[...] = np.nan
-        assert np.array_equal(field.at(p, order=2), want), field.name
+        with pytest.raises(ValueError):
+            first[...] = np.nan
+        assert np.array_equal(fn(c), want)
 
 
 def _field_of_valence(chart, valence):
@@ -988,7 +1014,7 @@ def test_covariant_derivative_matches_component_loops(valence, order):
             out[k, i, j] = sym[k, i, j] * (1.0 + 0.25 * (i + 1) * coords[j])
         return jets.stack(out)
 
-    conn = fields.ConnectionField(chart=ps.chart, func=gamma, torsion_free=False)
+    conn = fields.ConnectionField(chart=ps.chart, func=gamma)
     field = _field_of_valence(ps.chart, valence)
     p = ps.chart.sample(np.random.default_rng(order), 1)[0]
     _assert_jets_close(covariant_derivative(conn, field).at(p, order=order),
