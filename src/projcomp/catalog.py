@@ -358,20 +358,17 @@ def cone_in_t(gamma: MetricField) -> MetricField:
 
 def cone_chart_map(gamma: MetricField, rbox=(0.6, 2.5),
                    tbox=(0.05, 0.6)) -> ChartMap:
-    """r-chart <-> T-chart for the cone, T = (r^2+1)^(-1/2).  Serves the
-    cone_in_t chart-change cross-checks."""
+    """r-chart -> T-chart for the cone, T = (r^2+1)^(-1/2), given by its
+    inverse r = sqrt(1-T^2)/T.  Serves the cone_in_t chart-change
+    cross-checks."""
     src = _product_chart("r", rbox, gamma.chart)
     dst = _product_chart("T", tbox, gamma.chart)
-
-    def fwd(coords):
-        r = coords[0]
-        return [1.0 / jets.sqrt(r * r + 1.0)] + list(coords[1:])
 
     def inv(coords):
         T = coords[0]
         return [jets.sqrt(1.0 - T * T) / T] + list(coords[1:])
 
-    return ChartMap(source=src, target=dst, fwd=fwd, inv=inv)
+    return ChartMap(source=src, target=dst, inv=inv)
 
 
 def flat_spherical(n: int) -> MetricField:
@@ -502,26 +499,31 @@ def sigma_forms(chart: Chart) -> list:
             for f, n in ((s1, "sigma1"), (s2, "sigma2"), (s3, "sigma3"))]
 
 
+def _eh_block(corner, q, f, th) -> np.ndarray:
+    """The Eguchi-Hanson component pattern in Euler angles,
+    corner d(r or T)^2 + q (sigma1^2 + sigma2^2 + f sigma3^2), from the
+    Jets corner, f and th (theta) and the Jet or float q."""
+    zero = th * 0.0
+    cth = jets.cos(th)
+    sth = jets.sin(th)
+    g = [[zero for _ in range(4)] for _ in range(4)]
+    g[0][0] = corner
+    g[1][1] = zero + q
+    g[2][2] = q * f
+    g[2][3] = g[3][2] = q * f * cth
+    g[3][3] = q * (f * cth * cth + sth * sth)
+    return jets.stack(g)
+
+
 def eguchi_hanson(params: EHParams = EHParams()) -> MetricField:
     """(1 - a^4/r^4)^-1 dr^2 + r^2/4 (1 - a^4/r^4) sigma3^2
     + r^2/4 (sigma1^2 + sigma2^2), Ricci-flat for every a."""
     a4 = params.a ** 4
 
     def func(coords):
-        r, th, ps, ph = coords
-        zero = r * 0.0
+        r, th, _, _ = coords
         f = 1.0 - a4 / (r * r * r * r)
-        q = r * r * 0.25
-        cth = jets.cos(th)
-        sth = jets.sin(th)
-        g = [[zero for _ in range(4)] for _ in range(4)]
-        g[0][0] = 1.0 / f
-        g[1][1] = q
-        g[2][2] = q * f
-        g[2][3] = q * f * cth
-        g[3][2] = g[2][3]
-        g[3][3] = q * (f * cth * cth + sth * sth)
-        return jets.stack(g)
+        return _eh_block(1.0 / f, r * r * 0.25, f, th)
 
     return MetricField(params.chart, func, name=f"EH(a={params.a})")
 
@@ -537,41 +539,20 @@ def eh_compactified(params: EHParams = EHParams()):
     C = 1.0
 
     def gfunc(coords):
-        T, th, ps, ph = coords
-        zero = T * 0.0
+        T, th, _, _ = coords
         f = 1.0 - a4 * (T * T * T * T)
         T2 = T * T
-        q = 0.25 / T2
-        cth = jets.cos(th)
-        sth = jets.sin(th)
-        g = [[zero for _ in range(4)] for _ in range(4)]
-        g[0][0] = 1.0 / (f * T2 * T2)
-        g[1][1] = q
-        g[2][2] = q * f
-        g[2][3] = q * f * cth
-        g[3][2] = g[2][3]
-        g[3][3] = q * (f * cth * cth + sth * sth)
-        return jets.stack(g)
+        return _eh_block(1.0 / (f * T2 * T2), 0.25 / T2, f, th)
 
     def hfunc(coords):
         # direct substitution, written in the form regular at T = 0
-        T, th, ps, ph = coords
-        zero = T * 0.0
+        T, th, _, _ = coords
         f = 1.0 - a4 * (T * T * T * T)
-        cth = jets.cos(th)
-        sth = jets.sin(th)
-        h = [[zero for _ in range(4)] for _ in range(4)]
-        h[0][0] = a4 * (T * T) / f
-        h[1][1] = zero + 0.25
-        h[2][2] = 0.25 * f
-        h[2][3] = 0.25 * f * cth
-        h[3][2] = h[2][3]
-        h[3][3] = 0.25 * (f * cth * cth + sth * sth)
-        return jets.stack(h)
+        return _eh_block(a4 * (T * T) / f, 0.25, f, th)
 
     g = MetricField(params.tchart, gfunc, name=f"EHbar(a={params.a})")
     h = TensorField(chart=params.tchart, valence=(0, 2), func=hfunc,
-                    symmetric=True, name="EH-h")
+                    name="EH-h")
     return g, h, C
 
 
@@ -633,7 +614,7 @@ def dm_metric(ps: ProjectiveStructure):
 
     g = MetricField(chart, gfunc, name=f"dm({ps.label})")
     omega = TensorField(chart=chart, valence=(0, 2), func=omegafunc,
-                        antisymmetric=True, name=f"omega({ps.label})")
+                        name=f"omega({ps.label})")
     return g, omega
 
 
@@ -655,20 +636,10 @@ def dm_boundary_chart(n: int) -> Chart:
 
 
 def dm_boundary_map(n: int) -> ChartMap:
-    """Boundary chart <-> (x, xi): x^A = X^A, x^n = Y, xi_A = Z_A/(KT),
-    xi_n = 1/(KT)."""
+    """(x, xi) -> boundary chart, given by its inverse: x^A = X^A, x^n = Y,
+    xi_A = Z_A/(KT), xi_n = 1/(KT)."""
     src = dm_chart(n)
     dst = dm_boundary_chart(n)
-
-    def fwd(coords):
-        x, xi = coords[:n], coords[n:]
-        s = None
-        for a, b in zip(x, xi):
-            s = a * b if s is None else s + a * b
-        T = 1.0 / s
-        Z = [xi[a] / xi[n - 1] for a in range(n - 1)]
-        X = [x[a] for a in range(n - 1)]
-        return [T] + Z + X + [x[n - 1]]
 
     def inv(coords):
         T = coords[0]
@@ -683,4 +654,4 @@ def dm_boundary_map(n: int) -> ChartMap:
         xis = [Z[a] * xin for a in range(n - 1)] + [xin]
         return xs + xis
 
-    return ChartMap(source=src, target=dst, fwd=fwd, inv=inv)
+    return ChartMap(source=src, target=dst, inv=inv)

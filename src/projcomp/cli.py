@@ -594,7 +594,8 @@ class _DM(Scenario):
         gb, omb, jb, chart = self.boundary
         tps = self.spec.boundary_points(rng, min(self.count, 3))
         changed = paracx.para_c_projective_change(
-            paracx.libermann(gb, omb), paracx.half_dlog_t(chart), jb)
+            paracx.libermann(gb, omb),
+            compactify.upsilon_from_defining(chart, lambda c: c[0], 2.0), jb)
         v = compactify.extend_to_boundary(changed.func, self.spec, tps,
                                           tolerance=tol, order=2)
         return _extension_record(v, len(tps), {"detail": v.detail})
@@ -939,7 +940,7 @@ def _cmd_demo(args) -> int:
         gv = g.values(p)
         print(f"  point {np.array2string(p, precision=3)}:")
         print(f"    det g = {np.linalg.det(gv):.6g}")
-        lam, resid, _ = fields.einstein_residual(g, g.chart.sample(rng, 2))
+    lam, resid, _ = fields.einstein_residual(g, g.chart.sample(rng, 2))
     print(f"  Einstein fit: lambda = {lam:.6g}, residual = {resid:.3e}")
     return 0
 

@@ -283,7 +283,7 @@ def asymptotic_form_check(g: MetricField, spec: CompactificationSpec,
         H[0, 0] -= jets.stack(C * _tpow(T, two_over - 4.0 / spec.alpha))
         return H
 
-    h = TensorField(chart=g.chart, valence=(0, 2), func=hfunc, symmetric=True,
+    h = TensorField(chart=g.chart, valence=(0, 2), func=hfunc,
                     name=f"h({g.name})")
     verdict = extend_to_boundary(hfunc, spec, tangent_points, tolerance=tolerance)
     if verdict.passed:
@@ -308,13 +308,13 @@ def metricity_check(conn: ConnectionField, points,
     n = conn.chart.dim
     points = np.atleast_2d(np.asarray(points, dtype=float))
     R = riemann(conn, points)
-    wmax = float(np.max(np.abs(_weyl(R))))
+    ric = np.einsum("...abad->...bd", R)
+    wmax = float(np.max(np.abs(_weyl(R, ric))))
     if wmax > 1e-8:
         return MetricityVerdict(status="inconclusive", residual=wmax,
                                 reason="projective Weyl tensor nonzero; "
                                        "constant-curvature witness not applicable")
 
-    ric = np.einsum("...abad->...bd", R)
     ricT = ric.swapaxes(1, 2)
     anti = float(np.max(np.abs(ric - ricT))) / 2.0
     if anti > 1e-8:

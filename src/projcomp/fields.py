@@ -26,6 +26,10 @@ last axis, a derivative a gather on it, and a contraction
 JetAlgebra.contract; a leaf formula computes with scalar Jets and ends with
 one jets.stack.
 
+A field of any valence moves to another chart one way, by
+paracx.pullback_field along a ChartMap; a Levi-Civita connection moves as
+the connection of the pulled back metric.
+
 Curvature convention, fixed once for the whole engine:
 
     R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb
@@ -64,18 +68,11 @@ __all__ = [
     "projective_weyl",
     "covariant_derivative",
     "exterior_derivative",
-    "transform_tensor",
-    "transform_connection",
 ]
 
 
 class SingularMetricError(ValueError):
     pass
-
-
-# Evaluated symmetry assertions on TensorField (slow; used by tests)
-DEBUG_SYMMETRY = False
-_SYMMETRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -132,16 +129,13 @@ class TensorField:
     module docstring).
 
     valence = (r, s): component array carries the r contravariant slots
-    first, then the s covariant slots.  symmetric/antisymmetric flags refer
-    to the full index block and are asserted on evaluation when
-    fields.DEBUG_SYMMETRY is set.
+    first, then the s covariant slots.  A symmetric form's formula sets
+    its mirrored entries itself; nothing checks them on evaluation.
     """
 
     chart: Chart
     valence: tuple
     func: Callable
-    symmetric: bool = False
-    antisymmetric: bool = False
     name: str = ""
 
     @property
@@ -150,14 +144,7 @@ class TensorField:
 
     def at(self, point, order: int = 3) -> np.ndarray:
         """Components at a point (dim,), or at a batch of points (B, dim)."""
-        comps = self.func(self.chart.seed(point, order))
-        if DEBUG_SYMMETRY and self.rank == 2 and (self.symmetric or self.antisymmetric):
-            v = comps[..., 0]
-            vt = v.swapaxes(0, 1)
-            dev = np.max(np.abs(v - vt)) if self.symmetric else np.max(np.abs(v + vt))
-            if dev > _SYMMETRY_TOL:
-                raise AssertionError(f"declared symmetry violated by {dev:.3e} ({self.name})")
-        return comps
+        return self.func(self.chart.seed(point, order))
 
     def values(self, point) -> np.ndarray:
         """Component values: tensor shape, or (B,) + tensor shape."""
@@ -169,8 +156,7 @@ class MetricField(TensorField):
     """Symmetric nondegenerate (0,2) field."""
 
     def __init__(self, chart, func, name=""):
-        super().__init__(chart=chart, valence=(0, 2), func=func,
-                         symmetric=True, name=name)
+        super().__init__(chart=chart, valence=(0, 2), func=func, name=name)
 
     def inverse(self, alg, G: np.ndarray) -> np.ndarray:
         """The inverse of stacked components G of this metric (see
@@ -223,16 +209,19 @@ def _key(arg):
 def _memo(fn: Callable) -> Callable:
     """fn(*args), keeping every result for the life of the returned
     closure: called again with equal positional arguments (see _key), it
-    returns that result without evaluating fn.  An array result is made
-    read-only, so that no caller can change what the next one reads."""
+    returns that result without evaluating fn.  An array result, and the
+    coefficients of each Jet of a list or tuple result, are made read-only,
+    so that no caller can change what the next one reads."""
     seen = {}
 
     def memo(*args):
         key = _key(args)
         if key not in seen:
-            seen[key] = fn(*args)
-            if isinstance(seen[key], np.ndarray):
-                seen[key].flags.writeable = False
+            out = seen[key] = fn(*args)
+            for item in out if isinstance(out, (list, tuple)) else [out]:
+                arr = item.c if isinstance(item, Jet) else item
+                if isinstance(arr, np.ndarray):
+                    arr.flags.writeable = False
         return seen[key]
     return memo
 
@@ -395,14 +384,14 @@ def projective_schouten(conn: ConnectionField) -> TensorField:
 def projective_weyl(conn: ConnectionField, point) -> np.ndarray:
     """Totally trace-free curvature part W^a_bcd (projective invariant),
     batch first at a batch of points; serves the Weyl tests of test_fields."""
-    return _weyl(riemann(conn, point))
+    R = riemann(conn, point)
+    return _weyl(R, np.einsum("...abad->...bd", R))
 
 
-def _weyl(R: np.ndarray) -> np.ndarray:
-    """projective_weyl from the curvature R, with the Schouten tensor P of
-    projective_schouten taken from R's Ricci contraction."""
+def _weyl(R: np.ndarray, ric: np.ndarray) -> np.ndarray:
+    """projective_weyl from the curvature R and its Ricci contraction
+    ric = R^a_bad, with the Schouten tensor P of projective_schouten."""
     n = R.shape[-1]
-    ric = np.einsum("...abad->...bd", R)
     ricT = ric.swapaxes(-2, -1)
     P = (ric + ricT) * 0.5 * (1.0 / (n - 1)) - (ric - ricT) * 0.5 * (1.0 / (n + 1))
     delta = np.eye(n)
@@ -470,7 +459,7 @@ def exterior_derivative(omega: TensorField) -> TensorField:
         return out
 
     return TensorField(chart=omega.chart, valence=(0, k + 1), func=func,
-                       antisymmetric=True, name=f"d({omega.name})")
+                       name=f"d({omega.name})")
 
 
 # -- chart maps --------------------------------------------------------------
@@ -478,71 +467,9 @@ def exterior_derivative(omega: TensorField) -> TensorField:
 
 @dataclass
 class ChartMap:
-    """Invertible map between charts, jet-evaluable both ways."""
+    """Invertible map between charts, given by the inverse that
+    paracx.pullback_field evaluates: target coordinate jets to source ones."""
 
     source: Chart
     target: Chart
-    fwd: Callable  # source coords -> target coords
     inv: Callable  # target coords -> source coords
-
-
-def _map_jets(cmap: ChartMap, target_point, order: int):
-    """Source coordinates as jets at a target-chart point, and the stacked
-    Jacobian Jac[a, mu] = d x^a / d y^mu, both of order `order`."""
-    ty = jets.seed_point(target_point, order + 1)
-    X = jets.stack(cmap.inv(ty))
-    alg = jets.algebra(len(ty), order)
-    xs = [Jet(alg, x) for x in X[..., :alg.size]]
-    return xs, _grad(ty[0].alg, X).swapaxes(0, 1)
-
-
-def _contract_slots(alg, T: np.ndarray, mats) -> np.ndarray:
-    """Contract slot k of a stacked tensor with the stacked matrix mats[k],
-    one slot at a time: out[.., o, ..] = sum_s T[.., s, ..] mats[k][s, o].
-
-    Each slot is one JetAlgebra.contract of n^(r+1) jet products for a
-    rank-r tensor in dimension n (2 n^3 for a bilinear form), where the sum
-    over all (output, source) index pairs at once costs r n^(2r).
-    """
-    idx = _SLOTS[:len(mats)]
-    for i, M in zip(idx, mats):
-        T = alg.contract(f"{idx},{i}y->{idx.replace(i, 'y')}", T, M)
-    return T
-
-
-def transform_tensor(field: TensorField, cmap: ChartMap, target_point,
-                     order: int = 1) -> np.ndarray:
-    """Components of a source-chart tensor in the target chart at a point.
-
-    Standard pushforward/pullback: one inverse-Jacobian factor per upper
-    index, one Jacobian factor per lower index, contracted slot by slot.
-    Output jets carry the requested order.  Serves the cone_in_t
-    chart-change cross-checks.
-    """
-    r, s = field.valence
-    xs, Jac = _map_jets(cmap, target_point, order)
-    alg = xs[0].alg
-    # re-express source components as jets in the target coordinates
-    comps = jets.compose_stacked(
-        field.func(jets.reseed(xs, order)), xs)
-    JiT = _inverse(alg, Jac).swapaxes(0, 1)  # JiT[a, mu] = d y^mu / d x^a
-    return _contract_slots(alg, comps, [JiT] * r + [Jac] * s)
-
-
-def transform_connection(conn: ConnectionField, cmap: ChartMap, target_point,
-                         order: int = 0) -> np.ndarray:
-    """Connection coefficients in the target chart (with the inhomogeneous
-    second-derivative term):
-    A^gam_c (d_nu B^c_mu + Gamma^c_ab B^a_mu B^b_nu), B = d x/d y, A = B^-1.
-    Serves the cone_in_t chart-change cross-checks."""
-    xs, B = _map_jets(cmap, target_point, order + 1)
-    n = len(xs)
-    alg = jets.algebra(n, order)
-    gamma = jets.compose_stacked(
-        conn.func(jets.reseed(xs, order)),
-        [x.truncate(order) for x in xs])
-    dB = _grad(xs[0].alg, B)  # dB[nu, c, mu] = d_nu B^c_mu
-    B = B[..., :alg.size]
-    GB = alg.contract("cmb,bn->cmn", alg.contract("cab,am->cmb", gamma, B), B)
-    return alg.contract("gc,cmn->gmn", _inverse(alg, B),
-                        dB.transpose(1, 2, 0, 3) + GB)

@@ -41,10 +41,9 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .fields import (Chart, ChartMap, ConnectionField, MetricField,
-                     TensorField, _contract_slots, _grad, _inverse, _map_jets,
-                     _memo, _nabla, exterior_derivative,
-                     levi_civita)
+from .fields import (_SLOTS, ChartMap, ConnectionField, MetricField,
+                     TensorField, _grad, _inverse, _memo, _nabla,
+                     exterior_derivative, levi_civita)
 from .compactify import (CompactificationSpec, ExtensionVerdict, at_boundary,
                          extend_to_boundary, ladder_rows, ladder_verdict,
                          shift_ladder)
@@ -60,7 +59,6 @@ __all__ = [
     "para_c_projective_change",
     "theta_field",
     "h_tc_field",
-    "half_dlog_t",
     "pullback_field",
     "dm_boundary_fields",
     "boundary_t_coordinate",
@@ -224,36 +222,45 @@ def h_tc_field(g: MetricField, omega: TensorField, t_func: Callable,
         return H
 
     return TensorField(chart=g.chart, valence=(0, 2), func=func,
-                       symmetric=True, name=f"h({g.name})")
+                       name=f"h({g.name})")
 
 
-# -- boundary-chart pullbacks --------------------------------------------------
+# -- chart changes and the boundary bundle -------------------------------------
 
 
 def pullback_field(field: TensorField, cmap: ChartMap) -> TensorField:
-    """Covariant field re-expressed on the target chart by evaluating the
-    closed-form components along the inverse map (no composition step;
-    valid because catalog component functions accept arbitrary jets).
+    """A field of any valence (r, s) re-expressed on the target chart.
 
-    The Jacobian is the stacked derivative of the inverse map, contracted
-    one slot at a time (Jac^T G Jac for a bilinear form): two
-    JetAlgebra.contract calls of d^3 jet products each per evaluation of a
-    rank-2 field in dimension d.  Each distinct evaluation is kept for the
-    life of the field and returned read-only (see fields._memo).
+    The component function is evaluated on cmap.inv of the seeded target
+    point, the source coordinates as jets in the target variables, so it
+    must take arbitrary jets, as the catalog's formulas do; no composition
+    step follows.  Each lower slot is then contracted with the Jacobian
+    Jac[a, mu] = d x^a / d y^mu of the inverse map, and each upper slot
+    with d y^mu / d x^a, the transposed inverse of Jac.  A slot at a time
+    costs n^(k+1) jet products per slot of a rank-k field in dimension n
+    (2 n^3 for Jac^T G Jac), where all index pairs at once would cost
+    k n^(2k).  Each distinct evaluation is kept for the life of the field and
+    returned read-only (see fields._memo).
     """
     r, s = field.valence
-    if r != 0:
-        raise ValueError("direct pullback implemented for covariant fields")
+    idx = _SLOTS[:r + s]
 
     def pulled(coords):
-        xs, Jac = _map_jets(cmap, jets.base_point(coords), coords[0].order)
-        return _contract_slots(xs[0].alg, field.func(xs), [Jac] * s)
+        order = coords[0].order
+        ty = jets.seed_point(jets.base_point(coords), order + 1)
+        X = jets.stack(cmap.inv(ty))
+        alg = jets.algebra(len(ty), order)
+        Jac = _grad(ty[0].alg, X).swapaxes(0, 1)
+        mats = [Jac] * s
+        if r:
+            mats = [_inverse(alg, Jac).swapaxes(0, 1)] * r + mats
+        T = field.func([jets.Jet(alg, x) for x in X[..., :alg.size]])
+        for i, M in zip(idx, mats):
+            T = alg.contract(f"{idx},{i}y->{idx.replace(i, 'y')}", T, M)
+        return T
 
     return TensorField(chart=cmap.target, valence=field.valence,
-                       func=_memo(pulled),
-                       symmetric=field.symmetric,
-                       antisymmetric=field.antisymmetric,
-                       name=f"{field.name}|bnd")
+                       func=_memo(pulled), name=f"{field.name}|bnd")
 
 
 def dm_boundary_fields(ps: ProjectiveStructure):
@@ -268,7 +275,7 @@ def dm_boundary_fields(ps: ProjectiveStructure):
     n = ps.n
     g, omega = dm_metric(ps)
     cmap = dm_boundary_map(n)
-    cmap = ChartMap(cmap.source, cmap.target, cmap.fwd, _memo(cmap.inv))
+    cmap = ChartMap(cmap.source, cmap.target, _memo(cmap.inv))
     gb = MetricField(cmap.target, pullback_field(g, cmap).func,
                      name=f"dm({ps.label})|bnd")
     gb.inverse = _memo(_inverse)
@@ -282,17 +289,6 @@ def dm_boundary_fields(ps: ProjectiveStructure):
 def boundary_t_coordinate(coords):
     """Defining function of the boundary chart: its first coordinate."""
     return coords[0]
-
-
-def half_dlog_t(chart: Chart) -> TensorField:
-    """The one-form Upsilon = dT/(2T) = d(log T)/2 on a chart whose first
-    coordinate is T: the change that makes the minimal connection extend."""
-    dim = chart.dim
-    return TensorField(chart=chart, valence=(0, 1),
-                       func=lambda coords: jets.stack([
-                           (0.5 / coords[0]) if a == 0 else coords[0] * 0.0
-                           for a in range(dim)]),
-                       name="dT/2T")
 
 
 # -- boundary data (contact form, Theta, h_D) ----------------------------------
@@ -366,8 +362,7 @@ def boundary_data(ps: ProjectiveStructure):
 
     theta0 = TensorField(chart=chart, valence=(0, 1), func=theta_comps,
                          name="theta0")
-    h_d = TensorField(chart=chart, valence=(0, 2), func=hd_comps,
-                      symmetric=True, name="h_D")
+    h_d = TensorField(chart=chart, valence=(0, 2), func=hd_comps, name="h_D")
     return theta0, h_d, theta_matrix
 
 
@@ -461,7 +456,7 @@ def boundary_h_closed(ps: ProjectiveStructure) -> TensorField:
         H[upper[1], upper[0]] = H[upper]  # exactly symmetric
         return H
 
-    return TensorField(chart=chart, valence=(0, 2), func=func, symmetric=True,
+    return TensorField(chart=chart, valence=(0, 2), func=func,
                        name="h-closed")
 
 

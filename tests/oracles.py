@@ -19,6 +19,10 @@ the per-point coefficient formulas, the per-monomial eval_shift loop,
 the single-pass contraction and the single-point product; the kernels must
 give bitwise the same coefficients.  single_point_match_boundary_constant
 is the dT^2 coefficient as first read, one point at the deepest rung.
+The component formulas at the very end are the Eguchi-Hanson metric, its
+T = 1/r form and its boundary field h, each written out entry by entry,
+and the one-form dT/(2T) as first written; the shared formulas must give
+bitwise the same components.
 """
 
 from __future__ import annotations
@@ -445,3 +449,73 @@ def single_point_match_boundary_constant(g, spec, tangent_point):
     to_zero = np.zeros(g.chart.dim)
     to_zero[0] = -eps
     return scaled.eval_shift(to_zero)
+
+
+
+def eguchi_hanson_components(a):
+    """Component function of catalog.eguchi_hanson(EHParams(a)) as first
+    written."""
+    a4 = a ** 4
+
+    def func(coords):
+        r, th, ps, ph = coords
+        zero = r * 0.0
+        f = 1.0 - a4 / (r * r * r * r)
+        q = r * r * 0.25
+        cth = jets.cos(th)
+        sth = jets.sin(th)
+        g = [[zero for _ in range(4)] for _ in range(4)]
+        g[0][0] = 1.0 / f
+        g[1][1] = q
+        g[2][2] = q * f
+        g[2][3] = q * f * cth
+        g[3][2] = g[2][3]
+        g[3][3] = q * (f * cth * cth + sth * sth)
+        return jets.stack(g)
+    return func
+
+
+def eh_compactified_components(a):
+    """Component functions (g, h) of catalog.eh_compactified(EHParams(a))
+    as first written."""
+    a4 = a ** 4
+
+    def gfunc(coords):
+        T, th, ps, ph = coords
+        zero = T * 0.0
+        f = 1.0 - a4 * (T * T * T * T)
+        T2 = T * T
+        q = 0.25 / T2
+        cth = jets.cos(th)
+        sth = jets.sin(th)
+        g = [[zero for _ in range(4)] for _ in range(4)]
+        g[0][0] = 1.0 / (f * T2 * T2)
+        g[1][1] = q
+        g[2][2] = q * f
+        g[2][3] = q * f * cth
+        g[3][2] = g[2][3]
+        g[3][3] = q * (f * cth * cth + sth * sth)
+        return jets.stack(g)
+
+    def hfunc(coords):
+        T, th, ps, ph = coords
+        zero = T * 0.0
+        f = 1.0 - a4 * (T * T * T * T)
+        cth = jets.cos(th)
+        sth = jets.sin(th)
+        h = [[zero for _ in range(4)] for _ in range(4)]
+        h[0][0] = a4 * (T * T) / f
+        h[1][1] = zero + 0.25
+        h[2][2] = 0.25 * f
+        h[2][3] = 0.25 * f * cth
+        h[3][2] = h[2][3]
+        h[3][3] = 0.25 * (f * cth * cth + sth * sth)
+        return jets.stack(h)
+    return gfunc, hfunc
+
+
+def half_dlog_t(dim):
+    """Component function of Upsilon = dT/(2T) on a dim-chart whose first
+    coordinate is T, as first written."""
+    return lambda coords: jets.stack([
+        (0.5 / coords[0]) if a == 0 else coords[0] * 0.0 for a in range(dim)])

@@ -17,9 +17,10 @@ from projcomp.catalog import (EHParams, Poly, ProjectiveStructure, WarpedPair,
                               warped)
 from projcomp.compactify import (CompactificationSpec, extend_to_boundary,
                                  match_boundary_constant)
-from projcomp.fields import (einstein_residual, exterior_derivative,
-                             levi_civita, projective_change, ricci, riemann,
-                             transform_tensor)
+from projcomp.fields import (MetricField, einstein_residual,
+                             exterior_derivative, levi_civita,
+                             projective_change, ricci, riemann)
+from projcomp.paracx import pullback_field
 
 
 def test_unit_sphere_ricci_scalar_normalization():
@@ -70,19 +71,21 @@ def test_compactified_flat_einstein_and_boundary():
 
 def test_compactified_flat_is_projective_change_of_flat():
     # LC(gbar) in the T chart equals the dT/T change of LC(g_flat)
-    # transported through the chart map
+    # transported through the chart map: the Levi-Civita connection of the
+    # pulled back metric, changed by the pulled back one-form
     base = unit_sphere(2)
     g_r = cone(base)                     # flat R^3
     gbar = compactified_cone(base)
     cmap = cone_chart_map(base)
     lc_bar = levi_civita(gbar)
-    changed_r = projective_change(
-        levi_civita(g_r),
-        fields.TensorField(chart=g_r.chart, valence=(0, 1),
-                           func=_ups_rchart, name="dT/T in r"))
+    ups_r = fields.TensorField(chart=g_r.chart, valence=(0, 1),
+                               func=_ups_rchart, name="dT/T in r")
+    changed = projective_change(
+        levi_civita(MetricField(cmap.target, pullback_field(g_r, cmap).func)),
+        pullback_field(ups_r, cmap))
     rng = np.random.default_rng(2)
     for pT in gbar.chart.sample(rng, 3):
-        got = fields.transform_connection(changed_r, cmap, pT, order=0)[..., 0]
+        got = changed.values(pT)
         want = lc_bar.values(pT)
         assert np.max(np.abs(got - want)) < 1e-9
 
@@ -249,6 +252,36 @@ def test_eh_compactified_h_field():
         hv = h.values(pt)
         rec = (gv[0, 0] - hv[0, 0] / T ** 2) * T ** 4
         assert abs(rec - C) < 1e-9
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 3.0])
+def test_eh_formulas_match_the_entry_by_entry_bodies(a):
+    # eguchi_hanson and eh_compactified's g and h share one component
+    # pattern, bitwise the three bodies it replaced
+    pars = EHParams(a=a)
+    g, h, _ = eh_compactified(pars)
+    g_old, h_old = oracles.eh_compactified_components(a)
+    rng = np.random.default_rng(4)
+    for field, old in ((eguchi_hanson(pars), oracles.eguchi_hanson_components(a)),
+                       (g, g_old), (h, h_old)):
+        P = field.chart.sample(rng, 3)
+        for order in range(4):
+            for p in (P[0], P):
+                assert np.array_equal(field.at(p, order=order),
+                                      old(jets.seed_point(p, order)))
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 3.0])
+def test_eguchi_hanson_pulled_back_to_t_is_eh_compactified(a):
+    pars = EHParams(a=a)
+    cmap = fields.ChartMap(source=pars.chart, target=pars.tchart,
+                           inv=lambda c: [1.0 / c[0]] + list(c[1:]))
+    got = pullback_field(eguchi_hanson(pars), cmap)
+    want = eh_compactified(pars)[0]
+    P = pars.tchart.sample(np.random.default_rng(5), 4)
+    for order in range(4):
+        np.testing.assert_allclose(got.at(P, order=order),
+                                   want.at(P, order=order), rtol=1e-12, atol=0)
 
 
 # -- canonical neutral metrics -------------------------------------------------------

@@ -406,6 +406,20 @@ def test_cli_demo(capsys):
     assert main(["demo", "bogus"]) == 2
 
 
+def test_cli_demo_fits_einstein_once(monkeypatch, capsys):
+    fits = []
+    fit = fields.einstein_residual
+
+    def counting(g, points):
+        fits.append(len(points))
+        return fit(g, points)
+
+    monkeypatch.setattr(fields, "einstein_residual", counting)
+    assert main(["demo", "eh"]) == 0
+    assert capsys.readouterr().out.count("point [") == 3
+    assert fits == [2]
+
+
 def test_each_point_set_is_drawn_once_per_scenario(monkeypatch):
     """einstein, para-hermitian and splitting share the scenario's points:
     one point stream per point, plus each check's own stream."""

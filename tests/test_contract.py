@@ -40,7 +40,6 @@ def _leaves():
     out.update(zip(("theta0", "h_D"), paracx.boundary_data(ps)[:2]))
     out["theta-closed"] = paracx.boundary_theta_closed(ps)
     out["h-closed"] = paracx.boundary_h_closed(ps)
-    out["dT/2T"] = paracx.half_dlog_t(catalog.dm_boundary_chart(2))
     return out
 
 
@@ -75,7 +74,8 @@ def _derived():
     out["theta_field"] = paracx.theta_field(gb, omb, t)
     out["h_tc_field"] = paracx.h_tc_field(gb, omb, t)
     out["para_c_projective_change"] = paracx.para_c_projective_change(
-        paracx.libermann(gb, omb), paracx.half_dlog_t(chart), jb)
+        paracx.libermann(gb, omb),
+        compactify.upsilon_from_defining(chart, lambda c: c[0], 2.0), jb)
     return out
 
 

@@ -15,7 +15,8 @@ from projcomp.fields import (Chart, MetricField, SingularMetricError,
                              einstein_residual, exterior_derivative,
                              levi_civita, projective_change,
                              projective_schouten, projective_weyl, ricci,
-                             riemann, transform_connection, transform_tensor)
+                             riemann)
+from projcomp.paracx import pullback_field
 
 from oracles import (fd_christoffel, fd_ricci, fd_riemann,
                      fd_einstein_constant, geodesic_rhs, rk4)
@@ -86,7 +87,7 @@ def test_levi_civita_eguchi_hanson_vs_fd():
 def test_levi_civita_metric_compatible():
     g = eguchi_hanson(EHParams(a=1.0))
     conn = levi_civita(g)
-    gt = TensorField(chart=g.chart, valence=(0, 2), func=g.func, symmetric=True)
+    gt = TensorField(chart=g.chart, valence=(0, 2), func=g.func)
     nab = covariant_derivative(conn, gt)
     worst = np.max(np.abs(nab.values((1.7, 1.2, 0.5, 0.8))))
     assert worst < 1e-10
@@ -359,7 +360,7 @@ def test_weyl_projective_invariance():
 def test_covariant_derivative_leibniz():
     g = unit_sphere(2)
     conn = levi_civita(g)
-    gt = TensorField(chart=g.chart, valence=(0, 2), func=g.func, symmetric=True)
+    gt = TensorField(chart=g.chart, valence=(0, 2), func=g.func)
 
     def scaled(coords):
         return jets.scale(coords[0] * coords[1] + 2.0, g.func(coords))
@@ -439,8 +440,7 @@ def test_exterior_derivative_matches_component_loop(k):
 def test_exterior_derivative_degree_limit():
     chart = Chart(names=("x", "y"), box=((-1, 1),) * 2)
     om = TensorField(chart=chart, valence=(0, 2),
-                     func=lambda c: jets.stack([[c[0] * 0.0, c[0]], [-c[0], c[0] * 0.0]]),
-                     antisymmetric=True)
+                     func=lambda c: jets.stack([[c[0] * 0.0, c[0]], [-c[0], c[0] * 0.0]]))
     with pytest.raises(ValueError):
         exterior_derivative(om)
 
@@ -450,31 +450,23 @@ def test_exterior_derivative_degree_limit():
 
 def test_transform_identity_map():
     g = polar_metric()
-    cmap = fields.ChartMap(source=g.chart, target=g.chart,
-                           fwd=lambda c: list(c), inv=lambda c: list(c))
+    cmap = fields.ChartMap(source=g.chart, target=g.chart, inv=lambda c: list(c))
     p = (1.5, 2.0)
-    vals = transform_tensor(g, cmap, p, order=1)[..., 0]
+    vals = pullback_field(g, cmap).at(p, order=1)[..., 0]
     assert np.max(np.abs(vals - g.values(p))) < 1e-12
+
+
+def _polar_of_cartesian(c):
+    x, y = c
+    return [jets.sqrt(x * x + y * y), _atan(y / x)]  # first-quadrant box
 
 
 def test_flat_polar_to_cartesian():
     g = polar_metric()
     cart = Chart(names=("x", "y"), box=((0.2, 3.0), (0.2, 3.0)))
-
-    def fwd(c):
-        r, phi = c
-        return [r * jets.cos(phi), r * jets.sin(phi)]
-
-    def inv(c):
-        x, y = c
-        r = jets.sqrt(x * x + y * y)
-        # phi from atan2 on the first-quadrant box
-        phi = _atan(y / x)
-        return [r, phi]
-
-    cmap = fields.ChartMap(source=g.chart, target=cart, fwd=fwd, inv=inv)
+    cmap = fields.ChartMap(source=g.chart, target=cart, inv=_polar_of_cartesian)
     p = (1.0, 1.2)
-    vals = transform_tensor(g, cmap, p, order=1)[..., 0]
+    vals = pullback_field(g, cmap).at(p, order=1)[..., 0]
     assert np.max(np.abs(vals - np.eye(2))) < 1e-12
 
 
@@ -483,25 +475,16 @@ def test_transform_upper_slots_polar_to_cartesian():
     # identity endomorphism stays the identity
     g = polar_metric()
     cart = Chart(names=("x", "y"), box=((0.2, 3.0), (0.2, 3.0)))
-
-    def fwd(c):
-        r, phi = c
-        return [r * jets.cos(phi), r * jets.sin(phi)]
-
-    def inv(c):
-        x, y = c
-        return [jets.sqrt(x * x + y * y), _atan(y / x)]
-
-    cmap = fields.ChartMap(source=g.chart, target=cart, fwd=fwd, inv=inv)
+    cmap = fields.ChartMap(source=g.chart, target=cart, inv=_polar_of_cartesian)
     radial = TensorField(chart=g.chart, valence=(1, 0),
                          func=lambda c: jets.stack([c[0] * 0.0 + 1.0, c[0] * 0.0]))
     ident = TensorField(chart=g.chart, valence=(1, 1),
                         func=lambda c: jets.stack([[c[0] * 0.0 + 1.0, c[0] * 0.0],
                                                    [c[0] * 0.0, c[0] * 0.0 + 1.0]]))
     p = (1.0, 1.2)
-    vals = transform_tensor(radial, cmap, p, order=1)[..., 0]
+    vals = pullback_field(radial, cmap).at(p, order=1)[..., 0]
     assert np.max(np.abs(vals - np.array(p) / np.hypot(*p))) < 1e-12
-    vals = transform_tensor(ident, cmap, p, order=1)[..., 0]
+    vals = pullback_field(ident, cmap).at(p, order=1)[..., 0]
     assert np.max(np.abs(vals - np.eye(2))) < 1e-12
 
 
@@ -529,35 +512,35 @@ def test_transform_sum_difference_map():
     g = euclid(2)
     uv = Chart(names=("u", "v"), box=((-1.0, 1.0), (-1.0, 1.0)))
     cmap = fields.ChartMap(source=g.chart, target=uv,
-                           fwd=lambda c: [(c[0] + c[1]) * 0.5, (c[0] - c[1]) * 0.5],
                            inv=lambda c: [c[0] + c[1], c[0] - c[1]])
-    vals = transform_tensor(g, cmap, (0.2, 0.1), order=1)[..., 0]
+    vals = pullback_field(g, cmap).at((0.2, 0.1), order=1)[..., 0]
     assert np.max(np.abs(vals - 2.0 * np.eye(2))) < 1e-15
 
 
 def test_transform_functorial_roundtrip():
+    # the cone moved to the T chart is cone_in_t, and cone_in_t moved back
+    # along T = (r^2+1)^(-1/2) is the cone
     base = unit_sphere(2)
-    g = cone(base)
     cmap = cone_chart_map(base)
-    back = fields.ChartMap(source=cmap.target, target=cmap.source,
-                           fwd=cmap.inv, inv=cmap.fwd)
+    back = fields.ChartMap(
+        source=cmap.target, target=cmap.source,
+        inv=lambda c: [1.0 / jets.sqrt(c[0] * c[0] + 1.0)] + list(c[1:]))
+    pT = np.array([0.45, 0.2, -0.3])
+    vals = pullback_field(cone(base), cmap).at(pT, order=1)[..., 0]
+    assert np.max(np.abs(vals - cone_in_t(base).values(pT))) < 1e-9
     p = np.array([1.4, 0.2, -0.3])
-    # push to T chart, then back; compare against original components
-    gT_field = TensorField(
-        chart=cmap.target, valence=(0, 2),
-        func=lambda coords: transform_tensor(g, cmap, [c.value for c in coords],
-                                             order=coords[0].order),
-        symmetric=True)
-    vals = transform_tensor(gT_field, back, p, order=1)[..., 0]
-    assert np.max(np.abs(vals - g.values(p))) < 1e-9
+    vals = pullback_field(cone_in_t(base), back).at(p, order=1)[..., 0]
+    assert np.max(np.abs(vals - cone(base).values(p))) < 1e-9
 
 
 def test_transform_connection_matches_direct_lc():
+    # Levi-Civita is natural: LC of the cone pulled back to the T chart is
+    # LC(cone_in_t)
     base = unit_sphere(2)
-    g_r = cone(base)
     cmap = cone_chart_map(base)
+    g_T = MetricField(cmap.target, pullback_field(cone(base), cmap).func)
     pT = np.array([0.45, 0.2, -0.3])
-    got = transform_connection(levi_civita(g_r), cmap, pT, order=0)[..., 0]
+    got = levi_civita(g_T).values(pT)
     want = levi_civita(cone_in_t(base)).values(pT)
     assert np.max(np.abs(got - want)) < 1e-9
 
@@ -588,23 +571,6 @@ def test_geodesic_great_circle_period():
         gv = g.values(row[:2])
         energies.append(row[2:] @ gv @ row[2:])
     assert np.max(np.abs(np.array(energies) - energies[0])) < 1e-6 * 2 * np.pi
-
-
-# -- symmetry debug mode -----------------------------------------------------------
-
-
-def test_debug_symmetry_catches_violation():
-    chart = Chart(names=("x", "y"), box=((-1, 1),) * 2)
-    bad = TensorField(chart=chart, valence=(0, 2),
-                      func=lambda c: jets.stack([[c[0] * 0.0, c[0] * 0.0 + 1.0],
-                                                 [c[0] * 0.0, c[0] * 0.0]]),
-                      symmetric=True, name="bad")
-    fields.DEBUG_SYMMETRY = True
-    try:
-        with pytest.raises(AssertionError):
-            bad.at((0.1, 0.2), order=0)
-    finally:
-        fields.DEBUG_SYMMETRY = False
 
 
 # -- stacked kernels against the per-component loops -------------------------------

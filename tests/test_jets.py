@@ -462,9 +462,10 @@ def test_single_point_mul_is_the_two_bincount_product(num_vars, order):
 
 
 # JetAlgebra.contract specs of src/: fields (inverse, Levi-Civita, Ricci,
-# nabla, slot contractions, transform_connection), paracx (J, Libermann,
+# nabla), paracx (the pullback's slot contractions, J, Libermann,
 # Nijenhuis, the para-c-projective change, theta, h), catalog, tractor and
-# jets.scale
+# jets.scale; cab,am->cmb, cmb,bn->cmn and gc,cmn->gmn, the chart change
+# of a connection's coefficients, stay as further inputs
 CONTRACT_SPECS = (
     "ij,jk->ik", "kl,pl->kp", "aae,edb->bd", "ade,eab->bd", "ace,e->ca",
     "ace,eb->cab", "eca,eb->cab", "ecb,ae->cab", "a,ay->y", "ab,ay->yb",

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
+import oracles
 import projcomp.jets as jets
 from projcomp import cli, fields, paracx
 from projcomp.catalog import (Poly, ProjectiveStructure, dm_boundary_chart,
                               dm_boundary_map, dm_metric,
                               projective_change_structure,
                               random_projective_structure, random_upsilon)
-from projcomp.compactify import CompactificationSpec, extend_to_boundary
+from projcomp.compactify import (CompactificationSpec, extend_to_boundary,
+                                 upsilon_from_defining)
 from projcomp.fields import TensorField, covariant_derivative, levi_civita
 from projcomp.paracx import (LEVI_BRIDGE, ParaCompatibilityError,
                              boundary_data, boundary_h_closed,
@@ -69,8 +71,7 @@ def test_j_rejects_incompatible_pair():
                           [c[0] * 0.0] * 4,
                           [c[0] * 0.0, c[0] * 0.0, c[0] + 2.0, c[0] * 0.0],
                           [c[0] * 0.0, -(c[0] + 2.0), c[0] * 0.0, c[0] * 0.0],
-                          [c[0] * 0.0] * 4]),
-                      antisymmetric=True)
+                          [c[0] * 0.0] * 4]))
     with pytest.raises(ParaCompatibilityError):
         j_from_g_omega(g, bad, probe=[0.3, 0.4, 0.5, 0.6])
 
@@ -160,7 +161,7 @@ def test_libermann_preserves_g_and_j():
     g, om = dm_metric(ps)
     J = j_from_g_omega(g, om, probe=[0.3, 0.4, 0.5, 0.6])
     lib = libermann(g, om)
-    gt = TensorField(chart=g.chart, valence=(0, 2), func=g.func, symmetric=True)
+    gt = TensorField(chart=g.chart, valence=(0, 2), func=g.func)
     ng = covariant_derivative(lib, gt)
     nj = covariant_derivative(lib, J)
     rng = np.random.default_rng(5)
@@ -895,7 +896,7 @@ def _bundle(n):
 def test_boundary_kernels_match_component_loops(n, order):
     ps, (gb, omb, jb, chart), p = _bundle(n)
     t = boundary_t_coordinate
-    ups = paracx.half_dlog_t(chart)
+    ups = upsilon_from_defining(chart, lambda c: c[0], 2.0)
     lib = libermann(gb, omb)
     pairs = [(jb, _j_loops(gb, omb)),
              (nijenhuis(jb), _nijenhuis_loops(jb)),
@@ -910,6 +911,29 @@ def test_boundary_kernels_match_component_loops(n, order):
     coords = chart.seed(p, order)
     for got, want in pairs:
         _assert_jets_close(got.func(coords), want.func(coords))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_connection_extension_one_form_is_dT_over_2T(n):
+    # the dT/(2T) of connection-extension is bitwise the formula it replaced
+    chart = dm_boundary_chart(n)
+    ups = upsilon_from_defining(chart, boundary_t_coordinate, 2.0)
+    old = oracles.half_dlog_t(chart.dim)
+    P = chart.sample(np.random.default_rng(6), 3)
+    for order in range(4):
+        for p in (P[0], P):
+            coords = jets.seed_point(p, order)
+            assert np.array_equal(ups.func(coords), old(coords))
+
+
+def test_memoized_inverse_map_jets_are_read_only():
+    inv = fields._memo(dm_boundary_map(2).inv)
+    p = dm_boundary_chart(2).sample(np.random.default_rng(8), 1)[0]
+    xs = inv(jets.seed_point(p, 2))
+    assert inv(jets.seed_point(p, 2)) is xs
+    for x in xs:
+        with pytest.raises(ValueError):
+            x.c[0] = 0.0
 
 
 def test_boundary_pair_pulled_back_together_matches_separate_pullbacks():
