@@ -896,7 +896,7 @@ def _bundle(n):
 def test_boundary_kernels_match_component_loops(n, order):
     ps, (gb, omb, jb, chart), p = _bundle(n)
     t = boundary_t_coordinate
-    ups = upsilon_from_defining(chart, lambda c: c[0], 2.0)
+    ups = upsilon_from_defining(chart, t, 2.0)
     lib = libermann(gb, omb)
     pairs = [(jb, _j_loops(gb, omb)),
              (nijenhuis(jb), _nijenhuis_loops(jb)),
