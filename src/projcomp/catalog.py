@@ -28,7 +28,7 @@ import numpy as np
 
 from . import jets
 from .fields import (Chart, ChartMap, ConnectionField, MetricField,
-                     TensorField, _memo, projective_schouten)
+                     TensorField, _lift, _memo, projective_schouten)
 from .jets import Jet
 
 __all__ = [
@@ -427,12 +427,9 @@ def warped(wp: WarpedPair):
                              wp.gamma.func(coords[1:]))
 
     def upsfunc(coords):
-        o = coords[0].order
-        up = jets.reseed(coords, o + 1)
-        fv = wp.f(up[0])
-        fprime = fv.deriv(0)
-        den = 1.0 + k * fv.truncate(o)
-        u_r = fprime * (-k * 0.5) / den
+        fv, dfv = _lift(lambda c: wp.f(c[0]).c, coords)
+        alg = coords[0].alg
+        u_r = Jet(alg, dfv[0]) * (-k * 0.5) / (1.0 + k * Jet(alg, fv))
         zero = coords[0] * 0.0
         return jets.stack([u_r] + [zero] * m)
 

@@ -351,9 +351,9 @@ class _Cone(Scenario):
     @_check("extension", "changed connection extends to the T = 0 boundary", 1e-6)
     def extension(self, tol, rng):
         tps = self.points(self.base.chart, min(self.count, 6))
-        v = compactify.extend_to_boundary(self.changed.func, self.spec, tps,
-                                          tolerance=tol,
-                                          closed_form=self.lc_bar.values)
+        v = compactify.extend_to_boundary(
+            self.changed.func, self.spec, tps, tolerance=tol,
+            want=self.lc_bar.values(compactify.at_boundary(tps)))
         return _extension_record(v, len(tps), {"max_limit": v.max_limit,
                                                "detail": v.detail})
 
@@ -460,7 +460,7 @@ class _EH(Scenario):
     @_check("metricity")
     def metricity(self, tol, rng):
         pts = self.points(self.gT.chart, min(self.count, 4))
-        v = compactify.metricity_check(self.changed, pts)
+        v = compactify.metricity_check(self.changed, pts, tolerance=tol)
         status = "inconclusive" if v.status == "inconclusive" else "fail"
         return status, v.residual, len(pts), {"verdict": v.status}
 
@@ -549,7 +549,7 @@ class _DM(Scenario):
             "h (C = 1/4)", 1e-6)
     def cg_form(self, tol, rng):
         tps = self.spec.boundary_points(rng, min(self.count, 5))
-        out = paracx.cg_form_check(self.ps, self.boundary, self.spec, tps)
+        out = paracx.cg_form_check(self.ps, self.boundary, self.spec, tps, tol)
         resid = max(out["h_closed_form_residual"],
                     out["theta_closed_form_residual"])
         ok = (out["h_extension"].passed and out["h_boundary_match"].passed

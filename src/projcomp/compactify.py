@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from . import jets
 from .fields import (Chart, ConnectionField, MetricField, TensorField,
-                     SingularMetricError, _weyl, levi_civita, ricci_field,
-                     riemann)
+                     SingularMetricError, _lift, _weyl, levi_civita,
+                     ricci_field, riemann)
 
 __all__ = [
     "CompactificationSpec",
@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 DEFAULT_LADDER = (1e-2, 1e-3, 1e-4)
+SHRINK_FACTOR = 5.0  # required decay of successive rung differences
+FINITE_BOUND = 1e8   # largest certified limit, and largest dT^2 coefficient
 
 
 @dataclass
@@ -63,8 +65,6 @@ class CompactificationSpec:
     chart: Chart                 # chart whose coordinate 0 is T
     alpha: float = 1.0
     ladder: tuple = DEFAULT_LADDER
-    shrink_factor: float = 5.0   # required decay of successive differences
-    finite_bound: float = 1e8
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -85,10 +85,8 @@ class ExtensionVerdict:
     passed: bool
     limits: np.ndarray          # (P,) + shape: each tangent point's certified
                                 # boundary components (best rung pair)
-    agreement: float            # worst best-pair rung agreement gap
-    max_ratio: float            # worst late/early difference ratio
+    agreement: float            # worst rung agreement gap or want distance
     max_limit: float
-    tolerance: float
     detail: str = ""
 
 
@@ -105,13 +103,12 @@ def upsilon_from_defining(chart: Chart, t_func: Callable, alpha: float) -> Tenso
         raise ValueError("alpha must be positive")
 
     def func(coords):
-        o = coords[0].order
-        up = jets.reseed(coords, o + 1)
-        T = t_func(up)
-        if np.any(T.value == 0.0):
+        T, dT = _lift(lambda c: t_func(c).c, coords)
+        if np.any(T[..., 0] == 0.0):
             raise ZeroDivisionError("Upsilon undefined where T = 0")
-        scale = 1.0 / (alpha * T.truncate(o))
-        return jets.stack([T.deriv(a) * scale for a in range(len(coords))])
+        alg = coords[0].alg
+        scale = 1.0 / (alpha * jets.Jet(alg, T))
+        return jets.stack([jets.Jet(alg, d) * scale for d in dT])
 
     return TensorField(chart=chart, valence=(0, 1), func=func, name="dT/(aT)")
 
@@ -158,10 +155,10 @@ def ladder_verdict(rungs: np.ndarray, spec: CompactificationSpec,
     """Certify the (P, R) + shape extrapolations of extrapolate_ladder.
 
     Passes iff every point's extrapolations are finite and, per component,
-    successive rung differences shrink by the configured factor (or are
-    already below tolerance), and (optionally) the certified limits match
-    want, the (P,) + shape boundary values, componentwise.  The detail
-    names the last failing tangent point.
+    successive rung differences shrink by SHRINK_FACTOR (or are already
+    below tolerance), and (optionally) the certified limits match want, the
+    boundary values broadcast against the (P,) + shape limits,
+    componentwise.  The detail names the last failing tangent point.
     """
     P, R = rungs.shape[:2]
     shape = rungs.shape[2:]
@@ -192,17 +189,15 @@ def ladder_verdict(rungs: np.ndarray, spec: CompactificationSpec,
         converged |= prefix_ok & (diffs[:, k] <= tolerance)
         if k + 2 < R:
             prefix_ok &= diffs[:, k + 1] <= np.maximum(
-                diffs[:, k] / spec.shrink_factor, tolerance)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(diffs[:, 0] > 1e-14, diffs[:, -1] / diffs[:, 0], 0.0)
+                diffs[:, k] / SHRINK_FACTOR, tolerance)
     agreement = np.max(best, axis=1)
     dev = np.zeros(P)
     if want is not None:
-        want = np.asarray(want, dtype=float).reshape(P, -1)
+        want = np.broadcast_to(want, (P,) + shape).reshape(P, -1)
         with np.errstate(invalid="ignore"):
             dev = np.where(finite, np.max(np.abs(limits - want), axis=1), 0.0)
         agreement = np.maximum(agreement, dev)
-    no_convergence = (~converged).any(axis=1) | (point_max > spec.finite_bound)
+    no_convergence = (~converged).any(axis=1) | (point_max > FINITE_BOUND)
     failing = ~finite | no_convergence | (dev > tolerance)
 
     detail = ""
@@ -211,7 +206,7 @@ def ladder_verdict(rungs: np.ndarray, spec: CompactificationSpec,
         if not finite[p]:
             detail = "non-finite extrapolation"
         elif dev[p] > tolerance:
-            detail = f"boundary mismatch vs closed form: {dev[p]:.3e}"
+            detail = f"boundary mismatch: {dev[p]:.3e} from the wanted value"
         else:
             c = int(np.argmax(best[p]))
             k = tuple(int(i) for i in np.unravel_index(c, shape))
@@ -220,29 +215,24 @@ def ladder_verdict(rungs: np.ndarray, spec: CompactificationSpec,
     return ExtensionVerdict(passed=not failing.any(),
                             limits=limits.reshape((P,) + shape),
                             agreement=float(np.max(agreement)),
-                            max_ratio=float(np.max(ratios)),
-                            max_limit=float(np.max(point_max)),
-                            tolerance=tolerance, detail=detail)
+                            max_limit=float(np.max(point_max)), detail=detail)
 
 
 def extend_to_boundary(component_fn: Callable, spec: CompactificationSpec,
-                       tangent_points, tolerance: float = 1e-6,
-                       closed_form: Optional[Callable] = None,
+                       tangent_points, tolerance: float = 1e-6, want=None,
                        order: int = 3) -> ExtensionVerdict:
     """Certify that jet-evaluable components extend to T = 0.
 
     component_fn(coords) -> stacked (..., B, S) jets; evaluated once on the
     batch of every ladder rung above every tangent point and
     Taylor-extrapolated back to T = 0 (extrapolate_ladder), then certified
-    point by point (ladder_verdict).  closed_form, if given, maps the
-    (P, dim) tangent points at T = 0 (T in slot 0) to the (P,) + shape
-    boundary values the limits must match, as a field's values() does.
+    point by point, against the boundary values want if given
+    (ladder_verdict; a field's values(at_boundary(tangent_points)), say).
     The verdict's limits have shape (P,) + component shape.
     """
-    tps = np.atleast_2d(np.asarray(tangent_points, dtype=float))
-    want = None if closed_form is None else closed_form(at_boundary(tps))
-    return ladder_verdict(extrapolate_ladder(component_fn, spec, tps, order),
-                          spec, tolerance, want)
+    return ladder_verdict(
+        extrapolate_ladder(component_fn, spec, tangent_points, order),
+        spec, tolerance, want)
 
 
 def match_boundary_constant(g: MetricField, spec: CompactificationSpec,
@@ -268,19 +258,16 @@ def asymptotic_form_check(g: MetricField, spec: CompactificationSpec,
     """
     tangent_points = np.atleast_2d(np.asarray(tangent_points, dtype=float))
     C = match_boundary_constant(g, spec, tangent_points[0])
-    if not math.isfinite(C) or abs(C) > spec.finite_bound:
+    if not math.isfinite(C) or abs(C) > FINITE_BOUND:
         raise SingularMetricError(
             f"no finite dT^2 coefficient at this order: C estimate {C:.3e} "
             "(wrong alpha)")
-    two_over = 2.0 / spec.alpha
-
-    def _tpow(T, e: float):
-        return T ** int(round(e)) if abs(e - round(e)) < 1e-12 else jets.powc(T, e)
+    k = round(2.0 / spec.alpha)  # an integer, by CompactificationSpec
 
     def hfunc(coords):
         T = coords[0]
-        H = jets.scale(_tpow(T, two_over), g.func(coords))
-        H[0, 0] -= jets.stack(C * _tpow(T, two_over - 4.0 / spec.alpha))
+        H = jets.scale(T ** k, g.func(coords))
+        H[0, 0] -= jets.stack(C * T ** -k)
         return H
 
     h = TensorField(chart=g.chart, valence=(0, 2), func=hfunc,

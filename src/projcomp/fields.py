@@ -19,10 +19,10 @@ point and evaluate every point in one call.  Float results for a batch,
 (B,) + tensor shape, as np.linalg expects; a single point keeps the tensor
 shape.
 
-Derived fields (Levi-Civita coefficients, Ricci, Schouten, ...) re-seed the
-coordinates internally at a higher jet order, so a caller always receives
-components exact to the order it asked for.  Truncation is a slice of the
-last axis, a derivative a gather on it, and a contraction
+Derived fields (Levi-Civita coefficients, Ricci, Schouten, ...) take each
+derivative one way, by _lift, one jet order up, so a caller always
+receives components exact to the order it asked for.  Truncation is a
+slice of the last axis, a derivative a gather on it, and a contraction
 JetAlgebra.contract; a leaf formula computes with scalar Jets and ends with
 one jets.stack.
 
@@ -231,6 +231,17 @@ def _grad(alg, A: np.ndarray) -> np.ndarray:
     return np.stack([A[..., src] * fac for src, _, fac in alg._deriv])
 
 
+def _lift(func: Callable, coords) -> tuple:
+    """(F, dF): the stacked components of func at the basepoint of coords,
+    evaluated once one jet order up, sliced to coords' order, and their
+    gradient dF[a, ...] = d_a F, exact to the same order.  Every derivative
+    of a field is taken here."""
+    o = coords[0].order
+    up = jets.reseed(coords, o + 1)
+    F = func(up)
+    return F[..., :jets.algebra(len(coords), o).size], _grad(up[0].alg, F)
+
+
 # Largest condition number, after each row is scaled to unit max-norm, of a
 # value matrix treated as invertible: relative, so neither a uniform scale
 # (1e-14 I) nor a few large rows (g_TT ~ 1e16 near T = 0) look singular.
@@ -280,14 +291,10 @@ def levi_civita(g: MetricField) -> ConnectionField:
     i, j = np.triu_indices(n)
 
     def func(coords):
-        o = coords[0].order
-        up = jets.reseed(coords, o + 1)
-        G = g.func(up)
-        alg = jets.algebra(n, o)
-        dG = _grad(up[0].alg, G)  # dG[a, b, c] = d_a g_bc
+        alg = jets.algebra(n, coords[0].order)
+        G, dG = _lift(g.func, coords)  # dG[a, b, c] = d_a g_bc
         low = dG[i, j] + dG[j, i] - dG[:, i, j].swapaxes(0, 1)  # low[p, l]
-        half = 0.5 * alg.contract("kl,pl->kp",
-                                  g.inverse(alg, G[..., :alg.size]), low)
+        half = 0.5 * alg.contract("kl,pl->kp", g.inverse(alg, G), low)
         gamma = np.empty((n, n, n) + half.shape[2:])
         gamma[:, i, j] = gamma[:, j, i] = half
         return gamma
@@ -334,15 +341,11 @@ def ricci_field(conn: ConnectionField) -> TensorField:
     n = conn.chart.dim
 
     def func(coords):
-        o = coords[0].order
-        up = jets.reseed(coords, o + 1)
-        G = conn.func(up)
-        alg = jets.algebra(n, o)
-        dG = _grad(up[0].alg, G)  # dG[c, a, d, b] = d_c Gamma^a_db
-        Gt = G[..., :alg.size]
+        alg = jets.algebra(n, coords[0].order)
+        G, dG = _lift(conn.func, coords)  # dG[c, a, d, b] = d_c Gamma^a_db
         return (np.einsum("aadb...->bd...", dG) - np.einsum("daab...->bd...", dG)
-                + alg.contract("aae,edb->bd", Gt, Gt)
-                - alg.contract("ade,eab->bd", Gt, Gt))
+                + alg.contract("aae,edb->bd", G, G)
+                - alg.contract("ade,eab->bd", G, G))
 
     return TensorField(chart=conn.chart, valence=(0, 2), func=func,
                        name=f"Ric({conn.name})")
@@ -407,10 +410,8 @@ def covariant_derivative(conn: ConnectionField, field: TensorField) -> TensorFie
     r, s = field.valence
 
     def func(coords):
-        o = coords[0].order
-        alg = jets.algebra(n, o)
-        T = field.func(jets.reseed(coords, o + 1))
-        return _nabla(alg, conn.func(jets.reseed(coords, o)), T, r)
+        alg = jets.algebra(n, coords[0].order)
+        return _nabla(alg, conn.func(coords), *_lift(field.func, coords), r)
 
     return TensorField(chart=field.chart, valence=(r, s + 1), func=func,
                        name=f"D({field.name})")
@@ -422,13 +423,12 @@ def covariant_derivative(conn: ConnectionField, field: TensorField) -> TensorFie
 _SLOTS = "abdfghijklmnopqrstuvwx"
 
 
-def _nabla(alg, gamma: np.ndarray, T: np.ndarray, r: int) -> np.ndarray:
-    """Stacked nabla T, new slot first, from Gamma at alg's order and T one
-    order higher with its r upper slots first: d_c T, plus Gamma^i_ce T^..e..
-    for each upper slot i, minus Gamma^e_ci T_..e.. for each lower slot i,
-    one contraction per slot."""
-    out = _grad(jets.algebra(alg.num_vars, alg.order + 1), T)
-    T = T[..., :alg.size]
+def _nabla(alg, gamma: np.ndarray, T: np.ndarray, dT, r: int) -> np.ndarray:
+    """Stacked nabla T, new slot first, from Gamma and _lift's (T, dT), T's
+    r upper slots first: dT, plus Gamma^i_ce T^..e.. for each upper slot
+    i, minus Gamma^e_ci T_..e.. for each lower slot i, one contraction per
+    slot, each added into dT."""
+    out = dT
     idx = _SLOTS[:T.ndim - gamma.ndim + 3]  # T's slots: gamma has three
     for slot, i in enumerate(idx):
         swapped = idx.replace(i, "e")
@@ -449,9 +449,7 @@ def exterior_derivative(omega: TensorField) -> TensorField:
         raise ValueError("form degree exceeds chart dimension")
 
     def func(coords):
-        o = coords[0].order
-        up = jets.reseed(coords, o + 1)
-        dW = _grad(up[0].alg, omega.func(up))  # dW[a, ...] = d_a W
+        _, dW = _lift(omega.func, coords)  # dW[a, ...] = d_a W
         out = dW
         for j in range(1, k + 1):  # term j differentiates along slot j
             term = np.moveaxis(dW, 0, j)

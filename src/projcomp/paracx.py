@@ -42,7 +42,7 @@ import numpy as np
 
 from . import jets
 from .fields import (_SLOTS, ChartMap, ConnectionField, MetricField,
-                     TensorField, _grad, _inverse, _memo, _nabla,
+                     TensorField, _inverse, _lift, _memo, _nabla,
                      exterior_derivative, levi_civita)
 from .compactify import (CompactificationSpec, ExtensionVerdict, at_boundary,
                          extend_to_boundary, ladder_rows, ladder_verdict,
@@ -82,8 +82,8 @@ class ParaCompatibilityError(ValueError):
 
 
 def j_from_g_omega(g: MetricField, omega: TensorField, probe) -> TensorField:
-    """The endomorphism with Omega(X, Y) = g(JX, Y); fails loudly when no
-    index pairing of (g, Omega) yields an involution at the probe point."""
+    """The endomorphism J = g^-1 Omega, with Omega(X, Y) = g(JX, Y); raises
+    ParaCompatibilityError unless J^2 = Id at the probe point, within 1e-8."""
     n = g.chart.dim
 
     def func(coords):
@@ -96,9 +96,9 @@ def j_from_g_omega(g: MetricField, omega: TensorField, probe) -> TensorField:
     Jv = np.asarray(jf.values(probe))
     dev = np.max(np.abs(Jv @ Jv - np.eye(n)))
     if dev > 1e-8:
-        dev2 = np.max(np.abs((-Jv) @ (-Jv) - np.eye(n)))
         raise ParaCompatibilityError(
-            f"no index pairing yields J^2 = Id (residuals {dev:.2e}, {dev2:.2e})")
+            f"J = g^-1 Omega does not square to the identity at the probe: "
+            f"max |J^2 - Id| = {dev:.2e} > 1e-8")
     return jf
 
 
@@ -130,12 +130,11 @@ def libermann(g: MetricField, omega: TensorField) -> ConnectionField:
     conn_g = levi_civita(g)
 
     def func(coords):
-        o = coords[0].order
         alg = coords[0].alg
-        W = omega.func(jets.reseed(coords, o + 1))
+        W, dW = _lift(omega.func, coords)
         gamma = conn_g.func(coords)
-        DW = _nabla(alg, gamma, W, 0)  # DW[a, b, d] = nabla_a Omega_bd
-        Winv = _inverse(alg, W[..., :alg.size])
+        DW = _nabla(alg, gamma, W, dW, 0)  # DW[a, b, d] = nabla_a Omega_bd
+        Winv = _inverse(alg, W)
         return gamma - 0.5 * alg.contract("cd,abd->cab", Winv, DW)
 
     return ConnectionField(chart=g.chart, func=func,
@@ -148,13 +147,9 @@ def nijenhuis(jf: TensorField) -> TensorField:
     A^a_bc = J^d_b (d_d J^a_c - d_c J^a_d)."""
 
     def func(coords):
-        o = coords[0].order
         alg = coords[0].alg
-        up = jets.reseed(coords, o + 1)
-        J = jf.func(up)
-        dJ = _grad(up[0].alg, J)  # dJ[d, a, b] = d_d J^a_b
-        A = alg.contract("db,dac->abc", J[..., :alg.size],
-                         dJ - dJ.swapaxes(0, 2))
+        J, dJ = _lift(jf.func, coords)  # dJ[d, a, b] = d_d J^a_b
+        A = alg.contract("db,dac->abc", J, dJ - dJ.swapaxes(0, 2))
         return 0.5 * (A - A.swapaxes(1, 2))
 
     return TensorField(chart=jf.chart, valence=(1, 2), func=func,
@@ -189,10 +184,8 @@ def theta_field(g: MetricField, omega: TensorField, t_func: Callable) -> TensorF
     """theta_a = Omega_ac g^bc d_b T  (equivalently dT o J)."""
 
     def func(coords):
-        o = coords[0].order
         alg = coords[0].alg
-        up = jets.reseed(coords, o + 1)
-        dT = _grad(up[0].alg, t_func(up).c)
+        _, dT = _lift(lambda c: t_func(c).c, coords)
         grad = alg.contract("cb,b->c", g.inverse(alg, g.func(coords)), dT)
         return alg.contract("ac,c->a", omega.func(coords), grad)
 
@@ -208,16 +201,12 @@ def h_tc_field(g: MetricField, omega: TensorField, t_func: Callable,
     theta = theta_field(g, omega, t_func)
 
     def func(coords):
-        o = coords[0].order
         alg = coords[0].alg
-        up = jets.reseed(coords, o + 1)
-        T = t_func(up)
-        dT = _grad(up[0].alg, T.c)
-        T = T.truncate(o)
+        T, dT = _lift(lambda c: t_func(c).c, coords)
         th = theta.func(coords)
         sq = alg.contract("a,b->ab", dT, dT) - alg.contract("a,b->ab", th, th)
-        H = (alg.contract(",ab->ab", T.c, g.func(coords))
-             + alg.contract(",ab->ab", ((2.0 * C) / T).c, sq))
+        H = (alg.contract(",ab->ab", T, g.func(coords))
+             + alg.contract(",ab->ab", ((2.0 * C) / jets.Jet(alg, T)).c, sq))
         H[upper[1], upper[0]] = H[upper]  # exactly symmetric
         return H
 
@@ -246,15 +235,13 @@ def pullback_field(field: TensorField, cmap: ChartMap) -> TensorField:
     idx = _SLOTS[:r + s]
 
     def pulled(coords):
-        order = coords[0].order
-        ty = jets.seed_point(jets.base_point(coords), order + 1)
-        X = jets.stack(cmap.inv(ty))
-        alg = jets.algebra(len(ty), order)
-        Jac = _grad(ty[0].alg, X).swapaxes(0, 1)
+        alg = jets.algebra(len(coords), coords[0].order)
+        X, dX = _lift(lambda c: jets.stack(cmap.inv(c)), coords)
+        Jac = dX.swapaxes(0, 1)
         mats = [Jac] * s
         if r:
             mats = [_inverse(alg, Jac).swapaxes(0, 1)] * r + mats
-        T = field.func([jets.Jet(alg, x) for x in X[..., :alg.size]])
+        T = field.func([jets.Jet(alg, x) for x in X])
         for i, M in zip(idx, mats):
             T = alg.contract(f"{idx},{i}y->{idx.replace(i, 'y')}", T, M)
         return T
@@ -521,26 +508,24 @@ def contact_determinants(ps: ProjectiveStructure, tps) -> np.ndarray:
 
 def nijenhuis_tangential_check(bundle, spec: CompactificationSpec, tps,
                                tolerance: float = 1e-6) -> ExtensionVerdict:
-    """Extrapolated boundary value of N^a_bc d_a T (the T row of the
-    Nijenhuis tensor of the bundle's J in boundary coordinates) above tps."""
+    """Certify that N^a_bc d_a T (the T row of the Nijenhuis tensor of the
+    bundle's J in boundary coordinates) extends to T = 0 above tps with
+    boundary value 0, within tolerance."""
     N = nijenhuis(bundle[2])
 
     def t_row(coords):
         return N.func(coords)[0]
 
-    verdict = extend_to_boundary(t_row, spec, tps, tolerance=tolerance, order=2)
-    if verdict.passed and float(np.max(np.abs(verdict.limits))) > tolerance:
-        verdict.passed = False
-        verdict.detail = (f"boundary value {np.max(np.abs(verdict.limits)):.3e} "
-                          f"exceeds {tolerance:.1e}")
-    return verdict
+    return extend_to_boundary(t_row, spec, tps, tolerance=tolerance,
+                              want=0.0, order=2)
 
 
 def cg_form_check(ps: ProjectiveStructure, bundle, spec: CompactificationSpec,
-                  tps) -> dict:
-    """The h/theta part of the boundary certification: h_{T,1/4} extends to
-    T = 0, h and theta match their closed forms on interior slices, and the
-    boundary value of h matches the closed form at T = 0.
+                  tps, tolerance: float) -> dict:
+    """The h/theta part of the boundary certification, to tolerance:
+    h_{T,1/4} extends to T = 0, h and theta match their closed forms on
+    interior slices, and the boundary value of h matches the closed form
+    at T = 0.
 
     Returns the sub-results h_extension, h_closed_form_residual,
     theta_closed_form_residual and h_boundary_match.  bundle is the
@@ -563,13 +548,13 @@ def cg_form_check(ps: ProjectiveStructure, bundle, spec: CompactificationSpec,
     theta = theta_field(gb, omb, boundary_t_coordinate).values(slices)
     return {
         # h_{T,1/4} extends, and matches the closed form on interior slices
-        "h_extension": ladder_verdict(rungs, spec, tolerance=1e-6),
+        "h_extension": ladder_verdict(rungs, spec, tolerance),
         "h_closed_form_residual": float(np.max(np.abs(
             np.moveaxis(h_rows[..., rows, 0], -1, 0) - h_closed[:len(rows)]))),
         # theta matches its closed form
         "theta_closed_form_residual": float(np.max(np.abs(
             theta - boundary_theta_closed(ps).values(slices)))),
         # boundary value of h against the boundary closed form at T = 0
-        "h_boundary_match": ladder_verdict(rungs[:3], spec, tolerance=1e-6,
+        "h_boundary_match": ladder_verdict(rungs[:3], spec, tolerance,
                                            want=h_closed[len(rows):]),
     }

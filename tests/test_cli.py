@@ -228,7 +228,8 @@ def test_cg_form_record_matches_cg_form_check():
     spec = compactify.CompactificationSpec(chart=bundle[3],
                                            ladder=compactify.DEFAULT_LADDER)
     out = paracx.cg_form_check(
-        ps, bundle, spec, spec.boundary_points(point_rng(8, "dm", 10_000), 3))
+        ps, bundle, spec, spec.boundary_points(point_rng(8, "dm", 10_000), 3),
+        rec["tolerance"])
     resid = max(out["h_closed_form_residual"],
                 out["theta_closed_form_residual"])
     ok = (out["h_extension"].passed and out["h_boundary_match"].passed
@@ -238,6 +239,40 @@ def test_cg_form_record_matches_cg_form_check():
     assert rec["constants"] == {
         "h_extension": out["h_extension"].passed,
         "h_boundary_match": out["h_boundary_match"].passed}
+
+
+def test_cg_form_certifies_to_the_scenario_tolerance(monkeypatch):
+    # a tolerances override reaches both of cg-form's ladder verdicts
+    handed = []
+    real = paracx.ladder_verdict
+
+    def recording(rungs, spec, tolerance, **kwargs):
+        handed.append(tolerance)
+        return real(rungs, spec, tolerance, **kwargs)
+
+    monkeypatch.setattr(paracx, "ladder_verdict", recording)
+    sc = {"id": "dm", "catalog": "dm-flat", "params": {"n": 2},
+          "checks": ["cg-form"], "points": 2, "seed": 8,
+          "tolerances": {"cg-form": 3e-6}}
+    rec = run_manifest({"scenarios": [sc]})["scenarios"][0]["records"][0]
+    assert rec["status"] == "pass" and rec["tolerance"] == 3e-6
+    assert handed == [3e-6, 3e-6]
+
+
+def test_eh_metricity_reads_the_scaled_tolerance(monkeypatch):
+    handed = []
+    real = compactify.metricity_check
+
+    def recording(conn, points, tolerance):
+        handed.append(tolerance)
+        return real(conn, points, tolerance)
+
+    monkeypatch.setattr(compactify, "metricity_check", recording)
+    sc = {"id": "eh", "catalog": "eh", "checks": ["metricity"], "points": 2,
+          "seed": 1}
+    rec = run_manifest({"scenarios": [sc]}, tol_scale=10.0)
+    assert handed == [rec["scenarios"][0]["records"][0]["tolerance"]]
+    assert math.isclose(handed[0], 1e-6)
 
 
 @pytest.mark.parametrize("cat,params", [

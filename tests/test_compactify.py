@@ -5,12 +5,12 @@ import pytest
 
 import projcomp.jets as jets
 from projcomp import compactify, fields
-from projcomp.catalog import (EHParams, compactified_cone, cone, cone_in_t,
-                              eguchi_hanson, eh_compactified, flat_spherical,
-                              split_signature_flat, unit_sphere, warped,
-                              WarpedPair)
+from projcomp.catalog import (EHParams, compactified_cone, cone_in_t,
+                              eh_compactified, flat_spherical, unit_sphere,
+                              warped, WarpedPair)
 from projcomp.compactify import (CompactificationSpec, SingularMetricError,
-                                 asymptotic_form_check, extend_to_boundary,
+                                 asymptotic_form_check, at_boundary,
+                                 extend_to_boundary,
                                  extrapolate_ladder, ladder_verdict,
                                  match_boundary_constant, metricity_check,
                                  upsilon_from_defining)
@@ -96,7 +96,7 @@ def test_cone_extension_matches_closed_form():
     lc_bar = levi_civita(gbar)
     v = extend_to_boundary(
         changed.func, spec, tps, tolerance=1e-6,
-        closed_form=lc_bar.values)
+        want=lc_bar.values(at_boundary(tps)))
     assert v.passed and v.agreement < 1e-6
 
 
@@ -285,6 +285,28 @@ def test_ladder_verdict_names_the_last_failing_point():
     assert not v.passed and v.detail.startswith("boundary mismatch")
     assert abs(v.agreement - 1.0) < 1e-8
     assert ladder_verdict(np.array([good, good]), spec, want=[[2.0]] * 2).passed
+    # a scalar or a component-shaped want holds at every point
+    assert ladder_verdict(np.array([good, good]), spec, want=2.0).passed
+    assert ladder_verdict(np.array([good, good]), spec, want=[2.0]).passed
+    v = ladder_verdict(np.array([good, good]), spec, want=0.0)
+    assert not v.passed and v.detail.startswith("boundary mismatch")
+    assert v.agreement == 2.0 + 1e-9
+
+
+@pytest.mark.parametrize("want,passed", [
+    (None, True), (0.0, False), (1e-3, True), ([1e-3, 1e-3], True),
+    ([1e-3, 0.0], False)])
+def test_extension_compares_its_limits_with_want(want, passed):
+    chart = fields.Chart(names=("T", "u"), box=((0.01, 0.5), (-1, 1)))
+
+    def func(coords):  # the constant 1e-3 in every component
+        return jets.stack([coords[0] * 0.0 + 1e-3] * 2)
+
+    spec = CompactificationSpec(chart=chart)
+    v = extend_to_boundary(func, spec, [(0.2,), (-0.3,)], tolerance=1e-6,
+                           want=want)
+    assert v.passed == passed
+    assert v.detail.startswith("boundary mismatch") != passed
 
 
 def test_asymptotic_form_checks_every_tangent_point():

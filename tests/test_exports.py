@@ -69,3 +69,54 @@ def test_every_test_only_export_names_what_it_serves():
     silent = [name for name, doc in _unused_exports().items()
               if "serves" not in doc.lower()]
     assert not silent
+
+
+SOURCES = sorted(Path(projcomp.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES + TESTS,
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_module_imports_a_name_it_never_uses(path):
+    tree = ast.parse(path.read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert not bound - used - set(_exports(tree))
+
+
+def _outside_lift(pred) -> list:
+    """module:line of every node of the package that pred accepts, outside
+    the body of fields._lift."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        inside = {id(n) for lift in tree.body if path.stem == "fields"
+                  and getattr(lift, "name", None) == "_lift"
+                  for n in ast.walk(lift)}
+        found += [f"{path.stem}:{n.lineno}" for n in ast.walk(tree)
+                  if pred(n) and id(n) not in inside]
+    return found
+
+
+def _one_order_up(node) -> bool:
+    """A call reseed(coords, <order> + 1) or seed_point(point, <order> + 1),
+    the order given either way."""
+    if not (isinstance(node, ast.Call)
+            and {"reseed", "seed_point"} & _names_used(node.func)):
+        return False
+    order = node.args[1:] + [k.value for k in node.keywords if k.arg == "order"]
+    return any(isinstance(o, ast.BinOp) and isinstance(o.op, ast.Add)
+               and getattr(o.right, "value", None) == 1 for o in order)
+
+
+def test_every_derivative_is_taken_by_lift():
+    # the gradient gather and the seeding one order up live in fields._lift
+    assert not _outside_lift(lambda n: "_grad" in _names_used(n)
+                             and isinstance(n, (ast.Name, ast.Attribute)))
+    assert not _outside_lift(_one_order_up)
+    assert callable(fields._lift)

@@ -9,7 +9,7 @@ from projcomp.catalog import (EHParams, ProjectiveStructure, dm_metric,
                               eguchi_hanson, flat_spherical, cone,
                               cone_chart_map, cone_in_t, projective_change_structure,
                               random_projective_structure, random_upsilon,
-                              unit_sphere, upsilon_field)
+                              unit_sphere)
 from projcomp.fields import (Chart, MetricField, SingularMetricError,
                              TensorField, covariant_derivative,
                              einstein_residual, exterior_derivative,
@@ -18,7 +18,7 @@ from projcomp.fields import (Chart, MetricField, SingularMetricError,
                              riemann)
 from projcomp.paracx import pullback_field
 
-from oracles import (fd_christoffel, fd_ricci, fd_riemann,
+from oracles import (fd_christoffel, fd_riemann,
                      fd_einstein_constant, geodesic_rhs, rk4)
 
 

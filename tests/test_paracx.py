@@ -6,7 +6,7 @@ import pytest
 import oracles
 import projcomp.jets as jets
 from projcomp import cli, fields, paracx
-from projcomp.catalog import (Poly, ProjectiveStructure, dm_boundary_chart,
+from projcomp.catalog import (ProjectiveStructure, dm_boundary_chart,
                               dm_boundary_map, dm_metric,
                               projective_change_structure,
                               random_projective_structure, random_upsilon)
