@@ -10,10 +10,9 @@ from projcomp.catalog import (EHParams, compactified_cone, cone_in_t,
                               warped, WarpedPair)
 from projcomp.compactify import (CompactificationSpec, SingularMetricError,
                                  asymptotic_form_check, at_boundary,
-                                 extend_to_boundary,
-                                 extrapolate_ladder, ladder_verdict,
-                                 match_boundary_constant, metricity_check,
-                                 upsilon_from_defining)
+                                 extend_to_boundary, extrapolate_ladder,
+                                 ladder_verdict, match_boundary_constant,
+                                 metricity_check, upsilon_from_defining)
 from projcomp.fields import (MetricField, levi_civita, projective_change,
                              TensorField)
 

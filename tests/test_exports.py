@@ -1,8 +1,10 @@
 """Each module's __all__ names exactly its public top-level functions and
 classes, every exported name that no other code of the package uses says
-in its docstring what it serves, and the certification checks take their
-points: no public function of compactify or paracx draws them from an rng
-and a count."""
+in its docstring what it serves, the certification checks take their
+points (no public function of compactify or paracx draws them from an rng
+and a count), no module of the package or the tests imports a name it
+never uses, and every derivative of the package is taken by
+fields._lift."""
 
 import ast
 import inspect
