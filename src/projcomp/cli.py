@@ -872,13 +872,32 @@ def _scenario_worker(args):
 
 
 def serialize_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 # -- CLI ------------------------------------------------------------------------
 
 
+def _run_options(args) -> tuple:
+    """(jobs, tol_scale) of a run: --jobs, else PROJCOMP_JOBS, else 1, and
+    a finite --tol-scale > 0; anything else raises ValueError."""
+    env = os.environ.get("PROJCOMP_JOBS", "1")
+    try:
+        jobs = int(env) if args.jobs is None else args.jobs
+    except ValueError:
+        raise ValueError(f"PROJCOMP_JOBS must be an integer, got {env!r}") from None
+    if not (math.isfinite(args.tol_scale) and args.tol_scale > 0):
+        raise ValueError(
+            f"--tol-scale must be a finite number > 0, got {args.tol_scale}")
+    return jobs, args.tol_scale
+
+
 def _cmd_run(args) -> int:
+    try:
+        jobs, tol_scale = _run_options(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.manifest == "paper-suite":
         manifest = builtin_manifest()
     else:
@@ -889,14 +908,17 @@ def _cmd_run(args) -> int:
             print(f"error: cannot read manifest: {exc}", file=sys.stderr)
             return 2
     try:
-        report = run_manifest(manifest, jobs=args.jobs, tol_scale=args.tol_scale)
+        report = run_manifest(manifest, jobs=jobs, tol_scale=tol_scale)
     except ManifestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = serialize_report(report)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(serialize_report(report))
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 2
     for res in report["scenarios"]:
         for rec in res["records"]:
             resid = rec["max_residual"]
@@ -957,8 +979,8 @@ def main(argv=None) -> int:
                        help="manifest path, or 'paper-suite' for the built-in suite")
     p_run.add_argument("--report", help="write the JSON report here")
     p_run.add_argument("--jobs", type=int,
-                       default=int(os.environ.get("PROJCOMP_JOBS", "1")),
-                       help="parallel scenario workers (env PROJCOMP_JOBS)")
+                       help="parallel scenario workers (default: env "
+                            "PROJCOMP_JOBS, else 1)")
     p_run.add_argument("--tol-scale", type=float, default=1.0,
                        help="multiply every tolerance by this factor")
     p_run.set_defaults(func=_cmd_run)

@@ -16,7 +16,12 @@ one JetAlgebra.eval_shift takes every row to T = 0 by its own shift
 (shift_ladder).  The verdict logic then reads the (P, R) + shape array,
 and an ExtensionVerdict's limits hold every tangent point, (P,) + shape.
 The dT^2 coefficient C of the asymptotic form is read from such a ladder
-too, at its deepest rung (match_boundary_constant).  Every check takes its
+too, at its deepest rung (match_boundary_constant).  The shift moves only
+T, so only pure-T coefficients reach a verdict: rows are seeded as T-line
+jets (transverse bound D = 0, see jets), and fields._lift raises D by one
+with each derivative it takes, as deep as the nested derivatives read.
+Each kept coefficient is summed as in full jets, so the rows are bitwise
+the full ladder's pure-T coefficients.  Every check takes its
 points; the caller draws them (CompactificationSpec.boundary_points).
 
 Conventions: the charts handled here carry the defining function T as
@@ -127,7 +132,7 @@ def ladder_rows(component_fn: Callable, spec: CompactificationSpec,
     R = len(spec.ladder)
     points = np.concatenate([np.tile(spec.ladder, len(tps))[:, None],
                              np.repeat(tps, R, axis=0)], axis=1)
-    return component_fn(jets.seed_point(points, order))
+    return component_fn(jets.seed_point(points, order, 0))
 
 
 def shift_ladder(C: np.ndarray, spec: CompactificationSpec,
@@ -137,7 +142,7 @@ def shift_ladder(C: np.ndarray, spec: CompactificationSpec,
     R = len(spec.ladder)
     to_zero = np.zeros((C.shape[-2], spec.chart.dim))
     to_zero[:, 0] = -np.tile(spec.ladder, C.shape[-2] // R)
-    rows = jets.algebra(spec.chart.dim, order).eval_shift(C, to_zero)
+    rows = jets.algebra(spec.chart.dim, order, 0).eval_shift(C, to_zero)
     return np.moveaxis(rows, -1, 0).reshape((-1, R) + rows.shape[:-1])
 
 

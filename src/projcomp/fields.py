@@ -20,10 +20,10 @@ point and evaluate every point in one call.  Float results for a batch,
 shape.
 
 Derived fields (Levi-Civita coefficients, Ricci, Schouten, ...) take each
-derivative one way, by _lift, one jet order up, so a caller always
-receives components exact to the order it asked for.  Truncation is a
-slice of the last axis, a derivative a gather on it, and a contraction
-JetAlgebra.contract; a leaf formula computes with scalar Jets and ends with
+derivative one way, by _lift, one jet order (and transverse degree) up,
+so a caller receives components exact in the algebra it seeded.
+Truncation and a derivative are gathers on the last axis, a contraction
+is JetAlgebra.contract; a leaf formula computes with scalar Jets and ends with
 one jets.stack.
 
 A field of any valence moves to another chart one way, by
@@ -233,13 +233,14 @@ def _grad(alg, A: np.ndarray) -> np.ndarray:
 
 def _lift(func: Callable, coords) -> tuple:
     """(F, dF): the stacked components of func at the basepoint of coords,
-    evaluated once one jet order up, sliced to coords' order, and their
-    gradient dF[a, ...] = d_a F, exact to the same order.  Every derivative
-    of a field is taken here."""
-    o = coords[0].order
-    up = jets.reseed(coords, o + 1)
+    evaluated once one jet order and one transverse degree up, gathered
+    back to coords' algebra, and their gradient dF[a, ...] = d_a F, exact
+    in the same algebra.  Every derivative of a field is taken here, and
+    only here does a T-line algebra's bound D rise (see jets)."""
+    alg = coords[0].alg
+    up = jets.reseed(coords, alg.order + 1, alg.transverse + 1)
     F = func(up)
-    return F[..., :jets.algebra(len(coords), o).size], _grad(up[0].alg, F)
+    return F[..., up[0].alg._down], _grad(up[0].alg, F)
 
 
 # Largest condition number, after each row is scaled to unit max-norm, of a
@@ -273,7 +274,7 @@ def _inverse(alg, A: np.ndarray) -> np.ndarray:
     M[..., 0] = 0.0  # -A0^-1 N, with N = A - A0
     X = lift.copy()
     for k in range(1, alg.order + 1):
-        step = jets.algebra(alg.num_vars, k)
+        step = alg.prefix(k)
         s = step.size
         X[..., :s] = lift[..., :s] + step.contract(
             "ij,jk->ik", M[..., :s], X[..., :s])
@@ -291,7 +292,7 @@ def levi_civita(g: MetricField) -> ConnectionField:
     i, j = np.triu_indices(n)
 
     def func(coords):
-        alg = jets.algebra(n, coords[0].order)
+        alg = coords[0].alg
         G, dG = _lift(g.func, coords)  # dG[a, b, c] = d_a g_bc
         low = dG[i, j] + dG[j, i] - dG[:, i, j].swapaxes(0, 1)  # low[p, l]
         half = 0.5 * alg.contract("kl,pl->kp", g.inverse(alg, G), low)
@@ -338,10 +339,8 @@ def ricci(conn: ConnectionField, point) -> np.ndarray:
 
 def ricci_field(conn: ConnectionField) -> TensorField:
     """Ricci tensor as a jet-valued (0,2) field."""
-    n = conn.chart.dim
-
     def func(coords):
-        alg = jets.algebra(n, coords[0].order)
+        alg = coords[0].alg
         G, dG = _lift(conn.func, coords)  # dG[c, a, d, b] = d_c Gamma^a_db
         return (np.einsum("aadb...->bd...", dG) - np.einsum("daab...->bd...", dG)
                 + alg.contract("aae,edb->bd", G, G)
@@ -406,11 +405,10 @@ def _weyl(R: np.ndarray, ric: np.ndarray) -> np.ndarray:
 def covariant_derivative(conn: ConnectionField, field: TensorField) -> TensorField:
     """nabla T as a (r, s+1) field; the new covariant slot comes first.
     Serves the tests that connections preserve g, J and Omega."""
-    n = field.chart.dim
     r, s = field.valence
 
     def func(coords):
-        alg = jets.algebra(n, coords[0].order)
+        alg = coords[0].alg
         return _nabla(alg, conn.func(coords), *_lift(field.func, coords), r)
 
     return TensorField(chart=field.chart, valence=(r, s + 1), func=func,

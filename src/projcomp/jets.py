@@ -13,7 +13,11 @@ JetAlgebra; multiplication is a precomputed sparse convolution.  Degrees
 <= k come first, and the order-k pair tables are the full ones filtered, in
 order: a step whose result matters only to degree k (a Neumann lift step, a
 Horner product) runs in algebra(n, k) on that prefix, summing each
-coefficient as the full-order step does.
+coefficient as the full-order step does.  An algebra may keep only the
+monomials of degree <= D in the variables after the first, T: algebra(n,
+k, D) holds T-line jets (D = 0: pure T), a downward-closed list whose pair
+tables are the full ones filtered, in order, so every kernel sums each
+kept coefficient as the full algebra does; D >= k is algebra(n, k).
 Composition substitutes inner jets into a stack of outer jets with one
 monomial table (compose_stacked), in the arithmetic order of one jet.
 
@@ -92,17 +96,19 @@ def _monomials(num_vars: int, order: int) -> list[tuple[int, ...]]:
 
 
 class JetAlgebra:
-    """Cached index tables for jets with a fixed (num_vars, order)."""
+    """Cached index tables for jets of a fixed (num_vars, order, D)."""
 
-    def __init__(self, num_vars: int, order: int):
-        if num_vars < 1 or order < 0:
-            raise JetError(f"invalid jet shape ({num_vars}, {order})")
+    def __init__(self, num_vars: int, order: int, transverse: int | None = None):
+        self.transverse = D = order if transverse is None else transverse
+        if num_vars < 1 or order < 0 or D < 0:
+            raise JetError(f"invalid jet shape ({num_vars}, {order}, D={D})")
         self.num_vars = num_vars
         self.order = order
-        self.monomials = _monomials(num_vars, order)
+        self.monomials = [m for m in _monomials(num_vars, order) if sum(m[1:]) <= D]
         self.size = len(self.monomials)
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self.degree = np.array([sum(m) for m in self.monomials])
+        across = self.degree - np.array([m[0] for m in self.monomials])
 
         # Sparse convolution table: coefficient k of a*b accumulates a[i]*b[j]
         # over all monomial pairs with m_i + m_j = m_k.  Pairs are stored
@@ -110,11 +116,14 @@ class JetAlgebra:
         # b*a produce bitwise-identical coefficient arrays.  Pairs i <= j
         # run row by row, j up to the last monomial of degree order - |m_i|;
         # m_k is found by its base-(order + 1) code (no exponent of m_i + m_j
-        # exceeds order, so codes add), sorted by the sort used below.
+        # exceeds order, so codes add), sorted by the sort used below.  Pairs
+        # whose transverse degrees add past D are dropped (see the module doc).
         ends = np.searchsorted(self.degree, order - self.degree, side="right")
         counts = np.maximum(ends - np.arange(self.size), 0)
         i = np.repeat(np.arange(self.size), counts)
         j = i + np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
+        kept = across[i] + across[j] <= D
+        i, j = i[kept], j[kept]
         self._exponents = np.array(self.monomials).T  # one column per variable
         code = np.ravel_multi_index(self._exponents, (order + 1,) * num_vars)
         by_code = np.argsort(code, kind="stable")
@@ -145,11 +154,16 @@ class JetAlgebra:
             dtype=np.float64,
         )
 
-        # Derivative tables: (src index, dst index, factor) per axis
+        # Derivative tables, (src index, dst index, factor) per axis, into
+        # the lower algebra (order - 1, D - 1), and _down, the gather of its
+        # monomials from this one (a slice at D = order).  At D = 0 only T
+        # has a table, into (order - 1, 0).
         self._deriv: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         if order >= 1:
-            lower = algebra(num_vars, order - 1)
-            for axis in range(num_vars):
+            self.lower = lower = algebra(num_vars, order - 1, max(D - 1, 0))
+            self._down = (slice(0, lower.size) if D == order else
+                          np.array([self.index[m] for m in lower.monomials]))
+            for axis in range(num_vars if D else 1):
                 src, dst, fac = [], [], []
                 for k, m in enumerate(lower.monomials):
                     up = list(m)
@@ -268,10 +282,21 @@ class JetAlgebra:
         zero = np.zeros(terms.shape[:-1] + (1,))
         return np.cumsum(np.concatenate([zero, terms], axis=-1), axis=-1)[..., -1]
 
+    def prefix(self, order: int) -> "JetAlgebra":
+        """The algebra of this one's degree <= order monomials, its prefix."""
+        return algebra(self.num_vars, order, self.transverse)
+
+
+@lru_cache(maxsize=None)  # one object per (num_vars, order, D) is _algebra's
+def algebra(num_vars: int, order: int, transverse: int | None = None) -> JetAlgebra:
+    """The cached algebra; a bound D >= order (or None) gives the full one."""
+    return _algebra(num_vars, order,
+                    order if transverse is None else min(transverse, order))
+
 
 @lru_cache(maxsize=None)
-def algebra(num_vars: int, order: int) -> JetAlgebra:
-    return JetAlgebra(num_vars, order)
+def _algebra(num_vars: int, order: int, transverse: int) -> JetAlgebra:
+    return JetAlgebra(num_vars, order, transverse)
 
 
 class Jet:
@@ -296,15 +321,17 @@ class Jet:
         return Jet(alg, c)
 
     @staticmethod
-    def variable(index: int, value, num_vars: int, order: int) -> "Jet":
+    def variable(index: int, value, num_vars: int, order: int,
+                 transverse: int | None = None) -> "Jet":
         """Coordinate `index` seeded at value (a float, or an array of
-        batch rows)."""
+        batch rows), in algebra(num_vars, order, transverse)."""
         if not 0 <= index < num_vars:
             raise JetError(f"variable index {index} out of range for {num_vars} vars")
-        alg = algebra(num_vars, order)
+        alg = algebra(num_vars, order, transverse)
         c = np.zeros(getattr(value, "shape", ()) + (alg.size,))
         c[_coeff(c, 0)] = value
-        if order >= 1:  # the degree-1 monomials follow the constant, in variable order
+        # the degree-1 monomials follow the constant, in variable order
+        if order >= 1 and (index == 0 or alg.transverse):  # D = 0: T's only
             c[_coeff(c, 1 + index)] = 1.0
         return Jet(alg, c)
 
@@ -338,16 +365,16 @@ class Jet:
     def __repr__(self):
         v = self.value
         shown = f"value={v:.6g}" if isinstance(v, float) else f"batch={v.shape}"
-        return f"Jet({self.num_vars}v,o{self.order}; {shown})"
+        return f"Jet({self.num_vars}v,o{self.order},D{self.alg.transverse}; {shown})"
 
     # -- structure ---------------------------------------------------------
 
     def _check(self, other: "Jet"):
         if self.alg is not other.alg:
+            a, b = self.alg, other.alg
             raise JetError(
-                f"jet shape mismatch: ({self.num_vars},{self.order}) vs "
-                f"({other.num_vars},{other.order})"
-            )
+                f"jet shape mismatch: ({a.num_vars},{a.order},D={a.transverse}) "
+                f"vs ({b.num_vars},{b.order},D={b.transverse})")
 
     def _operand(self, other):
         """A non-Jet operand, checked: a number, or an array of this jet's
@@ -368,19 +395,24 @@ class Jet:
         return other[..., None] if isinstance(other, np.ndarray) else other
 
     def truncate(self, order: int) -> "Jet":
+        """The jet to a lower order, its transverse bound kept (capped)."""
         if order == self.order:
             return self
         if order > self.order:
             raise JetError("cannot extend a jet to higher order")
-        alg = algebra(self.num_vars, order)
+        alg = self.alg.prefix(order)
         return Jet(alg, self.c[..., :alg.size].copy())
 
     def deriv(self, axis: int) -> "Jet":
-        """Partial derivative along one axis, one order lower."""
+        """Partial derivative along one axis, one order lower and one
+        transverse degree lower (see JetAlgebra's derivative tables)."""
         if self.order < 1:
             raise JetError("jet order exhausted: cannot differentiate order-0 jet")
+        if axis and not self.alg.transverse:
+            raise JetError(f"no derivative along transverse axis {axis} of a "
+                           "jet with transverse bound D = 0")
         src, dst, fac = self.alg._deriv[axis]
-        lower = algebra(self.num_vars, self.order - 1)
+        lower = self.alg.lower
         c = np.zeros(self.c.shape[:-1] + (lower.size,))
         c[_coeff(c, dst)] = self.c[_coeff(self.c, src)] * fac
         return Jet(lower, c)
@@ -481,7 +513,7 @@ def _apply_series(u: Jet, coeffs) -> Jet:
     out = np.zeros(u.c.shape)
     out[_coeff(out, 0)] = coeffs[-1]
     for j in range(1, len(coeffs)):
-        step = algebra(u.num_vars, j)
+        step = u.alg.prefix(j)
         s = step.size
         out[..., :s] = step.mul(out[..., :s], du[..., :s])
         out[_coeff(out, 0)] += coeffs[-1 - j]
@@ -625,13 +657,14 @@ def scale(s, A: np.ndarray) -> np.ndarray:
     return s.alg.contract("...,...->...", s.c, A) if isinstance(s, Jet) else s * A
 
 
-def seed_point(point, order: int) -> list[Jet]:
+def seed_point(point, order: int, transverse: int | None = None) -> list[Jet]:
     """Seed one jet variable per coordinate of a point (dim,), or of every
     point of a batch (B, dim): the jets' coefficients then have shape
-    (B, S)."""
+    (B, S).  A transverse bound D seeds T-line jets."""
     point = np.asarray(point, dtype=float)
     n = point.shape[-1]
-    return [Jet.variable(i, point[..., i], n, order) for i in range(n)]
+    return [Jet.variable(i, point[..., i], n, order, transverse)
+            for i in range(n)]
 
 
 def base_point(coords) -> np.ndarray:
@@ -641,9 +674,10 @@ def base_point(coords) -> np.ndarray:
             else np.stack(values, axis=-1))
 
 
-def reseed(coords, order: int) -> list[Jet]:
-    """Coordinate jets at the basepoint of coords, seeded at another order."""
-    return seed_point(base_point(coords), order)
+def reseed(coords, order: int, transverse: int | None = None) -> list[Jet]:
+    """Coordinate jets at the basepoint of coords, seeded at another order
+    (and transverse bound)."""
+    return seed_point(base_point(coords), order, transverse)
 
 
 def compose(f: Jet, inner: list[Jet]) -> Jet:

@@ -235,7 +235,7 @@ def pullback_field(field: TensorField, cmap: ChartMap) -> TensorField:
     idx = _SLOTS[:r + s]
 
     def pulled(coords):
-        alg = jets.algebra(len(coords), coords[0].order)
+        alg = coords[0].alg
         X, dX = _lift(lambda c: jets.stack(cmap.inv(c)), coords)
         Jac = dX.swapaxes(0, 1)
         mats = [Jac] * s

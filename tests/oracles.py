@@ -18,7 +18,9 @@ as first written, every step at full order, the per-row series loop with
 the per-point coefficient formulas, the per-monomial eval_shift loop,
 the single-pass contraction and the single-point product; the kernels must
 give bitwise the same coefficients.  single_point_match_boundary_constant
-is the dT^2 coefficient as first read, one point at the deepest rung.
+is the dT^2 coefficient as first read, one point at the deepest rung, and
+full_ladder_rows and full_shift_ladder the extension ladder on jets in
+every monomial of the chart variables, before ladders ran on T-line jets.
 The component formulas at the very end are the Eguchi-Hanson metric, its
 T = 1/r form and its boundary field h, each written out entry by entry,
 and the one-form dT/(2T) as first written; the shared formulas must give
@@ -450,6 +452,26 @@ def single_point_match_boundary_constant(g, spec, tangent_point):
     to_zero[0] = -eps
     return scaled.eval_shift(to_zero)
 
+
+
+def full_ladder_rows(component_fn, spec, tangent_points, order=3):
+    """compactify.ladder_rows on full jets: component_fn's stacked
+    (..., P*R, S) jets in every monomial of degree <= order, row
+    p * R + r seeded at (eps_r, tangent point p)."""
+    tps = np.atleast_2d(np.asarray(tangent_points, dtype=float))
+    R = len(spec.ladder)
+    points = np.concatenate([np.tile(spec.ladder, len(tps))[:, None],
+                             np.repeat(tps, R, axis=0)], axis=1)
+    return component_fn(jets.seed_point(points, order))
+
+
+def full_shift_ladder(C, spec, order=3):
+    """compactify.shift_ladder of full_ladder_rows' C: (P, R) + shape."""
+    R = len(spec.ladder)
+    to_zero = np.zeros((C.shape[-2], spec.chart.dim))
+    to_zero[:, 0] = -np.tile(spec.ladder, C.shape[-2] // R)
+    rows = jets.algebra(spec.chart.dim, order).eval_shift(C, to_zero)
+    return np.moveaxis(rows, -1, 0).reshape((-1, R) + rows.shape[:-1])
 
 
 def eguchi_hanson_components(a):

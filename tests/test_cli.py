@@ -606,3 +606,47 @@ def test_eh_raw_verdict_is_the_separate_two_point_ladder(monkeypatch):
     alone = compactify.extrapolate_ladder(real_lc(s.gT).func, s.spec, tps[:2])
     assert verdicts[-1].shape == alone.shape
     assert verdicts[-1].tobytes() == alone.tobytes()
+
+
+# -- run options -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "-1", "0"])
+def test_tol_scale_must_be_finite_and_positive(scale, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(SMALL))
+    out = tmp_path / "r.json"
+    assert main(["run", str(path), f"--tol-scale={scale}", "--report", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --tol-scale")
+    assert not out.exists()
+
+
+def test_reports_are_strict_json():
+    report = run_manifest({"scenarios": [SMALL["scenarios"][0]]})
+    report["scenarios"][0]["records"][0]["constants"]["x"] = math.nan
+    with pytest.raises(ValueError):
+        serialize_report(report)
+
+
+def test_a_bad_jobs_variable_is_a_configuration_error_of_run_only(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PROJCOMP_JOBS", "abc")
+    assert main(["list"]) == 0
+    assert main(["demo", "flat"]) == 0
+    capsys.readouterr()
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(SMALL))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: PROJCOMP_JOBS must be an integer, got 'abc'"]
+    assert main(["run", str(path), "--jobs", "1"]) == 0  # the option wins
+
+
+def test_an_unwritable_report_is_a_configuration_error(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(SMALL))
+    target = tmp_path / "missing" / "r.json"
+    assert main(["run", str(path), "--report", str(target)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write report: ")

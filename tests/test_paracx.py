@@ -951,8 +951,9 @@ def test_boundary_pair_pulled_back_together_matches_separate_pullbacks():
 
 def test_boundary_checks_invert_j_once_per_ladder(monkeypatch):
     # levi and nijenhuis-tangential of one scenario draw the same tangent
-    # points, and both read J at order 3 on that ladder: J is inverted once
-    # for it (and once at its construction probe)
+    # points: levi reads J at order 3 on T-line jets (D = 0), the order-2
+    # Nijenhuis ladder J lifted to order 3 and D = 1; each is inverted once
+    # (and J once at its construction probe)
     shapes = []
     inverse = paracx._inverse
 
@@ -967,7 +968,9 @@ def test_boundary_checks_invert_j_once_per_ladder(monkeypatch):
     report = cli.run_manifest({"scenarios": [sc]})
     assert report["summary"]["pass"] == 2
     # 2 tangent points x 3 rungs, order 3 in 6 variables
-    assert [s for s in shapes if len(s) == 4] == [(6, 6, 6, 84)]
+    sizes = [jets.algebra(6, 3, d).size for d in (0, 1)]
+    assert sizes == [4, 19]
+    assert [s for s in shapes if len(s) == 4] == [(6, 6, 6, s) for s in sizes]
 
 
 def test_boundary_metric_inverts_each_distinct_matrix_once(monkeypatch):
