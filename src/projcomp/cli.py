@@ -57,20 +57,6 @@ def point_rng(seed: int, scenario_id: str, index: int) -> np.random.Generator:
     return np.random.default_rng(_stream_key(seed, scenario_id, index))
 
 
-class _LazyGenerator:
-    """The numpy Generator default_rng(key), built when it is first used:
-    a check's own stream costs nothing if the check draws nothing."""
-
-    def __init__(self, key: int):
-        self._key = key
-        self._gen = None
-
-    def __getattr__(self, name):  # any Generator attribute or method
-        if self._gen is None:
-            self._gen = np.random.default_rng(self._key)
-        return getattr(self._gen, name)
-
-
 # SeedSequence's hashmix constants of mix_entropy (A), generate_state (B)
 _HASH_A, _HASH_B = (np.array([[init * pow(mult, k, 1 << 32) % (1 << 32)]
                               for k in range(rows)], dtype=np.uint32)
@@ -258,6 +244,10 @@ class Scenario:
             self._drawn[key] = pts
         return self._drawn[key]
 
+    def own_rng(self) -> np.random.Generator:
+        """A new generator on stream 10 000, for a check's non-point draws."""
+        return point_rng(self.seed, self.id, 10_000)
+
     def einstein_fit(self, g, lam_star: float) -> tuple:
         """(fitted Einstein constant, worst of the fit residual, its
         distance from lam_star and its spread) over the scenario's points."""
@@ -299,13 +289,13 @@ class _Flat(Scenario):
         self.gbar = catalog.compactified_flat(self.params["n"])
 
     @_check("einstein", "metric is Einstein with the registered constant", 1e-7)
-    def einstein(self, tol, rng):
+    def einstein(self, tol):
         lam, resid = self.einstein_fit(self.g, 0.0)
         return _status(resid, tol), resid, self.count, {"lambda": lam}
 
     @_check("compactified-einstein",
             "compactified flat metric is a round-sphere patch", 1e-9)
-    def compactified_einstein(self, tol, rng):
+    def compactified_einstein(self, tol):
         n = self.params["n"]
         lam, resid = self.einstein_fit(self.gbar, n - 1)
         return (_status(resid, tol), resid, self.count,
@@ -319,14 +309,14 @@ class _Flat(Scenario):
 
     @_check("beltrami-nonmetric",
             "T = 1/r change of flat space is not metric", 1e-3)
-    def beltrami_nonmetric(self, tol, rng):
+    def beltrami_nonmetric(self, tol):
         v, samples = self._changed_metricity(lambda c: 1.0 / c[0])
         ok = v.status == "fail" and v.residual > tol
         return "pass" if ok else "fail", v.residual, samples, {"verdict": v.status}
 
     @_check("metric-compactification",
             "T = (r^2+1)^(-1/2) change is Levi-Civita of the sphere patch", 1e-7)
-    def metric_compactification(self, tol, rng):
+    def metric_compactification(self, tol):
         v, samples = self._changed_metricity(
             lambda c: 1.0 / jets.sqrt(c[0] * c[0] + 1.0), tolerance=tol)
         status = "pass" if v.status == "pass" else "fail"
@@ -349,7 +339,7 @@ class _Cone(Scenario):
         self.lc_bar = fields.levi_civita(self.gT)
 
     @_check("extension", "changed connection extends to the T = 0 boundary", 1e-6)
-    def extension(self, tol, rng):
+    def extension(self, tol):
         tps = self.points(self.base.chart, min(self.count, 6))
         v = compactify.extend_to_boundary(
             self.changed.func, self.spec, tps, tolerance=tol,
@@ -359,14 +349,14 @@ class _Cone(Scenario):
 
     @_check("projective-equivalence",
             "changed connection equals LC of the compactified metric", 1e-9)
-    def projective_equivalence(self, tol, rng):
+    def projective_equivalence(self, tol):
         pts = self.points(self.gT.chart, self.count)
         resid = _max_deviation(self.changed, self.lc_bar, pts)
         return _status(resid, tol), resid, len(pts), {}
 
     @_check("asymptotic-form", "metric splits as C dT^2/T^(4/a) + h/T^(2/a) "
             "with h boundary-regular", 1e-6)
-    def asymptotic_form(self, tol, rng):
+    def asymptotic_form(self, tol):
         tps = self.points(self.gT.chart, min(self.count, 5))[:, 1:]
         _, v, C = compactify.asymptotic_form_check(self.cone_T, self.spec, tps,
                                                    tolerance=tol)
@@ -374,7 +364,7 @@ class _Cone(Scenario):
 
     @_check("metricity", "constant-curvature witness for metrizability of the "
             "changed connection", 1e-7)
-    def metricity(self, tol, rng):
+    def metricity(self, tol):
         pts = self.points(self.gT.chart, min(self.count, 5))
         v = compactify.metricity_check(self.changed, pts, tolerance=tol)
         status = "pass" if v.status == "pass" else v.status
@@ -406,7 +396,7 @@ class _Warped(Scenario):
     @_check("levi-civita-pair",
             "warped-pair Levi-Civita connections differ by the stated one-form",
             1e-9)
-    def levi_civita_pair(self, tol, rng):
+    def levi_civita_pair(self, tol):
         changed = fields.projective_change(fields.levi_civita(self.g), self.ups)
         pts = self.points(self.g.chart, self.count)
         resid = _max_deviation(changed, fields.levi_civita(self.gbar), pts)
@@ -431,7 +421,7 @@ class _EH(Scenario):
 
     @_check("maurer-cartan",
             "invariant coframe satisfies the structure equations", 1e-10)
-    def maurer_cartan(self, tol, rng):
+    def maurer_cartan(self, tol):
         sigmas = catalog.sigma_forms(self.pars.chart)
         pts = self.points(self.pars.chart, self.count)
         w = [s.values(pts) for s in sigmas]
@@ -444,28 +434,28 @@ class _EH(Scenario):
         return _status(worst, tol), worst, self.count, {}
 
     @_check("ricci-flat", "metric is Ricci-flat", 1e-8)
-    def ricci_flat(self, tol, rng):
+    def ricci_flat(self, tol):
         conn = fields.levi_civita(self.g)
         pts = self.points(self.g.chart, self.count)
         resid = float(np.max(np.abs(fields.ricci(conn, pts))))
         return _status(resid, tol), resid, len(pts), {}
 
     @_check("asymptotic-form")
-    def asymptotic_form(self, tol, rng):
+    def asymptotic_form(self, tol):
         tps = self.points(self.gT.chart, min(self.count, 4))[:, 1:]
         _, v, C = compactify.asymptotic_form_check(self.gT, self.spec, tps,
                                                    tolerance=tol)
         return _extension_record(v, len(tps), {"C": C, "detail": v.detail})
 
     @_check("metricity")
-    def metricity(self, tol, rng):
+    def metricity(self, tol):
         pts = self.points(self.gT.chart, min(self.count, 4))
         v = compactify.metricity_check(self.changed, pts, tolerance=tol)
         status = "inconclusive" if v.status == "inconclusive" else "fail"
         return status, v.residual, len(pts), {"verdict": v.status}
 
     @_check("extension")
-    def extension(self, tol, rng):
+    def extension(self, tol):
         tps = self.points(self.gT.chart, min(self.count, 4))[:, 1:]
         v = compactify.extend_to_boundary(self.changed.func, self.spec, tps,
                                           tolerance=tol)
@@ -498,7 +488,7 @@ class _DM(Scenario):
             chart=catalog.dm_boundary_chart(self.ps.n), ladder=self.ladder)
 
     @_check("einstein")
-    def einstein(self, tol, rng):
+    def einstein(self, tol):
         lam_star = REGISTERED_EINSTEIN_CONSTANT[self.ps.n]
         lam, resid = self.einstein_fit(self.g, lam_star)
         return (_status(resid, tol), resid, self.count,
@@ -506,7 +496,7 @@ class _DM(Scenario):
 
     @_check("para-hermitian",
             "J^2 = Id, g(J.,J.) = -g, Omega = g(J.,.), d Omega = 0", 1e-10)
-    def para_hermitian(self, tol, rng):
+    def para_hermitian(self, tol):
         n = self.ps.n
         jf = paracx.j_from_g_omega(self.g, self.omega,
                                    probe=np.array([0.3] * n + [0.5] * n))
@@ -519,7 +509,7 @@ class _DM(Scenario):
     @_check("splitting",
             "horizontal/vertical splitting frame pairs exactly as g and Omega "
             "prescribe", 1e-9)
-    def splitting(self, tol, rng):
+    def splitting(self, tol):
         pts = self.points(self.g.chart, self.count)
         resid = max(tractor.splitting_metric_crosscheck(self.ps, pts).values())
         return _status(resid, tol), resid, len(pts), {}
@@ -529,12 +519,12 @@ class _DM(Scenario):
             "-Gamma_g(v, v) of g is the structure's spray -Gamma(v_x, v_x) "
             "plus a multiple of v_x, so geodesics of g project to "
             "unparametrized geodesics of the structure", 1e-10)
-    def geodesic_projection(self, tol, rng):
+    def geodesic_projection(self, tol):
         """Residual: the part of w = a_x + Gamma(v_x, v_x) orthogonal to
         v_x, relative to max(1, |w|), for one random v per point."""
         n = self.ps.n
         pts = self.points(self.g.chart, self.count)
-        v = rng.uniform(-1.0, 1.0, pts.shape)
+        v = self.own_rng().uniform(-1.0, 1.0, pts.shape)
         vx = v[:, :n]
         a = -np.einsum("pabc,pb,pc->pa",
                        fields.levi_civita(self.g).values(pts), v, v)
@@ -547,8 +537,8 @@ class _DM(Scenario):
 
     @_check("cg-form", "g = (theta^2 - dT^2)/(4T^2) + h/T with boundary-regular "
             "h (C = 1/4)", 1e-6)
-    def cg_form(self, tol, rng):
-        tps = self.spec.boundary_points(rng, min(self.count, 5))
+    def cg_form(self, tol):
+        tps = self.spec.boundary_points(self.own_rng(), min(self.count, 5))
         out = paracx.cg_form_check(self.ps, self.boundary, self.spec, tps, tol)
         resid = max(out["h_closed_form_residual"],
                     out["theta_closed_form_residual"])
@@ -560,8 +550,8 @@ class _DM(Scenario):
 
     @_check("levi", "boundary metric is compatible with the contact Levi form",
             1e-8)
-    def levi(self, tol, rng):
-        tps = self.spec.boundary_points(rng, min(self.count, 8))
+    def levi(self, tol):
+        tps = self.spec.boundary_points(self.own_rng(), min(self.count, 8))
         resid = paracx.levi_compatibility_check(self.ps, self.boundary,
                                                 self.spec, tps)
         return _status(resid, tol), resid, len(tps), {}
@@ -570,8 +560,8 @@ class _DM(Scenario):
             "the bordered contact matrix [[0, theta0], [-theta0, dtheta0]] has "
             "determinant 4^n at the boundary points (so theta0 ^ "
             "(dtheta0)^(n-1) does not vanish)", 1e-8)
-    def contact(self, tol, rng):
-        tps = self.spec.boundary_points(rng, min(self.count, 8))
+    def contact(self, tol):
+        tps = self.spec.boundary_points(self.own_rng(), min(self.count, 8))
         det = paracx.contact_determinants(self.ps, tps)
         exact = 4.0 ** self.ps.n
         resid = float(np.max(np.abs(det - exact))) / exact
@@ -580,8 +570,8 @@ class _DM(Scenario):
 
     @_check("nijenhuis-tangential",
             "Nijenhuis tensor has asymptotically tangential values", 1e-6)
-    def nijenhuis_tangential(self, tol, rng):
-        tps = self.spec.boundary_points(rng, min(self.count, 4))
+    def nijenhuis_tangential(self, tol):
+        tps = self.spec.boundary_points(self.own_rng(), min(self.count, 4))
         v = paracx.nijenhuis_tangential_check(self.boundary, self.spec, tps,
                                               tolerance=tol)
         resid = float(np.max(np.abs(v.limits)))
@@ -590,9 +580,9 @@ class _DM(Scenario):
 
     @_check("connection-extension",
             "changed minimal connection extends to the boundary", 1e-5)
-    def connection_extension(self, tol, rng):
+    def connection_extension(self, tol):
         gb, omb, jb, chart = self.boundary
-        tps = self.spec.boundary_points(rng, min(self.count, 3))
+        tps = self.spec.boundary_points(self.own_rng(), min(self.count, 3))
         changed = paracx.para_c_projective_change(
             paracx.libermann(gb, omb),
             compactify.upsilon_from_defining(chart, lambda c: c[0], 2.0), jb)
@@ -622,7 +612,7 @@ class _DMRandom(_DM):
     @_check("ode-invariance",
             "second-order ODE coefficients are projective invariants", 1e-9,
             n=2)
-    def ode_invariance(self, tol, rng):
+    def ode_invariance(self, tol):
         """Three points of streams 100 + 3k + q in (-0.8, 0.8)^2 for the
         k-th change; A0..A3 of the original ODE are evaluated once."""
         pg = proj2d.ode_from_projective(self.ps)
@@ -646,7 +636,7 @@ class _DMRandom(_DM):
 
     @_check("boundary-invariance",
             "distribution metric h_D is a projective invariant", 1e-9)
-    def boundary_invariance(self, tol, rng):
+    def boundary_invariance(self, tol):
         n = self.ps.n
         _, hd, _ = paracx.boundary_data(self.ps)
         pts = sample_points(catalog.dm_boundary_chart(n), self.seed, self.id,
@@ -813,22 +803,35 @@ def _record(check, claim, status, residual, tol, seed, samples, t0, constants):
     }
 
 
+def _scaled_tolerances(scenario: dict, tol_scale: float) -> list:
+    """(check, tolerance times tol_scale) for each check the scenario runs,
+    in run order; ManifestError unless each is a finite number > 0."""
+    entry = REGISTRY[scenario["catalog"]]
+    params = entry.resolve(scenario.get("params", {}))
+    overrides = scenario.get("tolerances", {})
+    out = []
+    for name in scenario.get("checks") or [
+            n for n in entry.checks if entry.applies(n, params)]:
+        tol = float(overrides.get(name, entry.checks[name].tolerance)) * tol_scale
+        if not (math.isfinite(tol) and tol > 0):
+            raise ManifestError(
+                f"tolerance of {name} times --tol-scale must be a finite "
+                f"number > 0, got {tol} in {scenario['id']}")
+        out.append((name, tol))
+    return out
+
+
 def run_scenario(scenario: dict, tol_scale: float = 1.0) -> dict:
     """One record per check.  A check that raises gets a fail record, with
     a null residual and the exception in constants["error"], and the
     scenario's other checks still run."""
     s = REGISTRY[scenario["catalog"]](scenario)
-    overrides = scenario.get("tolerances", {})
     records = []
-    default = [name for name in s.checks if s.applies(name, s.params)]
-    for name in scenario.get("checks") or default:
+    for name, tol in _scaled_tolerances(scenario, tol_scale):
         check = s.checks[name]
-        tol = float(overrides.get(name, check.tolerance)) * tol_scale
         t0 = time.perf_counter()
-        # the check's stream for non-point randomness, point_rng's stream 10 000
-        rng = _LazyGenerator(_stream_key(s.seed, s.id, 10_000))
         try:
-            status, residual, samples, constants = check(s, tol, rng)
+            status, residual, samples, constants = check(s, tol)
         except Exception as exc:
             status, residual, samples = "fail", None, 0
             constants = {"error": f"{type(exc).__name__}: {exc}"}
@@ -841,14 +844,18 @@ def run_scenario(scenario: dict, tol_scale: float = 1.0) -> dict:
 
 
 def run_manifest(manifest: dict, jobs: int = 1, tol_scale: float = 1.0) -> dict:
+    """The report of a manifest, its scenarios run by up to `jobs` worker
+    processes; ManifestError if the manifest or a scaled tolerance is bad."""
     validate_manifest(manifest)
     scenarios = manifest["scenarios"]
+    for sc in scenarios:  # before any check runs
+        _scaled_tolerances(sc, tol_scale)
     t0 = time.perf_counter()
     if jobs > 1 and len(scenarios) > 1:
         from concurrent.futures import ProcessPoolExecutor  # slow to import
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(_scenario_worker,
-                                  [(sc, tol_scale) for sc in scenarios]))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(scenarios))) as ex:
+            results = list(ex.map(run_scenario, scenarios,
+                                  [tol_scale] * len(scenarios)))
     else:
         results = [run_scenario(sc, tol_scale) for sc in scenarios]
     results.sort(key=lambda r: r["id"])
@@ -866,11 +873,6 @@ def run_manifest(manifest: dict, jobs: int = 1, tol_scale: float = 1.0) -> dict:
     }
 
 
-def _scenario_worker(args):
-    sc, tol_scale = args
-    return run_scenario(sc, tol_scale)
-
-
 def serialize_report(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
@@ -879,13 +881,15 @@ def serialize_report(report: dict) -> str:
 
 
 def _run_options(args) -> tuple:
-    """(jobs, tol_scale) of a run: --jobs, else PROJCOMP_JOBS, else 1, and
-    a finite --tol-scale > 0; anything else raises ValueError."""
+    """(jobs, tol_scale) of a run: --jobs, else PROJCOMP_JOBS, else 1, at
+    least 1, and a finite --tol-scale > 0; anything else raises ValueError."""
     env = os.environ.get("PROJCOMP_JOBS", "1")
     try:
         jobs = int(env) if args.jobs is None else args.jobs
     except ValueError:
         raise ValueError(f"PROJCOMP_JOBS must be an integer, got {env!r}") from None
+    if jobs < 1:
+        raise ValueError(f"--jobs (or PROJCOMP_JOBS) must be >= 1, got {jobs}")
     if not (math.isfinite(args.tol_scale) and args.tol_scale > 0):
         raise ValueError(
             f"--tol-scale must be a finite number > 0, got {args.tol_scale}")
@@ -913,9 +917,10 @@ def _cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.report:
+        text = serialize_report(report)  # before the file is opened
         try:
             with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(serialize_report(report))
+                fh.write(text)
         except OSError as exc:
             print(f"error: cannot write report: {exc}", file=sys.stderr)
             return 2

@@ -257,8 +257,6 @@ def _inverse(alg, A: np.ndarray) -> np.ndarray:
     for singularity on its own.  The rest N = A - A0 has no constant term,
     so it is nilpotent at the jet order o, and o steps of the lift
     X <- A0^-1 - (A0^-1 N) X, from X = A0^-1, give the exact inverse.
-    Step k only fixes degree k, so it runs at order k (see jets) on X's
-    degree <= k part, degree k still zero: M_0 X_k adds 0 * 0 there.
     """
     A0 = _batch_first(A[..., 0], 2)
     rows = np.max(np.abs(A0), axis=-1)
@@ -272,12 +270,9 @@ def _inverse(alg, A: np.ndarray) -> np.ndarray:
         return lift
     M = -np.einsum("ij...,jk...s->ik...s", lift[..., 0], A)
     M[..., 0] = 0.0  # -A0^-1 N, with N = A - A0
-    X = lift.copy()
-    for k in range(1, alg.order + 1):
-        step = alg.prefix(k)
-        s = step.size
-        X[..., :s] = lift[..., :s] + step.contract(
-            "ij,jk->ik", M[..., :s], X[..., :s])
+    X = lift
+    for _ in range(alg.order):
+        X = lift + alg.contract("ij,jk->ik", M, X)
     return X
 
 

@@ -8,18 +8,16 @@ exterior derivatives, Nijenhuis tensors) is a coefficient extraction, never a
 finite difference.
 
 Coefficients sit in a dense float64 array indexed by graded-lexicographic
-multi-index order.  The per-(num_vars, order) index tables are cached in a
-JetAlgebra; multiplication is a precomputed sparse convolution.  Degrees
-<= k come first, and the order-k pair tables are the full ones filtered, in
-order: a step whose result matters only to degree k (a Neumann lift step, a
-Horner product) runs in algebra(n, k) on that prefix, summing each
-coefficient as the full-order step does.  An algebra may keep only the
-monomials of degree <= D in the variables after the first, T: algebra(n,
-k, D) holds T-line jets (D = 0: pure T), a downward-closed list whose pair
-tables are the full ones filtered, in order, so every kernel sums each
-kept coefficient as the full algebra does; D >= k is algebra(n, k).
-Composition substitutes inner jets into a stack of outer jets with one
-monomial table (compose_stacked), in the arithmetic order of one jet.
+multi-index order, degrees <= k first.  The per-(num_vars, order) index
+tables are cached in a JetAlgebra; multiplication is a precomputed sparse
+convolution, and every kernel runs in one pass at its algebra's full
+order.  An algebra may keep only the monomials of degree <= D in the
+variables after the first, T: algebra(n, k, D) holds T-line jets (D = 0:
+pure T), a downward-closed list whose pair tables are the full ones
+filtered, in order, so every kernel sums each kept coefficient as the full
+algebra does; D >= k is algebra(n, k).  Composition substitutes inner jets
+into a stack of outer jets with one monomial table (compose_stacked), in
+the arithmetic order of one jet.
 
 Components leave a formula as one stacked float array: stack turns the
 nested scalars a component formula computes into shape (..., S), S Taylor
@@ -76,9 +74,6 @@ __all__ = [
 
 class JetError(ValueError):
     pass
-
-
-CONTRACT_CAP = 1 << 16  # doubles (512 KiB) in a pair array of contract
 
 
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
@@ -146,7 +141,6 @@ class JetAlgebra:
         self._row_j = np.concatenate([self._mul_j, self._mul_d])
         self._row_k = np.concatenate([self._mul_k, self._mul_kd])
         self._row_targets: dict = {}  # rows -> flattened offset targets
-        self._block_tables: dict = {}  # contract's blocks per spec and shapes
 
         # factorial(alpha) per monomial, for partial-derivative extraction
         self.fact = np.array(
@@ -212,12 +206,8 @@ class JetAlgebra:
         summed index is added term by term.  At order 0 there is one pair,
         and for one point the summed index itself is the innermost loop;
         a batch is then laid out rows first so that each row is reduced
-        that way too.  Pairs are then reduced in a fixed order.  Past
-        CONTRACT_CAP doubles in a pair array (a gather or the products), it
-        works on blocks of whole targets, up to that size or 32 pairs
-        (fewer would shorten einsum's inner loop).  A block then holds two
-        pairs or more, so the pair axis stays einsum's innermost loop and
-        the result is bitwise that of one pass."""
+        that way too.  One reduceat sums each target's pairs in table
+        order; each target has the pair (constant, m_k)."""
         operands, result = spec.split("->")
         sa, sb = operands.split(",")
         ba = 0 if "..." in spec else a.ndim - len(sa) - 1
@@ -231,37 +221,10 @@ class JetAlgebra:
             return out.transpose(*range(rows, out.ndim), *range(rows))[..., None]
         if ba or bb:
             sa, sb, result = sa + "...", sb + "...", result + "..."
-        spec = f"{sa}z,{sb}z->{result}z"
-        blocks = self._blocks(spec, a, b)
-        if len(blocks) > 1:  # np.take copies a strided operand on every call
-            a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-        out = None
-        for targets, pairs, starts in blocks:
-            prods = np.einsum(spec, np.take(a, self._pair_i[pairs], axis=-1),
-                              np.take(b, self._pair_j[pairs], axis=-1))
-            if out is None:
-                out = np.empty(prods.shape[:-1] + (self.size,))
-            np.add.reduceat(prods, starts, axis=-1, out=out[..., targets])
-            del prods  # before the next block's gathers
-        return out
-
-    def _blocks(self, spec: str, a: np.ndarray, b: np.ndarray) -> list:
-        """contract's (targets, pairs, pair starts) blocks, filled greedily."""
-        key = (spec, a.shape, b.shape)
-        if key not in self._block_tables:
-            out = np.einsum(spec, a[..., :0], b[..., :0]).shape[:-1]
-            width = max(a.size // a.shape[-1], b.size // b.shape[-1], math.prod(out))
-            fit = max(CONTRACT_CAP // width, 32)  # pairs in a block
-            start, end = self._pair_start, np.append(self._pair_start[1:],
-                                                     len(self._pair_i))
-            cuts = [0]
-            while cuts[-1] < self.size:
-                t1 = np.searchsorted(end, start[cuts[-1]] + fit, "right")
-                cuts.append(int(max(t1, cuts[-1] + 1)))
-            self._block_tables[key] = [
-                (slice(t0, t1), slice(start[t0], end[t1 - 1]), start[t0:t1] - start[t0])
-                for t0, t1 in zip(cuts, cuts[1:])]
-        return self._block_tables[key]
+        prods = np.einsum(f"{sa}z,{sb}z->{result}z",
+                          np.take(a, self._pair_i, axis=-1),
+                          np.take(b, self._pair_j, axis=-1))
+        return np.add.reduceat(prods, self._pair_start, axis=-1)
 
     def eval_shift(self, C: np.ndarray, delta) -> np.ndarray:
         """Evaluate a stack C[..., :] of Taylor polynomials at basepoint +
@@ -281,10 +244,6 @@ class JetAlgebra:
             terms = terms * powers[..., exps]
         zero = np.zeros(terms.shape[:-1] + (1,))
         return np.cumsum(np.concatenate([zero, terms], axis=-1), axis=-1)[..., -1]
-
-    def prefix(self, order: int) -> "JetAlgebra":
-        """The algebra of this one's degree <= order monomials, its prefix."""
-        return algebra(self.num_vars, order, self.transverse)
 
 
 @lru_cache(maxsize=None)  # one object per (num_vars, order, D) is _algebra's
@@ -400,7 +359,7 @@ class Jet:
             return self
         if order > self.order:
             raise JetError("cannot extend a jet to higher order")
-        alg = self.alg.prefix(order)
+        alg = algebra(self.num_vars, order, self.alg.transverse)
         return Jet(alg, self.c[..., :alg.size].copy())
 
     def deriv(self, axis: int) -> "Jet":
@@ -505,18 +464,16 @@ def _coeff(c: np.ndarray, k):
 
 
 def _apply_series(u: Jet, coeffs) -> Jet:
-    """Compose the univariate series sum(coeffs[k] * (u - u0)^k) with u;
-    each coefficient is a float, or an array of u's batch shape.  Horner's
-    j-th product is later multiplied by du^(o-j), so it runs at order j."""
+    """Compose the univariate series sum(coeffs[k] * (u - u0)^k) with u by
+    Horner's loop; each coefficient is a float, or an array of u's batch
+    shape."""
     du = u.c.copy()
     du[_coeff(du, 0)] = 0.0
     out = np.zeros(u.c.shape)
     out[_coeff(out, 0)] = coeffs[-1]
-    for j in range(1, len(coeffs)):
-        step = u.alg.prefix(j)
-        s = step.size
-        out[..., :s] = step.mul(out[..., :s], du[..., :s])
-        out[_coeff(out, 0)] += coeffs[-1 - j]
+    for c in reversed(coeffs[:-1]):
+        out = u.alg.mul(out, du)
+        out[_coeff(out, 0)] += c
     return Jet(u.alg, out)
 
 

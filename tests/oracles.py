@@ -14,11 +14,12 @@ per_point_sample_points is the per-point loop of one generator per stream
 that the batched streams of cli.sample_points replaced, and scalar_draw_poly
 the one-call-per-coefficient draw of the random structures.  The jet loops
 at the end are the product-pair table, the Neumann lift and the Horner loop
-as first written, every step at full order, the per-row series loop with
-the per-point coefficient formulas, the per-monomial eval_shift loop,
-the single-pass contraction and the single-point product; the kernels must
-give bitwise the same coefficients.  single_point_match_boundary_constant
-is the dT^2 coefficient as first read, one point at the deepest rung, and
+as first written, every step at full order as the kernels run them, the
+per-row series loop with the per-point coefficient formulas, the
+per-monomial eval_shift loop, the single-pass contraction and the
+single-point product; the kernels must give bitwise the same
+coefficients.  single_point_match_boundary_constant is the dT^2
+coefficient as first read, one point at the deepest rung, and
 full_ladder_rows and full_shift_ladder the extension ladder on jets in
 every monomial of the chart variables, before ladders ran on T-line jets.
 The component formulas at the very end are the Eguchi-Hanson metric, its

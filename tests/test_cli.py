@@ -296,7 +296,7 @@ def test_geodesic_projection_fails_against_another_spray(n):
           "checks": ["geodesic-projection"], "points": 8, "seed": 5}
     s = cli.REGISTRY["dm-random"](sc)
     s.ps = catalog.random_projective_structure(n, 2, 0.4, seed=4)
-    status, resid, _, _ = s.geodesic_projection(1e-10, point_rng(5, "gp", 10_000))
+    status, resid, _, _ = s.geodesic_projection(1e-10)
     assert status == "fail" and resid > 1e-3
 
 
@@ -360,7 +360,7 @@ def test_raising_check_becomes_a_fail_record(tmp_path, capsys, monkeypatch):
     checks = cli.REGISTRY["dm-random"].checks
     real = checks["einstein"]
 
-    def broken(self, tol, rng):
+    def broken(self, tol):
         raise ValueError("no Einstein constant here")
 
     vars(broken).update(vars(real))  # name, claim, tolerance, needs
@@ -457,7 +457,7 @@ def test_cli_demo_fits_einstein_once(monkeypatch, capsys):
 
 def test_each_point_set_is_drawn_once_per_scenario(monkeypatch):
     """einstein, para-hermitian and splitting share the scenario's points:
-    one point stream per point, plus each check's own stream."""
+    one point stream per point; none of them opens its own stream."""
     drawn = []
     key = cli._stream_key
 
@@ -471,12 +471,12 @@ def test_each_point_set_is_drawn_once_per_scenario(monkeypatch):
           "seed": 4}
     report = run_manifest({"scenarios": [sc]})
     assert report["summary"] == {"pass": 3, "fail": 0, "inconclusive": 0}
-    assert sorted(drawn) == [0, 1, 2, 3, 4] + [10_000] * 3
+    assert sorted(drawn) == [0, 1, 2, 3, 4]
 
 
 def test_eh_checks_draw_each_point_stream_once(monkeypatch):
     """ricci-flat and maurer-cartan share the scenario's points of the EH
-    chart: streams 0..count-1, drawn once, plus each check's own stream."""
+    chart: streams 0..count-1, drawn once; neither opens its own stream."""
     drawn = []
     key = cli._stream_key
 
@@ -489,7 +489,7 @@ def test_eh_checks_draw_each_point_stream_once(monkeypatch):
           "points": 5, "seed": 4}
     report = run_manifest({"scenarios": [sc]})
     assert report["summary"] == {"pass": 2, "fail": 0, "inconclusive": 0}
-    assert sorted(drawn) == [0, 1, 2, 3, 4] + [10_000] * 2
+    assert sorted(drawn) == [0, 1, 2, 3, 4]
 
 
 def _built_generators(monkeypatch):
@@ -521,8 +521,7 @@ def test_geodesic_projection_draws_its_stream_from_the_start(monkeypatch):
     rec = run_manifest({"scenarios": [sc]})["scenarios"][0]["records"][0]
     assert built.count(cli._stream_key(9, "gp", 10_000)) == 1
     s = cli.REGISTRY["dm-random"](sc)
-    _, resid, _, _ = s.geodesic_projection(rec["tolerance"],
-                                           point_rng(9, "gp", 10_000))
+    _, resid, _, _ = s.geodesic_projection(rec["tolerance"])
     assert rec["status"] == "pass" and rec["max_residual"] == resid
 
 
@@ -598,7 +597,7 @@ def test_eh_raw_verdict_is_the_separate_two_point_ladder(monkeypatch):
     monkeypatch.setattr(compactify, "ladder_verdict", recording)
     monkeypatch.setattr(fields, "levi_civita", counted)
     s = cli.REGISTRY["eh"]({"id": "eh", "catalog": "eh", "points": 4, "seed": 5})
-    status, _, samples, constants = s.extension(1e-6, None)
+    status, _, samples, constants = s.extension(1e-6)
     assert (status, samples, constants) == ("pass", 4,
                                             {"raw_connection_extends": False})
     assert orders == [3]
@@ -650,3 +649,88 @@ def test_an_unwritable_report_is_a_configuration_error(tmp_path, capsys):
     assert main(["run", str(path), "--report", str(target)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: cannot write report: ")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("via", ["option", "variable"])
+def test_jobs_below_one_is_a_configuration_error(jobs, via, tmp_path,
+                                                 monkeypatch, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(SMALL))
+    argv = ["run", str(path)]
+    if via == "option":
+        argv += ["--jobs", jobs]
+    else:
+        monkeypatch.setenv("PROJCOMP_JOBS", jobs)
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: --jobs (or PROJCOMP_JOBS) must be >= 1, got {jobs}"]
+
+
+def test_workers_are_at_most_the_scenarios(monkeypatch):
+    # a fake pool records its size and maps in this process; no worker
+    # process is started
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    want = _strip_walltime(run_manifest(SMALL, jobs=1))
+    assert sizes == []
+    for jobs, size in ((2, 2), (100_000, 2)):
+        assert _strip_walltime(run_manifest(SMALL, jobs=jobs)) == want
+        assert sizes.pop() == size
+
+
+@pytest.mark.parametrize("tol,scale", [(1e308, "10"), (1e-300, "1e-30")])
+def test_a_scaled_tolerance_out_of_range_is_a_manifest_error(
+        tol, scale, tmp_path, capsys):
+    # 1e308 * 10 overflows to inf, 1e-300 * 1e-30 underflows to 0: both
+    # exit 2 with one line, before any check runs or the report is opened
+    manifest = json.loads(json.dumps(SMALL))
+    manifest["scenarios"][1]["tolerances"] = {"splitting": tol}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "r.json"
+    assert main(["run", str(path), f"--tol-scale={scale}", "--report", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "error: tolerance of splitting times --tol-scale must be a finite "
+        "number > 0, got ")
+    assert err[0].endswith(" in dm")
+    assert not out.exists()
+    with pytest.raises(ManifestError):
+        run_manifest(manifest, tol_scale=float(scale))
+
+
+def test_an_unserializable_report_leaves_the_report_file_alone(
+        tmp_path, monkeypatch):
+    # the report is serialized before the file is opened, so a report that
+    # is not strict JSON leaves an earlier report as it was
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"scenarios": [SMALL["scenarios"][0]]}))
+    out = tmp_path / "r.json"
+    out.write_text("earlier\n")
+    real = cli.run_manifest
+
+    def nan_constant(*args, **kwargs):
+        report = real(*args, **kwargs)
+        report["scenarios"][0]["records"][0]["constants"]["x"] = math.nan
+        return report
+
+    monkeypatch.setattr(cli, "run_manifest", nan_constant)
+    with pytest.raises(ValueError):
+        main(["run", str(path), "--report", str(out)])
+    assert out.read_text() == "earlier\n"

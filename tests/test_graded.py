@@ -1,6 +1,7 @@
-"""Graded jet kernels against the full-order loops they replaced
-(oracles.py), bitwise: the product-pair table, the Neumann lift of
-fields._inverse and the Horner loop of jets._apply_series."""
+"""Jet kernels against the loops as first written (oracles.py), bitwise:
+the product-pair table, the Neumann lift of fields._inverse and the Horner
+loop of jets._apply_series, each lift and Horner step one full-order pass,
+on single points, batches and broadcast views."""
 
 import numpy as np
 import pytest
@@ -95,9 +96,9 @@ def _same_non_finite(got, want):
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_non_finite_coefficients_stay_non_finite(num_vars, order, bad):
     """A non-finite degree-1 or degree-2 input coefficient makes the same
-    outputs non-finite.  The full-order steps add M_0 X_k = 0 * inf = NaN
-    where a graded step adds 0 * 0, so an inf can stay inf where the loops
-    gave NaN."""
+    outputs non-finite, and leaves the finite ones as the loops give them.
+    Each full-order step adds M_0 X_k, which is 0 * inf = NaN once X_k is
+    infinite, so an infinite input can give NaN rather than inf."""
     deg2 = 1 + num_vars
     for k in (1, deg2):
         alg, stacks = _matrices(num_vars, order, num_vars + order)

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -504,18 +503,12 @@ def test_batched_contract_is_the_rowwise_contract_bitwise(num_vars, order):
                 assert np.array_equal(got[..., r, :], one), (spec, r)
 
 
-@pytest.mark.parametrize("cap", [64, 4096, None])
 @pytest.mark.parametrize("num_vars,order", [(2, 0), (4, 0), (3, 1), (4, 2),
                                             (6, 2), (3, 3), (6, 3), (4, 4)])
-def test_blocked_contract_is_the_single_pass_contract_bitwise(
-        num_vars, order, cap, monkeypatch):
-    # past the cap, contract reduces blocks of target coefficients (of 32
-    # pairs at cap 64) and keeps each coefficient's arithmetic: the
-    # single-pass coefficients, for a point and for each batch row, from
-    # C-ordered and from strided operands
-    if cap is not None:
-        monkeypatch.setattr(jets, "CONTRACT_CAP", cap)
-    alg = jets.JetAlgebra(num_vars, order)  # no block tables of another cap
+def test_blocked_contract_is_the_single_pass_contract_bitwise(num_vars, order):
+    # the single-pass coefficients, for a point and for each batch row,
+    # from C-ordered and from strided operands
+    alg = jets.algebra(num_vars, order)
     rng = np.random.default_rng(num_vars + 10 * order)
     for spec in CONTRACT_SPECS:
         for batch in ((), (1,), (5,)):
@@ -528,35 +521,6 @@ def test_blocked_contract_is_the_single_pass_contract_bitwise(
             for r in range(batch[0] if batch else 0):
                 one = alg.contract(spec, a[..., r, :], b[..., r, :])
                 assert np.array_equal(got[..., r, :], one), (spec, r)
-    if len(alg._pair_i) > 32 and cap == 64 or (num_vars, order, cap) == (6, 3, None):
-        assert any(len(blocks) > 1 for blocks in alg._block_tables.values())
-
-
-@pytest.mark.parametrize("rows", [6, 12])
-def test_blocked_contract_temporaries_stay_under_the_cap(rows):
-    # "ab,ay->yb" on (6, 6, rows, 84) stacks, the n = 3 boundary ladder at
-    # order 3: one pass gathers 455 pairs x 36 rows doubles per pair array.
-    # In blocks (2 and 4 here), each pair array holds at most the cap, and
-    # a block's arrays are freed before the next block's; the rest of the
-    # peak is the output and einsum's iteration buffers (8192 elements of
-    # each of three operands)
-    alg = jets.JetAlgebra(6, 3)  # this contraction's block table only
-    a, b = np.random.default_rng(0).uniform(-1.0, 1.0,
-                                            (2, 6, 6, rows, alg.size))
-    spec = "ab,ay->yb"
-    out = alg.contract(spec, a, b)  # builds the block table
-    tracemalloc.start()
-    try:
-        alg.contract(spec, a, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    width = 36 * rows * 8  # bytes per pair
-    (blocks,) = alg._block_tables.values()
-    block = width * max(p.stop - p.start for _, p, _ in blocks)
-    assert len(blocks) > 1 and block <= 8 * jets.CONTRACT_CAP
-    assert peak < 3 * block + out.nbytes + 3 * 8192 * 8
-    assert 3 * block + out.nbytes + 3 * 8192 * 8 < 3 * width * len(alg._pair_i)
 
 
 def test_eval_shift_takes_one_shift_per_row_bitwise():

@@ -80,10 +80,15 @@ def test_monomials_and_tables_are_the_full_ones_filtered_in_order(num_vars, orde
 
 
 def test_prefix_keeps_the_bound():
-    line = jets.algebra(6, 4, 1)
-    assert line.prefix(2) is jets.algebra(6, 2, 1)
-    assert line.prefix(1) is jets.algebra(6, 1)
-    assert line.prefix(2).monomials == line.monomials[:line.prefix(2).size]
+    # the degree <= k monomials of algebra(n, o, D) are, in order, those of
+    # algebra(n, k, D), which truncate and the derivative tables slice
+    for num_vars, order, D in GRID + [(6, 4, 4)]:  # D >= order: full
+        line = jets.algebra(num_vars, order, D)
+        for k in range(order + 1):
+            low = jets.algebra(num_vars, k, D)
+            assert low.transverse == min(D, k)
+            assert line.monomials[:low.size] == low.monomials
+            assert (line.degree[low.size:] > k).all()
 
 
 # -- kernels --------------------------------------------------------------------
