@@ -16,9 +16,9 @@ the one-call-per-coefficient draw of the random structures.  The jet loops
 at the end are the product-pair table, the Neumann lift and the Horner loop
 as first written, every step at full order as the kernels run them, the
 per-row series loop with the per-point coefficient formulas, the
-per-monomial eval_shift loop, the single-pass contraction and the
-single-point product; the kernels must give bitwise the same
-coefficients.  single_point_match_boundary_constant is the dT^2
+per-monomial eval_shift loop, the single-pass contraction, the
+contraction in blocks of whole targets and the single-point product; the
+kernels must give bitwise the same coefficients.  single_point_match_boundary_constant is the dT^2
 coefficient as first read, one point at the deepest rung, and
 full_ladder_rows and full_shift_ladder the extension ladder on jets in
 every monomial of the chart variables, before ladders ran on T-line jets.
@@ -422,6 +422,49 @@ def single_pass_contract(alg, spec, a, b):
                       np.take(b, alg._pair_j, axis=-1))
     return np.add.reduceat(pairs, alg._pair_start, axis=-1)
 
+
+def _pair_spec(spec, a, b):
+    """contract's spec on the pair axis z, batch axes carried by ..."""
+    operands, result = spec.split("->")
+    sa, sb = operands.split(",")
+    if "..." not in spec and (a.ndim > len(sa) + 1 or b.ndim > len(sb) + 1):
+        sa, sb, result = sa + "...", sb + "...", result + "..."
+    return f"{sa}z,{sb}z->{result}z"
+
+
+def contract_blocks(alg, spec, a, b, cap):
+    """The (targets, pairs, pair starts) blocks in which the blocked
+    contraction reduced spec's pairs past order 0: whole targets, filled
+    greedily up to cap doubles in a pair array, or 32 pairs."""
+    spec = _pair_spec(spec, a, b)
+    out = np.einsum(spec, a[..., :0], b[..., :0]).shape[:-1]
+    width = max(a.size // a.shape[-1], b.size // b.shape[-1], math.prod(out))
+    fit = max(cap // width, 32)  # pairs in a block
+    start = alg._pair_start
+    end = np.append(start[1:], len(alg._pair_i))
+    cuts = [0]
+    while cuts[-1] < alg.size:
+        t1 = np.searchsorted(end, start[cuts[-1]] + fit, "right")
+        cuts.append(int(max(t1, cuts[-1] + 1)))
+    return [(slice(t0, t1), slice(start[t0], end[t1 - 1]), start[t0:t1] - start[t0])
+            for t0, t1 in zip(cuts, cuts[1:])]
+
+
+def blocked_contract(alg, spec, a, b, cap=1 << 16):
+    """JetAlgebra.contract as it ran before one pass: past order 0, the
+    pairs gathered, multiplied and reduced one block of contract_blocks at
+    a time, each block's targets written into one output."""
+    if alg.order == 0:
+        return single_pass_contract(alg, spec, a, b)
+    out = None
+    for targets, pairs, starts in contract_blocks(alg, spec, a, b, cap):
+        prods = np.einsum(_pair_spec(spec, a, b),
+                          np.take(a, alg._pair_i[pairs], axis=-1),
+                          np.take(b, alg._pair_j[pairs], axis=-1))
+        if out is None:
+            out = np.empty(prods.shape[:-1] + (alg.size,))
+        np.add.reduceat(prods, starts, axis=-1, out=out[..., targets])
+    return out
 
 def single_point_mul(alg, a, b):
     """JetAlgebra.mul of two (S,) operands as first written: the pair

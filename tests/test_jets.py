@@ -503,13 +503,18 @@ def test_batched_contract_is_the_rowwise_contract_bitwise(num_vars, order):
                 assert np.array_equal(got[..., r, :], one), (spec, r)
 
 
+@pytest.mark.parametrize("cap", [64, 4096, None])
 @pytest.mark.parametrize("num_vars,order", [(2, 0), (4, 0), (3, 1), (4, 2),
                                             (6, 2), (3, 3), (6, 3), (4, 4)])
-def test_blocked_contract_is_the_single_pass_contract_bitwise(num_vars, order):
+def test_blocked_contract_is_the_single_pass_contract_bitwise(num_vars, order, cap):
     # the single-pass coefficients, for a point and for each batch row,
-    # from C-ordered and from strided operands
+    # from C-ordered and from strided operands; the contraction in blocks
+    # of whole targets (of 32 pairs at cap 64, of 1 << 16 doubles at None)
+    # keeps each coefficient's arithmetic, so it gives them too
+    cap = 1 << 16 if cap is None else cap
     alg = jets.algebra(num_vars, order)
     rng = np.random.default_rng(num_vars + 10 * order)
+    split = False
     for spec in CONTRACT_SPECS:
         for batch in ((), (1,), (5,)):
             a, b = _spec_operands(spec, num_vars, batch, alg.size, rng)
@@ -517,10 +522,16 @@ def test_blocked_contract_is_the_single_pass_contract_bitwise(num_vars, order):
             want = oracles.single_pass_contract(alg, spec, a, b)
             assert got.shape == want.shape and np.array_equal(got, want), (
                 spec, batch)
+            blocked = oracles.blocked_contract(alg, spec, a, b, cap)
+            assert np.array_equal(blocked, want), (spec, batch)
+            if order:
+                split |= len(oracles.contract_blocks(alg, spec, a, b, cap)) > 1
             assert np.array_equal(alg.contract(spec, np.asfortranarray(a), b), want)
             for r in range(batch[0] if batch else 0):
                 one = alg.contract(spec, a[..., r, :], b[..., r, :])
                 assert np.array_equal(got[..., r, :], one), (spec, r)
+    if len(alg._pair_i) > 32 and cap == 64 or (num_vars, order, cap) == (6, 3, 1 << 16):
+        assert split
 
 
 def test_eval_shift_takes_one_shift_per_row_bitwise():
