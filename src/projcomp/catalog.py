@@ -178,22 +178,23 @@ class ProjectiveStructure:
                                name=self.label or "ps")
 
     def schouten(self) -> TensorField:
-        """The projective Schouten field, built once per structure."""
+        """The projective Schouten field, built once per structure and memoized."""
         if self._schouten is None:
             self._schouten = projective_schouten(self.connection())
+            self._schouten.func = _memo(self._schouten.func)
         return self._schouten
 
     def schouten_at(self, x) -> np.ndarray:
         """The n x n Schouten matrix P_ij at base coordinates x.
 
-        For floats, a float matrix.  For jets of order o (in any number of
-        variables), the stacked (n, n, S) order-o jets of the Schouten field
-        at x's value composed with x.
+        For floats, a float matrix.  For jets (in any number of variables),
+        the stacked (n, n, S) jets of the Schouten field at x's value, at
+        order jets.composed_order(x) (D for T-free x), composed with x.
         """
         sch = self.schouten()
         if not isinstance(x[0], Jet):
             return sch.func(jets.seed_point(x, 0))[..., 0]
-        Pn = sch.func(jets.reseed(x, x[0].order))
+        Pn = sch.func(jets.reseed(x, jets.composed_order(x)))
         return jets.compose_stacked(Pn, x)
 
 

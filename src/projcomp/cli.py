@@ -782,9 +782,10 @@ def builtin_manifest() -> dict:
 
 def _record(check, claim, status, residual, tol, seed, samples, t0, constants):
     """One report record.  A non-finite residual is written as null, with
-    its value as a string in constants["residual_nonfinite"], so that the
-    report stays strict JSON."""
-    constants = dict(constants)
+    its value as a string in constants["residual_nonfinite"], a non-finite
+    constant as its string, so that the report stays strict JSON."""
+    constants = {k: str(v) if isinstance(v, float) and not math.isfinite(v)
+                 else v for k, v in constants.items()}
     if residual is not None:
         residual = float(residual)
         if not math.isfinite(residual):
@@ -853,7 +854,9 @@ def run_manifest(manifest: dict, jobs: int = 1, tol_scale: float = 1.0) -> dict:
     t0 = time.perf_counter()
     if jobs > 1 and len(scenarios) > 1:
         from concurrent.futures import ProcessPoolExecutor  # slow to import
-        with ProcessPoolExecutor(max_workers=min(jobs, len(scenarios))) as ex:
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=min(jobs, len(scenarios), cpus)) as ex:
             results = list(ex.map(run_scenario, scenarios,
                                   [tol_scale] * len(scenarios)))
     else:
@@ -917,20 +920,18 @@ def _cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.report:
-        text = serialize_report(report)  # before the file is opened
         try:
+            text = serialize_report(report)  # before the file is opened
             with open(args.report, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: cannot write report: {exc}", file=sys.stderr)
             return 2
     for res in report["scenarios"]:
         for rec in res["records"]:
             resid = rec["max_residual"]
-            if resid is None:
-                shown = rec["constants"].get("residual_nonfinite", "n/a")
-            else:
-                shown = f"{resid:.3e}"
+            shown = (rec["constants"].get("residual_nonfinite", "n/a")
+                     if resid is None else f"{resid:.3e}")
             error = rec["constants"].get("error")
             print(f"[{rec['status']:^12}] {res['id']}/{rec['check']}: "
                   f"residual {shown} (tol {rec['tolerance']:.1e})"

@@ -231,14 +231,18 @@ def _grad(alg, A: np.ndarray) -> np.ndarray:
     return np.stack([A[..., src] * fac for src, _, fac in alg._deriv])
 
 
+def _raised(coords) -> list:
+    """coords' basepoint seeded one jet order and transverse degree up."""
+    return jets.reseed(coords, coords[0].order + 1, coords[0].alg.transverse + 1)
+
+
 def _lift(func: Callable, coords) -> tuple:
     """(F, dF): the stacked components of func at the basepoint of coords,
-    evaluated once one jet order and one transverse degree up, gathered
-    back to coords' algebra, and their gradient dF[a, ...] = d_a F, exact
-    in the same algebra.  Every derivative of a field is taken here, and
-    only here does a T-line algebra's bound D rise (see jets)."""
-    alg = coords[0].alg
-    up = jets.reseed(coords, alg.order + 1, alg.transverse + 1)
+    evaluated once on _raised(coords), gathered back to coords' algebra,
+    and their gradient dF[a, ...] = d_a F, exact in the same algebra.
+    Every derivative of a field is taken here, and only _raised, its
+    seeding, raises a T-line algebra's bound D (see jets)."""
+    up = _raised(coords)
     F = func(up)
     return F[..., up[0].alg._down], _grad(up[0].alg, F)
 

@@ -17,7 +17,8 @@ pure T), a downward-closed list whose pair tables are the full ones
 filtered, in order, so every kernel sums each kept coefficient as the full
 algebra does; D >= k is algebra(n, k).  Composition substitutes inner jets
 into a stack of outer jets with one monomial table (compose_stacked), in
-the arithmetic order of one jet.
+the arithmetic order of one jet, to order D when no inner jet has a pure-T
+coefficient (composed_order; the terms above D then add exact zeros).
 
 Components leave a formula as one stacked float array: stack turns the
 nested scalars a component formula computes into shape (..., S), S Taylor
@@ -58,6 +59,7 @@ __all__ = [
     "algebra",
     "compose",
     "compose_stacked",
+    "composed_order",
     "stack",
     "scale",
     "seed_point",
@@ -104,6 +106,7 @@ class JetAlgebra:
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self.degree = np.array([sum(m) for m in self.monomials])
         across = self.degree - np.array([m[0] for m in self.monomials])
+        self.pure_t = np.flatnonzero(across == 0)  # T^0, T^1, ..., T^order
 
         # Sparse convolution table: coefficient k of a*b accumulates a[i]*b[j]
         # over all monomial pairs with m_i + m_j = m_k.  Pairs are stored
@@ -140,7 +143,7 @@ class JetAlgebra:
         self._row_i = np.concatenate([self._mul_i, self._mul_d])
         self._row_j = np.concatenate([self._mul_j, self._mul_d])
         self._row_k = np.concatenate([self._mul_k, self._mul_kd])
-        self._row_targets: dict = {}  # rows -> flattened offset targets
+        self._plans: dict = {}  # operand shapes -> (shape, (rows, S), targets)
 
         # factorial(alpha) per monomial, for partial-derivative extraction
         self.fact = np.array(
@@ -176,22 +179,23 @@ class JetAlgebra:
         return self._mul_rows(a, b)
 
     def _mul_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """mul of (S,) or batched (..., S) operands (broadcast against each
-        other): one bincount over the targets k + S * row, which sums each
-        row's pair products, then its square product, in table order."""
-        a, b = np.broadcast_arrays(a, b)
-        shape = a.shape
-        a, b = a.reshape(-1, self.size), b.reshape(-1, self.size)
-        rows = len(a)
-        targets = self._row_targets.get(rows)
-        if targets is None:
-            offsets = self.size * np.arange(rows)[:, None]
-            targets = self._row_targets[rows] = (self._row_k + offsets).ravel()
+        """mul of (S,) or batched (..., S) operands, broadcast as planned once
+        per pair of shapes: one bincount over the targets k + S * row sums
+        each row's pair products, then its square product, in table order."""
+        plan = self._plans.get((a.shape, b.shape))
+        if plan is None:
+            shape = np.broadcast_shapes(a.shape, b.shape)
+            flat = (math.prod(shape[:-1]), self.size)
+            targets = (self._row_k + self.size * np.arange(flat[0])[:, None]).ravel()
+            plan = self._plans[a.shape, b.shape] = shape, flat, targets
+        shape, flat, targets = plan
+        a = (a if a.shape == shape else np.broadcast_to(a, shape)).reshape(flat)
+        b = (b if b.shape == shape else np.broadcast_to(b, shape)).reshape(flat)
         w = a[:, self._row_i] * b[:, self._row_j]
         pairs = self._mul_k.size
         w[:, :pairs] += a[:, self._mul_j] * b[:, self._mul_i]
         return np.bincount(targets, weights=w.ravel(),
-                           minlength=rows * self.size).reshape(shape)
+                           minlength=a.size).reshape(shape)
 
     def contract(self, spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Truncated product of stacked jet tensors (coefficients on the last
@@ -651,22 +655,30 @@ def compose(f: Jet, inner: list[Jet]) -> Jet:
     return Jet(inner[0].alg, compose_stacked(f.c, inner))
 
 
+def composed_order(inner: list[Jet]) -> int:
+    """compose_stacked's order: the bound D of inner's algebra if no inner
+    jet has a nonzero pure-T coefficient T^j, j >= 1, else its order."""
+    alg = inner[0].alg
+    with_t = any(np.any(g.c[..., alg.pure_t[1:]]) for g in inner)
+    return alg.order if with_t else alg.transverse
+
+
 def compose_stacked(F: np.ndarray, inner: list[Jet]) -> np.ndarray:
-    """compose for a stack F[..., :] of jets in len(inner) variables, at an
-    order no lower than the inner jets'; returns the stacked composed jets.
+    """compose for a stack F[..., :] of jets in len(inner) variables, of
+    order at least composed_order(inner): the stacked composed jets.
     The powers of dg_i = g_i - g_i.value are built once; a monomial is its
     prefix's product (the powers of the lower variables) times its highest
     variable's power, and the terms are summed in graded-lex order."""
     alg = inner[0].alg
-    table = algebra(len(inner), alg.order)
+    table = algebra(len(inner), composed_order(inner))
     if F.shape[-1] < table.size:
-        raise JetError("compose: outer jets below the inner order")
+        raise JetError("compose: outer jets below the composed order")
     powers = []  # powers[i][e] = dg_i ** e
     for g in inner:
         dg = g.c.copy()
         dg[_coeff(dg, 0)] = 0.0
         row = [None, dg]
-        for _ in range(2, alg.order + 1):
+        for _ in range(2, table.order + 1):
             row.append(alg.mul(row[-1], row[1]))
         powers.append(row)
     prods = {table.monomials[0]: np.eye(1, alg.size)[0]}

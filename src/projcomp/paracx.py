@@ -42,7 +42,7 @@ import numpy as np
 
 from . import jets
 from .fields import (_SLOTS, ChartMap, ConnectionField, MetricField,
-                     TensorField, _inverse, _lift, _memo, _nabla,
+                     TensorField, _inverse, _lift, _memo, _nabla, _raised,
                      exterior_derivative, levi_civita)
 from .compactify import (CompactificationSpec, ExtensionVerdict, at_boundary,
                          extend_to_boundary, ladder_rows, ladder_verdict,
@@ -464,7 +464,8 @@ def levi_compatibility_check(ps: ProjectiveStructure, bundle,
     """max |h_D(U, V) - levi(U, V)| over distribution basis pairs at the
     boundary points above tps, with levi = -1/2 dtheta0(J_D U, V) and J's
     boundary value the extend_to_boundary limit of the order-3 jets of the
-    bundle's J (see dm_boundary_fields) on spec's ladder.
+    bundle's J (see dm_boundary_fields) on spec's ladder: the D = 0 part of
+    the (3, D = 1) J that the Nijenhuis ladder lifts, bitwise J at (3, 0).
 
     The basis of the distribution (annihilated by theta0 and dT) is
     e_A = d/dX^A - Z_A d/dY and f_A = d/dZ_A.  The projection J_D is J
@@ -476,7 +477,12 @@ def levi_compatibility_check(ps: ProjectiveStructure, bundle,
     n = ps.n
     m = n - 1
     _, h_d, _ = boundary_data(ps)
-    J0 = extend_to_boundary(bundle[2].func, spec, tps, order=3).limits
+
+    def pure_t(coords):  # J as the order-2 Nijenhuis ladder lifts it
+        up = _raised(jets.reseed(coords, coords[0].order - 1, 0))
+        return bundle[2].func(up)[..., up[0].alg.pure_t]
+
+    J0 = extend_to_boundary(pure_t, spec, tps, order=3).limits
     p0 = at_boundary(tps)
     A = np.arange(m)
     E = np.zeros((len(p0), 2 * n, 2 * m))
@@ -512,12 +518,8 @@ def nijenhuis_tangential_check(bundle, spec: CompactificationSpec, tps,
     bundle's J in boundary coordinates) extends to T = 0 above tps with
     boundary value 0, within tolerance."""
     N = nijenhuis(bundle[2])
-
-    def t_row(coords):
-        return N.func(coords)[0]
-
-    return extend_to_boundary(t_row, spec, tps, tolerance=tolerance,
-                              want=0.0, order=2)
+    return extend_to_boundary(lambda c: N.func(c)[0], spec, tps,
+                              tolerance=tolerance, want=0.0, order=2)
 
 
 def cg_form_check(ps: ProjectiveStructure, bundle, spec: CompactificationSpec,

@@ -17,11 +17,14 @@ at the end are the product-pair table, the Neumann lift and the Horner loop
 as first written, every step at full order as the kernels run them, the
 per-row series loop with the per-point coefficient formulas, the
 per-monomial eval_shift loop, the single-pass contraction, the
-contraction in blocks of whole targets and the single-point product; the
-kernels must give bitwise the same coefficients.  single_point_match_boundary_constant is the dT^2
-coefficient as first read, one point at the deepest rung, and
-full_ladder_rows and full_shift_ladder the extension ladder on jets in
-every monomial of the chart variables, before ladders ran on T-line jets.
+contraction in blocks of whole targets, the single-point product, the
+product of broadcast operands, the composition on the full monomial table
+and the Schouten tensor at the full order of its base point; the kernels
+must give bitwise the same coefficients.
+single_point_match_boundary_constant is the dT^2 coefficient as first
+read, one point at the deepest rung, and full_ladder_rows and
+full_shift_ladder the extension ladder on jets in every monomial of the
+chart variables, before ladders ran on T-line jets.
 The component formulas at the very end are the Eguchi-Hanson metric, its
 T = 1/r form and its boundary field h, each written out entry by entry,
 and the one-form dT/(2T) as first written; the shared formulas must give
@@ -481,6 +484,55 @@ def single_point_mul(alg, a, b):
     out += np.bincount(alg._mul_kd, weights=a[alg._mul_d] * b[alg._mul_d],
                        minlength=alg.size)
     return out
+
+
+def broadcast_mul_rows(alg, a, b):
+    """JetAlgebra._mul_rows before its plans: both operands broadcast by
+    np.broadcast_arrays, the offset targets kept per row count."""
+    a, b = np.broadcast_arrays(a, b)
+    shape = a.shape
+    a, b = a.reshape(-1, alg.size), b.reshape(-1, alg.size)
+    rows = len(a)
+    targets = (alg._row_k + alg.size * np.arange(rows)[:, None]).ravel()
+    w = a[:, alg._row_i] * b[:, alg._row_j]
+    pairs = alg._mul_k.size
+    w[:, :pairs] += a[:, alg._mul_j] * b[:, alg._mul_i]
+    return np.bincount(targets, weights=w.ravel(),
+                       minlength=rows * alg.size).reshape(shape)
+
+
+def full_table_compose_stacked(F, inner):
+    """jets.compose_stacked before composed_order: the monomial table and
+    the powers of each dg_i to the inner jets' order, whatever their
+    transverse degrees."""
+    alg = inner[0].alg
+    table = jets.algebra(len(inner), alg.order)
+    powers = []
+    for g in inner:
+        dg = g.c.copy()
+        dg[..., 0] = 0.0
+        row = [None, dg]
+        for _ in range(2, alg.order + 1):
+            row.append(alg.mul(row[-1], row[1]))
+        powers.append(row)
+    prods = {table.monomials[0]: np.eye(1, alg.size)[0]}
+    out = np.zeros(F.shape[:-1] + (alg.size,))
+    for k, m in enumerate(table.monomials):
+        if m not in prods:
+            h = max(i for i, e in enumerate(m) if e)
+            head = m[:h] + (0,) * (len(m) - h)
+            p = powers[h][m[h]]
+            prods[m] = alg.mul(prods[head], p) if any(head) else p
+        out += F[..., k, None] * prods[m]
+    return out
+
+
+def full_order_schouten_at(ps, x):
+    """ProjectiveStructure.schouten_at on jets x as first written: the
+    Schouten field at x's order in the n base variables, composed with x
+    on the full table."""
+    P = ps.schouten().func(jets.reseed(x, x[0].order))
+    return full_table_compose_stacked(P, x)
 
 
 def single_point_match_boundary_constant(g, spec, tangent_point):

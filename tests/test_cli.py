@@ -687,11 +687,24 @@ def test_workers_are_at_most_the_scenarios(monkeypatch):
 
     import concurrent.futures
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
     want = _strip_walltime(run_manifest(SMALL, jobs=1))
     assert sizes == []
     for jobs, size in ((2, 2), (100_000, 2)):
         assert _strip_walltime(run_manifest(SMALL, jobs=jobs)) == want
         assert sizes.pop() == size
+    # and at most the CPUs this process may use, from the affinity mask or,
+    # where there is none, the CPU count
+    many = {"scenarios": [dict(SMALL["scenarios"][0], id=f"w{i}")
+                          for i in range(6)]}
+    for jobs, size in ((3, 3), (5, 4), (100_000, 4)):
+        run_manifest(many, jobs=jobs)
+        assert sizes.pop() == size
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    run_manifest(many, jobs=100_000)
+    assert sizes.pop() == 3
 
 
 @pytest.mark.parametrize("tol,scale", [(1e308, "10"), (1e-300, "1e-30")])
@@ -716,7 +729,7 @@ def test_a_scaled_tolerance_out_of_range_is_a_manifest_error(
 
 
 def test_an_unserializable_report_leaves_the_report_file_alone(
-        tmp_path, monkeypatch):
+        tmp_path, monkeypatch, capsys):
     # the report is serialized before the file is opened, so a report that
     # is not strict JSON leaves an earlier report as it was
     path = tmp_path / "m.json"
@@ -731,6 +744,26 @@ def test_an_unserializable_report_leaves_the_report_file_alone(
         return report
 
     monkeypatch.setattr(cli, "run_manifest", nan_constant)
-    with pytest.raises(ValueError):
-        main(["run", str(path), "--report", str(out)])
+    assert main(["run", str(path), "--report", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert out.read_text() == "earlier\n"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_nonfinite_constant_is_written_as_its_string(value, monkeypatch):
+    # as a non-finite residual is, so one check cannot keep the report
+    # from being strict JSON
+    checks = cli.REGISTRY["warped"].checks
+    real = checks["levi-civita-pair"]
+
+    def nonfinite(self, tol):
+        return "pass", 0.0, 1, {"x": value, "y": 1.5}
+
+    vars(nonfinite).update(vars(real))  # name, claim, tolerance, needs
+    monkeypatch.setitem(checks, "levi-civita-pair", nonfinite)
+    report = run_manifest({"scenarios": [SMALL["scenarios"][0]]})
+    rec = report["scenarios"][0]["records"][0]
+    assert rec["constants"] == {"x": str(value), "y": 1.5}
+    assert json.loads(serialize_report(report),
+                      parse_constant=_reject_constant)["summary"]["pass"] == 1

@@ -91,15 +91,15 @@ def test_no_module_imports_a_name_it_never_uses(path):
     assert not bound - used - set(_exports(tree))
 
 
-def _outside_lift(pred) -> list:
+def _outside(pred, owner: str) -> list:
     """module:line of every node of the package that pred accepts, outside
-    the body of fields._lift."""
+    the body of the function fields.<owner>."""
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text())
-        inside = {id(n) for lift in tree.body if path.stem == "fields"
-                  and getattr(lift, "name", None) == "_lift"
-                  for n in ast.walk(lift)}
+        inside = {id(n) for node in tree.body if path.stem == "fields"
+                  and getattr(node, "name", None) == owner
+                  for n in ast.walk(node)}
         found += [f"{path.stem}:{n.lineno}" for n in ast.walk(tree)
                   if pred(n) and id(n) not in inside]
     return found
@@ -107,18 +107,28 @@ def _outside_lift(pred) -> list:
 
 def _one_order_up(node) -> bool:
     """A call reseed(coords, <order> + 1) or seed_point(point, <order> + 1),
-    the order given either way."""
+    or one whose transverse bound is <D> + 1, each given either way."""
     if not (isinstance(node, ast.Call)
             and {"reseed", "seed_point"} & _names_used(node.func)):
         return False
-    order = node.args[1:] + [k.value for k in node.keywords if k.arg == "order"]
+    raised = node.args[1:] + [k.value for k in node.keywords
+                              if k.arg in ("order", "transverse")]
     return any(isinstance(o, ast.BinOp) and isinstance(o.op, ast.Add)
-               and getattr(o.right, "value", None) == 1 for o in order)
+               and getattr(o.right, "value", None) == 1 for o in raised)
+
+
+def test_one_order_up_reads_every_argument():
+    calls = ["jets.reseed(c, alg.order + 1)", "seed_point(p, order=k + 1)",
+             "jets.reseed(c, 3, alg.transverse + 1)",
+             "jets.seed_point(p, 3, transverse=D + 1)",
+             "reseed(c, order=3, transverse=alg.transverse + 1)"]
+    assert all(_one_order_up(ast.parse(c).body[0].value) for c in calls)
 
 
 def test_every_derivative_is_taken_by_lift():
-    # the gradient gather and the seeding one order up live in fields._lift
-    assert not _outside_lift(lambda n: "_grad" in _names_used(n)
-                             and isinstance(n, (ast.Name, ast.Attribute)))
-    assert not _outside_lift(_one_order_up)
-    assert callable(fields._lift)
+    # the gradient gather lives in fields._lift, and the seeding one order
+    # (and one transverse degree) up in its seeding, fields._raised
+    assert not _outside(lambda n: "_grad" in _names_used(n)
+                        and isinstance(n, (ast.Name, ast.Attribute)), "_lift")
+    assert not _outside(_one_order_up, "_raised")
+    assert callable(fields._lift) and callable(fields._raised)

@@ -951,8 +951,8 @@ def test_boundary_pair_pulled_back_together_matches_separate_pullbacks():
 
 def test_boundary_checks_invert_j_once_per_ladder(monkeypatch):
     # levi and nijenhuis-tangential of one scenario draw the same tangent
-    # points: levi reads J at order 3 on T-line jets (D = 0), the order-2
-    # Nijenhuis ladder J lifted to order 3 and D = 1; each is inverted once
+    # points: the order-2 Nijenhuis ladder lifts J to order 3 and D = 1,
+    # and levi reads J's D = 0 part from that one evaluation, inverted once
     # (and J once at its construction probe)
     shapes = []
     inverse = paracx._inverse
@@ -967,10 +967,9 @@ def test_boundary_checks_invert_j_once_per_ladder(monkeypatch):
           "checks": ["levi", "nijenhuis-tangential"], "points": 2, "seed": 5}
     report = cli.run_manifest({"scenarios": [sc]})
     assert report["summary"]["pass"] == 2
-    # 2 tangent points x 3 rungs, order 3 in 6 variables
-    sizes = [jets.algebra(6, 3, d).size for d in (0, 1)]
-    assert sizes == [4, 19]
-    assert [s for s in shapes if len(s) == 4] == [(6, 6, 6, s) for s in sizes]
+    # 2 tangent points x 3 rungs, order 3 and D = 1 in 6 variables
+    assert jets.algebra(6, 3, 1).size == 19
+    assert [s for s in shapes if len(s) == 4] == [(6, 6, 6, 19)]
 
 
 def test_boundary_metric_inverts_each_distinct_matrix_once(monkeypatch):

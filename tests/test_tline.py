@@ -5,7 +5,10 @@ A T-line algebra keeps the monomials of total degree <= order and degree
 kept monomials, bitwise the full algebra's coefficients, and every
 extension ladder of the package, now seeded at D = 0, must give bitwise
 the pure-T coefficients of the full-jet ladder (oracles.full_ladder_rows)
-and the same shifted ladder.
+and the same shifted ladder.  A composition runs at jets.composed_order,
+D for inner jets without T, and must give bitwise the composition on the
+full table, as the Schouten tensor must the full-order one; a boundary
+ladder seeds its base variables no higher than that needs.
 """
 
 import re
@@ -16,7 +19,7 @@ import pytest
 
 import oracles
 import projcomp
-from projcomp import cli, fields, jets
+from projcomp import catalog, cli, fields, jets
 from projcomp.catalog import random_projective_structure
 from projcomp.compactify import (CompactificationSpec, asymptotic_form_check,
                                  ladder_rows, match_boundary_constant,
@@ -196,6 +199,77 @@ def test_compose_stacked_is_the_full_composition_on_the_kept_monomials(
     assert _same(got, want[..., keep])
 
 
+# (base variables n, order, D) of a 2n-variable chart whose last n
+# coordinates are the base point x, as in the boundary chart; D = order is
+# the full algebra
+COMPOSED = [(2, 2, 0), (2, 3, 0), (2, 3, 1), (2, 4, 2), (2, 3, 3), (3, 3, 0),
+            (3, 3, 1), (3, 2, 2)]
+
+
+def _base(n, order, D, with_t):
+    """x = the last n coordinates of 2n-variable jets over ROWS points, plus
+    a pure-T part if with_t."""
+    rng = np.random.default_rng(n + order + D)
+    points = rng.uniform(-0.8, 0.8, (ROWS, 2 * n))
+    coords = jets.seed_point(points, order, D)
+    return [c + (0.25 * (i + 1)) * coords[0] if with_t else c
+            for i, c in enumerate(coords[n:])]
+
+
+@pytest.mark.parametrize("n,order,D", COMPOSED)
+@pytest.mark.parametrize("with_t", [False, True], ids=["T-free", "pure-T"])
+def test_composed_order_is_d_unless_the_inner_jets_carry_t(n, order, D, with_t):
+    x = _base(n, order, D, with_t)
+    assert jets.composed_order(x) == (order if with_t else D)
+    assert jets.composed_order(x[1:]) == jets.composed_order(x)
+
+
+@pytest.mark.parametrize("n,order,D", COMPOSED)
+@pytest.mark.parametrize("with_t", [False, True], ids=["T-free", "pure-T"])
+def test_compose_stacked_at_composed_order_is_the_full_table(n, order, D, with_t):
+    x = _base(n, order, D, with_t)
+    size = jets.algebra(n, order).size
+    F = np.random.default_rng(order).uniform(-1, 1, (3, 2, ROWS, size))
+    want = oracles.full_table_compose_stacked(F, x)
+    assert _same(jets.compose_stacked(F, x), want)
+    # outer jets at the composed order are enough
+    low = F[..., :jets.algebra(n, jets.composed_order(x)).size]
+    assert _same(jets.compose_stacked(low, x), want)
+    if jets.composed_order(x):
+        with pytest.raises(jets.JetError, match="composed order"):
+            jets.compose_stacked(F[..., :1], x)
+
+
+@pytest.mark.parametrize("n,order,D", COMPOSED)
+@pytest.mark.parametrize("with_t", [False, True], ids=["T-free", "pure-T"])
+def test_schouten_at_is_the_full_order_schouten(n, order, D, with_t):
+    ps = random_projective_structure(n, 3, 0.4, n + order)
+    x = _base(n, order, D, with_t)
+    assert _same(ps.schouten_at(x), oracles.full_order_schouten_at(ps, x))
+    one = [jets.Jet(c.alg, c.c[0]) for c in x]  # a single point
+    assert _same(ps.schouten_at(one), oracles.full_order_schouten_at(ps, one))
+
+
+# (a shape, b shape) of mul's operands, B = ROWS rows
+MUL_SHAPES = {"(S,)x(B,S)": ((), (ROWS,)), "(B,S)x(S,)": ((ROWS,), ()),
+              "stacked": ((3, 1, ROWS), (2, ROWS)),
+              "equal": ((2, ROWS), (2, ROWS)),
+              "equal rows": ((2 * ROWS,), (1, 2 * ROWS))}
+
+
+@pytest.mark.parametrize("shapes", MUL_SHAPES)
+def test_mul_is_the_broadcast_product(shapes):
+    sa, sb = MUL_SHAPES[shapes]
+    for num_vars, order, D in GRID + [(6, 3, 3)]:
+        alg = jets.algebra(num_vars, order, D)
+        rng = np.random.default_rng(order + D)
+        a = rng.uniform(-1, 1, sa + (alg.size,))
+        b = rng.uniform(-1, 1, sb + (alg.size,))
+        for _ in range(2):  # planned, then from the plan
+            assert _same(alg.mul(a, b), oracles.broadcast_mul_rows(alg, a, b))
+            assert _same(alg.mul(b, a), oracles.broadcast_mul_rows(alg, b, a))
+
+
 def _field(coords):
     T, u, w = coords[0], coords[1], coords[-1]
     return jets.stack([[T * u + jets.sin(w), 1.0 / (T + 2.0)],
@@ -320,3 +394,58 @@ def test_boundary_constant_is_that_of_the_full_ladder(catalog):
     full = oracles.full_shift_ladder(
         oracles.full_ladder_rows(scaled, s.spec, [tp]), s.spec)
     assert match_boundary_constant(g, s.spec, tp) == float(full[0, -1])
+
+
+def test_boundary_ladders_seed_the_base_at_most_one_above_their_d(monkeypatch):
+    # The Schouten tensor of an n = 3 boundary scenario is evaluated at the
+    # order its T-free base point needs (jets.composed_order), not at the
+    # ladder's order: while each boundary check runs, no jets in the 3 base
+    # variables are seeded above the largest D seeded in the 6 chart
+    # variables, plus one (the lift inside the Schouten field)
+    seeded = []
+    real = jets.seed_point
+
+    def counted(point, order, transverse=None):
+        coords = real(point, order, transverse)
+        seeded.append((coords[0].num_vars, order, coords[0].alg.transverse))
+        return coords
+
+    monkeypatch.setattr(jets, "seed_point", counted)
+    for check in ("levi", "nijenhuis-tangential", "cg-form",
+                  "connection-extension"):
+        seeded.clear()
+        sc = {"id": "dm-n3", "catalog": "dm-random",
+              "params": {"n": 3, "degree": 2, "seed": 5},
+              "checks": [check], "points": 2, "seed": 5}
+        assert cli.run_manifest({"scenarios": [sc]})["summary"]["pass"] == 1
+        D = max(d for v, _, d in seeded if v == 6)
+        base = [order for v, order, _ in seeded if v == 3]
+        assert base and max(base) <= D + 1, check
+
+
+def test_the_schouten_field_is_evaluated_once_per_point_and_order(monkeypatch):
+    # connection-extension's ladder (order 2) and cg-form's (order 3) need
+    # the Schouten field at order 0 above the same tangent points, and
+    # cg-form's theta and its closed form need it at the same slices: the
+    # structure's field keeps each distinct evaluation
+    seen = []
+    real = catalog.projective_schouten
+
+    def counted(conn):
+        field = real(conn)
+        func = field.func
+
+        def evaluated(coords):
+            seen.append(fields._key(coords))
+            return func(coords)
+
+        field.func = evaluated
+        return field
+
+    monkeypatch.setattr(catalog, "projective_schouten", counted)
+    sc = {"id": "dm-n2", "catalog": "dm-random",
+          "params": {"n": 2, "degree": 2, "seed": 5},
+          "checks": ["cg-form", "levi", "nijenhuis-tangential",
+                     "connection-extension"], "points": 2, "seed": 5}
+    assert cli.run_manifest({"scenarios": [sc]})["summary"]["pass"] == 4
+    assert len(seen) == len(set(seen)) > 3
