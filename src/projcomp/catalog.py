@@ -27,8 +27,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import jets
-from .fields import (Chart, ChartMap, ConnectionField, MetricField,
-                     TensorField, _lift, _memo, projective_schouten)
+from .fields import (Chart, ChartMap, MetricField, TensorField, _lift, _memo,
+                     projective_schouten)
 from .jets import Jet
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "cone",
     "compactified_cone",
     "cone_in_t",
-    "cone_chart_map",
     "warped",
     "eguchi_hanson",
     "sigma_forms",
@@ -55,7 +54,6 @@ __all__ = [
     "random_projective_structure",
     "random_upsilon",
     "projective_change_structure",
-    "upsilon_field",
     "dm_chart",
 ]
 
@@ -107,18 +105,6 @@ def _poly_table(polys: dict, shape: tuple) -> tuple:
 
 class Poly(dict):
     """Sparse polynomial: multi-index tuple -> coefficient."""
-
-    @staticmethod
-    def const(c: float, nvars: int) -> "Poly":
-        p = Poly()
-        if c != 0.0:
-            p[(0,) * nvars] = c
-        return p
-
-    def __call__(self, coords):
-        """The value at jet (or float) coordinates, a Jet (or a float)."""
-        value = _evaluate(*_poly_table({(0,): self}, (1,)), coords)[0]
-        return Jet(coords[0].alg, value) if isinstance(coords[0], Jet) else value
 
     def plus(self, other: "Poly") -> "Poly":
         out = Poly(self)
@@ -173,9 +159,9 @@ class ProjectiveStructure:
             self._table = _poly_table({**self.gamma, **both}, (self.n,) * 3)
         return _evaluate(*self._table, coords)
 
-    def connection(self) -> ConnectionField:
-        return ConnectionField(chart=self.chart, func=self.gamma_at,
-                               name=self.label or "ps")
+    def connection(self) -> TensorField:
+        return TensorField(chart=self.chart, valence=(1, 2), func=self.gamma_at,
+                           name=self.label or "ps")
 
     def schouten(self) -> TensorField:
         """The projective Schouten field, built once per structure and memoized."""
@@ -248,14 +234,6 @@ def projective_change_structure(ps: ProjectiveStructure,
                 gamma[(k, i, j)] = p
     return ProjectiveStructure(n=ps.n, gamma=gamma, degree=ps.degree,
                                bound=ps.bound, label=ps.label + "+ups")
-
-
-def upsilon_field(ps_chart: Chart, ups: list) -> TensorField:
-    """The one-form of polynomial components ups on ps_chart.  Serves the
-    field-contract tests."""
-    def func(coords):
-        return jets.stack([p(coords) for p in ups])
-    return TensorField(chart=ps_chart, valence=(0, 1), func=func, name="ups")
 
 
 # -- base metrics for cones and warped products -------------------------------
@@ -355,21 +333,6 @@ def cone_in_t(gamma: MetricField) -> MetricField:
         return _warped_block(1.0 / (T2 * T2 * w), w / T2, gamma.func(coords[1:]))
 
     return MetricField(chart, func, name=f"cone-T({gamma.name})")
-
-
-def cone_chart_map(gamma: MetricField, rbox=(0.6, 2.5),
-                   tbox=(0.05, 0.6)) -> ChartMap:
-    """r-chart -> T-chart for the cone, T = (r^2+1)^(-1/2), given by its
-    inverse r = sqrt(1-T^2)/T.  Serves the cone_in_t chart-change
-    cross-checks."""
-    src = _product_chart("r", rbox, gamma.chart)
-    dst = _product_chart("T", tbox, gamma.chart)
-
-    def inv(coords):
-        T = coords[0]
-        return [jets.sqrt(1.0 - T * T) / T] + list(coords[1:])
-
-    return ChartMap(source=src, target=dst, inv=inv)
 
 
 def flat_spherical(n: int) -> MetricField:
@@ -526,32 +489,21 @@ def eguchi_hanson(params: EHParams = EHParams()) -> MetricField:
     return MetricField(params.chart, func, name=f"EH(a={params.a})")
 
 
-def eh_compactified(params: EHParams = EHParams()):
-    """Eguchi-Hanson in the T = 1/r chart plus the boundary field h.
+def eh_compactified(params: EHParams = EHParams()) -> MetricField:
+    """Eguchi-Hanson in the T = 1/r chart, with f = 1 - a^4 T^4:
 
-    h := T^2 (g - C dT^2/T^4) with C = 1 (the T -> 0 limit of T^4 g_TT,
-    exact for this metric).  Computed directly from the metric; the limit
-    h|_{T=0} is the round 1/4 (sigma1^2 + sigma2^2 + sigma3^2).
-    """
+        dT^2/(f T^4) + 1/(4 T^2) (sigma1^2 + sigma2^2 + f sigma3^2),
+
+    so T^4 g_TT -> 1 as T -> 0."""
     a4 = params.a ** 4
-    C = 1.0
 
-    def gfunc(coords):
+    def func(coords):
         T, th, _, _ = coords
         f = 1.0 - a4 * (T * T * T * T)
         T2 = T * T
         return _eh_block(1.0 / (f * T2 * T2), 0.25 / T2, f, th)
 
-    def hfunc(coords):
-        # direct substitution, written in the form regular at T = 0
-        T, th, _, _ = coords
-        f = 1.0 - a4 * (T * T * T * T)
-        return _eh_block(a4 * (T * T) / f, 0.25, f, th)
-
-    g = MetricField(params.tchart, gfunc, name=f"EHbar(a={params.a})")
-    h = TensorField(chart=params.tchart, valence=(0, 2), func=hfunc,
-                    name="EH-h")
-    return g, h, C
+    return MetricField(params.tchart, func, name=f"EHbar(a={params.a})")
 
 
 # -- the canonical neutral metric over a projective structure ----------------

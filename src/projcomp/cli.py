@@ -367,8 +367,7 @@ class _Cone(Scenario):
     def metricity(self, tol):
         pts = self.points(self.gT.chart, min(self.count, 5))
         v = compactify.metricity_check(self.changed, pts, tolerance=tol)
-        status = "pass" if v.status == "pass" else v.status
-        return status, v.residual, len(pts), {"verdict": v.status}
+        return v.status, v.residual, len(pts), {"verdict": v.status}
 
 
 @_catalog("warped", "warped pairs are projectively equivalent for any constant",
@@ -411,7 +410,7 @@ class _EH(Scenario):
         super().__init__(sc)
         self.pars = catalog.EHParams(a=self.params["a"])
         self.g = catalog.eguchi_hanson(self.pars)
-        self.gT, _, _ = catalog.eh_compactified(self.pars)
+        self.gT = catalog.eh_compactified(self.pars)
         self.spec = compactify.CompactificationSpec(chart=self.gT.chart,
                                                     alpha=1.0, ladder=self.ladder)
         self.lc = fields.levi_civita(self.gT)

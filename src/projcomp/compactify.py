@@ -38,9 +38,8 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .fields import (Chart, ConnectionField, MetricField, TensorField,
-                     SingularMetricError, _lift, _weyl, levi_civita,
-                     ricci_field, riemann)
+from .fields import (Chart, MetricField, TensorField, SingularMetricError,
+                     _lift, _weyl, levi_civita, ricci_field, riemann)
 
 __all__ = [
     "CompactificationSpec",
@@ -77,8 +76,10 @@ class CompactificationSpec:
         two_over = 2.0 / self.alpha
         if abs(two_over - round(two_over)) > 1e-12:
             raise ValueError("2/alpha must be an integer")
-        if not all(a > b > 0 for a, b in zip(self.ladder, self.ladder[1:])):
-            raise ValueError("ladder must be strictly decreasing and positive")
+        if len(self.ladder) < 2 or not all(
+                a > b > 0 for a, b in zip(self.ladder, self.ladder[1:])):
+            raise ValueError("ladder must be at least two rungs, strictly "
+                             "decreasing and positive")
 
     def boundary_points(self, rng, count: int) -> np.ndarray:
         """Tangent sample points: box coordinates with the T slot ignored."""
@@ -287,7 +288,7 @@ def asymptotic_form_check(g: MetricField, spec: CompactificationSpec,
     return h, verdict, C
 
 
-def metricity_check(conn: ConnectionField, points,
+def metricity_check(conn: TensorField, points,
                     tolerance: float = 1e-7) -> MetricityVerdict:
     """Is the connection the Levi-Civita connection of some metric?
 

@@ -7,15 +7,15 @@ as one float64 array of shape (n,)*rank + (S,): tensor axes first, then the
 S Taylor coefficients of each component, in graded-lex order.  Leaf
 formulas (the catalog's metrics and forms) also take plain floats, for the
 finite-difference oracles, and then return shape (n,)*rank.
-TensorField.at and ConnectionField.coeffs return that array, and
-.values(p) is at(p, 0)[..., 0].
+TensorField.at returns that array, and .values(p) is at(p, 0)[..., 0].
+A connection is the (1, 2) field of its coefficients Gamma^a_bc.
 
 The contract has one optional batch axis.  Evaluated at a point array
 (B, dim), coordinate jets carry B rows and components have shape
 (n,)*rank + (B, S): the batch sits between the tensor axes and the
 coefficients, so the derived fields below read a batch as they read one
 point and evaluate every point in one call.  Float results for a batch,
-.values(P), riemann, ricci and projective_weyl, put the batch first,
+.values(P), riemann and ricci, put the batch first,
 (B,) + tensor shape, as np.linalg expects; a single point keeps the tensor
 shape.
 
@@ -55,7 +55,6 @@ __all__ = [
     "Chart",
     "TensorField",
     "MetricField",
-    "ConnectionField",
     "ChartMap",
     "SingularMetricError",
     "levi_civita",
@@ -65,8 +64,6 @@ __all__ = [
     "ricci_field",
     "einstein_residual",
     "projective_schouten",
-    "projective_weyl",
-    "covariant_derivative",
     "exterior_derivative",
 ]
 
@@ -96,9 +93,6 @@ class Chart:
     @property
     def dim(self) -> int:
         return len(self.names)
-
-    def seed(self, point, order: int) -> list:
-        return jets.seed_point(point, order)
 
     def candidates(self, u) -> tuple:
         """The box points lo + (hi - lo) * u of rows u of uniform doubles,
@@ -144,7 +138,7 @@ class TensorField:
 
     def at(self, point, order: int = 3) -> np.ndarray:
         """Components at a point (dim,), or at a batch of points (B, dim)."""
-        return self.func(self.chart.seed(point, order))
+        return self.func(jets.seed_point(point, order))
 
     def values(self, point) -> np.ndarray:
         """Component values: tensor shape, or (B,) + tensor shape."""
@@ -162,29 +156,6 @@ class MetricField(TensorField):
         """The inverse of stacked components G of this metric (see
         _inverse): levi_civita, J and theta read g^-1 through it."""
         return _inverse(alg, G)
-
-    def check_nondegenerate(self, points, tol: float = 1e-10) -> float:
-        """Smallest |det g| over the points; raises if below tol.
-        Serves the catalog non-degeneracy tests."""
-        worst = float(np.min(np.abs(np.linalg.det(self.values(points)))))
-        if worst <= tol:
-            raise SingularMetricError(f"metric degenerate on box: |det| = {worst:.3e}")
-        return worst
-
-
-@dataclass
-class ConnectionField:
-    """Affine connection coefficients Gamma^a_bc on a chart."""
-
-    chart: Chart
-    func: Callable
-    name: str = ""
-
-    def coeffs(self, point, order: int = 1) -> np.ndarray:
-        return self.func(self.chart.seed(point, order))
-
-    def values(self, point) -> np.ndarray:
-        return _batch_first(self.coeffs(point, order=0)[..., 0], 3)
 
 
 def _batch_first(A: np.ndarray, rank: int) -> np.ndarray:
@@ -283,7 +254,7 @@ def _inverse(alg, A: np.ndarray) -> np.ndarray:
 # -- Levi-Civita and projective operations ----------------------------------
 
 
-def levi_civita(g: MetricField) -> ConnectionField:
+def levi_civita(g: MetricField) -> TensorField:
     """Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij), contracted
     for the pairs i <= j only and mirrored, so that Gamma is exactly
     symmetric."""
@@ -299,10 +270,11 @@ def levi_civita(g: MetricField) -> ConnectionField:
         gamma[:, i, j] = gamma[:, j, i] = half
         return gamma
 
-    return ConnectionField(chart=g.chart, func=func, name=f"LC({g.name})")
+    return TensorField(chart=g.chart, valence=(1, 2), func=func,
+                       name=f"LC({g.name})")
 
 
-def projective_change(conn: ConnectionField, upsilon: TensorField) -> ConnectionField:
+def projective_change(conn: TensorField, upsilon: TensorField) -> TensorField:
     """Gamma^k_ij + delta^k_i Y_j + delta^k_j Y_i for a one-form Y."""
     n = conn.chart.dim
 
@@ -314,29 +286,27 @@ def projective_change(conn: ConnectionField, upsilon: TensorField) -> Connection
         out[k, :, k] += U
         return out
 
-    return ConnectionField(chart=conn.chart, func=func, name=f"{conn.name}+proj")
+    return TensorField(chart=conn.chart, valence=(1, 2), func=func,
+                       name=f"{conn.name}+proj")
 
 
-def riemann(conn: ConnectionField, point) -> np.ndarray:
+def riemann(conn: TensorField, point) -> np.ndarray:
     """Curvature values R^a_bcd at a point, or (B, n, n, n, n) at a batch
     of points."""
-    G = conn.coeffs(point, order=1)
-    if G.ndim > 4:
-        G = np.moveaxis(G, -2, 0)  # batch first
-    gv = G[..., 0]
-    # order-1 coefficient 1 + c is d_c; D[a, b, c, d] = d_c Gamma^a_db
-    D = np.einsum("...adbc->...abcd", G[..., 1:])
+    G, dG = _lift(conn.func, jets.seed_point(point, 0))
+    gv = _batch_first(G[..., 0], 3)
+    D = np.einsum("cadb...->...abcd", dG[..., 0])  # d_c Gamma^a_db
     Q = np.einsum("...ace,...edb->...abcd", gv, gv)
     return (D - D.swapaxes(-2, -1)) + (Q - Q.swapaxes(-2, -1))
 
 
-def ricci(conn: ConnectionField, point) -> np.ndarray:
+def ricci(conn: TensorField, point) -> np.ndarray:
     """Ric_bd = R^a_bad; no symmetry assumed."""
     R = riemann(conn, point)
     return np.einsum("...abad->...bd", R)
 
 
-def ricci_field(conn: ConnectionField) -> TensorField:
+def ricci_field(conn: TensorField) -> TensorField:
     """Ricci tensor as a jet-valued (0,2) field."""
     def func(coords):
         alg = coords[0].alg
@@ -366,7 +336,7 @@ def einstein_residual(g: MetricField, points) -> tuple:
     return lam, float(resid), float(np.ptp(lams))
 
 
-def projective_schouten(conn: ConnectionField) -> TensorField:
+def projective_schouten(conn: TensorField) -> TensorField:
     """P = Ric_sym/(n-1) - Ric_antisym/(n+1); solves Ric_ab = n P_ba - P_ab."""
     n = conn.chart.dim
     if n < 2:
@@ -382,16 +352,11 @@ def projective_schouten(conn: ConnectionField) -> TensorField:
                        name=f"P({conn.name})")
 
 
-def projective_weyl(conn: ConnectionField, point) -> np.ndarray:
-    """Totally trace-free curvature part W^a_bcd (projective invariant),
-    batch first at a batch of points; serves the Weyl tests of test_fields."""
-    R = riemann(conn, point)
-    return _weyl(R, np.einsum("...abad->...bd", R))
-
-
 def _weyl(R: np.ndarray, ric: np.ndarray) -> np.ndarray:
-    """projective_weyl from the curvature R and its Ricci contraction
-    ric = R^a_bad, with the Schouten tensor P of projective_schouten."""
+    """The projective Weyl tensor W^a_bcd, the totally trace-free part of
+    the curvature R (batch first at a batch of points), from R and its
+    Ricci contraction ric = R^a_bad, with the Schouten tensor P of
+    projective_schouten."""
     n = R.shape[-1]
     ricT = ric.swapaxes(-2, -1)
     P = (ric + ricT) * 0.5 * (1.0 / (n - 1)) - (ric - ricT) * 0.5 * (1.0 / (n + 1))
@@ -399,19 +364,6 @@ def _weyl(R: np.ndarray, ric: np.ndarray) -> np.ndarray:
     return (R - np.einsum("ac,...db->...abcd", delta, P)
             + np.einsum("ad,...cb->...abcd", delta, P)
             + np.einsum("ab,...cd->...abcd", delta, P - P.swapaxes(-2, -1)))
-
-
-def covariant_derivative(conn: ConnectionField, field: TensorField) -> TensorField:
-    """nabla T as a (r, s+1) field; the new covariant slot comes first.
-    Serves the tests that connections preserve g, J and Omega."""
-    r, s = field.valence
-
-    def func(coords):
-        alg = coords[0].alg
-        return _nabla(alg, conn.func(coords), *_lift(field.func, coords), r)
-
-    return TensorField(chart=field.chart, valence=(r, s + 1), func=func,
-                       name=f"D({field.name})")
 
 
 # Index letters of stacked tensor slots in contraction specs: c and e are

@@ -40,7 +40,7 @@ index one by one), so their rows are bitwise the single-point results.
 A number or an array of the jet's batch shape (one value per row) is the
 only non-Jet operand of the Jet arithmetic.
 
-The elementary-function helpers (sin, cos, exp, ...) dispatch on type so the
+The elementary-function helpers (sin, cos, sqrt, powc) dispatch on type so the
 same component code can run on plain floats, which is what the independent
 finite-difference oracles in the test suite rely on.
 """
@@ -67,8 +67,6 @@ __all__ = [
     "reseed",
     "sin",
     "cos",
-    "exp",
-    "log",
     "sqrt",
     "powc",
 ]
@@ -552,33 +550,6 @@ def cos(x):
     if not isinstance(x, Jet):
         return math.cos(x)
     return _series(x, lambda values: _cycle(values, 1, x.order + 1))
-
-
-def exp(x):
-    """e^x of a jet or a float.  Serves acceptance criterion 12."""
-    if not isinstance(x, Jet):
-        return math.exp(x)
-
-    def coeffs(values):
-        e0 = np.array([math.exp(v) for v in values])
-        return e0 / _factorials(x.order + 1)
-    return _series(x, coeffs)
-
-
-def log(x):
-    """Natural log of a jet or a float.  Serves acceptance criterion 12."""
-    if not isinstance(x, Jet):
-        if x <= 0:
-            raise JetError(f"log of non-positive value {x}")
-        return math.log(x)
-
-    def coeffs(values):
-        _positive(values, "log of jet with non-positive value")
-        k = range(1, x.order + 1)
-        tail = _signs(x.order) / _nonzero(
-            np.array(k)[:, None] * _powers(values, k))
-        return np.concatenate([[[math.log(v) for v in values]], tail])
-    return _series(x, coeffs)
 
 
 def sqrt(x):

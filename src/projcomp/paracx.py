@@ -41,9 +41,9 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .fields import (_SLOTS, ChartMap, ConnectionField, MetricField,
-                     TensorField, _inverse, _lift, _memo, _nabla, _raised,
-                     exterior_derivative, levi_civita)
+from .fields import (_SLOTS, ChartMap, MetricField, TensorField, _inverse,
+                     _lift, _memo, _nabla, _raised, exterior_derivative,
+                     levi_civita)
 from .compactify import (CompactificationSpec, ExtensionVerdict, at_boundary,
                          extend_to_boundary, ladder_rows, ladder_verdict,
                          shift_ladder)
@@ -116,7 +116,7 @@ def para_hermitian_residuals(g: MetricField, omega: TensorField,
                 exterior_derivative(omega).values(points))))}
 
 
-def libermann(g: MetricField, omega: TensorField) -> ConnectionField:
+def libermann(g: MetricField, omega: TensorField) -> TensorField:
     """The minimal-torsion connection preserving g and J:
 
         GammaL^c_ab = Gamma(g)^c_ab - 1/2 Omega^cd nabla^g_a Omega_bd,
@@ -137,8 +137,8 @@ def libermann(g: MetricField, omega: TensorField) -> ConnectionField:
         Winv = _inverse(alg, W)
         return gamma - 0.5 * alg.contract("cd,abd->cab", Winv, DW)
 
-    return ConnectionField(chart=g.chart, func=func,
-                           name=f"Libermann({g.name})")
+    return TensorField(chart=g.chart, valence=(1, 2), func=func,
+                       name=f"Libermann({g.name})")
 
 
 def nijenhuis(jf: TensorField) -> TensorField:
@@ -156,8 +156,8 @@ def nijenhuis(jf: TensorField) -> TensorField:
                        name=f"N({jf.name})")
 
 
-def para_c_projective_change(conn: ConnectionField, upsilon: TensorField,
-                             jf: TensorField) -> ConnectionField:
+def para_c_projective_change(conn: TensorField, upsilon: TensorField,
+                             jf: TensorField) -> TensorField:
     """Gamma + Y(X)Y-sym + Y(JX)J-sym change (the symmetric reading of the
     para-complex projective transformation)."""
     n = conn.chart.dim
@@ -173,8 +173,8 @@ def para_c_projective_change(conn: ConnectionField, upsilon: TensorField,
         out[k, k, :] += U
         return out
 
-    return ConnectionField(chart=conn.chart, func=func,
-                           name=f"{conn.name}+pc-proj")
+    return TensorField(chart=conn.chart, valence=(1, 2), func=func,
+                       name=f"{conn.name}+pc-proj")
 
 
 # -- theta and the asymptotic h ----------------------------------------------

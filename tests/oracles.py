@@ -25,10 +25,18 @@ single_point_match_boundary_constant is the dT^2 coefficient as first
 read, one point at the deepest rung, and full_ladder_rows and
 full_shift_ladder the extension ladder on jets in every monomial of the
 chart variables, before ladders ran on T-line jets.
-The component formulas at the very end are the Eguchi-Hanson metric, its
+The component formulas after them are the Eguchi-Hanson metric, its
 T = 1/r form and its boundary field h, each written out entry by entry,
 and the one-form dT/(2T) as first written; the shared formulas must give
 bitwise the same components.
+The references at the very end are code that only the tests use: exp and
+log of a jet, a Poly's value through catalog._evaluate on a one-row table,
+the one-form of polynomial components, the cone's chart map to the T
+chart, the smallest |det g| over points, the projective Weyl tensor, the
+covariant derivative, fields.riemann as first written (its derivative
+read from the order-1 coefficients, which the derivative through
+fields._lift must equal bitwise) and the Eguchi-Hanson boundary field h
+as a field.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import math
 
 import numpy as np
 
-from projcomp import jets
+from projcomp import catalog, fields, jets
 from projcomp.cli import point_rng
 
 # 4th-order central difference stencils
@@ -637,3 +645,106 @@ def half_dlog_t(dim):
     coordinate is T, as first written."""
     return lambda coords: jets.stack([
         (0.5 / coords[0]) if a == 0 else coords[0] * 0.0 for a in range(dim)])
+
+
+# -- references that only the tests use ----------------------------------------
+
+
+def exp(x):
+    """e^x of a jet or a float."""
+    if not isinstance(x, jets.Jet):
+        return math.exp(x)
+
+    def coeffs(values):
+        e0 = np.array([math.exp(v) for v in values])
+        return e0 / jets._factorials(x.order + 1)
+    return jets._series(x, coeffs)
+
+
+def log(x):
+    """Natural log of a jet or a float."""
+    if not isinstance(x, jets.Jet):
+        if x <= 0:
+            raise jets.JetError(f"log of non-positive value {x}")
+        return math.log(x)
+
+    def coeffs(values):
+        jets._positive(values, "log of jet with non-positive value")
+        k = range(1, x.order + 1)
+        tail = jets._signs(x.order) / jets._nonzero(
+            np.array(k)[:, None] * jets._powers(values, k))
+        return np.concatenate([[[math.log(v) for v in values]], tail])
+    return jets._series(x, coeffs)
+
+
+def poly_at(p, coords):
+    """The value of the Poly p at jet (or float) coordinates, a Jet (or a
+    float): catalog._evaluate on a one-row table."""
+    value = catalog._evaluate(*catalog._poly_table({(0,): p}, (1,)), coords)[0]
+    return (jets.Jet(coords[0].alg, value) if isinstance(coords[0], jets.Jet)
+            else value)
+
+
+def upsilon_field(chart, ups):
+    """The one-form of the polynomial components ups (Polys) on chart."""
+    table = catalog._poly_table({(a,): p for a, p in enumerate(ups)},
+                                (len(ups),))
+    return fields.TensorField(chart=chart, valence=(0, 1), name="ups",
+                              func=lambda coords: catalog._evaluate(*table, coords))
+
+
+def cone_chart_map(gamma, rbox=(0.6, 2.5), tbox=(0.05, 0.6)):
+    """r-chart -> T-chart for the cone over gamma, T = (r^2+1)^(-1/2), given
+    by its inverse r = sqrt(1-T^2)/T."""
+    def inv(coords):
+        T = coords[0]
+        return [jets.sqrt(1.0 - T * T) / T] + list(coords[1:])
+
+    return fields.ChartMap(source=catalog._product_chart("r", rbox, gamma.chart),
+                           target=catalog._product_chart("T", tbox, gamma.chart),
+                           inv=inv)
+
+
+def min_abs_det(g, points):
+    """Smallest |det g| of the metric g over the points."""
+    return float(np.min(np.abs(np.linalg.det(g.values(points)))))
+
+
+def projective_weyl(conn, point):
+    """The projective Weyl tensor W^a_bcd of the connection at a point, or
+    batch first at a batch of points."""
+    R = fields.riemann(conn, point)
+    return fields._weyl(R, np.einsum("...abad->...bd", R))
+
+
+def covariant_derivative(conn, field):
+    """nabla T as a (r, s+1) field, the new covariant slot first."""
+    r, s = field.valence
+
+    def func(coords):
+        alg = coords[0].alg
+        return fields._nabla(alg, conn.func(coords),
+                             *fields._lift(field.func, coords), r)
+
+    return fields.TensorField(chart=field.chart, valence=(r, s + 1), func=func,
+                              name=f"D({field.name})")
+
+
+def coefficient_riemann(conn, point):
+    """fields.riemann as first written: the derivative read from the
+    order-1 coefficients of the connection seeded at order 1."""
+    G = conn.func(jets.seed_point(point, 1))
+    if G.ndim > 4:
+        G = np.moveaxis(G, -2, 0)  # batch first
+    gv = G[..., 0]
+    # order-1 coefficient 1 + c is d_c; D[a, b, c, d] = d_c Gamma^a_db
+    D = np.einsum("...adbc->...abcd", G[..., 1:])
+    Q = np.einsum("...ace,...edb->...abcd", gv, gv)
+    return (D - D.swapaxes(-2, -1)) + (Q - Q.swapaxes(-2, -1))
+
+
+def eh_boundary_field(params):
+    """The boundary field h = T^2 (g - dT^2/T^4) of
+    catalog.eh_compactified(params), a (0, 2) field on params.tchart."""
+    return fields.TensorField(chart=params.tchart, valence=(0, 2), name="EH-h",
+                              func=eh_compactified_components(params.a)[1])

@@ -79,6 +79,14 @@ def test_compactification_spec_validation():
         CompactificationSpec(chart=chart, ladder=(1e-3, 1e-2))
 
 
+@pytest.mark.parametrize("ladder", [(), (1e-2,)], ids=["no-rung", "one-rung"])
+def test_compactification_spec_needs_two_rungs(ladder):
+    # a ladder of fewer than two rungs has no rung pair to compare
+    chart = compactified_cone(unit_sphere(2)).chart
+    with pytest.raises(ValueError, match="at least two rungs"):
+        CompactificationSpec(chart=chart, ladder=ladder)
+
+
 # -- extension ladders ---------------------------------------------------------------
 
 
@@ -113,7 +121,7 @@ def test_flat_inverse_r_extends_but_is_not_metric():
 
 
 def test_eh_raw_connection_diverges_changed_extends():
-    gT, h, C = eh_compactified(EHParams(a=1.0))
+    gT = eh_compactified(EHParams(a=1.0))
     spec = CompactificationSpec(chart=gT.chart, alpha=1.0)
     rng = np.random.default_rng(2)
     tps = spec.boundary_points(rng, 2)
@@ -161,7 +169,8 @@ def test_flat_asymptotic_form():
 
 
 def test_eh_asymptotic_form_and_boundary_metric():
-    gT, href, C = eh_compactified(EHParams(a=1.0))
+    pars = EHParams(a=1.0)
+    gT, href = eh_compactified(pars), oracles.eh_boundary_field(pars)
     spec = CompactificationSpec(chart=gT.chart, alpha=1.0)
     rng = np.random.default_rng(5)
     tps = spec.boundary_points(rng, 2)
@@ -174,7 +183,7 @@ def test_eh_asymptotic_form_and_boundary_metric():
 
 
 def test_wrong_alpha_raises_divergence_witness():
-    gT, _, _ = eh_compactified(EHParams(a=1.0))
+    gT = eh_compactified(EHParams(a=1.0))
     spec = CompactificationSpec(chart=gT.chart, alpha=2.0)
     with pytest.raises(SingularMetricError):
         asymptotic_form_check(gT, spec, [(1.0, 0.7, 0.3)], tolerance=1e-6)
@@ -188,7 +197,7 @@ def test_boundary_constant_is_the_deepest_rung_of_its_ladder(case):
         base = unit_sphere(2)
         g, chart = cone_in_t(base), compactified_cone(base).chart
     else:
-        g, _, _ = eh_compactified(EHParams(a=float(case[3:])))
+        g = eh_compactified(EHParams(a=float(case[3:])))
         chart = g.chart
     spec = CompactificationSpec(chart=chart, alpha=1.0)
     for tp in spec.boundary_points(np.random.default_rng(11), 3):
@@ -380,7 +389,7 @@ def test_metricity_cone_passes():
 
 
 def test_metricity_eh_inconclusive():
-    gT, _, _ = eh_compactified(EHParams(a=1.0))
+    gT = eh_compactified(EHParams(a=1.0))
     changed = projective_change(
         levi_civita(gT), upsilon_from_defining(gT.chart, lambda c: c[0], 1.0))
     rng = np.random.default_rng(7)
@@ -408,7 +417,7 @@ def test_metricity_rejects_nonsymmetric_ricci():
 
 
 def _eh_change():
-    gT, _, _ = eh_compactified(EHParams(a=1.0))
+    gT = eh_compactified(EHParams(a=1.0))
     return projective_change(
         levi_civita(gT), upsilon_from_defining(gT.chart, lambda c: c[0], 1.0))
 
@@ -420,7 +429,7 @@ def test_metricity_evaluates_curvature_once(change, status, monkeypatch):
     # gate reads projective_weyl's values, bitwise
     changed = change()
     pts = changed.chart.sample(np.random.default_rng(5), 4)
-    weyl = float(np.max(np.abs(fields.projective_weyl(changed, pts))))
+    weyl = float(np.max(np.abs(oracles.projective_weyl(changed, pts))))
     calls = []
     real = fields.riemann
 

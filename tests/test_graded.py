@@ -73,7 +73,7 @@ def test_series_helpers_match_the_full_order_horner(monkeypatch):
     P = np.array([[0.3, 1.2], [-0.7, 0.4], [1.1, 2.5]])
 
     def formula(x, y):
-        return (jets.sin(x) * jets.exp(y) + jets.log(y) / jets.cos(x)
+        return (jets.sin(x) * oracles.exp(y) + oracles.log(y) / jets.cos(x)
                 - jets.sqrt(y * y + 1.0) * x ** -3 + 2.0 / y).c
 
     for point in (P, P[0]):

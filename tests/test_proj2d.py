@@ -12,7 +12,7 @@ from projcomp.fields import levi_civita
 from projcomp.paracx import boundary_data
 from projcomp.proj2d import ode_from_projective
 
-from oracles import geodesic_rhs, rk4
+from oracles import geodesic_rhs, poly_at, rk4
 
 
 def flat_ps():
@@ -75,7 +75,7 @@ def test_ode_coefficients_projectively_invariant():
         for _ in range(3):
             xp = list(rng.uniform(-0.8, 0.8, 2))
             for a, b in zip(pg.coefficients(), pgb.coefficients()):
-                assert abs(a(xp) - b(xp)) < 1e-9
+                assert abs(poly_at(a, xp) - poly_at(b, xp)) < 1e-9
 
 
 @pytest.mark.parametrize("degree,seed", [(0, 0), (1, 1), (2, 2), (3, 3)])
@@ -88,12 +88,12 @@ def test_values_matches_the_four_poly_calls(degree, seed):
         xs = jets.seed_point(pts, order)
         got = pg.values(xs)
         for row, p in enumerate(pg.coefficients()):
-            assert np.array_equal(got[row], p(xs).c)
+            assert np.array_equal(got[row], poly_at(p, xs).c)
     got = pg.values(pts)
     one = pg.values(list(pts[3]))
     for row, p in enumerate(pg.coefficients()):
-        assert np.array_equal(got[row], p(pts))
-        assert np.array_equal(one[row], p(list(pts[3])))
+        assert np.array_equal(got[row], poly_at(p, pts))
+        assert np.array_equal(one[row], poly_at(p, list(pts[3])))
 
 
 def test_flat_values_are_zero():

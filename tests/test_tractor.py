@@ -11,6 +11,8 @@ from projcomp.catalog import (Poly, ProjectiveStructure, dm_metric,
 from projcomp.tractor import (CotractorConnection,
                               splitting_metric_crosscheck, tractor_curvature)
 
+from oracles import poly_at
+
 
 def flat_ps(n=2):
     return ProjectiveStructure(n=n, gamma={}, label="flat")
@@ -71,7 +73,7 @@ def test_gauge_tensoriality_closed_upsilon():
     x = [0.3, -0.2]
     F = tractor_curvature(CotractorConnection(ps), x)
     Fb = tractor_curvature(CotractorConnection(psb), x)
-    U = gauge_matrix(np.array([p([float(v) for v in x]) for p in ups]))
+    U = gauge_matrix(np.array([poly_at(p, [float(v) for v in x]) for p in ups]))
     Ui = np.linalg.inv(U)
     worst = 0.0
     for i in range(2):
@@ -90,10 +92,10 @@ def test_gauge_law_generic_upsilon_scalar_correction():
     x = [0.3, -0.2]
     F = tractor_curvature(CotractorConnection(ps), x)
     Fb = tractor_curvature(CotractorConnection(psb), x)
-    U = gauge_matrix(np.array([p([float(v) for v in x]) for p in ups]))
+    U = gauge_matrix(np.array([poly_at(p, [float(v) for v in x]) for p in ups]))
     Ui = np.linalg.inv(U)
     xs = jets.seed_point(x, 1)
-    dU = np.array([[ups[j](xs).deriv(i).value for j in range(2)]
+    dU = np.array([[poly_at(ups[j], xs).deriv(i).value for j in range(2)]
                    for i in range(2)])
     for i in range(2):
         for j in range(2):
@@ -134,8 +136,8 @@ def test_dm_metric_invariant_under_fiber_shift():
         for p in g.chart.sample(rng, 5):
             x = p[:n]
             xs = jets.seed_point(x, 1)
-            uv = np.array([u(xs).value for u in ups])
-            du = np.array([[ups[j](xs).deriv(i).value for j in range(n)]
+            uv = np.array([poly_at(u, xs).value for u in ups])
+            du = np.array([[poly_at(ups[j], xs).deriv(i).value for j in range(n)]
                            for i in range(n)])
             # pushforward of (x, xi) -> (x, xi + Y(x)): J = [[I, 0], [dY, I]]
             J = np.eye(2 * n)
