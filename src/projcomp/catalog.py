@@ -64,29 +64,12 @@ __all__ = [
 def _evaluate(monomials: list, C: np.ndarray, coords) -> np.ndarray:
     """sum_m C[..., m] x^monomials[m] on jet (or float) coordinates, as a
     stacked (..., S) array, (..., B, S) at a batch of points (or a float
-    array).  One monomial table serves the whole stack: x^m is
-    x^(m - e_h) x_h, h its highest variable (a product runs left to right
-    in ascending variables); terms are summed in list order, which callers
-    keep sorted."""
+    array), by jets.polynomial; callers keep the monomials sorted."""
     floats = not isinstance(coords[0], Jet)
     coords = jets.seed_point(coords, 0) if floats else coords
-    alg = coords[0].alg
-    one, table = np.eye(1, alg.size)[0], {}
-    rows = (None,) * coords[0].c.ndim  # a column of C, over batch and S
-
-    def power(m):
-        if not any(m):
-            return one
-        if m not in table:
-            h = max(i for i, e in enumerate(m) if e)
-            head = m[:h] + (m[h] - 1,) + m[h + 1:]
-            table[m] = (coords[h].c if not any(head)
-                        else alg.mul(power(head), coords[h].c))
-        return table[m]
-
-    out = np.zeros(C.shape[:-1] + coords[0].c.shape)
-    for col, m in enumerate(monomials):
-        out += C[(..., col) + rows] * power(m)
+    rows = (None,) * (coords[0].c.ndim - 1)  # C's columns over the batch axes
+    out = jets.polynomial(coords[0].alg, monomials, C[(..., *rows, slice(None))],
+                          [x.c for x in coords])
     return out[..., 0] if floats else out
 
 

@@ -160,6 +160,8 @@ def _choice(default: str, choices) -> Param:
 
 POINTS = _integer(10, 2)  # sample points per check
 SEED = _integer(0, 0)     # seed of the scenario's point streams
+DM_N = _integer(min(REGISTERED_EINSTEIN_CONSTANT), min(REGISTERED_EINSTEIN_CONSTANT),
+                max(REGISTERED_EINSTEIN_CONSTANT))  # the n with an Einstein constant
 
 
 REGISTRY: dict = {}  # catalog id -> its Scenario subclass
@@ -591,7 +593,7 @@ class _DM(Scenario):
 
 
 @_catalog("dm-flat", "canonical neutral Einstein metric of the flat structure",
-          n=_integer(2, 2, 3))
+          n=DM_N)
 class _DMFlat(_DM):
     def structure(self):
         n = self.params["n"]
@@ -600,7 +602,7 @@ class _DMFlat(_DM):
 
 @_catalog("dm-random",
           "canonical neutral Einstein metric; compactifiable boundary data",
-          n=_integer(2, 2, 3), degree=_integer(2, 0, 3), seed=_integer(0, 0),
+          n=DM_N, degree=_integer(2, 0, 3), seed=_integer(0, 0),
           bound=Param(float, 0.4, lambda b: 0 <= b <= 1, "a number in [0, 1]"))
 class _DMRandom(_DM):
     def structure(self):

@@ -77,9 +77,10 @@ class CompactificationSpec:
         if abs(two_over - round(two_over)) > 1e-12:
             raise ValueError("2/alpha must be an integer")
         if len(self.ladder) < 2 or not all(
-                a > b > 0 for a, b in zip(self.ladder, self.ladder[1:])):
-            raise ValueError("ladder must be at least two rungs, strictly "
-                             "decreasing and positive")
+                math.isfinite(a) and a > b > 0
+                for a, b in zip(self.ladder, self.ladder[1:])):
+            raise ValueError("ladder must be at least two rungs, finite, "
+                             "strictly decreasing and positive")
 
     def boundary_points(self, rng, count: int) -> np.ndarray:
         """Tangent sample points: box coordinates with the T slot ignored."""

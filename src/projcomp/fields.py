@@ -291,8 +291,9 @@ def projective_change(conn: TensorField, upsilon: TensorField) -> TensorField:
 
 
 def riemann(conn: TensorField, point) -> np.ndarray:
-    """Curvature values R^a_bcd at a point, or (B, n, n, n, n) at a batch
-    of points."""
+    """Curvature R^a_bcd of any linear connection Gamma[a, c, b] = Gamma^a_cb
+    (fibre indices a, b of any rank over chart direction c) at a point, batch
+    first at a batch of points: [nabla_c, nabla_d] V^a = R^a_bcd V^b."""
     G, dG = _lift(conn.func, jets.seed_point(point, 0))
     gv = _batch_first(G[..., 0], 3)
     D = np.einsum("cadb...->...abcd", dG[..., 0])  # d_c Gamma^a_db

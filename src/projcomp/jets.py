@@ -15,10 +15,12 @@ order.  An algebra may keep only the monomials of degree <= D in the
 variables after the first, T: algebra(n, k, D) holds T-line jets (D = 0:
 pure T), a downward-closed list whose pair tables are the full ones
 filtered, in order, so every kernel sums each kept coefficient as the full
-algebra does; D >= k is algebra(n, k).  Composition substitutes inner jets
-into a stack of outer jets with one monomial table (compose_stacked), in
-the arithmetic order of one jet, to order D when no inner jet has a pure-T
-coefficient (composed_order; the terms above D then add exact zeros).
+algebra does; D >= k is algebra(n, k).  One kernel, polynomial, evaluates
+sum_m C[..., m] x^m on jets: each power is built once, x^m = x^(m - e_h)
+x_h for the highest variable h of m, and terms are summed in list order.
+Composition (compose_stacked) is the polynomial of the shifted inner jets,
+to order D when no inner jet has a pure-T coefficient (composed_order; the
+terms above D then add exact zeros).
 
 Components leave a formula as one stacked float array: stack turns the
 nested scalars a component formula computes into shape (..., S), S Taylor
@@ -60,6 +62,7 @@ __all__ = [
     "compose",
     "compose_stacked",
     "composed_order",
+    "polynomial",
     "stack",
     "scale",
     "seed_point",
@@ -636,29 +639,32 @@ def composed_order(inner: list[Jet]) -> int:
 
 def compose_stacked(F: np.ndarray, inner: list[Jet]) -> np.ndarray:
     """compose for a stack F[..., :] of jets in len(inner) variables, of
-    order at least composed_order(inner): the stacked composed jets.
-    The powers of dg_i = g_i - g_i.value are built once; a monomial is its
-    prefix's product (the powers of the lower variables) times its highest
-    variable's power, and the terms are summed in graded-lex order."""
-    alg = inner[0].alg
+    order at least composed_order(inner): the polynomial of the
+    dg_i = g_i - g_i.value on the monomials of that order."""
     table = algebra(len(inner), composed_order(inner))
     if F.shape[-1] < table.size:
         raise JetError("compose: outer jets below the composed order")
-    powers = []  # powers[i][e] = dg_i ** e
-    for g in inner:
-        dg = g.c.copy()
-        dg[_coeff(dg, 0)] = 0.0
-        row = [None, dg]
-        for _ in range(2, table.order + 1):
-            row.append(alg.mul(row[-1], row[1]))
-        powers.append(row)
-    prods = {table.monomials[0]: np.eye(1, alg.size)[0]}
-    out = np.zeros(F.shape[:-1] + (alg.size,))
-    for k, m in enumerate(table.monomials):
-        if m not in prods:
-            h = max(i for i, e in enumerate(m) if e)
-            head = m[:h] + (0,) * (len(m) - h)
-            p = powers[h][m[h]]
-            prods[m] = alg.mul(prods[head], p) if any(head) else p
-        out += F[..., k, None] * prods[m]
+    dgs = [np.where(np.arange(g.alg.size) == 0, 0.0, g.c) for g in inner]
+    return polynomial(inner[0].alg, table.monomials, F, dgs)
+
+
+def polynomial(alg: JetAlgebra, monomials: list, C: np.ndarray,
+               xs: list) -> np.ndarray:
+    """sum_m C[..., m] x^monomials[m] over stacked jets xs of alg, one (S,)
+    or (..., S) array per variable, by the power rule of the module doc;
+    each column C[..., m] broadcasts against the powers."""
+    powers = {m: np.eye(1, alg.size)[0] for m in monomials if not any(m)}
+    out = np.zeros(np.broadcast_shapes(C.shape[:-1], xs[0].shape[:-1]) + (alg.size,))
+    for col, m in enumerate(monomials):
+        out += C[..., col, None] * _power(alg, xs, powers, m)
     return out
+
+
+def _power(alg: JetAlgebra, xs: list, powers: dict, m: tuple) -> np.ndarray:
+    """x^m, kept in powers: x^(m - e_h) x_h, h the highest variable of m."""
+    if m not in powers:
+        h = max(i for i, e in enumerate(m) if e)
+        head = m[:h] + (m[h] - 1,) + m[h + 1:]
+        powers[m] = xs[h] if not any(head) else alg.mul(
+            _power(alg, xs, powers, head), xs[h])
+    return powers[m]

@@ -29,7 +29,7 @@ class PathGeometry2D:
     a3: Poly
     source: ProjectiveStructure
 
-    def coefficients(self):
+    def coefficients(self) -> tuple[Poly, Poly, Poly, Poly]:
         return (self.a0, self.a1, self.a2, self.a3)
 
     def values(self, xs):

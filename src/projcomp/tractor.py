@@ -10,8 +10,9 @@ representative connection, is
 acting as  nabla_i V_beta = d_i V_beta - gamma_ibeta^alpha V_alpha,  i.e.
 
     nabla_i (sigma, mu_j) = (d_i sigma - mu_i, d_i mu_j - Gamma^k_ij mu_k
-                             + P_ij sigma).
+                             + P_ij sigma),
 
+whose curvature is fields.riemann of Gamma^alpha_i beta = gamma_i beta^alpha.
 This is the naive (density-term-free) realization; under a projective
 change with one-form Y the curvature is conjugation-covariant up to the
 scalar correction -(dY)_ij Id coming from the suppressed weight connection,
@@ -26,6 +27,7 @@ import numpy as np
 
 from . import jets
 from .catalog import ProjectiveStructure, dm_metric
+from .fields import TensorField, riemann
 
 __all__ = [
     "CotractorConnection",
@@ -61,20 +63,13 @@ class CotractorConnection:
 
 
 def tractor_curvature(tc: CotractorConnection, point) -> np.ndarray:
-    """F[i, j, beta, alpha] with [nabla_i, nabla_j] V_beta = -F_ij beta^alpha
-    V_alpha:
-
-        F = d_i gamma_j - d_j gamma_i - gamma_i gamma_j + gamma_j gamma_i
-
+    """F[i, j, beta, alpha] = R^alpha_beta ij of fields.riemann (see the module
+    docstring), so [nabla_i, nabla_j] V_beta = -F_ij beta^alpha V_alpha.
     Serves acceptance criterion 11: F vanishes for the flat structure and
-    not for a generic one.
-    """
-    gam = tc.coefficients(jets.seed_point(point, 1))
-    gv = gam[..., 0]
-    # order-1 coefficient 1 + e is d_e: dg[e, i] = d_e gamma_i
-    dg = np.moveaxis(gam[..., 1:], -1, 0)
-    Q = np.einsum("iba,jac->ijbc", gv, gv)  # Q[i, j] = gamma_i gamma_j
-    return dg - dg.swapaxes(0, 1) - Q + Q.swapaxes(0, 1)
+    not for a generic one."""
+    conn = TensorField(tc.ps.chart, (1, 2), lambda c: np.einsum(
+        "iba...->aib...", tc.coefficients(c)))
+    return np.einsum("...abij->...ijba", riemann(conn, point))
 
 
 def splitting_metric_crosscheck(ps: ProjectiveStructure, points) -> dict:

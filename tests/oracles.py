@@ -35,8 +35,10 @@ the one-form of polynomial components, the cone's chart map to the T
 chart, the smallest |det g| over points, the projective Weyl tensor, the
 covariant derivative, fields.riemann as first written (its derivative
 read from the order-1 coefficients, which the derivative through
-fields._lift must equal bitwise) and the Eguchi-Hanson boundary field h
-as a field.
+fields._lift must equal bitwise), the cotractor curvature as first
+written (its own formula, which fields.riemann of the cotractor block
+must match to rounding) and the Eguchi-Hanson boundary field h as a
+field.
 """
 
 from __future__ import annotations
@@ -741,6 +743,19 @@ def coefficient_riemann(conn, point):
     D = np.einsum("...adbc->...abcd", G[..., 1:])
     Q = np.einsum("...ace,...edb->...abcd", gv, gv)
     return (D - D.swapaxes(-2, -1)) + (Q - Q.swapaxes(-2, -1))
+
+
+def coefficient_tractor_curvature(tc, point):
+    """tractor.tractor_curvature as first written: F[i, j, beta, alpha] =
+    d_i gamma_j - d_j gamma_i - gamma_i gamma_j + gamma_j gamma_i, the
+    derivative read from the order-1 coefficients of the cotractor block
+    seeded at order 1."""
+    gam = tc.coefficients(jets.seed_point(point, 1))
+    gv = gam[..., 0]
+    # order-1 coefficient 1 + e is d_e: dg[e, i] = d_e gamma_i
+    dg = np.moveaxis(gam[..., 1:], -1, 0)
+    Q = np.einsum("iba,jac->ijbc", gv, gv)  # Q[i, j] = gamma_i gamma_j
+    return dg - dg.swapaxes(0, 1) - Q + Q.swapaxes(0, 1)
 
 
 def eh_boundary_field(params):

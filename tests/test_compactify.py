@@ -77,6 +77,8 @@ def test_compactification_spec_validation():
         CompactificationSpec(chart=chart, alpha=0.75)   # 2/alpha not integer
     with pytest.raises(ValueError):
         CompactificationSpec(chart=chart, ladder=(1e-3, 1e-2))
+    with pytest.raises(ValueError, match="finite"):
+        CompactificationSpec(chart=chart, ladder=(np.inf, 1e-3))
 
 
 @pytest.mark.parametrize("ladder", [(), (1e-2,)], ids=["no-rung", "one-rung"])

@@ -1,6 +1,7 @@
 """Each module's __all__ names exactly its public top-level functions and
 classes, every exported name and every public method of an exported class
-has a caller in the package or is pinned by other work (PINNED), the
+has a caller in the package (by its owner, for a name that more than one
+class or module defines) or is pinned by other work (PINNED), the
 certification checks take their points (no public function of compactify
 or paracx draws them from an rng and a count), no module of the package or
 the tests imports a name it never uses, every derivative of the package is
@@ -18,7 +19,7 @@ from projcomp import catalog, compactify, fields, jets, paracx, proj2d, tractor
 
 # Names the package itself does not need, each kept for work outside it.
 # Every other exported name, and every other public method of an exported
-# class, has a caller in the package (by name, see _unused).
+# class, has a caller in the package (see _unused_exports).
 _BENCHMARK = "patched or called by name in perfbench/tracing.py or micro.py"
 _TESTS = "a Jet accessor the tests read"
 _TRACTOR = "the prolonged connection of the metrizability check will use it"
@@ -82,25 +83,142 @@ def _members(node) -> list:
             and not item.name.startswith("_")]
 
 
-def _unused_exports(members: bool = False) -> list:
+def _named(node):
+    """The class or module an annotation names (the last name of a dotted
+    or quoted one), (X,) for a tuple or list of X, else None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        node = ast.parse(node.value, mode="eval").body
+    if isinstance(node, ast.Subscript) and _names_used(node.value) & {"tuple",
+                                                                      "list"}:
+        first = node.slice.elts[0] if isinstance(node.slice, ast.Tuple) else node.slice
+        return (_named(first),)
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+class _Owners:
+    """Who owns what the package reads of a shared name, a public method or
+    function name that more than one class or module of the package
+    defines: such a name counts as called only where the annotations name
+    the owner of its receiver (see uses)."""
+
+    def __init__(self, trees: dict):
+        self.defs, self.bases, self.modules = {}, {}, set(trees)
+        functions = []  # (owner, name) of every function and method
+        for stem, tree in trees.items():
+            for node in tree.body:
+                if isinstance(node, ast.ClassDef):
+                    self.bases[node.name] = [_named(b) for b in node.bases]
+                    for item in node.body:  # methods by return, fields by type
+                        if isinstance(item, ast.FunctionDef):
+                            self.defs[node.name, item.name] = item.returns
+                            functions.append((node.name, item.name))
+                        elif isinstance(item, ast.AnnAssign):
+                            self.defs[node.name, item.target.id] = item.annotation
+                elif isinstance(node, ast.FunctionDef):
+                    self.defs[stem, node.name] = node.returns
+                    functions.append((stem, node.name))
+        self.stems = {}  # function name -> the modules that define it
+        for owner, name in functions:
+            if owner in self.modules:
+                self.stems[name] = self.stems.get(name, ()) + (owner,)
+        names = [name for _, name in functions if not name.startswith("_")]
+        self.shared = {name for name in names if names.count(name) > 1}
+
+    def owner(self, cls, name):
+        """The class (or module) whose definition of name cls reads."""
+        if cls is None or (cls, name) in self.defs:
+            return cls
+        found = [self.owner(b, name) for b in self.bases.get(cls, [])]
+        return next((b for b in found if b), None)
+
+    def type_of(self, node, env):
+        """What an expression is, as far as annotations tell: a class or
+        module name, (X,) for a tuple or list of X, else None.  A call is
+        what its callee's annotation returns, a class's call an instance."""
+        if isinstance(node, ast.Call):
+            node = node.func
+        if isinstance(node, ast.Name):
+            if node.id in env:
+                return env[node.id]
+            if node.id in self.bases or node.id in self.modules:
+                return node.id
+            stems = self.stems.get(node.id, ())
+            return _named(self.defs[stems[0], node.id]) if len(stems) == 1 else None
+        if isinstance(node, ast.Attribute):
+            owner = self.owner(self.type_of(node.value, env), node.attr)
+            return _named(self.defs.get((owner, node.attr)))
+        return None
+
+    def uses(self, stem: str, tree) -> set:
+        """(owner, name) of each shared name that module stem reads, where
+        the annotations tell its owner: an attribute of self in a method,
+        of an annotated parameter, of a local assigned from an annotated
+        call, or of a loop variable over an annotated tuple or list; a
+        bare name is read of every module that defines it.  A receiver of
+        no known type names no owner, and a definition's own body does not
+        call it."""
+        found = set()
+
+        def visit(node, env, cls, here):
+            if isinstance(node, ast.ClassDef):
+                cls = node.name
+            elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args.args
+                env = {**env, **{a.arg: _named(a.annotation) for a in args}}
+                if cls and args and args[0].arg == "self":
+                    env["self"] = cls
+                if isinstance(node, ast.FunctionDef):
+                    here = here or (cls or stem, node.name)
+            elif isinstance(node, (ast.For, ast.comprehension)):
+                items = self.type_of(node.iter, env)
+                if isinstance(node.target, ast.Name):
+                    env[node.target.id] = (items[0] if isinstance(items, tuple)
+                                           else None)
+            elif isinstance(node, ast.Attribute) and node.attr in self.shared:
+                owner = self.owner(self.type_of(node.value, env), node.attr)
+                found.update({(owner, node.attr)} - {(None, node.attr), here})
+            elif isinstance(node, ast.Name) and node.id in self.shared:
+                found.update({(s, node.id) for s in self.stems.get(node.id, ())}
+                             - {here})
+            children = list(ast.iter_child_nodes(node))
+            if hasattr(node, "generators"):  # bind the loop variables first
+                children.sort(key=lambda c: not isinstance(c, ast.comprehension))
+            for child in children:
+                visit(child, env, cls, here)
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                env[node.targets[0].id] = self.type_of(node.value, env)
+
+        for node in tree.body:
+            visit(node, {}, None, None)
+        return found
+
+
+def _unused_exports(members: bool = False, sources: dict | None = None) -> list:
     """Exported top-level definitions of the package (module.name), or the
-    public methods of its exported classes (Class.name), whose name no
-    code of the package uses outside their own bodies."""
-    used, defined = set(), []
-    for path in SOURCES:
-        tree = ast.parse(path.read_text())
+    public methods of its exported classes (Class.name), that no code of
+    the package uses outside their own bodies: by name, or for a name
+    that more than one class or module defines, by owner (see _Owners).
+    sources maps module names to their text (the package by default)."""
+    trees = {stem: ast.parse(text) for stem, text in (
+        sources or {p.stem: p.read_text() for p in SOURCES}).items()}
+    owners = _Owners(trees)
+    used, defined, owned = set(), [], set()
+    for stem, tree in trees.items():
         names = _exports(tree)
         for node in tree.body:
             own = getattr(node, "name", None)
             inner = _members(node) if own in names else []
             if own in names:
-                defined += ([(f"{own}.{m.name}", m.name) for m in inner]
-                            if members else [(f"{path.stem}.{own}", own)])
+                defined += ([(own, m.name) for m in inner]
+                            if members else [(stem, own)])
             for item in inner:
                 used |= _names_used(item) - {own, item.name}
             rest = [n for n in ast.iter_child_nodes(node) if n not in inner]
             used |= set().union(*map(_names_used, rest)) - {own}
-    return [full for full, name in defined if name not in used]
+        owned |= owners.uses(stem, tree)
+    return [f"{owner}.{name}" for owner, name in defined
+            if ((owner, name) not in owned if name in owners.shared
+                else name not in used)]
 
 
 def test_every_export_has_a_caller_or_is_pinned():
@@ -108,6 +226,29 @@ def test_every_export_has_a_caller_or_is_pinned():
     owners = {"jets": jets, "Jet": jets.Jet, "tractor": tractor}
     assert [name for name in PINNED
             if not hasattr(owners[name.split(".")[0]], name.split(".")[1])] == []
+
+
+# Two classes define values, and only A's is called: through an annotated
+# parameter.  B's own body and a receiver of no known type (x) do not call
+# B.values, though by name alone it would count as called.
+PLANTED = {"shapes": """
+__all__ = ["A", "B", "measure"]
+
+class A:
+    def values(self):
+        return 1.0
+
+class B:
+    def values(self):
+        return self.values()
+
+def measure(a: A, x):
+    return a.values() + x.values()
+"""}
+
+
+def test_a_shared_name_is_called_only_through_its_owner():
+    assert _unused_exports(members=True, sources=PLANTED) == ["B.values"]
 
 
 @pytest.mark.parametrize("path", SOURCES + TESTS,
@@ -138,25 +279,32 @@ def _outside(pred, *owners: str) -> list:
     return found
 
 
+def _positive_int(node) -> bool:
+    """An integer literal k >= 1."""
+    return (isinstance(node, ast.Constant) and isinstance(node.value, int)
+            and node.value >= 1)
+
+
 def _plus_k(node) -> bool:
     """An expression <x> + k (or k + <x>) with an integer k >= 1."""
     return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
-            and any(isinstance(o, ast.Constant) and isinstance(o.value, int)
-                    and o.value >= 1 for o in (node.left, node.right)))
+            and any(map(_positive_int, (node.left, node.right))))
 
 
 def _one_order_up(node) -> bool:
     """A call of reseed or seed_point, its arguments given either way,
-    with an order or a transverse bound <x> + k (k >= 1), or with any
-    transverse bound but None or a literal 0."""
+    with a literal order k >= 1, with an order or a transverse bound
+    <x> + k (k >= 1), or with any transverse bound but None or a
+    literal 0."""
     if not (isinstance(node, ast.Call)
             and {"reseed", "seed_point"} & _names_used(node.func)):
         return False
+    order = node.args[1:2] + [k.value for k in node.keywords if k.arg == "order"]
     bound = node.args[2:3] + [k.value for k in node.keywords
                               if k.arg == "transverse"]
     raised = node.args[1:] + [k.value for k in node.keywords
                               if k.arg in ("order", "transverse")]
-    return (any(map(_plus_k, raised))
+    return (any(map(_plus_k, raised)) or any(map(_positive_int, order))
             or not all(isinstance(b, ast.Constant) and b.value in (None, 0)
                        for b in bound))
 
@@ -166,7 +314,8 @@ def test_one_order_up_reads_every_argument():
                "jets.reseed(c, 3, alg.transverse + 1)",
                "jets.seed_point(p, 3, transverse=D + 1)",
                "reseed(c, order=3, transverse=alg.transverse + 1)",
-               "jets.reseed(c, 3, 1)", "reseed(c, alg.order + 2)"]
+               "jets.reseed(c, 3, 1)", "reseed(c, alg.order + 2)",
+               "jets.seed_point(point, 1)", "seed_point(p, order=2)"]
     kept = ["reseed(coords, coords[0].order - 1, 0)",
             "seed_point(points, order, 0)",
             "reseed(x, jets.composed_order(x))"]

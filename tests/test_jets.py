@@ -350,9 +350,10 @@ def test_deriv_shifts_coefficients():
 # -- stacked compose against the per-component loop --------------------------
 #
 # _compose_loop is the one-jet-at-a-time compose of the earlier engine, kept
-# as an oracle.  compose_stacked keeps its arithmetic order (the same powers,
-# products left to right in ascending variable order, terms summed in
-# graded-lex order), so every coefficient is equal, not merely close.
+# as an oracle, with each monomial built one factor at a time.  compose_stacked
+# keeps its arithmetic order (products left to right in ascending variable
+# order, terms summed in graded-lex order), so every coefficient is equal,
+# not merely close.
 
 
 def _compose_loop(f, inner):
@@ -363,12 +364,6 @@ def _compose_loop(f, inner):
         dg = Jet(g.alg, g.c.copy())
         dg.c[0] = 0.0
         shifted.append(dg.truncate(order))
-    powers = []
-    for dg in shifted:
-        row = [Jet.constant(1.0, dg.num_vars, order), dg]
-        for _ in range(2, order + 1):
-            row.append(row[-1] * dg)
-        powers.append(row)
     out = Jet.constant(0.0, alg_in.num_vars, order)
     for k, m in enumerate(f.alg.monomials):
         ck = f.c[k]
@@ -376,8 +371,8 @@ def _compose_loop(f, inner):
             continue
         term = None
         for i, e in enumerate(m):
-            if e:
-                term = powers[i][e] if term is None else term * powers[i][e]
+            for _ in range(e):
+                term = shifted[i] if term is None else term * shifted[i]
         out = out + ck if term is None else out + term * ck
     return out
 

@@ -11,7 +11,7 @@ from projcomp.catalog import (Poly, ProjectiveStructure, dm_metric,
 from projcomp.tractor import (CotractorConnection,
                               splitting_metric_crosscheck, tractor_curvature)
 
-from oracles import poly_at
+from oracles import coefficient_tractor_curvature, poly_at
 
 
 def flat_ps(n=2):
@@ -61,6 +61,20 @@ def test_tractor_curvature_generic_nonzero():
     ps = random_projective_structure(2, 2, 0.4, seed=7)
     F = tractor_curvature(CotractorConnection(ps), [0.3, -0.1])
     assert np.max(np.abs(F)) > 1e-3
+
+
+@pytest.mark.parametrize("ps", [flat_ps(), random_projective_structure(2, 2, 0.4, 7),
+                                random_projective_structure(3, 3, 0.8, 8)],
+                         ids=["flat", "random-n2", "random-n3"])
+def test_tractor_curvature_matches_its_own_formula(ps):
+    # riemann of the rank-(n+1) block over the n-dimensional chart against
+    # the commutator formula the cotractor curvature was first written with
+    tc = CotractorConnection(ps)
+    for x in ([0.3, -0.1, 0.5][:ps.n], [-0.7, 0.2, 0.4][:ps.n]):
+        F = tractor_curvature(tc, x)
+        want = coefficient_tractor_curvature(tc, x)
+        assert F.shape == want.shape == (ps.n, ps.n, ps.n + 1, ps.n + 1)
+        assert np.max(np.abs(F - want)) <= 1e-14
 
 
 def test_gauge_tensoriality_closed_upsilon():
