@@ -198,8 +198,11 @@ def _memo(fn: Callable) -> Callable:
 
 
 def _grad(alg, A: np.ndarray) -> np.ndarray:
-    """Stacked partial derivatives, one order lower: out[a, ...] = d_a A."""
-    return np.stack([A[..., src] * fac for src, _, fac in alg._deriv])
+    """Stacked partial derivatives, one order lower: out[a, ...] = d_a A,
+    every axis's A[..., src] * fac by one gather and product, laid out
+    contiguously with the axis in front, as a stack of the axes."""
+    dA = A[..., alg._grad_src] * alg._grad_fac  # (..., axis, monomial)
+    return np.ascontiguousarray(dA.transpose(A.ndim - 1, *range(A.ndim - 1), A.ndim))
 
 
 def _raised(coords) -> list:

@@ -11,13 +11,16 @@ Coefficients sit in a dense float64 array indexed by graded-lexicographic
 multi-index order, degrees <= k first.  The per-(num_vars, order) index
 tables are cached in a JetAlgebra; multiplication is a precomputed sparse
 convolution, and every kernel runs in one pass at its algebra's full
-order.  An algebra may keep only the monomials of degree <= D in the
-variables after the first, T: algebra(n, k, D) holds T-line jets (D = 0:
-pure T), a downward-closed list whose pair tables are the full ones
-filtered, in order, so every kernel sums each kept coefficient as the full
-algebra does; D >= k is algebra(n, k).  One kernel, polynomial, evaluates
-sum_m C[..., m] x^m on jets: each power is built once, x^m = x^(m - e_h)
-x_h for the highest variable h of m, and terms are summed in list order.
+order, in few numpy calls: a shortcut (products with constants, a zero
+exponent) is taken where it is bitwise the full sum, and not where a
+non-finite value would tell them apart.  An algebra may keep only the
+monomials of degree <= D in the variables after the first, T:
+algebra(n, k, D) holds T-line jets (D = 0: pure T), a downward-closed list
+whose pair tables are the full ones filtered, in order, so every kernel
+sums each kept coefficient as the full algebra does; D >= k is
+algebra(n, k).  One kernel, polynomial, evaluates sum_m C[..., m] x^m on
+jets: each power is built once, x^m = x^(m - e_h) x_h for the highest
+variable h of m, and terms are summed in list order.
 Composition (compose_stacked) is the polynomial of the shifted inner jets,
 to order D when no inner jet has a pure-T coefficient (composed_order; the
 terms above D then add exact zeros).
@@ -124,6 +127,8 @@ class JetAlgebra:
         kept = across[i] + across[j] <= D
         i, j = i[kept], j[kept]
         self._exponents = np.array(self.monomials).T  # one column per variable
+        self._shifted = [(i, e) for i, e in enumerate(self._exponents)
+                         if e.any() or not i]  # see eval_shift
         code = np.ravel_multi_index(self._exponents, (order + 1,) * num_vars)
         by_code = np.argsort(code, kind="stable")
         k = by_code[np.searchsorted(code, code[i] + code[j], sorter=by_code)]
@@ -139,12 +144,12 @@ class JetAlgebra:
         self._pair_j = np.concatenate([self._mul_j, self._mul_i, self._mul_d])[by_k]
         self._pair_start = np.searchsorted(K[by_k], np.arange(self.size))
 
-        # mul: pairs then squares, each row's targets offset by S * row,
-        # so that one bincount sums every row (a single point is one row).
-        self._row_i = np.concatenate([self._mul_i, self._mul_d])
-        self._row_j = np.concatenate([self._mul_j, self._mul_d])
+        # mul: pairs, squares, the pairs swapped; targets of the first two,
+        # offset by S * row so that one bincount sums every row.
+        self._gather_a = np.concatenate([self._mul_i, self._mul_d, self._mul_j])
+        self._gather_b = np.concatenate([self._mul_j, self._mul_d, self._mul_i])
         self._row_k = np.concatenate([self._mul_k, self._mul_kd])
-        self._plans: dict = {}  # operand shapes -> (shape, (rows, S), targets)
+        self._plans: dict = {}  # product shape -> targets
 
         # factorial(alpha) per monomial, for partial-derivative extraction
         self.fact = np.array(
@@ -173,6 +178,7 @@ class JetAlgebra:
                     (np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp),
                      np.array(fac, dtype=np.float64))
                 )
+            self._grad_src, _, self._grad_fac = map(np.array, zip(*self._deriv))
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.order == 0:  # one coefficient: the bincount adds a * b to 0.0
@@ -180,23 +186,23 @@ class JetAlgebra:
         return self._mul_rows(a, b)
 
     def _mul_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """mul of (S,) or batched (..., S) operands, broadcast as planned once
-        per pair of shapes: one bincount over the targets k + S * row sums
-        each row's pair products, then its square product, in table order."""
-        plan = self._plans.get((a.shape, b.shape))
-        if plan is None:
-            shape = np.broadcast_shapes(a.shape, b.shape)
-            flat = (math.prod(shape[:-1]), self.size)
-            targets = (self._row_k + self.size * np.arange(flat[0])[:, None]).ravel()
-            plan = self._plans[a.shape, b.shape] = shape, flat, targets
-        shape, flat, targets = plan
-        a = (a if a.shape == shape else np.broadcast_to(a, shape)).reshape(flat)
-        b = (b if b.shape == shape else np.broadcast_to(b, shape)).reshape(flat)
-        w = a[:, self._row_i] * b[:, self._row_j]
-        pairs = self._mul_k.size
-        w[:, :pairs] += a[:, self._mul_j] * b[:, self._mul_i]
-        return np.bincount(targets, weights=w.ravel(),
-                           minlength=a.size).reshape(shape)
+        """mul of (S,) or batched (..., S) operands, broadcast: one gather
+        per operand and one product give the pair products a_i b_j, the
+        squares and the swapped a_j b_i, and w = a_i b_j + a_j b_i as with
+        a gather per term.  One bincount over the targets k + S * row, made
+        once per product shape, sums each row's pairs, then its squares, in
+        table order from 0.0 (each target has the pair (constant, m_k), so
+        there are rows * S of them)."""
+        w = a[..., self._gather_a] * b[..., self._gather_b]
+        n = self._row_k.size
+        w[..., :self._mul_k.size] += w[..., n:]
+        targets = self._plans.get(w.shape)
+        if targets is None:
+            rows = w.size // w.shape[-1]
+            targets = self._plans[w.shape] = (
+                self._row_k + self.size * np.arange(rows)[:, None]).ravel()
+        return np.bincount(targets, weights=w[..., :n].ravel()).reshape(
+            w.shape[:-1] + (self.size,))
 
     def contract(self, spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Truncated product of stacked jet tensors (coefficients on the last
@@ -212,43 +218,55 @@ class JetAlgebra:
         and for one point the summed index itself is the innermost loop;
         a batch is then laid out rows first so that each row is reduced
         that way too.  One reduceat sums each target's pairs in table
-        order; each target has the pair (constant, m_k)."""
-        operands, result = spec.split("->")
-        sa, sb = operands.split(",")
-        ba = 0 if "..." in spec else a.ndim - len(sa) - 1
-        bb = 0 if "..." in spec else b.ndim - len(sb) - 1
-        if self.order == 0 and (ba or bb):
-            a = a[..., 0].transpose(*range(len(sa), a.ndim - 1), *range(len(sa)))
-            b = b[..., 0].transpose(*range(len(sb), b.ndim - 1), *range(len(sb)))
-            out = np.einsum(f"...{sa},...{sb}->...{result}",
-                            np.ascontiguousarray(a), np.ascontiguousarray(b))
-            rows = max(ba, bb)
-            return out.transpose(*range(rows, out.ndim), *range(rows))[..., None]
-        if ba or bb:
-            sa, sb, result = sa + "...", sb + "...", result + "..."
-        prods = np.einsum(f"{sa}z,{sb}z->{result}z",
-                          np.take(a, self._pair_i, axis=-1),
-                          np.take(b, self._pair_j, axis=-1))
+        order; each target has the pair (constant, m_k).  The parse, cached
+        per ndims (_contract_plan), only names axes: no float op changes."""
+        spec, at, bt, outt = _contract_plan(spec, a.ndim, b.ndim, not self.order)
+        if at is not None:
+            out = np.einsum(spec, np.ascontiguousarray(a[..., 0].transpose(at)),
+                            np.ascontiguousarray(b[..., 0].transpose(bt)))
+            return out.transpose(outt)[..., None]
+        prods = np.einsum(spec, a.take(self._pair_i, axis=-1),
+                          b.take(self._pair_j, axis=-1))
         return np.add.reduceat(prods, self._pair_start, axis=-1)
 
     def eval_shift(self, C: np.ndarray, delta) -> np.ndarray:
         """Evaluate a stack C[..., :] of Taylor polynomials at basepoint +
         delta: one shift (dim,), or one per batch row (B, dim) for C of
         shape (..., B, S).  Each coefficient is multiplied by the powers
-        delta_i ** e of its monomial in variable order (a zero exponent
-        multiplies by 1.0, which changes nothing), zero weights included,
-        so an infinite coefficient gives NaN; the monomials are then summed
-        one at a time in graded-lex order, from 0.0, by a cumulative sum.
+        delta_i ** e of its monomial in variable order (for the variables
+        with a nonzero exponent, T alone at D = 0, and T always: a zero
+        exponent multiplies by 1.0, which changes nothing), zero weights
+        included, so an infinite coefficient gives NaN; the monomials are
+        then summed one at a time in graded-lex order by a cumulative sum
+        plus 0.0, as from 0.0 (either turns only a -0.0 total into 0.0).
         A row's result is bitwise that of its own shift."""
         delta = np.asarray(delta, dtype=float)
         terms = C
-        for i, exps in enumerate(self._exponents):
+        for i, exps in self._shifted:
             d = delta[..., i]
             powers = np.stack([np.ones_like(d)] + [
                 d ** e for e in range(1, self.order + 1)], axis=-1)
             terms = terms * powers[..., exps]
-        zero = np.zeros(terms.shape[:-1] + (1,))
-        return np.cumsum(np.concatenate([zero, terms], axis=-1), axis=-1)[..., -1]
+        return np.cumsum(terms, axis=-1)[..., -1] + 0.0
+
+
+@lru_cache(maxsize=None)
+def _contract_plan(spec: str, a_ndim: int, b_ndim: int, order0: bool) -> tuple:
+    """(einsum spec, a's, b's and the result's axis orders) of contract:
+    the orders lay a batch out rows first at order 0 and back, else None."""
+    operands, result = spec.split("->")
+    sa, sb = operands.split(",")
+    ba = 0 if "..." in spec else a_ndim - len(sa) - 1
+    bb = 0 if "..." in spec else b_ndim - len(sb) - 1
+    if order0 and (ba or bb):
+        rows = max(ba, bb)
+        return (f"...{sa},...{sb}->...{result}",
+                (*range(len(sa), a_ndim - 1), *range(len(sa))),
+                (*range(len(sb), b_ndim - 1), *range(len(sb))),
+                (*range(rows, rows + len(result)), *range(rows)))
+    if ba or bb:
+        sa, sb, result = sa + "...", sb + "...", result + "..."
+    return f"{sa}z,{sb}z->{result}z", None, None, None
 
 
 @lru_cache(maxsize=None)  # one object per (num_vars, order, D) is _algebra's
@@ -282,21 +300,6 @@ class Jet:
         alg = algebra(num_vars, order)
         c = np.zeros(getattr(value, "shape", ()) + (alg.size,))
         c[_coeff(c, 0)] = value
-        return Jet(alg, c)
-
-    @staticmethod
-    def variable(index: int, value, num_vars: int, order: int,
-                 transverse: int | None = None) -> "Jet":
-        """Coordinate `index` seeded at value (a float, or an array of
-        batch rows), in algebra(num_vars, order, transverse)."""
-        if not 0 <= index < num_vars:
-            raise JetError(f"variable index {index} out of range for {num_vars} vars")
-        alg = algebra(num_vars, order, transverse)
-        c = np.zeros(getattr(value, "shape", ()) + (alg.size,))
-        c[_coeff(c, 0)] = value
-        # the degree-1 monomials follow the constant, in variable order
-        if order >= 1 and (index == 0 or alg.transverse):  # D = 0: T's only
-            c[_coeff(c, 1 + index)] = 1.0
         return Jet(alg, c)
 
     # -- inspection --------------------------------------------------------
@@ -471,12 +474,18 @@ def _coeff(c: np.ndarray, k):
 def _apply_series(u: Jet, coeffs) -> Jet:
     """Compose the univariate series sum(coeffs[k] * (u - u0)^k) with u by
     Horner's loop; each coefficient is a float, or an array of u's batch
-    shape."""
+    shape.  Past order 0 the first product, constant jet c_K times du, is
+    the scale c_K du + 0.0 when du is finite: each target k of mul sums,
+    from 0.0, c_K du_k + 0.0 du_0 and terms 0.0 du_j = +-0.0."""
     du = u.c.copy()
     du[_coeff(du, 0)] = 0.0
     out = np.zeros(u.c.shape)
     out[_coeff(out, 0)] = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
+    steps = list(coeffs[-2::-1])
+    if steps and u.order and np.isfinite(du).all():
+        out = out[..., :1] * du + 0.0
+        out[_coeff(out, 0)] += steps.pop(0)
+    for c in steps:
         out = u.alg.mul(out, du)
         out[_coeff(out, 0)] += c
     return Jet(u.alg, out)
@@ -595,11 +604,16 @@ def scale(s, A: np.ndarray) -> np.ndarray:
 def seed_point(point, order: int, transverse: int | None = None) -> list[Jet]:
     """Seed one jet variable per coordinate of a point (dim,), or of every
     point of a batch (B, dim): the jets' coefficients then have shape
-    (B, S).  A transverse bound D seeds T-line jets."""
+    (B, S).  A transverse bound D seeds T-line jets.  Coordinate i is row i
+    of one array: its value, 1.0 in its degree-1 slot 1 + i, zeros."""
     point = np.asarray(point, dtype=float)
     n = point.shape[-1]
-    return [Jet.variable(i, point[..., i], n, order, transverse)
-            for i in range(n)]
+    alg = algebra(n, order, transverse)
+    c = np.zeros((n,) + point.shape[:-1] + (alg.size,))
+    c[..., 0] = point.transpose(-1, *range(point.ndim - 1))
+    for i in range(n if alg.transverse else min(order, 1)):  # T's only at D = 0
+        c[i, ..., 1 + i] = 1.0
+    return [Jet(alg, x) for x in c]
 
 
 def base_point(coords) -> np.ndarray:
@@ -652,7 +666,15 @@ def polynomial(alg: JetAlgebra, monomials: list, C: np.ndarray,
                xs: list) -> np.ndarray:
     """sum_m C[..., m] x^monomials[m] over stacked jets xs of alg, one (S,)
     or (..., S) array per variable, by the power rule of the module doc;
-    each column C[..., m] broadcasts against the powers."""
+    each column C[..., m] broadcasts against the powers.  Constant xs of a
+    D = 0 algebra are summed at order 0, in slot 0, if that is finite: C
+    and every power are then finite, their products +-0.0 past slot 0, and
+    a sign of zero is all that differs, which a sum from 0.0 drops."""
+    if alg.order and not alg.transverse and not any(x[..., 1:].any() for x in xs):
+        low = polynomial(algebra(alg.num_vars, 0), monomials, C,
+                         [x[..., :1] for x in xs])
+        if np.isfinite(low).all():  # low in slot 0, +0.0 past it
+            return low * np.eye(1, alg.size)[0] + 0.0
     powers = {m: np.eye(1, alg.size)[0] for m in monomials if not any(m)}
     out = np.zeros(np.broadcast_shapes(C.shape[:-1], xs[0].shape[:-1]) + (alg.size,))
     for col, m in enumerate(monomials):

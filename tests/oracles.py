@@ -21,6 +21,13 @@ contraction in blocks of whole targets, the single-point product, the
 product of broadcast operands, the composition on the full monomial table
 and the Schouten tensor at the full order of its base point; the kernels
 must give bitwise the same coefficients.
+variable seeds one coordinate jet, as Jet.variable did before seed_point
+filled all coordinates in one array, and the kernels after it run as they
+did with one numpy call per step: seed_point by variable calls, eval_shift
+over every variable, the polynomial with every power a product, and
+fields._grad one axis at a time; with the single-pass contraction, the
+product of broadcast operands and the full-order Horner loop above, they
+are the references the kernels must match bitwise.
 single_point_match_boundary_constant is the dT^2 coefficient as first
 read, one point at the deepest rung, and full_ladder_rows and
 full_shift_ladder the extension ladder on jets in every monomial of the
@@ -504,7 +511,8 @@ def broadcast_mul_rows(alg, a, b):
     a, b = a.reshape(-1, alg.size), b.reshape(-1, alg.size)
     rows = len(a)
     targets = (alg._row_k + alg.size * np.arange(rows)[:, None]).ravel()
-    w = a[:, alg._row_i] * b[:, alg._row_j]
+    w = (a[:, np.concatenate([alg._mul_i, alg._mul_d])]
+         * b[:, np.concatenate([alg._mul_j, alg._mul_d])])
     pairs = alg._mul_k.size
     w[:, :pairs] += a[:, alg._mul_j] * b[:, alg._mul_i]
     return np.bincount(targets, weights=w.ravel(),
@@ -545,13 +553,73 @@ def full_order_schouten_at(ps, x):
     return full_table_compose_stacked(P, x)
 
 
+def variable(index, value, num_vars, order, transverse=None):
+    """Coordinate `index` seeded at value (a float, or an array of batch
+    rows), in algebra(num_vars, order, transverse): the value in the
+    constant slot and, past order 0, 1.0 in its degree-1 slot (T's only at
+    D = 0)."""
+    if not 0 <= index < num_vars:
+        raise jets.JetError(f"variable index {index} out of range for {num_vars} vars")
+    alg = jets.algebra(num_vars, order, transverse)
+    c = np.zeros(np.shape(value) + (alg.size,))
+    c[..., 0] = value
+    if order >= 1 and (index == 0 or alg.transverse):
+        c[..., 1 + index] = 1.0
+    return jets.Jet(alg, c)
+
+
+def variable_seed_point(point, order, transverse=None):
+    """jets.seed_point as one variable call per coordinate."""
+    point = np.asarray(point, dtype=float)
+    n = point.shape[-1]
+    return [variable(i, point[..., i], n, order, transverse) for i in range(n)]
+
+
+def every_variable_eval_shift(alg, C, delta):
+    """JetAlgebra.eval_shift multiplying by the powers of every variable,
+    zero exponents included, and summing from 0.0 by a cumulative sum."""
+    delta = np.asarray(delta, dtype=float)
+    terms = C
+    for i, exps in enumerate(alg._exponents):
+        d = delta[..., i]
+        powers = np.stack([np.ones_like(d)] + [
+            d ** e for e in range(1, alg.order + 1)], axis=-1)
+        terms = terms * powers[..., exps]
+    zero = np.zeros(terms.shape[:-1] + (1,))
+    return np.cumsum(np.concatenate([zero, terms], axis=-1), axis=-1)[..., -1]
+
+
+def product_polynomial(alg, monomials, C, xs):
+    """jets.polynomial with every power a product in alg, constant xs
+    included: x^m = x^(m - e_h) x_h for the highest variable h of m, the
+    terms summed in list order from 0.0."""
+    powers = {m: np.eye(1, alg.size)[0] for m in monomials if not any(m)}
+
+    def power(m):
+        if m not in powers:
+            h = max(i for i, e in enumerate(m) if e)
+            head = m[:h] + (m[h] - 1,) + m[h + 1:]
+            powers[m] = xs[h] if not any(head) else alg.mul(power(head), xs[h])
+        return powers[m]
+
+    out = np.zeros(np.broadcast_shapes(C.shape[:-1], xs[0].shape[:-1]) + (alg.size,))
+    for col, m in enumerate(monomials):
+        out += C[..., col, None] * power(m)
+    return out
+
+
+def stacked_grad(alg, A):
+    """fields._grad as one gather and product per axis, stacked."""
+    return np.stack([A[..., src] * fac for src, _, fac in alg._deriv])
+
+
 def single_point_match_boundary_constant(g, spec, tangent_point):
     """compactify.match_boundary_constant as first written: T^(4/alpha) g_TT
     seeded at the one point (deepest rung, tangent point), then shifted by
     -eps in T."""
     eps = spec.ladder[-1]
     point = np.concatenate([[eps], np.asarray(tangent_point, dtype=float)])
-    T = jets.Jet.variable(0, eps, g.chart.dim, 3)
+    T = variable(0, eps, g.chart.dim, 3)
     g_TT = jets.Jet(T.alg, g.at(point, order=3)[0, 0])
     scaled = g_TT * jets.powc(T, 4.0 / spec.alpha)
     to_zero = np.zeros(g.chart.dim)

@@ -14,36 +14,36 @@ from oracles import fd_partial
 
 
 def test_seed_value():
-    x = Jet.variable(0, 3.0, 1, 2)
+    x = oracles.variable(0, 3.0, 1, 2)
     assert x.value == 3.0
 
 
 def test_square_of_seed():
     # Taylor of x^2 at 3: [9, 6, 1]
-    x = Jet.variable(0, 3.0, 1, 2)
+    x = oracles.variable(0, 3.0, 1, 2)
     sq = x * x
     assert np.allclose(sq.c, [9.0, 6.0, 1.0])
 
 
 def test_sqrt_linear_coeff():
-    x = Jet.variable(0, 4.0, 1, 2)
+    x = oracles.variable(0, 4.0, 1, 2)
     s = jets.sqrt(x)
     assert abs(s.partial((1,)) - 0.25) < 1e-14
 
 
 def test_mul_at_two():
-    x = Jet.variable(0, 2.0, 1, 2)
+    x = oracles.variable(0, 2.0, 1, 2)
     assert np.allclose((x * x).c, [4.0, 4.0, 1.0])
 
 
 def test_geometric_series():
-    x = Jet.variable(0, 0.0, 1, 3)
+    x = oracles.variable(0, 0.0, 1, 3)
     r = 1.0 / (1.0 - x)
     assert np.allclose(r.c, [1.0, 1.0, 1.0, 1.0])
 
 
 def test_sin_at_zero():
-    x = Jet.variable(0, 0.0, 1, 3)
+    x = oracles.variable(0, 0.0, 1, 3)
     s = jets.sin(x)
     assert np.allclose(s.c, [0.0, 1.0, 0.0, -1.0 / 6.0])
 
@@ -52,7 +52,7 @@ def test_exp_log_inverse_pair():
     rng = np.random.default_rng(0)
     for _ in range(20):
         v = float(rng.uniform(0.2, 3.0))
-        x = Jet.variable(0, v, 1, 3)
+        x = oracles.variable(0, v, 1, 3)
         y = oracles.exp(oracles.log(x))
         assert np.max(np.abs((y - x).c)) < 1e-12
 
@@ -61,7 +61,7 @@ def test_trig_identity():
     rng = np.random.default_rng(1)
     for _ in range(20):
         v = float(rng.uniform(-3, 3))
-        x = Jet.variable(0, v, 1, 3)
+        x = oracles.variable(0, v, 1, 3)
         one = jets.cos(x) ** 2 + jets.sin(x) ** 2
         assert abs(one.value - 1.0) < 1e-12
         assert np.max(np.abs(one.c[1:])) < 1e-12
@@ -69,38 +69,38 @@ def test_trig_identity():
 
 def test_second_derivative_of_square():
     for v in (0.0, 1.7, -2.3):
-        x = Jet.variable(0, v, 1, 3)
+        x = oracles.variable(0, v, 1, 3)
         assert abs((x * x).partial((2,)) - 2.0) < 1e-14
 
 
 def test_mixed_partial_xy():
-    x = Jet.variable(0, 0.3, 2, 3)
-    y = Jet.variable(1, -1.2, 2, 3)
+    x = oracles.variable(0, 0.3, 2, 3)
+    y = oracles.variable(1, -1.2, 2, 3)
     assert abs((x * y).partial((1, 1)) - 1.0) < 1e-14
 
 
 def test_partial_out_of_order_raises():
-    x = Jet.variable(0, 1.0, 1, 2)
+    x = oracles.variable(0, 1.0, 1, 2)
     with pytest.raises(JetError):
         x.partial((3,))
 
 
 def test_shape_mismatch_raises():
-    a = Jet.variable(0, 1.0, 1, 2)
-    b = Jet.variable(0, 1.0, 2, 2)
+    a = oracles.variable(0, 1.0, 1, 2)
+    b = oracles.variable(0, 1.0, 2, 2)
     with pytest.raises(JetError):
         _ = a + b
 
 
 def test_division_by_zero_value_raises():
-    z = Jet.variable(0, 0.0, 1, 2)
+    z = oracles.variable(0, 0.0, 1, 2)
     with pytest.raises(ZeroDivisionError):
         _ = 1.0 / z
 
 
 def test_seed_index_out_of_range():
     with pytest.raises(JetError):
-        Jet.variable(2, 1.0, 2, 3)
+        oracles.variable(2, 1.0, 2, 3)
 
 
 # -- the monomial table ------------------------------------------------------
@@ -324,22 +324,22 @@ def test_compose_matches_direct_evaluation():
 
 
 def test_eval_shift_extrapolates_polynomial():
-    x = Jet.variable(0, 2.0, 1, 3)
+    x = oracles.variable(0, 2.0, 1, 3)
     p = x ** 3 - 2.0 * x + 1.0
     # cubic is reproduced exactly anywhere
     assert abs(p.eval_shift([-1.5]) - (0.5 ** 3 - 2 * 0.5 + 1)) < 1e-12
 
 
 def test_truncate_drops_high_coeffs():
-    x = Jet.variable(0, 1.0, 1, 3)
+    x = oracles.variable(0, 1.0, 1, 3)
     p = (x * x * x).truncate(1)
     assert p.order == 1
     assert np.allclose(p.c, [1.0, 3.0])
 
 
 def test_deriv_shifts_coefficients():
-    x = Jet.variable(0, 2.0, 2, 3)
-    y = Jet.variable(1, 1.0, 2, 3)
+    x = oracles.variable(0, 2.0, 2, 3)
+    y = oracles.variable(1, 1.0, 2, 3)
     f = x * x * y
     fx = f.deriv(0)
     assert fx.order == 2

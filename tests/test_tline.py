@@ -290,11 +290,11 @@ def test_lift_is_the_full_lift_on_the_kept_monomials(num_vars, order, D):
 
 
 def test_variable_has_no_transverse_slot_at_d0():
-    T, u = (jets.Jet.variable(i, 0.5, 3, 2, 0) for i in range(2))
+    T, u, _ = jets.seed_point([0.5, 0.5, 0.5], 2, 0)
     assert T.alg is u.alg is jets.algebra(3, 2, 0)
     assert T.c.tolist() == [0.5, 1.0, 0.0]
     assert u.c.tolist() == [0.5, 0.0, 0.0]
-    v = jets.Jet.variable(2, 0.5, 3, 2, 1)
+    v = jets.seed_point([0.5, 0.5, 0.5], 2, 1)[2]
     assert v.c[v.alg.index[(0, 0, 1)]] == 1.0 and v.c.sum() == 1.5
 
 
