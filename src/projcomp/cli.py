@@ -415,6 +415,7 @@ class _EH(Scenario):
         self.gT = catalog.eh_compactified(self.pars)
         self.spec = compactify.CompactificationSpec(chart=self.gT.chart,
                                                     alpha=1.0, ladder=self.ladder)
+        self.gT.func = fields._memo(self.gT.func)  # h gathers LC's lift
         self.lc = fields.levi_civita(self.gT)
         self.lc.func = fields._memo(self.lc.func)  # extension reads it twice
         self.changed = fields.projective_change(self.lc,
@@ -512,7 +513,8 @@ class _DM(Scenario):
             "prescribe", 1e-9)
     def splitting(self, tol):
         pts = self.points(self.g.chart, self.count)
-        resid = max(tractor.splitting_metric_crosscheck(self.ps, pts).values())
+        resid = max(tractor.splitting_metric_crosscheck(
+            self.ps, self.g, self.omega, pts).values())
         return _status(resid, tol), resid, len(pts), {}
 
     @_check("geodesic-projection",

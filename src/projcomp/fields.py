@@ -24,7 +24,8 @@ derivative one way, by _lift, one jet order (and transverse degree) up,
 so a caller receives components exact in the algebra it seeded.
 Truncation and a derivative are gathers on the last axis, a contraction
 is JetAlgebra.contract; a leaf formula computes with scalar Jets and ends with
-one jets.stack.
+one jets.stack.  A memoized field (_memo) serves a lower algebra at the
+same coordinate jets by a gather of a kept evaluation, bitwise alike.
 
 A field of any valence moves to another chart one way, by
 paracx.pullback_field along a ChartMap; a Levi-Civita connection moves as
@@ -44,6 +45,7 @@ symmetric in (b, c) for torsion-free connections.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -165,11 +167,11 @@ def _batch_first(A: np.ndarray, rank: int) -> np.ndarray:
 
 
 def _key(arg):
-    """A hashable key of a memoized argument: a Jet by its algebra and
-    coefficients, an array by its shape and bytes, a list or tuple by its
-    items' keys, anything else as itself."""
+    """A hashable key of a memoized argument: a Jet by its number of
+    variables and its value (see _memo), an array by its shape and bytes,
+    a list or tuple by its items' keys, anything else as itself."""
     if isinstance(arg, Jet):
-        return arg.alg, _key(arg.c)
+        return arg.num_vars, _key(arg.c[..., 0])
     if isinstance(arg, np.ndarray):
         return arg.shape, arg.tobytes()
     if isinstance(arg, (list, tuple)):
@@ -177,23 +179,47 @@ def _key(arg):
     return arg
 
 
+@lru_cache(maxsize=None)
+def _restriction(held, alg):
+    """The gather of alg's monomials from held's (in as many variables): a
+    slice if they lead held's list, None if held lacks one."""
+    take = [held.index.get(m) for m in alg.monomials]
+    if None in take:
+        return None
+    return slice(0, alg.size) if take[-1] < alg.size else np.array(take)
+
+
 def _memo(fn: Callable) -> Callable:
     """fn(*args), keeping every result for the life of the returned
-    closure: called again with equal positional arguments (see _key), it
-    returns that result without evaluating fn.  An array result, and the
-    coefficients of each Jet of a list or tuple result, are made read-only,
-    so that no caller can change what the next one reads."""
+    closure, under the base points of the coordinate jets args[0] (see
+    _key) with their coefficients.  A call whose jets are, by value, the
+    restriction of a kept call's gets that result, gathered on a lower
+    algebra: every kernel sums a lower algebra's coefficients as a higher
+    one does, but contract sums order 0 in another order, so order 0 is
+    evaluated.  Results are made read-only for the next caller."""
     seen = {}
 
     def memo(*args):
-        key = _key(args)
-        if key not in seen:
-            out = seen[key] = fn(*args)
-            for item in out if isinstance(out, (list, tuple)) else [out]:
-                arr = item.c if isinstance(item, Jet) else item
-                if isinstance(arr, np.ndarray):
-                    arr.flags.writeable = False
-        return seen[key]
+        first = args[0][0] if isinstance(args[0], (list, tuple)) else None
+        alg = getattr(first, "alg", None)
+        coeffs = np.stack([x.c for x in args[0]]) if alg else np.zeros(0)
+        held = seen.setdefault(_key(args), [])
+        for up, kept, out in held:
+            take = (slice(None) if up is alg else
+                    _restriction(up, alg) if alg.order else None)
+            if take is None or kept[..., take].tobytes() != coeffs.tobytes():
+                continue
+            if up is alg:
+                return out
+            out = ([Jet(alg, x.c[..., take]) for x in out]
+                   if isinstance(out, (list, tuple)) else out[..., take])
+            break
+        else:
+            out = fn(*args)
+        for item in out if isinstance(out, (list, tuple)) else [out]:
+            getattr(item, "c", item).flags.writeable = False
+        held.append((alg, coeffs, out))
+        return out
     return memo
 
 
@@ -218,7 +244,7 @@ def _lift(func: Callable, coords) -> tuple:
     seeding, raises a T-line algebra's bound D (see jets)."""
     up = _raised(coords)
     F = func(up)
-    return F[..., up[0].alg._down], _grad(up[0].alg, F)
+    return F[..., _restriction(up[0].alg, coords[0].alg)], _grad(up[0].alg, F)
 
 
 # Largest condition number, after each row is scaled to unit max-norm, of a

@@ -158,14 +158,11 @@ class JetAlgebra:
         )
 
         # Derivative tables, (src index, dst index, factor) per axis, into
-        # the lower algebra (order - 1, D - 1), and _down, the gather of its
-        # monomials from this one (a slice at D = order).  At D = 0 only T
-        # has a table, into (order - 1, 0).
+        # the lower algebra (order - 1, D - 1).  At D = 0 only T has a
+        # table, into (order - 1, 0).
         self._deriv: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         if order >= 1:
             self.lower = lower = algebra(num_vars, order - 1, max(D - 1, 0))
-            self._down = (slice(0, lower.size) if D == order else
-                          np.array([self.index[m] for m in lower.monomials]))
             for axis in range(num_vars if D else 1):
                 src, dst, fac = [], [], []
                 for k, m in enumerate(lower.monomials):

@@ -17,7 +17,8 @@ the Nijenhuis T row and h in cg-form, whose interior slices are rows of
 that ladder, and one values() batch for h_D, theta0, theta and each closed
 form (h's closed form at the slices and at T = 0 together).  The checks
 take the boundary bundle (dm_boundary_fields), whose memoized results are
-read-only, with a spec and the tangent points their caller drew.
+read-only, with a spec and the tangent points their caller drew, and read
+it on one ladder algebra per scenario, (3, D = 1) (_pure_t, fields._memo).
 
 Orientation conventions (recorded, then validated exactly by the flat
 model):
@@ -254,11 +255,11 @@ def dm_boundary_fields(ps: ProjectiveStructure):
     """(g, Omega, J, chart) of the canonical metric in the (T, Z, X, Y)
     boundary chart.  The pullbacks of g and Omega share the inverse map's
     evaluation at each point (and dm_metric shares the Schouten tensor).
-    g, Omega and J keep each distinct evaluation, and g inverts each
-    distinct component stack once, for levi_civita, J and theta alike; all
-    of these are returned read-only (see fields._memo).  A scenario's
-    boundary checks take this bundle, with their spec and tangent points,
-    and share its ladders."""
+    g, Omega and J keep each distinct evaluation, gathered for a lower
+    algebra, and g inverts each distinct component stack once, for
+    levi_civita, J and theta alike, all read-only (see fields._memo).  A
+    scenario's boundary checks take this bundle, with their spec and
+    tangent points, and read it on one ladder algebra (see the module)."""
     n = ps.n
     g, omega = dm_metric(ps)
     cmap = dm_boundary_map(n)
@@ -450,6 +451,15 @@ def boundary_h_closed(ps: ProjectiveStructure) -> TensorField:
 # -- boundary checks -----------------------------------------------------------
 
 
+def _pure_t(func: Callable) -> Callable:
+    """func on (k, D = 0) ladder rows as the pure-T part of func on (k, D = 1),
+    which the Nijenhuis ladder lifts to and connection-extension gathers."""
+    def on_line(coords):
+        up = _raised(jets.reseed(coords, coords[0].order - 1, 0))
+        return func(up)[..., up[0].alg.pure_t]
+    return on_line
+
+
 def _dtheta0_matrix(n: int) -> np.ndarray:
     dim = 2 * n
     M = np.zeros((dim, dim))
@@ -464,8 +474,7 @@ def levi_compatibility_check(ps: ProjectiveStructure, bundle,
     """max |h_D(U, V) - levi(U, V)| over distribution basis pairs at the
     boundary points above tps, with levi = -1/2 dtheta0(J_D U, V) and J's
     boundary value the extend_to_boundary limit of the order-3 jets of the
-    bundle's J (see dm_boundary_fields) on spec's ladder: the D = 0 part of
-    the (3, D = 1) J that the Nijenhuis ladder lifts, bitwise J at (3, 0).
+    bundle's J (see dm_boundary_fields) on spec's ladder (see _pure_t).
 
     The basis of the distribution (annihilated by theta0 and dT) is
     e_A = d/dX^A - Z_A d/dY and f_A = d/dZ_A.  The projection J_D is J
@@ -477,12 +486,7 @@ def levi_compatibility_check(ps: ProjectiveStructure, bundle,
     n = ps.n
     m = n - 1
     _, h_d, _ = boundary_data(ps)
-
-    def pure_t(coords):  # J as the order-2 Nijenhuis ladder lifts it
-        up = _raised(jets.reseed(coords, coords[0].order - 1, 0))
-        return bundle[2].func(up)[..., up[0].alg.pure_t]
-
-    J0 = extend_to_boundary(pure_t, spec, tps, order=3).limits
+    J0 = extend_to_boundary(_pure_t(bundle[2].func), spec, tps, order=3).limits
     p0 = at_boundary(tps)
     A = np.arange(m)
     E = np.zeros((len(p0), 2 * n, 2 * m))
@@ -532,13 +536,14 @@ def cg_form_check(ps: ProjectiveStructure, bundle, spec: CompactificationSpec,
     Returns the sub-results h_extension, h_closed_form_residual,
     theta_closed_form_residual and h_boundary_match.  bundle is the
     (g, Omega, J, chart) of dm_boundary_fields(ps).  h is evaluated
-    once, in one batch of every (tangent point, rung) row: both extension
-    verdicts read that ladder, and the interior slices are rows of it.  Its
-    closed form is evaluated once, at the slices and at T = 0 together.
+    once, in one batch of every (tangent point, rung) row, as the pure-T
+    part of the bundle's ladder algebra (3, D = 1): both extension verdicts
+    read that ladder, and the interior slices are rows of it.  Its closed
+    form is evaluated once, at the slices and at T = 0 together.
     """
     gb, omb, _, _ = bundle
     h_engine = h_tc_field(gb, omb, boundary_t_coordinate, C=0.25)
-    h_rows = ladder_rows(h_engine.func, spec, tps)
+    h_rows = ladder_rows(_pure_t(h_engine.func), spec, tps)
     rungs = shift_ladder(h_rows, spec)
     # the first two rungs above the first three points, rows of the ladder
     slices = np.array([np.concatenate([[eps], tp])

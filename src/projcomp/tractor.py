@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .catalog import ProjectiveStructure, dm_metric
-from .fields import TensorField, riemann
+from .catalog import ProjectiveStructure
+from .fields import MetricField, TensorField, riemann
 
 __all__ = [
     "CotractorConnection",
@@ -72,9 +72,10 @@ def tractor_curvature(tc: CotractorConnection, point) -> np.ndarray:
     return np.einsum("...abij->...ijba", riemann(conn, point))
 
 
-def splitting_metric_crosscheck(ps: ProjectiveStructure, points) -> dict:
-    """Pairing identities of the canonical metric against the tractor
-    splitting frame
+def splitting_metric_crosscheck(ps: ProjectiveStructure, g: MetricField,
+                                omega: TensorField, points) -> dict:
+    """Pairing identities of the canonical metric (g, omega) of ps against
+    the tractor splitting frame
 
         h_i = d/dx^i - (P_ij + xi_i xi_j - Gamma^k_ij xi_k) d/dxi_j,
         v^i = d/dxi_i:
@@ -86,7 +87,6 @@ def splitting_metric_crosscheck(ps: ProjectiveStructure, points) -> dict:
     a (B, 2n) array), every field evaluated at all of them in one call.
     """
     n = ps.n
-    g, omega = dm_metric(ps)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     x, xi = points[:, :n], points[:, n:]
     gv, ov = g.values(points), omega.values(points)

@@ -561,8 +561,8 @@ def test_connection_extension_draws_at_most_the_scenario_points(monkeypatch):
 def test_splitting_residual_includes_the_omega_pairings(monkeypatch):
     real = tractor.splitting_metric_crosscheck
 
-    def broken_omega(ps, points):
-        out = real(ps, points)
+    def broken_omega(ps, g, omega, points):
+        out = real(ps, g, omega, points)
         out["omega_horizontal"] = 0.5
         return out
 

@@ -974,6 +974,34 @@ def test_boundary_checks_invert_j_once_per_ladder(monkeypatch):
     assert [s for s in shapes if len(s) == 4] == [(6, 6, 6, 19)]
 
 
+def test_boundary_checks_evaluate_the_metric_once_per_ladder(monkeypatch):
+    # cg-form, levi, nijenhuis-tangential and connection-extension draw the
+    # same 2 tangent points: the pulled-back metric is evaluated once on
+    # their 6 ladder rows, at order 3 and D = 1, and every other algebra
+    # they read there is a gather of it (see fields._memo)
+    evaluated = []
+    real = paracx.dm_metric
+
+    def counted(ps):
+        g, omega = real(ps)
+        func = g.func
+
+        def evaluate(coords):
+            alg = coords[0].alg
+            evaluated.append((alg.order, alg.transverse, coords[0].c.shape[:-1]))
+            return func(coords)
+        g.func = evaluate
+        return g, omega
+
+    monkeypatch.setattr(paracx, "dm_metric", counted)
+    sc = {"id": "dm-n2", "catalog": "dm-random",
+          "params": {"n": 2, "degree": 2, "seed": 5},
+          "checks": ["cg-form", "levi", "nijenhuis-tangential",
+                     "connection-extension"], "points": 2, "seed": 5}
+    assert cli.run_manifest({"scenarios": [sc]})["summary"]["pass"] == 4
+    assert [e[:2] for e in evaluated if e[2] == (6,)] == [(3, 1)]
+
+
 def test_boundary_metric_inverts_each_distinct_matrix_once(monkeypatch):
     # cg-form's theta, J and the levi check's Levi-Civita connection of the
     # boundary metric invert the same component stacks on one ladder

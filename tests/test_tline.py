@@ -424,10 +424,11 @@ def test_boundary_ladders_seed_the_base_at_most_one_above_their_d(monkeypatch):
 
 
 def test_the_schouten_field_is_evaluated_once_per_point_and_order(monkeypatch):
-    # connection-extension's ladder (order 2) and cg-form's (order 3) need
-    # the Schouten field at order 0 above the same tangent points, and
-    # cg-form's theta and its closed form need it at the same slices: the
-    # structure's field keeps each distinct evaluation
+    # the four boundary checks read the boundary metric on one ladder
+    # algebra, (3, D = 1), which needs the Schouten field at order 1 above
+    # the tangent points, and cg-form's theta and its closed form need it
+    # at the same slices: the structure's field keeps each distinct
+    # evaluation, four with J's probe and h's closed form at T = 0
     seen = []
     real = catalog.projective_schouten
 
@@ -436,7 +437,7 @@ def test_the_schouten_field_is_evaluated_once_per_point_and_order(monkeypatch):
         func = field.func
 
         def evaluated(coords):
-            seen.append(fields._key(coords))
+            seen.append((coords[0].alg, fields._key(coords)))
             return func(coords)
 
         field.func = evaluated
@@ -448,4 +449,4 @@ def test_the_schouten_field_is_evaluated_once_per_point_and_order(monkeypatch):
           "checks": ["cg-form", "levi", "nijenhuis-tangential",
                      "connection-extension"], "points": 2, "seed": 5}
     assert cli.run_manifest({"scenarios": [sc]})["summary"]["pass"] == 4
-    assert len(seen) == len(set(seen)) > 3
+    assert len(seen) == len(set(seen)) == 4

@@ -118,7 +118,8 @@ def test_gauge_law_generic_upsilon_scalar_correction():
 
 
 def test_splitting_crosscheck_flat():
-    res = splitting_metric_crosscheck(flat_ps(), [0.3, -0.2, 0.8, 0.5])
+    ps = flat_ps()
+    res = splitting_metric_crosscheck(ps, *dm_metric(ps), [0.3, -0.2, 0.8, 0.5])
     assert res["pairing"] < 1e-12
     assert res["horizontal_null"] < 1e-12
     assert res["vertical_null"] < 1e-12
@@ -128,9 +129,9 @@ def test_splitting_crosscheck_random_structures():
     rng = np.random.default_rng(0)
     for n in (2, 3):
         ps = random_projective_structure(n, 2, 0.4, seed=13 + n)
-        g, _ = dm_metric(ps)
+        g, omega = dm_metric(ps)
         for p in g.chart.sample(rng, 20):
-            res = splitting_metric_crosscheck(ps, p)
+            res = splitting_metric_crosscheck(ps, g, omega, p)
             assert max(res["pairing"], res["horizontal_null"],
                        res["vertical_null"]) < 1e-9
             # recorded orientation: Omega(v, h) = -delta, Omega(h, h) = 0
@@ -167,9 +168,10 @@ def test_dm_metric_invariant_under_fiber_shift():
 def test_splitting_crosscheck_of_a_batch_is_the_worst_point():
     rng = np.random.default_rng(2)
     ps = random_projective_structure(3, 2, 0.4, seed=5)
-    pts = dm_metric(ps)[0].chart.sample(rng, 6)
-    batch = splitting_metric_crosscheck(ps, pts)
-    singles = [splitting_metric_crosscheck(ps, p) for p in pts]
+    g, omega = dm_metric(ps)
+    pts = g.chart.sample(rng, 6)
+    batch = splitting_metric_crosscheck(ps, g, omega, pts)
+    singles = [splitting_metric_crosscheck(ps, g, omega, p) for p in pts]
     assert set(batch) == set(singles[0])
     for key, worst in batch.items():
         assert worst == pytest.approx(max(s[key] for s in singles), abs=1e-15)
