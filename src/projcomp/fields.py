@@ -24,8 +24,8 @@ derivative one way, by _lift, one jet order (and transverse degree) up,
 so a caller receives components exact in the algebra it seeded.
 Truncation and a derivative are gathers on the last axis, a contraction
 is JetAlgebra.contract; a leaf formula computes with scalar Jets and ends with
-one jets.stack.  A memoized field (_memo) serves a lower algebra at the
-same coordinate jets by a gather of a kept evaluation, bitwise alike.
+one jets.stack.  A memoized field (_memo) returns its kept evaluation at
+the same coordinate jets, and a lower algebra's by a gather, bitwise alike.
 
 A field of any valence moves to another chart one way, by
 paracx.pullback_field along a ChartMap; a Levi-Civita connection moves as
@@ -101,8 +101,8 @@ class Chart:
         bitwise rng.uniform(lo, hi), and the mask of those not excluded."""
         lo, hi = np.array(self.box, dtype=float).T
         p = lo + (hi - lo) * np.atleast_2d(u)
-        return p, np.array([self.exclude is None or not self.exclude(q)
-                            for q in p], dtype=bool)
+        ok = [not self.exclude(q) for q in p] if self.exclude else np.ones(len(p))
+        return p, np.array(ok, dtype=bool)
 
     def sample(self, rng, count: int = 1) -> np.ndarray:
         """`count` points of the box from one stream, (count, dim): one
@@ -258,17 +258,30 @@ def _inverse(alg, A: np.ndarray) -> np.ndarray:
     batch of points.
 
     The value matrices A0 are inverted by LAPACK, batch first, each tested
-    for singularity on its own.  The rest N = A - A0 has no constant term,
-    so it is nilpotent at the jet order o, and o steps of the lift
+    for singularity on its own: cond(U) < _COND_MAX for U = A0 / rows, its
+    rows scaled to unit max-norm.  As kappa_F = |U|_F |A0^-1 rows|_F >=
+    cond(U), a batch with every kappa_F < _COND_MAX / 10 (a margin far over
+    either's rounding) passes, and an SVD judges any other batch, or one
+    inv fails on: each decision is the SVD's.  N = A - A0 has no constant
+    term, so it is nilpotent at the jet order o, and o steps of the lift
     X <- A0^-1 - (A0^-1 N) X, from X = A0^-1, give the exact inverse.
     """
     A0 = _batch_first(A[..., 0], 2)
     rows = np.max(np.abs(A0), axis=-1)
-    if not (np.all(rows > 0)
-            and np.all(np.linalg.cond(A0 / rows[..., None]) < _COND_MAX)):
+    if not np.all(rows > 0):
         raise SingularMetricError("singular matrix in jet inversion")
+    unit = A0 / rows[..., None]
+    try:
+        inv = np.linalg.inv(A0)
+        kappa = (np.linalg.norm(unit, axis=(-2, -1))
+                 * np.linalg.norm(inv * rows[..., None, :], axis=(-2, -1)))
+    except np.linalg.LinAlgError:
+        kappa = np.inf
+    if not np.all(kappa < _COND_MAX / 10):
+        if not np.all(np.linalg.cond(unit) < _COND_MAX):
+            raise SingularMetricError("singular matrix in jet inversion")
+        inv = np.linalg.inv(A0)
     lift = np.zeros_like(A)
-    inv = np.linalg.inv(A0)
     lift[..., 0] = np.moveaxis(inv, 0, -1) if inv.ndim > 2 else inv
     if alg.order == 0:
         return lift

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import jets
 from .catalog import Poly, ProjectiveStructure, _evaluate, _poly_table
 
-__all__ = ["PathGeometry2D", "ode_from_projective"]
+__all__ = ["PathGeometry2D", "ode_from_projective", "stacked_values"]
 
 
 @dataclass
@@ -55,3 +56,14 @@ def ode_from_projective(ps: ProjectiveStructure) -> PathGeometry2D:
         a3=g(0, 1, 1),
         source=ps,
     )
+
+
+def stacked_values(geometries: list, points):
+    """A0..A3 of each geometries[k] at its float points[k], (K, P, 2), by one
+    jets.polynomial over a (4, K) _poly_table: [:, k] is bitwise .values."""
+    monomials, C = _poly_table({(r, k): p for k, pg in enumerate(geometries)
+                                for r, p in enumerate(pg.coefficients())},
+                               (4, len(geometries)))
+    xs = jets.seed_point(points, 0)
+    return jets.polynomial(xs[0].alg, monomials, C[..., None, :],
+                           [x.c for x in xs])[..., 0]

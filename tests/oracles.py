@@ -20,7 +20,10 @@ per-monomial eval_shift loop, the single-pass contraction, the
 contraction in blocks of whole targets, the single-point product, the
 product of broadcast operands, the composition on the full monomial table
 and the Schouten tensor at the full order of its base point; the kernels
-must give bitwise the same coefficients.
+must give bitwise the same coefficients.  svd_checked_inverse is the jet
+inverse whose every batch an SVD judged, and per_change_ode_invariance
+ode-invariance with one fingerprint and one evaluation per change; the
+inverse and the check must decide as they do, bit for bit.
 variable seeds one coordinate jet, as Jet.variable did before seed_point
 filled all coordinates in one array, and the kernels after it run as they
 did with one numpy call per step: seed_point by variable calls, eval_shift
@@ -54,7 +57,7 @@ import math
 
 import numpy as np
 
-from projcomp import catalog, fields, jets
+from projcomp import catalog, fields, jets, proj2d
 from projcomp.cli import point_rng
 
 # 4th-order central difference stencils
@@ -342,6 +345,43 @@ def full_order_inverse(alg, A):
     for _ in range(alg.order):
         X = lift + alg.contract("ij,jk->ik", M, X)
     return X
+
+
+def svd_checked_inverse(alg, A):
+    """fields._inverse as first written: every batch's row-scaled value
+    matrices A0 / rows judged by the SVD cond against fields._COND_MAX
+    before np.linalg.inv factors them again."""
+    A0 = np.moveaxis(A[..., 0], -1, 0) if A.ndim > 3 else A[..., 0]
+    rows = np.max(np.abs(A0), axis=-1)
+    if not (np.all(rows > 0) and np.all(
+            np.linalg.cond(A0 / rows[..., None]) < fields._COND_MAX)):
+        raise fields.SingularMetricError("singular matrix in jet inversion")
+    return full_order_inverse(alg, A)
+
+
+def ode_changes(ps, seed):
+    """The 20 path geometries of ode-invariance: ps changed by
+    random_upsilon(2, 2, 0.4, seed * 1000 + k) for change k."""
+    return [proj2d.ode_from_projective(catalog.projective_change_structure(
+        ps, catalog.random_upsilon(ps.n, 2, 0.4, seed=seed * 1000 + k)))
+        for k in range(20)]
+
+
+def per_change_ode_invariance(pg, changed, pts, tol):
+    """ode-invariance as first written, one change at a time: pg's
+    fingerprint recomputed for each change k and its A0..A3 evaluated at
+    points 3k..3k+2 by one .values call.  Returns the check's record and
+    those values, (4, 20, 3)."""
+    ref = pg.values(pts)
+    worst, exact, values = 0.0, True, []
+    for k, pg2 in enumerate(changed):
+        if pg.canonical() != pg2.canonical():
+            exact = False
+        rows = slice(3 * k, 3 * k + 3)
+        values.append(pg2.values(pts[rows]))
+        worst = max(worst, float(np.max(np.abs(ref[:, rows] - values[-1]))))
+    status = "pass" if exact and worst < tol else "fail"
+    return (status, worst, 20, {"coefficient_exact": exact}), np.stack(values, 1)
 
 
 def full_order_series(u, coeffs):

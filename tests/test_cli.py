@@ -1,5 +1,6 @@
 """Manifest runner: validation, determinism, exit codes, report schema."""
 
+import collections
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from projcomp import catalog, cli, compactify, fields, paracx, tractor
+from projcomp import catalog, cli, compactify, fields, jets, paracx, tractor
 from projcomp.cli import (ManifestError, builtin_manifest, main, point_rng,
                           run_manifest, serialize_report, validate_manifest)
 
@@ -318,6 +319,32 @@ def test_boundary_bundle_built_once_per_scenario(monkeypatch):
     assert shared["scenarios"][0]["records"] == [
         rep["scenarios"][0]["records"][0] for rep in alone]
     assert all(r["status"] == "pass" for r in shared["scenarios"][0]["records"])
+
+
+def test_dm_interior_checks_evaluate_g_and_omega_once_per_algebra_and_points(
+        monkeypatch):
+    # einstein, para-hermitian (directly and through J) and splitting read
+    # g and Omega at the scenario's points: each (algebra, points) once
+    evaluated = []
+    real = catalog.dm_metric
+
+    def counted(ps):
+        pair = real(ps)
+        for field in pair:
+            def evaluate(coords, func=field.func, name=field.name):
+                evaluated.append((name, coords[0].alg, coords[0].c.shape[:-1],
+                                  fields._key(coords)))
+                return func(coords)
+            field.func = evaluate
+        return pair
+
+    monkeypatch.setattr(catalog, "dm_metric", counted)
+    sc = {"id": "dm-n2", "catalog": "dm-random", "params": {"n": 2},
+          "checks": ["einstein", "para-hermitian", "splitting"], "points": 100}
+    assert cli.run_manifest({"scenarios": [sc]})["summary"]["pass"] == 3
+    order0 = jets.algebra(4, 0)  # g and Omega at the scenario's points
+    assert sum(e[1:3] == (order0, (100,)) for e in evaluated) == 2
+    assert max(collections.Counter(evaluated).values()) == 1
 
 
 def test_contact_alone_never_builds_the_boundary_bundle(monkeypatch):

@@ -139,6 +139,83 @@ def test_jet_matrix_inverse_singular_raises_singular_metric_error():
         fields._inverse(ones.alg, jets.stack([[ones, ones], [ones, ones]]))
 
 
+def _inverse_or_error(inverse, alg, A):
+    try:
+        return inverse(alg, A)
+    except (SingularMetricError, np.linalg.LinAlgError) as exc:
+        return type(exc)
+
+
+def _near_singular(kappa):
+    """[[1, 1], [1, 1 - d]], whose rows have unit max-norm already: its
+    condition number is about 4 / d."""
+    return np.array([[1.0, 1.0], [1.0, 1.0 - 4.0 / kappa]])
+
+
+def _jet_batch(values, order=1, seed=0):
+    """A (2, 2, B, S) jet matrix over 2 variables with the value matrices
+    values (B, 2, 2) and random higher coefficients."""
+    alg = jets.algebra(2, order)
+    A = np.random.default_rng(seed).uniform(-0.1, 0.1, (2, 2, len(values), alg.size))
+    A[..., 0] = np.moveaxis(values, 0, -1)
+    return alg, A
+
+
+@pytest.mark.parametrize("kappa", [5e12, 0.99e13, 1.01e13])
+def test_jet_inverse_near_the_cut_decides_by_the_svd(kappa, monkeypatch):
+    # kappa_F >= kappa > _COND_MAX / 10, so the SVD decides, as it did for
+    # every batch before the inverse certified itself
+    assert np.linalg.cond(_near_singular(kappa)) == pytest.approx(kappa, rel=2e-3)
+    rot = np.array([[0.6, -0.8], [0.8, 0.6]])
+    alg, A = _jet_batch(np.stack([np.eye(2), _near_singular(kappa), rot]))
+    want = _inverse_or_error(oracles.svd_checked_inverse, alg, A)
+    svd = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda *a: svd.append(1) or cond(*a))
+    got = _inverse_or_error(fields._inverse, alg, A)
+    assert svd
+    if kappa < fields._COND_MAX:
+        assert _bitwise(got, want)
+    else:
+        assert got is want is SingularMetricError
+
+
+@pytest.mark.parametrize("value, error", [
+    ([[1.0, 2.0], [2.0, 4.0]], SingularMetricError),  # exactly singular
+    ([[0.0, 0.0], [1.0, 1.0]], SingularMetricError),  # a zero row
+    ([[np.nan, 1.0], [1.0, 1.0]], SingularMetricError),
+    ([[np.inf, 1.0], [1.0, 1.0]], np.linalg.LinAlgError),  # the SVD's
+])
+def test_jet_inverse_of_a_degenerate_value_raises_as_the_svd_rule(value, error):
+    alg, A = _jet_batch(np.array([np.eye(2), value]))
+    with np.errstate(invalid="ignore"):
+        assert _inverse_or_error(oracles.svd_checked_inverse, alg, A) is error
+        assert _inverse_or_error(fields._inverse, alg, A) is error
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("batch", [None, 7])
+def test_well_conditioned_jet_inverse_is_the_svd_rules_without_an_svd(
+        order, batch, monkeypatch):
+    rng = np.random.default_rng(order)
+    values = rng.uniform(-1.0, 1.0, (batch or 1, 2, 2)) + 2.0 * np.eye(2)
+    values[0, 0, 1] = -0.0
+    alg, A = _jet_batch(values, order, seed=order)
+    if batch is None:
+        A = A[:, :, 0]
+    want = oracles.svd_checked_inverse(alg, A)
+
+    def no_svd(*args):
+        raise AssertionError("an SVD judged a well-conditioned batch")
+    monkeypatch.setattr(np.linalg, "cond", no_svd)
+    assert _bitwise(fields._inverse(alg, A), want)
+
+
+def _bitwise(a, b):
+    return (isinstance(a, np.ndarray) and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
 # -- curvature -----------------------------------------------------------------
 
 

@@ -4,15 +4,16 @@ boundary data of the para-c-projective chart."""
 import numpy as np
 import pytest
 
-from projcomp import jets
+from projcomp import catalog, cli, jets
 from projcomp.catalog import (Poly, ProjectiveStructure, dm_metric,
                               projective_change_structure,
                               random_projective_structure, random_upsilon)
-from projcomp.fields import levi_civita
+from projcomp.fields import Chart, levi_civita
 from projcomp.paracx import boundary_data
-from projcomp.proj2d import ode_from_projective
+from projcomp.proj2d import ode_from_projective, stacked_values
 
-from oracles import geodesic_rhs, poly_at, rk4
+from oracles import (geodesic_rhs, ode_changes, per_change_ode_invariance,
+                     poly_at, rk4)
 
 
 def flat_ps():
@@ -151,3 +152,36 @@ def test_dm_geodesic_projection_solves_ode():
               (Xg[-1] - Xg[0]) / 3000, 3000)
     Yint = np.interp(Xg, ref[:, 0], ref[:, 1])
     assert np.max(np.abs(Yg - Yint)) < 1e-6
+
+
+@pytest.mark.parametrize("broken", [False, True])
+@pytest.mark.parametrize("degree", range(4))
+@pytest.mark.parametrize("seed", [0, 7, 50])
+def test_ode_invariance_is_the_per_change_loop(degree, seed, broken,
+                                               monkeypatch):
+    # the 20 changes evaluated in one call give bitwise the values of one
+    # call per change, and the check's record is the per-change loop's,
+    # also when every other change is replaced by a non-equivalent structure
+    if broken:
+        calls = []
+
+        def some_not_equivalent(ps, ups):  # change k of each 20 calls
+            k = len(calls) % 20
+            calls.append(k)
+            return (random_projective_structure(2, 2, 0.4, k) if k % 2
+                    else projective_change_structure(ps, ups))
+        monkeypatch.setattr(catalog, "projective_change_structure",
+                            some_not_equivalent)
+    sc = {"id": "p", "catalog": "dm-random",
+          "params": {"n": 2, "degree": degree, "seed": seed}, "seed": seed}
+    s = cli.REGISTRY["dm-random"](sc)
+    pts = cli.sample_points(Chart(("x1", "x2"), ((-0.8, 0.8),) * 2), seed,
+                            "p", range(100, 160))
+    changed = ode_changes(s.ps, seed)
+    record, values = per_change_ode_invariance(ode_from_projective(s.ps),
+                                               changed, pts, 1e-9)
+    got = stacked_values(changed, pts.reshape(20, 3, 2))
+    assert np.array_equal(got, values)
+    assert np.array_equal(np.signbit(got), np.signbit(values))
+    assert s.checks["ode-invariance"](s, 1e-9) == record
+    assert record[0] == ("fail" if broken else "pass")
