@@ -406,7 +406,8 @@ class _Warped(Scenario):
 
 
 @_catalog("eh", "Ricci-flat instanton; order-1 compactification is non-metric",
-          a=Param(float, 1.0, lambda a: a > 0, "a number > 0"))
+          # EHParams.tchart's T interval (0.01, 1/(2.5 a)) is empty from a = 40
+          a=Param(float, 1.0, lambda a: 0 < a < 40, "a number in (0, 40)"))
 class _EH(Scenario):
     def __init__(self, sc):
         super().__init__(sc)
@@ -713,7 +714,9 @@ def _validate_scenario(sc: dict, sid: str) -> None:
     for ch in [*checks, *tolerances]:
         if not isinstance(ch, str) or ch not in entry.checks:
             raise ManifestError(f"unknown check {ch!r} for {cat} in {sid}")
-    for ch in checks:
+    for i, ch in enumerate(checks):
+        if ch in checks[:i]:
+            raise ManifestError(f"check {ch} named twice in {sid}")
         if not entry.applies(ch, resolved):
             raise ManifestError(
                 f"check {ch} needs {_needs(entry.checks[ch])} in {sid}")

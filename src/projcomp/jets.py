@@ -151,31 +151,17 @@ class JetAlgebra:
         self._row_k = np.concatenate([self._mul_k, self._mul_kd])
         self._plans: dict = {}  # product shape -> targets
 
-        # factorial(alpha) per monomial, for partial-derivative extraction
-        self.fact = np.array(
-            [math.prod(math.factorial(e) for e in m) for m in self.monomials],
-            dtype=np.float64,
-        )
-
-        # Derivative tables, (src index, dst index, factor) per axis, into
-        # the lower algebra (order - 1, D - 1).  At D = 0 only T has a
-        # table, into (order - 1, 0).
-        self._deriv: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        # Derivative table into the lower algebra (order - 1, D - 1): per
+        # axis a and lower monomial m, the index of m + e_a (_grad_src) and
+        # its exponent of a (_grad_fac), so d_a of a jet is one gather and
+        # product.  At D = 0 only T has a row, into (order - 1, 0).
         if order >= 1:
             self.lower = lower = algebra(num_vars, order - 1, max(D - 1, 0))
-            for axis in range(num_vars if D else 1):
-                src, dst, fac = [], [], []
-                for k, m in enumerate(lower.monomials):
-                    up = list(m)
-                    up[axis] += 1
-                    src.append(self.index[tuple(up)])
-                    dst.append(k)
-                    fac.append(up[axis])
-                self._deriv.append(
-                    (np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp),
-                     np.array(fac, dtype=np.float64))
-                )
-            self._grad_src, _, self._grad_fac = map(np.array, zip(*self._deriv))
+            axes = num_vars if D else 1
+            self._grad_src = np.array(
+                [[self.index[m[:a] + (m[a] + 1,) + m[a + 1:]] for m in lower.monomials]
+                 for a in range(axes)], dtype=np.intp)
+            self._grad_fac = np.array(lower.monomials, dtype=np.float64).T[:axes] + 1.0
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.order == 0:  # one coefficient: the bincount adds a * b to 0.0
@@ -289,16 +275,6 @@ class Jet:
         self.alg = alg
         self.c = coeffs
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def constant(value, num_vars: int, order: int) -> "Jet":
-        """The constant jet; an array value gives one row per entry."""
-        alg = algebra(num_vars, order)
-        c = np.zeros(getattr(value, "shape", ()) + (alg.size,))
-        c[_coeff(c, 0)] = value
-        return Jet(alg, c)
-
     # -- inspection --------------------------------------------------------
 
     @property
@@ -313,23 +289,6 @@ class Jet:
     @property
     def order(self) -> int:
         return self.alg.order
-
-    def _slot(self, multi_index) -> int:
-        key = tuple(multi_index)
-        if key not in self.alg.index:
-            raise JetError(f"multi-index {key} beyond order {self.order}")
-        return self.alg.index[key]
-
-    def partial(self, multi_index):
-        """Raw partial derivative: alpha! times the Taylor coefficient.
-        Serves acceptance criterion 12."""
-        k = self._slot(multi_index)
-        return _scalar(self.c[..., k] * self.alg.fact[k])
-
-    def __repr__(self):
-        v = self.value
-        shown = f"value={v:.6g}" if isinstance(v, float) else f"batch={v.shape}"
-        return f"Jet({self.num_vars}v,o{self.order},D{self.alg.transverse}; {shown})"
 
     # -- structure ---------------------------------------------------------
 
@@ -369,21 +328,21 @@ class Jet:
 
     def deriv(self, axis: int) -> "Jet":
         """Partial derivative along one axis, one order lower and one
-        transverse degree lower (see JetAlgebra's derivative tables)."""
+        transverse degree lower: the gather of JetAlgebra's derivative
+        table that fields._grad makes for every axis."""
         if self.order < 1:
             raise JetError("jet order exhausted: cannot differentiate order-0 jet")
         if axis and not self.alg.transverse:
             raise JetError(f"no derivative along transverse axis {axis} of a "
                            "jet with transverse bound D = 0")
-        src, dst, fac = self.alg._deriv[axis]
-        lower = self.alg.lower
-        c = np.zeros(self.c.shape[:-1] + (lower.size,))
-        c[_coeff(c, dst)] = self.c[_coeff(self.c, src)] * fac
-        return Jet(lower, c)
+        alg = self.alg
+        return Jet(alg.lower, self.c[..., alg._grad_src[axis]] * alg._grad_fac[axis])
 
     def eval_shift(self, delta):
-        """Evaluate the Taylor polynomial at basepoint + delta."""
-        return _scalar(self.alg.eval_shift(self.c, delta))
+        """Evaluate the Taylor polynomial at basepoint + delta: a float, or
+        an array over the batch rows."""
+        v = self.alg.eval_shift(self.c, delta)
+        return float(v) if v.ndim == 0 else v
 
     # -- arithmetic --------------------------------------------------------
 
@@ -455,11 +414,6 @@ class Jet:
             powers = _powers(values, range(1, self.order + 2))
             return _signs(self.order + 1) / _nonzero(powers)
         return _series(self, coeffs)
-
-
-def _scalar(v: np.ndarray):
-    """A 0-d result as a float; batched results stay arrays."""
-    return float(v) if v.ndim == 0 else v
 
 
 def _coeff(c: np.ndarray, k):
@@ -663,15 +617,7 @@ def polynomial(alg: JetAlgebra, monomials: list, C: np.ndarray,
                xs: list) -> np.ndarray:
     """sum_m C[..., m] x^monomials[m] over stacked jets xs of alg, one (S,)
     or (..., S) array per variable, by the power rule of the module doc;
-    each column C[..., m] broadcasts against the powers.  Constant xs of a
-    D = 0 algebra are summed at order 0, in slot 0, if that is finite: C
-    and every power are then finite, their products +-0.0 past slot 0, and
-    a sign of zero is all that differs, which a sum from 0.0 drops."""
-    if alg.order and not alg.transverse and not any(x[..., 1:].any() for x in xs):
-        low = polynomial(algebra(alg.num_vars, 0), monomials, C,
-                         [x[..., :1] for x in xs])
-        if np.isfinite(low).all():  # low in slot 0, +0.0 past it
-            return low * np.eye(1, alg.size)[0] + 0.0
+    each column C[..., m] broadcasts against the powers."""
     powers = {m: np.eye(1, alg.size)[0] for m in monomials if not any(m)}
     out = np.zeros(np.broadcast_shapes(C.shape[:-1], xs[0].shape[:-1]) + (alg.size,))
     for col, m in enumerate(monomials):

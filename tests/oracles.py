@@ -28,9 +28,10 @@ variable seeds one coordinate jet, as Jet.variable did before seed_point
 filled all coordinates in one array, and the kernels after it run as they
 did with one numpy call per step: seed_point by variable calls, eval_shift
 over every variable, the polynomial with every power a product, and
-fields._grad one axis at a time; with the single-pass contraction, the
-product of broadcast operands and the full-order Horner loop above, they
-are the references the kernels must match bitwise.
+fields._grad one axis at a time, read off the monomial list; with the
+single-pass contraction, the product of broadcast operands and the
+full-order Horner loop above, they are the references the kernels must
+match bitwise.
 single_point_match_boundary_constant is the dT^2 coefficient as first
 read, one point at the deepest rung, and full_ladder_rows and
 full_shift_ladder the extension ladder on jets in every monomial of the
@@ -40,20 +41,22 @@ T = 1/r form and its boundary field h, each written out entry by entry,
 and the one-form dT/(2T) as first written; the shared formulas must give
 bitwise the same components.
 The references at the very end are code that only the tests use: exp and
-log of a jet, a Poly's value through catalog._evaluate on a one-row table,
+log of a jet, the constant jet, a jet's raw partial derivative, a Poly's
+value through catalog._evaluate on a one-row table,
 the one-form of polynomial components, the cone's chart map to the T
 chart, the smallest |det g| over points, the projective Weyl tensor, the
 covariant derivative, fields.riemann as first written (its derivative
 read from the order-1 coefficients, which the derivative through
-fields._lift must equal bitwise), the cotractor curvature as first
-written (its own formula, which fields.riemann of the cotractor block
-must match to rounding) and the Eguchi-Hanson boundary field h as a
-field.
+fields._lift must equal bitwise), the cotractor connection of a
+projective structure and its curvature, that curvature as first written
+(its own formula, which fields.riemann of the cotractor block must match
+to rounding) and the Eguchi-Hanson boundary field h as a field.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -649,8 +652,20 @@ def product_polynomial(alg, monomials, C, xs):
 
 
 def stacked_grad(alg, A):
-    """fields._grad as one gather and product per axis, stacked."""
-    return np.stack([A[..., src] * fac for src, _, fac in alg._deriv])
+    """fields._grad as one gather and product per axis, stacked, its
+    sources and factors read off alg.monomials and alg.index: d_a at a
+    monomial m of the lower algebra (degree below the order, transverse
+    degree below D, or 0 at D = 0) is (m_a + 1) times the coefficient of
+    m + e_a, for T alone at D = 0."""
+    D = alg.transverse
+    lower = [m for m in alg.monomials
+             if sum(m) < alg.order and sum(m[1:]) <= max(D - 1, 0)]
+    grads = []
+    for a in range(alg.num_vars if D else 1):
+        up = [m[:a] + (m[a] + 1,) + m[a + 1:] for m in lower]
+        grads.append(A[..., [alg.index[u] for u in up]]
+                     * np.array([float(u[a]) for u in up]))
+    return np.stack(grads)
 
 
 def single_point_match_boundary_constant(g, spec, tangent_point):
@@ -787,6 +802,26 @@ def log(x):
     return jets._series(x, coeffs)
 
 
+def constant(value, num_vars, order):
+    """The constant jet of algebra(num_vars, order); an array value gives
+    one row per entry."""
+    alg = jets.algebra(num_vars, order)
+    c = np.zeros(np.shape(value) + (alg.size,))
+    c[..., 0] = value
+    return jets.Jet(alg, c)
+
+
+def partial(x, multi_index):
+    """The raw partial derivative d^alpha of the jet x at its basepoint:
+    alpha! times the Taylor coefficient of the monomial alpha (a float, or
+    an array over the batch rows).  Serves acceptance criterion 12."""
+    alpha = tuple(multi_index)
+    if alpha not in x.alg.index:
+        raise jets.JetError(f"multi-index {alpha} beyond order {x.order}")
+    v = x.c[..., x.alg.index[alpha]] * math.prod(map(math.factorial, alpha))
+    return float(v) if v.ndim == 0 else v
+
+
 def poly_at(p, coords):
     """The value of the Poly p at jet (or float) coordinates, a Jet (or a
     float): catalog._evaluate on a one-row table."""
@@ -853,8 +888,62 @@ def coefficient_riemann(conn, point):
     return (D - D.swapaxes(-2, -1)) + (Q - Q.swapaxes(-2, -1))
 
 
+@dataclass
+class CotractorConnection:
+    """Cotractor connection of a projective structure, fiber index range
+    alpha, beta in {0, ..., n}.  Serves acceptance criterion 11 through
+    tractor_curvature.
+
+    The rank-(n+1) coefficient block, in the trivialization attached to a
+    representative connection, is
+
+        gamma_i0^0 = 0,  gamma_i0^j = delta_i^j,
+        gamma_ij^k = Gamma^k_ij,  gamma_ij^0 = -P_ij,
+
+    acting as  nabla_i V_beta = d_i V_beta - gamma_ibeta^alpha V_alpha,  i.e.
+
+        nabla_i (sigma, mu_j) = (d_i sigma - mu_i, d_i mu_j - Gamma^k_ij mu_k
+                                 + P_ij sigma),
+
+    whose curvature is fields.riemann of Gamma^alpha_i beta = gamma_i beta^alpha.
+    This is the naive (density-term-free) realization; under a projective
+    change with one-form Y the curvature is conjugation-covariant up to the
+    scalar correction -(dY)_ij Id coming from the suppressed weight connection,
+    hence exactly tensorial for closed Y.  See tests for both statements.
+    """
+
+    ps: catalog.ProjectiveStructure
+
+    @property
+    def n(self) -> int:
+        return self.ps.n
+
+    def coefficients(self, coords) -> np.ndarray:
+        """gamma[i, alpha, beta] = gamma_i alpha^beta at jet (or float)
+        coordinates, stacked like the fields' components."""
+        n = self.n
+        one = jets.stack(coords[0] * 0.0 + 1.0)
+        out = np.zeros((n, n + 1, n + 1) + one.shape)
+        i = np.arange(n)
+        out[i, 0, 1 + i] = one
+        out[:, 1:, 0] = -self.ps.schouten_at(coords)
+        # gamma_i j^k = Gamma^k_ij
+        out[:, 1:, 1:] = np.moveaxis(self.ps.gamma_at(coords), 0, 2)
+        return out
+
+
+def tractor_curvature(tc: CotractorConnection, point) -> np.ndarray:
+    """F[i, j, beta, alpha] = R^alpha_beta ij of fields.riemann (see
+    CotractorConnection), so [nabla_i, nabla_j] V_beta = -F_ij beta^alpha
+    V_alpha.  Serves acceptance criterion 11: F vanishes for the flat
+    structure and not for a generic one."""
+    conn = fields.TensorField(tc.ps.chart, (1, 2), lambda c: np.einsum(
+        "iba...->aib...", tc.coefficients(c)))
+    return np.einsum("...abij->...ijba", fields.riemann(conn, point))
+
+
 def coefficient_tractor_curvature(tc, point):
-    """tractor.tractor_curvature as first written: F[i, j, beta, alpha] =
+    """tractor_curvature as first written: F[i, j, beta, alpha] =
     d_i gamma_j - d_j gamma_i - gamma_i gamma_j + gamma_j gamma_i, the
     derivative read from the order-1 coefficients of the cotractor block
     seeded at order 1."""

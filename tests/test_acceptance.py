@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 import projcomp.jets as jets
-from projcomp import cli, paracx, proj2d, tractor
+from projcomp import cli, paracx, proj2d
 from projcomp.catalog import (EHParams, ProjectiveStructure, WarpedPair,
                               compactified_cone, cone_in_t,
                               dm_boundary_chart,
@@ -27,7 +27,8 @@ from projcomp.fields import (einstein_residual,
                              exterior_derivative, levi_civita,
                              projective_change, ricci)
 
-from oracles import fd_all_partials, fd_einstein_constant, poly_at
+from oracles import (CotractorConnection, fd_all_partials, fd_einstein_constant,
+                     partial, poly_at, tractor_curvature)
 
 # Pre-registered Einstein constants of the canonical neutral metric,
 # pinned by the finite-difference oracle on the flat model (criterion 1
@@ -354,12 +355,10 @@ def test_criterion_11_tractor_crosscheck():
             Finv = np.linalg.inv(F)
             g_pairing = Finv @ Pi @ Finv.T
             worst = max(worst, float(np.max(np.abs(g_pairing - g.values(p)))))
-    F0 = tractor.tractor_curvature(
-        tractor.CotractorConnection(ProjectiveStructure(n=2, gamma={})),
-        [0.3, -0.1])
-    Fc = tractor.tractor_curvature(
-        tractor.CotractorConnection(random_projective_structure(2, 2, 0.4,
-                                                                seed=23)),
+    F0 = tractor_curvature(
+        CotractorConnection(ProjectiveStructure(n=2, gamma={})), [0.3, -0.1])
+    Fc = tractor_curvature(
+        CotractorConnection(random_projective_structure(2, 2, 0.4, seed=23)),
         [0.3, -0.1])
     ok = (worst < 1e-9 and np.max(np.abs(F0)) < 1e-12
           and np.max(np.abs(Fc)) > 1e-3)
@@ -383,7 +382,7 @@ def test_criterion_12_jet_ground_truth():
         for m in alg.monomials:
             if sum(m) == 0:
                 continue
-            got = jf.partial(m)
+            got = partial(jf, m)
             want = fd[m]
             worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     elapsed = time.time() - t0

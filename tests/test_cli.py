@@ -63,6 +63,14 @@ def test_duplicate_ids_rejected():
         validate_manifest(bad)
 
 
+def test_a_check_named_twice_is_rejected():
+    # one claim, one record: a repeated check would run and count twice
+    bad = {"scenarios": [{"id": "f", "catalog": "flat",
+                          "checks": ["einstein", "einstein"]}]}
+    with pytest.raises(ManifestError, match="^check einstein named twice in f$"):
+        validate_manifest(bad)
+
+
 def test_unknown_catalog_and_check_rejected():
     with pytest.raises(ManifestError, match="unknown catalog"):
         validate_manifest({"scenarios": [{"id": "a", "catalog": "nope"}]})
@@ -108,6 +116,20 @@ MALFORMED = {
                           "checks": ["ode-invariance"], "points": 3},
     "scenario-number": 5,
 }
+
+
+@pytest.mark.parametrize("a", [40.0, 1e3, 1e308])
+def test_an_eh_scale_with_an_empty_t_chart_exits_2(tmp_path, capsys, a):
+    # EHParams.tchart's T interval (0.01, 1/(2.5 a)) is empty from a = 40,
+    # and a ** 4 overflows at 1e308
+    path, report = tmp_path / "m.json", tmp_path / "r.json"
+    path.write_text(json.dumps({"scenarios": [
+        {"id": "eh", "catalog": "eh", "params": {"a": a}}]}))
+    assert main(["run", str(path), "--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a must be a number in (0, 40) in eh\n"
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("scenario", MALFORMED.values(), ids=MALFORMED)

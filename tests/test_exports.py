@@ -1,7 +1,8 @@
 """Each module's __all__ names exactly its public top-level functions and
 classes, every exported name and every public method of an exported class
 has a caller in the package (by its owner, for a name that more than one
-class or module defines) or is pinned by other work (PINNED), the
+class or module defines) or is pinned by other work (PINNED), the engine
+runs every function of the package but the pinned ones, the
 certification checks take their points (no public function of compactify
 or paracx draws them from an rng and a count), no module of the package or
 the tests imports a name it never uses, every derivative of the package is
@@ -10,6 +11,10 @@ resolve."""
 
 import ast
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,20 +24,14 @@ from projcomp import catalog, compactify, fields, jets, paracx, proj2d, tractor
 
 # Names the package itself does not need, each kept for work outside it.
 # Every other exported name, and every other public method of an exported
-# class, has a caller in the package (see _unused_exports).
+# class, has a caller in the package (see _unused_exports), and every other
+# function runs (see test_the_engine_runs_every_function_but_the_pinned).
 _BENCHMARK = "patched or called by name in perfbench/tracing.py or micro.py"
-_TESTS = "a Jet accessor the tests read"
-_TRACTOR = "the prolonged connection of the metrizability check will use it"
 PINNED = {
     "jets.compose": _BENCHMARK,
     "Jet.truncate": _BENCHMARK,
     "Jet.deriv": _BENCHMARK,
     "Jet.eval_shift": _BENCHMARK,
-    "tractor.CotractorConnection": _TRACTOR,
-    "tractor.tractor_curvature": _TRACTOR,
-    "Jet.constant": _TESTS,
-    "Jet.num_vars": _TESTS,
-    "Jet.partial": _TESTS,
 }
 
 
@@ -223,9 +222,72 @@ def _unused_exports(members: bool = False, sources: dict | None = None) -> list:
 
 def test_every_export_has_a_caller_or_is_pinned():
     assert set(_unused_exports() + _unused_exports(members=True)) <= set(PINNED)
-    owners = {"jets": jets, "Jet": jets.Jet, "tractor": tractor}
+    owners = {"jets": jets, "Jet": jets.Jet}
     assert [name for name in PINNED
             if not hasattr(owners[name.split(".")[0]], name.split(".")[1])] == []
+
+
+# A fresh interpreter profiles every call from the import of projcomp on,
+# through `projcomp run paper-suite`, `list` and `demo` of every catalog,
+# and prints (file, first line, qualified name) of each code object called.
+ENGINE_RUN = """
+import contextlib, io, json, sys
+
+called = {}
+
+
+def profile(frame, event, arg):
+    if event == "call":
+        called[id(frame.f_code)] = frame.f_code
+
+
+sys.setprofile(profile)
+from projcomp import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["run", "paper-suite", "--jobs", "1", "--report", sys.argv[1]])
+    cli.main(["list"])
+    for key in sorted(cli.REGISTRY):
+        cli.main(["demo", key])
+sys.setprofile(None)
+print(json.dumps([(c.co_filename, c.co_firstlineno, c.co_qualname)
+                  for c in called.values()]))
+"""
+
+
+def _functions(path: Path) -> dict:
+    """(file, first line, qualified name) -> name of every function and
+    method defined in a source file, nested ones included, lambdas and
+    comprehensions not: Class.method for a method, module.function else."""
+    module = compile(path.read_text(), str(path), "exec")
+    found, todo = {}, [module]
+    while todo:
+        code = todo.pop()
+        inner = [c for c in code.co_consts if inspect.iscode(c)]
+        todo += inner
+        found.update({(str(path), c.co_firstlineno, c.co_qualname): c.co_qualname
+                      for c in inner if c.co_flags & inspect.CO_OPTIMIZED
+                      and not c.co_name.startswith("<")})
+    classes = {c.co_name for c in module.co_consts if inspect.iscode(c)
+               and not c.co_flags & inspect.CO_OPTIMIZED}
+    return {key: name if name.split(".")[0] in classes else f"{path.stem}.{name}"
+            for key, name in found.items()}
+
+
+def test_the_engine_runs_every_function_but_the_pinned(tmp_path):
+    # src/ keeps only what it runs: a function no run reaches is deleted,
+    # or pinned for the work outside the package that calls it
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SOURCES[0].parent.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", ENGINE_RUN, str(tmp_path / "report.json")],
+        env=env, check=True, capture_output=True, text=True).stdout
+    called = {(str(Path(f).resolve()), line, name)
+              for f, line, name in json.loads(out)}
+    defined = {}
+    for path in SOURCES:
+        defined.update(_functions(path.resolve()))
+    assert sorted(defined[k] for k in set(defined) - called) == sorted(PINNED)
 
 
 # Two classes define values, and only A's is called: through an annotated

@@ -134,7 +134,7 @@ def test_levi_civita_singularity_test_is_relative():
 
 
 def test_jet_matrix_inverse_singular_raises_singular_metric_error():
-    ones = jets.Jet.constant(1.0, 2, 1)
+    ones = oracles.constant(1.0, 2, 1)
     with pytest.raises(SingularMetricError):
         fields._inverse(ones.alg, jets.stack([[ones, ones], [ones, ones]]))
 
@@ -579,7 +579,7 @@ def _atan(u):
     d2 = -2.0 * v * d1 * d1
     d3 = (6.0 * v * v - 2.0) * d1 ** 3
     coeffs += [d1, d2 / 2.0, d3 / 6.0][: u.order]
-    out = jets.Jet.constant(coeffs[-1], u.num_vars, u.order)
+    out = oracles.constant(coeffs[-1], u.num_vars, u.order)
     for k in range(len(coeffs) - 2, -1, -1):
         out = out * du + coeffs[k]
     return out
@@ -671,8 +671,8 @@ def _gauss_jordan_inverse(G):
     n = G.shape[0]
     A = [[G[i, j] for j in range(n)] for i in range(n)]
     proto = G[0, 0]
-    one = jets.Jet.constant(1.0, proto.num_vars, proto.order)
-    zero = jets.Jet.constant(0.0, proto.num_vars, proto.order)
+    one = oracles.constant(1.0, proto.num_vars, proto.order)
+    zero = oracles.constant(0.0, proto.num_vars, proto.order)
     B = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(A[r][col].value))

@@ -28,7 +28,7 @@ def test_square_of_seed():
 def test_sqrt_linear_coeff():
     x = oracles.variable(0, 4.0, 1, 2)
     s = jets.sqrt(x)
-    assert abs(s.partial((1,)) - 0.25) < 1e-14
+    assert abs(oracles.partial(s, (1,)) - 0.25) < 1e-14
 
 
 def test_mul_at_two():
@@ -70,19 +70,19 @@ def test_trig_identity():
 def test_second_derivative_of_square():
     for v in (0.0, 1.7, -2.3):
         x = oracles.variable(0, v, 1, 3)
-        assert abs((x * x).partial((2,)) - 2.0) < 1e-14
+        assert abs(oracles.partial(x * x, (2,)) - 2.0) < 1e-14
 
 
 def test_mixed_partial_xy():
     x = oracles.variable(0, 0.3, 2, 3)
     y = oracles.variable(1, -1.2, 2, 3)
-    assert abs((x * y).partial((1, 1)) - 1.0) < 1e-14
+    assert abs(oracles.partial(x * y, (1, 1)) - 1.0) < 1e-14
 
 
 def test_partial_out_of_order_raises():
     x = oracles.variable(0, 1.0, 1, 2)
     with pytest.raises(JetError):
-        x.partial((3,))
+        oracles.partial(x, (3,))
 
 
 def test_shape_mismatch_raises():
@@ -162,9 +162,9 @@ def _poly_taylor_coeffs(p, x0, order):
 
 def _poly_to_jet(p, x0, order):
     xs = jets.seed_point(x0, order)
-    out = Jet.constant(0.0, len(x0), order)
+    out = oracles.constant(0.0, len(x0), order)
     for m, c in p.items():
-        term = Jet.constant(c, len(x0), order)
+        term = oracles.constant(c, len(x0), order)
         for i, e in enumerate(m):
             for _ in range(e):
                 term = term * xs[i]
@@ -236,8 +236,8 @@ def test_leibniz_rule():
         b = _random_jet(rng, 2, 3)
         for i in range(2):
             e = tuple(1 if j == i else 0 for j in range(2))
-            lhs = (a * b).partial(e)
-            rhs = a.value * b.partial(e) + b.value * a.partial(e)
+            lhs = oracles.partial(a * b, e)
+            rhs = a.value * oracles.partial(b, e) + b.value * oracles.partial(a, e)
             assert abs(lhs - rhs) < 1e-13
 
 
@@ -293,7 +293,7 @@ def test_partials_match_finite_differences(seed):
             continue
         axes = [i for i, e in enumerate(m) for _ in range(e)]
         want = fd_partial(lambda p: f(list(p)), x0, axes, h=2e-2)
-        got = jf.partial(m)
+        got = oracles.partial(jf, m)
         assert abs(got - want) / max(1.0, abs(want)) < 1e-5, (m, got, want)
 
 
@@ -364,7 +364,7 @@ def _compose_loop(f, inner):
         dg = Jet(g.alg, g.c.copy())
         dg.c[0] = 0.0
         shifted.append(dg.truncate(order))
-    out = Jet.constant(0.0, alg_in.num_vars, order)
+    out = oracles.constant(0.0, alg_in.num_vars, order)
     for k, m in enumerate(f.alg.monomials):
         ck = f.c[k]
         if ck == 0.0 or sum(m) > order:

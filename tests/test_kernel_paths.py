@@ -1,10 +1,10 @@
 """The jet kernels against the way they ran with one numpy call per step.
 
 seed_point, JetAlgebra.mul, contract and eval_shift, the series' Horner
-loop, polynomial and fields._grad each make few numpy calls (one array of
-seeds, one gather per operand, a cached contraction plan, the shifted
-variables only, a first Horner step as a scale, powers of constants at
-order 0, one gather for every axis).  Each must give its reference's array
+loop and fields._grad each make few numpy calls (one array of seeds, one
+gather per operand, a cached contraction plan, the shifted variables
+only, a first Horner step as a scale, one gather for every axis), and
+polynomial builds each power once.  Each must give its reference's array
 in oracles bitwise, signed zeros and NaN included, on one point and on a
 batch, against a broadcast operand, at order 0 and on full and T-line
 (D = 0, D = 1) algebras, and on operands that hold +-0.0, +-inf and NaN;

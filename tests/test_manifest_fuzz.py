@@ -8,7 +8,7 @@ import json
 import os
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from projcomp import cli
@@ -85,8 +85,18 @@ def _reject_constant(name):
     raise ValueError(f"report is not strict JSON: {name}")
 
 
+def _eh(a):
+    return {"scenarios": [{"id": "s0", "catalog": "eh", "points": 2,
+                           "params": {"a": a}, "checks": ["maurer-cartan"]}]}
+
+
+# GOOD's a stays in (0.5, 3): the T chart of eh is empty from a = 40, and
+# a ** 4 overflows at 1e308
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(manifest=MANIFESTS)
+@example(manifest=_eh(40.0))
+@example(manifest=_eh(1e3))
+@example(manifest=_eh(1e308))
 def test_generated_manifest_keeps_the_cli_contract(manifest):
     with tempfile.TemporaryDirectory() as tmp:
         path, report = os.path.join(tmp, "m.json"), os.path.join(tmp, "r.json")

@@ -8,10 +8,10 @@ import projcomp.jets as jets
 from projcomp.catalog import (Poly, ProjectiveStructure, dm_metric,
                               projective_change_structure,
                               random_projective_structure, random_upsilon)
-from projcomp.tractor import (CotractorConnection,
-                              splitting_metric_crosscheck, tractor_curvature)
+from projcomp.tractor import splitting_metric_crosscheck
 
-from oracles import coefficient_tractor_curvature, poly_at
+from oracles import (CotractorConnection, coefficient_tractor_curvature,
+                     poly_at, tractor_curvature)
 
 
 def flat_ps(n=2):
