@@ -7,8 +7,9 @@ exit code 0 means no failures (inconclusive verdicts do not fail), 1 means
 at least one check failed, 2 means the manifest or configuration was
 rejected.
 
-Sample points are drawn from generators keyed by (seed, scenario id, point
-index), so results are independent of execution order and worker count.
+Sample points are drawn by sample_points from streams keyed by (seed,
+scenario id, stream number); a scenario runs whole in one worker, so
+results are independent of execution order and worker count.
 """
 
 from __future__ import annotations
@@ -46,78 +47,21 @@ class ManifestError(ValueError):
 
 
 def _stream_key(seed: int, scenario_id: str, index: int) -> int:
-    """The 64-bit key of point stream (seed, scenario id, index)."""
+    """The 64-bit key of stream (seed, scenario id, index)."""
     digest = hashlib.sha256(f"{seed}|{scenario_id}|{index}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
 
 
 def point_rng(seed: int, scenario_id: str, index: int) -> np.random.Generator:
-    """Point stream (seed, scenario id, index), the reference definition:
-    default_rng(key), that is SeedSequence(key), PCG64, uniform doubles."""
+    """A new generator on stream (seed, scenario id, index)."""
     return np.random.default_rng(_stream_key(seed, scenario_id, index))
 
 
-# SeedSequence's hashmix constants of mix_entropy (A), generate_state (B)
-_HASH_A, _HASH_B = (np.array([[init * pow(mult, k, 1 << 32) % (1 << 32)]
-                              for k in range(rows)], dtype=np.uint32)
-                    for init, mult, rows in ((0x43B0D7E5, 0x931E8875, 17),
-                                             (0x8B51F9DD, 0x58F38DED, 9)))
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M64, _M128 = (1 << 64) - 1, (1 << 128) - 1
-
-
-def _hashmix(value, consts):
-    """SeedSequence's hashmix of value's row k, whose running hash constant
-    goes from consts[k] to consts[k + 1] (init * mult^k mod 2^32 in row k)."""
-    value = (value ^ consts[:-1]) * consts[1:]
-    return value ^ value >> 16
-
-
-def _pcg64_streams(keys) -> tuple:
-    """(state, inc) of default_rng(key) per key of a uint64 array, object
-    arrays of Python ints: SeedSequence(key).generate_state(4, uint64) across
-    keys (a key below 2^32 hashes as (lo, hi = 0)), then PCG64's seeding."""
-    pool = _hashmix(np.array([keys & 0xFFFFFFFF, keys >> 32, 0 * keys,
-                              0 * keys], dtype=np.uint32), _HASH_A[:5])
-    for src in range(4):  # mix hashmix(pool[src]) into every other word
-        dst = [d for d in range(4) if d != src]
-        h = _hashmix(pool[src], _HASH_A[3 * src + 4:3 * src + 8])
-        mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * h
-        pool[dst] = mixed ^ mixed >> 16
-    words = _hashmix(pool[[0, 1, 2, 3] * 2], _HASH_B).astype(np.uint64)
-    s = (words[0::2] | words[1::2] << 32).astype(object)
-    inc = (s[2] << 65 | s[3] << 1 | 1) & _M128
-    return ((inc + (s[0] << 64 | s[1])) * _PCG_MULT + inc) & _M128, inc
-
-
-def _pcg64_doubles(state, inc, dim: int) -> tuple:
-    """(state after dim steps, (len(state), dim) doubles): the XSL-RR
-    output x of each step gives (x >> 11) * 2^-53, as Generator.random."""
-    out = np.empty((dim, len(state)), dtype=np.uint64)
-    for j in range(dim):
-        state = (state * _PCG_MULT + inc) & _M128
-        hi = (state >> 64).astype(np.uint64)
-        x, rot = hi ^ (state & _M64).astype(np.uint64), hi >> 58
-        out[j] = x >> rot | x << ((64 - rot) & 63)
-    return state, (out.T >> 11) * 2.0 ** -53
-
-
-def sample_points(chart, seed: int, scenario_id: str, indices) -> np.ndarray:
-    """One point of chart per stream index, (len(indices), dim), row r bit
-    for bit chart.sample(point_rng(seed, scenario_id, indices[r]), 1)[0]:
-    the SeedSequence, PCG64 and doubles of all streams run together (the
-    tests hold them to default_rng), a rejected row drawing from its own."""
-    state, inc = _pcg64_streams(np.array(
-        [_stream_key(seed, scenario_id, k) for k in indices], dtype=np.uint64))
-    out, todo = np.empty((len(state), chart.dim)), np.arange(len(state))
-    for _ in range(chart.MAX_ATTEMPTS):
-        state[todo], u = _pcg64_doubles(state[todo], inc[todo], chart.dim)
-        p, ok = chart.candidates(u)
-        out[todo[ok]] = p[ok]
-        todo = todo[~ok]
-        if not todo.size:
-            return out
-    raise RuntimeError("sampler rejection rate too high")
+def sample_points(chart, seed: int, scenario_id: str, stream: int,
+                  count: int) -> np.ndarray:
+    """`count` points of chart, (count, dim), from point stream (seed,
+    scenario id, stream): every point a check certifies is drawn here."""
+    return chart.sample(point_rng(seed, scenario_id, stream), count)
 
 
 # -- the check registry ----------------------------------------------------------
@@ -237,17 +181,19 @@ class Scenario:
         return all(params[k] == v for k, v in cls.checks[name].needs.items())
 
     def points(self, chart, count: int) -> np.ndarray:
-        """The scenario's first `count` points of chart, drawn on the first
-        request and shared, read-only, by every check that asks again."""
+        """The scenario's first `count` points of chart on stream 0, drawn
+        on the first request and shared, read-only, by every check that
+        asks again."""
         key = (chart, count)
         if key not in self._drawn:
-            pts = sample_points(chart, self.seed, self.id, range(count))
+            pts = sample_points(chart, self.seed, self.id, 0, count)
             pts.flags.writeable = False
             self._drawn[key] = pts
         return self._drawn[key]
 
     def own_rng(self) -> np.random.Generator:
-        """A new generator on stream 10 000, for a check's non-point draws."""
+        """A new generator on stream 10 000, for a check's non-point draws
+        (geodesic-projection's velocities)."""
         return point_rng(self.seed, self.id, 10_000)
 
     def einstein_fit(self, g, lam_star: float) -> tuple:
@@ -436,11 +382,14 @@ class _EH(Scenario):
             worst = max(worst, float(np.max(np.abs(val))))
         return _status(worst, tol), worst, self.count, {}
 
-    @_check("ricci-flat", "metric is Ricci-flat", 1e-8)
+    @_check("ricci-flat", "metric is Ricci-flat: at each point, max |Ric_bd| "
+            "relative to max |R^a_bcd|", 1e-8)
     def ricci_flat(self, tol):
-        conn = fields.levi_civita(self.g)
         pts = self.points(self.g.chart, self.count)
-        resid = float(np.max(np.abs(fields.ricci(conn, pts))))
+        R = fields.riemann(fields.levi_civita(self.g), pts)
+        ric = np.einsum("pabad->pbd", R)
+        resid = float(np.max(np.max(np.abs(ric), axis=(1, 2))
+                             / np.max(np.abs(R), axis=(1, 2, 3, 4))))
         return _status(resid, tol), resid, len(pts), {}
 
     @_check("asymptotic-form")
@@ -544,7 +493,7 @@ class _DM(Scenario):
     @_check("cg-form", "g = (theta^2 - dT^2)/(4T^2) + h/T with boundary-regular "
             "h (C = 1/4)", 1e-6)
     def cg_form(self, tol):
-        tps = self.spec.boundary_points(self.own_rng(), min(self.count, 5))
+        tps = self.points(self.spec.chart, min(self.count, 5))[:, 1:]
         out = paracx.cg_form_check(self.ps, self.boundary, self.spec, tps, tol)
         resid = max(out["h_closed_form_residual"],
                     out["theta_closed_form_residual"])
@@ -557,7 +506,7 @@ class _DM(Scenario):
     @_check("levi", "boundary metric is compatible with the contact Levi form",
             1e-8)
     def levi(self, tol):
-        tps = self.spec.boundary_points(self.own_rng(), min(self.count, 8))
+        tps = self.points(self.spec.chart, min(self.count, 8))[:, 1:]
         resid = paracx.levi_compatibility_check(self.ps, self.boundary,
                                                 self.spec, tps)
         return _status(resid, tol), resid, len(tps), {}
@@ -567,7 +516,7 @@ class _DM(Scenario):
             "determinant 4^n at the boundary points (so theta0 ^ "
             "(dtheta0)^(n-1) does not vanish)", 1e-8)
     def contact(self, tol):
-        tps = self.spec.boundary_points(self.own_rng(), min(self.count, 8))
+        tps = self.points(self.spec.chart, min(self.count, 8))[:, 1:]
         det = paracx.contact_determinants(self.ps, tps)
         exact = 4.0 ** self.ps.n
         resid = float(np.max(np.abs(det - exact))) / exact
@@ -577,7 +526,7 @@ class _DM(Scenario):
     @_check("nijenhuis-tangential",
             "Nijenhuis tensor has asymptotically tangential values", 1e-6)
     def nijenhuis_tangential(self, tol):
-        tps = self.spec.boundary_points(self.own_rng(), min(self.count, 4))
+        tps = self.points(self.spec.chart, min(self.count, 4))[:, 1:]
         v = paracx.nijenhuis_tangential_check(self.boundary, self.spec, tps,
                                               tolerance=tol)
         resid = float(np.max(np.abs(v.limits)))
@@ -588,7 +537,7 @@ class _DM(Scenario):
             "changed minimal connection extends to the boundary", 1e-5)
     def connection_extension(self, tol):
         gb, omb, jb, chart = self.boundary
-        tps = self.spec.boundary_points(self.own_rng(), min(self.count, 3))
+        tps = self.points(self.spec.chart, min(self.count, 3))[:, 1:]
         changed = paracx.para_c_projective_change(
             paracx.libermann(gb, omb),
             compactify.upsilon_from_defining(chart, lambda c: c[0], 2.0), jb)
@@ -619,11 +568,11 @@ class _DMRandom(_DM):
             "second-order ODE coefficients are projective invariants", 1e-9,
             n=2)
     def ode_invariance(self, tol):
-        """Three points of streams 100 + 3k + q in (-0.8, 0.8)^2 for the
-        k-th change; the ODE, then its 20 changes, in one evaluation each."""
+        """Points 3k..3k+2 of stream 100 in (-0.8, 0.8)^2 for the k-th
+        change; the ODE, then its 20 changes, in one evaluation each."""
         pg = proj2d.ode_from_projective(self.ps)
         box = fields.Chart(("x1", "x2"), ((-0.8, 0.8),) * 2)
-        pts = sample_points(box, self.seed, self.id, range(100, 160))
+        pts = sample_points(box, self.seed, self.id, 100, 60)
         changed = [proj2d.ode_from_projective(catalog.projective_change_structure(
             self.ps, catalog.random_upsilon(2, 2, 0.4, seed=self.seed * 1000 + k)))
             for k in range(20)]
@@ -639,7 +588,7 @@ class _DMRandom(_DM):
         n = self.ps.n
         _, hd, _ = paracx.boundary_data(self.ps)
         pts = sample_points(catalog.dm_boundary_chart(n), self.seed, self.id,
-                            range(200, 210))
+                            200, 10)
         pts[:, 0] = 0.0  # on the boundary T = 0
         ref = hd.values(pts)
         worst = 0.0

@@ -22,7 +22,8 @@ jets (transverse bound D = 0, see jets), and fields._lift raises D by one
 with each derivative it takes, as deep as the nested derivatives read.
 Each kept coefficient is summed as in full jets, so the rows are bitwise
 the full ladder's pure-T coefficients.  Every check takes its
-points; the caller draws them (CompactificationSpec.boundary_points).
+points; the caller draws them, tangent points as chart samples without
+their T slot.
 
 Conventions: the charts handled here carry the defining function T as
 coordinate 0; the general scalar-field form of Upsilon = dT/(alpha T) is
@@ -81,10 +82,6 @@ class CompactificationSpec:
                 for a, b in zip(self.ladder, self.ladder[1:])):
             raise ValueError("ladder must be at least two rungs, finite, "
                              "strictly decreasing and positive")
-
-    def boundary_points(self, rng, count: int) -> np.ndarray:
-        """Tangent sample points: box coordinates with the T slot ignored."""
-        return self.chart.sample(rng, count)[:, 1:]
 
 
 @dataclass
@@ -295,9 +292,10 @@ def metricity_check(conn: TensorField, points,
 
     Conclusive only for projectively flat connections: there the candidate
     metric is forced (up to scale) to be ghat = Ric_sym/(n-1), so the
-    check passes iff ghat is nondegenerate and LC(ghat) reproduces the
-    connection, or the connection is outright flat.  A non-flat projective
-    Weyl tensor yields the status "inconclusive".
+    check passes iff ghat is nondegenerate (sigma_min/sigma_max above 1e-8
+    at every point) and LC(ghat) reproduces the connection, or the
+    connection is outright flat.  A non-flat projective Weyl tensor
+    yields the status "inconclusive".
     """
     n = conn.chart.dim
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -320,8 +318,8 @@ def metricity_check(conn: TensorField, points,
         return MetricityVerdict(status="pass", residual=rmax,
                                 reason="flat connection (trivially metric)")
 
-    dets = np.abs(np.linalg.det((ric + ricT) / (2.0 * (n - 1))))
-    if np.min(dets) < 1e-8:
+    sv = np.linalg.svd((ric + ricT) / (2.0 * (n - 1)), compute_uv=False)
+    if np.any(sv[:, -1] <= 1e-8 * sv[:, 0]):
         return MetricityVerdict(status="fail", residual=math.inf,
                                 reason="candidate metric Ric_sym/(n-1) "
                                        "degenerate while curvature is nonzero")

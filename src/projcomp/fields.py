@@ -96,27 +96,22 @@ class Chart:
     def dim(self) -> int:
         return len(self.names)
 
-    def candidates(self, u) -> tuple:
-        """The box points lo + (hi - lo) * u of rows u of uniform doubles,
-        bitwise rng.uniform(lo, hi), and the mask of those not excluded."""
-        lo, hi = np.array(self.box, dtype=float).T
-        p = lo + (hi - lo) * np.atleast_2d(u)
-        ok = [not self.exclude(q) for q in p] if self.exclude else np.ones(len(p))
-        return p, np.array(ok, dtype=bool)
-
     def sample(self, rng, count: int = 1) -> np.ndarray:
-        """`count` points of the box from one stream, (count, dim): one
-        candidate per rng.random(dim); more than MAX_ATTEMPTS * count raise."""
-        out = []
-        attempts = 0
-        while len(out) < count:
-            attempts += 1
-            if attempts > self.MAX_ATTEMPTS * count:
-                raise RuntimeError("sampler rejection rate too high")
-            p, ok = self.candidates(rng.random(self.dim))
-            if ok[0]:
-                out.append(p[0])
-        return np.array(out)
+        """The first `count` candidates of one stream that the chart does
+        not exclude, (count, dim).  Candidate k is lo + (hi - lo) * u for
+        the k-th rng.random(dim), bitwise rng.uniform(lo, hi); they are
+        drawn `count` at a time, so the points are those of one candidate
+        per draw, and more than MAX_ATTEMPTS * count candidates raise."""
+        lo, hi = np.array(self.box, dtype=float).T
+        out = np.empty((0, self.dim))
+        for _ in range(self.MAX_ATTEMPTS):
+            p = lo + (hi - lo) * rng.random((count, self.dim))
+            if self.exclude:
+                p = p[[not self.exclude(q) for q in p]]
+            out = np.concatenate([out, p])
+            if len(out) >= count:
+                return out[:count]
+        raise RuntimeError("sampler rejection rate too high")
 
 
 @dataclass

@@ -7,12 +7,11 @@ differences.  They exist to pin expected values for the engine (Christoffel
 symbols, curvature, the Einstein constant of the canonical neutral metric)
 from a second route.  rk4 integrates a float right-hand side; the geodesic
 and path-ODE tests build theirs from connection values and polynomial
-coefficients.  The draw loops call rng.uniform with the box bounds, one
-call per candidate, as the samplers did before Chart.sample kept its
-bounds; the sampler must draw bitwise the same points.
-per_point_sample_points is the per-point loop of one generator per stream
-that the batched streams of cli.sample_points replaced, and scalar_draw_poly
-the one-call-per-coefficient draw of the random structures.  The jet loops
+coefficients.  The draw loop uniform_sample calls rng.uniform with the box
+bounds, one call per candidate, as Chart.sample did before it drew its
+candidates in rounds; the sampler must draw bitwise the same points.
+scalar_draw_poly is the one-call-per-coefficient draw of the random
+structures.  The jet loops
 at the end are the product-pair table, the Neumann lift and the Horner loop
 as first written, every step at full order as the kernels run them, the
 per-row series loop with the per-point coefficient formulas, the
@@ -27,7 +26,9 @@ inverse and the check must decide as they do, bit for bit.
 variable seeds one coordinate jet, as Jet.variable did before seed_point
 filled all coordinates in one array, and the kernels after it run as they
 did with one numpy call per step: seed_point by variable calls, eval_shift
-over every variable, the polynomial with every power a product, and
+over every variable, the polynomial with every power a product (and
+downward_polynomial, each power on its own from the highest variable down,
+for exact inputs), and
 fields._grad one axis at a time, read off the monomial list; with the
 single-pass contraction, the product of broadcast operands and the
 full-order Horner loop above, they are the references the kernels must
@@ -61,7 +62,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from projcomp import catalog, fields, jets, proj2d
-from projcomp.cli import point_rng
 
 # 4th-order central difference stencils
 _D1_OFFSETS = np.array([-2, -1, 1, 2])
@@ -275,32 +275,6 @@ def uniform_sample(chart, rng, count=1):
             continue
         out.append(p)
     return np.array(out)
-
-
-def stream_points(chart, rng_of, count):
-    """The first point of streams 0..count-1, rng_of(k) giving stream k."""
-    return np.array([uniform_sample(chart, rng_of(k), 1)[0]
-                     for k in range(count)])
-
-
-def box_points(box, rng_of, count):
-    """The first candidate of streams 0..count-1 in a box, no rejection."""
-    lo, hi = [b[0] for b in box], [b[1] for b in box]
-    return np.array([rng_of(k).uniform(lo, hi) for k in range(count)])
-
-
-def per_point_sample_points(chart, seed, scenario_id, indices):
-    """cli.sample_points as first written: one fresh point_rng per index and
-    the first accepted candidate of Chart.sample from it."""
-    return np.array([chart.sample(point_rng(seed, scenario_id, k), 1)[0]
-                     for k in indices])
-
-
-def ode_points(rng_of):
-    """ode-invariance's three points in (-0.8, 0.8)^2 per change k < 20,
-    from streams 100 + 3k + q."""
-    return np.array([rng_of(100 + k * 3 + q).uniform(-0.8, 0.8, 2)
-                     for k in range(20) for q in range(3)])
 
 
 def scalar_draw_poly(rng, monomials, bound):
@@ -648,6 +622,22 @@ def product_polynomial(alg, monomials, C, xs):
     out = np.zeros(np.broadcast_shapes(C.shape[:-1], xs[0].shape[:-1]) + (alg.size,))
     for col, m in enumerate(monomials):
         out += C[..., col, None] * power(m)
+    return out
+
+
+def downward_polynomial(alg, monomials, C, xs):
+    """sum_m C[..., m] x^m with each power built on its own, its factors
+    multiplied from the highest variable down, the terms summed in list
+    order from 0.0.  On dyadic inputs small enough that every product is
+    exact, any order of the factors gives the same bits, so this matches
+    jets.polynomial without sharing its power rule."""
+    out = np.zeros(np.broadcast_shapes(C.shape[:-1], xs[0].shape[:-1]) + (alg.size,))
+    for col, m in enumerate(monomials):
+        factors = [xs[h] for h in reversed(range(len(m))) for _ in range(m[h])]
+        power = factors[0] if factors else np.eye(1, alg.size)[0]
+        for x in factors[1:]:
+            power = alg.mul(power, x)
+        out += C[..., col, None] * power
     return out
 
 

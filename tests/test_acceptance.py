@@ -102,7 +102,7 @@ def test_criterion_03_metric_cone_compactification():
             worst = max(worst, float(np.max(np.abs(changed.values(p)
                                                    - lc_bar.values(p)))))
         spec = CompactificationSpec(chart=chart, alpha=1.0)
-        tps = spec.boundary_points(rng, 4)
+        tps = spec.chart.sample(rng, 4)[:, 1:]
         v = extend_to_boundary(
             changed.func, spec, tps, tolerance=1e-6,
             want=lc_bar.values(at_boundary(tps)))
@@ -188,7 +188,7 @@ def test_criterion_06_boundary_decomposition():
         h_engine = paracx.h_tc_field(gb, omb, paracx.boundary_t_coordinate,
                                      C=0.25)
         spec = CompactificationSpec(chart=chart)
-        tps = spec.boundary_points(rng, 3)
+        tps = spec.chart.sample(rng, 3)[:, 1:]
         v = extend_to_boundary(h_engine.func, spec, tps, tolerance=1e-6)
         extends = extends and v.passed
         # extrapolated boundary value against the closed boundary form;
@@ -266,7 +266,7 @@ def test_criterion_08_nijenhuis_tangentiality():
         bundle = paracx.dm_boundary_fields(ps)
         spec = CompactificationSpec(chart=bundle[3])
         v = paracx.nijenhuis_tangential_check(bundle, spec,
-                                              spec.boundary_points(rng, 3))
+                                              spec.chart.sample(rng, 3)[:, 1:])
         passed = passed and v.passed
         worst = max(worst, float(np.max(np.abs(v.limits))))
     ok = worst_flat < 1e-10 and passed and worst < 1e-6
@@ -287,9 +287,9 @@ def test_criterion_09_levi_compatibility_and_contact():
         bundle = paracx.dm_boundary_fields(ps)
         spec = CompactificationSpec(chart=bundle[3])
         worst = max(worst, paracx.levi_compatibility_check(
-            ps, bundle, spec, spec.boundary_points(rng, 30)))
+            ps, bundle, spec, spec.chart.sample(rng, 30)[:, 1:]))
         min_det = min(min_det, float(np.min(np.abs(paracx.contact_determinants(
-            ps, spec.boundary_points(rng, 30))))))
+            ps, spec.chart.sample(rng, 30)[:, 1:])))))
     ok = worst < 1e-8 and min_det > 1e-6
     _report(9, ok, f"Levi compatibility at 30 boundary points per structure: "
                    f"{worst:.2e}; contact nondegeneracy min |det| {min_det:.2e}")

@@ -119,7 +119,7 @@ def test_cone_signature_agnostic():
         levi_civita(cone_t),
         fields.TensorField(chart=gbar.chart, valence=(0, 1),
                            func=lambda c: jets.stack([1.0 / c[0]] + [c[0] * 0.0] * 2)))
-    tps = spec.boundary_points(rng, 2)
+    tps = spec.chart.sample(rng, 2)[:, 1:]
     lc_bar = levi_civita(gbar)
     v = extend_to_boundary(
         changed.func, spec, tps, tolerance=1e-6,
@@ -133,7 +133,7 @@ def test_cone_asymptotic_h_restricts_to_base():
     spec = CompactificationSpec(chart=compactified_cone(base).chart, alpha=1.0)
     from projcomp.compactify import asymptotic_form_check
     rng = np.random.default_rng(4)
-    tps = spec.boundary_points(rng, 2)
+    tps = spec.chart.sample(rng, 2)[:, 1:]
     h, verdict, C = asymptotic_form_check(cone_t, spec, tps, tolerance=1e-6)
     assert verdict.passed and abs(C - 1.0) < 1e-9
     gam = base.values(tps)

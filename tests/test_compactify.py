@@ -98,7 +98,7 @@ def test_cone_extension_matches_closed_form():
     gbar = compactified_cone(base)
     spec = CompactificationSpec(chart=gbar.chart, alpha=1.0)
     rng = np.random.default_rng(0)
-    tps = spec.boundary_points(rng, 3)
+    tps = spec.chart.sample(rng, 3)[:, 1:]
     changed = projective_change(
         levi_civita(cone_t),
         upsilon_from_defining(gbar.chart, lambda c: c[0], 1.0))
@@ -113,7 +113,7 @@ def test_flat_inverse_r_extends_but_is_not_metric():
     g = _flat_in_inverse_r(3)
     spec = CompactificationSpec(chart=g.chart, alpha=1.0)
     rng = np.random.default_rng(1)
-    tps = spec.boundary_points(rng, 2)
+    tps = spec.chart.sample(rng, 2)[:, 1:]
     changed = projective_change(
         levi_civita(g), upsilon_from_defining(g.chart, lambda c: c[0], 1.0))
     v = extend_to_boundary(changed.func, spec, tps, tolerance=1e-6)
@@ -126,7 +126,7 @@ def test_eh_raw_connection_diverges_changed_extends():
     gT = eh_compactified(EHParams(a=1.0))
     spec = CompactificationSpec(chart=gT.chart, alpha=1.0)
     rng = np.random.default_rng(2)
-    tps = spec.boundary_points(rng, 2)
+    tps = spec.chart.sample(rng, 2)[:, 1:]
     raw = extend_to_boundary(levi_civita(gT).func, spec, tps,
                              tolerance=1e-6)
     assert not raw.passed
@@ -159,7 +159,7 @@ def test_flat_asymptotic_form():
     cone_t = cone_in_t(base)
     spec = CompactificationSpec(chart=compactified_cone(base).chart, alpha=1.0)
     rng = np.random.default_rng(4)
-    tps = spec.boundary_points(rng, 2)
+    tps = spec.chart.sample(rng, 2)[:, 1:]
     h, v, C = asymptotic_form_check(cone_t, spec, tps, tolerance=1e-6)
     assert v.passed and abs(C - 1.0) < 1e-9
     # h = dT^2/(1-T^2) + (1-T^2) gamma on an interior slice
@@ -175,7 +175,7 @@ def test_eh_asymptotic_form_and_boundary_metric():
     gT, href = eh_compactified(pars), oracles.eh_boundary_field(pars)
     spec = CompactificationSpec(chart=gT.chart, alpha=1.0)
     rng = np.random.default_rng(5)
-    tps = spec.boundary_points(rng, 2)
+    tps = spec.chart.sample(rng, 2)[:, 1:]
     h, v, Cm = asymptotic_form_check(gT, spec, tps, tolerance=1e-6)
     assert v.passed and abs(Cm - 1.0) < 1e-9
     assert np.min(np.abs(np.linalg.det(v.limits[:, 1:, 1:]))) > 1e-3
@@ -202,7 +202,7 @@ def test_boundary_constant_is_the_deepest_rung_of_its_ladder(case):
         g = eh_compactified(EHParams(a=float(case[3:])))
         chart = g.chart
     spec = CompactificationSpec(chart=chart, alpha=1.0)
-    for tp in spec.boundary_points(np.random.default_rng(11), 3):
+    for tp in spec.chart.sample(np.random.default_rng(11), 3)[:, 1:]:
         assert (match_boundary_constant(g, spec, tp)
                 == oracles.single_point_match_boundary_constant(g, spec, tp))
 
@@ -231,7 +231,7 @@ def _cone_change():
 
 def test_ladder_is_one_call_bitwise_the_per_rung_extrapolations():
     changed, spec = _cone_change()
-    tps = spec.boundary_points(np.random.default_rng(6), 4)
+    tps = spec.chart.sample(np.random.default_rng(6), 4)[:, 1:]
     calls = []
 
     def counted(coords):
@@ -253,7 +253,7 @@ def test_ladder_is_one_call_bitwise_the_per_rung_extrapolations():
 
 def test_limits_hold_every_tangent_point():
     changed, spec = _cone_change()
-    tps = spec.boundary_points(np.random.default_rng(7), 3)
+    tps = spec.chart.sample(np.random.default_rng(7), 3)[:, 1:]
     v = extend_to_boundary(changed.func, spec, tps, tolerance=1e-6)
     assert v.passed and v.limits.shape == (3, 3, 3, 3)
     for p in range(3):
@@ -388,6 +388,24 @@ def test_metricity_cone_passes():
     pts = gbar.chart.sample(rng, 5)
     v = metricity_check(changed, pts)
     assert v.status == "pass" and v.residual < 1e-7
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_metricity_judges_degeneracy_by_condition_not_determinant(n):
+    # the sphere candidate's |det| falls below 1e-8 from n = 12 on while its
+    # sigma_min/sigma_max stays near 1e-2; the T = 1/r candidate stays
+    # degenerate, with a singular value at roundoff
+    g = flat_spherical(n)
+    pts = g.chart.sample(np.random.default_rng(n), 3)
+
+    def change(t_func):
+        ups = upsilon_from_defining(g.chart, t_func, 1.0)
+        return metricity_check(projective_change(levi_civita(g), ups), pts)
+
+    v = change(lambda c: 1.0 / jets.sqrt(c[0] * c[0] + 1.0))
+    assert v.status == "pass" and v.residual < 1e-7, v
+    v = change(lambda c: 1.0 / c[0])
+    assert v.status == "fail" and "degenerate" in v.reason, v
 
 
 def test_metricity_eh_inconclusive():

@@ -160,6 +160,18 @@ def _polynomial_pair(alg, C, xs):
             oracles.product_polynomial(alg, MONOMIALS, C, xs))
 
 
+def _downward_pair(alg, C, xs):
+    """The kernel and a reference that builds each power in another order,
+    equal bit for bit where every product is exact."""
+    return (jets.polynomial(alg, MONOMIALS, C, xs),
+            oracles.downward_polynomial(alg, MONOMIALS, C, xs))
+
+
+def _dyadic(shape, seed):
+    """Multiples of 1/4 in [-2, 2]: every product here is exact."""
+    return np.random.default_rng(seed).integers(-8, 9, shape) / 4.0
+
+
 def _constants(alg, values):
     """Constant jets of alg with the given constant terms, (rows, S) each."""
     xs = []
@@ -174,12 +186,12 @@ def _constants(alg, values):
                          ids=_ids)
 def test_polynomial_of_constants_is_the_product_polynomial(case):
     alg = jets.algebra(*case)
-    C = _values((2, 3, 1, len(MONOMIALS)), 0)
+    C = _dyadic((2, 3, 1, len(MONOMIALS)), 0)
     rows = np.array([0.5, -0.0, 0.0, -1.5, 2.0])  # rows at +-0.0
     xs = _constants(alg, [rows, -rows, rows[::-1], 0.0 * rows])
-    got, want = _polynomial_pair(alg, C, xs)
+    got, want = _downward_pair(alg, C, xs)
     assert _bitwise(got, want)
-    got, want = _polynomial_pair(alg, C[..., 0, :], [x[2] for x in xs])
+    got, want = _downward_pair(alg, C[..., 0, :], [x[2] for x in xs])
     assert _bitwise(got, want)  # one point, rows[2] = 0.0
 
 
@@ -190,16 +202,16 @@ def test_polynomial_falls_back_where_order_zero_is_not_finite(case):
     for bad in (np.inf, -np.inf, np.nan, 1e200):  # 1e200 ** 2 overflows
         values = [rows, rows.copy(), -rows, rows]
         values[3] = np.array([0.5, bad, 1.0])
-        C = _values((2, 1, len(MONOMIALS)), 1)
-        got, want = _polynomial_pair(alg, C, _constants(alg, values))
+        C = _dyadic((2, 1, len(MONOMIALS)), 1)
+        got, want = _downward_pair(alg, C, _constants(alg, values))
         assert _bitwise(got, want)
         C[1, 0, 2] = bad  # a non-finite coefficient on finite powers
-        got, want = _polynomial_pair(alg, C, _constants(alg, [rows] * 4))
+        got, want = _downward_pair(alg, C, _constants(alg, [rows] * 4))
         assert _bitwise(got, want)
-    C = _values((2, 1, len(MONOMIALS)), 2)
+    C = _dyadic((2, 1, len(MONOMIALS)), 2)
     C[1, 0, 2] = 1e200  # times x1 = 1e200, finite, overflows in one term:
     values = [rows, np.array([0.5, 1e200, 1.0]), rows, rows]
-    got, want = _polynomial_pair(alg, C, _constants(alg, values))
+    got, want = _downward_pair(alg, C, _constants(alg, values))
     assert _bitwise(got, want)  # 0.0 past slot 0, where inf * 0.0 is NaN
 
 

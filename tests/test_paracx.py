@@ -330,7 +330,7 @@ def test_htc_wrong_c_diverges():
     good = h_tc_field(gb, omb, boundary_t_coordinate, C=0.25)
     bad = h_tc_field(gb, omb, boundary_t_coordinate, C=1.0)
     rng = np.random.default_rng(9)
-    tps = spec.boundary_points(rng, 2)
+    tps = spec.chart.sample(rng, 2)[:, 1:]
     assert extend_to_boundary(good.func, spec, tps, tolerance=1e-6).passed
     assert not extend_to_boundary(bad.func, spec, tps, tolerance=1e-6).passed
 
@@ -429,7 +429,7 @@ def _levi(ps, rng, count):
     """levi_compatibility_check at count tangent points drawn from rng."""
     bundle, spec = _boundary(ps)
     return levi_compatibility_check(ps, bundle, spec,
-                                    spec.boundary_points(rng, count))
+                                    spec.chart.sample(rng, count)[:, 1:])
 
 
 def test_levi_compatibility_flat_and_random():
@@ -451,9 +451,9 @@ def test_contact_nondegenerate():
         ps = random_projective_structure(n, 2, 0.4, seed=23 + n)
         spec = CompactificationSpec(chart=dm_boundary_chart(n))
         assert float(np.min(np.abs(contact_determinants(
-            ps, spec.boundary_points(rng, 8))))) > 1e-6
+            ps, spec.chart.sample(rng, 8)[:, 1:])))) > 1e-6
         np.testing.assert_allclose(
-            contact_determinants(ps, spec.boundary_points(rng, 8)),
+            contact_determinants(ps, spec.chart.sample(rng, 8)[:, 1:]),
             4.0 ** n, rtol=1e-13)
 
 
@@ -476,7 +476,7 @@ def test_nijenhuis_tangential_random_structures():
         ps = random_projective_structure(n, 2, 0.4, seed=seed)
         bundle, spec = _boundary(ps)
         v = nijenhuis_tangential_check(bundle, spec,
-                                       spec.boundary_points(rng, 3))
+                                       spec.chart.sample(rng, 3)[:, 1:])
         assert v.passed
         assert np.max(np.abs(v.limits)) < 1e-6
 
@@ -492,9 +492,9 @@ def test_nijenhuis_tangential_reads_every_tangent_point():
     ps = _paper_suite_structure("dm-random-n3")
     bundle, spec = _boundary(ps)
     v = nijenhuis_tangential_check(
-        bundle, spec, spec.boundary_points(np.random.default_rng(9), 4))
+        bundle, spec, spec.chart.sample(np.random.default_rng(9), 4)[:, 1:])
     assert v.passed and v.limits.shape == (4, 6, 6)
-    tps = spec.boundary_points(np.random.default_rng(9), 4)
+    tps = spec.chart.sample(np.random.default_rng(9), 4)[:, 1:]
     N = nijenhuis(bundle[2])
     alone = [extend_to_boundary(lambda c: N.func(c)[0], spec, tp,
                                 order=2).limits[0] for tp in tps]

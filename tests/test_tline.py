@@ -344,7 +344,7 @@ def _dm(n):
         libermann(gb, omb), upsilon_from_defining(chart, lambda c: c[0], 2.0),
         jb)
     spec = CompactificationSpec(chart=chart)
-    return spec, spec.boundary_points(np.random.default_rng(n), 2), {
+    return spec, spec.chart.sample(np.random.default_rng(n), 2)[:, 1:], {
         "h": (h_tc_field(gb, omb, boundary_t_coordinate, C=0.25).func, 3),
         "J": (jb.func, 3),
         "N T row": (lambda c: N.func(c)[0], 2),
