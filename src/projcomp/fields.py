@@ -327,21 +327,37 @@ def projective_change(conn: TensorField, upsilon: TensorField) -> TensorField:
                        name=f"{conn.name}+proj")
 
 
+def _curvature(conn: TensorField, point, traced: bool) -> np.ndarray:
+    """R^a_bcd = (D_cd - D_dc) + (Q_cd - Q_dc), D_cd = d_c Gamma^a_db, Q_cd =
+    Gamma^a_ce Gamma^e_db, from one _lift of conn at a point (batch first):
+    the tensor, or (traced) its slices R^a_bad as (..., a, b, d) only."""
+    G, dG = _lift(conn.func, jets.seed_point(point, 0))
+    gv, dG = _batch_first(G[..., 0], 3), dG[..., 0]  # dG[c, a, d, b] = D_cd
+    if traced:  # (D_cd, D_dc) and (Q_cd, Q_dc) at c = a
+        D = np.einsum("aadb...->...abd", dG), np.einsum("daab...->...abd", dG)
+        Q = (np.einsum("...aae,...edb->...abd", gv, gv),
+             np.einsum("...ade,...eab->...abd", gv, gv))
+    else:
+        D = np.einsum("cadb...->...abcd", dG)
+        Q = np.einsum("...ace,...edb->...abcd", gv, gv)
+        D, Q = (D, D.swapaxes(-2, -1)), (Q, Q.swapaxes(-2, -1))
+    return (D[0] - D[1]) + (Q[0] - Q[1])
+
+
 def riemann(conn: TensorField, point) -> np.ndarray:
     """Curvature R^a_bcd of any linear connection Gamma[a, c, b] = Gamma^a_cb
     (fibre indices a, b of any rank over chart direction c) at a point, batch
-    first at a batch of points: [nabla_c, nabla_d] V^a = R^a_bcd V^b."""
-    G, dG = _lift(conn.func, jets.seed_point(point, 0))
-    gv = _batch_first(G[..., 0], 3)
-    D = np.einsum("cadb...->...abcd", dG[..., 0])  # d_c Gamma^a_db
-    Q = np.einsum("...ace,...edb->...abcd", gv, gv)
-    return (D - D.swapaxes(-2, -1)) + (Q - Q.swapaxes(-2, -1))
+    first at a batch: [nabla_c, nabla_d] V^a = R^a_bcd V^b; ricci takes slices."""
+    return _curvature(conn, point, traced=False)
 
 
 def ricci(conn: TensorField, point) -> np.ndarray:
-    """Ric_bd = R^a_bad; no symmetry assumed."""
-    R = riemann(conn, point)
-    return np.einsum("...abad->...bd", R)
+    """Ric_bd = R^a_bad, no symmetry assumed, from riemann's slices c = a
+    only; where not finite, riemann's trace, whose NaNs can differ in sign."""
+    ric = np.einsum("...abd->...bd", _curvature(conn, point, traced=True))
+    if np.isfinite(ric).all():
+        return ric
+    return np.einsum("...abad->...bd", riemann(conn, point))
 
 
 def ricci_field(conn: TensorField) -> TensorField:

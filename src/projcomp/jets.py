@@ -12,9 +12,10 @@ multi-index order, degrees <= k first.  The per-(num_vars, order) index
 tables are cached in a JetAlgebra; multiplication is a precomputed sparse
 convolution, and every kernel runs in one pass at its algebra's full
 order, in few numpy calls: a shortcut (products with constants, a zero
-exponent) is taken where it is bitwise the full sum, and not where a
-non-finite value would tell them apart.  An algebra may keep only the
-monomials of degree <= D in the variables after the first, T:
+exponent, the two pairs (0, k), (k, 0) of coefficient k at order 1,
+coordinate seeds in a composition) is taken where it is bitwise the full
+sum, and not where a non-finite value would tell them apart.  An algebra
+may keep only the monomials of degree <= D in the variables after the first, T:
 algebra(n, k, D) holds T-line jets (D = 0: pure T), a downward-closed list
 whose pair tables are the full ones filtered, in order, so every kernel
 sums each kept coefficient as the full algebra does; D >= k is
@@ -149,6 +150,7 @@ class JetAlgebra:
         self._gather_a = np.concatenate([self._mul_i, self._mul_d, self._mul_j])
         self._gather_b = np.concatenate([self._mul_j, self._mul_d, self._mul_i])
         self._row_k = np.concatenate([self._mul_k, self._mul_kd])
+        self._by_target = np.argsort(self._row_k)  # at order <= 1, one each
         self._plans: dict = {}  # product shape -> targets
 
         # Derivative table into the lower algebra (order - 1, D - 1): per
@@ -175,10 +177,12 @@ class JetAlgebra:
         a gather per term.  One bincount over the targets k + S * row, made
         once per product shape, sums each row's pairs, then its squares, in
         table order from 0.0 (each target has the pair (constant, m_k), so
-        there are rows * S of them)."""
+        there are rows * S of them); at order 1 each target has one."""
         w = a[..., self._gather_a] * b[..., self._gather_b]
         n = self._row_k.size
         w[..., :self._mul_k.size] += w[..., n:]
+        if self.order == 1:  # w = a0 b_k + a_k b0, plus 0.0 as in the bincount
+            return w[..., self._by_target] + 0.0
         targets = self._plans.get(w.shape)
         if targets is None:
             rows = w.size // w.shape[-1]
@@ -201,13 +205,23 @@ class JetAlgebra:
         and for one point the summed index itself is the innermost loop;
         a batch is then laid out rows first so that each row is reduced
         that way too.  One reduceat sums each target's pairs in table
-        order; each target has the pair (constant, m_k).  The parse, cached
-        per ndims (_contract_plan), only names axes: no float op changes."""
+        order; each target has the pair (constant, m_k).  At order 1 its
+        pairs (0, k) and (k, 0) are two einsums (pair axes >= 2 long)
+        added, if finite.  The parse, cached per ndims (_contract_plan),
+        only names axes: no float op changes."""
         spec, at, bt, outt = _contract_plan(spec, a.ndim, b.ndim, not self.order)
         if at is not None:
             out = np.einsum(spec, np.ascontiguousarray(a[..., 0].transpose(at)),
                             np.ascontiguousarray(b[..., 0].transpose(bt)))
             return out.transpose(outt)[..., None]
+        if self.order == 1:  # pairs (0, k), then (k, 0) for k > 0
+            lead, c = np.zeros(self.size, np.intp), np.ascontiguousarray
+            out = np.einsum(spec, c(a[..., lead]), c(b))
+            swapped = np.einsum(spec, c(a), c(b[..., lead]))
+            swapped[..., 0] = -0.0  # x + -0.0 is x: (0, 0) is counted once
+            out += swapped
+            if np.isfinite(out).all():
+                return out
         prods = np.einsum(spec, a.take(self._pair_i, axis=-1),
                           b.take(self._pair_j, axis=-1))
         return np.add.reduceat(prods, self._pair_start, axis=-1)
@@ -605,12 +619,42 @@ def composed_order(inner: list[Jet]) -> int:
 def compose_stacked(F: np.ndarray, inner: list[Jet]) -> np.ndarray:
     """compose for a stack F[..., :] of jets in len(inner) variables, of
     order at least composed_order(inner): the polynomial of the
-    dg_i = g_i - g_i.value on the monomials of that order."""
-    table = algebra(len(inner), composed_order(inner))
+    dg_i = g_i - g_i.value on the monomials of that order; for finite F and
+    seeds on increasing axes (or order 0) every power is one monomial, so
+    it is F's coefficients plus 0.0, each in its monomial's slot."""
+    alg, table = inner[0].alg, algebra(len(inner), composed_order(inner))
     if F.shape[-1] < table.size:
         raise JetError("compose: outer jets below the composed order")
+    axes = _seed_axes(alg, inner) if table.order else ()
+    if axes is not None and np.isfinite(F[..., :table.size]).all():
+        src, dst = _embedding(alg, table, axes)
+        out = np.zeros(np.broadcast(F[..., 0], inner[0].c[..., 0]).shape + (alg.size,))
+        out[..., dst] = F[..., src] + 0.0
+        return out
     dgs = [np.where(np.arange(g.alg.size) == 0, 0.0, g.c) for g in inner]
-    return polynomial(inner[0].alg, table.monomials, F, dgs)
+    return polynomial(alg, table.monomials, F, dgs)
+
+
+def _seed_axes(alg: JetAlgebra, inner: list[Jet]):
+    """The increasing axes of inner jets that are coordinate seeds (1.0 in
+    a degree-1 slot, zeros past the constant), else None."""
+    dg = np.stack([g.c for g in inner]).reshape(len(inner), -1, alg.size)[..., 1:]
+    hot = (dg[:, 0].argmax(axis=-1) + 1).tolist() if dg.shape[1] else [0]
+    axes = [alg.monomials[h].index(1) if alg.degree[h] == 1 else -1 for h in hot]
+    seeds = np.eye(alg.size)[hot, None, 1:]
+    ok = axes[0] >= 0 and axes == sorted(set(axes)) and (dg == seeds).all()
+    return tuple(axes) if ok else None
+
+
+@lru_cache(maxsize=None)
+def _embedding(alg: JetAlgebra, table: JetAlgebra, axes: tuple) -> tuple:
+    """(src, dst): the columns of table's monomials, in variables
+    x_i = y_axes[i], that alg keeps, and their slots in alg."""
+    slots = [alg.index.get(tuple(dict(zip(axes, m)).get(a, 0)
+                                 for a in range(alg.num_vars)))
+             for m in table.monomials]
+    src = [col for col, k in enumerate(slots) if k is not None]
+    return np.array(src, dtype=np.intp), np.array([slots[c] for c in src], np.intp)
 
 
 def polynomial(alg: JetAlgebra, monomials: list, C: np.ndarray,

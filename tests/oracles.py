@@ -28,7 +28,8 @@ filled all coordinates in one array, and the kernels after it run as they
 did with one numpy call per step: seed_point by variable calls, eval_shift
 over every variable, the polynomial with every power a product (and
 downward_polynomial, each power on its own from the highest variable down,
-for exact inputs), and
+for exact inputs, and polynomial_compose_stacked, the composition by that
+polynomial even where the inner jets are coordinate seeds), and
 fields._grad one axis at a time, read off the monomial list; with the
 single-pass contraction, the product of broadcast operands and the
 full-order Horner loop above, they are the references the kernels must
@@ -623,6 +624,15 @@ def product_polynomial(alg, monomials, C, xs):
     for col, m in enumerate(monomials):
         out += C[..., col, None] * power(m)
     return out
+
+
+def polynomial_compose_stacked(F, inner):
+    """jets.compose_stacked on every input as its polynomial: the
+    dg_i = g_i - g_i.value on the monomials of jets.composed_order(inner),
+    by product_polynomial, coordinate seeds included."""
+    table = jets.algebra(len(inner), jets.composed_order(inner))
+    dgs = [np.where(np.arange(g.alg.size) == 0, 0.0, g.c) for g in inner]
+    return product_polynomial(inner[0].alg, table.monomials, F, dgs)
 
 
 def downward_polynomial(alg, monomials, C, xs):

@@ -5,11 +5,13 @@ import pytest
 
 import projcomp.jets as jets
 from projcomp import fields
-from projcomp.catalog import (EHParams, ProjectiveStructure, dm_metric,
-                              eguchi_hanson, flat_spherical, cone,
+from projcomp.catalog import (EHParams, ProjectiveStructure, WarpedPair,
+                              compactified_cone, compactified_flat,
+                              dm_metric, eguchi_hanson, eh_compactified,
+                              flat_chart_metric, flat_spherical, cone,
                               cone_in_t, projective_change_structure,
                               random_projective_structure, random_upsilon,
-                              unit_sphere)
+                              split_signature_flat, unit_sphere, warped)
 from projcomp.fields import (Chart, MetricField, SingularMetricError,
                              TensorField, einstein_residual,
                              exterior_derivative, levi_civita,
@@ -298,6 +300,85 @@ def test_ricci_projective_change_vs_fd_oracle():
     want = fd_ricci_of_connection(changed.values, p, h=1e-3)
     assert np.max(np.abs(got)) > 1e-3          # nonzero
     assert np.max(np.abs(got - want)) < 1e-5
+
+
+def _interior_metrics():
+    """Every interior metric of the catalog, by name."""
+    g, gbar, _ = warped(WarpedPair(f=lambda r: r * r + 0.5, gamma=unit_sphere(2),
+                                   kappa=0.8))
+    out = {"sphere2": unit_sphere(2), "sphere3": unit_sphere(3),
+           "plane": flat_chart_metric(2), "split": split_signature_flat(2),
+           "flat3": flat_spherical(3), "compactified-flat3": compactified_flat(3),
+           "cone": cone(unit_sphere(2)), "cone-split": cone(split_signature_flat(2)),
+           "compactified-cone": compactified_cone(unit_sphere(2)),
+           "cone-in-t": cone_in_t(unit_sphere(2)), "warped": g, "warped-bar": gbar,
+           "eh": eguchi_hanson(EHParams(a=1.0)),
+           "eh-compactified": eh_compactified(EHParams(a=1.0))}
+    for n in (2, 3):
+        out[f"dm-n{n}"] = dm_metric(random_projective_structure(n, 2, 0.4, seed=n))[0]
+    return out
+
+
+def _assert_ricci_is_the_trace(conn, chart, seed):
+    """ricci is riemann's trace bit for bit, at a batch and at one point."""
+    P = chart.sample(np.random.default_rng(seed), 4)
+    for points in (P, P[2]):
+        got = ricci(conn, points)
+        want = np.einsum("...abad->...bd", riemann(conn, points))
+        assert _bitwise(got, want)
+        assert got.shape == points.shape[:-1] + (chart.dim,) * 2
+
+
+@pytest.mark.parametrize("name", sorted(_interior_metrics()))
+def test_ricci_is_the_trace_of_riemann_for_every_interior_metric(name):
+    g = _interior_metrics()[name]
+    _assert_ricci_is_the_trace(levi_civita(g), g.chart, len(name))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ricci_is_the_trace_of_riemann_for_random_structures(n):
+    for seed in range(3):
+        ps = random_projective_structure(n, 2, 0.4, seed=seed)
+        changed = projective_change_structure(
+            ps, random_upsilon(n, 2, 0.4, seed=seed + 10))  # not closed
+        for conn in (ps.connection(), changed.connection()):
+            _assert_ricci_is_the_trace(conn, ps.chart, seed)
+        ric = ricci(changed.connection(), ps.chart.sample(np.random.default_rng(0), 3))
+        assert np.max(np.abs(ric - ric.swapaxes(1, 2))) > 1e-6
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_ricci_of_non_finite_coefficients_is_the_trace_of_riemann():
+    """A non-finite Ricci is riemann's trace, NaN sign bits included."""
+    chart = Chart(names=("x", "y", "z"), box=((-1.0, 1.0),) * 3)
+
+    def func(coords):
+        rng = np.random.default_rng(5)
+        out = rng.standard_normal((3, 3, 3) + coords[0].c.shape)
+        picks = rng.random(out.shape) < 0.2
+        out[picks] = rng.choice([np.inf, -np.inf, np.nan, -0.0], int(picks.sum()))
+        return out
+
+    conn = TensorField(chart=chart, valence=(1, 2), func=func)
+    P = chart.sample(np.random.default_rng(1), 5)
+    for points in (P, P[0]):
+        got = ricci(conn, points)
+        want = np.einsum("...abad->...bd", riemann(conn, points))
+        assert not np.isfinite(got).all()
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_einstein_residual_builds_no_riemann_tensor(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("einstein_residual built the Riemann tensor")
+
+    monkeypatch.setattr(fields, "riemann", refuse)
+    g, _ = dm_metric(random_projective_structure(2, 2, 0.4, seed=3))
+    lam, resid, _ = einstein_residual(g, g.chart.sample(np.random.default_rng(2), 4))
+    assert abs(lam - 3.0) < 1e-10 and resid < 1e-10
+    lam, resid, _ = einstein_residual(unit_sphere(3), [(0.3, 0.4, 0.5), (0.6, 0.2, 1.0)])
+    assert abs(lam - 2.0) < 1e-12 and resid < 1e-12
 
 
 # -- einstein_residual -----------------------------------------------------------

@@ -3,25 +3,27 @@
 seed_point, JetAlgebra.mul, contract and eval_shift, the series' Horner
 loop and fields._grad each make few numpy calls (one array of seeds, one
 gather per operand, a cached contraction plan, the shifted variables
-only, a first Horner step as a scale, one gather for every axis), and
-polynomial builds each power once.  Each must give its reference's array
-in oracles bitwise, signed zeros and NaN included, on one point and on a
-batch, against a broadcast operand, at order 0 and on full and T-line
-(D = 0, D = 1) algebras, and on operands that hold +-0.0, +-inf and NaN;
-where its shortcut cannot hold, it must fall back to the general code.
+only, a first Horner step as a scale, one gather for every axis, at
+order 1 no pair reduction), and polynomial builds each power once.  Each
+must give its reference's array in oracles bitwise, signed zeros and NaN
+included, on one point and on a batch, against a broadcast operand, at
+orders 0 and 1 and on full and T-line (D = 0, D = 1) algebras, and on
+operands that hold +-0.0, +-inf and NaN; where its shortcut cannot hold,
+it must fall back to the general code.  compose_stacked on coordinate
+seeds must be its polynomial, and fall back to it off the seeds.
 """
 
 import numpy as np
 import pytest
 
 import oracles
-from projcomp import fields, jets
+from projcomp import cli, fields, jets
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
-# (variables, order, D): order 0, T-line D = 0 and D = 1, full
-ALGEBRAS = [(3, 0, None), (4, 3, 0), (3, 2, 0), (4, 3, 1), (3, 4, 1),
-            (3, 2, None), (2, 3, None)]
+# (variables, order, D): order 0, order 1, T-line D = 0 and D = 1, full
+ALGEBRAS = [(3, 0, None), (4, 1, None), (3, 1, 0), (4, 3, 0), (3, 2, 0),
+            (4, 3, 1), (3, 4, 1), (3, 2, None), (2, 3, None)]
 ROWS = 5
 SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan)
 
@@ -227,6 +229,102 @@ def test_polynomial_of_jets_is_the_product_polynomial(case):
     xs[3][2, -1] = -0.0  # a negative zero past slot 0 is still constant
     got, want = _polynomial_pair(alg, C, xs)
     assert _bitwise(got, want)
+    xs = [_dyadic((ROWS, alg.size), 3 + i) for i in range(4)]
+    got, want = _downward_pair(alg, _dyadic(C.shape, 2), xs)
+    assert _bitwise(got, want)  # exact: the reference shares no power rule
+
+
+# -- compositions ------------------------------------------------------------------
+
+# (variables, order, D) of the inner jets: full and T-line, and order 1
+SEEDED = [(4, 2, None), (6, 2, None), (4, 3, None), (4, 1, None), (4, 3, 1),
+          (6, 3, 1), (4, 4, 2)]
+
+
+def _seeds(case, rows, first):
+    """The first or last half of the coordinates seeded in algebra(*case),
+    at `rows` random points, or one point for rows None."""
+    n = case[0] // 2
+    shape = (case[0],) if rows is None else (rows, case[0])
+    coords = jets.seed_point(_values(shape, sum(case[:2])), *case[1:])
+    return coords[:n] if first else coords[n:]
+
+
+def _outer(inner, shape, seed, special=False):
+    """Random outer jets F of shape + the batch of inner + S, S the size
+    of the composed order's algebra in len(inner) variables."""
+    size = jets.algebra(len(inner), jets.composed_order(inner)).size
+    return _values(shape + inner[0].c.shape[:-1] + (size,), seed, special)
+
+
+def _composed(F, inner, monkeypatch, polynomial):
+    """compose_stacked(F, inner) and whether it ran jets.polynomial."""
+    calls = []
+    real = jets.polynomial
+    monkeypatch.setattr(jets, "polynomial",
+                        lambda *args: calls.append(1) or real(*args))
+    out = jets.compose_stacked(F, inner)
+    assert bool(calls) == polynomial
+    return out
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first-n", "last-n"])
+@pytest.mark.parametrize("rows", [None, ROWS], ids=["point", "rows"])
+@pytest.mark.parametrize("case", SEEDED, ids=_ids)
+def test_seed_composition_is_the_polynomial_composition(case, rows, first,
+                                                        monkeypatch):
+    inner = _seeds(case, rows, first)
+    for k, shape in enumerate([(), (3, 2)]):
+        F = _outer(inner, shape, k)
+        F.flat[:2] = -0.0  # signed zeros, in the constant slot and past it
+        got = _composed(F, inner, monkeypatch, polynomial=False)
+        assert _bitwise(got, oracles.polynomial_compose_stacked(F, inner))
+    wider = _values(F.shape[:-1] + (jets.algebra(len(inner), case[1]).size,), 9)
+    got = _composed(wider, inner, monkeypatch, polynomial=False)
+    assert _bitwise(got, oracles.polynomial_compose_stacked(wider, inner))
+
+
+@pytest.mark.parametrize("rows", [None, ROWS], ids=["point", "rows"])
+@pytest.mark.parametrize("case", SEEDED, ids=_ids)
+def test_seed_composition_falls_back_to_the_polynomial(case, rows, monkeypatch):
+    x = _seeds(case, rows, True)
+    for bad in (np.inf, -np.inf, np.nan):
+        F = _outer(x, (2,), 1, special=True)
+        F[(0,) * (F.ndim - 1) + (-1,)] = bad
+        got = _composed(F, x, monkeypatch, polynomial=True)
+        assert _bitwise(got, oracles.polynomial_compose_stacked(F, x))
+    for inner in ([x[0] * 2.0] + x[1:], [x[0] + 0.25 * x[1]] + x[1:],
+                  [x[0] + x[0] * x[1]] + x[1:], [x[0], x[0]], x[::-1]):
+        F = _outer(inner, (2,), 2)
+        got = _composed(F, inner, monkeypatch, polynomial=True)
+        assert _bitwise(got, oracles.polynomial_compose_stacked(F, inner))
+
+
+def test_the_dm_einstein_check_composes_without_products(monkeypatch):
+    """The canonical metric's Schouten part composes with the coordinate
+    seeds of its base point, and no product is taken for it."""
+    inside, composed, products = [], [], []
+    compose, mul = jets.compose_stacked, jets.JetAlgebra.mul
+
+    def counted_compose(F, inner):
+        inside.append(True)
+        composed.append(len(inner))
+        try:
+            return compose(F, inner)
+        finally:
+            inside.pop()
+
+    def counted_mul(alg, a, b):
+        products.extend(inside[:1])
+        return mul(alg, a, b)
+
+    monkeypatch.setattr(jets, "compose_stacked", counted_compose)
+    monkeypatch.setattr(jets.JetAlgebra, "mul", counted_mul)
+    report = cli.run_manifest({"scenarios": [
+        {"id": "dm", "catalog": "dm-random", "params": {"n": 2, "seed": 3},
+         "checks": ["einstein"], "points": 4, "seed": 1}]})
+    assert report["summary"]["pass"] == 1
+    assert 2 in composed and products == []
 
 
 # -- seeding and gradients ---------------------------------------------------------
