@@ -451,9 +451,7 @@ class _DM(Scenario):
     @_check("para-hermitian",
             "J^2 = Id, g(J.,J.) = -g, Omega = g(J.,.), d Omega = 0", 1e-10)
     def para_hermitian(self, tol):
-        n = self.ps.n
-        jf = paracx.j_from_g_omega(self.g, self.omega,
-                                   probe=np.array([0.3] * n + [0.5] * n))
+        jf = paracx.j_from_g_omega(self.g, self.omega)
         pts = self.points(self.g.chart, self.count)
         res = paracx.para_hermitian_residuals(self.g, self.omega, jf, pts)
         resid = max(res.values())

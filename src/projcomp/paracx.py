@@ -14,11 +14,12 @@ route (pullback, J, theta, h_tc_field) that they certify.  Every boundary
 check evaluates each field once over all of its points: one extension
 ladder (all tangent points times all rungs, see compactify) for J in levi,
 the Nijenhuis T row and h in cg-form, whose interior slices are rows of
-that ladder, and one values() batch for h_D, theta0, theta and each closed
-form (h's closed form at the slices and at T = 0 together).  The checks
-take the boundary bundle (dm_boundary_fields), whose memoized results are
-read-only, with a spec and the tangent points their caller drew, and read
-it on one ladder algebra per scenario, (3, D = 1) (_pure_t, fields._memo).
+that ladder, and one values() batch for h_D and theta0.  cg-form reads
+theta from h's ladder rows, both closed forms in one batch (the slices and
+T = 0 together).  The checks take the boundary bundle (dm_boundary_fields),
+whose memoized results are read-only, with a spec and the tangent points
+their caller drew, and read it on one ladder algebra per scenario,
+(3, D = 1) (_pure_t, fields._memo).
 
 Orientation conventions (recorded, then validated exactly by the flat
 model):
@@ -82,25 +83,26 @@ class ParaCompatibilityError(ValueError):
 # -- J, invariants, Libermann -------------------------------------------------
 
 
-def j_from_g_omega(g: MetricField, omega: TensorField, probe) -> TensorField:
-    """The endomorphism J = g^-1 Omega, with Omega(X, Y) = g(JX, Y); raises
-    ParaCompatibilityError unless J^2 = Id at the probe point, within 1e-8."""
-    n = g.chart.dim
+def j_from_g_omega(g: MetricField, omega: TensorField) -> TensorField:
+    """The endomorphism J = g^-1 Omega, with Omega(X, Y) = g(JX, Y).  Every
+    evaluation raises ParaCompatibilityError unless J^2 = Id at all of its
+    points, within 1e-8."""
+    eye = np.eye(g.chart.dim)
 
     def func(coords):
         alg = coords[0].alg
         G, W = g.func(coords), omega.func(coords)
-        return alg.contract("ac,bc->ab", g.inverse(alg, G), W)
+        J = alg.contract("ac,bc->ab", g.inverse(alg, G), W)
+        J0 = np.moveaxis(J[..., 0], (0, 1), (-2, -1))
+        dev = np.max(np.abs(J0 @ J0 - eye))
+        if dev > 1e-8:
+            raise ParaCompatibilityError(
+                f"J = g^-1 Omega does not square to the identity: "
+                f"max |J^2 - Id| = {dev:.2e} > 1e-8")
+        return J
 
-    jf = TensorField(chart=g.chart, valence=(1, 1), func=func,
-                     name=f"J({g.name})")
-    Jv = np.asarray(jf.values(probe))
-    dev = np.max(np.abs(Jv @ Jv - np.eye(n)))
-    if dev > 1e-8:
-        raise ParaCompatibilityError(
-            f"J = g^-1 Omega does not square to the identity at the probe: "
-            f"max |J^2 - Id| = {dev:.2e} > 1e-8")
-    return jf
+    return TensorField(chart=g.chart, valence=(1, 1), func=func,
+                       name=f"J({g.name})")
 
 
 def para_hermitian_residuals(g: MetricField, omega: TensorField,
@@ -195,11 +197,12 @@ def theta_field(g: MetricField, omega: TensorField, t_func: Callable) -> TensorF
 
 
 def h_tc_field(g: MetricField, omega: TensorField, t_func: Callable,
-               C: float = 0.25) -> TensorField:
+               C: float = 0.25, theta: TensorField | None = None) -> TensorField:
     """h_{T,C} = T g + (C/T)(dT^2 - theta^2), squares taken without 1/2:
-    components T g_ab + (2C/T)(d_a T d_b T - theta_a theta_b)."""
+    components T g_ab + (2C/T)(d_a T d_b T - theta_a theta_b), with theta
+    the given field or theta_field(g, omega, t_func)."""
     upper = np.triu_indices(g.chart.dim, 1)
-    theta = theta_field(g, omega, t_func)
+    theta = theta or theta_field(g, omega, t_func)
 
     def func(coords):
         alg = coords[0].alg
@@ -257,9 +260,10 @@ def dm_boundary_fields(ps: ProjectiveStructure):
     evaluation at each point (and dm_metric shares the Schouten tensor).
     g, Omega and J keep each distinct evaluation, gathered for a lower
     algebra, and g inverts each distinct component stack once, for
-    levi_civita, J and theta alike, all read-only (see fields._memo).  A
-    scenario's boundary checks take this bundle, with their spec and
-    tangent points, and read it on one ladder algebra (see the module)."""
+    levi_civita, J and theta alike, all read-only (see fields._memo); J's
+    J^2 = Id guard runs once per distinct evaluation.  A scenario's boundary
+    checks take this bundle, with their spec and tangent points, and read
+    it on one ladder algebra (see the module)."""
     n = ps.n
     g, omega = dm_metric(ps)
     cmap = dm_boundary_map(n)
@@ -268,8 +272,7 @@ def dm_boundary_fields(ps: ProjectiveStructure):
                      name=f"dm({ps.label})|bnd")
     gb.inverse = _memo(_inverse)
     omb = pullback_field(omega, cmap)
-    probe = np.array([0.05] + [0.2] * (n - 1) + [0.3] * (n - 1) + [1.0])
-    jb = j_from_g_omega(gb, omb, probe=probe)
+    jb = j_from_g_omega(gb, omb)
     jb.func = _memo(jb.func)
     return gb, omb, jb, cmap.target
 
@@ -535,24 +538,28 @@ def cg_form_check(ps: ProjectiveStructure, bundle, spec: CompactificationSpec,
 
     Returns the sub-results h_extension, h_closed_form_residual,
     theta_closed_form_residual and h_boundary_match.  bundle is the
-    (g, Omega, J, chart) of dm_boundary_fields(ps).  h is evaluated
-    once, in one batch of every (tangent point, rung) row, as the pure-T
-    part of the bundle's ladder algebra (3, D = 1): both extension verdicts
-    read that ladder, and the interior slices are rows of it.  Its closed
-    form is evaluated once, at the slices and at T = 0 together.
+    (g, Omega, J, chart) of dm_boundary_fields(ps); J is not read.  h is
+    evaluated once, in one batch of every (tangent point, rung) row, as the
+    pure-T part of the bundle's ladder algebra (3, D = 1): both extension
+    verdicts read that ladder, and the interior slices are rows of it.
+    theta is evaluated once, inside h, and read at the slices off the same
+    rows.  The closed forms of h and theta are evaluated on one batch, the
+    slices and T = 0 together, so they share the Schouten evaluation.
     """
     gb, omb, _, _ = bundle
-    h_engine = h_tc_field(gb, omb, boundary_t_coordinate, C=0.25)
+    theta = theta_field(gb, omb, boundary_t_coordinate)
+    theta.func = _memo(theta.func)
+    h_engine = h_tc_field(gb, omb, boundary_t_coordinate, C=0.25, theta=theta)
     h_rows = ladder_rows(_pure_t(h_engine.func), spec, tps)
+    theta_rows = ladder_rows(_pure_t(theta.func), spec, tps)  # h's memo hits
     rungs = shift_ladder(h_rows, spec)
     # the first two rungs above the first three points, rows of the ladder
     slices = np.array([np.concatenate([[eps], tp])
                        for tp in tps[:3] for eps in spec.ladder[:2]])
     rows = [p * len(spec.ladder) + r
             for p in range(len(tps[:3])) for r in range(len(spec.ladder[:2]))]
-    h_closed = boundary_h_closed(ps).values(
-        np.concatenate([slices, at_boundary(tps[:3])]))
-    theta = theta_field(gb, omb, boundary_t_coordinate).values(slices)
+    batch = np.concatenate([slices, at_boundary(tps[:3])])
+    h_closed = boundary_h_closed(ps).values(batch)
     return {
         # h_{T,1/4} extends, and matches the closed form on interior slices
         "h_extension": ladder_verdict(rungs, spec, tolerance),
@@ -560,7 +567,8 @@ def cg_form_check(ps: ProjectiveStructure, bundle, spec: CompactificationSpec,
             np.moveaxis(h_rows[..., rows, 0], -1, 0) - h_closed[:len(rows)]))),
         # theta matches its closed form
         "theta_closed_form_residual": float(np.max(np.abs(
-            theta - boundary_theta_closed(ps).values(slices)))),
+            np.moveaxis(theta_rows[..., rows, 0], -1, 0)
+            - boundary_theta_closed(ps).values(batch)[:len(rows)]))),
         # boundary value of h against the boundary closed form at T = 0
         "h_boundary_match": ladder_verdict(rungs[:3], spec, tolerance,
                                            want=h_closed[len(rows):]),

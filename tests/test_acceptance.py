@@ -231,7 +231,7 @@ def test_criterion_07_para_hermitian_invariants():
         n = 2 if seed < 7 else 3
         ps = random_projective_structure(n, 2, 0.4, seed=seed)
         g, om = dm_metric(ps)
-        jf = paracx.j_from_g_omega(g, om, probe=[0.3] * n + [0.5] * n)
+        jf = paracx.j_from_g_omega(g, om)
         pts = g.chart.sample(rng, 100)
         eye = np.eye(2 * n)
         for p in pts:

@@ -240,6 +240,24 @@ def test_tolerance_override_and_scale_produce_failure():
     assert report["summary"]["fail"] == 1
 
 
+def test_a_residual_equal_to_its_tolerance_fails():
+    # a check passes only strictly below its tolerance: the same scenario
+    # rerun with its own residual as the tolerance fails, and passes one
+    # ulp above it
+    sc = json.loads(json.dumps(SMALL["scenarios"][1]))
+    sc["checks"] = ["einstein", "splitting"]
+    first = run_manifest({"scenarios": [sc]})["scenarios"][0]["records"]
+    for rec in first:
+        resid = rec["max_residual"]
+        assert 0.0 < resid < rec["tolerance"]
+        for tol, want in ((resid, "fail"), (np.nextafter(resid, 1.0), "pass")):
+            sc["tolerances"] = {rec["check"]: float(tol)}
+            again = run_manifest({"scenarios": [sc]})["scenarios"][0]["records"]
+            got = next(r for r in again if r["check"] == rec["check"])
+            assert got["max_residual"] == resid
+            assert got["status"] == want, (rec["check"], tol)
+
+
 def test_report_roundtrip_byte_identical():
     report = run_manifest(SMALL, jobs=1)
     text = serialize_report(report)

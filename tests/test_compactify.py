@@ -279,6 +279,27 @@ def test_a_failing_point_fails_the_ladder_wherever_it_sits():
     assert ok.passed and np.array_equal(ok.limits, [[1.0], [1.0]])
 
 
+@pytest.mark.parametrize("ratio, passed", [(4.5, False), (4.96875, False),
+                                           (5.0, True), (6.0, True)])
+def test_ladder_verdict_requires_rung_differences_to_shrink_by_the_factor(
+        ratio, passed):
+    # four rungs whose differences r^2 c, r c, c shrink by r, with r c above
+    # the tolerance and c below it: the ladder converges iff r reaches
+    # SHRINK_FACTOR = 5 (the rung values are exact dyadic numbers)
+    spec = CompactificationSpec(chart=fields.Chart(names=("T", "u"),
+                                                   box=((0.01, 0.5), (-1, 1))),
+                                ladder=(0.4, 0.2, 0.1, 0.05))
+    c = 2.0 ** -21
+    diffs = np.array([ratio * ratio * c, ratio * c, c])
+    assert ratio * c > 1e-6 > c
+    rungs = np.concatenate([[1.0], 1.0 + np.cumsum(diffs)])
+    assert np.array_equal(np.diff(rungs), diffs)
+    v = ladder_verdict(rungs.reshape(1, 4, 1), spec, tolerance=1e-6)
+    assert v.passed is passed
+    if not passed:
+        assert v.detail.startswith("no convergence")
+
+
 def test_ladder_verdict_names_the_last_failing_point():
     spec = CompactificationSpec(chart=fields.Chart(names=("T", "u"),
                                                    box=((0.01, 0.5), (-1, 1))))

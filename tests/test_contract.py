@@ -65,7 +65,7 @@ def _derived():
     ps = _ps()
     dg, dom = catalog.dm_metric(ps)
     out["schouten"] = ps.schouten()
-    out["j_from_g_omega"] = paracx.j_from_g_omega(dg, dom, probe=[0.3, 0.4, 0.5, 0.6])
+    out["j_from_g_omega"] = paracx.j_from_g_omega(dg, dom)
     out["libermann"] = paracx.libermann(dg, dom)
     out["nijenhuis"] = paracx.nijenhuis(out["j_from_g_omega"])
     gb, omb, jb, chart = paracx.dm_boundary_fields(ps)

@@ -55,7 +55,7 @@ def _extrapolated(field, p0, eps, order):
 def test_j_involution_and_eigenvalues():
     ps = random_projective_structure(2, 2, 0.4, seed=0)
     g, om = dm_metric(ps)
-    J = j_from_g_omega(g, om, probe=[0.3, 0.4, 0.5, 0.6])
+    J = j_from_g_omega(g, om)
     rng = np.random.default_rng(0)
     for p in g.chart.sample(rng, 10):
         Jv = J.values(p)
@@ -73,8 +73,67 @@ def test_j_rejects_incompatible_pair():
                           [c[0] * 0.0, c[0] * 0.0, c[0] + 2.0, c[0] * 0.0],
                           [c[0] * 0.0, -(c[0] + 2.0), c[0] * 0.0, c[0] * 0.0],
                           [c[0] * 0.0] * 4]))
+    jf = j_from_g_omega(g, bad)
     with pytest.raises(ParaCompatibilityError):
-        j_from_g_omega(g, bad, probe=[0.3, 0.4, 0.5, 0.6])
+        jf.values([0.3, 0.4, 0.5, 0.6])
+
+
+def test_j_guard_reads_every_row_of_a_batch():
+    # Omega doubled at the rows with x^0 > 1 only: J^2 = 4 Id there, so a
+    # batch with one such row raises, and the batch without it does not
+    ps = random_projective_structure(2, 2, 0.4, seed=0)
+    g, om = dm_metric(ps)
+
+    def func(c):
+        return om.func(c) * np.where(c[0].c[..., :1] > 1.0, 2.0, 1.0)
+
+    jf = j_from_g_omega(g, TensorField(chart=g.chart, valence=(0, 2),
+                                       func=func))
+    pts = np.full((5, 4), 0.5)
+    pts[:, 1] = np.linspace(0.3, 0.7, 5)
+    J = jf.values(pts)
+    assert np.max(np.abs(J @ J - np.eye(4))) < 1e-12
+    pts[3, 0] = 1.5
+    with pytest.raises(ParaCompatibilityError):
+        jf.values(pts)
+    with pytest.raises(ParaCompatibilityError):
+        jf.at(pts, order=2)
+
+
+def test_a_bad_boundary_omega_fails_only_the_checks_that_read_j(monkeypatch):
+    # Omega with its first row and column sign-flipped breaks J^2 = Id:
+    # the checks that read the bundle's J get fail records naming the
+    # error, and the scenario's other checks still run (cg-form reads g,
+    # Omega and theta, never J)
+    real = paracx.dm_metric
+
+    def flipped(ps):
+        g, om = real(ps)
+
+        def func(c):
+            W = om.func(c).copy()
+            W[0] *= -1.0
+            W[:, 0] *= -1.0
+            return W
+        return g, TensorField(chart=om.chart, valence=(0, 2), func=func)
+
+    monkeypatch.setattr(paracx, "dm_metric", flipped)
+    checks = ["cg-form", "levi", "contact", "nijenhuis-tangential",
+              "connection-extension"]
+    sc = {"id": "dm-n2", "catalog": "dm-random",
+          "params": {"n": 2, "degree": 2, "seed": 5},
+          "checks": checks, "points": 2, "seed": 5}
+    rec = {r["check"]: r for r in
+           cli.run_manifest({"scenarios": [sc]})["scenarios"][0]["records"]}
+    assert list(rec) == checks
+    for name in ("levi", "nijenhuis-tangential", "connection-extension"):
+        assert rec[name]["status"] == "fail"
+        assert rec[name]["max_residual"] is None
+        assert rec[name]["constants"]["error"].startswith(
+            "ParaCompatibilityError:")
+    for name in ("cg-form", "contact"):
+        assert "error" not in rec[name]["constants"]
+    assert rec["contact"]["status"] == "pass"
 
 
 def test_para_hermitian_invariants_random_structures():
@@ -82,7 +141,7 @@ def test_para_hermitian_invariants_random_structures():
     for n, seed in ((2, 3), (3, 4)):
         ps = random_projective_structure(n, 2, 0.4, seed=seed)
         g, om = dm_metric(ps)
-        jf = j_from_g_omega(g, om, probe=[0.3] * n + [0.5] * n)
+        jf = j_from_g_omega(g, om)
         res = para_hermitian_residuals(g, om, jf, g.chart.sample(rng, 10))
         assert max(res.values()) < 1e-10
 
@@ -109,7 +168,7 @@ def test_theta_two_forms_agree():
     # dT o J against Omega_ac g^bc d_b T, for a curved structure
     ps = random_projective_structure(2, 2, 0.4, seed=5)
     g, om = dm_metric(ps)
-    J = j_from_g_omega(g, om, probe=[0.3, 0.4, 0.5, 0.6])
+    J = j_from_g_omega(g, om)
     th = theta_field(g, om, model_t)
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -160,7 +219,7 @@ def test_libermann_flat_model_reduces_to_levi_civita():
 def test_libermann_preserves_g_and_j():
     ps = random_projective_structure(2, 2, 0.4, seed=7)
     g, om = dm_metric(ps)
-    J = j_from_g_omega(g, om, probe=[0.3, 0.4, 0.5, 0.6])
+    J = j_from_g_omega(g, om)
     lib = libermann(g, om)
     gt = TensorField(chart=g.chart, valence=(0, 2), func=g.func)
     ng = covariant_derivative(lib, gt)
@@ -178,7 +237,7 @@ def test_libermann_torsion_proportional_to_nijenhuis():
     for seed in (8, 9):
         ps = random_projective_structure(2, 2, 0.4, seed=seed)
         g, om = dm_metric(ps)
-        J = j_from_g_omega(g, om, probe=[0.3, 0.4, 0.5, 0.6])
+        J = j_from_g_omega(g, om)
         lib = libermann(g, om)
         N = nijenhuis(J)
         for p in g.chart.sample(rng, 4):
@@ -214,7 +273,7 @@ def test_nijenhuis_constant_j_zero():
 def test_nijenhuis_flat_model_integrable():
     ps = flat_ps()
     g, om = dm_metric(ps)
-    J = j_from_g_omega(g, om, probe=[0.3, 0.4, 0.5, 0.6])
+    J = j_from_g_omega(g, om)
     N = nijenhuis(J)
     rng = np.random.default_rng(7)
     for p in g.chart.sample(rng, 5):
@@ -226,7 +285,7 @@ def test_nijenhuis_matches_bracket_expansion():
     # coordinate fields equals twice the half-antisymmetrized index formula
     ps = random_projective_structure(2, 2, 0.4, seed=10)
     g, om = dm_metric(ps)
-    J = j_from_g_omega(g, om, probe=[0.3, 0.4, 0.5, 0.6])
+    J = j_from_g_omega(g, om)
     N = nijenhuis(J)
     p = np.array([0.3, -0.2, 0.7, 0.4])
     Jj = J.at(p, order=1)
@@ -252,7 +311,7 @@ def test_nijenhuis_matches_bracket_expansion():
 def test_para_change_upsilon_zero_identity():
     ps = random_projective_structure(2, 2, 0.4, seed=11)
     g, om = dm_metric(ps)
-    J = j_from_g_omega(g, om, probe=[0.3, 0.4, 0.5, 0.6])
+    J = j_from_g_omega(g, om)
     lib = libermann(g, om)
     zero = TensorField(chart=g.chart, valence=(0, 1),
                        func=lambda c: jets.stack([c[0] * 0.0] * 4))
@@ -265,7 +324,7 @@ def test_para_change_trace_bookkeeping():
     # trace over (c, b) of the difference tensor is (2n + 2) Upsilon
     ps = random_projective_structure(2, 2, 0.4, seed=12)
     g, om = dm_metric(ps)
-    J = j_from_g_omega(g, om, probe=[0.3, 0.4, 0.5, 0.6])
+    J = j_from_g_omega(g, om)
     lib = libermann(g, om)
     ups = TensorField(chart=g.chart, valence=(0, 1),
                       func=lambda c: jets.stack([c[1], c[0] * 0.3, c[2] * c[3], c[0] * 0.0]))
@@ -955,7 +1014,6 @@ def test_boundary_checks_invert_j_once_per_ladder(monkeypatch):
     # levi and nijenhuis-tangential of one scenario draw the same tangent
     # points: the order-2 Nijenhuis ladder lifts J to order 3 and D = 1,
     # and levi reads J's D = 0 part from that one evaluation, inverted once
-    # (and J once at its construction probe)
     shapes = []
     inverse = paracx._inverse
 
@@ -971,14 +1029,16 @@ def test_boundary_checks_invert_j_once_per_ladder(monkeypatch):
     assert report["summary"]["pass"] == 2
     # 2 tangent points x 3 rungs, order 3 and D = 1 in 6 variables
     assert jets.algebra(6, 3, 1).size == 19
-    assert [s for s in shapes if len(s) == 4] == [(6, 6, 6, 19)]
+    assert shapes == [(6, 6, 6, 19)]
 
 
 def test_boundary_checks_evaluate_the_metric_once_per_ladder(monkeypatch):
     # cg-form, levi, nijenhuis-tangential and connection-extension draw the
     # same 2 tangent points: the pulled-back metric is evaluated once on
     # their 6 ladder rows, at order 3 and D = 1, and every other algebra
-    # they read there is a gather of it (see fields._memo)
+    # they read there is a gather of it (see fields._memo): J's guard reads
+    # no point of its own, and cg-form's theta at its slices is read off
+    # the ladder
     evaluated = []
     real = paracx.dm_metric
 
@@ -999,7 +1059,7 @@ def test_boundary_checks_evaluate_the_metric_once_per_ladder(monkeypatch):
           "checks": ["cg-form", "levi", "nijenhuis-tangential",
                      "connection-extension"], "points": 2, "seed": 5}
     assert cli.run_manifest({"scenarios": [sc]})["summary"]["pass"] == 4
-    assert [e[:2] for e in evaluated if e[2] == (6,)] == [(3, 1)]
+    assert evaluated == [(3, 1, (6,))]
 
 
 def test_boundary_metric_inverts_each_distinct_matrix_once(monkeypatch):

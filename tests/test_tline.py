@@ -426,9 +426,9 @@ def test_boundary_ladders_seed_the_base_at_most_one_above_their_d(monkeypatch):
 def test_the_schouten_field_is_evaluated_once_per_point_and_order(monkeypatch):
     # the four boundary checks read the boundary metric on one ladder
     # algebra, (3, D = 1), which needs the Schouten field at order 1 above
-    # the tangent points, and cg-form's theta and its closed form need it
-    # at the same slices: the structure's field keeps each distinct
-    # evaluation, four with J's probe and h's closed form at T = 0
+    # the tangent points, and cg-form's closed forms of theta and h need it
+    # at order 0 on one batch, the slices and T = 0 together: the
+    # structure's field keeps each distinct evaluation, two in all
     seen = []
     real = catalog.projective_schouten
 
@@ -449,4 +449,4 @@ def test_the_schouten_field_is_evaluated_once_per_point_and_order(monkeypatch):
           "checks": ["cg-form", "levi", "nijenhuis-tangential",
                      "connection-extension"], "points": 2, "seed": 5}
     assert cli.run_manifest({"scenarios": [sc]})["summary"]["pass"] == 4
-    assert len(seen) == len(set(seen)) == 4
+    assert len(seen) == len(set(seen)) == 2
