@@ -196,13 +196,12 @@ def theta_field(g: MetricField, omega: TensorField, t_func: Callable) -> TensorF
                        name=f"theta({g.name})")
 
 
-def h_tc_field(g: MetricField, omega: TensorField, t_func: Callable,
-               C: float = 0.25, theta: TensorField | None = None) -> TensorField:
+def h_tc_field(g: MetricField, theta: TensorField, t_func: Callable,
+               C: float = 0.25) -> TensorField:
     """h_{T,C} = T g + (C/T)(dT^2 - theta^2), squares taken without 1/2:
     components T g_ab + (2C/T)(d_a T d_b T - theta_a theta_b), with theta
-    the given field or theta_field(g, omega, t_func)."""
+    the field theta_field(g, omega, t_func) of the same g and T."""
     upper = np.triu_indices(g.chart.dim, 1)
-    theta = theta or theta_field(g, omega, t_func)
 
     def func(coords):
         alg = coords[0].alg
@@ -549,7 +548,7 @@ def cg_form_check(ps: ProjectiveStructure, bundle, spec: CompactificationSpec,
     gb, omb, _, _ = bundle
     theta = theta_field(gb, omb, boundary_t_coordinate)
     theta.func = _memo(theta.func)
-    h_engine = h_tc_field(gb, omb, boundary_t_coordinate, C=0.25, theta=theta)
+    h_engine = h_tc_field(gb, theta, boundary_t_coordinate, C=0.25)
     h_rows = ladder_rows(_pure_t(h_engine.func), spec, tps)
     theta_rows = ladder_rows(_pure_t(theta.func), spec, tps)  # h's memo hits
     rungs = shift_ladder(h_rows, spec)

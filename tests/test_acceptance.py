@@ -185,7 +185,7 @@ def test_criterion_06_boundary_decomposition():
                 + hv / T
             worst_recon = max(worst_recon, float(np.max(np.abs(gv - recon))))
         # extension of the engine h
-        h_engine = paracx.h_tc_field(gb, omb, paracx.boundary_t_coordinate,
+        h_engine = paracx.h_tc_field(gb, th, paracx.boundary_t_coordinate,
                                      C=0.25)
         spec = CompactificationSpec(chart=chart)
         tps = spec.chart.sample(rng, 3)[:, 1:]

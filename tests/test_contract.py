@@ -73,7 +73,7 @@ def _derived():
     out["pullback_field"] = paracx.pullback_field(dg, catalog.dm_boundary_map(2))
     t = paracx.boundary_t_coordinate
     out["theta_field"] = paracx.theta_field(gb, omb, t)
-    out["h_tc_field"] = paracx.h_tc_field(gb, omb, t)
+    out["h_tc_field"] = paracx.h_tc_field(gb, out["theta_field"], t)
     out["para_c_projective_change"] = paracx.para_c_projective_change(
         paracx.libermann(gb, omb),
         compactify.upsilon_from_defining(chart, lambda c: c[0], 2.0), jb)

@@ -100,15 +100,10 @@ def test_j_guard_reads_every_row_of_a_batch():
         jf.at(pts, order=2)
 
 
-def test_a_bad_boundary_omega_fails_only_the_checks_that_read_j(monkeypatch):
-    # Omega with its first row and column sign-flipped breaks J^2 = Id:
-    # the checks that read the bundle's J get fail records naming the
-    # error, and the scenario's other checks still run (cg-form reads g,
-    # Omega and theta, never J)
-    real = paracx.dm_metric
-
+def _flipped_omega(dm_metric):
+    """dm_metric with Omega's first row and column sign-flipped."""
     def flipped(ps):
-        g, om = real(ps)
+        g, om = dm_metric(ps)
 
         def func(c):
             W = om.func(c).copy()
@@ -116,8 +111,15 @@ def test_a_bad_boundary_omega_fails_only_the_checks_that_read_j(monkeypatch):
             W[:, 0] *= -1.0
             return W
         return g, TensorField(chart=om.chart, valence=(0, 2), func=func)
+    return flipped
 
-    monkeypatch.setattr(paracx, "dm_metric", flipped)
+
+def test_a_bad_boundary_omega_fails_only_the_checks_that_read_j(monkeypatch):
+    # Omega with its first row and column sign-flipped breaks J^2 = Id:
+    # the checks that read the bundle's J get fail records naming the
+    # error, and the scenario's other checks still run (cg-form reads g,
+    # Omega and theta, never J)
+    monkeypatch.setattr(paracx, "dm_metric", _flipped_omega(paracx.dm_metric))
     checks = ["cg-form", "levi", "contact", "nijenhuis-tangential",
               "connection-extension"]
     sc = {"id": "dm-n2", "catalog": "dm-random",
@@ -134,6 +136,23 @@ def test_a_bad_boundary_omega_fails_only_the_checks_that_read_j(monkeypatch):
     for name in ("cg-form", "contact"):
         assert "error" not in rec[name]["constants"]
     assert rec["contact"]["status"] == "pass"
+
+
+def test_para_hermitian_errors_where_j_breaks_the_involution(monkeypatch):
+    # J's guard runs at para-hermitian's own points, so a J with
+    # |J^2 - Id| > 1e-8 there gives an error record without the residual
+    # breakdown; the scenario's other checks still run
+    monkeypatch.setattr(cli.catalog, "dm_metric",
+                        _flipped_omega(cli.catalog.dm_metric))
+    sc = {"id": "dm-n2", "catalog": "dm-random",
+          "params": {"n": 2, "degree": 2, "seed": 5},
+          "checks": ["para-hermitian", "einstein"], "points": 2, "seed": 5}
+    ph, einstein = cli.run_manifest({"scenarios": [sc]})["scenarios"][0]["records"]
+    assert (ph["check"], ph["status"], ph["max_residual"]) == (
+        "para-hermitian", "fail", None)
+    assert list(ph["constants"]) == ["error"]
+    assert ph["constants"]["error"].startswith("ParaCompatibilityError:")
+    assert einstein["status"] == "pass"
 
 
 def test_para_hermitian_invariants_random_structures():
@@ -386,8 +405,9 @@ def test_htc_wrong_c_diverges():
     ps = flat_ps()
     gb, omb, jb, chart = dm_boundary_fields(ps)
     spec = CompactificationSpec(chart=chart)
-    good = h_tc_field(gb, omb, boundary_t_coordinate, C=0.25)
-    bad = h_tc_field(gb, omb, boundary_t_coordinate, C=1.0)
+    theta = theta_field(gb, omb, boundary_t_coordinate)
+    good = h_tc_field(gb, theta, boundary_t_coordinate, C=0.25)
+    bad = h_tc_field(gb, theta, boundary_t_coordinate, C=1.0)
     rng = np.random.default_rng(9)
     tps = spec.chart.sample(rng, 2)[:, 1:]
     assert extend_to_boundary(good.func, spec, tps, tolerance=1e-6).passed
@@ -398,7 +418,8 @@ def test_h_restricted_to_distribution_matches_h_d():
     # K (h restricted to the contact distribution) -> h_D as T -> 0
     ps = random_projective_structure(2, 2, 0.4, seed=15)
     gb, omb, jb, chart = dm_boundary_fields(ps)
-    h = h_tc_field(gb, omb, boundary_t_coordinate, C=0.25)
+    h = h_tc_field(gb, theta_field(gb, omb, boundary_t_coordinate),
+                   boundary_t_coordinate, C=0.25)
     theta0, h_d, _ = boundary_data(ps)
     rng = np.random.default_rng(10)
     for p in chart.sample(rng, 3):
@@ -965,7 +986,7 @@ def test_boundary_kernels_match_component_loops(n, order):
              (para_c_projective_change(lib, ups, jb),
               _pc_change_loops(lib, ups, jb)),
              (theta_field(gb, omb, t), _theta_loops(gb, omb, t)),
-             (h_tc_field(gb, omb, t), _h_loops(gb, omb, t))]
+             (h_tc_field(gb, theta_field(gb, omb, t), t), _h_loops(gb, omb, t))]
     g, om = dm_metric(ps)
     cmap = dm_boundary_map(n)
     pairs += [(pullback_field(f, cmap), _pullback_loops(f, cmap)) for f in (g, om)]

@@ -26,7 +26,7 @@ from projcomp.compactify import (CompactificationSpec, asymptotic_form_check,
                                  shift_ladder, upsilon_from_defining)
 from projcomp.paracx import (boundary_t_coordinate, dm_boundary_fields,
                              h_tc_field, libermann, nijenhuis,
-                             para_c_projective_change)
+                             para_c_projective_change, theta_field)
 
 # (variables, order, D), D < order
 GRID = [(2, 2, 0), (2, 3, 1), (3, 3, 0), (3, 4, 2), (6, 3, 0), (6, 3, 1),
@@ -345,7 +345,8 @@ def _dm(n):
         jb)
     spec = CompactificationSpec(chart=chart)
     return spec, spec.chart.sample(np.random.default_rng(n), 2)[:, 1:], {
-        "h": (h_tc_field(gb, omb, boundary_t_coordinate, C=0.25).func, 3),
+        "h": (h_tc_field(gb, theta_field(gb, omb, boundary_t_coordinate),
+                          boundary_t_coordinate, C=0.25).func, 3),
         "J": (jb.func, 3),
         "N T row": (lambda c: N.func(c)[0], 2),
         "connection-extension": (changed.func, 2)}
