@@ -1,6 +1,11 @@
 """Constructors for every concrete metric and projective structure the
 engine verifies, each bound to a chart with a safe sampling box.
 
+A projective structure holds its polynomial Gamma^k_ij as one coefficient
+table C[k, i, j, m] on sorted monomials, the table gamma_at evaluates; a
+random structure, a projective change (of one structure or a batch) and
+the path-geometry ODE of proj2d are each one array operation on tables.
+
 Sign and normalization conventions for the canonical neutral-signature
 metric on the cotangent-type chart (x^i, xi_i):
 
@@ -32,7 +37,6 @@ from .fields import (Chart, ChartMap, MetricField, TensorField, _lift, _memo,
 from .jets import Jet
 
 __all__ = [
-    "Poly",
     "ProjectiveStructure",
     "WarpedPair",
     "EHParams",
@@ -58,89 +62,78 @@ __all__ = [
 ]
 
 
-# -- polynomials (exact coefficient arithmetic) ------------------------------
+# -- polynomial tables (exact coefficient arithmetic) -------------------------
+#
+# A table (monomials, C) holds polynomials as the coefficients C[..., m] of
+# their terms on the sorted exponent tuples monomials[m]; the axes of C
+# before m index the polynomials.
 
 
-def _evaluate(monomials: list, C: np.ndarray, coords) -> np.ndarray:
+def _evaluate(monomials: list, C: np.ndarray, coords, rows: int = 0) -> np.ndarray:
     """sum_m C[..., m] x^monomials[m] on jet (or float) coordinates, as a
     stacked (..., S) array, (..., B, S) at a batch of points (or a float
-    array), by jets.polynomial; callers keep the monomials sorted."""
+    array), by jets.polynomial; callers keep the monomials sorted.  The
+    last `rows` axes of C before m are rows of polynomials that line up
+    with the leading batch axes of the points; the columns of C broadcast
+    over the others."""
     floats = not isinstance(coords[0], Jet)
     coords = jets.seed_point(coords, 0) if floats else coords
-    rows = (None,) * (coords[0].c.ndim - 1)  # C's columns over the batch axes
-    out = jets.polynomial(coords[0].alg, monomials, C[(..., *rows, slice(None))],
+    over = (None,) * (coords[0].c.ndim - 1 - rows)  # the batch axes C lacks
+    out = jets.polynomial(coords[0].alg, monomials, C[(..., *over, slice(None))],
                           [x.c for x in coords])
     return out[..., 0] if floats else out
 
 
-def _poly_table(polys: dict, shape: tuple) -> tuple:
-    """(monomials, C) for _evaluate: the sorted union of the monomials of
-    polys (index -> Poly), and C[index + (m,)] the coefficient of each
-    polynomial on column m, zero where it has no such monomial."""
-    monomials = sorted(set().union(*polys.values()))
-    col = {m: c for c, m in enumerate(monomials)}
-    C = np.zeros(shape + (len(monomials),))
-    for index, p in polys.items():
-        for m, c in p.items():
-            C[index + (col[m],)] = c
-    return monomials, C
+def _table(monomials: list, C: np.ndarray) -> tuple:
+    """The table of the terms of C on sorted monomials: a column that is
+    zero in every polynomial left out, as a sparse sum leaves out its
+    absent terms (a polynomial of no terms has no columns), and -0.0 read
+    as 0.0."""
+    keep = C.any(axis=tuple(range(C.ndim - 1)))
+    return [m for m, k in zip(monomials, keep) if k], C[..., keep] + 0.0
 
 
-class Poly(dict):
-    """Sparse polynomial: multi-index tuple -> coefficient."""
-
-    def plus(self, other: "Poly") -> "Poly":
-        out = Poly(self)
-        for m, c in other.items():
-            out[m] = out.get(m, 0.0) + c
-        return Poly({m: c for m, c in out.items() if c != 0.0})
-
-    def scaled(self, s: float) -> "Poly":
-        return Poly({m: c * s for m, c in self.items()})
-
-    def canonical(self, tol: float = 0.0) -> tuple:
-        return tuple(sorted((m, c) for m, c in self.items() if abs(c) > tol))
+def _on(monomials: list, C: np.ndarray, union: list) -> np.ndarray:
+    """C's columns placed on the monomials union, a sorted superset of
+    monomials, with zeros in the others."""
+    col = {m: c for c, m in enumerate(union)}
+    out = np.zeros(C.shape[:-1] + (len(union),))
+    out[..., [col[m] for m in monomials]] = C
+    return out
 
 
-@dataclass
+@dataclass(eq=False)
 class ProjectiveStructure:
-    """Dimension n plus polynomial symmetric coefficients Gamma^k_ij(x)."""
+    """Dimension n plus polynomial coefficients Gamma^k_ij(x), the table
+    C[k, i, j, m] on the sorted monomials, symmetric in (i, j); the flat
+    structure is the table with no columns.  A batch of B structures has
+    C[k, i, j, b, m], and gamma_at evaluates structure b at point b of a
+    batch.  Structures compare by identity (C has no truth value)."""
 
     n: int
-    gamma: dict  # (k, i, j) -> Poly, stored with i <= j
-    degree: int = 3
-    bound: float = 1.0
+    monomials: list = field(default_factory=list)
+    C: Optional[np.ndarray] = None
     label: str = ""
     _schouten: Optional[TensorField] = field(default=None, init=False,
                                              repr=False, compare=False)
-    _table: Optional[tuple] = field(default=None, init=False, repr=False,
-                                    compare=False)
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("projective structure needs n >= 2")
-        for (k, i, j), p in list(self.gamma.items()):
-            if i > j:
-                raise ValueError("store coefficients with i <= j")
+        if self.C is None:
+            self.C = np.zeros((self.n,) * 3 + (len(self.monomials),))
+        if not np.array_equal(self.C, self.C.swapaxes(1, 2)):
+            raise ValueError("Gamma^k_ij must be symmetric in i, j")
 
     @property
     def chart(self) -> Chart:
         return Chart(names=tuple(f"x{i+1}" for i in range(self.n)),
                      box=((-0.9, 0.9),) * self.n)
 
-    def gamma_poly(self, k: int, i: int, j: int) -> Poly:
-        if i > j:
-            i, j = j, i
-        return self.gamma.get((k, i, j), Poly())
-
     def gamma_at(self, coords) -> np.ndarray:
-        """Gamma^k_ij evaluated on jet (or float) coordinates, stacked: a
-        tensor C[k, i, j, m] (see _poly_table), built on the first call,
-        contracted with one monomial table (see _evaluate)."""
-        if self._table is None:
-            both = {(k, j, i): p for (k, i, j), p in self.gamma.items()}
-            self._table = _poly_table({**self.gamma, **both}, (self.n,) * 3)
-        return _evaluate(*self._table, coords)
+        """Gamma^k_ij evaluated on jet (or float) coordinates, stacked: the
+        table contracted with one monomial table (see _evaluate)."""
+        return _evaluate(self.monomials, self.C, coords, self.C.ndim - 4)
 
     def connection(self) -> TensorField:
         return TensorField(chart=self.chart, valence=(1, 2), func=self.gamma_at,
@@ -170,53 +163,53 @@ class ProjectiveStructure:
 _QUANTUM = 2.0 ** -26  # dyadic grid: small-integer poly combinations stay exact
 
 
-def _random_poly(rng, monomials, bound: float) -> Poly:
-    """One coefficient per monomial, uniform in [-bound, bound] from one
-    draw and quantized to the dyadic grid; zeros are left out."""
-    x = rng.uniform(-bound, bound, len(monomials))
-    p = Poly()
-    for m, c in zip(monomials, (np.round(x / _QUANTUM) * _QUANTUM).tolist()):
-        if c != 0.0:
-            p[m] = c
-    return p
+def _random_table(seed: int, rows: tuple, n: int, degree: int,
+                  bound: float) -> tuple:
+    """The table (monomials, D[*rows, m]) on every monomial of degree <=
+    degree in n variables: for each row, one coefficient per monomial in
+    the algebra's order from one draw uniform in [-bound, bound],
+    quantized to the dyadic grid, zeros as 0.0."""
+    monomials = jets.algebra(n, degree).monomials
+    x = np.random.default_rng(int(seed)).uniform(-bound, bound,
+                                                 rows + (len(monomials),))
+    order = sorted(range(len(monomials)), key=monomials.__getitem__)
+    return ([monomials[c] for c in order],
+            (np.round(x / _QUANTUM) * _QUANTUM)[..., order] + 0.0)
 
 
 def random_projective_structure(n: int, degree: int, bound: float,
                                 seed: int) -> ProjectiveStructure:
     """Polynomial Gamma^k_ij with coefficients uniform in [-bound, bound],
-    quantized so projective changes are exact in double precision."""
+    quantized so projective changes are exact in double precision: one
+    row per k and pair i <= j, in that order, mirrored to j < i."""
     if degree > 3 or bound > 1.0:
         raise ValueError("random structures limited to degree <= 3, bound <= 1")
-    rng = np.random.default_rng(int(seed))
-    monomials = jets.algebra(n, degree).monomials
-    gamma = {(k, i, j): _random_poly(rng, monomials, bound)
-             for k in range(n) for i in range(n) for j in range(i, n)}
-    return ProjectiveStructure(n=n, gamma=gamma, degree=degree, bound=bound,
+    i, j = np.triu_indices(n)
+    monomials, D = _random_table(seed, (n, len(i)), n, degree, bound)
+    C = np.zeros((n, n, n, len(monomials)))
+    C[:, i, j] = C[:, j, i] = D
+    return ProjectiveStructure(n, *_table(monomials, C),
                                label=f"random(n={n},deg={degree},seed={seed})")
 
 
-def random_upsilon(n: int, degree: int, bound: float, seed: int) -> list:
-    """Random polynomial one-form components for projective changes."""
-    rng = np.random.default_rng(int(seed))
-    monomials = jets.algebra(n, degree).monomials
-    return [_random_poly(rng, monomials, bound) for _ in range(n)]
+def random_upsilon(n: int, degree: int, bound: float, seed: int) -> tuple:
+    """Random polynomial one-form components for projective changes: the
+    table (monomials, U[a, m]) of Upsilon_a on every monomial of degree <=
+    degree, so that the tables of one n and degree stack."""
+    return _random_table(seed, (n,), n, degree, bound)
 
 
 def projective_change_structure(ps: ProjectiveStructure,
-                                ups: list) -> ProjectiveStructure:
-    """Exact polynomial projective change Gamma + delta Y + delta Y."""
-    gamma = {}
-    for k in range(ps.n):
-        for i in range(ps.n):
-            for j in range(i, ps.n):
-                p = ps.gamma_poly(k, i, j)
-                if k == i:
-                    p = p.plus(ups[j])
-                if k == j:
-                    p = p.plus(ups[i])
-                gamma[(k, i, j)] = p
-    return ProjectiveStructure(n=ps.n, gamma=gamma, degree=ps.degree,
-                               bound=ps.bound, label=ps.label + "+ups")
+                                ups: tuple) -> ProjectiveStructure:
+    """Exact polynomial projective change Gamma + delta Y + delta Y, the
+    one-form ups a table (monomials, U[a, m]), or U[a, b, m] for a batch
+    of B changes of ps."""
+    (mono, U), n = ups, ps.n
+    union = sorted(set(ps.monomials) | set(mono))
+    G = _on(ps.monomials, ps.C, union)[(..., *(None,) * (U.ndim - 2), slice(None))]
+    d = np.multiply.outer(np.eye(n), _on(mono, U, union))  # delta^k_i Y_j
+    return ProjectiveStructure(n, *_table(union, G + d + d.swapaxes(1, 2)),
+                               label=ps.label + "+ups")
 
 
 # -- base metrics for cones and warped products -------------------------------

@@ -142,7 +142,7 @@ def shift_ladder(C: np.ndarray, spec: CompactificationSpec,
     to_zero = np.zeros((C.shape[-2], spec.chart.dim))
     to_zero[:, 0] = -np.tile(spec.ladder, C.shape[-2] // R)
     rows = jets.algebra(spec.chart.dim, order, 0).eval_shift(C, to_zero)
-    return np.moveaxis(rows, -1, 0).reshape((-1, R) + rows.shape[:-1])
+    return rows.transpose(-1, *range(rows.ndim - 1)).reshape((-1, R) + rows.shape[:-1])
 
 
 def extrapolate_ladder(component_fn: Callable, spec: CompactificationSpec,

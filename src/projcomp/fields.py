@@ -158,15 +158,13 @@ class MetricField(TensorField):
 def _batch_first(A: np.ndarray, rank: int) -> np.ndarray:
     """Float components A of a rank-`rank` tensor, with the batch axis, if
     A has one, moved to the front."""
-    return np.moveaxis(A, -1, 0) if A.ndim > rank else A
+    return A.transpose(-1, *range(A.ndim - 1)) if A.ndim > rank else A
 
 
 def _key(arg):
-    """A hashable key of a memoized argument: a Jet by its number of
-    variables and its value (see _memo), an array by its shape and bytes,
-    a list or tuple by its items' keys, anything else as itself."""
-    if isinstance(arg, Jet):
-        return arg.num_vars, _key(arg.c[..., 0])
+    """A hashable key of a memoized argument other than coordinate jets
+    (see _memo): an array by its shape and bytes, a list or tuple by its
+    items' keys, anything else as itself."""
     if isinstance(arg, np.ndarray):
         return arg.shape, arg.tobytes()
     if isinstance(arg, (list, tuple)):
@@ -186,19 +184,26 @@ def _restriction(held, alg):
 
 def _memo(fn: Callable) -> Callable:
     """fn(*args), keeping every result for the life of the returned
-    closure, under the base points of the coordinate jets args[0] (see
-    _key) with their coefficients.  A call whose jets are, by value, the
-    restriction of a kept call's gets that result, gathered on a lower
-    algebra: every kernel sums a lower algebra's coefficients as a higher
-    one does, but contract sums order 0 in another order, so order 0 is
-    evaluated.  Results are made read-only for the next caller."""
+    closure, under the base point of the coordinate jets args[0] (their
+    number of variables and the bytes of the values of their one
+    coefficient stack; other arguments by _key) with their coefficients.
+    A call whose jets are, by value, the restriction of a kept call's gets
+    that result, gathered on a lower algebra: every kernel sums a lower
+    algebra's coefficients as a higher one does, but contract sums order 0
+    in another order, so order 0 is evaluated.  Results are made read-only
+    for the next caller."""
     seen = {}
 
     def memo(*args):
         first = args[0][0] if isinstance(args[0], (list, tuple)) else None
         alg = getattr(first, "alg", None)
-        coeffs = np.stack([x.c for x in args[0]]) if alg else np.zeros(0)
-        held = seen.setdefault(_key(args), [])
+        if alg:
+            coeffs = np.array([x.c for x in args[0]])
+            values = coeffs[..., 0]
+            key = first.num_vars, values.shape, values.tobytes(), _key(args[1:])
+        else:
+            coeffs, key = np.zeros(0), _key(args)
+        held = seen.setdefault(key, [])
         for up, kept, out in held:
             take = (slice(None) if up is alg else
                     _restriction(up, alg) if alg.order else None)
@@ -277,7 +282,7 @@ def _inverse(alg, A: np.ndarray) -> np.ndarray:
             raise SingularMetricError("singular matrix in jet inversion")
         inv = np.linalg.inv(A0)
     lift = np.zeros_like(A)
-    lift[..., 0] = np.moveaxis(inv, 0, -1) if inv.ndim > 2 else inv
+    lift[..., 0] = inv.transpose(*range(1, inv.ndim), 0) if inv.ndim > 2 else inv
     if alg.order == 0:
         return lift
     M = -np.einsum("ij...,jk...s->ik...s", lift[..., 0], A)

@@ -555,7 +555,7 @@ def stack(comps) -> np.ndarray:
     arr = np.asarray(comps, dtype=object)
     items = arr.ravel()
     if isinstance(items[0], Jet):
-        return np.stack([x.c for x in items]).reshape(arr.shape + items[0].c.shape)
+        return np.array([x.c for x in items]).reshape(arr.shape + items[0].c.shape)
     return arr.astype(float)
 
 
@@ -582,10 +582,10 @@ def seed_point(point, order: int, transverse: int | None = None) -> list[Jet]:
 
 
 def base_point(coords) -> np.ndarray:
-    """The basepoint of coordinate jets, (dim,) or (B, dim)."""
-    values = [c.value for c in coords]
-    return (np.array(values) if isinstance(values[0], float)
-            else np.stack(values, axis=-1))
+    """The basepoint of coordinate jets, (dim,) or (B, dim): their values
+    copied in one array, the coordinate axis moved last by a transpose."""
+    values = np.array([x.c[..., 0] for x in coords])
+    return values.transpose(*range(1, values.ndim), 0)
 
 
 def reseed(coords, order: int, transverse: int | None = None) -> list[Jet]:
@@ -638,7 +638,7 @@ def compose_stacked(F: np.ndarray, inner: list[Jet]) -> np.ndarray:
 def _seed_axes(alg: JetAlgebra, inner: list[Jet]):
     """The increasing axes of inner jets that are coordinate seeds (1.0 in
     a degree-1 slot, zeros past the constant), else None."""
-    dg = np.stack([g.c for g in inner]).reshape(len(inner), -1, alg.size)[..., 1:]
+    dg = np.array([g.c for g in inner]).reshape(len(inner), -1, alg.size)[..., 1:]
     hot = (dg[:, 0].argmax(axis=-1) + 1).tolist() if dg.shape[1] else [0]
     axes = [alg.monomials[h].index(1) if alg.degree[h] == 1 else -1 for h in hot]
     seeds = np.eye(alg.size)[hot, None, 1:]

@@ -10,8 +10,12 @@ and path-ODE tests build theirs from connection values and polynomial
 coefficients.  The draw loop uniform_sample calls rng.uniform with the box
 bounds, one call per candidate, as Chart.sample did before it drew its
 candidates in rounds; the sampler must draw bitwise the same points.
-scalar_draw_poly is the one-call-per-coefficient draw of the random
-structures.  The jet loops
+Poly and the dict functions after it are the polynomial structures as
+the catalog first held them: Gamma, Upsilon, a projective change and the
+ODE coefficients as dicts of sparse Polys, drawn one call per
+coefficient (scalar_draw_poly) or per polynomial (component_draw_poly),
+changed by Poly.plus and tabulated by poly_table, catalog._poly_table as
+first written; the catalog's tables must be bitwise theirs.  The jet loops
 at the end are the product-pair table, the Neumann lift and the Horner loop
 as first written, every step at full order as the kernels run them, the
 per-row series loop with the per-point coefficient formulas, the
@@ -20,9 +24,11 @@ contraction in blocks of whole targets, the single-point product, the
 product of broadcast operands, the composition on the full monomial table
 and the Schouten tensor at the full order of its base point; the kernels
 must give bitwise the same coefficients.  svd_checked_inverse is the jet
-inverse whose every batch an SVD judged, and per_change_ode_invariance
-ode-invariance with one fingerprint and one evaluation per change; the
-inverse and the check must decide as they do, bit for bit.
+inverse whose every batch an SVD judged, per_change_ode_invariance
+ode-invariance on Polys with one fingerprint and one evaluation per
+change, and per_structure_boundary_invariance boundary-invariance with
+one structure and one point per change; the inverse and the checks must
+decide as they do, bit for bit.
 variable seeds one coordinate jet, as Jet.variable did before seed_point
 filled all coordinates in one array, and the kernels after it run as they
 did with one numpy call per step: seed_point by variable calls, eval_shift
@@ -44,8 +50,8 @@ and the one-form dT/(2T) as first written; the shared formulas must give
 bitwise the same components.
 The references at the very end are code that only the tests use: exp and
 log of a jet, the constant jet, a jet's raw partial derivative, a Poly's
-value through catalog._evaluate on a one-row table,
-the one-form of polynomial components, the cone's chart map to the T
+value through catalog._evaluate on a one-row table, a one-form table's
+values and gradient at a point, the one-form of a table, the cone's chart map to the T
 chart, the smallest |det g| over points, the projective Weyl tensor, the
 covariant derivative, fields.riemann as first written (its derivative
 read from the order-1 coefficients, which the derivative through
@@ -62,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from projcomp import catalog, fields, jets, proj2d
+from projcomp import catalog, cli, fields, jets, paracx
 
 # 4th-order central difference stencils
 _D1_OFFSETS = np.array([-2, -1, 1, 2])
@@ -278,16 +284,119 @@ def uniform_sample(chart, rng, count=1):
     return np.array(out)
 
 
+class Poly(dict):
+    """Sparse polynomial: multi-index tuple -> coefficient, as the catalog
+    first held Gamma, the one-forms of projective changes and the ODE
+    coefficients."""
+
+    def plus(self, other):
+        out = Poly(self)
+        for m, c in other.items():
+            out[m] = out.get(m, 0.0) + c
+        return Poly({m: c for m, c in out.items() if c != 0.0})
+
+    def scaled(self, s):
+        return Poly({m: c * s for m, c in self.items()})
+
+    def canonical(self, tol=0.0):
+        return tuple(sorted((m, c) for m, c in self.items() if abs(c) > tol))
+
+
+def poly_table(polys, shape):
+    """catalog._poly_table as first written: (monomials, C), the sorted
+    union of the monomials of polys (index -> Poly), and C[index + (m,)]
+    the coefficient of each polynomial on column m, zero where it has no
+    such monomial."""
+    monomials = sorted(set().union(*polys.values()))
+    col = {m: c for c, m in enumerate(monomials)}
+    C = np.zeros(shape + (len(monomials),))
+    for index, p in polys.items():
+        for m, c in p.items():
+            C[index + (col[m],)] = c
+    return monomials, C
+
+
 def scalar_draw_poly(rng, monomials, bound):
-    """catalog._random_poly as first written: one rng.uniform call per
+    """The random polynomial as first drawn: one rng.uniform call per
     monomial, each quantized by Python's round; zeros are left out."""
-    from projcomp.catalog import _QUANTUM, Poly
-    p = Poly()
+    p, q = Poly(), catalog._QUANTUM
     for m in monomials:
-        c = round(float(rng.uniform(-bound, bound)) / _QUANTUM) * _QUANTUM
+        c = round(float(rng.uniform(-bound, bound)) / q) * q
         if c != 0.0:
             p[m] = c
     return p
+
+
+def component_draw_poly(rng, monomials, bound):
+    """catalog._random_poly: one rng.uniform call per polynomial, quantized
+    to the dyadic grid; zeros are left out."""
+    x = rng.uniform(-bound, bound, len(monomials))
+    p = Poly()
+    for m, c in zip(monomials, (np.round(x / catalog._QUANTUM)
+                                * catalog._QUANTUM).tolist()):
+        if c != 0.0:
+            p[m] = c
+    return p
+
+
+def dict_structure(n, degree, bound, seed, draw=component_draw_poly):
+    """random_projective_structure's Gamma as a dict (k, i, j) -> Poly,
+    i <= j, one draw per coefficient polynomial."""
+    rng = np.random.default_rng(int(seed))
+    monomials = jets.algebra(n, degree).monomials
+    return {(k, i, j): draw(rng, monomials, bound)
+            for k in range(n) for i in range(n) for j in range(i, n)}
+
+
+def dict_upsilon(n, degree, bound, seed, draw=component_draw_poly):
+    """random_upsilon's components as a list of Polys."""
+    rng = np.random.default_rng(int(seed))
+    monomials = jets.algebra(n, degree).monomials
+    return [draw(rng, monomials, bound) for _ in range(n)]
+
+
+def dict_change(gamma, ups):
+    """projective_change_structure as first written: Gamma + delta Y +
+    delta Y by Poly.plus, coefficient by coefficient."""
+    n = len(ups)
+    out = {}
+    for k in range(n):
+        for i in range(n):
+            for j in range(i, n):
+                p = gamma.get((k, i, j), Poly())
+                if k == i:
+                    p = p.plus(ups[j])
+                if k == j:
+                    p = p.plus(ups[i])
+                out[(k, i, j)] = p
+    return out
+
+
+def dict_ode(gamma):
+    """ode_from_projective as first written: A0..A3 as Polys."""
+    def g(k, i, j):
+        return gamma.get((k, i, j), Poly())
+    return (g(1, 0, 0).scaled(-1.0),
+            g(0, 0, 0).plus(g(1, 0, 1).scaled(-2.0)),
+            g(0, 0, 1).scaled(2.0).plus(g(1, 1, 1).scaled(-1.0)),
+            g(0, 1, 1))
+
+
+def gamma_table(gamma, n):
+    """The table gamma_at first built from a Gamma dict: every (k, i, j)
+    mirrored to (k, j, i), by poly_table."""
+    both = {(k, j, i): p for (k, i, j), p in gamma.items()}
+    return poly_table({**gamma, **both}, (n,) * 3)
+
+
+def dict_projective_structure(gamma, n, label=""):
+    """The catalog structure of a Gamma dict."""
+    return catalog.ProjectiveStructure(n, *gamma_table(gamma, n), label=label)
+
+
+def row_table(polys):
+    """poly_table of a list of Polys, one row each."""
+    return poly_table({(r,): p for r, p in enumerate(polys)}, (len(polys),))
 
 
 def pair_tables(num_vars, order):
@@ -337,29 +446,52 @@ def svd_checked_inverse(alg, A):
     return full_order_inverse(alg, A)
 
 
-def ode_changes(ps, seed):
-    """The 20 path geometries of ode-invariance: ps changed by
-    random_upsilon(2, 2, 0.4, seed * 1000 + k) for change k."""
-    return [proj2d.ode_from_projective(catalog.projective_change_structure(
-        ps, catalog.random_upsilon(ps.n, 2, 0.4, seed=seed * 1000 + k)))
-        for k in range(20)]
+def ode_changes(gamma, seed):
+    """The A0..A3 Polys of the 20 changes of ode-invariance: the Gamma dict
+    gamma changed by the dict of random_upsilon(2, 2, 0.4, seed * 1000 + k)
+    for change k."""
+    return [dict_ode(dict_change(gamma, dict_upsilon(2, 2, 0.4, seed * 1000 + k)))
+            for k in range(20)]
 
 
 def per_change_ode_invariance(pg, changed, pts, tol):
-    """ode-invariance as first written, one change at a time: pg's
-    fingerprint recomputed for each change k and its A0..A3 evaluated at
-    points 3k..3k+2 by one .values call.  Returns the check's record and
-    those values, (4, 20, 3)."""
-    ref = pg.values(pts)
+    """ode-invariance as first written, one change at a time, on A0..A3 as
+    Polys: pg's fingerprint recomputed for each change k and its A0..A3
+    evaluated at points 3k..3k+2 by one catalog._evaluate of their table.
+    Returns the check's record and those values, (4, 20, 3)."""
+    def canonical(polys):
+        return tuple(p.canonical(tol=1e-14) for p in polys)
+
+    ref = catalog._evaluate(*row_table(pg), pts)
     worst, exact, values = 0.0, True, []
     for k, pg2 in enumerate(changed):
-        if pg.canonical() != pg2.canonical():
+        if canonical(pg) != canonical(pg2):
             exact = False
         rows = slice(3 * k, 3 * k + 3)
-        values.append(pg2.values(pts[rows]))
+        values.append(catalog._evaluate(*row_table(pg2), pts[rows]))
         worst = max(worst, float(np.max(np.abs(ref[:, rows] - values[-1]))))
     status = "pass" if exact and worst < tol else "fail"
     return (status, worst, 20, {"coefficient_exact": exact}), np.stack(values, 1)
+
+
+def per_structure_boundary_invariance(ps, seed, scenario_id, tol):
+    """boundary-invariance as first written: h_D of each of the 10 changes
+    of ps built and evaluated on its own, at its own boundary point.
+    Returns the check's record and those values, (10, 2n, 2n)."""
+    n = ps.n
+    _, hd, _ = paracx.boundary_data(ps)
+    pts = cli.sample_points(catalog.dm_boundary_chart(n), seed, scenario_id,
+                            200, 10)
+    pts[:, 0] = 0.0
+    ref = hd.values(pts)
+    worst, values = 0.0, []
+    for k in range(10):
+        ups = catalog.random_upsilon(n, 2, 0.4, seed=seed * 500 + k)
+        _, hd2, _ = paracx.boundary_data(
+            catalog.projective_change_structure(ps, ups))
+        values.append(hd2.values(pts[k]))
+        worst = max(worst, float(np.max(np.abs(ref[k] - values[-1]))))
+    return (cli._status(worst, tol), worst, 10, {}), np.array(values)
 
 
 def full_order_series(u, coeffs):
@@ -825,17 +957,25 @@ def partial(x, multi_index):
 def poly_at(p, coords):
     """The value of the Poly p at jet (or float) coordinates, a Jet (or a
     float): catalog._evaluate on a one-row table."""
-    value = catalog._evaluate(*catalog._poly_table({(0,): p}, (1,)), coords)[0]
+    value = catalog._evaluate(*row_table([p]), coords)[0]
     return (jets.Jet(coords[0].alg, value) if isinstance(coords[0], jets.Jet)
             else value)
 
 
+def upsilon_jets(ups, x):
+    """(U, dU): Upsilon_j and dU[i, j] = d_i Upsilon_j at the float point
+    x, for the table ups, read off Upsilon's order-1 jets."""
+    xs = jets.seed_point(x, 1)
+    U = catalog._evaluate(*ups, xs)
+    return U[:, 0], np.array([[jets.Jet(xs[0].alg, U[j]).deriv(i).value
+                               for j in range(len(x))] for i in range(len(x))])
+
+
 def upsilon_field(chart, ups):
-    """The one-form of the polynomial components ups (Polys) on chart."""
-    table = catalog._poly_table({(a,): p for a, p in enumerate(ups)},
-                                (len(ups),))
+    """The one-form of the polynomial components ups, a table (monomials,
+    U[a, m]) as random_upsilon returns, on chart."""
     return fields.TensorField(chart=chart, valence=(0, 1), name="ups",
-                              func=lambda coords: catalog._evaluate(*table, coords))
+                              func=lambda coords: catalog._evaluate(*ups, coords))
 
 
 def cone_chart_map(gamma, rbox=(0.6, 2.5), tbox=(0.05, 0.6)):

@@ -5,10 +5,9 @@ import pytest
 
 import oracles
 import projcomp.jets as jets
-from projcomp import fields
-from projcomp.catalog import (EHParams, Poly, ProjectiveStructure, WarpedPair,
-                              _evaluate, _poly_table,
-                              compactified_cone, compactified_flat, cone,
+from projcomp import catalog, cli, fields
+from projcomp.catalog import (EHParams, ProjectiveStructure, WarpedPair,
+                              _evaluate, compactified_cone, compactified_flat, cone,
                               cone_in_t, dm_metric,
                               eguchi_hanson,
                               eh_compactified, flat_chart_metric,
@@ -22,6 +21,7 @@ from projcomp.fields import (MetricField, einstein_residual,
                              exterior_derivative, levi_civita,
                              projective_change, ricci, riemann)
 from projcomp.paracx import pullback_field
+from projcomp.proj2d import ode_from_projective
 
 
 def test_unit_sphere_ricci_scalar_normalization():
@@ -287,7 +287,7 @@ def test_eguchi_hanson_pulled_back_to_t_is_eh_compactified(a):
 
 
 def test_dm_flat_model_components():
-    ps = ProjectiveStructure(n=2, gamma={}, label="flat")
+    ps = ProjectiveStructure(n=2, label="flat")
     g, om = dm_metric(ps)
     p = np.array([0.3, -0.2, 0.7, 0.4])
     xi = p[2:]
@@ -345,24 +345,28 @@ def test_random_structure_determinism_and_distinctness():
     a = random_projective_structure(2, 2, 0.5, seed=5)
     b = random_projective_structure(2, 2, 0.5, seed=5)
     c = random_projective_structure(2, 2, 0.5, seed=6)
-    key = (0, 0, 0)
-    assert a.gamma[key] == b.gamma[key]
-    assert a.gamma[key] != c.gamma[key]
+    assert a.monomials == b.monomials and np.array_equal(a.C, b.C)
+    assert not np.array_equal(a.C[0, 0, 0], c.C[0, 0, 0])
     flat = random_projective_structure(2, 0, 0.0, seed=1)
-    assert all(not p for p in flat.gamma.values())
+    assert flat.monomials == [] and flat.C.shape == (2, 2, 2, 0)
 
 
-def _scalar_draw_gamma(n, degree, bound, seed):
-    """The random structure's Gamma as first drawn, one call per coefficient."""
-    rng = np.random.default_rng(seed)
-    monomials = jets.algebra(n, degree).monomials
-    return {(k, i, j): oracles.scalar_draw_poly(rng, monomials, bound)
-            for k in range(n) for i in range(n) for j in range(i, n)}
+def test_a_structure_is_symmetric_in_its_lower_indices():
+    C = np.zeros((2, 2, 2, 1))
+    C[0, 0, 1] = 1.0
+    with pytest.raises(ValueError):
+        ProjectiveStructure(2, [(0, 0)], C)
+    C[0, 1, 0] = 1.0
+    assert ProjectiveStructure(2, [(0, 0)], C).gamma_at([0.3, 0.2])[0, 1, 0] == 1.0
 
 
-def _items(polys):
-    """Every (key, monomial, coefficient) in order, coefficient types too."""
-    return [(key, m, type(c), c) for key, p in polys for m, c in p.items()]
+def _same_table(got, want):
+    """Two tables (monomials, C) are equal: the monomials, and C bitwise,
+    shape, dtype and the signs of zeros included."""
+    assert got[0] == want[0]
+    assert got[1].shape == want[1].shape and got[1].dtype == want[1].dtype
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(np.signbit(got[1]), np.signbit(want[1]))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -371,14 +375,60 @@ def test_one_call_draws_are_the_scalar_draws(n, degree):
     for seed in (0, 1, 7, 12345):
         for bound in (1.0, 0.4, 2.0 ** -27):
             ps = random_projective_structure(n, degree, bound, seed)
-            want = _scalar_draw_gamma(n, degree, bound, seed)
-            assert _items(ps.gamma.items()) == _items(want.items())
-            rng = np.random.default_rng(seed)
-            monomials = jets.algebra(n, degree).monomials
+            want = oracles.dict_structure(n, degree, bound, seed,
+                                          draw=oracles.scalar_draw_poly)
+            _same_table((ps.monomials, ps.C), oracles.gamma_table(want, n))
             ups = random_upsilon(n, degree, bound, seed)
-            want = [oracles.scalar_draw_poly(rng, monomials, bound)
-                    for _ in range(n)]
-            assert _items(enumerate(ups)) == _items(enumerate(want))
+            want = oracles.dict_upsilon(n, degree, bound, seed,
+                                        draw=oracles.scalar_draw_poly)
+            _same_table(catalog._table(*ups), oracles.row_table(want))
+            # every monomial keeps its column, zero where no term is drawn
+            assert ups[0] == sorted(jets.algebra(n, degree).monomials)
+            dense = np.array([[p.get(m, 0.0) for m in ups[0]] for p in want])
+            _same_table(ups, (ups[0], dense.reshape(ups[1].shape)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_tables_are_the_dict_construction(n, degree):
+    # Gamma, Upsilon, the changed Gamma and (n = 2) the ODE coefficients,
+    # each as the Poly dicts first held them, through catalog._poly_table
+    for seed in (0, 5, 12345):
+        gamma = oracles.dict_structure(n, degree, 0.4, seed)
+        ps = random_projective_structure(n, degree, 0.4, seed)
+        _same_table((ps.monomials, ps.C), oracles.gamma_table(gamma, n))
+        for k in range(3):
+            ups = random_upsilon(n, 2, 0.4, seed * 7 + k)
+            dict_ups = oracles.dict_upsilon(n, 2, 0.4, seed * 7 + k)
+            _same_table(catalog._table(*ups), oracles.row_table(dict_ups))
+            changed = projective_change_structure(ps, ups)
+            dict_changed = oracles.dict_change(gamma, dict_ups)
+            _same_table((changed.monomials, changed.C),
+                        oracles.gamma_table(dict_changed, n))
+            if n == 2:
+                for pg, want in ((ode_from_projective(ps), gamma),
+                                 (ode_from_projective(changed), dict_changed)):
+                    _same_table((pg.monomials, pg.A),
+                                oracles.row_table(oracles.dict_ode(want)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_batch_of_changes_is_the_changes_one_by_one(n):
+    # row b of a batch of changes, and of its ODE, is change b on the
+    # union of the rows' monomials
+    ps = random_projective_structure(n, 3, 0.4, seed=n)
+    batch = projective_change_structure(ps, cli._upsilons(n, range(40, 45)))
+    assert batch.C.shape[:-1] == (n, n, n, 5)
+    for b in range(5):
+        single = projective_change_structure(
+            ps, random_upsilon(n, 2, 0.4, seed=40 + b))
+        row = catalog._on(single.monomials, single.C, batch.monomials)
+        _same_table((batch.monomials, batch.C[..., b, :]),
+                    (batch.monomials, row))
+        if n == 2:
+            pg, pgb = ode_from_projective(single), ode_from_projective(batch)
+            row = catalog._on(pg.monomials, pg.A, pgb.monomials)
+            _same_table((pgb.monomials, pgb.A[:, b]), (pgb.monomials, row))
 
 
 def test_random_structure_bounds():
@@ -442,16 +492,24 @@ def _coordinate_kinds(n, seed):
     return composed, jets.seed_point(x, 3), [float(v) for v in x]
 
 
+def _gamma_poly(gamma, k, i, j):
+    """Gamma^k_ij of a dict of Polys stored with i <= j."""
+    return gamma.get((k, min(i, j), max(i, j)), oracles.Poly())
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
 def test_gamma_at_matches_per_poly_loop(n, degree):
     ps = random_projective_structure(n, degree, 1.0, seed=10 * n + degree)
+    gamma = oracles.dict_structure(n, degree, 1.0, seed=10 * n + degree)
     for coords in _coordinate_kinds(n, degree):
         got = ps.gamma_at(coords)
         for k, i, j in np.ndindex(n, n, n):
-            _assert_same(got[k, i, j], _poly_loop(ps.gamma_poly(k, i, j), coords))
+            _assert_same(got[k, i, j], _poly_loop(_gamma_poly(gamma, k, i, j),
+                                                  coords))
 
 
+Poly = oracles.Poly
 SPARSE = {
     "missing-prefixes": Poly({(0, 3): 0.7, (2, 1): -0.3, (3, 0): 2.0 ** -5}),
     "three-vars": Poly({(1, 0, 2): 0.5, (0, 2, 1): -1.25, (0, 0, 1): 3.0}),
@@ -463,16 +521,18 @@ SPARSE = {
 
 @pytest.mark.parametrize("p", SPARSE.values(), ids=SPARSE)
 def test_sparse_poly_matches_per_monomial_loop(p):
-    table = _poly_table({(0,): p}, (1,))  # one polynomial, one row
+    table = oracles.row_table([p])  # one polynomial, one row
     for coords in _coordinate_kinds(3, 7):
         _assert_same(_evaluate(*table, coords)[0], _poly_loop(p, coords))
 
 
 def test_sparse_structure_matches_per_poly_loop():
     # some (k, i, j) absent, the others with gaps in their monomials
-    ps = ProjectiveStructure(n=2, gamma={(0, 0, 1): SPARSE["missing-prefixes"],
-                                         (1, 1, 1): SPARSE["constant-only"]})
+    gamma = {(0, 0, 1): SPARSE["missing-prefixes"],
+             (1, 1, 1): SPARSE["constant-only"]}
+    ps = oracles.dict_projective_structure(gamma, 2)
     for coords in _coordinate_kinds(2, 8):
         got = ps.gamma_at(coords)
         for k, i, j in np.ndindex(2, 2, 2):
-            _assert_same(got[k, i, j], _poly_loop(ps.gamma_poly(k, i, j), coords))
+            _assert_same(got[k, i, j], _poly_loop(_gamma_poly(gamma, k, i, j),
+                                                  coords))

@@ -387,7 +387,7 @@ def test_dm_interior_checks_evaluate_g_and_omega_once_per_algebra_and_points(
         for field in pair:
             def evaluate(coords, func=field.func, name=field.name):
                 evaluated.append((name, coords[0].alg, coords[0].c.shape[:-1],
-                                  fields._key(coords)))
+                                  jets.base_point(coords).tobytes()))
                 return func(coords)
             field.func = evaluate
         return pair

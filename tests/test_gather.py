@@ -191,3 +191,34 @@ def test_eh_asymptotic_form_gathers_the_extension_ladder(monkeypatch):
     for rec in (shared, alone):
         rec.pop("wall_time", None)
     assert shared == alone and shared["status"] == "pass"
+
+
+def test_a_call_is_kept_by_its_number_of_variables_and_base_point():
+    # the key of a list of coordinate jets is their number of variables and
+    # the bytes of their stacked values: jets of another object at the same
+    # point hit, jets at another point, in another number of variables or
+    # in another shape of the same bytes miss
+    calls = []
+
+    def f(coords):
+        calls.append(len(coords))
+        return jets.stack(coords)
+
+    memo = fields._memo(f)
+    p = _points(dm_boundary_chart(2), 6)
+    first = memo(jets.seed_point(p, 1))
+    assert memo(jets.seed_point(p.copy(), 1)) is first and len(calls) == 1
+    q = p.copy()
+    q[2, 1] = np.nextafter(q[2, 1], 1.0)
+    memo(jets.seed_point(q, 1))
+    assert len(calls) == 2
+    wide = jets.algebra(5, 1)
+    memo([jets.Jet(wide, np.concatenate([x.c, np.zeros((6, 1))], axis=-1))
+          for x in jets.seed_point(p, 1)])
+    assert len(calls) == 3
+    alg = jets.algebra(4, 0)
+    held = memo([jets.Jet(alg, x[:, None]) for x in p.T])  # values (4, 6)
+    memo([jets.Jet(alg, x[:, None]) for x in p.T.reshape(6, 4)])  # (6, 4)
+    assert calls[3:] == [4, 6]
+    assert memo([jets.Jet(alg, x[:, None]) for x in p.T.copy()]) is held
+    assert calls[3:] == [4, 6]

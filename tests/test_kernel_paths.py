@@ -352,3 +352,44 @@ def test_grad_is_the_stacked_grad(case, special):
         got = fields._grad(alg, A)
         assert _bitwise(got, oracles.stacked_grad(alg, A))
         assert got.flags.c_contiguous
+
+
+# -- plumbing: copies and views in one numpy call ---------------------------------
+
+
+@pytest.mark.parametrize("special", [False, True])
+@pytest.mark.parametrize("batch", [(), (ROWS,)], ids=["point", "rows"])
+def test_stack_and_base_point_are_the_np_stack_forms(batch, special):
+    # one np.array copy of the jets' coefficients (and a transpose of their
+    # values) is bitwise np.stack's, nested lists and one point included
+    alg = jets.algebra(3, 2)
+    coords = [jets.Jet(alg, _values(batch + (alg.size,), k, special))
+              for k in range(6)]
+    nested = [coords[:3], coords[3:]]
+    want = np.stack([x.c for x in coords]).reshape((2, 3) + coords[0].c.shape)
+    assert _bitwise(jets.stack(nested), want)
+    values = [x.value for x in coords]
+    want = np.array(values) if not batch else np.stack(values, axis=-1)
+    assert _bitwise(jets.base_point(coords), want)
+
+
+@pytest.mark.parametrize("special", [False, True])
+def test_batch_first_is_the_moveaxis(special):
+    for rank, shape in ((2, (3, 3)), (2, (3, 3, ROWS)), (3, (2, 3, 4, ROWS))):
+        A = _values(shape, rank, special)
+        want = np.moveaxis(A, -1, 0) if A.ndim > rank else A
+        assert _bitwise(fields._batch_first(A, rank), want)
+
+
+@pytest.mark.parametrize("special", [False, True])
+@pytest.mark.parametrize("case", [(3, 1, None), (3, 2, 0), (2, 3, None)], ids=_ids)
+def test_inverse_is_the_moveaxis_inverse(case, special):
+    # the value matrices finite and invertible, the higher coefficients
+    # with +-0.0, +-inf and NaN: oracles.full_order_inverse moves the batch
+    # axis by np.moveaxis
+    alg = jets.algebra(*case)
+    for k, batch in enumerate([(), (ROWS,)]):
+        A = _values((3, 3) + batch + (alg.size,), k, special)
+        A[..., 0] = _values((3, 3) + batch, 10 + k) + 4.0 * np.eye(3).reshape(
+            (3, 3) + (1,) * len(batch))
+        assert _bitwise(fields._inverse(alg, A), oracles.full_order_inverse(alg, A))

@@ -27,7 +27,7 @@ from projcomp.paracx import (LEVI_BRIDGE, ParaCompatibilityError,
 
 
 def flat_ps(n=2):
-    return ProjectiveStructure(n=n, gamma={}, label="flat")
+    return ProjectiveStructure(n=n, label="flat")
 
 
 def model_t(coords):
@@ -459,6 +459,7 @@ def test_boundary_theta_matrix_n2_cubic():
     # Theta_11 = G^2_11 + (G^1_11 - 2 G^2_12) Z + (G^2_22 - 2 G^1_12) Z^2
     #            + G^1_22 Z^3
     ps = random_projective_structure(2, 2, 0.5, seed=16)
+    gamma = oracles.dict_structure(2, 2, 0.5, seed=16)
     _, _, theta_mat = boundary_data(ps)
     rng = np.random.default_rng(11)
     for _ in range(5):
@@ -466,7 +467,7 @@ def test_boundary_theta_matrix_n2_cubic():
         X, Y = rng.uniform(-0.6, 0.6, 2)
         xs = [X, Y]
         def gp(k, i, j):
-            return oracles.poly_at(ps.gamma_poly(k, i, j), xs)
+            return oracles.poly_at(gamma[(k, i, j)], xs)
         want = (gp(1, 0, 0) + (gp(0, 0, 0) - 2 * gp(1, 0, 1)) * Z
                 + (gp(1, 1, 1) - 2 * gp(0, 0, 1)) * Z ** 2
                 + gp(0, 1, 1) * Z ** 3)
@@ -497,6 +498,29 @@ def test_boundary_data_projective_invariance():
 
 
 # -- Levi compatibility and contact nondegeneracy ------------------------------------------
+
+
+@pytest.mark.parametrize("n,degree", [(2, 1), (2, 3), (3, 2)])
+@pytest.mark.parametrize("seed", [0, 3, 7, 50])
+def test_boundary_invariance_is_the_per_structure_loop(n, degree, seed):
+    # the 10 changes as one batch, evaluated in one call at their 10
+    # points, give bitwise h_D of each change on its own at its own point,
+    # and the check's record is the per-structure loop's
+    sc = {"id": "b", "catalog": "dm-random",
+          "params": {"n": n, "degree": degree, "seed": seed}, "seed": seed}
+    s = cli.REGISTRY["dm-random"](sc)
+    record, values = oracles.per_structure_boundary_invariance(s.ps, seed, "b",
+                                                               1e-9)
+    batch = projective_change_structure(
+        s.ps, cli._upsilons(n, [seed * 500 + k for k in range(10)]))
+    pts = cli.sample_points(dm_boundary_chart(n), seed, "b", 200, 10)
+    pts[:, 0] = 0.0
+    got = boundary_data(batch)[1].values(pts)
+    assert got.shape == values.shape
+    assert np.array_equal(got, values)
+    assert np.array_equal(np.signbit(got), np.signbit(values))
+    assert s.checks["boundary-invariance"](s, 1e-9) == record
+    assert record[0] == "pass"
 
 
 def _boundary(ps):

@@ -5,50 +5,57 @@ import numpy as np
 import pytest
 
 from projcomp import catalog, cli, jets
-from projcomp.catalog import (Poly, ProjectiveStructure, dm_metric,
+from projcomp.catalog import (ProjectiveStructure, dm_metric,
                               projective_change_structure,
                               random_projective_structure, random_upsilon)
 from projcomp.fields import Chart, levi_civita
 from projcomp.paracx import boundary_data
-from projcomp.proj2d import ode_from_projective, stacked_values
+from projcomp.proj2d import ode_from_projective
 
-from oracles import (geodesic_rhs, ode_changes, per_change_ode_invariance,
-                     poly_at, rk4)
+from oracles import (dict_ode, dict_structure, geodesic_rhs, ode_changes,
+                     per_change_ode_invariance, poly_at, rk4)
 
 
 def flat_ps():
-    return ProjectiveStructure(n=2, gamma={}, label="flat")
+    return ProjectiveStructure(n=2, label="flat")
 
 
-def _at(p, x, y):
-    """A Poly's value at (x, y) in plain floats, sum of c x^a y^b."""
-    return sum(c * x ** a * y ** b for (a, b), c in p.items())
+def _at(pg, x, y):
+    """A0..A3 of a geometry's table at (x, y) in plain floats, each the sum
+    of c x^a y^b over its row."""
+    return [sum(c * x ** a * y ** b for (a, b), c in zip(pg.monomials, row))
+            for row in pg.A]
+
+
+def _agree(pg, other):
+    """Whether two geometries have the same exact fingerprint."""
+    (m, a), (m2, b) = pg.canonical(), other.canonical()
+    return m == m2 and np.array_equal(a, b)
 
 
 def ode_rhs(pg):
     """Y'' = A0 + A1 W + A2 W^2 + A3 W^3 on states (X, Y, W = Y')."""
     def rhs(state):
         x, y, w = state
-        a0, a1, a2, a3 = (_at(p, x, y) for p in pg.coefficients())
+        a0, a1, a2, a3 = _at(pg, x, y)
         return np.array([1.0, w, a0 + a1 * w + a2 * (w * w) + a3 * (w * w * w)])
     return rhs
 
 
 def test_flat_structure_gives_trivial_ode():
     pg = ode_from_projective(flat_ps())
-    assert all(not p for p in pg.coefficients())
+    assert pg.monomials == [] and pg.A.shape == (4, 0)
     traj = rk4(ode_rhs(pg), (0.0, 0.2, 0.5), 0.005, 100)
     want = 0.2 + 0.5 * (traj[:, 0] - 0.0)
     assert np.max(np.abs(traj[:, 1] - want)) < 1e-13
 
 
 def test_gamma122_gives_pure_cubic():
-    ps = ProjectiveStructure(n=2, gamma={(0, 1, 1): Poly({(0, 0): 1.0})},
-                             label="cubic")
-    pg = ode_from_projective(ps)
-    a0, a1, a2, a3 = pg.coefficients()
-    assert not a0 and not a1 and not a2
-    assert a3 == Poly({(0, 0): 1.0})
+    C = np.zeros((2, 2, 2, 1))
+    C[0, 1, 1] = 1.0  # Gamma^1_22 = 1
+    pg = ode_from_projective(ProjectiveStructure(2, [(0, 0)], C, label="cubic"))
+    assert pg.monomials == [(0, 0)]
+    assert np.array_equal(pg.A, [[0.0], [0.0], [0.0], [1.0]])
     # closed form: y' = (c - 2x)^(-1/2), c = 1/w0^2
     w0 = 0.5
     c = 1.0 / w0 ** 2
@@ -72,11 +79,10 @@ def test_ode_coefficients_projectively_invariant():
     for k in range(20):
         ups = random_upsilon(2, 2, 0.5, seed=100 + k)
         pgb = ode_from_projective(projective_change_structure(ps, ups))
-        assert pg.canonical() == pgb.canonical()
+        assert _agree(pg, pgb)
         for _ in range(3):
             xp = list(rng.uniform(-0.8, 0.8, 2))
-            for a, b in zip(pg.coefficients(), pgb.coefficients()):
-                assert abs(poly_at(a, xp) - poly_at(b, xp)) < 1e-9
+            assert np.max(np.abs(pg.values(xp) - pgb.values(xp))) < 1e-9
 
 
 @pytest.mark.parametrize("degree,seed", [(0, 0), (1, 1), (2, 2), (3, 3)])
@@ -84,15 +90,16 @@ def test_values_matches_the_four_poly_calls(degree, seed):
     """values stacks A0..A3 over the union of their monomials; a row equals
     its coefficient's own evaluation, on jets and on floats."""
     pg = ode_from_projective(random_projective_structure(2, degree, 0.5, seed))
+    polys = dict_ode(dict_structure(2, degree, 0.5, seed))
     pts = np.random.default_rng(seed).uniform(-0.8, 0.8, (5, 2))
     for order in (0, 2):
         xs = jets.seed_point(pts, order)
         got = pg.values(xs)
-        for row, p in enumerate(pg.coefficients()):
+        for row, p in enumerate(polys):
             assert np.array_equal(got[row], poly_at(p, xs).c)
     got = pg.values(pts)
     one = pg.values(list(pts[3]))
-    for row, p in enumerate(pg.coefficients()):
+    for row, p in enumerate(polys):
         assert np.array_equal(got[row], poly_at(p, pts))
         assert np.array_equal(one[row], poly_at(p, list(pts[3])))
 
@@ -112,7 +119,7 @@ def test_hd_matches_boundary_data_identically():
     for _ in range(10):
         X, Y = rng.uniform(-0.7, 0.7, 2)
         Z = float(rng.uniform(-0.8, 0.8))
-        a0, a1, a2, a3 = (_at(p, X, Y) for p in pg.coefficients())
+        a0, a1, a2, a3 = _at(pg, X, Y)
         cubic = -a0 + a1 * Z - a2 * Z ** 2 + a3 * Z ** 3
         t1, t2 = np.array([-cubic, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
         Hi = np.outer(t1, t2) + np.outer(t2, t1)  # chart (X, Y, Z)
@@ -159,17 +166,27 @@ def test_dm_geodesic_projection_solves_ode():
 @pytest.mark.parametrize("seed", [0, 7, 50])
 def test_ode_invariance_is_the_per_change_loop(degree, seed, broken,
                                                monkeypatch):
-    # the 20 changes evaluated in one call give bitwise the values of one
-    # call per change, and the check's record is the per-change loop's,
-    # also when every other change is replaced by a non-equivalent structure
+    # the 20 changes built, fingerprinted and evaluated as one batch give
+    # bitwise the values of the Poly dicts, one evaluation per change, and
+    # the check's record is the per-change loop's, also when every other
+    # change is replaced by a non-equivalent structure
+    gamma = dict_structure(2, degree, 0.4, seed)
+    changed = ode_changes(gamma, seed)
     if broken:
-        calls = []
+        real = catalog.projective_change_structure
+        odd = {k: random_projective_structure(2, 2, 0.4, k)
+               for k in range(1, 20, 2)}
+        for k in odd:
+            changed[k] = dict_ode(dict_structure(2, 2, 0.4, k))
 
-        def some_not_equivalent(ps, ups):  # change k of each 20 calls
-            k = len(calls) % 20
-            calls.append(k)
-            return (random_projective_structure(2, 2, 0.4, k) if k % 2
-                    else projective_change_structure(ps, ups))
+        def some_not_equivalent(ps, ups):  # change k of the batch, k odd
+            out = real(ps, ups)
+            union = sorted(set(out.monomials).union(
+                *(o.monomials for o in odd.values())))
+            C = catalog._on(out.monomials, out.C, union)
+            for k, other in odd.items():
+                C[..., k, :] = catalog._on(other.monomials, other.C, union)
+            return ProjectiveStructure(2, union, C)
         monkeypatch.setattr(catalog, "projective_change_structure",
                             some_not_equivalent)
     sc = {"id": "p", "catalog": "dm-random",
@@ -177,10 +194,11 @@ def test_ode_invariance_is_the_per_change_loop(degree, seed, broken,
     s = cli.REGISTRY["dm-random"](sc)
     pts = cli.sample_points(Chart(("x1", "x2"), ((-0.8, 0.8),) * 2), seed,
                             "p", 100, 60)
-    changed = ode_changes(s.ps, seed)
-    record, values = per_change_ode_invariance(ode_from_projective(s.ps),
-                                               changed, pts, 1e-9)
-    got = stacked_values(changed, pts.reshape(20, 3, 2))
+    record, values = per_change_ode_invariance(dict_ode(gamma), changed, pts,
+                                               1e-9)
+    batch = catalog.projective_change_structure(
+        s.ps, cli._upsilons(2, [seed * 1000 + k for k in range(20)]))
+    got = ode_from_projective(batch).values(pts.reshape(20, 3, 2))
     assert np.array_equal(got, values)
     assert np.array_equal(np.signbit(got), np.signbit(values))
     assert s.checks["ode-invariance"](s, 1e-9) == record

@@ -5,17 +5,17 @@ import numpy as np
 import pytest
 
 import projcomp.jets as jets
-from projcomp.catalog import (Poly, ProjectiveStructure, dm_metric,
+from projcomp.catalog import (ProjectiveStructure, _evaluate, dm_metric,
                               projective_change_structure,
                               random_projective_structure, random_upsilon)
 from projcomp.tractor import splitting_metric_crosscheck
 
-from oracles import (CotractorConnection, coefficient_tractor_curvature,
-                     poly_at, tractor_curvature)
+from oracles import (CotractorConnection, Poly, coefficient_tractor_curvature,
+                     row_table, tractor_curvature, upsilon_jets)
 
 
 def flat_ps(n=2):
-    return ProjectiveStructure(n=n, gamma={}, label="flat")
+    return ProjectiveStructure(n=n, label="flat")
 
 
 def dpoly(p, axis):
@@ -82,12 +82,12 @@ def test_gauge_tensoriality_closed_upsilon():
     ps = random_projective_structure(2, 2, 0.4, seed=9)
     phi = Poly({(2, 0): 0.3, (1, 1): -0.2, (0, 1): 0.5, (1, 0): 0.1,
                 (0, 2): -0.4})
-    ups = [dpoly(phi, 0), dpoly(phi, 1)]
+    ups = row_table([dpoly(phi, 0), dpoly(phi, 1)])
     psb = projective_change_structure(ps, ups)
     x = [0.3, -0.2]
     F = tractor_curvature(CotractorConnection(ps), x)
     Fb = tractor_curvature(CotractorConnection(psb), x)
-    U = gauge_matrix(np.array([poly_at(p, [float(v) for v in x]) for p in ups]))
+    U = gauge_matrix(_evaluate(*ups, [float(v) for v in x]))
     Ui = np.linalg.inv(U)
     worst = 0.0
     for i in range(2):
@@ -106,11 +106,9 @@ def test_gauge_law_generic_upsilon_scalar_correction():
     x = [0.3, -0.2]
     F = tractor_curvature(CotractorConnection(ps), x)
     Fb = tractor_curvature(CotractorConnection(psb), x)
-    U = gauge_matrix(np.array([poly_at(p, [float(v) for v in x]) for p in ups]))
+    U = gauge_matrix(_evaluate(*ups, [float(v) for v in x]))
     Ui = np.linalg.inv(U)
-    xs = jets.seed_point(x, 1)
-    dU = np.array([[poly_at(ups[j], xs).deriv(i).value for j in range(2)]
-                   for i in range(2)])
+    dU = upsilon_jets(ups, x)[1]
     for i in range(2):
         for j in range(2):
             pred = U @ F[i, j] @ Ui + (dU[i, j] - dU[j, i]) * np.eye(3)
@@ -150,10 +148,7 @@ def test_dm_metric_invariant_under_fiber_shift():
         gb, omb = dm_metric(psb)
         for p in g.chart.sample(rng, 5):
             x = p[:n]
-            xs = jets.seed_point(x, 1)
-            uv = np.array([poly_at(u, xs).value for u in ups])
-            du = np.array([[poly_at(ups[j], xs).deriv(i).value for j in range(n)]
-                           for i in range(n)])
+            uv, du = upsilon_jets(ups, x)
             # pushforward of (x, xi) -> (x, xi + Y(x)): J = [[I, 0], [dY, I]]
             J = np.eye(2 * n)
             J[n:, :n] = du
